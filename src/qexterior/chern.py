@@ -157,7 +157,7 @@ def _as_function_form(x, model):
 
 
 def _constant_inverse(g_matrix, model):
-    from .forms import matrix_inverse
+    from .linalg import matrix_inverse
     scalars = []
     for row in g_matrix:
         r = []

@@ -22,9 +22,11 @@ Conventions (pinned, see README):
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from . import _kernels as K
+from .linalg import det, matrix_inverse
 from .scalars import GRat
 
 
@@ -393,50 +395,6 @@ def graded_degree(a: HForm):
 # -- symplectic star ----------------------------------------------------------
 
 
-def _det(rows):
-    """Exact determinant by fraction-free-enough Gaussian elimination."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return 0 * det
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] / inv
-                for k in range(c + 1, n):
-                    m[r][k] = m[r][k] - f * m[c][k]
-                m[r][c] = 0
-    return det
-
-
-def matrix_inverse(rows):
-    """Inverse of a square matrix over Fraction/GRat entries."""
-    n = len(rows)
-    m = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [row[n:] for row in m]
-
-
 def omega_form(omega, laurent: bool = False) -> HForm:
     """The 2-form sum_{i<j} Omega[i][j] e^{ij} of a constant matrix."""
     dim = len(omega)
@@ -458,8 +416,62 @@ def check_symplectic(omega):
         for j in range(dim):
             if omega[i][j] != -omega[j][i]:
                 raise ValueError("symplectic matrix is not antisymmetric")
-    if not _det(omega):
+    if not det(omega):
         raise ValueError("symplectic matrix is singular")
+
+
+# Star tables kept at once; suites that draw a fresh Omega per trial evict
+# the oldest instead of growing.
+_STAR_TABLES = 32
+
+
+class _StarTable:
+    """The star of one Omega, one basis monomial e^J at a time.
+
+    ``row(J)`` lists (complement of I, Lambda^k(w)[I, J] * pf * sign) over
+    the index sets I with |I| = |J| and a nonzero minor, where pf is the
+    top coefficient of omega^n/n! and sign that of e^I ^ e^{comp I}.
+    Validation, the inverse and pf are computed once per table; rows are
+    filled on first use.
+    """
+
+    __slots__ = ("dim", "wstar", "pf", "rows")
+
+    def __init__(self, omega):
+        check_symplectic(omega)
+        dim = len(omega)
+        self.dim = dim
+        self.wstar = [[-x for x in row] for row in matrix_inverse(omega)]
+        vol = HForm.scalar(dim, Fraction(1))
+        om = omega_form(omega)
+        for k in range(1, dim // 2 + 1):
+            vol = wedge(vol, om) * Fraction(1, k)
+        self.pf = vol.terms.get((0, (1 << dim) - 1), Fraction(0))
+        self.rows = {}
+
+    def row(self, maskJ):
+        row = self.rows.get(maskJ)
+        if row is not None:
+            return row
+        dim, wstar, pf = self.dim, self.wstar, self.pf
+        full = (1 << dim) - 1
+        idxJ = [i for i in range(dim) if maskJ >> i & 1]
+        row = []
+        for idxI in combinations(range(dim), len(idxJ)):
+            maskI = 0
+            for i in idxI:
+                maskI |= 1 << i
+            lam = det([[wstar[r][s] for s in idxJ] for r in idxI])
+            if lam:
+                comp = full ^ maskI
+                row.append((comp, lam * pf * K.wedge_sign(maskI, comp)))
+        self.rows[maskJ] = row
+        return row
+
+
+# Keyed by Omega's entry values.  An invalid Omega raises on every call,
+# because lru_cache stores no exceptions.
+_star_table = lru_cache(maxsize=_STAR_TABLES)(_StarTable)
 
 
 def symplectic_star(a: HForm, omega) -> HForm:
@@ -467,45 +479,24 @@ def symplectic_star(a: HForm, omega) -> HForm:
 
     Here w is the dual bivector of Omega (w(e^i, e^j) = -(Omega^-1)[i][j],
     which makes *1 = omega^n/n! and *e^1 = e^1 in the Darboux model) and
-    the star is extended to h-coefficients by *h = h^-1.
+    the star is extended to h-coefficients by *h = h^-1.  The table of
+    Omega is looked up by the values of its entries, so a caller may
+    mutate its matrix between calls.
     """
     dim = a.dim
     if len(omega) != dim:
         raise ValueError("matrix dimension mismatch")
-    check_symplectic(omega)
-    n = dim // 2
-    wstar = [[-x for x in row] for row in matrix_inverse(omega)]
-    vol = HForm.scalar(dim, Fraction(1))
-    om = omega_form(omega)
-    for k in range(1, n + 1):
-        vol = wedge(vol, om) * Fraction(1, k)
-    pf = vol.terms.get((0, (1 << dim) - 1), Fraction(0))
-
+    table = _star_table(tuple(tuple(row) for row in omega))
     if any(j for (j, _m) in a.terms) and not a.laurent:
         raise ValueError("star of an h-carrying form requires Laurent mode")
 
-    full = (1 << dim) - 1
     out = {}
-    by_count = {}
-    for (j, mask), c in a.terms.items():
-        by_count.setdefault(mask.bit_count(), []).append((j, mask, c))
-    for k, terms in by_count.items():
-        for idxI in combinations(range(dim), k):
-            maskI = 0
-            for i in idxI:
-                maskI |= 1 << i
-            comp = full ^ maskI
-            sgn = K.wedge_sign(maskI, comp)
-            for (j, maskJ, c) in terms:
-                idxJ = [i for i in range(dim) if maskJ >> i & 1]
-                lam = _det([[wstar[r][s] for s in idxJ] for r in idxI])
-                if not lam:
-                    continue
-                coeff = c * (lam * pf * sgn)
-                key = (-j, comp)
-                s = out.get(key, 0) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+    for (j, maskJ), c in a.terms.items():
+        for comp, scale in table.row(maskJ):
+            key = (-j, comp)
+            s = out.get(key, 0) + c * scale
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
     return HForm(dim, out, a.laurent)

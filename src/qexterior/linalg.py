@@ -1,15 +1,24 @@
 """Exact linear algebra over the base field (Fraction / GRat).
 
-Characteristic polynomials are computed by evaluation of exact
-determinants at integer points followed by Lagrange interpolation, and
-factored by rational root search plus quadratic trial divisors of the
-shape x^2 - 2a x + (a^2 - 5/4) (the only quadratics the Lefschetz spectra
-can produce; anything else is reported unfactored).
+* ``det``, ``rank`` and ``matrix_inverse`` use Gaussian elimination; this
+  is the one exact det/inverse of the engine.
+* ``charpoly`` reduces the matrix to upper Hessenberg form by similarity
+  transforms and reads det(xI - A) off the Hessenberg recurrence (Cohen,
+  *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9): one
+  O(n^3) pass, exact over any field.
+* ``factor_charpoly`` finds every rational root with its multiplicity by a
+  bounded integer search: the polynomial is rescaled to a monic integer
+  polynomial, whose rational roots are integers dividing the constant term
+  and no larger than the Fujiwara bound (computed with integer n-th roots,
+  never floats).  What is left is trial-divided by quadratics of the shape
+  x^2 - 2a x + (a^2 - 5/4) (the only quadratics the Lefschetz spectra can
+  produce); anything else is reported unfactored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .hpoly import HPoly
 
@@ -37,6 +46,25 @@ def det(rows):
                     m[r][k] = m[r][k] - f * m[c][k]
                 m[r][c] = 0
     return out
+
+
+def matrix_inverse(rows):
+    """Inverse of a square matrix over Fraction/GRat entries."""
+    n = len(rows)
+    m = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        inv = m[c][c]
+        m[c] = [x / inv for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
 
 
 def rank(rows) -> int:
@@ -74,26 +102,51 @@ def charpoly(rows) -> HPoly:
     n = len(rows)
     if n == 0:
         return HPoly.one()
-    xs = [Fraction(t) for t in range(n + 1)]
-    ys = [det([[ (x if i == j else 0) - rows[i][j] for j in range(n)]
-               for i in range(n)]) for x in xs]
-    return _interpolate(xs, ys)
-
-
-def _interpolate(xs, ys) -> HPoly:
-    out = HPoly.zero()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if not yi:
+    H = [[Fraction(x) if isinstance(x, int) else x for x in row]
+         for row in rows]
+    # Similarity transforms to upper Hessenberg form: clear column m - 1
+    # below the subdiagonal with row m as pivot row.
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
             continue
-        num = HPoly.from_scalar(yi)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        pivot_row = H[m]
+        t = pivot_row[m - 1]
+        for i in range(m + 1, n):
+            if not H[i][m - 1]:
                 continue
-            num = num * HPoly({1: Fraction(1), 0: -xj})
-            denom *= xi - xj
-        out = out + num * (Fraction(1) / denom)
-    return out
+            u = H[i][m - 1] / t
+            row = H[i]
+            for j in range(m - 1, n):
+                row[j] = row[j] - u * pivot_row[j]
+            for r in H:
+                r[m] = r[m] + u * r[i]
+    # p_k = det(xI - H_k) of the leading k x k block, coefficients low to
+    # high:  p_{k+1} = (x - H[k][k]) p_k
+    #                  - sum_{i<k} H[i][k] H[i+1][i] ... H[k][k-1] p_i.
+    polys = [[Fraction(1)]]
+    for k in range(n):
+        prev = polys[k]
+        new = [Fraction(0)] + prev
+        hkk = H[k][k]
+        if hkk:
+            for j, c in enumerate(prev):
+                new[j] = new[j] - hkk * c
+        t = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            t = t * H[i + 1][i]
+            if not t:
+                break
+            f = H[i][k] * t
+            if f:
+                for j, c in enumerate(polys[i]):
+                    new[j] = new[j] - f * c
+        polys.append(new)
+    return HPoly(dict(enumerate(polys[n])))
 
 
 def poly_shift(p: HPoly, a) -> HPoly:
@@ -126,54 +179,120 @@ class CharFactorization:
 
 
 def _rational_roots(p: HPoly):
-    """All rational roots with multiplicity (clears denominators first)."""
+    """All rational roots with multiplicity, and p divided by them.
+
+    Roots are listed zero first, then by (denominator, |numerator|), the
+    positive one of a pair first.
+    """
     roots = {}
-    work = p
-    while work.degree() >= 1:
-        root = _find_rational_root(work)
-        if root is None:
-            break
-        divisor = HPoly({1: Fraction(1), 0: -root})
-        work = work.exact_div(divisor)
-        roots[root] = roots.get(root, 0) + 1
-    return roots, work
+    v = p.valuation()
+    if v:
+        roots[Fraction(0)] = v
+        p = HPoly({j - v: c for j, c in p.coeffs.items()})
+    n = p.degree()
+    if n < 1:
+        return roots, p
+    # q(y) = D^n P(y / D) with P = p / lead monic: a monic integer
+    # polynomial whose rational roots are the integers D * r.
+    lead = p.leading()
+    monic = [p.coeffs.get(j, Fraction(0)) / lead for j in range(n + 1)]
+    D = lcm(*(c.denominator for c in monic))
+    q = [int(c * D ** (n - j)) for j, c in enumerate(monic)]
+    found, q = _integer_roots(q)
+    for y in sorted(found, key=lambda y: (Fraction(y, D).denominator,
+                                          abs(y), y < 0)):
+        roots[Fraction(y, D)] = found[y]
+    # Undo the rescaling on the deflated q: P'(x) = D^-deg q'(D x).
+    deg = len(q) - 1
+    rest = HPoly({j: lead * Fraction(c, D ** (deg - j))
+                  for j, c in enumerate(q)})
+    return roots, rest
 
 
-def _find_rational_root(p: HPoly):
-    if not p.coeffs.get(0, Fraction(0)):
-        return Fraction(0)
-    den = 1
-    for c in p.coeffs.values():
-        den = den * c.denominator // _gcd(den, c.denominator)
-    ints = {j: int(c * den) for j, c in p.coeffs.items()}
-    a0 = abs(ints.get(0, 0))
-    an = abs(ints[p.degree()])
-    for q in _divisors(an):
-        for pnum in _divisors(a0):
-            for sign in (1, -1):
-                cand = Fraction(sign * pnum, q)
-                if not p.evaluate(cand):
-                    return cand
-    return None
+def _integer_roots(q):
+    """Integer roots of a monic integer polynomial with q(0) != 0.
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
-
-
-def _divisors(n):
-    n = abs(n)
-    out = []
+    ``q`` lists coefficients from the constant term up.  Returns
+    ({root: multiplicity}, q divided by every root found).  Each root
+    divides a0 = |q(0)| and is at most the Fujiwara bound B, so every
+    candidate is some d <= min(B, isqrt(a0)) or its cofactor a0 // d.  A
+    root is divided out with its full multiplicity as soon as it is found,
+    and the bound of the quotient tightens the search; a quotient of degree
+    two or less is solved directly.  The search thus costs at most
+    min(B, isqrt(a0)) trial divisions, and stops early once only two roots
+    remain or a large root is the cofactor of a small divisor.
+    """
+    found = {}
+    a0 = abs(q[0])
+    bound = _root_bound(q)
+    limit = min(bound, isqrt(a0))
     d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
+    while len(q) > 3 and d <= limit:
+        if a0 % d == 0:
+            e = a0 // d
+            for y in ((d, -d, e, -e) if d < e <= bound else (d, -d)):
+                mult = 0
+                while len(q) > 1 and not _horner(q, y):
+                    q = _deflate(q, y)
+                    mult += 1
+                if mult:
+                    found[y] = mult
+                    bound = min(bound, _root_bound(q))
+                    limit = min(bound, isqrt(a0))
         d += 1
-    return sorted(out)
+    if len(q) == 3:                       # y^2 + b y + c
+        c, b = q[0], q[1]
+        disc = b * b - 4 * c
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:
+            for y in ((-b + s) // 2, (-b - s) // 2):
+                found[y] = found.get(y, 0) + 1
+            q = [1]
+    elif len(q) == 2:
+        found[-q[0]] = 1
+        q = [1]
+    return found, q
+
+
+def _horner(q, y):
+    acc = 0
+    for c in reversed(q):
+        acc = acc * y + c
+    return acc
+
+
+def _deflate(q, y):
+    """q(t) / (t - y) for a root y (synthetic division, low-to-high)."""
+    out = [0] * (len(q) - 1)
+    acc = 0
+    for j in range(len(q) - 1, 0, -1):
+        acc = acc * y + q[j]
+        out[j - 1] = acc
+    return out
+
+
+def _root_bound(q):
+    """Fujiwara bound 2 max(|a_{n-i}|^(1/i), |a_0/2|^(1/n)) of a monic q,
+    rounded up with exact integer roots."""
+    n = len(q) - 1
+    if n < 1:
+        return 0
+    terms = [_ceil_root(abs(q[n - i]), i) for i in range(1, n)]
+    terms.append(_ceil_root((abs(q[0]) + 1) // 2, n))
+    return 2 * max(terms)
+
+
+def _ceil_root(m: int, k: int) -> int:
+    """Smallest integer t >= 0 with t^k >= m (m >= 0, k >= 1)."""
+    if m <= 1:
+        return m
+    x = 1 << -(-m.bit_length() // k)      # 2^ceil(bits/k) >= m^(1/k)
+    while True:                           # integer Newton from above
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x ** k >= m else x + 1
 
 
 def factor_charpoly(p: HPoly, quad_centers=None) -> CharFactorization:
@@ -202,16 +321,17 @@ def factor_charpoly(p: HPoly, quad_centers=None) -> CharFactorization:
 def geometric_multiplicity(rows, factor_poly: HPoly) -> int:
     """dim ker f(A) for a monic factor f (evaluates the matrix polynomial)."""
     n = len(rows)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i in range(n)]
-    for j in range(0, factor_poly.degree() + 1):
+    deg = factor_poly.degree()
+    c0 = factor_poly.coeffs.get(0, Fraction(0))
+    acc = [[c0 if r == s else Fraction(0) for s in range(n)] for r in range(n)]
+    power = [list(row) for row in rows]
+    for j in range(1, deg + 1):
         c = factor_poly.coeffs.get(j)
         if c:
             for r in range(n):
                 for s in range(n):
                     acc[r][s] = acc[r][s] + c * power[r][s]
-        if j < factor_poly.degree():
+        if j < deg:
             power = [[sum(power[r][k] * rows[k][s] for k in range(n))
                       for s in range(n)] for r in range(n)]
     return n - rank(acc)

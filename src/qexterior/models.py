@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import FourierCoeff, PolyCoeff
-from .forms import Bivector, HForm, matrix_inverse, check_symplectic
+from .forms import Bivector, HForm, check_symplectic
+from .linalg import matrix_inverse
 from .quantum import j_preserves
 from .scalars import as_fraction
 

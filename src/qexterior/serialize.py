@@ -97,7 +97,7 @@ def model_from_json(obj) -> PoissonModel:
             raise ValueError("darboux needs even dimension")
         symp = darboux_matrix(dim // 2)
         if not entries:
-            from .forms import matrix_inverse
+            from .linalg import matrix_inverse
             dual = matrix_inverse(symp)
             cls = PolyCoeff if kind == AFFINE else FourierCoeff
             entries = {(i + 1, j + 1): cls.const(dim, dual[i][j])

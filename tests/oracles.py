@@ -9,13 +9,22 @@ sparsity shortcuts, no shared code with the engine's cascade.
 maps on basis tuples; contractions are slot evaluations and the wedge is
 the shuffle sum.  It re-derives the same product through a second,
 representation-independent route.
+
+``charpoly_interpolation``, ``rational_roots_trial_division`` and
+``symplectic_star_uncached`` are the spectrum-layer algorithms the engine
+used before its Hessenberg charpoly, bounded root search and cached star
+table; the tests assert exact agreement with them.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from qexterior.forms import (HForm, contract_back, contract_front,
-                             mask_indices, wedge)
+from qexterior._kernels_py import wedge_sign
+from qexterior.forms import (HForm, check_symplectic, contract_back,
+                             contract_front, mask_indices, omega_form, wedge)
+from qexterior.hpoly import HPoly
+from qexterior.linalg import det, matrix_inverse
 
 
 def qwedge_bruteforce(a: HForm, b: HForm, w) -> HForm:
@@ -207,3 +216,117 @@ def qwedge_multilinear(a: HForm, b: HForm, w) -> HForm:
                 term = left.wedge(right).scale(coeff * Fraction(1, fact))
                 out = out.add(term.shift_h(n))
     return out.to_hform(a.laurent or b.laurent)
+
+
+# -- spectrum-layer oracles ----------------------------------------------------
+
+
+def charpoly_interpolation(rows) -> HPoly:
+    """det(x I - A) from n + 1 exact determinants and Lagrange interpolation."""
+    n = len(rows)
+    if n == 0:
+        return HPoly.one()
+    xs = [Fraction(t) for t in range(n + 1)]
+    ys = [det([[(x if i == j else 0) - rows[i][j] for j in range(n)]
+               for i in range(n)]) for x in xs]
+    out = HPoly.zero()
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if not yi:
+            continue
+        num = HPoly.from_scalar(yi)
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            num = num * HPoly({1: Fraction(1), 0: -xj})
+            denom *= xi - xj
+        out = out + num * (Fraction(1) / denom)
+    return out
+
+
+def rational_roots_trial_division(p: HPoly):
+    """Rational roots by trying every p/q with p | a0, q | an (up to sqrt by
+    trial division), restarting after each root; returns (roots, quotient)."""
+    roots = {}
+    work = p
+    while work.degree() >= 1:
+        root = _find_rational_root(work)
+        if root is None:
+            break
+        work = work.exact_div(HPoly({1: Fraction(1), 0: -root}))
+        roots[root] = roots.get(root, 0) + 1
+    return roots, work
+
+
+def _find_rational_root(p: HPoly):
+    if not p.coeffs.get(0, Fraction(0)):
+        return Fraction(0)
+    den = 1
+    for c in p.coeffs.values():
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = {j: int(c * den) for j, c in p.coeffs.items()}
+    for q in _divisors(ints[p.degree()]):
+        for pnum in _divisors(ints.get(0, 0)):
+            for sign in (1, -1):
+                cand = Fraction(sign * pnum, q)
+                if not p.evaluate(cand):
+                    return cand
+    return None
+
+
+def _divisors(n):
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def symplectic_star_uncached(a: HForm, omega) -> HForm:
+    """b ^ *a = Lambda^k(w)(b, a) omega^n/n!, recomputing everything per call:
+    validation, Omega^-1, omega^n/n! and one minor per (I, J) pair."""
+    dim = a.dim
+    if len(omega) != dim:
+        raise ValueError("matrix dimension mismatch")
+    check_symplectic(omega)
+    n = dim // 2
+    wstar = [[-x for x in row] for row in matrix_inverse(omega)]
+    vol = HForm.scalar(dim, Fraction(1))
+    om = omega_form(omega)
+    for k in range(1, n + 1):
+        vol = wedge(vol, om) * Fraction(1, k)
+    pf = vol.terms.get((0, (1 << dim) - 1), Fraction(0))
+
+    if any(j for (j, _m) in a.terms) and not a.laurent:
+        raise ValueError("star of an h-carrying form requires Laurent mode")
+
+    full = (1 << dim) - 1
+    out = {}
+    by_count = {}
+    for (j, mask), c in a.terms.items():
+        by_count.setdefault(mask.bit_count(), []).append((j, mask, c))
+    for k, terms in by_count.items():
+        for idxI in itertools.combinations(range(dim), k):
+            maskI = 0
+            for i in idxI:
+                maskI |= 1 << i
+            comp = full ^ maskI
+            sgn = wedge_sign(maskI, comp)
+            for (j, maskJ, c) in terms:
+                idxJ = [i for i in range(dim) if maskJ >> i & 1]
+                lam = det([[wstar[r][s] for s in idxJ] for r in idxI])
+                if not lam:
+                    continue
+                coeff = c * (lam * pf * sgn)
+                key = (-j, comp)
+                s = out.get(key, 0) + coeff
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+    return HForm(dim, out, a.laurent)

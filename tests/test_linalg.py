@@ -1,0 +1,236 @@
+"""The spectrum layer against the algorithms it replaced (tests/oracles.py):
+Hessenberg charpoly vs determinant interpolation, the bounded integer root
+search vs trial division, and the cached star table vs the per-call star
+formula, plus the safety of the star cache."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (charpoly_interpolation, rational_roots_trial_division,
+                     symplectic_star_uncached)
+from qexterior.forms import HForm, symplectic_star
+from qexterior.hpoly import HPoly
+from qexterior.lefschetz import DarbouxSpace, Mh_matrix
+from qexterior.linalg import (_ceil_root, _rational_roots, charpoly,
+                              factor_charpoly, geometric_multiplicity)
+from qexterior.models import darboux_matrix
+from qexterior.sampling import Sampler
+
+fractions_st = st.builds(Fraction,
+                         st.integers(min_value=-9, max_value=9),
+                         st.integers(min_value=1, max_value=6))
+# Half the entries zero, so subdiagonal pivots vanish and rows must swap.
+entries_st = st.one_of(st.just(Fraction(0)), fractions_st)
+
+
+def _matrices(max_size):
+    return st.integers(min_value=0, max_value=max_size).flatmap(
+        lambda n: st.lists(st.lists(entries_st, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+def _linear(r):
+    return HPoly({1: Fraction(1), 0: -r})
+
+
+def _sqrt5_quadratic(a):
+    return HPoly({2: Fraction(1), 1: -2 * a, 0: a * a - Fraction(5, 4)})
+
+
+class TestCharpoly:
+    @given(_matrices(8))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_interpolation(self, rows):
+        assert charpoly(rows) == charpoly_interpolation(rows)
+
+    def test_zero_subdiagonal_pivots(self):
+        z, o = Fraction(0), Fraction(1)
+        cases = [
+            # column 0 is zero below the diagonal: no pivot, skip the step
+            [[o, 2 * o, 3 * o], [z, 4 * o, 5 * o], [z, 6 * o, 7 * o]],
+            # the pivot sits two rows down: rows and columns swap
+            [[o, o, z, z], [z, o, o, z], [5 * o, z, o, o], [z, z, o, o]],
+            # block diagonal: a zero subdiagonal survives the reduction
+            [[o, 2 * o, z, z], [3 * o, 4 * o, z, z],
+             [z, z, 5 * o, 6 * o], [z, z, 7 * o, 8 * o]],
+        ]
+        for rows in cases:
+            assert charpoly(rows) == charpoly_interpolation(rows)
+
+    def test_integer_entries(self):
+        rows = [[0, 1, 2], [3, 0, 4], [5, 6, 0]]
+        p = charpoly(rows)
+        assert p == charpoly_interpolation(
+            [[Fraction(x) for x in row] for row in rows])
+        assert all(isinstance(c, Fraction) for c in p.coeffs.values())
+
+    def test_leaves_input_unchanged(self):
+        rows = [[Fraction(i * 3 + j) for j in range(3)] for i in range(3)]
+        copy = [list(r) for r in rows]
+        charpoly(rows)
+        assert rows == copy
+
+
+roots_st = st.lists(st.builds(Fraction,
+                              st.integers(min_value=-7, max_value=7),
+                              st.integers(min_value=1, max_value=4)),
+                    max_size=4)
+centers_st = st.lists(st.builds(Fraction,
+                                st.integers(min_value=-6, max_value=6),
+                                st.just(2)),
+                      max_size=2)
+leads_st = st.builds(Fraction,
+                     st.integers(min_value=1, max_value=7).flatmap(
+                         lambda k: st.sampled_from([k, -k])),
+                     st.integers(min_value=1, max_value=5))
+
+
+class TestRationalRoots:
+    @given(roots_st, centers_st, leads_st)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_trial_division(self, roots, centers, lead):
+        p = HPoly.from_scalar(lead)
+        for r in roots:
+            p = p * _linear(r)
+        for a in centers:
+            p = p * _sqrt5_quadratic(a)
+        got, rest = _rational_roots(p)
+        want, want_rest = rational_roots_trial_division(p)
+        # same roots in the same order (reports list them in dict order)
+        assert list(got.items()) == list(want.items())
+        assert rest == want_rest
+        expected = {}
+        for r in roots:
+            expected[r] = expected.get(r, 0) + 1
+        assert got == expected
+
+    def test_factor_charpoly_keeps_quadratics(self):
+        p = (_linear(Fraction(3)) * _linear(Fraction(3))
+             * _sqrt5_quadratic(Fraction(3)) * _sqrt5_quadratic(Fraction(3)))
+        f = factor_charpoly(p, [3])
+        assert f.rational_roots == {Fraction(3): 2}
+        assert f.quadratics == {(Fraction(-6), Fraction(31, 4)): 2}
+        assert f.remainder == HPoly.one()
+
+    def test_zero_roots_and_constants(self):
+        assert _rational_roots(HPoly.zero()) == ({}, HPoly.zero())
+        assert _rational_roots(HPoly.from_scalar(Fraction(5))) == \
+            ({}, HPoly.from_scalar(Fraction(5)))
+        p = HPoly({3: Fraction(2, 3)})
+        assert _rational_roots(p) == ({Fraction(0): 3},
+                                      HPoly.from_scalar(Fraction(2, 3)))
+
+    def test_huge_roots_stay_exact(self):
+        # A root near 10^400 makes every float bound overflow; the search
+        # must still find it exactly, as the cofactor of a small divisor,
+        # in the degree-two finish and as a repeated root.
+        big = Fraction(10) ** 400 + 7
+        p = (HPoly.from_scalar(Fraction(3, 5)) * _linear(big)
+             * _linear(Fraction(-7, 3)) * _linear(Fraction(1, 2))
+             * _sqrt5_quadratic(Fraction(1)))
+        f = factor_charpoly(p)
+        assert f.rational_roots == {Fraction(1, 2): 1, Fraction(-7, 3): 1,
+                                    big: 1}
+        assert f.quadratics == {(Fraction(-2), Fraction(-1, 4)): 1}
+        assert f.remainder == HPoly.one()
+        p = _linear(big) * _linear(big) * _linear(Fraction(-2))
+        assert factor_charpoly(p).rational_roots == {Fraction(-2): 1, big: 2}
+        p = _linear(big) * _linear(-big - 1) * _linear(Fraction(1, 3))
+        assert factor_charpoly(p).rational_roots == \
+            {Fraction(1, 3): 1, big: 1, -big - 1: 1}
+
+    def test_ceil_root(self):
+        for m in list(range(0, 300)) + [10 ** 400, 10 ** 400 + 1, 3 ** 64]:
+            for k in range(1, 7):
+                t = _ceil_root(m, k)
+                assert t ** k >= m
+                assert t == 0 or (t - 1) ** k < m
+
+
+class TestDarbouxBlocks:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_spectra_match_oracles(self, n):
+        space = DarbouxSpace(n)
+        for k in range(-2 * n, 2 * n + 1):
+            M = Mh_matrix(space, k)
+            p = charpoly(M)
+            assert p == charpoly_interpolation(M)
+            got = _rational_roots(p)
+            assert list(got[0].items()) == \
+                list(rational_roots_trial_division(p)[0].items())
+
+
+class TestGeometricMultiplicity:
+    def test_linear_and_quadratic_factors(self):
+        o, z = Fraction(1), Fraction(0)
+        jordan = [[z, -o], [o, 2 * o]]            # (x - 1)^2, one block
+        assert geometric_multiplicity(jordan, _linear(o)) == 1
+        ident = [[o, z], [z, o]]
+        assert geometric_multiplicity(ident, _linear(o)) == 2
+        companion = [[z, Fraction(1, 4)], [o, 2 * o]]    # x^2 - 2x - 1/4
+        assert geometric_multiplicity(companion, _sqrt5_quadratic(o)) == 2
+        assert geometric_multiplicity(companion, HPoly.one()) == 0
+
+
+def _h_form(s, dim):
+    """Random Laurent form with h-powers and exact coefficients."""
+    return s.ext_form(dim, h_max=2, laurent=True, terms=4)
+
+
+class TestStarTable:
+    def test_matches_uncached_formula(self):
+        s = Sampler(4101)
+        for dim in (2, 4, 6):
+            for _ in range(6):
+                om = s.antisymmetric_invertible(dim)
+                for _ in range(4):
+                    a = _h_form(s, dim)
+                    assert symplectic_star(a, om) == \
+                        symplectic_star_uncached(a, om)
+
+    def test_matches_uncached_on_darboux_basis(self):
+        for n in (1, 2, 3):
+            om = darboux_matrix(n)
+            for mask in range(1 << (2 * n)):
+                a = HForm(2 * n, {(1, mask): Fraction(2, 3),
+                                  (-1, mask ^ 1): Fraction(-5)}, laurent=True)
+                assert symplectic_star(a, om) == \
+                    symplectic_star_uncached(a, om)
+
+    def test_mutated_omega_is_not_stale(self):
+        om = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
+        one = HForm.scalar(2, Fraction(1), laurent=True)
+        assert symplectic_star(one, om) == \
+            HForm(2, {(0, 3): Fraction(1)}, laurent=True)
+        om[0][1], om[1][0] = Fraction(3), Fraction(-3)
+        assert symplectic_star(one, om) == \
+            HForm(2, {(0, 3): Fraction(3)}, laurent=True)
+        assert symplectic_star(one, om) == symplectic_star_uncached(one, om)
+
+    def test_invalid_omega_raises_every_call(self):
+        singular = [[Fraction(0)] * 2] * 2
+        odd = [[Fraction(0)] * 3] * 3
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                symplectic_star(HForm.basis(2, 1), singular)
+            with pytest.raises(ValueError):
+                symplectic_star(HForm.basis(3, 1), odd)
+
+    def test_polynomial_h_form_still_rejected(self):
+        om = darboux_matrix(1)
+        symplectic_star(HForm.basis(2, 1), om)        # table now cached
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                symplectic_star(HForm(2, {(1, 0): Fraction(1)}), om)
+
+    def test_cache_is_bounded(self):
+        from qexterior import forms
+        s = Sampler(4102)
+        for _ in range(forms._STAR_TABLES + 8):
+            om = s.antisymmetric_invertible(4)
+            symplectic_star(HForm.scalar(4, Fraction(1)), om)
+        info = forms._star_table.cache_info()
+        assert info.currsize <= forms._STAR_TABLES

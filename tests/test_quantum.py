@@ -133,7 +133,7 @@ class TestQwedgeLaws:
     def test_basis_invariance(self):
         # change_frame substitutes e = R f; the bivector components in the
         # f-frame use the inverse rows f = R^{-1} e.
-        from qexterior.forms import matrix_inverse
+        from qexterior.linalg import matrix_inverse
         s = Sampler(53)
         for _ in range(15):
             dim = s.rng.randint(2, 4)
