@@ -8,20 +8,27 @@ finite two-periodic complex over the h-ring whose parity components are
 spanned by the even/odd monomials.  Tables aggregate the mode-0 answer and
 carry per-mode diagnostics for every nonzero mode in the requested box
 (expected acyclic on symplectic tori; reported, never silently asserted).
+
+The mode matrices of d_h are assembled from the bivector entries with bit
+arithmetic (``_matrix_of_dh``; its docstring derives the entries and their
+signs from the pinned delta = d o iota_w - iota_w o d), and ``ring_table``
+factors its representative matrix once and solves every class product
+from that one Smith normal form.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .calculus import dolbeault_operators, quantum_d
+from .calculus import dolbeault_operators
 from .coeffs import FourierCoeff
 from .complexes import CohomologyTable, DegreeHomology, FiniteComplex, complex_homology
 from .forms import HForm, mask_indices
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
 from .quantum import qwedge
-from .snf import solve_linear
+from .scalars import GRat
+from .snf import smith_normal_form, solve_linear  # noqa: F401 (kept importable)
 
 
 def _require_torus_constant(model: PoissonModel):
@@ -31,27 +38,52 @@ def _require_torus_constant(model: PoissonModel):
         raise ValueError("cohomology engine requires a constant bivector")
 
 
-def _mode_form(model, mask, k, j=0) -> HForm:
-    coeff = FourierCoeff.character(model.dim, k)
-    return HForm(model.dim, {(j, mask): coeff})
-
-
 def _matrix_of_dh(model, k, src_masks, dst_masks, ring):
-    """Matrix of d_h from the span of src_masks to dst_masks at mode k."""
-    dst_index = {m: i for i, m in enumerate(dst_masks)}
+    """Matrix of d_h = d - h delta from the span of src_masks to dst_masks
+    on the Fourier mode k, built directly from the bivector entries.
+
+    On e^{i k.theta} e^I the operator d is wedging from the left with
+    kappa = sum_b i k_b e^b.  Since iota_w = sum_{a<b} w^ab e_b |- e_a |-
+    is second order, the pinned delta = d o iota_w - iota_w o d is the
+    commutator -[iota_w, kappa ^], a first-order contraction:
+    delta e^I = sum_a v_a e_a |- e^I with v_a = sum_b w^ab kappa_b.  Both
+    e^b ^ e^I and e_a |- e^I carry the sign (-1)^(number of indices of I
+    below the moved one).  Entries are Gaussian rationals, as the
+    amplitudes of the Fourier coefficients they stand for.
+    """
+    m = model.dim
+    w = model.constant_bivector()
+    kappa = [GRat(0, kb) for kb in k]
+    v = []
+    for a in range(m):
+        s = GRat(0)
+        for b in range(m):
+            wab = w.entry(a + 1, b + 1)
+            if wab and k[b]:
+                s = s + wab * kappa[b]
+        v.append(s)
+    dst_index = {mask: i for i, mask in enumerate(dst_masks)}
     rows = [[ring.zero() for _ in src_masks] for _ in dst_masks]
+
+    def put(mask, col, j, amp):
+        row = dst_index.get(mask)
+        if row is None:
+            raise AssertionError("differential left the parity component")
+        rows[row][col] = ring({j: amp})
+
     for col, mask in enumerate(src_masks):
-        image = quantum_d(_mode_form(model, mask, k), model)
-        for (j, m2), c in image.terms.items():
-            amp = c.mode_amplitude(k)
-            if c.terms and (set(c.terms) - {tuple(k)}):
-                raise AssertionError("constant-w differential mixed Fourier modes")
-            if not amp:
+        for b in range(m):
+            bit = 1 << b
+            if not kappa[b] or mask & bit:
                 continue
-            if m2 not in dst_index:
-                raise AssertionError("differential left the parity component")
-            row = dst_index[m2]
-            rows[row][col] = rows[row][col] + ring({j: amp})
+            odd = (mask & (bit - 1)).bit_count() & 1
+            put(mask | bit, col, 0, -kappa[b] if odd else kappa[b])
+        for a in range(m):
+            bit = 1 << a
+            if not v[a] or not mask & bit:
+                continue
+            odd = (mask & (bit - 1)).bit_count() & 1
+            put(mask ^ bit, col, 1, v[a] if odd else -v[a])
     return rows
 
 
@@ -271,7 +303,8 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
                ring=HLaurent) -> RingTable:
     """Products of representatives reduced to class coordinates.
 
-    Reduction solves rep-matrix * x = product over the h-ring; with the
+    Reduction solves rep-matrix * x = product over the h-ring, from one
+    factorization of the rep-matrix shared by every pair; with the
     invariant torus complex the exact part is zero, so inconsistency
     signals a broken representative rather than a mathematical failure.
     """
@@ -291,6 +324,8 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
             columns.append(col)
     rep_matrix = [[columns[c][r] for c in range(len(columns))]
                   for r in range(len(all_masks))]
+    # one factorization serves all len(classes)^2 right-hand sides
+    rep_snf = smith_normal_form(rep_matrix, ring, track=("U", "V"))
     for i, (_da, _ia, fa) in enumerate(rt.classes):
         for j, (_db, _ib, fb) in enumerate(rt.classes):
             prod = qwedge(fa, fb, model.w)
@@ -299,7 +334,7 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
                 val = c.constant_value() if hasattr(c, "constant_value") else c
                 if val:
                     target[mask_pos[mask]] = target[mask_pos[mask]] + ring({jj: val})
-            x = solve_linear(rep_matrix, target, ring)
+            x = rep_snf.solve(target)
             if x is None:
                 raise AssertionError("class reduction system is inconsistent")
             rt.structure[(i, j)] = {k: coeff for k, coeff in enumerate(x)

@@ -55,10 +55,12 @@ class FiniteComplex:
             if not A or not B:
                 continue
             for i in range(len(A)):
-                for j in range(len(B[0]) if B else 0):
+                nz_a = [(t, a) for t, a in enumerate(A[i]) if not a.is_zero()]
+                for j in range(len(B[0])):
                     s = self.ring.zero()
-                    for t in range(len(B)):
-                        s = s + A[i][t] * B[t][j]
+                    for t, a in nz_a:
+                        if not B[t][j].is_zero():
+                            s = s + a * B[t][j]
                     if not s.is_zero():
                         raise ValueError(f"complex is not square-zero at spot {k}")
 
@@ -143,7 +145,7 @@ def homology_at(out_mat, in_mat, dim, ring):
         vinv = None
         out_rank = 0
     else:
-        snf_out = smith_normal_form(out_mat, ring)
+        snf_out = smith_normal_form(out_mat, ring, track=("V", "Vinv"))
         out_rank = snf_out.rank
         kernel = _kernel_basis(snf_out, dim)
         vinv = snf_out.Vinv
@@ -161,8 +163,14 @@ def homology_at(out_mat, in_mat, dim, ring):
         if vinv is None:
             vec = col
         else:
-            vec = [sum((vinv[r][t] * col[t] for t in range(dim)),
-                       start=ring.zero()) for r in range(dim)]
+            nz_col = [(t, c) for t, c in enumerate(col) if not c.is_zero()]
+            vec = []
+            for r in range(dim):
+                s = ring.zero()
+                for t, c in nz_col:
+                    if not vinv[r][t].is_zero():
+                        s = s + vinv[r][t] * c
+                vec.append(s)
             for r in range(out_rank):
                 if not vec[r].is_zero():
                     raise ValueError("image does not lie in the kernel "
@@ -170,7 +178,7 @@ def homology_at(out_mat, in_mat, dim, ring):
             vec = vec[out_rank:]
         coords.append(vec)
     M = [[coords[g][r] for g in range(n_in)] for r in range(kdim)]
-    snf_m = smith_normal_form(M, ring)
+    snf_m = smith_normal_form(M, ring, track=("Uinv",))
     free_rank = kdim - snf_m.rank
     torsion = snf_m.torsion_factors()
     # new kernel basis adapted to the image lattice: columns of K * Uinv

@@ -1,7 +1,8 @@
 """Exact linear algebra over the base field (Fraction / GRat).
 
 * ``det``, ``rank`` and ``matrix_inverse`` use Gaussian elimination; this
-  is the one exact det/inverse of the engine.
+  is the one exact det/inverse of the engine.  Entries are Fractions or
+  GRats; plain ints are read as Fractions, so no input yields a float.
 * ``charpoly`` reduces the matrix to upper Hessenberg form by similarity
   transforms and reads det(xI - A) off the Hessenberg recurrence (Cohen,
   *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9): one
@@ -23,12 +24,19 @@ from math import isqrt, lcm
 from .hpoly import HPoly
 
 
+def _field_rows(rows):
+    """Copy of a matrix with int entries read as Fractions, so that
+    elimination divides exactly (int / int would give a float)."""
+    return [[Fraction(x) if isinstance(x, int) else x for x in row]
+            for row in rows]
+
+
 def det(rows):
     """Exact determinant by Gaussian elimination over a field."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    m = [list(r) for r in rows]
+    m = _field_rows(rows)
     out = Fraction(1)
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c]), None)
@@ -51,8 +59,8 @@ def det(rows):
 def matrix_inverse(rows):
     """Inverse of a square matrix over Fraction/GRat entries."""
     n = len(rows)
-    m = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, r in enumerate(rows)]
+    m = [r + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i, r in enumerate(_field_rows(rows))]
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
@@ -71,7 +79,7 @@ def rank(rows) -> int:
     """Rank over the base field."""
     if not rows or not rows[0]:
         return 0
-    m = [list(r) for r in rows]
+    m = _field_rows(rows)
     nrows, ncols = len(m), len(m[0])
     r = 0
     for c in range(ncols):
@@ -102,8 +110,7 @@ def charpoly(rows) -> HPoly:
     n = len(rows)
     if n == 0:
         return HPoly.one()
-    H = [[Fraction(x) if isinstance(x, int) else x for x in row]
-         for row in rows]
+    H = _field_rows(rows)
     # Similarity transforms to upper Hessenberg form: clear column m - 1
     # below the subdiagonal with row m as pivot row.
     for m in range(1, n - 1):

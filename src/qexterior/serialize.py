@@ -76,10 +76,15 @@ def model_to_json(model: PoissonModel):
 
 
 def model_from_json(obj) -> PoissonModel:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a model must be a JSON object, not "
+                         f"{type(obj).__name__}")
     kind = obj.get("space")
     if kind not in (AFFINE, TORUS):
         raise ValueError(f"unknown space {kind!r}")
     dim = int(obj["dim"])
+    if dim < 1:
+        raise ValueError(f"model dimension must be at least 1, got {dim}")
     entries = {}
     for item in obj.get("bivector", []):
         i, j, coeff = int(item[0]), int(item[1]), item[2]

@@ -5,8 +5,16 @@ Matrices are lists of rows whose entries are HPoly/HLaurent (plain scalars
 are promoted).  The decomposition returns unimodular U, V with
 U A V = D, the diagonal of invariant factors in canonical unit-normalized
 form (monic for k[h]; monic with nonzero constant term for Laurent), and
-their tracked inverses, so every result can be certified by exact
+the inverses of U and V, so every result can be certified by exact
 re-multiplication.
+
+Tracking is opt-in per transform: ``smith_normal_form(A, track=...)``
+accumulates only the transforms named (all four by default), and the
+elimination skips products with a zero operand and the divisibility sweep
+under a unit pivot.  ``SNFResult.solve(b)`` solves A x = b from one
+factorization (U, V and the diagonal), so a caller with many right-hand
+sides for one matrix factors it once; ``solve_linear`` is that method on
+a fresh factorization.
 """
 
 from __future__ import annotations
@@ -58,8 +66,14 @@ def mat_eq(A, B) -> bool:
         for ra, rb in zip(A, B))
 
 
+TRANSFORMS = ("U", "V", "Uinv", "Vinv")
+
+
 class SNFResult:
-    """U A V = D with unimodular U, V and tracked inverses."""
+    """U A V = D with unimodular U, V and their inverses.
+
+    A transform the decomposition was not asked to track is ``None``.
+    """
 
     def __init__(self, diag, U, V, Uinv, Vinv, rank, ring, shape):
         self.diag = diag
@@ -84,62 +98,134 @@ class SNFResult:
     def torsion_factors(self):
         return [d for d in self.diag if not d.is_zero() and not d.is_unit()]
 
+    def solve(self, b):
+        """Solve A x = b over the ring; returns x or None when unsolvable.
 
-def smith_normal_form(A, ring=None) -> SNFResult:
+        Uses U A V = D: x = V y with y_i = (U b)_i / d_i, requiring exact
+        division and zero residual beyond the rank.  Needs U and V tracked;
+        one factorization serves any number of right-hand sides.
+        """
+        if self.U is None or self.V is None:
+            raise ValueError("solve needs the U and V transforms tracked")
+        ring = self.ring
+        rows, cols = self.shape
+        if len(b) != rows:
+            raise ValueError(f"right-hand side has {len(b)} entries, "
+                             f"expected {rows}")
+        nz_b = [(k, bk) for k, bk in enumerate(promote(x, ring) for x in b)
+                if not bk.is_zero()]
+        y = []
+        for i in range(rows):
+            Ui = self.U[i]
+            ub = ring.zero()
+            for k, bk in nz_b:
+                if not Ui[k].is_zero():
+                    ub = ub + Ui[k] * bk
+            d = self.diag[i] if i < len(self.diag) else None
+            if d is not None and not d.is_zero():
+                q, rem = divmod(ub, d)
+                if not rem.is_zero():
+                    return None
+                if not q.is_zero():
+                    y.append((i, q))
+            elif not ub.is_zero():
+                return None
+        x = []
+        for r in range(cols):
+            Vr = self.V[r]
+            s = ring.zero()
+            for k, yk in y:
+                if not Vr[k].is_zero():
+                    s = s + Vr[k] * yk
+            x.append(s)
+        return x
+
+
+def smith_normal_form(A, ring=None, track=TRANSFORMS) -> SNFResult:
     """Smith normal form over k[h] or k[h,h^-1].
 
     Total function on rectangular matrices; entries may be ring elements
     or plain scalars.  Pivots are chosen by minimal Euclidean size and the
     invariant factors are unit-normalized, giving a canonical diagonal
     with d_1 | d_2 | ...
+
+    ``track`` names the transforms to accumulate, a subset of
+    ``TRANSFORMS``; the others are left ``None`` and cost nothing.  The
+    diagonal, the rank and every tracked transform do not depend on it.
     """
+    unknown = set(track) - set(TRANSFORMS)
+    if unknown:
+        raise ValueError(f"unknown transforms {sorted(unknown)}; "
+                         f"choose from {TRANSFORMS}")
     if ring is None:
         ring = _infer_ring(A)
     rows = len(A)
     cols = len(A[0]) if rows and A[0] else 0
     B = mat_promote(A, ring) if rows and cols else []
-    U = mat_identity(rows, ring)
-    Uinv = mat_identity(rows, ring)
-    V = mat_identity(cols, ring)
-    Vinv = mat_identity(cols, ring)
+    U = mat_identity(rows, ring) if "U" in track else None
+    Uinv = mat_identity(rows, ring) if "Uinv" in track else None
+    V = mat_identity(cols, ring) if "V" in track else None
+    Vinv = mat_identity(cols, ring) if "Vinv" in track else None
 
+    # Row operations act on B and U from the left and on Uinv from the
+    # right (column operations: B and V from the right, Vinv from the
+    # left).  Products with a zero operand are skipped; they would add 0.
     def swap_rows(i, j):
         B[i], B[j] = B[j], B[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(rows):
-            Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
+        if Uinv is not None:
+            for row in Uinv:
+                row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
-        for r in range(rows):
-            B[r][i], B[r][j] = B[r][j], B[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        for row in B:
+            row[i], row[j] = row[j], row[i]
+        if V is not None:
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+        if Vinv is not None:
+            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def sub_row(M, dst, src, q):
+        # row dst of M -= q * row src
+        target = M[dst]
+        for c, x in enumerate(M[src]):
+            if not x.is_zero():
+                target[c] = target[c] - q * x
+
+    def sub_col(M, dst, src, q):
+        # column dst of M -= q * column src
+        for row in M:
+            if not row[src].is_zero():
+                row[dst] = row[dst] - q * row[src]
 
     def addmul_row(dst, src, q):
-        # row_dst -= q * row_src ; inverse gets column update
-        for c in range(cols):
-            B[dst][c] = B[dst][c] - q * B[src][c]
-        for c in range(rows):
-            U[dst][c] = U[dst][c] - q * U[src][c]
-        for r in range(rows):
-            Uinv[r][src] = Uinv[r][src] + q * Uinv[r][dst]
+        # row_dst -= q * row_src ; the inverse gets the column update
+        sub_row(B, dst, src, q)
+        if U is not None:
+            sub_row(U, dst, src, q)
+        if Uinv is not None:
+            sub_col(Uinv, src, dst, -q)
 
     def addmul_col(dst, src, q):
-        for r in range(rows):
-            B[r][dst] = B[r][dst] - q * B[r][src]
-        for r in range(cols):
-            V[r][dst] = V[r][dst] - q * V[r][src]
-        for c in range(cols):
-            Vinv[src][c] = Vinv[src][c] + q * Vinv[dst][c]
+        sub_col(B, dst, src, q)
+        if V is not None:
+            sub_col(V, dst, src, q)
+        if Vinv is not None:
+            sub_row(Vinv, src, dst, -q)
 
     def scale_row(i, unit_inv, unit):
-        for c in range(cols):
-            B[i][c] = unit_inv * B[i][c]
-        for c in range(rows):
-            U[i][c] = unit_inv * U[i][c]
-        for r in range(rows):
-            Uinv[r][i] = Uinv[r][i] * unit
+        for M in (B, U):
+            if M is not None:
+                row = M[i]
+                for c, x in enumerate(row):
+                    if not x.is_zero():
+                        row[c] = unit_inv * x
+        if Uinv is not None:
+            for row in Uinv:
+                if not row[i].is_zero():
+                    row[i] = row[i] * unit
 
     t = 0
     limit = min(rows, cols)
@@ -187,11 +273,16 @@ def smith_normal_form(A, ring=None) -> SNFResult:
                     dirty = True
             if dirty:
                 continue
-            # enforce divisibility of the trailing block by the pivot
+            # enforce divisibility of the trailing block by the pivot; a
+            # unit pivot divides everything
+            pivot = B[t][t]
+            if pivot.is_unit():
+                break
             offender = None
             for r in range(t + 1, rows):
                 for c in range(t + 1, cols):
-                    if not divmod(B[r][c], B[t][t])[1].is_zero():
+                    x = B[r][c]
+                    if not x.is_zero() and not divmod(x, pivot)[1].is_zero():
                         offender = r
                         break
                 if offender is not None:
@@ -227,27 +318,13 @@ def _infer_ring(A):
 def solve_linear(A, b, ring=None):
     """Solve A x = b over the ring; returns x or None when unsolvable.
 
-    Uses U A V = D: x = V y with y_i = (U b)_i / d_i, requiring exact
-    division and zero residual beyond the rank.
+    Factors A once (tracking U and V) and applies ``SNFResult.solve``;
+    callers with many right-hand sides for one matrix should factor it
+    themselves and call ``solve`` per right-hand side.
     """
     if ring is None:
         ring = _infer_ring(A)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    snf = smith_normal_form(A, ring)
-    ub = [sum((snf.U[i][k] * promote(b[k], ring) for k in range(rows)),
-              start=ring.zero()) for i in range(rows)]
-    y = [ring.zero()] * cols
-    for i in range(rows):
-        if i < len(snf.diag) and not snf.diag[i].is_zero():
-            q, rem = divmod(ub[i], snf.diag[i])
-            if not rem.is_zero():
-                return None
-            y[i] = q
-        elif not ub[i].is_zero():
-            return None
-    return [sum((snf.V[r][k] * y[k] for k in range(cols)), start=ring.zero())
-            for r in range(cols)]
+    return smith_normal_form(A, ring, track=("U", "V")).solve(b)
 
 
 # -- independent fraction-field rank oracle ------------------------------------

@@ -14,6 +14,11 @@ representation-independent route.
 ``symplectic_star_uncached`` are the spectrum-layer algorithms the engine
 used before its Hessenberg charpoly, bounded root search and cached star
 table; the tests assert exact agreement with them.
+
+``matrix_of_dh_symbolic`` and ``ring_table_per_pair`` are the torus
+cohomology builders the engine used before it assembled the d_h mode
+matrices from the bivector entries and factored the representative matrix
+once for all class products.
 """
 
 import itertools
@@ -21,10 +26,14 @@ import math
 from fractions import Fraction
 
 from qexterior._kernels_py import wedge_sign
+from qexterior.calculus import quantum_d
+from qexterior.coeffs import FourierCoeff
 from qexterior.forms import (HForm, check_symplectic, contract_back,
                              contract_front, mask_indices, omega_form, wedge)
 from qexterior.hpoly import HPoly
 from qexterior.linalg import det, matrix_inverse
+from qexterior.quantum import qwedge
+from qexterior.snf import solve_linear
 
 
 def qwedge_bruteforce(a: HForm, b: HForm, w) -> HForm:
@@ -330,3 +339,62 @@ def symplectic_star_uncached(a: HForm, omega) -> HForm:
                 else:
                     out.pop(key, None)
     return HForm(dim, out, a.laurent)
+
+
+# -- torus cohomology drivers -------------------------------------------------
+
+
+def matrix_of_dh_symbolic(model, k, src_masks, dst_masks, ring):
+    """Matrix of d_h at mode k by applying the symbolic ``quantum_d`` to
+    the Fourier forms e^{i k.theta} e^I and reading off the amplitudes."""
+    dst_index = {m: i for i, m in enumerate(dst_masks)}
+    rows = [[ring.zero() for _ in src_masks] for _ in dst_masks]
+    for col, mask in enumerate(src_masks):
+        form = HForm(model.dim, {(0, mask):
+                                 FourierCoeff.character(model.dim, k)})
+        image = quantum_d(form, model)
+        for (j, m2), c in image.terms.items():
+            amp = c.mode_amplitude(k)
+            if c.terms and (set(c.terms) - {tuple(k)}):
+                raise AssertionError("constant-w differential mixed Fourier modes")
+            if not amp:
+                continue
+            if m2 not in dst_index:
+                raise AssertionError("differential left the parity component")
+            row = dst_index[m2]
+            rows[row][col] = rows[row][col] + ring({j: amp})
+    return rows
+
+
+def ring_table_per_pair(table, model, ring):
+    """Class products of a cohomology table reduced by one ``solve_linear``
+    (a full Smith normal form) per pair; returns {(i, j): {k: coeff}}."""
+    laurent = ring.laurent
+    all_masks = list(range(1 << model.dim))
+    mask_pos = {m: i for i, m in enumerate(all_masks)}
+    forms, columns = [], []
+    for degree in table.degrees():
+        e = table.entries[degree]
+        for vec in e.representatives:
+            terms = {}
+            col = [ring.zero() for _ in all_masks]
+            for lab, coeff in zip(e.labels, vec):
+                for j, c in coeff.coeffs.items():
+                    terms[(j, lab)] = model.coeff_const(c)
+                col[mask_pos[lab]] = coeff
+            forms.append(HForm(model.dim, terms, laurent))
+            columns.append(col)
+    rep_matrix = [[col[r] for col in columns] for r in range(len(all_masks))]
+    structure = {}
+    for i, fa in enumerate(forms):
+        for j, fb in enumerate(forms):
+            target = [ring.zero() for _ in all_masks]
+            for (jj, mask), c in qwedge(fa, fb, model.w).terms.items():
+                val = c.constant_value()
+                if val:
+                    target[mask_pos[mask]] = target[mask_pos[mask]] + ring({jj: val})
+            x = solve_linear(rep_matrix, target, ring)
+            if x is None:
+                raise AssertionError("class reduction system is inconsistent")
+            structure[(i, j)] = {k: c for k, c in enumerate(x) if not c.is_zero()}
+    return structure

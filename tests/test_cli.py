@@ -82,6 +82,20 @@ class TestCheck:
         r = run_cli(["check", "--suite", "frame", "--model", str(bad)])
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("body,message", [
+        ([1, 2], "JSON object"),
+        ({"space": "torus", "dim": -2}, "dimension"),
+    ])
+    def test_invalid_model_exits_two(self, tmp_path, body, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body), encoding="utf-8")
+        r = run_cli(["cohomology", "--model", str(bad)])
+        assert r.returncode == 2
+        err = json.loads(r.stderr)
+        assert err["error"]["code"] == 2
+        assert message in err["error"]["message"]
+        assert "Traceback" not in r.stderr
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

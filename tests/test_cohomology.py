@@ -1,19 +1,27 @@
 """Finite complexes, Smith-normal-form homology, and the cohomology
 tables of torus models."""
 
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from qexterior.cohomology import (graded_dims, invariant_subcomplex,
-                                  mode_subcomplex, quantum_derham_table,
+from oracles import matrix_of_dh_symbolic, ring_table_per_pair
+from qexterior.cli import main
+from qexterior.cohomology import (_matrix_of_dh, graded_dims,
+                                  invariant_subcomplex, mode_subcomplex,
+                                  quantum_derham_table,
                                   quantum_dolbeault_table, ring_table)
 from qexterior.complexes import (FiniteComplex, complex_homology,
                                  free_rank_oracle)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.models import PoissonModel
+from qexterior.scalars import GRat
 from qexterior.quantum import qwedge
 from qexterior.sampling import Sampler
+from qexterior.serialize import model_from_json
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +132,45 @@ class TestModeSubcomplex:
                 assert tab.rank(deg) == oracle
 
 
+def same_entries(A, B):
+    """Equal matrices whose entries also agree in ring and scalar types."""
+    def kind(x):
+        return type(x), sorted((j, type(c)) for j, c in x.coeffs.items())
+    return len(A) == len(B) and all(
+        len(ra) == len(rb) and all(x == y and kind(x) == kind(y)
+                                   for x, y in zip(ra, rb))
+        for ra, rb in zip(A, B))
+
+
+class TestDirectDhBuilder:
+    """The direct mode-matrix builder against symbolic d_h on forms."""
+
+    @pytest.mark.parametrize("dim,seeds", [(2, (1, 2, 3)), (4, (4, 5))])
+    def test_matches_symbolic_builder(self, dim, seeds):
+        masks = range(1 << dim)
+        even = [m for m in masks if m.bit_count() % 2 == 0]
+        odd = [m for m in masks if m.bit_count() % 2 == 1]
+        for seed in seeds:
+            model = PoissonModel.torus(
+                dim, Sampler(seed).antisymmetric_bivector(dim))
+            for k in itertools.product((-1, 0, 1), repeat=dim):
+                for src, dst in ((even, odd), (odd, even)):
+                    for ring in (HLaurent, HPoly):
+                        assert same_entries(
+                            _matrix_of_dh(model, k, src, dst, ring),
+                            matrix_of_dh_symbolic(model, k, src, dst, ring)), \
+                            (seed, k, src[0] & 1, ring)
+
+    def test_gaussian_bivector_and_wider_modes(self):
+        # complex w entries and |k_i| = 2 reach the GRat arithmetic
+        model = PoissonModel.torus(2, {(1, 2): GRat(Fraction(1, 2), 3)})
+        for k in [(2, -1), (0, 2), (-2, 2)]:
+            for src, dst in (([0, 3], [1, 2]), ([1, 2], [0, 3])):
+                assert same_entries(
+                    _matrix_of_dh(model, k, src, dst, HLaurent),
+                    matrix_of_dh_symbolic(model, k, src, dst, HLaurent))
+
+
 class TestModeSplitting:
     def test_dh_preserves_modes(self, t2, t4):
         """d_h never mixes Fourier modes when w is constant."""
@@ -227,6 +274,62 @@ class TestRingTable:
             lhs = qwedge(qwedge(fi, fj, t2.w), fk, t2.w)
             rhs = qwedge(fi, qwedge(fj, fk, t2.w), t2.w)
             assert lhs == rhs
+
+
+    @pytest.mark.parametrize("model", [
+        PoissonModel.darboux_torus(1),
+        PoissonModel.torus(2, {(1, 2): Fraction(-5, 3)}),
+        PoissonModel.darboux_torus(2),
+        PoissonModel.torus(4, {(1, 2): 3, (1, 3): -2, (1, 4): 5, (2, 3): 1,
+                               (2, 4): -4, (3, 4): 6}),
+    ], ids=["t2", "t2-rational", "t4", "t4-integer"])
+    def test_factor_once_matches_per_pair_solves(self, model):
+        rings = (HLaurent, HPoly) if model.dim == 2 else (HLaurent,)
+        for ring in rings:
+            tab = quantum_derham_table(model, mode_box=0, ring=ring)
+            assert ring_table(tab, model, ring).structure == \
+                ring_table_per_pair(tab, model, ring)
+
+
+# Reports of one fixed integer bivector on T^4, pinned by sha256 when the
+# engine still built d_h symbolically and solved each class product with
+# its own Smith normal form: a changed answer fails here.
+PINNED_MODEL = {"space": "torus", "dim": 4,
+                "bivector": [[1, 2, "3"], [1, 3, "-2"], [1, 4, "5"],
+                             [2, 3, "1"], [2, 4, "-4"], [3, 4, "6"]]}
+PINNED_SHA256 = {
+    "laurent": "a2385c34ddb6fbd227ea57ec304a036f411b25f7342678002f5585efe462ff78",
+    "polynomial": "ddc14d3b20f9004cfb6d6e16fbc0fe63a1841cfdd275c5a973e006606499b670",
+    "ring_table": "e1b6ff718f370bcf1c6faf6ab08cf8f5748d65d2e724329b2e2c03f1c85f86a6",
+}
+
+
+def ring_table_bytes(rt) -> bytes:
+    """Canonical rendering of the classes and structure constants."""
+    classes = [[deg, idx, sorted([j, m, str(c)] for (j, m), c in f.terms.items())]
+               for deg, idx, f in rt.classes]
+    structure = [[i, j, {str(k): str(c) for k, c in sorted(v.items())}]
+                 for (i, j), v in sorted(rt.structure.items())]
+    return json.dumps({"classes": classes, "structure": structure},
+                      sort_keys=True, separators=(",", ":")).encode()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("ring", ["laurent", "polynomial"])
+    def test_cohomology_report(self, tmp_path, ring):
+        model_path = tmp_path / "t4.json"
+        model_path.write_text(json.dumps(PINNED_MODEL), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["cohomology", "--model", str(model_path),
+                     "--mode-box", "1", "--ring", ring, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            PINNED_SHA256[ring]
+
+    def test_ring_table(self):
+        model = model_from_json(PINNED_MODEL)
+        rt = ring_table(quantum_derham_table(model, mode_box=0), model)
+        assert hashlib.sha256(ring_table_bytes(rt)).hexdigest() == \
+            PINNED_SHA256["ring_table"]
 
 
 class TestDolbeaultTable:

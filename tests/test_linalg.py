@@ -14,8 +14,9 @@ from oracles import (charpoly_interpolation, rational_roots_trial_division,
 from qexterior.forms import HForm, symplectic_star
 from qexterior.hpoly import HPoly
 from qexterior.lefschetz import DarbouxSpace, Mh_matrix
-from qexterior.linalg import (_ceil_root, _rational_roots, charpoly,
-                              factor_charpoly, geometric_multiplicity)
+from qexterior.linalg import (_ceil_root, _rational_roots, charpoly, det,
+                              factor_charpoly, geometric_multiplicity,
+                              matrix_inverse, rank)
 from qexterior.models import darboux_matrix
 from qexterior.sampling import Sampler
 
@@ -72,6 +73,23 @@ class TestCharpoly:
         copy = [list(r) for r in rows]
         charpoly(rows)
         assert rows == copy
+
+
+class TestIntegerMatrices:
+    """Plain int entries are read as Fractions: no float ever appears."""
+
+    def test_det_is_a_fraction(self):
+        d = det([[2, 1], [1, 1]])
+        assert d == 1 and type(d) is Fraction
+
+    def test_huge_entries_stay_exact(self):
+        # through floats, 10**20 + 1 rounds to 10**20: det 0 and rank 1
+        rows = [[10**20, 1], [10**20 + 1, 1]]
+        assert det(rows) == -1
+        assert rank(rows) == 2
+        inv = matrix_inverse(rows)
+        assert inv == [[-1, 1], [10**20 + 1, -10**20]]
+        assert all(type(x) is Fraction for row in inv for x in row)
 
 
 roots_st = st.lists(st.builds(Fraction,

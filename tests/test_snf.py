@@ -1,12 +1,15 @@
 """Smith normal form over k[h] and k[h,h^-1], with full certification."""
 
+import itertools
 from fractions import Fraction
+
+import pytest
 
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.scalars import GRat
-from qexterior.snf import (mat_eq, mat_identity, mat_mul, mat_promote,
-                           rank_fraction_field, smith_normal_form,
-                           solve_linear)
+from qexterior.snf import (TRANSFORMS, mat_eq, mat_identity, mat_mul,
+                           mat_promote, rank_fraction_field,
+                           smith_normal_form, solve_linear)
 
 h = HPoly.h
 one = HPoly.one()
@@ -66,6 +69,12 @@ class TestExamples:
              [HPoly.zero(), HPoly({1: GRat(2, 1)})]]
         res = certify(A, HPoly)
         assert res.rank == 2
+
+    def test_divisibility_sweep(self):
+        # h and h+1 are coprime: the trailing block is not divisible by the
+        # pivot h, and the gcd step must turn diag(h, h+1) into (1, h^2+h)
+        res = certify([[h(), zero], [zero, h() + one]], HPoly)
+        assert res.diag == [one, HPoly({2: 1, 1: 1})]
 
 
 class TestRandomCertification:
@@ -128,6 +137,90 @@ class TestSolve:
             got = [sum((A[i][j] * x[j] for j in range(cols)), start=ring.zero())
                    for i in range(rows)]
             assert all(u == v for u, v in zip(got, b))
+
+
+def random_matrix(sampler, ring, rows, cols):
+    """Sparse entries of low h-degree, so pivots are often not units."""
+    lo = -1 if ring is HLaurent else 0
+    return [[ring({j: sampler.fraction() for j in range(lo, 2)})
+             if sampler.rng.random() < 0.6 else ring.zero()
+             for _ in range(cols)] for _ in range(rows)]
+
+
+class TestTracking:
+    def test_subsets_match_full_tracking(self, sampler):
+        subsets = [c for n in range(len(TRANSFORMS) + 1)
+                   for c in itertools.combinations(TRANSFORMS, n)]
+        for ring in (HPoly, HLaurent):
+            for _ in range(12):
+                A = random_matrix(sampler, ring, sampler.rng.randint(1, 4),
+                                  sampler.rng.randint(1, 4))
+                full = smith_normal_form(A, ring)
+                for track in subsets:
+                    res = smith_normal_form(A, ring, track=track)
+                    assert res.rank == full.rank
+                    assert res.diag == full.diag
+                    for name in TRANSFORMS:
+                        got = getattr(res, name)
+                        if name in track:
+                            assert mat_eq(got, getattr(full, name)), name
+                        else:
+                            assert got is None, name
+
+    def test_unknown_transform_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form([[one]], HPoly, track=("W",))
+
+
+class TestFactorOnceSolve:
+    def test_matches_solve_linear(self, sampler):
+        unsolvable = 0
+        for ring in (HPoly, HLaurent):
+            for _ in range(10):
+                rows = sampler.rng.randint(1, 4)
+                cols = sampler.rng.randint(1, 4)
+                A = random_matrix(sampler, ring, rows, cols)
+                snf = smith_normal_form(A, ring, track=("U", "V"))
+                x0 = random_matrix(sampler, ring, cols, 1)
+                rhs = [[sum((A[i][j] * x0[j][0] for j in range(cols)),
+                            start=ring.zero()) for i in range(rows)],
+                       [row[0] for row in random_matrix(sampler, ring, rows, 1)],
+                       [ring.zero()] * rows]
+                for n, b in enumerate(rhs):
+                    got = snf.solve(b)
+                    assert got == solve_linear(A, b, ring)
+                    augmented = [row + [bi] for row, bi in zip(A, b)]
+                    if rank_fraction_field(augmented) > rank_fraction_field(A):
+                        # b is not even in the span over k(h)
+                        unsolvable += 1
+                        assert got is None
+                    if n == 0:
+                        assert got is not None
+                    if got is not None:
+                        Ax = [sum((A[i][j] * got[j] for j in range(cols)),
+                                  start=ring.zero()) for i in range(rows)]
+                        assert Ax == b
+        assert unsolvable
+
+    def test_torsion_right_hand_side(self):
+        A = [[h(), one], [zero, h()]]
+        snf = smith_normal_form(A, HPoly, track=("U", "V"))
+        assert snf.solve([one, one]) is None
+        assert snf.solve([h() * 2, HPoly({2: 1})]) == [one, h()]
+
+    def test_residual_beyond_rank(self):
+        snf = smith_normal_form([[one], [one]], HPoly, track=("U", "V"))
+        assert snf.solve([one, zero]) is None
+        assert snf.solve([h(), h()]) == [h()]
+
+    def test_needs_u_and_v(self):
+        for track in (("U",), ("V",), ("Uinv", "Vinv")):
+            with pytest.raises(ValueError):
+                smith_normal_form([[one]], HPoly, track=track).solve([one])
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form([[one]], HPoly).solve([one, one])
 
 
 class TestRankOracle:
