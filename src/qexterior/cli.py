@@ -169,6 +169,8 @@ def cmd_chern(args) -> int:
     model = _load_model(args)
     if not args.connection:
         raise CliError("--connection is required for chern reports")
+    if args.power < 1:
+        raise CliError("--power must be at least 1")
     try:
         conn = connection_from_json(_load_json(args.connection), model)
     except (ValueError, KeyError, TypeError) as exc:

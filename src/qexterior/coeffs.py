@@ -244,11 +244,6 @@ class FourierCoeff(_SparseFunc):
         return " + ".join(parts)
 
 
-def coeff_partial(c, axis: int):
-    """Partial derivative of any coefficient (constants give zero)."""
-    return c.partial(axis)
-
-
 def coeff_to_json(c):
     from .scalars import scalar_to_json
     if isinstance(c, PolyCoeff):

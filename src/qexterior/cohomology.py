@@ -23,7 +23,7 @@ import itertools
 from .calculus import dolbeault_operators
 from .coeffs import FourierCoeff
 from .complexes import CohomologyTable, DegreeHomology, FiniteComplex, complex_homology
-from .forms import HForm, mask_indices
+from .forms import HForm
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
 from .quantum import qwedge
@@ -121,9 +121,11 @@ def mode_subcomplex(model: PoissonModel, k, ring=HLaurent) -> FiniteComplex:
 
 
 def _box_modes(dim, mode_box):
-    for k in itertools.product(range(-mode_box, mode_box + 1), repeat=dim):
-        if any(k):
-            yield k
+    """The nonzero modes of the box [-mode_box, mode_box]^dim."""
+    if mode_box < 0:
+        raise ValueError("mode_box must be nonnegative")
+    return [k for k in itertools.product(range(-mode_box, mode_box + 1),
+                                         repeat=dim) if any(k)]
 
 
 def graded_dims(table: CohomologyTable, laurent: bool, max_degree: int):
@@ -150,9 +152,10 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
     nonzero mode in the box.
     """
     _require_torus_constant(model)
+    modes = _box_modes(model.dim, mode_box)
     table = complex_homology(invariant_subcomplex(model, ring))
     diagnostics = []
-    for k in _box_modes(model.dim, mode_box):
+    for k in modes:
         sub = complex_homology(mode_subcomplex(model, k, ring))
         ranks = {d: sub.rank(d) for d in sub.degrees()}
         tors = sub.total_torsion()
@@ -223,6 +226,7 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     _require_torus_constant(model)
     if not model.complex_structure:
         raise ValueError("Dolbeault table requires a complex structure")
+    modes = _box_modes(model.dim, mode_box)
     n = model.dim // 2
     laurent = ring is HLaurent
     entries = []
@@ -248,7 +252,7 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
                 e = sub.entries[q]
                 entries.append(DegreeHomology((p, q), e.free_rank, e.torsion,
                                               e.representatives, e.labels))
-        for k in _box_modes(model.dim, mode_box):
+        for k in modes:
             anomalies = {}
             mats_k = [_dolbeault_matrix(model, k, bases[comp_qs[qi]],
                                         bases[comp_qs[qi + 1]], ring)
@@ -340,10 +344,3 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
             rt.structure[(i, j)] = {k: coeff for k, coeff in enumerate(x)
                                     if not coeff.is_zero()}
     return rt
-
-
-def pretty_class(table_entry_label) -> str:
-    if isinstance(table_entry_label, int):
-        idx = mask_indices(table_entry_label)
-        return "e" + "".join(str(i) for i in idx) if idx else "1"
-    return str(table_entry_label)

@@ -87,11 +87,6 @@ class DegreeHomology:
         self.representatives = representatives  # list of coefficient vectors
         self.labels = labels
 
-    def rep_terms(self):
-        """Representatives as {label: coefficient} maps."""
-        return [{self.labels[i]: c for i, c in enumerate(vec) if not c.is_zero()}
-                for vec in self.representatives]
-
 
 class CohomologyTable:
     """Per-degree free rank, torsion factors, and verified representatives."""

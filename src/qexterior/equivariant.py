@@ -296,14 +296,14 @@ def _equivariant_matrix(model, action, k, src, dst, ring):
 
 
 def invariant_modes(action: GroupAction, mode_box: int):
-    """Fourier modes orthogonal to all translation generators."""
-    model = action.model
+    """Fourier modes of the box orthogonal to all translation generators."""
+    if mode_box < 0:
+        raise ValueError("mode_box must be nonnegative")
     vecs = [action.translation_vector(a) for a in range(action.n_generators)]
-    for k in itertools.product(range(-mode_box, mode_box + 1),
-                               repeat=model.dim):
-        if all(sum(Fraction(ki) * ci for ki, ci in zip(k, v)) == 0
-               for v in vecs):
-            yield k
+    return [k for k in itertools.product(range(-mode_box, mode_box + 1),
+                                         repeat=action.model.dim)
+            if all(sum(Fraction(ki) * ci for ki, ci in zip(k, v)) == 0
+                   for v in vecs)]
 
 
 def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
@@ -326,7 +326,7 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     degrees = list(range(cutoff + 2))
     merged = {n: {"rank": 0, "torsion": [], "reps": [], "labels": []}
               for n in range(cutoff + 1)}
-    modes = list(invariant_modes(action, mode_box))
+    modes = invariant_modes(action, mode_box)
     for k in modes:
         bases = [_equivariant_basis(model, d, n) for n in degrees]
         mats = [_equivariant_matrix(model, action, k, bases[i], bases[i + 1], ring)

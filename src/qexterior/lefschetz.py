@@ -84,10 +84,6 @@ def apply_Mh(x: HForm, space: DarbouxSpace, w: Bivector = None) -> HForm:
     return apply_Lh(x, space, w).h_shift(-1)
 
 
-def apply_Mh_star(x: HForm, space: DarbouxSpace) -> HForm:
-    return apply_Lh_star(x, space).h_shift(1)
-
-
 def operator_matrix(op, space: DarbouxSpace, k: int, shift: int):
     """Matrix of a degree-homogeneous operator on Lambda^{[k]}.
 

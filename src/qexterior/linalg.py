@@ -98,13 +98,6 @@ def rank(rows) -> int:
     return r
 
 
-def mat_sub_scalar(rows, s):
-    """rows - s * I."""
-    n = len(rows)
-    return [[rows[i][j] - s if i == j else rows[i][j] for j in range(n)]
-            for i in range(n)]
-
-
 def charpoly(rows) -> HPoly:
     """det(x I - A) as a monic HPoly in the indeterminate."""
     n = len(rows)
@@ -176,13 +169,6 @@ class CharFactorization:
         self.rational_roots = rational_roots    # {Fraction root: multiplicity}
         self.quadratics = quadratics            # {(b, c) of x^2+bx+c: mult}
         self.remainder = remainder              # unfactored monic HPoly
-
-    def eigenvalue_descriptions(self):
-        out = [(str(r), m) for r, m in sorted(self.rational_roots.items())]
-        for (b, c), m in sorted(self.quadratics.items()):
-            disc = b * b - 4 * c
-            out.append((f"(-({b}) ± sqrt({disc}))/2", m))
-        return out
 
 
 def _rational_roots(p: HPoly):

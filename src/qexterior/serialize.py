@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .coeffs import FourierCoeff, PolyCoeff, coeff_from_json, coeff_to_json
 from .forms import Bivector, HForm, mask_indices
-from .hpoly import HLaurent, hpoly_to_json
+from .hpoly import hpoly_to_json
 from .models import AFFINE, TORUS, PoissonModel, darboux_matrix
 from .sampling import PRNG_NAME
 
@@ -131,10 +131,6 @@ def connection_from_json(obj, model: PoissonModel):
         raise ValueError("theta does not match rank")
     mat = [[form_from_json(cell, model) for cell in row] for row in theta]
     return QConnection(model, mat)
-
-
-def _ring_name(ring):
-    return "laurent" if ring is HLaurent else "polynomial"
 
 
 def _rep_to_jsonable(labels, vec):

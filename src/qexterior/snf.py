@@ -56,10 +56,6 @@ def mat_mul(A, B, ring):
     return out
 
 
-def mat_is_zero(A) -> bool:
-    return all(x.is_zero() for row in A for x in row)
-
-
 def mat_eq(A, B) -> bool:
     return len(A) == len(B) and all(
         len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))

@@ -320,6 +320,8 @@ def suite_negative_control(model, trials, s: Sampler) -> SuiteResult:
 
 
 def run_suite(name: str, model, trials: int, seed: int):
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     s = Sampler(seed)
     if name == "negative-control":
         return suite_negative_control(model, trials, s)

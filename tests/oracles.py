@@ -25,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from qexterior._kernels_py import wedge_sign
+from qexterior._kernels import wedge_sign
 from qexterior.calculus import quantum_d
 from qexterior.coeffs import FourierCoeff
 from qexterior.forms import (HForm, check_symplectic, contract_back,

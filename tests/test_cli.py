@@ -96,6 +96,34 @@ class TestCheck:
         assert message in err["error"]["message"]
         assert "Traceback" not in r.stderr
 
+    # A count below 1 would make a "pass" vacuous, and a negative mode box
+    # would be read as an empty one: all are malformed input.
+    @pytest.mark.parametrize("argv,message", [
+        (["check", "--suite", "associativity", "--trials", "-3"], "trials"),
+        (["check", "--suite", "associativity", "--trials", "0"], "trials"),
+        (["chern", "--connection", "CONN", "--power", "0"], "--power"),
+        (["chern", "--connection", "CONN", "--power", "-3"], "--power"),
+        (["cohomology", "--mode-box", "-1"], "mode_box"),
+        (["dolbeault", "--mode-box", "-1"], "mode_box"),
+        (["equivariant", "--action", "ACT", "--mode-box", "-1"], "mode_box"),
+    ], ids=["trials-3", "trials0", "power0", "power-3", "cohomology-box-1",
+            "dolbeault-box-1", "equivariant-box-1"])
+    def test_bad_count_exits_two(self, t2c_file, tmp_path, argv, message):
+        conn = tmp_path / "conn.json"
+        conn.write_text(json.dumps({"rank": 1, "theta": [[[]]]}),
+                        encoding="utf-8")
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"generators": [["1", "0"]]}),
+                       encoding="utf-8")
+        files = {"CONN": str(conn), "ACT": str(act)}
+        r = run_cli([files.get(a, a) for a in argv] + ["--model", t2c_file])
+        assert r.returncode == 2
+        assert r.stdout == ""
+        err = json.loads(r.stderr)
+        assert err["error"]["code"] == 2
+        assert message in err["error"]["message"]
+        assert "Traceback" not in r.stderr
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

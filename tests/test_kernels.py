@@ -1,14 +1,6 @@
-"""Kernel backends: sign oracles and pure/compiled agreement."""
+"""Term kernels: sign oracles."""
 
-import pytest
-
-from qexterior import _kernels_py as pure
-from qexterior.sampling import Sampler
-
-try:
-    from qexterior import _kernels_cy as compiled
-except ImportError:
-    compiled = None
+from qexterior import _kernels as K
 
 
 def inversion_sign(a_bits, b_bits):
@@ -29,74 +21,18 @@ class TestSignOracles:
             for b in range(64):
                 if a & b:
                     continue
-                assert pure.wedge_sign(a, b) == inversion_sign(bits(a), bits(b))
+                assert K.wedge_sign(a, b) == inversion_sign(bits(a), bits(b))
 
     def test_front_sign_is_position_parity(self):
         for mask in range(1, 64):
             for i in bits(mask):
                 pos = sorted(bits(mask)).index(i)  # 0-based position
-                assert pure.front_sign(mask, i) == (-1) ** pos
+                assert K.front_sign(mask, i) == (-1) ** pos
 
     def test_back_sign_relation(self):
         # back = (-1)^(k-1) * front on degree-k monomials
         for mask in range(1, 64):
             k = bin(mask).count("1")
             for i in bits(mask):
-                assert pure.back_sign(mask, i) == \
-                    (-1) ** (k - 1) * pure.front_sign(mask, i)
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernels unavailable")
-class TestBackendAgreement:
-    def test_signs(self):
-        for a in range(64):
-            for b in range(64):
-                if a & b == 0:
-                    assert pure.wedge_sign(a, b) == compiled.wedge_sign(a, b)
-        for mask in range(1, 64):
-            for i in bits(mask):
-                assert pure.front_sign(mask, i) == compiled.front_sign(mask, i)
-                assert pure.back_sign(mask, i) == compiled.back_sign(mask, i)
-
-    def test_term_operations(self):
-        s = Sampler(4096)
-
-        def rand_terms(dim, n):
-            out = {}
-            for _ in range(n):
-                key = (s.rng.randint(-2, 2), s.rng.randrange(1 << dim))
-                v = s.fraction()
-                if v:
-                    out[key] = v
-            return out
-
-        for _ in range(150):
-            dim = s.rng.randint(1, 8)
-            A = rand_terms(dim, s.rng.randint(0, 4))
-            B = rand_terms(dim, s.rng.randint(0, 4))
-            wpairs = []
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    w = s.fraction()
-                    if w:
-                        wpairs.append((i, j, w))
-                        wpairs.append((j, i, -w))
-            assert pure.wedge_terms(A, B) == compiled.wedge_terms(A, B)
-            assert pure.qwedge_terms(A, B, wpairs) == \
-                compiled.qwedge_terms(A, B, wpairs)
-            if dim:
-                i = s.rng.randrange(dim)
-                assert pure.contract_front_terms(A, i) == \
-                    compiled.contract_front_terms(A, i)
-                assert pure.contract_back_terms(A, i) == \
-                    compiled.contract_back_terms(A, i)
-
-    def test_backend_selection_env(self):
-        import subprocess
-        import sys
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import qexterior; print(qexterior.kernel_backend())"],
-            capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "QEXTERIOR_PURE": "1"})
-        assert out.stdout.strip() == "python"
+                assert K.back_sign(mask, i) == \
+                    (-1) ** (k - 1) * K.front_sign(mask, i)
