@@ -152,6 +152,8 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
     nonzero mode in the box.
     """
     _require_torus_constant(model)
+    if max_degree is not None and max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     modes = _box_modes(model.dim, mode_box)
     table = complex_homology(invariant_subcomplex(model, ring))
     diagnostics = []

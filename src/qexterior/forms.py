@@ -311,14 +311,6 @@ class Bivector:
             rows[j - 1][i - 1] = -w
         return rows
 
-    def pairs0(self):
-        """All ordered nonzero (i, j, w^{ij}) with 0-based indices."""
-        out = []
-        for (i, j), w in self.entries.items():
-            out.append((i - 1, j - 1, w))
-            out.append((j - 1, i - 1, -w))
-        return out
-
     def is_constant(self) -> bool:
         return all(not hasattr(w, "partial") or w.is_constant()
                    for w in self.entries.values())

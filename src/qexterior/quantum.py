@@ -1,14 +1,18 @@
 """The quantum exterior product and its bigraded complexification.
 
-The product deforms the wedge by iterated contraction against an
-antisymmetric bivector w:
+The product deforms the wedge by the exponential of the bivector
+contraction, exp(h w^{ij} (-| e_i) (x) (e_j |-)).  Expanded exactly, its
+n-th order sums the n! orderings of each n-fold contraction into one
+minor of the antisymmetric matrix W:
 
-    a ^_h b = sum_n (h^n / n!) w^{i1 j1} .. w^{in jn}
-              (a -| e_{i1} -| .. -| e_{in}) ^ (e_{jn} |- .. |- e_{j1} |- b)
+    e^I ^_h e^J = sum_{S, T} +-h^k det W[S, T] e^{I-S} ^ e^{J-T}
 
-summed over all ordered index tuples, with the normalization
-``e^i ^_w e^j = e^i ^ e^j + w^{ij}``.  Setting h = 0 recovers the classical
-wedge; h carries degree 2, so the product respects the total grading.
+over S in I and T in J with |S| = |T| = k and disjoint remainders, with
+the normalization ``e^i ^_w e^j = e^i ^ e^j + w^{ij}`` (see ``_kernels``
+for the sign).  Setting h = 0 recovers the classical wedge; h carries
+degree 2, so the product respects the total grading.  The minors of a
+bivector are kept in a table looked up by the bivector's entry values, so
+a caller may mutate ``w.entries`` between calls.
 
 The complexified picture uses the frame f^1..f^n = dz^1..dz^n,
 f^{n+1}..f^{2n} = dzbar^1..dzbar^n with z_k = x_{2k-1} + i x_{2k}; a term
@@ -30,7 +34,8 @@ def qwedge(a: HForm, b: HForm, w: Bivector) -> HForm:
         raise ValueError(f"dimension mismatch {a.dim} != {b.dim}")
     if w.dim != a.dim:
         raise ValueError(f"bivector dimension mismatch {w.dim} != {a.dim}")
-    return HForm(a.dim, K.qwedge_terms(a.terms, b.terms, w.pairs0()),
+    table = K.qwedge_table(w.dim, w.entries)
+    return HForm(a.dim, K.qwedge_terms(a.terms, b.terms, table),
                  a.laurent or b.laurent)
 
 

@@ -3,7 +3,11 @@
 ``qwedge_bruteforce`` expands the quantum product literally: for each
 order n it enumerates all ordered index tuples (i1..in, j1..jn), applies
 single back/front contractions one at a time, and divides by n!.  No
-sparsity shortcuts, no shared code with the engine's cascade.
+sparsity shortcuts, no shared code with the engine's minor expansion.
+
+``qwedge_cascade`` is the term kernel the engine used before the minor
+expansion: it contracts one ordered index pair per level on term dicts
+and scales level n by 1/n!.
 
 ``MultilinearForm`` evaluates forms as explicit antisymmetric multilinear
 maps on basis tuples; contractions are slot evaluations and the wedge is
@@ -25,7 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from qexterior._kernels import wedge_sign
+from qexterior._kernels import back_sign, front_sign, wedge_sign
 from qexterior.calculus import quantum_d
 from qexterior.coeffs import FourierCoeff
 from qexterior.forms import (HForm, check_symplectic, contract_back,
@@ -65,6 +69,70 @@ def qwedge_bruteforce(a: HForm, b: HForm, w) -> HForm:
                         term = term.to_laurent()
                     out = out + term.h_shift(n)
     return out
+
+
+def qwedge_cascade(a: HForm, b: HForm, w) -> HForm:
+    """Level n contracts the left factor from the back by e_i, the right
+    factor from the front by e_j, multiplies by w^{ij}, and contributes
+    h^n/n! times the wedge of what remains."""
+    wpairs = []
+    for (i, j), wij in w.entries.items():
+        wpairs.append((i - 1, j - 1, wij))
+        wpairs.append((j - 1, i - 1, -wij))
+    pairs = {}
+    for (ja, ma), ca in a.terms.items():
+        for (jb, mb), cb in b.terms.items():
+            key = (ja + jb, ma, mb)
+            c = ca * cb
+            s = pairs.get(key)
+            s = c if s is None else s + c
+            if s:
+                pairs[key] = s
+            else:
+                pairs.pop(key, None)
+
+    out = {}
+    level = 0
+    factor = Fraction(1)
+    while pairs:
+        if level:
+            factor = Fraction(1, level) * factor
+        scale = factor != 1
+        for (j, ma, mb), c in pairs.items():
+            if ma & mb:
+                continue
+            cc = c * factor if scale else c
+            if wedge_sign(ma, mb) < 0:
+                cc = -cc
+            key = (j + level, ma | mb)
+            s = out.get(key)
+            s = cc if s is None else s + cc
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        nxt = {}
+        for (j, ma, mb), c in pairs.items():
+            if not (ma and mb):
+                continue
+            for i, jj, wij in wpairs:
+                bi = 1 << i
+                bj = 1 << jj
+                if not (ma & bi and mb & bj):
+                    continue
+                cc = wij * c
+                if back_sign(ma, i) * front_sign(mb, jj) < 0:
+                    cc = -cc
+                key = (j, ma ^ bi, mb ^ bj)
+                s = nxt.get(key)
+                s = cc if s is None else s + cc
+                if s:
+                    nxt[key] = s
+                else:
+                    nxt.pop(key, None)
+        pairs = nxt
+        level += 1
+    return HForm(a.dim, out, a.laurent or b.laurent)
 
 
 def _sort_sign(indices):

@@ -97,7 +97,7 @@ class TestCheck:
         assert "Traceback" not in r.stderr
 
     # A count below 1 would make a "pass" vacuous, and a negative mode box
-    # would be read as an empty one: all are malformed input.
+    # or degree bound would be read as an empty one: all are malformed input.
     @pytest.mark.parametrize("argv,message", [
         (["check", "--suite", "associativity", "--trials", "-3"], "trials"),
         (["check", "--suite", "associativity", "--trials", "0"], "trials"),
@@ -106,8 +106,9 @@ class TestCheck:
         (["cohomology", "--mode-box", "-1"], "mode_box"),
         (["dolbeault", "--mode-box", "-1"], "mode_box"),
         (["equivariant", "--action", "ACT", "--mode-box", "-1"], "mode_box"),
+        (["cohomology", "--max-degree", "-3"], "max_degree"),
     ], ids=["trials-3", "trials0", "power0", "power-3", "cohomology-box-1",
-            "dolbeault-box-1", "equivariant-box-1"])
+            "dolbeault-box-1", "equivariant-box-1", "cohomology-max-degree-3"])
     def test_bad_count_exits_two(self, t2c_file, tmp_path, argv, message):
         conn = tmp_path / "conn.json"
         conn.write_text(json.dumps({"rank": 1, "theta": [[[]]]}),

@@ -1,11 +1,15 @@
 """The quantum exterior product: pinned examples, algebra laws, and the
 two independent oracles."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from oracles import qwedge_bruteforce, qwedge_multilinear
+from oracles import qwedge_bruteforce, qwedge_cascade, qwedge_multilinear
+from qexterior import _kernels as K
+from qexterior.cli import main
 from qexterior.forms import Bivector, HForm, wedge
 from qexterior.quantum import (bidegree_components, change_frame,
                                complex_bidegree, complex_frame_bivector,
@@ -47,8 +51,11 @@ class TestQwedgeExamples:
         assert qwedge_multilinear(e12, e12, w) == expect
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dimension mismatch 2 != 3$"):
             qwedge(e(2, 1), e(3, 1), Bivector(2))
+        with pytest.raises(ValueError,
+                           match="^bivector dimension mismatch 2 != 3$"):
+            qwedge(e(3, 1), e(3, 2), Bivector(2))
 
     def test_no_negative_h_in_polynomial_mode(self, sampler):
         for _ in range(20):
@@ -154,6 +161,167 @@ class TestQwedgeLaws:
         prod = qwedge(a, b, w)
         assert prod.laurent
         assert prod == qwedge_bruteforce(a, b, w)
+
+
+def typed_terms(f: HForm):
+    """Terms with each coefficient's type, so Fraction(2) != GRat(2)."""
+    return f.laurent, {k: (type(c), c) for k, c in f.terms.items()}
+
+
+def grat_form(s: Sampler, f: HForm) -> HForm:
+    return f.map_coeffs(lambda c: GRat(c, s.fraction()))
+
+
+class TestMinorExpansion:
+    """The minor expansion against the cascade it replaced and the literal
+    ordered-tuple expansion, term for term and type for type."""
+
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_matches_cascade(self, dim, density):
+        s = Sampler(1000 * dim + int(10 * density))
+        for t in range(12):
+            w = s.antisymmetric_bivector(dim, density)
+            a = s.ext_form(dim, terms=s.rng.randint(1, 4), h_max=1)
+            b = s.ext_form(dim, terms=s.rng.randint(1, 4), h_max=1)
+            if t % 3 == 1:
+                a, b = grat_form(s, a), grat_form(s, b)
+            elif t % 3 == 2:
+                w = w.map_entries(lambda x: GRat(x, s.fraction()))
+                a, b = grat_form(s, a), grat_form(s, b)
+            assert typed_terms(qwedge(a, b, w)) == \
+                typed_terms(qwedge_cascade(a, b, w))
+
+    def test_matches_cascade_dim8(self):
+        s = Sampler(88)
+        for density in (0.3, 1.0):
+            for _ in range(3):
+                w = s.antisymmetric_bivector(8, density)
+                a = s.ext_form(8, terms=3, h_max=1)
+                b = s.ext_form(8, terms=3, h_max=1)
+                assert typed_terms(qwedge(a, b, w)) == \
+                    typed_terms(qwedge_cascade(a, b, w))
+
+    def test_matches_bruteforce(self):
+        s = Sampler(89)
+        for t in range(40):
+            dim = 1 + t % 4
+            w = s.antisymmetric_bivector(dim, s.rng.choice([0.0, 0.5, 1.0]))
+            a = s.ext_form(dim, terms=2, h_max=1)
+            b = s.ext_form(dim, terms=2, h_max=1)
+            if t % 2:
+                a, b = grat_form(s, a), grat_form(s, b)
+            assert typed_terms(qwedge(a, b, w)) == \
+                typed_terms(qwedge_bruteforce(a, b, w))
+
+    def test_zero_bivector_is_wedge(self):
+        s = Sampler(90)
+        for dim in range(1, 7):
+            a = s.ext_form(dim, terms=3, h_max=1)
+            b = s.ext_form(dim, terms=3, h_max=1)
+            assert typed_terms(qwedge(a, b, Bivector.zero(dim))) == \
+                typed_terms(wedge(a, b))
+
+    def test_laurent_negative_exponents(self):
+        s = Sampler(91)
+        for t in range(30):
+            dim = 2 + t % 5
+            w = s.antisymmetric_bivector(dim, s.rng.choice([0.3, 1.0]))
+            a = s.ext_form(dim, terms=3, h_max=2, laurent=True).h_shift(-1)
+            b = s.ext_form(dim, terms=3, h_max=2, laurent=True)
+            got = qwedge(a, b, w)
+            assert typed_terms(got) == typed_terms(qwedge_cascade(a, b, w))
+            if dim <= 3:
+                assert typed_terms(got) == \
+                    typed_terms(qwedge_bruteforce(a, b, w))
+
+    def test_polynomial_bivector_so3(self):
+        s = Sampler(92)
+        model = s.jacobi_model("so3")
+        for _ in range(15):
+            a = s.model_form(model, terms=3)
+            b = s.model_form(model, terms=3)
+            got = qwedge(a, b, model.w)
+            assert typed_terms(got) == \
+                typed_terms(qwedge_cascade(a, b, model.w))
+            assert typed_terms(got) == \
+                typed_terms(qwedge_bruteforce(a, b, model.w))
+
+
+class TestQwedgeTable:
+    """The per-bivector table is looked up by value, never by identity."""
+
+    def test_equal_bivectors_share_results(self):
+        s = Sampler(93)
+        entries = {(1, 2): Fraction(2), (1, 3): Fraction(-1, 3),
+                   (2, 4): Fraction(5)}
+        w1, w2 = Bivector(4, entries), Bivector(4, dict(entries))
+        for _ in range(10):
+            a = s.ext_form(4, terms=3, h_max=1)
+            b = s.ext_form(4, terms=3, h_max=1)
+            assert typed_terms(qwedge(a, b, w1)) == \
+                typed_terms(qwedge(a, b, w2))
+
+    def test_mutated_entries_give_new_product(self):
+        w = Bivector(2, {(1, 2): Fraction(1)})
+        e1, e2 = e(2, 1), e(2, 2)
+        assert qwedge(e1, e2, w).coeff(h=1) == 1
+        w.entries[(1, 2)] = Fraction(3)
+        assert qwedge(e1, e2, w).coeff(h=1) == 3
+        del w.entries[(1, 2)]
+        assert qwedge(e1, e2, w) == wedge(e1, e2)
+
+    def test_entry_type_is_part_of_the_key(self):
+        # Fraction(2) == GRat(2) with equal hashes; the products still carry
+        # the type of the entries they were built from.
+        e1, e2 = e(2, 1), e(2, 2)
+        for entry in (Fraction(2), GRat(2), Fraction(2)):
+            got = qwedge(e1, e2, Bivector(2, {(1, 2): entry}))
+            assert type(got.coeff(h=1)) is type(entry)
+
+    def test_caches_stay_bounded(self):
+        s = Sampler(94)
+        for _ in range(K._QTABLES + 8):
+            w = s.antisymmetric_bivector(3)
+            qwedge(s.ext_form(3, terms=3), s.ext_form(3, terms=3), w)
+        assert K._qtable.cache_info().currsize == K._QTABLES
+        for i in range(70):
+            for j in range(70):
+                K.qwedge_plan(1 << i, 1 << j)
+        assert K.qwedge_plan.cache_info().currsize == K._PLANS
+
+
+def products_bytes() -> bytes:
+    """Canonical rendering of 50 seeded products, coefficient types included."""
+    s = Sampler(5150)
+    rows = []
+    for t in range(50):
+        dim = 2 + t % 5
+        w = s.antisymmetric_bivector(dim, density=s.rng.choice([0.4, 1.0]))
+        a = s.ext_form(dim, terms=3, h_max=1)
+        b = s.ext_form(dim, terms=3, h_max=1)
+        if t % 2:
+            a = a.map_coeffs(lambda c: GRat(c, s.fraction()))
+            b = b.map_coeffs(lambda c: GRat(c, s.fraction()))
+        prod = qwedge(a, b, w)
+        rows.append(sorted([j, m, type(c).__name__, str(c)]
+                           for (j, m), c in prod.terms.items()))
+    return json.dumps(rows, separators=(",", ":")).encode()
+
+
+class TestPinnedOutputs:
+    """sha256 of outputs recorded while the engine still summed ordered
+    contractions level by level: a changed answer fails here."""
+
+    def test_seeded_products(self):
+        assert hashlib.sha256(products_bytes()).hexdigest() == \
+            "ab0291207df9e55247f310864f32539b0a4986402fdfe27cbc6d9e5c6ac96aa8"
+
+    def test_lefschetz_report(self, tmp_path):
+        out = tmp_path / "lefschetz.json"
+        assert main(["lefschetz", "--n", "2", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "132048c81a26ff2e78e5f6ebc1b28e43ede50f1d1f8449c4a81356269fc70f2a"
 
 
 class TestFrobenius:
