@@ -3,30 +3,43 @@ subcomplexes.
 
 With a constant bivector on a torus, d and delta preserve each Fourier
 mode, so (Omega(M)[h], d_h) splits: mode 0 is the finite complex of
-constant forms with zero differential, and every nonzero mode gives a
-finite two-periodic complex over the h-ring whose parity components are
-spanned by the even/odd monomials.  Tables aggregate the mode-0 answer and
-carry per-mode diagnostics for every nonzero mode in the requested box
-(expected acyclic on symplectic tori; reported, never silently asserted).
+constant forms with zero differential, whose Smith-normal-form homology is
+the table, and every nonzero mode gives a finite two-periodic complex over
+the h-ring whose parity components are spanned by the even/odd monomials.
 
-The mode matrices of d_h are assembled from the bivector entries with bit
-arithmetic (``_matrix_of_dh``; its docstring derives the entries and their
-signs from the pinned delta = d o iota_w - iota_w o d), and ``ring_table``
-factors its representative matrix once and solves every class product
-from that one Smith normal form.
+The mode operators are assembled from the bivector entries with bit
+arithmetic as sparse monomial columns (``_dh_columns``; its docstring
+derives the entries and their signs from the pinned
+delta = d o iota_w - iota_w o d), and the ring matrices are dense views of
+those columns.  Every nonzero mode is acyclic: with kappa = sum_b i k_b e^b
+and b any index with k_b != 0, H = iota_{e_b} / (i k_b) satisfies
+d_h H + H d_h = 1 over k[h] and k[h,h^-1] for every constant w (the
+Koszul-Brylinski homotopy of a constant Poisson structure).  The tables
+do not assume this: each mode is proved acyclic by
+``complexes.homotopy_certificate``, which checks D D = 0 and
+D H + H D = 1 exactly on the mode's labels.  A mode whose certificate
+fails is computed by Smith normal form instead and listed under
+``anomalous_modes`` when its homology is nonzero -- reported, never
+silently asserted.  The Dolbeault table does the same with delbar_h and
+H = iota_{ebar_b} / kappa^{0,1}_b.
+
+``ring_table`` reads class coordinates off each product when the
+representatives form a signed permutation matrix, as they do for the
+invariant torus complex, and otherwise factors the representative matrix
+once and solves every class product from that one Smith normal form.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from .calculus import dolbeault_operators
-from .coeffs import FourierCoeff
-from .complexes import CohomologyTable, DegreeHomology, FiniteComplex, complex_homology
+from .complexes import (CohomologyTable, DegreeHomology, FiniteComplex,
+                        complex_homology, dense_matrix, homotopy_certificate)
 from .forms import HForm
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
-from .quantum import qwedge
+from .quantum import complex_frame_bivector, qwedge
 from .scalars import GRat
 from .snf import smith_normal_form, solve_linear  # noqa: F401 (kept importable)
 
@@ -38,53 +51,91 @@ def _require_torus_constant(model: PoissonModel):
         raise ValueError("cohomology engine requires a constant bivector")
 
 
-def _matrix_of_dh(model, k, src_masks, dst_masks, ring):
-    """Matrix of d_h = d - h delta from the span of src_masks to dst_masks
-    on the Fourier mode k, built directly from the bivector entries.
+def _koszul_columns(kappa, v):
+    """Monomial columns of kappa ^ - h iota_v on every mask of
+    len(kappa) generators: mask -> {(mask', j): c}.
+
+    e^b ^ e^I and e_a |- e^I both carry the sign (-1)^(number of indices
+    of I below the moved one).  When <kappa, v> = 0 the operator squares
+    to zero.
+    """
+    wedges = [(1 << b, c, -c) for b, c in enumerate(kappa) if c]
+    contractions = [(1 << a, -c, c) for a, c in enumerate(v) if c]
+    cols = {}
+    for mask in range(1 << len(kappa)):
+        col = {}
+        for bit, even, odd in wedges:
+            if not mask & bit:
+                col[(mask | bit, 0)] = \
+                    odd if (mask & (bit - 1)).bit_count() & 1 else even
+        for bit, even, odd in contractions:
+            if mask & bit:
+                col[(mask ^ bit, 1)] = \
+                    odd if (mask & (bit - 1)).bit_count() & 1 else even
+        cols[mask] = col
+    return cols
+
+
+def _homotopy_columns(kappa):
+    """Monomial columns of H = iota_{e_b} / kappa_b, b the first index
+    with kappa_b != 0.
+
+    kappa ^ H + H kappa ^ = 1, and H anticommutes with every constant
+    contraction, so H contracts each operator kappa ^ - h iota_v (+ further
+    contractions): the Koszul-Brylinski homotopy of a constant Poisson
+    structure.
+    """
+    b = next(i for i, c in enumerate(kappa) if c)
+    bit = 1 << b
+    inv = 1 / kappa[b]
+    cols = {}
+    for mask in range(1 << len(kappa)):
+        if mask & bit:
+            odd = (mask & (bit - 1)).bit_count() & 1
+            cols[mask] = {(mask ^ bit, 0): -inv if odd else inv}
+        else:
+            cols[mask] = {}
+    return cols
+
+
+def _contraction_vector(w, kappa):
+    """v_a = sum_b w^ab kappa_b, so that -[iota_w, kappa ^] = iota_v."""
+    v = []
+    for a in range(len(kappa)):
+        s = GRat(0)
+        for b, kb in enumerate(kappa):
+            wab = w.entry(a + 1, b + 1)
+            if wab and kb:
+                s = s + wab * kb
+        v.append(s)
+    return v
+
+
+def _dh_kappa_v(w, k):
+    """kappa = sum_b i k_b e^b and its contraction vector under w."""
+    kappa = [GRat(0, kb) for kb in k]
+    return kappa, _contraction_vector(w, kappa)
+
+
+def _dh_columns(model, k):
+    """Monomial columns of d_h = d - h delta on the Fourier mode k.
 
     On e^{i k.theta} e^I the operator d is wedging from the left with
     kappa = sum_b i k_b e^b.  Since iota_w = sum_{a<b} w^ab e_b |- e_a |-
     is second order, the pinned delta = d o iota_w - iota_w o d is the
     commutator -[iota_w, kappa ^], a first-order contraction:
-    delta e^I = sum_a v_a e_a |- e^I with v_a = sum_b w^ab kappa_b.  Both
-    e^b ^ e^I and e_a |- e^I carry the sign (-1)^(number of indices of I
-    below the moved one).  Entries are Gaussian rationals, as the
-    amplitudes of the Fourier coefficients they stand for.
+    delta e^I = sum_a v_a e_a |- e^I with v_a = sum_b w^ab kappa_b, and
+    <kappa, v> = sum w^ab kappa_a kappa_b = 0.  Entries are Gaussian
+    rationals, as the amplitudes of the Fourier coefficients they stand
+    for.
     """
-    m = model.dim
-    w = model.constant_bivector()
-    kappa = [GRat(0, kb) for kb in k]
-    v = []
-    for a in range(m):
-        s = GRat(0)
-        for b in range(m):
-            wab = w.entry(a + 1, b + 1)
-            if wab and k[b]:
-                s = s + wab * kappa[b]
-        v.append(s)
-    dst_index = {mask: i for i, mask in enumerate(dst_masks)}
-    rows = [[ring.zero() for _ in src_masks] for _ in dst_masks]
+    return _koszul_columns(*_dh_kappa_v(model.constant_bivector(), k))
 
-    def put(mask, col, j, amp):
-        row = dst_index.get(mask)
-        if row is None:
-            raise AssertionError("differential left the parity component")
-        rows[row][col] = ring({j: amp})
 
-    for col, mask in enumerate(src_masks):
-        for b in range(m):
-            bit = 1 << b
-            if not kappa[b] or mask & bit:
-                continue
-            odd = (mask & (bit - 1)).bit_count() & 1
-            put(mask | bit, col, 0, -kappa[b] if odd else kappa[b])
-        for a in range(m):
-            bit = 1 << a
-            if not v[a] or not mask & bit:
-                continue
-            odd = (mask & (bit - 1)).bit_count() & 1
-            put(mask ^ bit, col, 1, v[a] if odd else -v[a])
-    return rows
+def _matrix_of_dh(model, k, src_masks, dst_masks, ring):
+    """Matrix of d_h from the span of src_masks to dst_masks on the
+    Fourier mode k: a dense view of :func:`_dh_columns`."""
+    return dense_matrix(_dh_columns(model, k), src_masks, dst_masks, ring)
 
 
 def invariant_subcomplex(model: PoissonModel, ring=HLaurent) -> FiniteComplex:
@@ -111,13 +162,29 @@ def mode_subcomplex(model: PoissonModel, k, ring=HLaurent) -> FiniteComplex:
     k = tuple(int(x) for x in k)
     if len(k) != model.dim:
         raise ValueError("frequency vector has wrong length")
-    m = model.dim
+    even, odd = _parity_bases(model.dim)
+    cols = _dh_columns(model, k)
+    return FiniteComplex([0, 1], [even, odd],
+                         [dense_matrix(cols, even, odd, ring),
+                          dense_matrix(cols, odd, even, ring)],
+                         ring=ring, cyclic=True,
+                         meta={"kind": "mode", "mode": k})
+
+
+def _parity_bases(m):
+    """Even and odd masks of m generators: the two spots of a mode."""
     even = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 0]
     odd = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 1]
-    d_even = _matrix_of_dh(model, k, even, odd, ring)
-    d_odd = _matrix_of_dh(model, k, odd, even, ring)
-    return FiniteComplex([0, 1], [even, odd], [d_even, d_odd], ring=ring,
-                         cyclic=True, meta={"kind": "mode", "mode": k})
+    return even, odd
+
+
+def _mode_certified(model: PoissonModel, k) -> bool:
+    """Whether the homotopy certificate proves the nonzero mode k acyclic
+    over both h-rings."""
+    kappa, v = _dh_kappa_v(model.constant_bivector(), k)
+    return homotopy_certificate(_parity_bases(model.dim), (0, 1),
+                                _koszul_columns(kappa, v),
+                                _homotopy_columns(kappa), cyclic=True)
 
 
 def _box_modes(dim, mode_box):
@@ -158,6 +225,8 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
     table = complex_homology(invariant_subcomplex(model, ring))
     diagnostics = []
     for k in modes:
+        if _mode_certified(model, k):
+            continue
         sub = complex_homology(mode_subcomplex(model, k, ring))
         ranks = {d: sub.rank(d) for d in sub.degrees()}
         tors = sub.total_torsion()
@@ -198,22 +267,26 @@ def _dolbeault_bases(n, p, q_range, laurent):
     return bases
 
 
-def _dolbeault_matrix(model, k, src, dst, ring):
-    dst_index = {lab: i for i, lab in enumerate(dst)}
-    rows = [[ring.zero() for _ in src] for _ in dst]
-    for col, (j, mask) in enumerate(src):
-        form = HForm(model.dim, {(j, mask): FourierCoeff.character(model.dim, k)},
-                     laurent=(j < 0))
-        image = dolbeault_operators(form, model).antiholo_h
-        for (j2, m2), c in image.terms.items():
-            amp = c.mode_amplitude(k)
-            if not amp:
-                continue
-            lab = (j2, m2)
-            if lab not in dst_index:
-                raise AssertionError("delbar_h left the expected stratum")
-            rows[dst_index[lab]][col] = rows[dst_index[lab]][col] + ring.from_scalar(amp)
-    return rows
+def _delbar_kappa_v(wc, k):
+    """kappa^{0,1} and the contraction vector of delbar_h on the mode k.
+
+    delbar = sum_l dzbar^l ^ d/dzbar_l with d/dzbar_l = (d_{2l-1} + i d_{2l})/2,
+    so on e^{i k.theta} it wedges with kappa^{0,1}_l = (i k_{2l-1} - k_{2l})/2
+    in the dzbar slots; as for d_h, delta^{-1,0} = delbar o iota_wc -
+    iota_wc o delbar is the contraction by v_a = sum_b wc^ab kappa^{0,1}_b.
+    kappa^{0,1} != 0 for every integer k != 0.
+    """
+    n = len(k) // 2
+    kappa = [GRat(0)] * n + [GRat(Fraction(-k[2 * l + 1], 2),
+                                  Fraction(k[2 * l], 2)) for l in range(n)]
+    return kappa, _contraction_vector(wc, kappa)
+
+
+def _label_columns(cols, labels):
+    """Columns on complex-frame labels (j, mask), the h-power moved into
+    the label: h^j e^mask -> sum c (j + j', mask')."""
+    return {(j, mask): {((j + j2, m2), 0): c for (m2, j2), c in cols[mask].items()}
+            for (j, mask) in labels}
 
 
 def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
@@ -223,7 +296,10 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     For each first index p the complex (Omega_h^{[p,*]}, delbar_h) has
     finite-dimensional strata over the base field; ranks are reported per
     (p, q).  ``level_cap`` bounds the reported h-level above the classical
-    window.
+    window.  Every nonzero mode is certified acyclic at the reported q by
+    the homotopy iota_{ebar_b} / kappa^{0,1}_b; a mode that fails the
+    certificate is computed by Smith normal form and reported if its
+    homology is nonzero.
     """
     _require_torus_constant(model)
     if not model.complex_structure:
@@ -231,23 +307,31 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     modes = _box_modes(model.dim, mode_box)
     n = model.dim // 2
     laurent = ring is HLaurent
+    wc = complex_frame_bivector(model.constant_bivector())
+    mode_cols = {}
+    for k in [(0,) * model.dim] + modes:
+        kappa, v = _delbar_kappa_v(wc, k)
+        mode_cols[k] = (_koszul_columns(kappa, v),
+                        _homotopy_columns(kappa) if any(k) else None)
     entries = []
-    zero_mode = (0,) * model.dim
     p_lo = -level_cap if laurent else 0
     diags = []
     for p in range(p_lo, n + level_cap + 1):
-        q_range = list(range(p - n - 1, p + n + 2)) if laurent else \
+        comp_qs = list(range(p - n - 1, p + n + 2)) if laurent else \
             list(range(max(0, p - n) - 1, p + n + 2))
-        bases = _dolbeault_bases(n, p, q_range, laurent)
-        comp_qs = [q for q in q_range]
-        mats = []
-        for qi in range(len(comp_qs) - 1):
-            mats.append(_dolbeault_matrix(model, zero_mode,
-                                          bases[comp_qs[qi]],
-                                          bases[comp_qs[qi + 1]], ring))
-        cx = FiniteComplex(comp_qs, [bases[q] for q in comp_qs], mats,
-                           ring=ring, meta={"kind": "dolbeault", "p": p})
-        sub = complex_homology(cx)
+        bases = _dolbeault_bases(n, p, comp_qs, laurent)
+        spot_bases = [bases[q] for q in comp_qs]
+        labels = [lab for b in spot_bases for lab in b]
+        reported = range(1, len(comp_qs) - 1)
+
+        def homology(k, meta=None):
+            d = _label_columns(mode_cols[k][0], labels)
+            mats = [dense_matrix(d, spot_bases[i], spot_bases[i + 1], ring)
+                    for i in range(len(comp_qs) - 1)]
+            return complex_homology(FiniteComplex(comp_qs, spot_bases, mats,
+                                                  ring=ring, meta=meta))
+
+        sub = homology((0,) * model.dim, {"kind": "dolbeault", "p": p})
         for q in comp_qs[1:-1]:
             r = sub.rank(q)
             if r or sub.torsion(q):
@@ -255,13 +339,11 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
                 entries.append(DegreeHomology((p, q), e.free_rank, e.torsion,
                                               e.representatives, e.labels))
         for k in modes:
+            d, h = (_label_columns(c, labels) for c in mode_cols[k])
+            if homotopy_certificate(spot_bases, reported, d, h):
+                continue
+            subk = homology(k)
             anomalies = {}
-            mats_k = [_dolbeault_matrix(model, k, bases[comp_qs[qi]],
-                                        bases[comp_qs[qi + 1]], ring)
-                      for qi in range(len(comp_qs) - 1)]
-            cxk = FiniteComplex(comp_qs, [bases[q] for q in comp_qs], mats_k,
-                                ring=ring)
-            subk = complex_homology(cxk)
             for q in comp_qs[1:-1]:
                 if subk.rank(q) or subk.torsion(q):
                     anomalies[q] = subk.rank(q)
@@ -305,14 +387,32 @@ def _rep_to_form(model, labels, vec, ring, laurent) -> HForm:
     return HForm(model.dim, terms, laurent)
 
 
+def _signed_permutation(matrix):
+    """(row, sign) per column when the square ``matrix`` has exactly one
+    nonzero entry, +1 or -1, in every row and column; else None."""
+    n = len(matrix)
+    pivots = []
+    for c in range(len(matrix[0]) if n else 0):
+        nz = [(r, matrix[r][c]) for r in range(n) if not matrix[r][c].is_zero()]
+        if len(nz) != 1 or not (nz[0][1] == 1 or nz[0][1] == -1):
+            return None
+        pivots.append((nz[0][0], 1 if nz[0][1] == 1 else -1))
+    if len(pivots) != n or len({r for r, _sign in pivots}) != n:
+        return None
+    return pivots
+
+
 def ring_table(table: CohomologyTable, model: PoissonModel,
                ring=HLaurent) -> RingTable:
     """Products of representatives reduced to class coordinates.
 
-    Reduction solves rep-matrix * x = product over the h-ring, from one
-    factorization of the rep-matrix shared by every pair; with the
-    invariant torus complex the exact part is zero, so inconsistency
-    signals a broken representative rather than a mathematical failure.
+    Reduction solves rep-matrix * x = product over the h-ring.  When the
+    rep-matrix is a signed permutation (always, for the invariant torus
+    complex, whose representatives are basis monomials) each coordinate is
+    read off the product directly; otherwise one factorization of the
+    rep-matrix serves every pair.  With the invariant torus complex the
+    exact part is zero, so inconsistency signals a broken representative
+    rather than a mathematical failure.
     """
     laurent = ring is HLaurent
     rt = RingTable(model, table, ring)
@@ -330,8 +430,14 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
             columns.append(col)
     rep_matrix = [[columns[c][r] for c in range(len(columns))]
                   for r in range(len(all_masks))]
-    # one factorization serves all len(classes)^2 right-hand sides
-    rep_snf = smith_normal_form(rep_matrix, ring, track=("U", "V"))
+    pivots = _signed_permutation(rep_matrix)
+    if pivots is None:
+        # one factorization serves all len(classes)^2 right-hand sides
+        solve = smith_normal_form(rep_matrix, ring, track=("U", "V")).solve
+    else:
+        def solve(target):
+            return [target[r] if sign == 1 else -target[r]
+                    for r, sign in pivots]
     for i, (_da, _ia, fa) in enumerate(rt.classes):
         for j, (_db, _ib, fb) in enumerate(rt.classes):
             prod = qwedge(fa, fb, model.w)
@@ -340,7 +446,7 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
                 val = c.constant_value() if hasattr(c, "constant_value") else c
                 if val:
                     target[mask_pos[mask]] = target[mask_pos[mask]] + ring({jj: val})
-            x = rep_snf.solve(target)
+            x = solve(target)
             if x is None:
                 raise AssertionError("class reduction system is inconsistent")
             rt.structure[(i, j)] = {k: coeff for k, coeff in enumerate(x)

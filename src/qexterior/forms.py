@@ -164,11 +164,6 @@ class HForm:
     def to_laurent(self) -> "HForm":
         return HForm(self.dim, self.terms, True)
 
-    def to_poly(self) -> "HForm":
-        if any(j < 0 for (j, _m) in self.terms):
-            raise ValueError("form has negative h-exponents")
-        return HForm(self.dim, self.terms, False)
-
     def at_h(self, value) -> "HForm":
         """Substitute a scalar for h (e.g. 1 for the w-product, 0 classical)."""
         if isinstance(value, int):

@@ -122,9 +122,6 @@ class PoissonModel:
     def coeff_const(self, c):
         return self.coeff_cls.const(self.dim, c)
 
-    def coeff_one(self):
-        return self.coeff_cls.one(self.dim)
-
     def form_scalar(self, c, laurent: bool = False) -> HForm:
         """The function c as a 0-form with model coefficients."""
         if not hasattr(c, "partial"):

@@ -75,6 +75,14 @@ def model_to_json(model: PoissonModel):
     return out
 
 
+def _exact_int(x, what) -> int:
+    """``x`` itself when it is a JSON integer; bools, floats and strings
+    are refused rather than rounded or parsed."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def model_from_json(obj) -> PoissonModel:
     if not isinstance(obj, dict):
         raise ValueError(f"a model must be a JSON object, not "
@@ -82,13 +90,20 @@ def model_from_json(obj) -> PoissonModel:
     kind = obj.get("space")
     if kind not in (AFFINE, TORUS):
         raise ValueError(f"unknown space {kind!r}")
-    dim = int(obj["dim"])
+    dim = _exact_int(obj["dim"], "model dimension")
     if dim < 1:
         raise ValueError(f"model dimension must be at least 1, got {dim}")
     entries = {}
     for item in obj.get("bivector", []):
-        i, j, coeff = int(item[0]), int(item[1]), item[2]
-        c = coeff_from_json(coeff, dim)
+        if not isinstance(item, list) or len(item) != 3:
+            raise ValueError(f"bivector entries must be [i, j, coeff] "
+                             f"triples, got {item!r}")
+        i = _exact_int(item[0], "bivector index")
+        j = _exact_int(item[1], "bivector index")
+        if not 1 <= i < j <= dim:
+            raise ValueError(f"bivector indices must satisfy 1 <= i < j <= "
+                             f"{dim}, got [{i}, {j}]")
+        c = coeff_from_json(item[2], dim)
         cls = PolyCoeff if kind == AFFINE else FourierCoeff
         if not hasattr(c, "partial"):
             c = cls.const(dim, c)

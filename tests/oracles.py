@@ -22,7 +22,10 @@ table; the tests assert exact agreement with them.
 ``matrix_of_dh_symbolic`` and ``ring_table_per_pair`` are the torus
 cohomology builders the engine used before it assembled the d_h mode
 matrices from the bivector entries and factored the representative matrix
-once for all class products.
+once for all class products.  ``dolbeault_matrix_symbolic`` and
+``equivariant_matrix_symbolic`` likewise apply the symbolic delbar_h and
+Cartan differential to one Fourier form per column, and
+``free_rank_oracle`` counts free ranks over the fraction field.
 """
 
 import itertools
@@ -30,14 +33,14 @@ import math
 from fractions import Fraction
 
 from qexterior._kernels import back_sign, front_sign, wedge_sign
-from qexterior.calculus import quantum_d
+from qexterior.calculus import dolbeault_operators, quantum_d
 from qexterior.coeffs import FourierCoeff
 from qexterior.forms import (HForm, check_symplectic, contract_back,
                              contract_front, mask_indices, omega_form, wedge)
 from qexterior.hpoly import HPoly
 from qexterior.linalg import det, matrix_inverse
 from qexterior.quantum import qwedge
-from qexterior.snf import solve_linear
+from qexterior.snf import rank_fraction_field, solve_linear
 
 
 def qwedge_bruteforce(a: HForm, b: HForm, w) -> HForm:
@@ -466,3 +469,55 @@ def ring_table_per_pair(table, model, ring):
                 raise AssertionError("class reduction system is inconsistent")
             structure[(i, j)] = {k: c for k, c in enumerate(x) if not c.is_zero()}
     return structure
+
+
+def dolbeault_matrix_symbolic(model, k, src, dst, ring):
+    """Matrix of delbar_h at mode k on complex-frame labels (j, mask), by
+    the symbolic Dolbeault splitting of each Fourier form."""
+    dst_index = {lab: i for i, lab in enumerate(dst)}
+    rows = [[ring.zero() for _ in src] for _ in dst]
+    for col, (j, mask) in enumerate(src):
+        form = HForm(model.dim, {(j, mask): FourierCoeff.character(model.dim, k)},
+                     laurent=(j < 0))
+        image = dolbeault_operators(form, model).antiholo_h
+        for (j2, m2), c in image.terms.items():
+            amp = c.mode_amplitude(k)
+            if not amp:
+                continue
+            lab = (j2, m2)
+            if lab not in dst_index:
+                raise AssertionError("delbar_h left the expected stratum")
+            rows[dst_index[lab]][col] = rows[dst_index[lab]][col] + ring.from_scalar(amp)
+    return rows
+
+
+def equivariant_matrix_symbolic(model, action, k, src, dst, ring):
+    """Matrix of the Cartan differential at mode k on labels (A, j, mask),
+    by applying ``cartan_d`` to each Fourier form."""
+    from qexterior.equivariant import EquivariantElement, cartan_d
+    dst_index = {lab: i for i, lab in enumerate(dst)}
+    rows = [[ring.zero() for _ in src] for _ in dst]
+    d = action.n_generators
+    for col, (A, j, mask) in enumerate(src):
+        form = HForm(model.dim, {(j, mask): FourierCoeff.character(model.dim, k)})
+        elem = EquivariantElement(model, d, {A: form})
+        image = cartan_d(elem, action, require_invariant=False)
+        for A2, f2 in image.terms.items():
+            for (j2, m2), c in f2.terms.items():
+                amp = c.mode_amplitude(k)
+                if not amp:
+                    continue
+                lab = (A2, j2, m2)
+                if lab not in dst_index:
+                    raise AssertionError("Cartan differential left the "
+                                         "expected total degree")
+                rows[dst_index[lab]][col] = rows[dst_index[lab]][col] + \
+                    ring.from_scalar(amp)
+    return rows
+
+
+def free_rank_oracle(out_mat, in_mat, dim) -> int:
+    """Fraction-field rank bookkeeping: dim - rank(out) - rank(in)."""
+    r_out = rank_fraction_field(out_mat) if out_mat else 0
+    r_in = rank_fraction_field(in_mat) if in_mat else 0
+    return dim - r_out - r_in

@@ -85,6 +85,15 @@ class TestCheck:
     @pytest.mark.parametrize("body,message", [
         ([1, 2], "JSON object"),
         ({"space": "torus", "dim": -2}, "dimension"),
+        ({"space": "torus", "dim": 2, "bivector": [[1, 2]]}, "triples"),
+        ({"space": "torus", "dim": 2.7}, "dimension must be an integer"),
+        ({"space": "torus", "dim": True}, "dimension must be an integer"),
+        ({"space": "torus", "dim": 2, "bivector": [[2, 1, "1"]]},
+         "1 <= i < j <= 2"),
+        ({"space": "torus", "dim": 2, "bivector": [[1, 3, "1"]]},
+         "1 <= i < j <= 2"),
+        ({"space": "torus", "dim": 2, "bivector": [[False, 2, "1"]]},
+         "index must be an integer"),
     ])
     def test_invalid_model_exits_two(self, tmp_path, body, message):
         bad = tmp_path / "bad.json"

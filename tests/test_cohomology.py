@@ -4,24 +4,30 @@ tables of torus models."""
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import matrix_of_dh_symbolic, ring_table_per_pair
+from oracles import (dolbeault_matrix_symbolic, free_rank_oracle,
+                     matrix_of_dh_symbolic, ring_table_per_pair)
+from qexterior import cohomology
 from qexterior.cli import main
-from qexterior.cohomology import (_matrix_of_dh, graded_dims,
-                                  invariant_subcomplex, mode_subcomplex,
-                                  quantum_derham_table,
+from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
+                                  _homotopy_columns, _koszul_columns,
+                                  _label_columns, _matrix_of_dh,
+                                  _mode_certified, _signed_permutation,
+                                  graded_dims, invariant_subcomplex,
+                                  mode_subcomplex, quantum_derham_table,
                                   quantum_dolbeault_table, ring_table)
 from qexterior.complexes import (FiniteComplex, complex_homology,
-                                 free_rank_oracle)
+                                 dense_matrix, homotopy_certificate)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.models import PoissonModel
 from qexterior.scalars import GRat
-from qexterior.quantum import qwedge
+from qexterior.quantum import complex_frame_bivector, qwedge
 from qexterior.sampling import Sampler
-from qexterior.serialize import model_from_json
+from qexterior.serialize import model_from_json, table_to_json
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +177,223 @@ class TestDirectDhBuilder:
                     matrix_of_dh_symbolic(model, k, src, dst, HLaurent))
 
 
+def box(dim, radius):
+    """The nonzero modes with |k_i| <= radius."""
+    return [k for k in itertools.product(range(-radius, radius + 1),
+                                         repeat=dim) if any(k)]
+
+
+def certificate_bivectors(dim):
+    """Dense (rational), sparse (Gaussian entries), degenerate (rank 2)
+    and zero constant bivectors on T^dim."""
+    return {
+        "dense": Sampler(40 + dim).antisymmetric_bivector(dim),
+        "sparse": {(2 * i + 1, 2 * i + 2): GRat(Fraction(1, i + 2), i - 1)
+                   for i in range(dim // 2)},
+        "degenerate": {(1, dim): Fraction(7, 3), (1, 2): Fraction(-2)}
+        if dim > 2 else {(1, 2): Fraction(7, 3)},
+        "zero": {},
+    }
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Outcomes of every homotopy certificate the cohomology drivers run."""
+    seen = []
+    original = cohomology.homotopy_certificate
+
+    def recording(*args, **kwargs):
+        ok = original(*args, **kwargs)
+        seen.append(ok)
+        return ok
+
+    monkeypatch.setattr(cohomology, "homotopy_certificate", recording)
+    return seen
+
+
+def failing_every(monkeypatch, module, period):
+    """Make every ``period``-th certificate of ``module`` fail, so the
+    driver falls back to the Smith normal form on those modes."""
+    calls = itertools.count()
+
+    def flaky(*args, **kwargs):
+        if next(calls) % period == 0:
+            return False
+        return homotopy_certificate(*args, **kwargs)
+
+    monkeypatch.setattr(module, "homotopy_certificate", flaky)
+
+
+class TestHomotopyCertificate:
+    """The contracting-homotopy proof of acyclicity against the per-mode
+    Smith normal form."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "degenerate", "zero"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_agrees_with_snf_oracle(self, dim, kind):
+        model = PoissonModel.torus(dim, certificate_bivectors(dim)[kind])
+        # every mode of the box certifies; a seeded sample of |k_i| <= 2
+        # is also computed by Smith normal form in both rings
+        assert all(_mode_certified(model, k)
+                   for k in box(dim, 2 if dim <= 3 else 1))
+        rng = random.Random(f"certificate:{dim}:{kind}")
+        sample = rng.sample(box(dim, 2), 2 if dim < 5 else 1) + [(2,) * dim]
+        for k in sample:
+            assert _mode_certified(model, k), k
+            for ring in (HLaurent, HPoly):
+                cx = mode_subcomplex(model, k, ring)
+                tab = complex_homology(cx)
+                assert [tab.rank(d) for d in tab.degrees()] == [0, 0], (k, ring)
+                assert tab.total_torsion() == [], (k, ring)
+                for spot in (0, 1):
+                    assert free_rank_oracle(cx.out_matrix(spot),
+                                            cx.in_matrix(spot),
+                                            len(cx.bases[spot])) == 0
+
+    def test_flipped_homotopy_rejected(self):
+        model = PoissonModel.torus(4, certificate_bivectors(4)["dense"])
+        even = [m for m in range(16) if m.bit_count() % 2 == 0]
+        odd = [m for m in range(16) if m.bit_count() % 2 == 1]
+        for k in box(4, 1):
+            kappa = [GRat(0, kb) for kb in k]
+            d = cohomology._dh_columns(model, k)
+            h = _homotopy_columns(kappa)
+            assert homotopy_certificate([even, odd], (0, 1), d, h, cyclic=True)
+            flipped = {x: {key: -c for key, c in col.items()}
+                       for x, col in h.items()}
+            assert not homotopy_certificate([even, odd], (0, 1), d, flipped,
+                                            cyclic=True), k
+
+    def test_nonzero_square_rejected(self):
+        # kappa ^ - h iota_v with <kappa, v> != 0 is not a differential,
+        # yet iota_{e_1} / kappa_1 still satisfies d h + h d = 1
+        kappa, v = [GRat(0, 1), GRat(0)], [GRat(1), GRat(0)]
+        d, h = _koszul_columns(kappa, v), _homotopy_columns(kappa)
+        bases = [[0, 3], [1, 2]]
+        assert not homotopy_certificate(bases, (0, 1), d, h, cyclic=True)
+        assert homotopy_certificate(bases, (0, 1), _koszul_columns(kappa, [GRat(0)] * 2),
+                                    h, cyclic=True)
+
+    def test_identity_off_the_diagonal_rejected(self):
+        # spot 1 spanned by b, c with d a = b + c: h b = h c = a gives
+        # d h + h d = 1 on the diagonal only, and H_1 = C^2 / (b + c) != 0
+        bases = [["a"], ["b", "c"]]
+        one = GRat(1)
+        d = {"a": {("b", 0): one, ("c", 0): one}, "b": {}, "c": {}}
+        h = {"a": {}, "b": {("a", 0): one}, "c": {("a", 0): one}}
+        assert not homotopy_certificate(bases, (1,), d, h)
+        # an extra h^1 entry on the diagonal label is not the identity either
+        kappa, v = [GRat(0, 1), GRat(0)], [GRat(0), GRat(3)]
+        h = _homotopy_columns(kappa)
+        for mask in range(4):   # h + e^2 ^, whose commutator adds -3h
+            if not mask & 2:
+                odd = mask & 1
+                h[mask] = {**h[mask], (mask | 2, 0): -one if odd else one}
+        assert not homotopy_certificate([[0, 3], [1, 2]], (0, 1),
+                                        _koszul_columns(kappa, v), h,
+                                        cyclic=True)
+
+    def test_truncated_ends_and_components(self):
+        # a nonzero image outside the complex is never certified
+        one = GRat(1)
+        d = {"a": {("b", 0): one}, "b": {}}
+        h = {"a": {}, "b": {("a", 0): one}}
+        assert homotopy_certificate([["a"], ["b"]], (0, 1), d, h)
+        assert not homotopy_certificate([["a"], []], (0,), d, h)
+
+    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
+    def test_derham_driver_certifies_every_mode(self, certificates, ring):
+        model = model_from_json(PINNED_MODEL)
+        tab = quantum_derham_table(model, mode_box=1, ring=ring)
+        assert certificates == [True] * 80
+        assert tab.meta["anomalous_modes"] == []
+
+    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
+    def test_derham_fallback_matches_snf(self, monkeypatch, ring):
+        model = PoissonModel.torus(3, certificate_bivectors(3)["dense"])
+        certified = table_to_json(quantum_derham_table(model, 1, ring=ring))
+        monkeypatch.setattr(cohomology, "homotopy_certificate",
+                            lambda *args, **kwargs: False)
+        fallback = quantum_derham_table(model, 1, ring=ring)
+        assert table_to_json(fallback) == certified
+
+    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
+    def test_dolbeault_driver_certifies_every_mode(self, t2c, certificates,
+                                                   ring):
+        t4c = PoissonModel.darboux_torus(2, complex_structure=True)
+        for model, n_modes in ((t2c, 8), (t4c, 80)):
+            certificates.clear()
+            tab = quantum_dolbeault_table(model, mode_box=1, ring=ring)
+            n_p = len(range(-2 if ring is HLaurent else 0, model.dim // 2 + 3))
+            assert certificates == [True] * (n_modes * n_p)
+            assert tab.meta["anomalous_modes"] == []
+
+    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
+    def test_dolbeault_fallback_matches_snf(self, t2c, monkeypatch, ring):
+        t4c = PoissonModel.darboux_torus(2, complex_structure=True)
+        certified = [table_to_json(quantum_dolbeault_table(m, 1, ring=ring))
+                     for m in (t2c, t4c)]
+        # every mode of T^2 and every 97th (mode, p) of T^4 by SNF
+        failing_every(monkeypatch, cohomology, 1)
+        assert table_to_json(quantum_dolbeault_table(t2c, 1, ring=ring)) == \
+            certified[0]
+        failing_every(monkeypatch, cohomology, 97)
+        assert table_to_json(quantum_dolbeault_table(t4c, 1, ring=ring)) == \
+            certified[1]
+
+    def test_dolbeault_homotopy_on_non_darboux_bivector(self):
+        # a J-invariant bivector that is not the Darboux one
+        model = PoissonModel.torus(4, {(1, 3): Fraction(1), (2, 4): Fraction(1),
+                                       (3, 4): Fraction(-2)},
+                                   complex_structure=True)
+        wc = complex_frame_bivector(model.constant_bivector())
+        for ring, laurent in ((HLaurent, True), (HPoly, False)):
+            for p in range(-1 if laurent else 0, 4):
+                qs = list(range(p - 3, p + 4)) if laurent else \
+                    list(range(max(0, p - 2) - 1, p + 4))
+                bases = _dolbeault_bases(2, p, qs, laurent)
+                spots = [bases[q] for q in qs]
+                labels = [lab for b in spots for lab in b]
+                for k in box(4, 1)[::7]:
+                    kappa, v = _delbar_kappa_v(wc, k)
+                    d = _label_columns(_koszul_columns(kappa, v), labels)
+                    h = _label_columns(_homotopy_columns(kappa), labels)
+                    assert homotopy_certificate(spots, range(1, len(qs) - 1),
+                                                d, h), (p, k)
+
+
+class TestDirectDolbeaultBuilder:
+    """delbar_h mode matrices from kappa^{0,1} against the symbolic
+    Dolbeault splitting."""
+
+    @pytest.mark.parametrize("entries", [
+        None,
+        {(1, 3): Fraction(1), (2, 4): Fraction(1), (3, 4): Fraction(-2)},
+        {(1, 2): GRat(Fraction(1, 2), 3), (1, 3): Fraction(1),
+         (2, 4): Fraction(1)},
+    ], ids=["darboux", "rational", "gaussian"])
+    def test_matches_symbolic_builder(self, entries):
+        if entries is None:
+            model = PoissonModel.darboux_torus(2, complex_structure=True)
+        else:
+            model = PoissonModel.torus(4, entries, complex_structure=True)
+        wc = complex_frame_bivector(model.constant_bivector())
+        for ring, laurent in ((HLaurent, True), (HPoly, False)):
+            p = 1
+            qs = list(range(p - 3, p + 4)) if laurent else list(range(-1, p + 4))
+            bases = _dolbeault_bases(2, p, qs, laurent)
+            labels = [lab for q in qs for lab in bases[q]]
+            for k in [(0, 0, 0, 0), (1, 0, 0, 0), (0, -1, 0, 0),
+                      (1, -1, 2, 0), (-2, 1, 1, 1)]:
+                d = _label_columns(_koszul_columns(*_delbar_kappa_v(wc, k)),
+                                   labels)
+                for q, q2 in zip(qs, qs[1:]):
+                    assert same_entries(
+                        dense_matrix(d, bases[q], bases[q2], ring),
+                        dolbeault_matrix_symbolic(model, k, bases[q],
+                                                  bases[q2], ring)), (k, q)
+
+
 class TestModeSplitting:
     def test_dh_preserves_modes(self, t2, t4):
         """d_h never mixes Fourier modes when w is constant."""
@@ -279,6 +502,48 @@ class TestRingTable:
     @pytest.mark.parametrize("model", [
         PoissonModel.darboux_torus(1),
         PoissonModel.torus(2, {(1, 2): Fraction(-5, 3)}),
+        PoissonModel.torus(3, {(1, 2): GRat(Fraction(1, 2), 3), (2, 3): 4}),
+        PoissonModel.darboux_torus(2),
+        PoissonModel.torus(4, {(1, 2): 3, (1, 3): -2, (1, 4): 5, (2, 3): 1,
+                               (2, 4): -4, (3, 4): 6}),
+    ], ids=["t2", "t2-rational", "t3-gaussian", "t4", "t4-integer"])
+    def test_permutation_reading_matches_snf_solve(self, model, monkeypatch):
+        # the representatives of the invariant complex are basis monomials,
+        # so the coordinates are read off the product without a solve; the
+        # factor-once Smith normal form gives the same values and types
+        def signature(rt):
+            return {key: {k: sorted((j, type(c), c) for j, c in v.coeffs.items())
+                          for k, v in prod.items()}
+                    for key, prod in rt.structure.items()}
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("the representative matrix was factored")
+
+        for ring in (HLaurent, HPoly):
+            tab = quantum_derham_table(model, mode_box=0, ring=ring)
+            with monkeypatch.context() as m:
+                m.setattr(cohomology, "smith_normal_form", no_factorization)
+                fast = ring_table(tab, model, ring)
+            with monkeypatch.context() as m:
+                m.setattr(cohomology, "_signed_permutation", lambda rows: None)
+                solved = ring_table(tab, model, ring)
+            assert signature(fast) == signature(solved)
+
+    def test_signed_permutation_detection(self):
+        one, zero = HPoly.one(), HPoly.zero()
+        assert _signed_permutation([[zero, -one], [one, zero]]) == [(1, 1), (0, -1)]
+        assert _signed_permutation([[one, one], [zero, one]]) is None
+        assert _signed_permutation([[HPoly({0: Fraction(2)}), zero],
+                                    [zero, one]]) is None
+        assert _signed_permutation([[HPoly.h(), zero], [zero, one]]) is None
+        assert _signed_permutation([[one, zero], [one, zero]]) is None
+        assert _signed_permutation([[one, zero, one], [zero, one, zero]]) is None
+        assert _signed_permutation([[one], [zero]]) is None
+        assert _signed_permutation([]) == []
+
+    @pytest.mark.parametrize("model", [
+        PoissonModel.darboux_torus(1),
+        PoissonModel.torus(2, {(1, 2): Fraction(-5, 3)}),
         PoissonModel.darboux_torus(2),
         PoissonModel.torus(4, {(1, 2): 3, (1, 3): -2, (1, 4): 5, (2, 3): 1,
                                (2, 4): -4, (3, 4): 6}),
@@ -314,7 +579,64 @@ def ring_table_bytes(rt) -> bytes:
                       sort_keys=True, separators=(",", ":")).encode()
 
 
+# Further reports, pinned when every nonzero mode was still proved acyclic
+# by its own Smith normal form and the Dolbeault and Cartan mode matrices
+# were built symbolically.
+PINNED_FILES = {
+    "t2c": {"space": "torus", "dim": 2, "symplectic": "darboux", "complex": True},
+    "t4c": {"space": "torus", "dim": 4, "symplectic": "darboux", "complex": True},
+    "t2": {"space": "torus", "dim": 2, "symplectic": "darboux"},
+    "t3": {"space": "torus", "dim": 3,
+           "bivector": [[1, 2, "2"], [1, 3, "-1/2"], [2, 3, "3"]]},
+    "t4": PINNED_MODEL,
+    "circle": {"generators": [["1", "0"]]},
+    "two-translations": {"generators": [["1", "0", "0", "0"],
+                                        ["0", "1", "-1", "0"]]},
+}
+PINNED_REPORTS = {
+    "dolbeault-t2c-laurent": (
+        "dolbeault --model t2c --mode-box 1 --ring laurent",
+        "600b5edcb3b3d1347eac1b460f48ba01e8d6aeef024fdf4d9783a18bd1ba8fb0"),
+    "dolbeault-t2c-polynomial": (
+        "dolbeault --model t2c --mode-box 1 --ring polynomial",
+        "8a6c50658a3ceb1e08af54356fa2d875ae9019ed4a598f839ddf1ae66369278c"),
+    "dolbeault-t4c-laurent": (
+        "dolbeault --model t4c --mode-box 1 --ring laurent",
+        "2303975e3285e3613c70b9eebae12eb14edd0492440b1fa4cb9d5e1bdd8e26e4"),
+    "dolbeault-t4c-polynomial": (
+        "dolbeault --model t4c --mode-box 1 --ring polynomial",
+        "e7eea495a3724efd86b145252459484e78ad2f05bb85c3d1bc6a8a73c3266280"),
+    "equivariant-t2": (
+        "equivariant --model t2 --action circle --mode-box 1",
+        "9e8bea5851fd5a5ea4c8c9f6669597f72e5f1c6e9fcad3e905a01b9827aea30f"),
+    "equivariant-t4": (
+        "equivariant --model t4 --action two-translations --mode-box 1 "
+        "--cutoff 4",
+        "5ace1478f819efc490086f662f22113e4b553176a84ae4f2d9a8b3713f8f506b"),
+    "cohomology-t3-laurent": (
+        "cohomology --model t3 --mode-box 2 --ring laurent",
+        "c206affd5dbc6dc0814fa3950bc65c53d01a38b0bdba9afe1d39a8b08089d5c2"),
+    "cohomology-t3-polynomial": (
+        "cohomology --model t3 --mode-box 2 --ring polynomial",
+        "beb35432bdc60f70f0331c271302bcc9e96ad758288b45394f4a77c0a9a4aff6"),
+}
+
+
 class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_report(self, tmp_path, name):
+        command, digest = PINNED_REPORTS[name]
+        argv = []
+        for arg in command.split():
+            if arg in PINNED_FILES:
+                path = tmp_path / f"{arg}.json"
+                path.write_text(json.dumps(PINNED_FILES[arg]), encoding="utf-8")
+                arg = str(path)
+            argv.append(arg)
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("ring", ["laurent", "polynomial"])
     def test_cohomology_report(self, tmp_path, ring):
         model_path = tmp_path / "t4.json"

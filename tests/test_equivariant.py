@@ -1,21 +1,27 @@
 """Quantum Cartan model: contraction, differential, the anticommutator
 identity, and truncated equivariant tables."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from oracles import equivariant_matrix_symbolic
+from qexterior import equivariant
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.cohomology import quantum_derham_table
+from qexterior.complexes import dense_matrix, homotopy_certificate
 from qexterior.equivariant import (EquivariantElement, GroupAction,
+                                   _cartan_columns, _equivariant_basis,
                                    anticommutator_check, cartan_d,
                                    contract_generator,
                                    equivariant_cohomology_table,
                                    invariant_modes, lie_bivector)
 from qexterior.forms import HForm
-from qexterior.hpoly import HPoly
+from qexterior.hpoly import HLaurent, HPoly
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
+from qexterior.serialize import table_to_json
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +202,65 @@ class TestEquivariantTable:
         # Theta^a iota_a leaves only the point cohomology times Q[h]
         assert {d: tab.rank(d) for d in tab.degrees()} == \
             {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+
+
+def translation_actions():
+    """A circle on T^2 and two translations on a T^4 integer bivector."""
+    t2 = PoissonModel.darboux_torus(1)
+    t4 = PoissonModel.torus(4, {(1, 2): 3, (1, 3): -2, (1, 4): 5, (2, 3): 1,
+                                (2, 4): -4, (3, 4): 6})
+    return [(t2, GroupAction(t2, [[Fraction(1), Fraction(0)]]), 6),
+            (t4, GroupAction(t4, [[1, 0, 0, 0], [0, 1, -1, 0]]), 4)]
+
+
+class TestHomotopyCertificate:
+    """Every nonzero invariant mode of a translation action is acyclic in
+    the truncated Cartan complex, proved by iota_{e_b} / (i k_b)."""
+
+    def test_direct_builder_matches_cartan_d(self):
+        for model, action, cutoff in translation_actions():
+            d = action.n_generators
+            bases = [_equivariant_basis(model, d, n) for n in range(cutoff + 2)]
+            labels = [lab for b in bases for lab in b]
+            for k in invariant_modes(action, 1)[::3]:
+                cols = _cartan_columns(model, action, k, labels)
+                for n in range(cutoff + 1):
+                    for ring in (HPoly, HLaurent):
+                        direct = dense_matrix(cols, bases[n], bases[n + 1], ring)
+                        symbolic = equivariant_matrix_symbolic(
+                            model, action, k, bases[n], bases[n + 1], ring)
+                        assert [[(x, sorted((j, type(c)) for j, c in x.coeffs.items()))
+                                 for x in row] for row in direct] == \
+                            [[(x, sorted((j, type(c)) for j, c in x.coeffs.items()))
+                              for x in row] for row in symbolic], (k, n)
+
+    def test_every_nonzero_mode_certified(self, monkeypatch):
+        seen = []
+
+        def recording(*args, **kwargs):
+            ok = homotopy_certificate(*args, **kwargs)
+            seen.append(ok)
+            return ok
+
+        monkeypatch.setattr(equivariant, "homotopy_certificate", recording)
+        for model, action, cutoff in translation_actions():
+            seen.clear()
+            tab = equivariant_cohomology_table(model, action, cutoff, 1)
+            nonzero = [k for k in tab.meta["modes"] if any(k)]
+            assert nonzero and seen == [True] * len(nonzero)
+
+    def test_fallback_matches_snf(self, monkeypatch):
+        for (model, action, cutoff), period in zip(translation_actions(), (1, 3)):
+            certified = table_to_json(
+                equivariant_cohomology_table(model, action, cutoff, 1))
+            calls = itertools.count()
+
+            def flaky(*args, **kwargs):
+                if next(calls) % period == 0:
+                    return False
+                return homotopy_certificate(*args, **kwargs)
+
+            monkeypatch.setattr(equivariant, "homotopy_certificate", flaky)
+            fallback = equivariant_cohomology_table(model, action, cutoff, 1)
+            monkeypatch.undo()
+            assert table_to_json(fallback) == certified
