@@ -8,11 +8,11 @@ the table, and every nonzero mode gives a finite two-periodic complex over
 the h-ring whose parity components are spanned by the even/odd monomials.
 
 The mode operators are assembled from the bivector entries with bit
-arithmetic as sparse monomial columns (``_dh_columns``; its docstring
-derives the entries and their signs from the pinned
-delta = d o iota_w - iota_w o d), and the ring matrices are dense views of
-those columns.  Every nonzero mode is acyclic: with kappa = sum_b i k_b e^b
-and b any index with k_b != 0, H = iota_{e_b} / (i k_b) satisfies
+arithmetic as sparse monomial columns (``_dh_columns`` supplies kappa and
+v to ``complexes.koszul_columns``; its docstring derives the entries and
+their signs from the pinned delta = d o iota_w - iota_w o d), and the
+ring matrices are dense views of those columns.  Every nonzero mode is
+acyclic: with kappa = sum_b i k_b e^b and b any index with k_b != 0, H = iota_{e_b} / (i k_b) satisfies
 d_h H + H d_h = 1 over k[h] and k[h,h^-1] for every constant w (the
 Koszul-Brylinski homotopy of a constant Poisson structure).  The tables
 do not assume this: each mode is proved acyclic by
@@ -23,10 +23,9 @@ fails is computed by Smith normal form instead and listed under
 silently asserted.  The Dolbeault table does the same with delbar_h and
 H = iota_{ebar_b} / kappa^{0,1}_b.
 
-``ring_table`` reads class coordinates off each product when the
-representatives form a signed permutation matrix, as they do for the
-invariant torus complex, and otherwise factors the representative matrix
-once and solves every class product from that one Smith normal form.
+``ring_table`` reads class coordinates off each product: the
+representatives of the invariant torus complex are basis monomials, so
+the representative matrix is a signed permutation and no solve is needed.
 """
 
 from __future__ import annotations
@@ -35,13 +34,15 @@ import itertools
 from fractions import Fraction
 
 from .complexes import (CohomologyTable, DegreeHomology, FiniteComplex,
-                        complex_homology, dense_matrix, homotopy_certificate)
+                        complex_homology, contraction_vector, dense_matrix,
+                        homotopy_certificate, homotopy_columns,
+                        koszul_columns)
 from .forms import HForm
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
 from .quantum import complex_frame_bivector, qwedge
 from .scalars import GRat
-from .snf import smith_normal_form, solve_linear  # noqa: F401 (kept importable)
+from .snf import solve_linear  # noqa: F401 (kept importable)
 
 
 def _require_torus_constant(model: PoissonModel):
@@ -51,70 +52,10 @@ def _require_torus_constant(model: PoissonModel):
         raise ValueError("cohomology engine requires a constant bivector")
 
 
-def _koszul_columns(kappa, v):
-    """Monomial columns of kappa ^ - h iota_v on every mask of
-    len(kappa) generators: mask -> {(mask', j): c}.
-
-    e^b ^ e^I and e_a |- e^I both carry the sign (-1)^(number of indices
-    of I below the moved one).  When <kappa, v> = 0 the operator squares
-    to zero.
-    """
-    wedges = [(1 << b, c, -c) for b, c in enumerate(kappa) if c]
-    contractions = [(1 << a, -c, c) for a, c in enumerate(v) if c]
-    cols = {}
-    for mask in range(1 << len(kappa)):
-        col = {}
-        for bit, even, odd in wedges:
-            if not mask & bit:
-                col[(mask | bit, 0)] = \
-                    odd if (mask & (bit - 1)).bit_count() & 1 else even
-        for bit, even, odd in contractions:
-            if mask & bit:
-                col[(mask ^ bit, 1)] = \
-                    odd if (mask & (bit - 1)).bit_count() & 1 else even
-        cols[mask] = col
-    return cols
-
-
-def _homotopy_columns(kappa):
-    """Monomial columns of H = iota_{e_b} / kappa_b, b the first index
-    with kappa_b != 0.
-
-    kappa ^ H + H kappa ^ = 1, and H anticommutes with every constant
-    contraction, so H contracts each operator kappa ^ - h iota_v (+ further
-    contractions): the Koszul-Brylinski homotopy of a constant Poisson
-    structure.
-    """
-    b = next(i for i, c in enumerate(kappa) if c)
-    bit = 1 << b
-    inv = 1 / kappa[b]
-    cols = {}
-    for mask in range(1 << len(kappa)):
-        if mask & bit:
-            odd = (mask & (bit - 1)).bit_count() & 1
-            cols[mask] = {(mask ^ bit, 0): -inv if odd else inv}
-        else:
-            cols[mask] = {}
-    return cols
-
-
-def _contraction_vector(w, kappa):
-    """v_a = sum_b w^ab kappa_b, so that -[iota_w, kappa ^] = iota_v."""
-    v = []
-    for a in range(len(kappa)):
-        s = GRat(0)
-        for b, kb in enumerate(kappa):
-            wab = w.entry(a + 1, b + 1)
-            if wab and kb:
-                s = s + wab * kb
-        v.append(s)
-    return v
-
-
 def _dh_kappa_v(w, k):
     """kappa = sum_b i k_b e^b and its contraction vector under w."""
     kappa = [GRat(0, kb) for kb in k]
-    return kappa, _contraction_vector(w, kappa)
+    return kappa, contraction_vector(w, kappa)
 
 
 def _dh_columns(model, k):
@@ -129,7 +70,7 @@ def _dh_columns(model, k):
     rationals, as the amplitudes of the Fourier coefficients they stand
     for.
     """
-    return _koszul_columns(*_dh_kappa_v(model.constant_bivector(), k))
+    return koszul_columns(*_dh_kappa_v(model.constant_bivector(), k))
 
 
 def _matrix_of_dh(model, k, src_masks, dst_masks, ring):
@@ -183,8 +124,8 @@ def _mode_certified(model: PoissonModel, k) -> bool:
     over both h-rings."""
     kappa, v = _dh_kappa_v(model.constant_bivector(), k)
     return homotopy_certificate(_parity_bases(model.dim), (0, 1),
-                                _koszul_columns(kappa, v),
-                                _homotopy_columns(kappa), cyclic=True)
+                                koszul_columns(kappa, v),
+                                homotopy_columns(kappa), cyclic=True)
 
 
 def _box_modes(dim, mode_box):
@@ -279,7 +220,7 @@ def _delbar_kappa_v(wc, k):
     n = len(k) // 2
     kappa = [GRat(0)] * n + [GRat(Fraction(-k[2 * l + 1], 2),
                                   Fraction(k[2 * l], 2)) for l in range(n)]
-    return kappa, _contraction_vector(wc, kappa)
+    return kappa, contraction_vector(wc, kappa)
 
 
 def _label_columns(cols, labels):
@@ -311,8 +252,8 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     mode_cols = {}
     for k in [(0,) * model.dim] + modes:
         kappa, v = _delbar_kappa_v(wc, k)
-        mode_cols[k] = (_koszul_columns(kappa, v),
-                        _homotopy_columns(kappa) if any(k) else None)
+        mode_cols[k] = (koszul_columns(kappa, v),
+                        homotopy_columns(kappa) if any(k) else None)
     entries = []
     p_lo = -level_cap if laurent else 0
     diags = []
@@ -406,13 +347,10 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
                ring=HLaurent) -> RingTable:
     """Products of representatives reduced to class coordinates.
 
-    Reduction solves rep-matrix * x = product over the h-ring.  When the
-    rep-matrix is a signed permutation (always, for the invariant torus
-    complex, whose representatives are basis monomials) each coordinate is
-    read off the product directly; otherwise one factorization of the
-    rep-matrix serves every pair.  With the invariant torus complex the
-    exact part is zero, so inconsistency signals a broken representative
-    rather than a mathematical failure.
+    The representatives of the invariant torus complex are basis
+    monomials, so the rep-matrix is a signed permutation and each class
+    coordinate is read off the product directly.  Any other rep-matrix
+    signals a broken representative and raises AssertionError.
     """
     laurent = ring is HLaurent
     rt = RingTable(model, table, ring)
@@ -432,12 +370,7 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
                   for r in range(len(all_masks))]
     pivots = _signed_permutation(rep_matrix)
     if pivots is None:
-        # one factorization serves all len(classes)^2 right-hand sides
-        solve = smith_normal_form(rep_matrix, ring, track=("U", "V")).solve
-    else:
-        def solve(target):
-            return [target[r] if sign == 1 else -target[r]
-                    for r, sign in pivots]
+        raise AssertionError("representatives are not signed basis monomials")
     for i, (_da, _ia, fa) in enumerate(rt.classes):
         for j, (_db, _ib, fb) in enumerate(rt.classes):
             prod = qwedge(fa, fb, model.w)
@@ -446,9 +379,7 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
                 val = c.constant_value() if hasattr(c, "constant_value") else c
                 if val:
                     target[mask_pos[mask]] = target[mask_pos[mask]] + ring({jj: val})
-            x = solve(target)
-            if x is None:
-                raise AssertionError("class reduction system is inconsistent")
+            x = [target[r] if sign == 1 else -target[r] for r, sign in pivots]
             rt.structure[(i, j)] = {k: coeff for k, coeff in enumerate(x)
                                     if not coeff.is_zero()}
     return rt

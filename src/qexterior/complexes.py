@@ -12,9 +12,13 @@ factors, and representative cycles are returned and the representatives
 are re-verified against the outgoing differential.
 
 Operators whose every entry is a monomial ``c h^j`` are also kept as
-sparse columns, ``label -> {(label', j): c}``: :func:`dense_matrix` turns
-them into ring matrices, and :func:`homotopy_certificate` proves spots
-acyclic from a contracting homotopy without any Smith normal form.
+sparse columns, ``label -> {(label', j): c}``.  :func:`koszul_columns`
+builds the Fourier-mode operators kappa ^ - h iota_v in this format and
+:func:`homotopy_columns` their contracting homotopy; callers supply
+kappa and v and move the columns onto their own labels.
+:func:`dense_matrix` turns columns into ring matrices, and
+:func:`homotopy_certificate` proves spots acyclic from a contracting
+homotopy without any Smith normal form.
 """
 
 from __future__ import annotations
@@ -240,6 +244,66 @@ def dense_matrix(columns, src, dst, ring):
     return rows
 
 
+def koszul_columns(kappa, v):
+    """Monomial columns of kappa ^ - h iota_v on every mask of
+    len(kappa) generators: mask -> {(mask', j): c}.
+
+    e^b ^ e^I and e_a |- e^I both carry the sign (-1)^(number of indices
+    of I below the moved one).  When <kappa, v> = 0 the operator squares
+    to zero.
+    """
+    wedges = [(1 << b, c, -c) for b, c in enumerate(kappa) if c]
+    contractions = [(1 << a, -c, c) for a, c in enumerate(v) if c]
+    cols = {}
+    for mask in range(1 << len(kappa)):
+        col = {}
+        for bit, even, odd in wedges:
+            if not mask & bit:
+                col[(mask | bit, 0)] = \
+                    odd if (mask & (bit - 1)).bit_count() & 1 else even
+        for bit, even, odd in contractions:
+            if mask & bit:
+                col[(mask ^ bit, 1)] = \
+                    odd if (mask & (bit - 1)).bit_count() & 1 else even
+        cols[mask] = col
+    return cols
+
+
+def homotopy_columns(kappa):
+    """Monomial columns of H = iota_{e_b} / kappa_b, b the first index
+    with kappa_b != 0.
+
+    kappa ^ H + H kappa ^ = 1, and H anticommutes with every constant
+    contraction, so H contracts each operator kappa ^ - h iota_v (+ further
+    contractions): the Koszul-Brylinski homotopy of a constant Poisson
+    structure.
+    """
+    b = next(i for i, c in enumerate(kappa) if c)
+    bit = 1 << b
+    inv = 1 / kappa[b]
+    cols = {}
+    for mask in range(1 << len(kappa)):
+        if mask & bit:
+            odd = (mask & (bit - 1)).bit_count() & 1
+            cols[mask] = {(mask ^ bit, 0): -inv if odd else inv}
+        else:
+            cols[mask] = {}
+    return cols
+
+
+def contraction_vector(w, kappa):
+    """v_a = sum_b w^ab kappa_b, so that -[iota_w, kappa ^] = iota_v."""
+    v = []
+    for a in range(len(kappa)):
+        s = GRat(0)
+        for b, kb in enumerate(kappa):
+            wab = w.entry(a + 1, b + 1)
+            if wab and kb:
+                s = s + wab * kb
+        v.append(s)
+    return v
+
+
 def _gaussian_integer_columns(columns):
     """The columns times the least common denominator of their entries,
     as Gaussian integers (re, im); returns (columns, denominator)."""
@@ -283,6 +347,8 @@ def homotopy_certificate(bases, spots, d, h, cyclic=False) -> bool:
     A False answer proves nothing; callers fall back to the Smith normal
     form.  The arithmetic runs on Gaussian integers: d and h are scaled by
     their common denominators, so the identity reads (scale_d scale_h) x.
+    On a T^4 de Rham table this is about five times faster than the same
+    check on GRat entries, whose every product normalises four Fractions.
     """
     n = len(bases)
     spot_of = {lab: s for s, labs in enumerate(bases) for lab in labs}

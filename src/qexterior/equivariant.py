@@ -18,9 +18,10 @@ import itertools
 from fractions import Fraction
 
 from .calculus import koszul_delta, lie_derivative, quantum_d
-from .cohomology import _dh_columns, _homotopy_columns
 from .complexes import (CohomologyTable, DegreeHomology, FiniteComplex,
-                        complex_homology, dense_matrix, homotopy_certificate)
+                        complex_homology, contraction_vector, dense_matrix,
+                        homotopy_certificate, homotopy_columns,
+                        koszul_columns)
 from .forms import HForm, contract_front
 from .hpoly import HPoly
 from .models import PoissonModel, TORUS
@@ -277,12 +278,14 @@ def _equivariant_basis(model, d, total, laurent=False):
 
 def _cartan_columns(model, action, k, labels):
     """Monomial columns of D = d_h + Theta^a iota_a on the mode k, on
-    labels (A, j, mask): d_h from the bivector entries as in
-    ``cohomology._dh_columns``, and Theta^a iota_a bumps A_a and contracts
-    by the constant generator X_a with the sign (-1)^(indices of the mask
-    below the removed one)."""
+    labels (A, j, mask): d_h = kappa ^ - h iota_v with kappa = sum_b i k_b e^b
+    and v its contraction vector under w, and Theta^a iota_a bumps A_a and
+    contracts by the constant generator X_a with the sign
+    (-1)^(indices of the mask below the removed one)."""
     m = model.dim
-    dh = _dh_columns(model, k)
+    kappa = [GRat(0, kb) for kb in k]
+    dh = koszul_columns(kappa,
+                        contraction_vector(model.constant_bivector(), kappa))
     gens = [action.translation_vector(a) for a in range(action.n_generators)]
     cols = {}
     for (A, j, mask) in labels:
@@ -302,7 +305,7 @@ def _cartan_homotopy(k, labels):
     """Columns of H = iota_{e_b} / (i k_b) on labels (A, j, mask).  H
     contracts d_h and anticommutes with every Theta^a iota_a, so
     D H + H D = 1 on every nonzero mode."""
-    hc = _homotopy_columns([GRat(0, kb) for kb in k])
+    hc = homotopy_columns([GRat(0, kb) for kb in k])
     return {(A, j, mask): {((A, j, m2), 0): c for (m2, _j), c in hc[mask].items()}
             for (A, j, mask) in labels}
 

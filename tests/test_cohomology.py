@@ -14,14 +14,14 @@ from oracles import (dolbeault_matrix_symbolic, free_rank_oracle,
 from qexterior import cohomology
 from qexterior.cli import main
 from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
-                                  _homotopy_columns, _koszul_columns,
                                   _label_columns, _matrix_of_dh,
                                   _mode_certified, _signed_permutation,
                                   graded_dims, invariant_subcomplex,
                                   mode_subcomplex, quantum_derham_table,
                                   quantum_dolbeault_table, ring_table)
 from qexterior.complexes import (FiniteComplex, complex_homology,
-                                 dense_matrix, homotopy_certificate)
+                                 dense_matrix, homotopy_certificate,
+                                 homotopy_columns, koszul_columns)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.models import PoissonModel
 from qexterior.scalars import GRat
@@ -257,7 +257,7 @@ class TestHomotopyCertificate:
         for k in box(4, 1):
             kappa = [GRat(0, kb) for kb in k]
             d = cohomology._dh_columns(model, k)
-            h = _homotopy_columns(kappa)
+            h = homotopy_columns(kappa)
             assert homotopy_certificate([even, odd], (0, 1), d, h, cyclic=True)
             flipped = {x: {key: -c for key, c in col.items()}
                        for x, col in h.items()}
@@ -268,10 +268,10 @@ class TestHomotopyCertificate:
         # kappa ^ - h iota_v with <kappa, v> != 0 is not a differential,
         # yet iota_{e_1} / kappa_1 still satisfies d h + h d = 1
         kappa, v = [GRat(0, 1), GRat(0)], [GRat(1), GRat(0)]
-        d, h = _koszul_columns(kappa, v), _homotopy_columns(kappa)
+        d, h = koszul_columns(kappa, v), homotopy_columns(kappa)
         bases = [[0, 3], [1, 2]]
         assert not homotopy_certificate(bases, (0, 1), d, h, cyclic=True)
-        assert homotopy_certificate(bases, (0, 1), _koszul_columns(kappa, [GRat(0)] * 2),
+        assert homotopy_certificate(bases, (0, 1), koszul_columns(kappa, [GRat(0)] * 2),
                                     h, cyclic=True)
 
     def test_identity_off_the_diagonal_rejected(self):
@@ -284,13 +284,13 @@ class TestHomotopyCertificate:
         assert not homotopy_certificate(bases, (1,), d, h)
         # an extra h^1 entry on the diagonal label is not the identity either
         kappa, v = [GRat(0, 1), GRat(0)], [GRat(0), GRat(3)]
-        h = _homotopy_columns(kappa)
+        h = homotopy_columns(kappa)
         for mask in range(4):   # h + e^2 ^, whose commutator adds -3h
             if not mask & 2:
                 odd = mask & 1
                 h[mask] = {**h[mask], (mask | 2, 0): -one if odd else one}
         assert not homotopy_certificate([[0, 3], [1, 2]], (0, 1),
-                                        _koszul_columns(kappa, v), h,
+                                        koszul_columns(kappa, v), h,
                                         cyclic=True)
 
     def test_truncated_ends_and_components(self):
@@ -356,8 +356,8 @@ class TestHomotopyCertificate:
                 labels = [lab for b in spots for lab in b]
                 for k in box(4, 1)[::7]:
                     kappa, v = _delbar_kappa_v(wc, k)
-                    d = _label_columns(_koszul_columns(kappa, v), labels)
-                    h = _label_columns(_homotopy_columns(kappa), labels)
+                    d = _label_columns(koszul_columns(kappa, v), labels)
+                    h = _label_columns(homotopy_columns(kappa), labels)
                     assert homotopy_certificate(spots, range(1, len(qs) - 1),
                                                 d, h), (p, k)
 
@@ -385,7 +385,7 @@ class TestDirectDolbeaultBuilder:
             labels = [lab for q in qs for lab in bases[q]]
             for k in [(0, 0, 0, 0), (1, 0, 0, 0), (0, -1, 0, 0),
                       (1, -1, 2, 0), (-2, 1, 1, 1)]:
-                d = _label_columns(_koszul_columns(*_delbar_kappa_v(wc, k)),
+                d = _label_columns(koszul_columns(*_delbar_kappa_v(wc, k)),
                                    labels)
                 for q, q2 in zip(qs, qs[1:]):
                     assert same_entries(
@@ -507,27 +507,37 @@ class TestRingTable:
         PoissonModel.torus(4, {(1, 2): 3, (1, 3): -2, (1, 4): 5, (2, 3): 1,
                                (2, 4): -4, (3, 4): 6}),
     ], ids=["t2", "t2-rational", "t3-gaussian", "t4", "t4-integer"])
-    def test_permutation_reading_matches_snf_solve(self, model, monkeypatch):
+    def test_permutation_reading_matches_snf_solve(self, model):
         # the representatives of the invariant complex are basis monomials,
-        # so the coordinates are read off the product without a solve; the
-        # factor-once Smith normal form gives the same values and types
-        def signature(rt):
+        # so the coordinates are read off the product without a solve; a
+        # Smith-normal-form solve per pair gives the same values and types
+        def signature(structure):
             return {key: {k: sorted((j, type(c), c) for j, c in v.coeffs.items())
                           for k, v in prod.items()}
-                    for key, prod in rt.structure.items()}
-
-        def no_factorization(*args, **kwargs):
-            raise AssertionError("the representative matrix was factored")
+                    for key, prod in structure.items()}
 
         for ring in (HLaurent, HPoly):
             tab = quantum_derham_table(model, mode_box=0, ring=ring)
-            with monkeypatch.context() as m:
-                m.setattr(cohomology, "smith_normal_form", no_factorization)
-                fast = ring_table(tab, model, ring)
-            with monkeypatch.context() as m:
-                m.setattr(cohomology, "_signed_permutation", lambda rows: None)
-                solved = ring_table(tab, model, ring)
-            assert signature(fast) == signature(solved)
+            assert signature(ring_table(tab, model, ring).structure) == \
+                signature(ring_table_per_pair(tab, model, ring))
+
+    def test_negated_representative_matches_snf_solve(self, t4):
+        # -e^I represents the same class line: the -1 pivots are read off
+        tab = quantum_derham_table(t4, mode_box=0)
+        for degree in (1, 2):
+            reps = tab.entries[degree].representatives
+            reps[-1] = [-c for c in reps[-1]]
+        assert ring_table(tab, t4).structure == \
+            ring_table_per_pair(tab, t4, HLaurent)
+
+    @pytest.mark.parametrize("scale", [Fraction(2), HLaurent.h()],
+                             ids=["two", "h"])
+    def test_broken_representative_rejected(self, t2, scale):
+        tab = quantum_derham_table(t2, mode_box=0)
+        reps = tab.entries[1].representatives
+        reps[0] = [c * scale for c in reps[0]]
+        with pytest.raises(AssertionError, match="signed basis monomials"):
+            ring_table(tab, t2)
 
     def test_signed_permutation_detection(self):
         one, zero = HPoly.one(), HPoly.zero()
