@@ -51,7 +51,8 @@ def _load_model(args):
 
 
 def _ring(args):
-    return HLaurent if args.ring == "laurent" else HPoly
+    """The coefficient ring of ``--ring``; unset means Laurent."""
+    return HPoly if args.ring == "polynomial" else HLaurent
 
 
 def _emit(args, payload: str):
@@ -131,6 +132,9 @@ def cmd_equivariant(args) -> int:
     model = _load_model(args)
     if not args.action:
         raise CliError("--action is required for equivariant tables")
+    if args.ring == "laurent":
+        raise CliError("equivariant tables are computed over k[h] only; "
+                       "--ring laurent is not supported")
     try:
         action = action_from_json(_load_json(args.action), model)
         table = equivariant_cohomology_table(model, action,
@@ -202,7 +206,7 @@ def cmd_integral(args) -> int:
         raise CliError("--form is required for integrals")
     try:
         form = form_from_json(_load_json(args.form), model,
-                              laurent=(args.ring == "laurent"))
+                              laurent=_ring(args) is HLaurent)
         value = qintegral(form, model)
         stokes = stokes_check(form, model)
     except (ValueError, KeyError, TypeError) as exc:
@@ -231,8 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode-box", dest="mode_box", type=int, default=1)
         sp.add_argument("--max-degree", dest="max_degree", type=int,
                         default=None)
+        # Unset (None) means laurent, except for equivariant, which
+        # computes over k[h] and refuses an explicit --ring laurent.
         sp.add_argument("--ring", choices=["polynomial", "laurent"],
-                        default="laurent")
+                        default=None)
         sp.add_argument("--latex", action="store_true")
         sp.add_argument("--out", help="output path (default stdout)")
 

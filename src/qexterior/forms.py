@@ -72,7 +72,8 @@ class HForm:
                     raise ValueError("negative h-exponent in polynomial mode")
                 if c:
                     key = (j, mask)
-                    s = data.get(key, 0) + c
+                    s = data.get(key)
+                    s = c if s is None else s + c
                     if s:
                         data[key] = s
                     else:

@@ -206,6 +206,34 @@ class TestEquivariant:
         r = run_cli(["equivariant", "--model", t2_file])
         assert r.returncode == 2
 
+    def test_laurent_ring_refused(self, t2_file, tmp_path):
+        # the tables are computed over k[h]; an explicit Laurent request
+        # must not silently get a polynomial report
+        action = tmp_path / "act.json"
+        action.write_text(json.dumps({"generators": [["1", "0"]]}),
+                          encoding="utf-8")
+        r = run_cli(["equivariant", "--model", t2_file, "--action",
+                     str(action), "--cutoff", "2", "--ring", "laurent"])
+        assert r.returncode == 2
+        assert r.stdout == ""
+        err = json.loads(r.stderr)
+        assert err["error"]["code"] == 2
+        assert "--ring laurent" in err["error"]["message"]
+        assert "Traceback" not in r.stderr
+
+    def test_polynomial_ring_is_the_default(self, t2_file, tmp_path):
+        action = tmp_path / "act.json"
+        action.write_text(json.dumps({"generators": [["1", "0"]]}),
+                          encoding="utf-8")
+        reports = []
+        for extra in ([], ["--ring", "polynomial"]):
+            out = tmp_path / f"equi{len(reports)}.json"
+            assert main(["equivariant", "--model", t2_file, "--action",
+                         str(action), "--cutoff", "2", "--out", str(out),
+                         *extra]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestLefschetz:
     def test_n1_report(self, tmp_path):

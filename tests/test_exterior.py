@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.forms import (Bivector, HForm, berezin_integral,
                              bivector_contract, contract_back,
                              contract_front, graded_degree, symplectic_star,
@@ -12,9 +13,30 @@ from qexterior.models import darboux_matrix
 from qexterior.quantum import frobenius_pairing
 from qexterior.linalg import det
 from qexterior.sampling import Sampler
+from qexterior.scalars import GRat
 
 e = HForm.basis
 mono = HForm.monomial
+
+
+class TestHFormInit:
+    COEFFS = [Fraction(3, 2), GRat(1, 2), PolyCoeff(2, {(1, 0): Fraction(2)}),
+              FourierCoeff(2, {(1, -1): GRat(0, 1)})]
+
+    @pytest.mark.parametrize("c", COEFFS, ids=lambda c: type(c).__name__)
+    def test_coefficient_type_kept(self, c):
+        a = HForm(2, {(0, 1): c, (1, 3): c})
+        assert all(type(v) is type(c) for v in a.terms.values())
+        assert a.terms == {(0, 1): c, (1, 3): c}
+
+    @pytest.mark.parametrize("c", COEFFS, ids=lambda c: type(c).__name__)
+    def test_duplicate_keys_merge(self, c):
+        a = HForm(2, [((0, 1), c), ((0, 2), c), ((0, 1), c)])
+        assert a.terms == {(0, 1): c + c, (0, 2): c}
+        assert type(a.terms[(0, 1)]) is type(c)
+        assert HForm(2, [((0, 1), c), ((0, 1), -c)]).is_zero()
+        assert HForm(2, [((0, 1), c), ((0, 1), -c), ((0, 1), c)]).terms == \
+            {(0, 1): c}
 
 
 class TestWedge:

@@ -1,20 +1,25 @@
 """Lefschetz operators, commutator algebra, exact spectra, recursion
 lemma, and the quantum Hard Lefschetz verification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from qexterior.forms import Bivector, HForm
 from qexterior.hpoly import HPoly
-from qexterior.lefschetz import (DarbouxSpace, Mh_matrix, apply_Ah,
-                                 apply_Lh, apply_Lh_star, char_spectrum,
-                                 commutator_check, hard_lefschetz_check,
-                                 lefschetz_d_commutators, paper_conformance,
-                                 recursion_matrix, recursion_verify)
+from qexterior.lefschetz import (DarbouxSpace, Mh_matrix, OperatorColumns,
+                                 apply_Ah, apply_Lh, apply_Lh_star,
+                                 apply_Mh, char_spectrum, commutator_check,
+                                 hard_lefschetz_check,
+                                 lefschetz_d_commutators, operator_matrix,
+                                 paper_conformance, recursion_matrix,
+                                 recursion_verify)
 from qexterior.linalg import charpoly
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
+
+from oracles import commutator_check_per_form, operator_matrix_per_form
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +93,64 @@ class TestCommutators:
             forms = [s.model_form(model, laurent=True) for _ in range(12)]
             rep = lefschetz_d_commutators(model, forms)
             assert rep.ok, rep.failures
+
+
+def _report(rep):
+    return rep.results, rep.failures, rep.notes, rep.window
+
+
+class TestOperatorColumnsOracle:
+    """The column-composing check and matrices against the per-form ones."""
+
+    @pytest.mark.parametrize("corrupt_w", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_commutator_reports_identical(self, n, corrupt_w):
+        got = commutator_check(n, corrupt_w=corrupt_w)
+        want = commutator_check_per_form(n, corrupt_w=corrupt_w)
+        assert _report(got) == _report(want)
+        assert got.ok != corrupt_w
+
+    def test_commutator_report_n4_seeded_window(self):
+        lo = random.Random(4).randint(-10, 8)
+        window = [lo, lo + 1, lo + 2]
+        got = commutator_check(4, window=window)
+        assert _report(got) == _report(commutator_check_per_form(4, window))
+        assert got.ok
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_Mh_matrix_matches_per_form(self, n):
+        space = DarbouxSpace(n)
+        ws = [None, Bivector.zero(2 * n)]
+        for w in ws:
+            for k in range(-(2 * n + 2), 2 * n + 3):
+                got = Mh_matrix(space, k, w)
+                want = operator_matrix_per_form(
+                    lambda x: apply_Mh(x, space, w), space, k, 0)
+                assert got == want
+                assert all(type(c) is Fraction for row in got for c in row)
+
+    def test_columns_keep_non_integral_values(self, s1):
+        third = lambda x: apply_Lh(x, s1) * Fraction(1, 3)
+        cols = OperatorColumns(third, s1)
+        # omega ^_h omega = 2 h omega - h^2, see TestOperators
+        assert cols[(0, 3)] == {(1, 3): Fraction(2, 3), (2, 0): Fraction(-1, 3)}
+        assert all(type(c) is Fraction for c in cols[(0, 3)].values())
+        for k in (-1, 0, 1):
+            assert operator_matrix(third, s1, k, 2) == \
+                operator_matrix_per_form(third, s1, k, 2)
+
+    def test_columns_store_integral_values_as_int(self, s1):
+        cols = OperatorColumns(lambda x: apply_Lh(x, s1), s1)
+        assert cols[(0, 3)] == {(1, 3): 2, (2, 0): -1}
+        assert all(type(c) is int for c in cols[(0, 3)].values())
+
+    def test_column_is_the_operator_on_its_label(self, s1):
+        L = lambda x: apply_Lh(x, s1)
+        cols = OperatorColumns(L, s1)
+        for k in range(-3, 4):
+            for lab in s1.basis(k):
+                unit = HForm(2, {lab: Fraction(1)}, laurent=True)
+                assert HForm(2, cols[lab], laurent=True) == L(unit)
 
 
 class TestSpectra:

@@ -323,6 +323,17 @@ class TestPinnedOutputs:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "132048c81a26ff2e78e5f6ebc1b28e43ede50f1d1f8449c4a81356269fc70f2a"
 
+    # Recorded when the commutator check still applied L_h and L_h* form
+    # by form.
+    @pytest.mark.parametrize("n,digest", [
+        (1, "a05f298962f0cdd769553de094d27c14904c190375ea55ef79015eb24cfd58ea"),
+        (3, "92f62d87bf3c4a01278a637bcf385b8fe08ec1c0cb1a93f648a1be6be14d8404"),
+    ])
+    def test_lefschetz_report_n(self, tmp_path, n, digest):
+        out = tmp_path / "lefschetz.json"
+        assert main(["lefschetz", "--n", str(n), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestFrobenius:
     def test_pairing_associativity_random(self):
