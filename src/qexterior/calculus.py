@@ -102,36 +102,32 @@ def _complex_partial(c: FourierCoeff, k: int, bar: bool) -> FourierCoeff:
     return a + b
 
 
-def holo_d(a: HForm) -> HForm:
-    """The (1,0) part of d on a complex-frame form."""
+def _complex_d(a: HForm, bar: bool) -> HForm:
+    """The (1,0) part of d, or the (0,1) part when ``bar``, on a
+    complex-frame form."""
     n = a.dim // 2
     out = HForm.zero(a.dim, a.laurent)
     for k in range(1, n + 1):
         da = HForm(a.dim,
                    {key: dc for key, dc in
-                    (((j, m), _complex_partial(c, k, bar=False))
+                    (((j, m), _complex_partial(c, k, bar))
                      for (j, m), c in a.terms.items())
                     if dc},
                    a.laurent)
         if da:
-            out = out + wedge(HForm.basis(a.dim, k, a.laurent), da)
+            out = out + wedge(HForm.basis(a.dim, n + k if bar else k,
+                                          a.laurent), da)
     return out
+
+
+def holo_d(a: HForm) -> HForm:
+    """The (1,0) part of d on a complex-frame form."""
+    return _complex_d(a, bar=False)
 
 
 def antiholo_d(a: HForm) -> HForm:
     """The (0,1) part of d on a complex-frame form."""
-    n = a.dim // 2
-    out = HForm.zero(a.dim, a.laurent)
-    for k in range(1, n + 1):
-        da = HForm(a.dim,
-                   {key: dc for key, dc in
-                    (((j, m), _complex_partial(c, k, bar=True))
-                     for (j, m), c in a.terms.items())
-                    if dc},
-                   a.laurent)
-        if da:
-            out = out + wedge(HForm.basis(a.dim, n + k, a.laurent), da)
-    return out
+    return _complex_d(a, bar=True)
 
 
 class DolbeaultOps:

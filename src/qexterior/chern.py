@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .calculus import exterior_d, quantum_d
+from .complexes import dense_matrix, dh_kappa_v, koszul_columns, parity_bases
 from .forms import HForm
 from .models import PoissonModel, TORUS
 from .quantum import qwedge
@@ -213,7 +214,6 @@ def solve_dh_primitive(model: PoissonModel, delta: HForm,
     """
     from .hpoly import HLaurent
     from .coeffs import FourierCoeff
-    from .cohomology import _matrix_of_dh
     if model.kind != TORUS:
         raise ValueError("the d_h solve requires a torus model")
     if not model.is_constant_w():
@@ -222,8 +222,8 @@ def solve_dh_primitive(model: PoissonModel, delta: HForm,
     if not delta:
         return TransgressionResult(True, HForm.zero(model.dim))
     m = model.dim
-    even = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 0]
-    odd = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 1]
+    w = model.constant_bivector()
+    even, odd = parity_bases(m)
     target_parity = 0 if all(mask.bit_count() % 2 == 0
                              for (_j, mask) in delta.terms) else 1
     dst, src = (even, odd) if target_parity == 0 else (odd, even)
@@ -238,7 +238,7 @@ def solve_dh_primitive(model: PoissonModel, delta: HForm,
             vec[dst_pos[mask]] = vec[dst_pos[mask]] + ring({j: amp})
     eta = HForm.zero(m, ring is HLaurent)
     for mode, target in sorted(by_mode.items()):
-        D = _matrix_of_dh(model, mode, src, dst, ring)
+        D = dense_matrix(koszul_columns(*dh_kappa_v(w, mode)), src, dst, ring)
         x = solve_linear(D, target, ring)
         if x is None:
             return TransgressionResult(False, None, obstruction_mode=mode)

@@ -177,7 +177,7 @@ def cmd_chern(args) -> int:
         raise CliError("--power must be at least 1")
     try:
         conn = connection_from_json(_load_json(args.connection), model)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError) as exc:
         raise CliError(f"bad connection file: {exc}")
     F = quantum_curvature(conn)
     payload = dict(_report_header(args, "chern"))
@@ -209,7 +209,7 @@ def cmd_integral(args) -> int:
                               laurent=_ring(args) is HLaurent)
         value = qintegral(form, model)
         stokes = stokes_check(form, model)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError) as exc:
         raise CliError(str(exc))
     payload = dict(_report_header(args, "integral"))
     payload["integral"] = hpoly_to_json(value)
@@ -222,67 +222,70 @@ def cmd_integral(args) -> int:
     return EXIT_OK if stokes else EXIT_PROPERTY_FAILURE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as malformed input instead of usage text."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
+# Every option of the CLI; each command registers only those it reads.
+OPTIONS = {
+    "--model": {"help": "model JSON file"},
+    "--seed": {"type": int, "default": 0},
+    "--trials": {"type": int, "default": 100},
+    "--mode-box": {"type": int, "default": 1},
+    "--max-degree": {"type": int, "default": None},
+    # Unset (None) means laurent, except for equivariant, which computes
+    # over k[h] and refuses an explicit --ring laurent.
+    "--ring": {"choices": ["polynomial", "laurent"], "default": None},
+    "--latex": {"action": "store_true"},
+    "--out": {"help": "output path (default stdout)"},
+    "--suite": {"default": "all"},
+    "--action": {"help": "action JSON file"},
+    "--cutoff": {"type": int, "default": 6},
+    "--n": {"type": int, "default": 1},
+    "--connection": {"help": "connection JSON file"},
+    "--power": {"type": int, "default": 2},
+    "--form": {"help": "form JSON file"},
+}
+
+_TABLE = ("--model", "--seed", "--mode-box", "--ring", "--latex", "--out")
+
+COMMANDS = {
+    "check": (cmd_check, "run randomized property suites",
+              ("--model", "--seed", "--trials", "--suite", "--out")),
+    "cohomology": (cmd_cohomology, "quantum de Rham table",
+                   _TABLE + ("--max-degree",)),
+    "dolbeault": (cmd_dolbeault, "quantum Dolbeault table", _TABLE),
+    "equivariant": (cmd_equivariant, "equivariant cohomology table",
+                    _TABLE + ("--action", "--cutoff")),
+    "lefschetz": (cmd_lefschetz, "Lefschetz spectrum report",
+                  ("--seed", "--n", "--out")),
+    "chern": (cmd_chern, "quantum characteristic forms",
+              ("--model", "--seed", "--connection", "--power", "--out")),
+    "integral": (cmd_integral, "quantum integral and Stokes check",
+                 ("--model", "--seed", "--ring", "--form", "--out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qexterior",
         description="Exact quantum exterior calculus on Poisson model spaces")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--model", help="model JSON file")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=100)
-        sp.add_argument("--mode-box", dest="mode_box", type=int, default=1)
-        sp.add_argument("--max-degree", dest="max_degree", type=int,
-                        default=None)
-        # Unset (None) means laurent, except for equivariant, which
-        # computes over k[h] and refuses an explicit --ring laurent.
-        sp.add_argument("--ring", choices=["polynomial", "laurent"],
-                        default=None)
-        sp.add_argument("--latex", action="store_true")
-        sp.add_argument("--out", help="output path (default stdout)")
-
-    sp = sub.add_parser("check", help="run randomized property suites")
-    common(sp)
-    sp.add_argument("--suite", default="all")
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("cohomology", help="quantum de Rham table")
-    common(sp)
-    sp.set_defaults(func=cmd_cohomology)
-
-    sp = sub.add_parser("dolbeault", help="quantum Dolbeault table")
-    common(sp)
-    sp.set_defaults(func=cmd_dolbeault)
-
-    sp = sub.add_parser("equivariant", help="equivariant cohomology table")
-    common(sp)
-    sp.add_argument("--action", help="action JSON file")
-    sp.add_argument("--cutoff", type=int, default=6)
-    sp.set_defaults(func=cmd_equivariant)
-
-    sp = sub.add_parser("lefschetz", help="Lefschetz spectrum report")
-    common(sp)
-    sp.add_argument("--n", type=int, default=1)
-    sp.set_defaults(func=cmd_lefschetz)
-
-    sp = sub.add_parser("chern", help="quantum characteristic forms")
-    common(sp)
-    sp.add_argument("--connection", help="connection JSON file")
-    sp.add_argument("--power", type=int, default=2)
-    sp.set_defaults(func=cmd_chern)
-
-    sp = sub.add_parser("integral", help="quantum integral and Stokes check")
-    common(sp)
-    sp.add_argument("--form", help="form JSON file")
-    sp.set_defaults(func=cmd_integral)
+    for name, (func, help_text, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for option in options:
+            sp.add_argument(option, **OPTIONS[option])
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         error = {"error": {"code": exc.code, "message": str(exc)}}

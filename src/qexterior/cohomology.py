@@ -7,21 +7,12 @@ constant forms with zero differential, whose Smith-normal-form homology is
 the table, and every nonzero mode gives a finite two-periodic complex over
 the h-ring whose parity components are spanned by the even/odd monomials.
 
-The mode operators are assembled from the bivector entries with bit
-arithmetic as sparse monomial columns (``_dh_columns`` supplies kappa and
-v to ``complexes.koszul_columns``; its docstring derives the entries and
-their signs from the pinned delta = d o iota_w - iota_w o d), and the
-ring matrices are dense views of those columns.  Every nonzero mode is
-acyclic: with kappa = sum_b i k_b e^b and b any index with k_b != 0, H = iota_{e_b} / (i k_b) satisfies
-d_h H + H d_h = 1 over k[h] and k[h,h^-1] for every constant w (the
-Koszul-Brylinski homotopy of a constant Poisson structure).  The tables
-do not assume this: each mode is proved acyclic by
-``complexes.homotopy_certificate``, which checks D D = 0 and
-D H + H D = 1 exactly on the mode's labels.  A mode whose certificate
-fails is computed by Smith normal form instead and listed under
-``anomalous_modes`` when its homology is nonzero -- reported, never
-silently asserted.  The Dolbeault table does the same with delbar_h and
-H = iota_{ebar_b} / kappa^{0,1}_b.
+Each mode goes through ``complexes.mode_homology``: its operator (d_h, or
+delbar_h for the Dolbeault table) and the Koszul-Brylinski homotopy H
+(:func:`complexes.homotopy_columns`) prove a nonzero mode acyclic exactly,
+and a mode whose certificate fails is computed by Smith normal form
+instead and listed under ``anomalous_modes`` when its homology is nonzero
+-- reported, never silently asserted.
 
 ``ring_table`` reads class coordinates off each product: the
 representatives of the invariant torus complex are basis monomials, so
@@ -34,9 +25,9 @@ import itertools
 from fractions import Fraction
 
 from .complexes import (CohomologyTable, DegreeHomology, FiniteComplex,
-                        complex_homology, contraction_vector, dense_matrix,
-                        homotopy_certificate, homotopy_columns,
-                        koszul_columns)
+                        complex_homology, contraction_vector, dense_complex,
+                        dh_kappa_v, homotopy_columns, koszul_columns,
+                        label_columns, mode_homology, parity_bases)
 from .forms import HForm
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
@@ -52,31 +43,9 @@ def _require_torus_constant(model: PoissonModel):
         raise ValueError("cohomology engine requires a constant bivector")
 
 
-def _dh_kappa_v(w, k):
-    """kappa = sum_b i k_b e^b and its contraction vector under w."""
-    kappa = [GRat(0, kb) for kb in k]
-    return kappa, contraction_vector(w, kappa)
-
-
 def _dh_columns(model, k):
-    """Monomial columns of d_h = d - h delta on the Fourier mode k.
-
-    On e^{i k.theta} e^I the operator d is wedging from the left with
-    kappa = sum_b i k_b e^b.  Since iota_w = sum_{a<b} w^ab e_b |- e_a |-
-    is second order, the pinned delta = d o iota_w - iota_w o d is the
-    commutator -[iota_w, kappa ^], a first-order contraction:
-    delta e^I = sum_a v_a e_a |- e^I with v_a = sum_b w^ab kappa_b, and
-    <kappa, v> = sum w^ab kappa_a kappa_b = 0.  Entries are Gaussian
-    rationals, as the amplitudes of the Fourier coefficients they stand
-    for.
-    """
-    return koszul_columns(*_dh_kappa_v(model.constant_bivector(), k))
-
-
-def _matrix_of_dh(model, k, src_masks, dst_masks, ring):
-    """Matrix of d_h from the span of src_masks to dst_masks on the
-    Fourier mode k: a dense view of :func:`_dh_columns`."""
-    return dense_matrix(_dh_columns(model, k), src_masks, dst_masks, ring)
+    """Monomial columns of d_h = d - h delta on the Fourier mode k."""
+    return koszul_columns(*dh_kappa_v(model.constant_bivector(), k))
 
 
 def invariant_subcomplex(model: PoissonModel, ring=HLaurent) -> FiniteComplex:
@@ -87,14 +56,12 @@ def invariant_subcomplex(model: PoissonModel, ring=HLaurent) -> FiniteComplex:
     zero_mode = (0,) * m
     bases = [[mask for mask in range(1 << m) if mask.bit_count() == k]
              for k in range(m + 1)]
-    diffs = []
-    for k in range(m):
-        D = _matrix_of_dh(model, zero_mode, bases[k], bases[k + 1], ring)
-        if any(not x.is_zero() for row in D for x in row):
-            raise AssertionError("invariant complex has nonzero differential")
-        diffs.append(D)
-    return FiniteComplex(list(range(m + 1)), bases, diffs, ring=ring,
-                         meta={"kind": "invariant", "mode": zero_mode})
+    cx = dense_complex(list(range(m + 1)), bases,
+                       _dh_columns(model, zero_mode), ring,
+                       meta={"kind": "invariant", "mode": zero_mode})
+    if any(not x.is_zero() for D in cx.diffs for row in D for x in row):
+        raise AssertionError("invariant complex has nonzero differential")
+    return cx
 
 
 def mode_subcomplex(model: PoissonModel, k, ring=HLaurent) -> FiniteComplex:
@@ -103,29 +70,9 @@ def mode_subcomplex(model: PoissonModel, k, ring=HLaurent) -> FiniteComplex:
     k = tuple(int(x) for x in k)
     if len(k) != model.dim:
         raise ValueError("frequency vector has wrong length")
-    even, odd = _parity_bases(model.dim)
-    cols = _dh_columns(model, k)
-    return FiniteComplex([0, 1], [even, odd],
-                         [dense_matrix(cols, even, odd, ring),
-                          dense_matrix(cols, odd, even, ring)],
-                         ring=ring, cyclic=True,
+    return dense_complex([0, 1], parity_bases(model.dim),
+                         _dh_columns(model, k), ring, cyclic=True,
                          meta={"kind": "mode", "mode": k})
-
-
-def _parity_bases(m):
-    """Even and odd masks of m generators: the two spots of a mode."""
-    even = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 0]
-    odd = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 1]
-    return even, odd
-
-
-def _mode_certified(model: PoissonModel, k) -> bool:
-    """Whether the homotopy certificate proves the nonzero mode k acyclic
-    over both h-rings."""
-    kappa, v = _dh_kappa_v(model.constant_bivector(), k)
-    return homotopy_certificate(_parity_bases(model.dim), (0, 1),
-                                koszul_columns(kappa, v),
-                                homotopy_columns(kappa), cyclic=True)
 
 
 def _box_modes(dim, mode_box):
@@ -164,11 +111,15 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
         raise ValueError("max_degree must be nonnegative")
     modes = _box_modes(model.dim, mode_box)
     table = complex_homology(invariant_subcomplex(model, ring))
+    w = model.constant_bivector()
+    bases = parity_bases(model.dim)
     diagnostics = []
     for k in modes:
-        if _mode_certified(model, k):
+        kappa, v = dh_kappa_v(w, k)
+        sub = mode_homology([0, 1], bases, koszul_columns(kappa, v),
+                            homotopy_columns(kappa), (0, 1), ring, cyclic=True)
+        if sub is None:
             continue
-        sub = complex_homology(mode_subcomplex(model, k, ring))
         ranks = {d: sub.rank(d) for d in sub.degrees()}
         tors = sub.total_torsion()
         if any(ranks.values()) or tors:
@@ -223,13 +174,6 @@ def _delbar_kappa_v(wc, k):
     return kappa, contraction_vector(wc, kappa)
 
 
-def _label_columns(cols, labels):
-    """Columns on complex-frame labels (j, mask), the h-power moved into
-    the label: h^j e^mask -> sum c (j + j', mask')."""
-    return {(j, mask): {((j + j2, m2), 0): c for (m2, j2), c in cols[mask].items()}
-            for (j, mask) in labels}
-
-
 def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
                             ring=HPoly, level_cap: int = 2) -> CohomologyTable:
     """Bigraded quantum Dolbeault ranks of a complex torus model.
@@ -264,32 +208,23 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
         spot_bases = [bases[q] for q in comp_qs]
         labels = [lab for b in spot_bases for lab in b]
         reported = range(1, len(comp_qs) - 1)
-
-        def homology(k, meta=None):
-            d = _label_columns(mode_cols[k][0], labels)
-            mats = [dense_matrix(d, spot_bases[i], spot_bases[i + 1], ring)
-                    for i in range(len(comp_qs) - 1)]
-            return complex_homology(FiniteComplex(comp_qs, spot_bases, mats,
-                                                  ring=ring, meta=meta))
-
-        sub = homology((0,) * model.dim, {"kind": "dolbeault", "p": p})
-        for q in comp_qs[1:-1]:
-            r = sub.rank(q)
-            if r or sub.torsion(q):
-                e = sub.entries[q]
-                entries.append(DegreeHomology((p, q), e.free_rank, e.torsion,
-                                              e.representatives, e.labels))
-        for k in modes:
-            d, h = (_label_columns(c, labels) for c in mode_cols[k])
-            if homotopy_certificate(spot_bases, reported, d, h):
+        for k, (d, h) in mode_cols.items():
+            if h is not None:
+                h = label_columns(h, labels)
+            sub = mode_homology(comp_qs, spot_bases, label_columns(d, labels),
+                                h, reported, ring)
+            if sub is None:
                 continue
-            subk = homology(k)
-            anomalies = {}
-            for q in comp_qs[1:-1]:
-                if subk.rank(q) or subk.torsion(q):
-                    anomalies[q] = subk.rank(q)
-            if anomalies:
-                diags.append({"mode": k, "p": p, "ranks": anomalies})
+            found = [q for q in comp_qs[1:-1] if sub.rank(q) or sub.torsion(q)]
+            if not any(k):
+                for q in found:
+                    e = sub.entries[q]
+                    entries.append(DegreeHomology(
+                        (p, q), e.free_rank, e.torsion, e.representatives,
+                        e.labels))
+            elif found:
+                diags.append({"mode": k, "p": p,
+                              "ranks": {q: sub.rank(q) for q in found}})
     table = CohomologyTable(ring, entries)
     table.meta.update({"kind": "dolbeault", "mode_box": mode_box,
                        "ring": "laurent" if laurent else "polynomial",

@@ -12,13 +12,15 @@ factors, and representative cycles are returned and the representatives
 are re-verified against the outgoing differential.
 
 Operators whose every entry is a monomial ``c h^j`` are also kept as
-sparse columns, ``label -> {(label', j): c}``.  :func:`koszul_columns`
-builds the Fourier-mode operators kappa ^ - h iota_v in this format and
-:func:`homotopy_columns` their contracting homotopy; callers supply
-kappa and v and move the columns onto their own labels.
-:func:`dense_matrix` turns columns into ring matrices, and
-:func:`homotopy_certificate` proves spots acyclic from a contracting
-homotopy without any Smith normal form.
+sparse columns, ``label -> {(label', j): c}``.  This module is the one
+place that builds and settles a Fourier-mode complex:
+:func:`dh_kappa_v` gives kappa and v of d_h = kappa ^ - h iota_v on a
+mode, :func:`koszul_columns` builds such an operator on masks and
+:func:`homotopy_columns` its contracting homotopy, and
+:func:`label_columns` lifts mask columns onto labels ``(..., j, mask)``.
+:func:`dense_complex` is the ring-matrix view of columns, and
+:func:`mode_homology` proves spots acyclic by :func:`homotopy_certificate`
+or, failing that, computes their homology by Smith normal form.
 """
 
 from __future__ import annotations
@@ -244,6 +246,23 @@ def dense_matrix(columns, src, dst, ring):
     return rows
 
 
+def dense_complex(degrees, bases, columns, ring, cyclic=False, meta=None):
+    """The :class:`FiniteComplex` whose differentials are the dense views
+    of ``columns`` between consecutive spots of ``bases``."""
+    n = len(bases)
+    mats = [dense_matrix(columns, bases[s], bases[(s + 1) % n], ring)
+            for s in range(n if cyclic else n - 1)]
+    return FiniteComplex(degrees, bases, mats, ring=ring, cyclic=cyclic,
+                         meta=meta)
+
+
+def parity_bases(m):
+    """Even and odd masks of m generators: the two spots of a d_h mode."""
+    even = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 0]
+    odd = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 1]
+    return even, odd
+
+
 def koszul_columns(kappa, v):
     """Monomial columns of kappa ^ - h iota_v on every mask of
     len(kappa) generators: mask -> {(mask', j): c}.
@@ -302,6 +321,33 @@ def contraction_vector(w, kappa):
                 s = s + wab * kb
         v.append(s)
     return v
+
+
+def dh_kappa_v(w, k):
+    """kappa and v of d_h = d - h delta on the Fourier mode k.
+
+    On e^{i k.theta} e^I the operator d is wedging from the left with
+    kappa = sum_b i k_b e^b.  Since iota_w = sum_{a<b} w^ab e_b |- e_a |-
+    is second order, the pinned delta = d o iota_w - iota_w o d is the
+    commutator -[iota_w, kappa ^], a first-order contraction:
+    delta e^I = sum_a v_a e_a |- e^I with v_a = sum_b w^ab kappa_b, and
+    <kappa, v> = sum w^ab kappa_a kappa_b = 0.  Entries are Gaussian
+    rationals, as the amplitudes of the Fourier coefficients they stand
+    for; ``koszul_columns(*dh_kappa_v(w, k))`` are the columns of d_h.
+    """
+    kappa = [GRat(0, kb) for kb in k]
+    return kappa, contraction_vector(w, kappa)
+
+
+def label_columns(columns, labels):
+    """Mask columns lifted onto labels (..., j, mask), the h-power moved
+    into the label: h^j e^mask -> sum c (..., j + j', mask')."""
+    out = {}
+    for lab in labels:
+        head, j, mask = lab[:-2], lab[-2], lab[-1]
+        out[lab] = {(head + (j + j2, m2), 0): c
+                    for (m2, j2), c in columns[mask].items()}
+    return out
 
 
 def _gaussian_integer_columns(columns):
@@ -369,3 +415,13 @@ def homotopy_certificate(bases, spots, d, h, cyclic=False) -> bool:
             if _apply(h, dx, _apply(d, hx, {})) != {(x, 0): unit}:
                 return False
     return True
+
+
+def mode_homology(degrees, bases, d, h, spots, ring, cyclic=False):
+    """None when :func:`homotopy_certificate` proves the Fourier-mode
+    complex with columns ``d`` on ``bases`` acyclic at ``spots`` by the
+    homotopy ``h``; else the homology of its dense view by Smith normal
+    form.  Mode 0 passes ``h=None``: its homology is the table itself."""
+    if h is not None and homotopy_certificate(bases, spots, d, h, cyclic):
+        return None
+    return complex_homology(dense_complex(degrees, bases, d, ring, cyclic))

@@ -18,14 +18,12 @@ import itertools
 from fractions import Fraction
 
 from .calculus import koszul_delta, lie_derivative, quantum_d
-from .complexes import (CohomologyTable, DegreeHomology, FiniteComplex,
-                        complex_homology, contraction_vector, dense_matrix,
-                        homotopy_certificate, homotopy_columns,
-                        koszul_columns)
-from .forms import HForm, contract_front
+from .complexes import (CohomologyTable, DegreeHomology, dh_kappa_v,
+                        homotopy_columns, koszul_columns, label_columns,
+                        mode_homology)
+from .forms import HForm, contract_vector
 from .hpoly import HPoly
 from .models import PoissonModel, TORUS
-from .scalars import GRat
 
 
 class GroupAction:
@@ -111,11 +109,7 @@ def contract_generator(a: int, x: HForm, action: GroupAction) -> HForm:
     """iota_a: contraction by the generating vector field X_a."""
     if not 0 <= a < action.n_generators:
         raise IndexError(f"generator index {a} out of range")
-    out = HForm.zero(x.dim, x.laurent)
-    for j, c in enumerate(action.generators[a], start=1):
-        if c:
-            out = out + contract_front(j, x) * c
-    return out
+    return contract_vector(action.generators[a], x)
 
 
 class EquivariantElement:
@@ -156,15 +150,8 @@ class EquivariantElement:
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, form in other.terms.items():
-            s = out.get(key)
-            s = form if s is None else s + form
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return EquivariantElement(self.model, self.n_generators, out)
+        return EquivariantElement(self.model, self.n_generators,
+                                  [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return EquivariantElement(self.model, self.n_generators,
@@ -195,24 +182,13 @@ def cartan_d(x: EquivariantElement, action: GroupAction,
     model = action.model
     if require_invariant and not x.is_invariant(action):
         raise ValueError("element is not invariant under the action")
-    out = {}
-
-    def add(key, form):
-        if not form:
-            return
-        s = out.get(key)
-        s = form if s is None else s + form
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
+    terms = []
     for key, form in x.terms.items():
-        add(key, quantum_d(form, model))
+        terms.append((key, quantum_d(form, model)))
         for a in range(action.n_generators):
             bumped = key[:a] + (key[a] + 1,) + key[a + 1:]
-            add(bumped, contract_generator(a, form, action))
-    return EquivariantElement(model, action.n_generators, out)
+            terms.append((bumped, contract_generator(a, form, action)))
+    return EquivariantElement(model, action.n_generators, terms)
 
 
 class AnticommutatorReport:
@@ -276,20 +252,17 @@ def _equivariant_basis(model, d, total, laurent=False):
     return out
 
 
-def _cartan_columns(model, action, k, labels):
-    """Monomial columns of D = d_h + Theta^a iota_a on the mode k, on
-    labels (A, j, mask): d_h = kappa ^ - h iota_v with kappa = sum_b i k_b e^b
-    and v its contraction vector under w, and Theta^a iota_a bumps A_a and
-    contracts by the constant generator X_a with the sign
-    (-1)^(indices of the mask below the removed one)."""
-    m = model.dim
-    kappa = [GRat(0, kb) for kb in k]
-    dh = koszul_columns(kappa,
-                        contraction_vector(model.constant_bivector(), kappa))
+def _cartan_columns(action, kappa, v, labels):
+    """Monomial columns of D = d_h + Theta^a iota_a on labels (A, j, mask),
+    for the mode whose d_h is kappa ^ - h iota_v: d_h lifted from its mask
+    columns, and Theta^a iota_a bumps A_a and contracts by the constant
+    generator X_a with the sign (-1)^(indices of the mask below the
+    removed one)."""
+    m = len(kappa)
+    cols = label_columns(koszul_columns(kappa, v), labels)
     gens = [action.translation_vector(a) for a in range(action.n_generators)]
-    cols = {}
     for (A, j, mask) in labels:
-        col = {((A, j + j2, m2), 0): c for (m2, j2), c in dh[mask].items()}
+        col = cols[(A, j, mask)]
         for a, x in enumerate(gens):
             bumped = A[:a] + (A[a] + 1,) + A[a + 1:]
             for i in range(m):
@@ -297,17 +270,7 @@ def _cartan_columns(model, action, k, labels):
                 if x[i] and mask & bit:
                     odd = (mask & (bit - 1)).bit_count() & 1
                     col[((bumped, j, mask ^ bit), 0)] = -x[i] if odd else x[i]
-        cols[(A, j, mask)] = col
     return cols
-
-
-def _cartan_homotopy(k, labels):
-    """Columns of H = iota_{e_b} / (i k_b) on labels (A, j, mask).  H
-    contracts d_h and anticommutes with every Theta^a iota_a, so
-    D H + H D = 1 on every nonzero mode."""
-    hc = homotopy_columns([GRat(0, kb) for kb in k])
-    return {(A, j, mask): {((A, j, m2), 0): c for (m2, _j), c in hc[mask].items()}
-            for (A, j, mask) in labels}
 
 
 def invariant_modes(action: GroupAction, mode_box: int):
@@ -349,16 +312,13 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     modes = invariant_modes(action, mode_box)
     bases = [_equivariant_basis(model, d, n) for n in degrees]
     labels = [lab for b in bases for lab in b]
+    w = model.constant_bivector()
     for k in modes:
-        cols = _cartan_columns(model, action, k, labels)
-        tab = None
-        if not any(k) or not homotopy_certificate(
-                bases, range(cutoff + 1), cols, _cartan_homotopy(k, labels)):
-            mats = [dense_matrix(cols, bases[i], bases[i + 1], ring)
-                    for i in range(len(degrees) - 1)]
-            tab = complex_homology(FiniteComplex(
-                degrees, bases, mats, ring=ring,
-                meta={"kind": "equivariant", "mode": k}))
+        kappa, v = dh_kappa_v(w, k)
+        tab = mode_homology(
+            degrees, bases, _cartan_columns(action, kappa, v, labels),
+            label_columns(homotopy_columns(kappa), labels) if any(k) else None,
+            range(cutoff + 1), ring)
         for n in range(cutoff + 1):
             offset = len(merged[n]["labels"])
             merged[n]["labels"].extend((k, lab) for lab in bases[n])

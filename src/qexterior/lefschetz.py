@@ -296,10 +296,7 @@ def lefschetz_d_commutators(model: PoissonModel, forms) -> CommutatorReport:
         return -symplectic_star(L(symplectic_star(x, model.omega)), model.omega)
 
     def A(x):
-        out = HForm.zero(x.dim, True)
-        for k, comp in x.homogeneous_components().items():
-            out = out + comp * Fraction(n - k)
-        return out
+        return apply_Ah(x, space)
 
     def dh(x):
         return quantum_d(x, model)

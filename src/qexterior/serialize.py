@@ -24,10 +24,11 @@ import json
 from fractions import Fraction
 
 from .coeffs import FourierCoeff, PolyCoeff, coeff_from_json, coeff_to_json
-from .forms import Bivector, HForm, mask_indices
+from .forms import Bivector, HForm, _mask_from_indices, mask_indices
 from .hpoly import hpoly_to_json
 from .models import AFFINE, TORUS, PoissonModel, darboux_matrix
 from .sampling import PRNG_NAME
+from .scalars import scalar_from_json
 
 CONVENTIONS = {
     "product_normalization": "e^i ^_w e^j = e^i ^ e^j + w^ij",
@@ -54,15 +55,23 @@ def form_to_json(a: HForm):
 def form_from_json(obj, model: PoissonModel, laurent: bool = False) -> HForm:
     terms = {}
     for item in obj:
-        mask = 0
-        for i in item["indices"]:
-            mask |= 1 << (int(i) - 1)
+        mask = _form_mask(item["indices"], model.dim)
         coeff = coeff_from_json(item["coeff"], model.dim)
         if not hasattr(coeff, "partial"):
             coeff = model.coeff_const(coeff)
-        key = (int(item.get("h", 0)), mask)
+        key = (_exact_int(item.get("h", 0), "form h-exponent"), mask)
         terms[key] = terms.get(key, 0) + coeff
     return HForm(model.dim, terms, laurent)
+
+
+def _form_mask(indices, dim) -> int:
+    """The mask of e^{i_1 .. i_k}; the indices must be strictly ascending
+    JSON integers in 1..dim, since any other order would flip the sign."""
+    indices = [_exact_int(i, "form index") for i in indices]
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"form indices must be strictly ascending, "
+                         f"got {indices}")
+    return _mask_from_indices(indices, dim)
 
 
 def model_to_json(model: PoissonModel):
@@ -130,11 +139,32 @@ def model_from_json(obj) -> PoissonModel:
                         complex_structure=bool(obj.get("complex", False)))
 
 
+def _exact_scalar(x, what):
+    """A JSON integer, rational string or {"re", "im"} object as an exact
+    scalar; bools, floats and coefficient functions are refused."""
+    parts = [x.get("re"), x.get("im")] if isinstance(x, dict) else [x]
+    if any(type(p) not in (int, str) for p in parts):
+        raise ValueError(f"{what} must be an exact scalar, got {x!r}")
+    try:
+        return scalar_from_json(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has a zero denominator: {x!r}") from None
+
+
 def action_from_json(obj, model: PoissonModel):
     from .equivariant import GroupAction
+    if not isinstance(obj, dict):
+        raise ValueError(f"an action must be a JSON object, not "
+                         f"{type(obj).__name__}")
+    rows = obj.get("generators", [])
+    if not isinstance(rows, list):
+        raise ValueError(f"action generators must be a list, got {rows!r}")
     gens = []
-    for row in obj.get("generators", []):
-        gens.append([coeff_from_json(c, model.dim) for c in row])
+    for row in rows:
+        if not isinstance(row, list) or len(row) != model.dim:
+            raise ValueError(f"each generator must list {model.dim} "
+                             f"components, got {row!r}")
+        gens.append([_exact_scalar(c, "generator component") for c in row])
     return GroupAction(model, gens)
 
 

@@ -11,10 +11,7 @@ re-multiplication.
 Tracking is opt-in per transform: ``smith_normal_form(A, track=...)``
 accumulates only the transforms named (all four by default), and the
 elimination skips products with a zero operand and the divisibility sweep
-under a unit pivot.  ``SNFResult.solve(b)`` solves A x = b from one
-factorization (U, V and the diagonal), so a caller with many right-hand
-sides for one matrix factors it once; ``solve_linear`` is that method on
-a fresh factorization.
+under a unit pivot.  ``solve_linear`` tracks only U and V.
 """
 
 from __future__ import annotations
@@ -93,48 +90,6 @@ class SNFResult:
 
     def torsion_factors(self):
         return [d for d in self.diag if not d.is_zero() and not d.is_unit()]
-
-    def solve(self, b):
-        """Solve A x = b over the ring; returns x or None when unsolvable.
-
-        Uses U A V = D: x = V y with y_i = (U b)_i / d_i, requiring exact
-        division and zero residual beyond the rank.  Needs U and V tracked;
-        one factorization serves any number of right-hand sides.
-        """
-        if self.U is None or self.V is None:
-            raise ValueError("solve needs the U and V transforms tracked")
-        ring = self.ring
-        rows, cols = self.shape
-        if len(b) != rows:
-            raise ValueError(f"right-hand side has {len(b)} entries, "
-                             f"expected {rows}")
-        nz_b = [(k, bk) for k, bk in enumerate(promote(x, ring) for x in b)
-                if not bk.is_zero()]
-        y = []
-        for i in range(rows):
-            Ui = self.U[i]
-            ub = ring.zero()
-            for k, bk in nz_b:
-                if not Ui[k].is_zero():
-                    ub = ub + Ui[k] * bk
-            d = self.diag[i] if i < len(self.diag) else None
-            if d is not None and not d.is_zero():
-                q, rem = divmod(ub, d)
-                if not rem.is_zero():
-                    return None
-                if not q.is_zero():
-                    y.append((i, q))
-            elif not ub.is_zero():
-                return None
-        x = []
-        for r in range(cols):
-            Vr = self.V[r]
-            s = ring.zero()
-            for k, yk in y:
-                if not Vr[k].is_zero():
-                    s = s + Vr[k] * yk
-            x.append(s)
-        return x
 
 
 def smith_normal_form(A, ring=None, track=TRANSFORMS) -> SNFResult:
@@ -314,13 +269,43 @@ def _infer_ring(A):
 def solve_linear(A, b, ring=None):
     """Solve A x = b over the ring; returns x or None when unsolvable.
 
-    Factors A once (tracking U and V) and applies ``SNFResult.solve``;
-    callers with many right-hand sides for one matrix should factor it
-    themselves and call ``solve`` per right-hand side.
+    Uses U A V = D: x = V y with y_i = (U b)_i / d_i, requiring exact
+    division and zero residual beyond the rank.
     """
     if ring is None:
         ring = _infer_ring(A)
-    return smith_normal_form(A, ring, track=("U", "V")).solve(b)
+    snf = smith_normal_form(A, ring, track=("U", "V"))
+    rows, cols = snf.shape
+    if len(b) != rows:
+        raise ValueError(f"right-hand side has {len(b)} entries, "
+                         f"expected {rows}")
+    nz_b = [(k, bk) for k, bk in enumerate(promote(x, ring) for x in b)
+            if not bk.is_zero()]
+    y = []
+    for i in range(rows):
+        Ui = snf.U[i]
+        ub = ring.zero()
+        for k, bk in nz_b:
+            if not Ui[k].is_zero():
+                ub = ub + Ui[k] * bk
+        d = snf.diag[i] if i < len(snf.diag) else None
+        if d is not None and not d.is_zero():
+            q, rem = divmod(ub, d)
+            if not rem.is_zero():
+                return None
+            if not q.is_zero():
+                y.append((i, q))
+        elif not ub.is_zero():
+            return None
+    x = []
+    for r in range(cols):
+        Vr = snf.V[r]
+        s = ring.zero()
+        for k, yk in y:
+            if not Vr[k].is_zero():
+                s = s + Vr[k] * yk
+        x.append(s)
+    return x
 
 
 # -- independent fraction-field rank oracle ------------------------------------

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +144,92 @@ class TestCheck:
         assert a.read_bytes() == b.read_bytes()
 
 
+def cli_error(capsys, argv):
+    """Run the CLI in-process on malformed input: exit 2, nothing on
+    stdout and a JSON error object on stderr; returns its message."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["code"] == 2
+    assert "Traceback" not in captured.err
+    return err["error"]["message"]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Valid input files for every command, keyed by placeholder."""
+    files = {
+        "T2": {"space": "torus", "dim": 2, "symplectic": "darboux"},
+        "T2C": {"space": "torus", "dim": 2, "symplectic": "darboux",
+                "complex": True},
+        "ACT": {"generators": [["1", "0"]]},
+        "CONN": {"rank": 1, "theta": [[[]]]},
+        "FORM": [],
+    }
+    paths = {}
+    for key, body in files.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        paths[key] = str(path)
+    return paths
+
+
+# A cheap valid command line per command; each removed option is added to it.
+BASE_ARGV = {
+    "check": ["check", "--suite", "frame", "--trials", "1", "--model", "T2"],
+    "cohomology": ["cohomology", "--model", "T2"],
+    "dolbeault": ["dolbeault", "--model", "T2C"],
+    "equivariant": ["equivariant", "--model", "T2", "--action", "ACT",
+                    "--cutoff", "1"],
+    "lefschetz": ["lefschetz", "--n", "1"],
+    "chern": ["chern", "--model", "T2", "--connection", "CONN"],
+    "integral": ["integral", "--model", "T2", "--form", "FORM"],
+}
+
+# The options a command does not read, which it refuses rather than ignores.
+REMOVED_OPTIONS = [
+    ("check", ["--mode-box", "1"]), ("check", ["--max-degree", "2"]),
+    ("check", ["--ring", "polynomial"]), ("check", ["--latex"]),
+    ("cohomology", ["--trials", "5"]),
+    ("dolbeault", ["--trials", "5"]), ("dolbeault", ["--max-degree", "2"]),
+    ("equivariant", ["--trials", "5"]), ("equivariant", ["--max-degree", "2"]),
+    ("lefschetz", ["--model", "T2"]), ("lefschetz", ["--trials", "5"]),
+    ("lefschetz", ["--mode-box", "7"]), ("lefschetz", ["--max-degree", "2"]),
+    ("lefschetz", ["--ring", "polynomial"]), ("lefschetz", ["--latex"]),
+    ("chern", ["--trials", "5"]), ("chern", ["--mode-box", "1"]),
+    ("chern", ["--max-degree", "2"]), ("chern", ["--ring", "polynomial"]),
+    ("chern", ["--latex"]),
+    ("integral", ["--trials", "5"]), ("integral", ["--mode-box", "1"]),
+    ("integral", ["--max-degree", "2"]), ("integral", ["--latex"]),
+]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command,extra", REMOVED_OPTIONS,
+                             ids=[f"{c}{e[0]}" for c, e in REMOVED_OPTIONS])
+    def test_unread_option_refused(self, capsys, inputs, command, extra):
+        argv = [inputs.get(a, a) for a in BASE_ARGV[command] + extra]
+        message = cli_error(capsys, argv)
+        assert "unrecognized arguments" in message and extra[0] in message
+
+    def test_settable_values(self):
+        from qexterior.cli import COMMANDS
+        assert sum(len(options) for _f, _h, options in COMMANDS.values()) == 39
+
+    @pytest.mark.parametrize("argv,message", [
+        (["lefschetz", "--n", "abc"], "invalid int value"),
+        (["lefschetz", "--bogus"], "unrecognized arguments"),
+        (["cohomology", "--ring", "rational"], "invalid choice"),
+        (["nope"], "invalid choice"),
+        ([], "required"),
+    ], ids=["bad-int", "unknown-option", "bad-choice", "unknown-command",
+            "no-command"])
+    def test_usage_error_is_json(self, capsys, argv, message):
+        assert message in cli_error(capsys, argv)
+
+
 class TestCohomology:
     def test_t2_table(self, t2_file, tmp_path):
         out = tmp_path / "t2.out.json"
@@ -235,6 +322,24 @@ class TestEquivariant:
         assert reports[0] == reports[1]
 
 
+    @pytest.mark.parametrize("body,message", [
+        ([["1", "0"]], "JSON object"),
+        ({"generators": 5}, "must be a list"),
+        ({"generators": [[True, 0]]}, "exact scalar"),
+        ({"generators": [[1.5, 0]]}, "exact scalar"),
+        ({"generators": [["1/0", 0]]}, "zero denominator"),
+        ({"generators": [[1]]}, "2 components"),
+        ({"generators": [5]}, "2 components"),
+    ], ids=["list", "generators-int", "bool", "float", "zero-denominator",
+            "short-row", "row-int"])
+    def test_malformed_action_exits_two(self, capsys, inputs, body, message):
+        action = Path(inputs["ACT"])
+        action.write_text(json.dumps(body), encoding="utf-8")
+        assert message in cli_error(capsys, ["equivariant", "--model",
+                                             inputs["T2"], "--action",
+                                             str(action), "--cutoff", "1"])
+
+
 class TestLefschetz:
     def test_n1_report(self, tmp_path):
         out = tmp_path / "lef.json"
@@ -307,6 +412,42 @@ class TestIntegral:
         form.write_text("[]", encoding="utf-8")
         r = run_cli(["integral", "--model", affine_file, "--form", str(form)])
         assert r.returncode == 2
+
+
+# Form terms the loader must refuse rather than misread: a descending or
+# repeated index list would load as +e^12, index 0 as a negative shift and
+# a fractional h-exponent would be truncated.
+BAD_FORM_TERMS = [
+    ({"indices": [2, 1], "h": 0}, "strictly ascending"),
+    ({"indices": [1, 1, 2], "h": 0}, "strictly ascending"),
+    ({"indices": [0], "h": 0}, "out of range"),
+    ({"indices": [3], "h": 0}, "out of range"),
+    ({"indices": [True], "h": 0}, "index must be an integer"),
+    ({"indices": [1], "h": 1.7}, "h-exponent must be an integer"),
+]
+
+
+class TestFormLoader:
+    @pytest.mark.parametrize("term,message", BAD_FORM_TERMS,
+                             ids=["descending", "repeated", "zero",
+                                  "beyond-dim", "bool", "fractional-h"])
+    def test_bad_form_exits_two(self, capsys, inputs, term, message):
+        term = {**term, "coeff": {"fourier": [[[0, 0],
+                                               {"re": "1", "im": "0"}]]}}
+        form = Path(inputs["FORM"])
+        form.write_text(json.dumps([term]), encoding="utf-8")
+        assert message in cli_error(capsys, ["integral", "--model",
+                                             inputs["T2"], "--form", str(form)])
+        conn = Path(inputs["CONN"])
+        conn.write_text(json.dumps({"rank": 1, "theta": [[[term]]]}),
+                        encoding="utf-8")
+        assert message in cli_error(capsys, ["chern", "--model", inputs["T2"],
+                                             "--connection", str(conn)])
+
+    def test_ascending_indices_load(self):
+        t2 = PoissonModel.darboux_torus(1)
+        form = form_from_json([{"indices": [1, 2], "h": 1, "coeff": "3"}], t2)
+        assert form == t2.form_monomial([1, 2], h=1) * Fraction(3)
 
 
 class TestSerialization:

@@ -11,17 +11,17 @@ import pytest
 
 from oracles import (dolbeault_matrix_symbolic, free_rank_oracle,
                      matrix_of_dh_symbolic, ring_table_per_pair)
-from qexterior import cohomology
+from qexterior import complexes
 from qexterior.cli import main
 from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
-                                  _label_columns, _matrix_of_dh,
-                                  _mode_certified, _signed_permutation,
-                                  graded_dims, invariant_subcomplex,
-                                  mode_subcomplex, quantum_derham_table,
+                                  _signed_permutation, graded_dims,
+                                  invariant_subcomplex, mode_subcomplex,
+                                  quantum_derham_table,
                                   quantum_dolbeault_table, ring_table)
 from qexterior.complexes import (FiniteComplex, complex_homology,
-                                 dense_matrix, homotopy_certificate,
-                                 homotopy_columns, koszul_columns)
+                                 dense_matrix, dh_kappa_v,
+                                 homotopy_certificate, homotopy_columns,
+                                 koszul_columns, label_columns, parity_bases)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.models import PoissonModel
 from qexterior.scalars import GRat
@@ -148,6 +148,22 @@ def same_entries(A, B):
         for ra, rb in zip(A, B))
 
 
+def matrix_of_dh(model, k, src, dst, ring):
+    """The ring matrix of d_h on the mode k from the span of ``src`` to
+    that of ``dst``, as the drivers build it."""
+    cols = koszul_columns(*dh_kappa_v(model.constant_bivector(), k))
+    return dense_matrix(cols, src, dst, ring)
+
+
+def mode_certified(model, k):
+    """Whether the homotopy certificate proves the nonzero mode k of the
+    de Rham complex acyclic."""
+    kappa, v = dh_kappa_v(model.constant_bivector(), k)
+    return homotopy_certificate(parity_bases(model.dim), (0, 1),
+                                koszul_columns(kappa, v),
+                                homotopy_columns(kappa), cyclic=True)
+
+
 class TestDirectDhBuilder:
     """The direct mode-matrix builder against symbolic d_h on forms."""
 
@@ -163,7 +179,7 @@ class TestDirectDhBuilder:
                 for src, dst in ((even, odd), (odd, even)):
                     for ring in (HLaurent, HPoly):
                         assert same_entries(
-                            _matrix_of_dh(model, k, src, dst, ring),
+                            matrix_of_dh(model, k, src, dst, ring),
                             matrix_of_dh_symbolic(model, k, src, dst, ring)), \
                             (seed, k, src[0] & 1, ring)
 
@@ -173,7 +189,7 @@ class TestDirectDhBuilder:
         for k in [(2, -1), (0, 2), (-2, 2)]:
             for src, dst in (([0, 3], [1, 2]), ([1, 2], [0, 3])):
                 assert same_entries(
-                    _matrix_of_dh(model, k, src, dst, HLaurent),
+                    matrix_of_dh(model, k, src, dst, HLaurent),
                     matrix_of_dh_symbolic(model, k, src, dst, HLaurent))
 
 
@@ -198,30 +214,35 @@ def certificate_bivectors(dim):
 
 @pytest.fixture
 def certificates(monkeypatch):
-    """Outcomes of every homotopy certificate the cohomology drivers run."""
+    """Outcomes of every homotopy certificate the drivers run; they all
+    run it through ``complexes.mode_homology``."""
     seen = []
-    original = cohomology.homotopy_certificate
 
     def recording(*args, **kwargs):
-        ok = original(*args, **kwargs)
+        ok = homotopy_certificate(*args, **kwargs)
         seen.append(ok)
         return ok
 
-    monkeypatch.setattr(cohomology, "homotopy_certificate", recording)
+    monkeypatch.setattr(complexes, "homotopy_certificate", recording)
     return seen
 
 
-def failing_every(monkeypatch, module, period):
-    """Make every ``period``-th certificate of ``module`` fail, so the
-    driver falls back to the Smith normal form on those modes."""
+def failing_every(monkeypatch, period):
+    """Make every ``period``-th homotopy certificate fail, so the driver
+    falls back to the Smith normal form on those modes.  Returns the list
+    of forced failures, one entry per mode that fell back."""
     calls = itertools.count()
+    forced = []
 
     def flaky(*args, **kwargs):
-        if next(calls) % period == 0:
+        n = next(calls)
+        if n % period == 0:
+            forced.append(n)
             return False
         return homotopy_certificate(*args, **kwargs)
 
-    monkeypatch.setattr(module, "homotopy_certificate", flaky)
+    monkeypatch.setattr(complexes, "homotopy_certificate", flaky)
+    return forced
 
 
 class TestHomotopyCertificate:
@@ -234,12 +255,12 @@ class TestHomotopyCertificate:
         model = PoissonModel.torus(dim, certificate_bivectors(dim)[kind])
         # every mode of the box certifies; a seeded sample of |k_i| <= 2
         # is also computed by Smith normal form in both rings
-        assert all(_mode_certified(model, k)
+        assert all(mode_certified(model, k)
                    for k in box(dim, 2 if dim <= 3 else 1))
         rng = random.Random(f"certificate:{dim}:{kind}")
         sample = rng.sample(box(dim, 2), 2 if dim < 5 else 1) + [(2,) * dim]
         for k in sample:
-            assert _mode_certified(model, k), k
+            assert mode_certified(model, k), k
             for ring in (HLaurent, HPoly):
                 cx = mode_subcomplex(model, k, ring)
                 tab = complex_homology(cx)
@@ -255,9 +276,8 @@ class TestHomotopyCertificate:
         even = [m for m in range(16) if m.bit_count() % 2 == 0]
         odd = [m for m in range(16) if m.bit_count() % 2 == 1]
         for k in box(4, 1):
-            kappa = [GRat(0, kb) for kb in k]
-            d = cohomology._dh_columns(model, k)
-            h = homotopy_columns(kappa)
+            kappa, v = dh_kappa_v(model.constant_bivector(), k)
+            d, h = koszul_columns(kappa, v), homotopy_columns(kappa)
             assert homotopy_certificate([even, odd], (0, 1), d, h, cyclic=True)
             flipped = {x: {key: -c for key, c in col.items()}
                        for x, col in h.items()}
@@ -312,10 +332,12 @@ class TestHomotopyCertificate:
     def test_derham_fallback_matches_snf(self, monkeypatch, ring):
         model = PoissonModel.torus(3, certificate_bivectors(3)["dense"])
         certified = table_to_json(quantum_derham_table(model, 1, ring=ring))
-        monkeypatch.setattr(cohomology, "homotopy_certificate",
-                            lambda *args, **kwargs: False)
-        fallback = quantum_derham_table(model, 1, ring=ring)
-        assert table_to_json(fallback) == certified
+        # every mode, then every 97th mode, by SNF
+        for period, n_forced in ((1, 26), (97, 1)):
+            forced = failing_every(monkeypatch, period)
+            fallback = quantum_derham_table(model, 1, ring=ring)
+            assert len(forced) == n_forced
+            assert table_to_json(fallback) == certified
 
     @pytest.mark.parametrize("ring", [HLaurent, HPoly])
     def test_dolbeault_driver_certifies_every_mode(self, t2c, certificates,
@@ -334,12 +356,14 @@ class TestHomotopyCertificate:
         certified = [table_to_json(quantum_dolbeault_table(m, 1, ring=ring))
                      for m in (t2c, t4c)]
         # every mode of T^2 and every 97th (mode, p) of T^4 by SNF
-        failing_every(monkeypatch, cohomology, 1)
+        forced = failing_every(monkeypatch, 1)
         assert table_to_json(quantum_dolbeault_table(t2c, 1, ring=ring)) == \
             certified[0]
-        failing_every(monkeypatch, cohomology, 97)
+        assert forced
+        forced = failing_every(monkeypatch, 97)
         assert table_to_json(quantum_dolbeault_table(t4c, 1, ring=ring)) == \
             certified[1]
+        assert forced
 
     def test_dolbeault_homotopy_on_non_darboux_bivector(self):
         # a J-invariant bivector that is not the Darboux one
@@ -356,8 +380,8 @@ class TestHomotopyCertificate:
                 labels = [lab for b in spots for lab in b]
                 for k in box(4, 1)[::7]:
                     kappa, v = _delbar_kappa_v(wc, k)
-                    d = _label_columns(koszul_columns(kappa, v), labels)
-                    h = _label_columns(homotopy_columns(kappa), labels)
+                    d = label_columns(koszul_columns(kappa, v), labels)
+                    h = label_columns(homotopy_columns(kappa), labels)
                     assert homotopy_certificate(spots, range(1, len(qs) - 1),
                                                 d, h), (p, k)
 
@@ -385,8 +409,8 @@ class TestDirectDolbeaultBuilder:
             labels = [lab for q in qs for lab in bases[q]]
             for k in [(0, 0, 0, 0), (1, 0, 0, 0), (0, -1, 0, 0),
                       (1, -1, 2, 0), (-2, 1, 1, 1)]:
-                d = _label_columns(koszul_columns(*_delbar_kappa_v(wc, k)),
-                                   labels)
+                d = label_columns(koszul_columns(*_delbar_kappa_v(wc, k)),
+                                  labels)
                 for q, q2 in zip(qs, qs[1:]):
                     assert same_entries(
                         dense_matrix(d, bases[q], bases[q2], ring),

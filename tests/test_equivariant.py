@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from oracles import equivariant_matrix_symbolic
-from qexterior import equivariant
+from qexterior import complexes
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.cohomology import quantum_derham_table
-from qexterior.complexes import dense_matrix, homotopy_certificate
+from qexterior.complexes import dense_matrix, dh_kappa_v, homotopy_certificate
 from qexterior.equivariant import (EquivariantElement, GroupAction,
                                    _cartan_columns, _equivariant_basis,
                                    anticommutator_check, cartan_d,
@@ -223,7 +223,8 @@ class TestHomotopyCertificate:
             bases = [_equivariant_basis(model, d, n) for n in range(cutoff + 2)]
             labels = [lab for b in bases for lab in b]
             for k in invariant_modes(action, 1)[::3]:
-                cols = _cartan_columns(model, action, k, labels)
+                cols = _cartan_columns(
+                    action, *dh_kappa_v(model.constant_bivector(), k), labels)
                 for n in range(cutoff + 1):
                     for ring in (HPoly, HLaurent):
                         direct = dense_matrix(cols, bases[n], bases[n + 1], ring)
@@ -242,7 +243,7 @@ class TestHomotopyCertificate:
             seen.append(ok)
             return ok
 
-        monkeypatch.setattr(equivariant, "homotopy_certificate", recording)
+        monkeypatch.setattr(complexes, "homotopy_certificate", recording)
         for model, action, cutoff in translation_actions():
             seen.clear()
             tab = equivariant_cohomology_table(model, action, cutoff, 1)
@@ -250,17 +251,23 @@ class TestHomotopyCertificate:
             assert nonzero and seen == [True] * len(nonzero)
 
     def test_fallback_matches_snf(self, monkeypatch):
-        for (model, action, cutoff), period in zip(translation_actions(), (1, 3)):
+        for model, action, cutoff in translation_actions():
             certified = table_to_json(
                 equivariant_cohomology_table(model, action, cutoff, 1))
-            calls = itertools.count()
+            for period in (1, 3, 97):
+                calls = itertools.count()
+                forced = []
 
-            def flaky(*args, **kwargs):
-                if next(calls) % period == 0:
-                    return False
-                return homotopy_certificate(*args, **kwargs)
+                def flaky(*args, **kwargs):
+                    n = next(calls)
+                    if n % period == 0:
+                        forced.append(n)
+                        return False
+                    return homotopy_certificate(*args, **kwargs)
 
-            monkeypatch.setattr(equivariant, "homotopy_certificate", flaky)
-            fallback = equivariant_cohomology_table(model, action, cutoff, 1)
-            monkeypatch.undo()
-            assert table_to_json(fallback) == certified
+                monkeypatch.setattr(complexes, "homotopy_certificate", flaky)
+                fallback = equivariant_cohomology_table(model, action,
+                                                        cutoff, 1)
+                monkeypatch.undo()
+                assert forced
+                assert table_to_json(fallback) == certified

@@ -120,6 +120,48 @@ class TestSolve:
                          HLaurent)
         assert x is not None and x[0] == HLaurent({-1: Fraction(1)})
 
+    def test_agrees_with_rank_oracle(self, sampler):
+        unsolvable = 0
+        for ring in (HPoly, HLaurent):
+            for _ in range(10):
+                rows = sampler.rng.randint(1, 4)
+                cols = sampler.rng.randint(1, 4)
+                A = random_matrix(sampler, ring, rows, cols)
+                x0 = random_matrix(sampler, ring, cols, 1)
+                rhs = [[sum((A[i][j] * x0[j][0] for j in range(cols)),
+                            start=ring.zero()) for i in range(rows)],
+                       [row[0] for row in
+                        random_matrix(sampler, ring, rows, 1)],
+                       [ring.zero()] * rows]
+                for n, b in enumerate(rhs):
+                    got = solve_linear(A, b, ring)
+                    augmented = [row + [bi] for row, bi in zip(A, b)]
+                    if rank_fraction_field(augmented) > rank_fraction_field(A):
+                        # b is not even in the span over k(h)
+                        unsolvable += 1
+                        assert got is None
+                    if n == 0:
+                        assert got is not None
+                    if got is not None:
+                        Ax = [sum((A[i][j] * got[j] for j in range(cols)),
+                                  start=ring.zero()) for i in range(rows)]
+                        assert Ax == b
+        assert unsolvable
+
+    def test_torsion_right_hand_side(self):
+        A = [[h(), one], [zero, h()]]
+        assert solve_linear(A, [one, one], HPoly) is None
+        assert solve_linear(A, [h() * 2, HPoly({2: 1})], HPoly) == [one, h()]
+
+    def test_residual_beyond_rank(self):
+        A = [[one], [one]]
+        assert solve_linear(A, [one, zero], HPoly) is None
+        assert solve_linear(A, [h(), h()], HPoly) == [h()]
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            solve_linear([[one]], [one, one], HPoly)
+
     def test_random_solvable(self, sampler):
         for _ in range(25):
             ring = HLaurent if sampler.rng.randint(0, 1) else HPoly
@@ -170,57 +212,6 @@ class TestTracking:
     def test_unknown_transform_rejected(self):
         with pytest.raises(ValueError):
             smith_normal_form([[one]], HPoly, track=("W",))
-
-
-class TestFactorOnceSolve:
-    def test_matches_solve_linear(self, sampler):
-        unsolvable = 0
-        for ring in (HPoly, HLaurent):
-            for _ in range(10):
-                rows = sampler.rng.randint(1, 4)
-                cols = sampler.rng.randint(1, 4)
-                A = random_matrix(sampler, ring, rows, cols)
-                snf = smith_normal_form(A, ring, track=("U", "V"))
-                x0 = random_matrix(sampler, ring, cols, 1)
-                rhs = [[sum((A[i][j] * x0[j][0] for j in range(cols)),
-                            start=ring.zero()) for i in range(rows)],
-                       [row[0] for row in random_matrix(sampler, ring, rows, 1)],
-                       [ring.zero()] * rows]
-                for n, b in enumerate(rhs):
-                    got = snf.solve(b)
-                    assert got == solve_linear(A, b, ring)
-                    augmented = [row + [bi] for row, bi in zip(A, b)]
-                    if rank_fraction_field(augmented) > rank_fraction_field(A):
-                        # b is not even in the span over k(h)
-                        unsolvable += 1
-                        assert got is None
-                    if n == 0:
-                        assert got is not None
-                    if got is not None:
-                        Ax = [sum((A[i][j] * got[j] for j in range(cols)),
-                                  start=ring.zero()) for i in range(rows)]
-                        assert Ax == b
-        assert unsolvable
-
-    def test_torsion_right_hand_side(self):
-        A = [[h(), one], [zero, h()]]
-        snf = smith_normal_form(A, HPoly, track=("U", "V"))
-        assert snf.solve([one, one]) is None
-        assert snf.solve([h() * 2, HPoly({2: 1})]) == [one, h()]
-
-    def test_residual_beyond_rank(self):
-        snf = smith_normal_form([[one], [one]], HPoly, track=("U", "V"))
-        assert snf.solve([one, zero]) is None
-        assert snf.solve([h(), h()]) == [h()]
-
-    def test_needs_u_and_v(self):
-        for track in (("U",), ("V",), ("Uinv", "Vinv")):
-            with pytest.raises(ValueError):
-                smith_normal_form([[one]], HPoly, track=track).solve([one])
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            smith_normal_form([[one]], HPoly).solve([one, one])
 
 
 class TestRankOracle:
