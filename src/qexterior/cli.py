@@ -5,13 +5,18 @@ integral.  All reports are UTF-8 JSON, byte-identical for identical
 (command, config, seed); LaTeX emission is optional for tables.
 
 Exit codes: 0 success, 1 property failure, 2 malformed input or violated
-precondition.
+precondition (any ValueError, which is all the ``serialize`` loaders raise),
+3 any other exception, an internal error whose error object names its class
+and lists its frames.  ``main`` alone turns exceptions into exit codes and
+JSON error objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import traceback
 
 from .hpoly import HLaurent, HPoly
 from .sampling import PRNG_NAME
@@ -22,32 +27,27 @@ from .serialize import (CONVENTIONS, action_from_json, connection_from_json,
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL_ERROR = 3
 
 
-class CliError(Exception):
-    def __init__(self, message, code=EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Malformed input or a violated precondition (exit 2)."""
 
 
-def _load_json(path):
-    import json
+def _load_json(path, option, decode, *args):
+    """``decode`` applied to the JSON document in the ``option`` file."""
+    if not path:
+        raise CliError(f"{option} is required for this command")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {path}: {exc}")
+            obj = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(f"cannot load {path}: {exc}")
+    return decode(obj, *args)
 
 
 def _load_model(args):
-    if not args.model:
-        raise CliError("--model is required for this command")
-    try:
-        return model_from_json(_load_json(args.model))
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise CliError(f"bad model file: {exc}")
+    return _load_json(args.model, "--model", model_from_json)
 
 
 def _ring(args):
@@ -76,18 +76,11 @@ def cmd_check(args) -> int:
         if name not in SUITES and name != "negative-control":
             raise CliError(f"unknown suite {args.suite!r}; choose from "
                            f"{', '.join(SUITES)} or 'all'")
-    results = []
-    failed = False
-    for name in names:
-        try:
-            res = run_suite(name, model, args.trials, args.seed)
-        except (ValueError, KeyError) as exc:
-            raise CliError(f"suite {name}: {exc}")
-        results.append(res.to_json())
-        if not res.ok:
-            failed = True
+    results = [run_suite(name, model, args.trials, args.seed)
+               for name in names]
+    failed = not all(res.ok for res in results)
     payload = dict(_report_header(args, "check"))
-    payload["results"] = results
+    payload["results"] = [res.to_json() for res in results]
     payload["status"] = "fail" if failed else "pass"
     _emit(args, dump_json(payload))
     return EXIT_PROPERTY_FAILURE if failed else EXIT_OK
@@ -105,12 +98,8 @@ def _table_payload(args, command, table):
 def cmd_cohomology(args) -> int:
     from .cohomology import quantum_derham_table
     model = _load_model(args)
-    try:
-        table = quantum_derham_table(model, mode_box=args.mode_box,
-                                     max_degree=args.max_degree,
-                                     ring=_ring(args))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    table = quantum_derham_table(model, mode_box=args.mode_box,
+                                 max_degree=args.max_degree, ring=_ring(args))
     _emit(args, _table_payload(args, "cohomology", table))
     return EXIT_OK
 
@@ -118,11 +107,8 @@ def cmd_cohomology(args) -> int:
 def cmd_dolbeault(args) -> int:
     from .cohomology import quantum_dolbeault_table
     model = _load_model(args)
-    try:
-        table = quantum_dolbeault_table(model, mode_box=args.mode_box,
-                                        ring=_ring(args))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    table = quantum_dolbeault_table(model, mode_box=args.mode_box,
+                                    ring=_ring(args))
     _emit(args, _table_payload(args, "dolbeault", table))
     return EXIT_OK
 
@@ -130,19 +116,12 @@ def cmd_dolbeault(args) -> int:
 def cmd_equivariant(args) -> int:
     from .equivariant import equivariant_cohomology_table
     model = _load_model(args)
-    if not args.action:
-        raise CliError("--action is required for equivariant tables")
     if args.ring == "laurent":
         raise CliError("equivariant tables are computed over k[h] only; "
                        "--ring laurent is not supported")
-    try:
-        action = action_from_json(_load_json(args.action), model)
-        table = equivariant_cohomology_table(model, action,
-                                             cutoff=args.cutoff,
-                                             mode_box=args.mode_box,
-                                             ring=HPoly)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    action = _load_json(args.action, "--action", action_from_json, model)
+    table = equivariant_cohomology_table(model, action, cutoff=args.cutoff,
+                                         mode_box=args.mode_box, ring=HPoly)
     _emit(args, _table_payload(args, "equivariant", table))
     return EXIT_OK
 
@@ -171,14 +150,10 @@ def cmd_chern(args) -> int:
     from .chern import char_form_certificate, quantum_curvature
     from .serialize import form_to_json
     model = _load_model(args)
-    if not args.connection:
-        raise CliError("--connection is required for chern reports")
     if args.power < 1:
         raise CliError("--power must be at least 1")
-    try:
-        conn = connection_from_json(_load_json(args.connection), model)
-    except (ValueError, LookupError, TypeError) as exc:
-        raise CliError(f"bad connection file: {exc}")
+    conn = _load_json(args.connection, "--connection", connection_from_json,
+                      model)
     F = quantum_curvature(conn)
     payload = dict(_report_header(args, "chern"))
     payload["rank"] = conn.rank
@@ -202,15 +177,10 @@ def cmd_integral(args) -> int:
     from .calculus import qintegral, stokes_check
     from .hpoly import hpoly_to_json
     model = _load_model(args)
-    if not args.form:
-        raise CliError("--form is required for integrals")
-    try:
-        form = form_from_json(_load_json(args.form), model,
-                              laurent=_ring(args) is HLaurent)
-        value = qintegral(form, model)
-        stokes = stokes_check(form, model)
-    except (ValueError, LookupError, TypeError) as exc:
-        raise CliError(str(exc))
+    form = _load_json(args.form, "--form", form_from_json, model,
+                      _ring(args) is HLaurent)
+    value = qintegral(form, model)
+    stokes = stokes_check(form, model)
     payload = dict(_report_header(args, "integral"))
     payload["integral"] = hpoly_to_json(value)
     payload["stokes"] = {"int_d": hpoly_to_json(stokes.int_d),
@@ -287,14 +257,25 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        error = {"error": {"code": exc.code, "message": str(exc)}}
-        out = dump_json(error)
-        if getattr(args, "out", None):
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        sys.stderr.write(out)
-        return exc.code
+    except ValueError as exc:
+        error = {"code": EXIT_BAD_INPUT, "message": str(exc)}
+    except OSError as exc:
+        # Input files are read by _load_json, so writing the report failed;
+        # the error object then goes to stderr only.
+        error = {"code": EXIT_BAD_INPUT,
+                 "message": f"cannot write the report: {exc}"}
+        args = None
+    except Exception as exc:
+        error = {"code": EXIT_INTERNAL_ERROR,
+                 "message": f"internal error: {type(exc).__name__}: {exc}",
+                 "traceback": [f"{f.filename}:{f.lineno} in {f.name}" for f
+                               in traceback.extract_tb(exc.__traceback__)]}
+    out = dump_json({"error": error})
+    if getattr(args, "out", None):
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(out)
+    sys.stderr.write(out)
+    return error["code"]
 
 
 if __name__ == "__main__":

@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GRat, conjugate_scalar
-
-
-def _coerce_value(c):
-    if isinstance(c, (GRat, Fraction)):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"unsupported value {c!r}")
+from .scalars import GRat, as_scalar, conjugate_scalar
 
 
 class _SparseFunc:
@@ -37,7 +29,7 @@ class _SparseFunc:
                 if len(key) != dim:
                     raise ValueError(f"key {key} does not match dimension {dim}")
                 self._check_key(key)
-                c = _coerce_value(c)
+                c = as_scalar(c)
                 if c:
                     s = data.get(key, 0) + c
                     if s:
@@ -88,7 +80,7 @@ class _SparseFunc:
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
-            other = type(self).const(self.dim, _coerce_value(other))
+            other = type(self).const(self.dim, as_scalar(other))
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k, 0) + c
@@ -105,7 +97,7 @@ class _SparseFunc:
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
-            other = type(self).const(self.dim, _coerce_value(other))
+            other = type(self).const(self.dim, as_scalar(other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -113,7 +105,7 @@ class _SparseFunc:
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):
-            c = _coerce_value(other)
+            c = as_scalar(other)
             if not c:
                 return type(self)(self.dim)
             return type(self)(self.dim, {k: a * c for k, a in self.terms.items()})
@@ -253,12 +245,3 @@ def coeff_to_json(c):
         return {"fourier": [[list(k), scalar_to_json(v)]
                             for k, v in sorted(c.terms.items())]}
     return scalar_to_json(c)
-
-
-def coeff_from_json(obj, dim: int):
-    from .scalars import scalar_from_json
-    if isinstance(obj, dict) and "poly" in obj:
-        return PolyCoeff(dim, {tuple(k): scalar_from_json(v) for k, v in obj["poly"]})
-    if isinstance(obj, dict) and "fourier" in obj:
-        return FourierCoeff(dim, {tuple(k): scalar_from_json(v) for k, v in obj["fourier"]})
-    return scalar_from_json(obj)

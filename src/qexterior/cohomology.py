@@ -174,17 +174,22 @@ def _delbar_kappa_v(wc, k):
     return kappa, contraction_vector(wc, kappa)
 
 
+# How many h-levels past the classical window 0..n the Dolbeault table
+# reports.
+LEVEL_CAP = 2
+
+
 def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
-                            ring=HPoly, level_cap: int = 2) -> CohomologyTable:
+                            ring=HPoly) -> CohomologyTable:
     """Bigraded quantum Dolbeault ranks of a complex torus model.
 
     For each first index p the complex (Omega_h^{[p,*]}, delbar_h) has
     finite-dimensional strata over the base field; ranks are reported per
-    (p, q).  ``level_cap`` bounds the reported h-level above the classical
-    window.  Every nonzero mode is certified acyclic at the reported q by
-    the homotopy iota_{ebar_b} / kappa^{0,1}_b; a mode that fails the
-    certificate is computed by Smith normal form and reported if its
-    homology is nonzero.
+    (p, q).  ``LEVEL_CAP`` bounds the reported h-level above the classical
+    window (and, over k[h, h^-1], below it).  Every nonzero mode is
+    certified acyclic at the reported q by the homotopy
+    iota_{ebar_b} / kappa^{0,1}_b; a mode that fails the certificate is
+    computed by Smith normal form and reported if its homology is nonzero.
     """
     _require_torus_constant(model)
     if not model.complex_structure:
@@ -199,9 +204,9 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
         mode_cols[k] = (koszul_columns(kappa, v),
                         homotopy_columns(kappa) if any(k) else None)
     entries = []
-    p_lo = -level_cap if laurent else 0
+    p_lo = -LEVEL_CAP if laurent else 0
     diags = []
-    for p in range(p_lo, n + level_cap + 1):
+    for p in range(p_lo, n + LEVEL_CAP + 1):
         comp_qs = list(range(p - n - 1, p + n + 2)) if laurent else \
             list(range(max(0, p - n) - 1, p + n + 2))
         bases = _dolbeault_bases(n, p, comp_qs, laurent)

@@ -15,15 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GRat, RatLike
-
-
-def _coerce_scalar(c):
-    if isinstance(c, (GRat, Fraction)):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"unsupported coefficient {c!r}")
+from .scalars import GRat, RatLike, as_scalar
 
 
 class HPoly:
@@ -36,7 +28,7 @@ class HPoly:
         terms = {}
         if coeffs:
             for j, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                c = _coerce_scalar(c)
+                c = as_scalar(c)
                 if c:
                     terms[j] = terms[j] + c if j in terms else c
                     if not terms[j]:
@@ -99,7 +91,7 @@ class HPoly:
 
     def __add__(self, other):
         if not isinstance(other, HPoly):
-            other = type(self).from_scalar(_coerce_scalar(other))
+            other = type(self).from_scalar(as_scalar(other))
         cls = _join(type(self), type(other))
         out = dict(self.coeffs)
         for j, c in other.coeffs.items():
@@ -117,7 +109,7 @@ class HPoly:
 
     def __sub__(self, other):
         if not isinstance(other, HPoly):
-            other = type(self).from_scalar(_coerce_scalar(other))
+            other = type(self).from_scalar(as_scalar(other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -125,7 +117,7 @@ class HPoly:
 
     def __mul__(self, other):
         if not isinstance(other, HPoly):
-            c = _coerce_scalar(other)
+            c = as_scalar(other)
             return type(self)({j: a * c for j, a in self.coeffs.items()})
         cls = _join(type(self), type(other))
         out = {}
@@ -189,7 +181,7 @@ class HPoly:
 
     def __divmod__(self, other):
         if not isinstance(other, HPoly):
-            other = type(self).from_scalar(_coerce_scalar(other))
+            other = type(self).from_scalar(as_scalar(other))
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         cls = _join(type(self), type(other))
@@ -291,7 +283,7 @@ class HLaurent(HPoly):
 
     def __divmod__(self, other):
         if not isinstance(other, HPoly):
-            other = type(self).from_scalar(_coerce_scalar(other))
+            other = type(self).from_scalar(as_scalar(other))
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         va, vb = self.valuation(), other.valuation()
@@ -318,9 +310,3 @@ def poly_gcd(a: HPoly, b: HPoly) -> HPoly:
 def hpoly_to_json(p: HPoly):
     from .scalars import scalar_to_json
     return [[j, scalar_to_json(p.coeffs[j])] for j in sorted(p.coeffs)]
-
-
-def hpoly_from_json(obj, laurent=False):
-    from .scalars import scalar_from_json
-    cls = HLaurent if laurent else HPoly
-    return cls({int(j): scalar_from_json(c) for j, c in obj})

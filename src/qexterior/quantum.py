@@ -78,24 +78,7 @@ def j_preserves(w: Bivector) -> bool:
     """Check Lambda^2 J (w) = w for the standard complex structure."""
     if w.dim % 2:
         return False
-    jm = standard_j_matrix(w.dim)
-    wm = w.matrix()
-    dim = w.dim
-    for a in range(dim):
-        for b in range(dim):
-            val = 0
-            for i in range(dim):
-                if not jm[a][i]:
-                    continue
-                for j in range(dim):
-                    if jm[b][j] and wm[i][j]:
-                        val = val + jm[a][i] * jm[b][j] * wm[i][j]
-            lhs, rhs = val, wm[a][b]
-            if not lhs and not rhs:
-                continue
-            if lhs != rhs:
-                return False
-    return True
+    return transform_bivector(w, standard_j_matrix(w.dim)) == w
 
 
 def change_frame(a: HForm, rows) -> HForm:

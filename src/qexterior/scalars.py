@@ -17,8 +17,6 @@ def as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
@@ -145,7 +143,33 @@ def scalar_to_json(x):
     return str(as_fraction(x))
 
 
-def scalar_from_json(obj):
-    if isinstance(obj, dict):
-        return GRat(Fraction(obj["re"]), Fraction(obj["im"]))
-    return Fraction(obj)
+def as_scalar(c):
+    """``c`` as a base scalar: a Fraction or GRat as is, an int as a Fraction."""
+    if isinstance(c, (GRat, Fraction)):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"unsupported scalar {c!r}")
+
+
+def scalar_from_json(obj, what="scalar"):
+    """The exact scalar a JSON value encodes: an integer or a rational
+    string as a Fraction, an object {"re": x, "im": y} of those as a GRat.
+    Anything else, bools and floats included, raises ValueError."""
+    if isinstance(obj, dict) and obj.keys() == {"re", "im"}:
+        return GRat(_rational_from_json(obj["re"], what),
+                    _rational_from_json(obj["im"], what))
+    return _rational_from_json(obj, what)
+
+
+def _rational_from_json(x, what) -> Fraction:
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is str:
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{what} has a zero denominator: {x!r}") from None
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an exact scalar, got {x!r}")

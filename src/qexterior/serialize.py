@@ -14,6 +14,9 @@ Wire formats:
 * connections: {"rank": r, "theta": [[form, ...], ...]};
 * tables: per degree {"rank": r, "torsion": [...], "reps": [form-like]}.
 
+On input a JSON integer is also a scalar, and the loaders refuse anything
+else (bools and floats included) with ValueError.
+
 Every report embeds the convention block and the PRNG name, making output
 bytes a pure function of (command, config, seed).
 """
@@ -23,8 +26,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .coeffs import FourierCoeff, PolyCoeff, coeff_from_json, coeff_to_json
-from .forms import Bivector, HForm, _mask_from_indices, mask_indices
+from .coeffs import FourierCoeff, PolyCoeff, coeff_to_json
+from .forms import Bivector, HForm, mask_indices
 from .hpoly import hpoly_to_json
 from .models import AFFINE, TORUS, PoissonModel, darboux_matrix
 from .sampling import PRNG_NAME
@@ -52,28 +55,6 @@ def form_to_json(a: HForm):
     return out
 
 
-def form_from_json(obj, model: PoissonModel, laurent: bool = False) -> HForm:
-    terms = {}
-    for item in obj:
-        mask = _form_mask(item["indices"], model.dim)
-        coeff = coeff_from_json(item["coeff"], model.dim)
-        if not hasattr(coeff, "partial"):
-            coeff = model.coeff_const(coeff)
-        key = (_exact_int(item.get("h", 0), "form h-exponent"), mask)
-        terms[key] = terms.get(key, 0) + coeff
-    return HForm(model.dim, terms, laurent)
-
-
-def _form_mask(indices, dim) -> int:
-    """The mask of e^{i_1 .. i_k}; the indices must be strictly ascending
-    JSON integers in 1..dim, since any other order would flip the sign."""
-    indices = [_exact_int(i, "form index") for i in indices]
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise ValueError(f"form indices must be strictly ascending, "
-                         f"got {indices}")
-    return _mask_from_indices(indices, dim)
-
-
 def model_to_json(model: PoissonModel):
     biv = [[i, j, coeff_to_json(w)] for (i, j), w in
            sorted(model.w.entries.items())]
@@ -84,6 +65,12 @@ def model_to_json(model: PoissonModel):
     return out
 
 
+# -- decoding ------------------------------------------------------------------
+# The loaders below are the only way JSON input reaches the engine.  Each
+# checks the shape of what it reads and raises ValueError on anything else,
+# so malformed input never surfaces as a TypeError, KeyError or IndexError.
+
+
 def _exact_int(x, what) -> int:
     """``x`` itself when it is a JSON integer; bools, floats and strings
     are refused rather than rounded or parsed."""
@@ -92,18 +79,93 @@ def _exact_int(x, what) -> int:
     return x
 
 
+def _list(x, what) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, got {x!r}")
+    return x
+
+
+def _object(x, what) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} must be a JSON object, not "
+                         f"{type(x).__name__}")
+    return x
+
+
+def _coeff_from_json(obj, kind, dim, what):
+    """A coefficient function on a ``kind`` model: an exact scalar as a
+    constant, or {"poly": terms} on affine and {"fourier": terms} on torus
+    models, with terms [[[k1..km], scalar], ...] keyed by JSON integers."""
+    cls, name = (PolyCoeff, "poly") if kind == AFFINE else \
+        (FourierCoeff, "fourier")
+    if not (isinstance(obj, dict) and len(obj) == 1
+            and ("poly" in obj or "fourier" in obj)):
+        return cls.const(dim, scalar_from_json(obj, what))
+    if name not in obj:
+        raise ValueError(f"{what} must be a scalar or a {name!r} "
+                         f"coefficient on {kind} models, got {obj!r}")
+    terms = {}
+    for term in _list(obj[name], what):
+        if not (isinstance(term, list) and len(term) == 2
+                and isinstance(term[0], list)):
+            raise ValueError(f"{what} terms must be [[k1..k{dim}], scalar] "
+                             f"pairs, got {term!r}")
+        key = tuple(_exact_int(k, f"{name} key") for k in term[0])
+        terms[key] = scalar_from_json(term[1], what)
+    return cls(dim, terms)
+
+
+def _form_mask(indices, dim) -> int:
+    """The mask of e^{i_1 .. i_k}; the indices must be strictly ascending
+    JSON integers in 1..dim, since any other order would flip the sign."""
+    indices = [_exact_int(i, "form index")
+               for i in _list(indices, "form indices")]
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"form indices must be strictly ascending, "
+                         f"got {indices}")
+    if indices and not 1 <= indices[0] <= indices[-1] <= dim:
+        raise ValueError(f"form index out of range 1..{dim}: {indices}")
+    return sum(1 << (i - 1) for i in indices)
+
+
+def form_from_json(obj, model: PoissonModel, laurent: bool = False) -> HForm:
+    terms = {}
+    for item in _list(obj, "a form"):
+        if not (isinstance(item, dict) and "indices" in item
+                and "coeff" in item):
+            raise ValueError(f"form terms must be objects with \"indices\" "
+                             f"and \"coeff\", got {item!r}")
+        mask = _form_mask(item["indices"], model.dim)
+        coeff = _coeff_from_json(item["coeff"], model.kind, model.dim,
+                                 "form coefficient")
+        key = (_exact_int(item.get("h", 0), "form h-exponent"), mask)
+        terms[key] = terms.get(key, 0) + coeff
+    return HForm(model.dim, terms, laurent)
+
+
+def _symplectic_from_json(rows, dim):
+    """A dim x dim list of rows of real exact scalars."""
+    if not (isinstance(rows, list) and len(rows) == dim and all(
+            isinstance(row, list) and len(row) == dim for row in rows)):
+        raise ValueError(f"symplectic must be \"darboux\" or a {dim}x{dim} "
+                         f"list of rows, got {rows!r}")
+    out = [[scalar_from_json(x, "symplectic entry") for x in row]
+           for row in rows]
+    if any(not isinstance(x, Fraction) for row in out for x in row):
+        raise ValueError(f"symplectic entries must be real, got {rows!r}")
+    return out
+
+
 def model_from_json(obj) -> PoissonModel:
-    if not isinstance(obj, dict):
-        raise ValueError(f"a model must be a JSON object, not "
-                         f"{type(obj).__name__}")
+    _object(obj, "a model")
     kind = obj.get("space")
     if kind not in (AFFINE, TORUS):
         raise ValueError(f"unknown space {kind!r}")
-    dim = _exact_int(obj["dim"], "model dimension")
+    dim = _exact_int(obj.get("dim"), "model dimension")
     if dim < 1:
         raise ValueError(f"model dimension must be at least 1, got {dim}")
     entries = {}
-    for item in obj.get("bivector", []):
+    for item in _list(obj.get("bivector", []), "model bivector"):
         if not isinstance(item, list) or len(item) != 3:
             raise ValueError(f"bivector entries must be [i, j, coeff] "
                              f"triples, got {item!r}")
@@ -112,14 +174,8 @@ def model_from_json(obj) -> PoissonModel:
         if not 1 <= i < j <= dim:
             raise ValueError(f"bivector indices must satisfy 1 <= i < j <= "
                              f"{dim}, got [{i}, {j}]")
-        c = coeff_from_json(item[2], dim)
-        cls = PolyCoeff if kind == AFFINE else FourierCoeff
-        if not hasattr(c, "partial"):
-            c = cls.const(dim, c)
-        elif not isinstance(c, cls):
-            raise ValueError("bivector coefficient class does not match "
-                             "the space kind")
-        entries[(i, j)] = c
+        entries[(i, j)] = _coeff_from_json(item[2], kind, dim,
+                                           "bivector coefficient")
     symp = obj.get("symplectic")
     if symp == "darboux":
         if dim % 2:
@@ -133,49 +189,40 @@ def model_from_json(obj) -> PoissonModel:
                        for i in range(dim) for j in range(i + 1, dim)
                        if dual[i][j]}
     elif symp is not None:
-        symp = [[Fraction(x) for x in row] for row in symp]
+        symp = _symplectic_from_json(symp, dim)
+    complex_structure = obj.get("complex", False)
+    if type(complex_structure) is not bool:
+        raise ValueError(f"complex must be true or false, got "
+                         f"{complex_structure!r}")
     w = Bivector(dim, entries)
     return PoissonModel(kind, dim, w, symplectic=symp,
-                        complex_structure=bool(obj.get("complex", False)))
-
-
-def _exact_scalar(x, what):
-    """A JSON integer, rational string or {"re", "im"} object as an exact
-    scalar; bools, floats and coefficient functions are refused."""
-    parts = [x.get("re"), x.get("im")] if isinstance(x, dict) else [x]
-    if any(type(p) not in (int, str) for p in parts):
-        raise ValueError(f"{what} must be an exact scalar, got {x!r}")
-    try:
-        return scalar_from_json(x)
-    except ZeroDivisionError:
-        raise ValueError(f"{what} has a zero denominator: {x!r}") from None
+                        complex_structure=complex_structure)
 
 
 def action_from_json(obj, model: PoissonModel):
     from .equivariant import GroupAction
-    if not isinstance(obj, dict):
-        raise ValueError(f"an action must be a JSON object, not "
-                         f"{type(obj).__name__}")
-    rows = obj.get("generators", [])
-    if not isinstance(rows, list):
-        raise ValueError(f"action generators must be a list, got {rows!r}")
+    _object(obj, "an action")
     gens = []
-    for row in rows:
+    for row in _list(obj.get("generators", []), "action generators"):
         if not isinstance(row, list) or len(row) != model.dim:
             raise ValueError(f"each generator must list {model.dim} "
                              f"components, got {row!r}")
-        gens.append([_exact_scalar(c, "generator component") for c in row])
+        gens.append([scalar_from_json(c, "generator component") for c in row])
     return GroupAction(model, gens)
 
 
 def connection_from_json(obj, model: PoissonModel):
     from .chern import QConnection
-    rank = int(obj["rank"])
-    theta = obj["theta"]
+    _object(obj, "a connection")
+    rank = _exact_int(obj.get("rank"), "connection rank")
+    if rank < 1:
+        raise ValueError(f"connection rank must be at least 1, got {rank}")
+    theta = _list(obj.get("theta"), "connection theta")
     if len(theta) != rank:
-        raise ValueError("theta does not match rank")
-    mat = [[form_from_json(cell, model) for cell in row] for row in theta]
-    return QConnection(model, mat)
+        raise ValueError(f"connection theta has {len(theta)} rows, not {rank}")
+    return QConnection(model, [[form_from_json(cell, model) for cell in
+                                _list(row, "connection theta row")]
+                               for row in theta])
 
 
 def _rep_to_jsonable(labels, vec):

@@ -8,6 +8,7 @@ exact: a single mismatching coefficient is a failure.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import cycle
 
 from .calculus import (dolbeault_operators, exterior_d, frame_formula_d,
                        koszul_delta, quantum_d, stokes_check)
@@ -107,18 +108,13 @@ def _koszul_models(s: Sampler):
 def suite_koszul(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("koszul", trials)
     models = [model] if model is not None else _koszul_models(s)
-    t = 0
-    while t < trials:
-        for m in models:
-            a = s.model_form(m)
-            dd = koszul_delta(koszul_delta(a, m), m)
-            anti = exterior_d(koszul_delta(a, m)) + koszul_delta(exterior_d(a), m)
-            res.checked += 1
-            if dd or anti:
-                res.fail({"trial": t, "model": repr(m), "form": str(a)})
-            t += 1
-            if t >= trials:
-                break
+    for t, m in zip(range(trials), cycle(models)):
+        a = s.model_form(m)
+        dd = koszul_delta(koszul_delta(a, m), m)
+        anti = exterior_d(koszul_delta(a, m)) + koszul_delta(exterior_d(a), m)
+        res.checked += 1
+        if dd or anti:
+            res.fail({"trial": t, "model": repr(m), "form": str(a)})
     return res
 
 
@@ -126,23 +122,18 @@ def suite_leibniz(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("leibniz", trials)
     models = [model] if model is not None else \
         [s.jacobi_model("constant"), s.jacobi_model("so3")]
-    t = 0
-    while t < trials:
-        for m in models:
-            da = s.rng.randint(0, m.dim)
-            a = s.model_form(m, degree=da)
-            b = s.model_form(m, degree=s.rng.randint(0, m.dim))
-            lhs = quantum_d(qwedge(a, b, m.w), m)
-            sign = Fraction(-1 if da % 2 else 1)
-            rhs = qwedge(quantum_d(a, m), b, m.w) + \
-                qwedge(a, quantum_d(b, m), m.w) * sign
-            d2 = quantum_d(quantum_d(a, m), m)
-            res.checked += 1
-            if lhs != rhs or d2:
-                res.fail({"trial": t, "model": repr(m), "a": str(a), "b": str(b)})
-            t += 1
-            if t >= trials:
-                break
+    for t, m in zip(range(trials), cycle(models)):
+        da = s.rng.randint(0, m.dim)
+        a = s.model_form(m, degree=da)
+        b = s.model_form(m, degree=s.rng.randint(0, m.dim))
+        lhs = quantum_d(qwedge(a, b, m.w), m)
+        sign = Fraction(-1 if da % 2 else 1)
+        rhs = qwedge(quantum_d(a, m), b, m.w) + \
+            qwedge(a, quantum_d(b, m), m.w) * sign
+        d2 = quantum_d(quantum_d(a, m), m)
+        res.checked += 1
+        if lhs != rhs or d2:
+            res.fail({"trial": t, "model": repr(m), "a": str(a), "b": str(b)})
     return res
 
 
@@ -163,16 +154,11 @@ def suite_stokes(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("stokes", trials)
     models = [model] if model is not None else \
         [PoissonModel.darboux_torus(1), PoissonModel.darboux_torus(2)]
-    t = 0
-    while t < trials:
-        for m in models:
-            a = s.model_form(m)
-            res.checked += 1
-            if not stokes_check(a, m):
-                res.fail({"trial": t, "model": repr(m), "form": str(a)})
-            t += 1
-            if t >= trials:
-                break
+    for t, m in zip(range(trials), cycle(models)):
+        a = s.model_form(m)
+        res.checked += 1
+        if not stokes_check(a, m):
+            res.fail({"trial": t, "model": repr(m), "form": str(a)})
     return res
 
 

@@ -83,6 +83,13 @@ class TestCheck:
         r = run_cli(["check", "--suite", "frame", "--model", str(bad)])
         assert r.returncode == 2
 
+    def test_deeply_nested_model_exits_two(self, capsys, tmp_path):
+        # json raises RecursionError, not ValueError, on deep nesting
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        assert "cannot load" in cli_error(capsys, ["cohomology", "--model",
+                                                   str(bad)])
+
     @pytest.mark.parametrize("body,message", [
         ([1, 2], "JSON object"),
         ({"space": "torus", "dim": -2}, "dimension"),
@@ -448,6 +455,135 @@ class TestFormLoader:
         t2 = PoissonModel.darboux_torus(1)
         form = form_from_json([{"indices": [1, 2], "h": 1, "coeff": "3"}], t2)
         assert form == t2.form_monomial([1, 2], h=1) * Fraction(3)
+
+
+# Input a lenient loader misreads: a float as a nearby rational, a bool as
+# 0 or 1, a string as true, a ragged matrix as an IndexError, a rank-0
+# connection as a vacuous pass, a coefficient of the other space kind as
+# valid.  Each must exit 2 with a message that names the problem.
+DARBOUX = {"space": "torus", "dim": 2, "symplectic": "darboux"}
+BAD_MODELS = [
+    ({**DARBOUX, "symplectic": None, "bivector": [[1, 2, 0.1]]},
+     "exact scalar"),
+    ({**DARBOUX, "symplectic": [[0, 0.5], [-0.5, 0]], "bivector": [[1, 2, -2]]},
+     "exact scalar"),
+    ({**DARBOUX, "symplectic": [[False, True], [-1, 0]],
+      "bivector": [[1, 2, -1]]}, "exact scalar"),
+    ({**DARBOUX, "symplectic": [[0, 1], [-1]]}, "2x2 list of rows"),
+    ({**DARBOUX, "symplectic": [[0, {"re": 1, "im": 0}], [-1, 0]],
+      "bivector": [[1, 2, -1]]}, "must be real"),
+    ({**DARBOUX, "complex": "no"}, "complex must be true or false"),
+    ({"space": "affine", "dim": 2,
+      "bivector": [[1, 2, {"poly": [[[1.9, 0], "1"]]}]]},
+     "poly key must be an integer"),
+]
+BAD_FORM_COEFFS = [
+    (0.5, "exact scalar"),
+    ({"re": True, "im": "0"}, "exact scalar"),
+    ({"fourier": [[[0.5, 0], "1"]]}, "fourier key must be an integer"),
+    ({"fourier": [[[True, False], "1"]]}, "fourier key must be an integer"),
+    ({"poly": [[[0, 0], "1"]]}, "'fourier' coefficient on torus models"),
+]
+BAD_FORM_FILES = [
+    ([5], "form terms must be objects"),
+    ([{"coeff": "1"}], "form terms must be objects"),
+    ({"indices": [1]}, "a form must be a list"),
+]
+BAD_CONNECTIONS = [
+    ({"rank": 1.7, "theta": [[[]]]}, "rank must be an integer"),
+    ({"rank": True, "theta": [[[]]]}, "rank must be an integer"),
+    ({"rank": 0, "theta": []}, "rank must be at least 1"),
+    ({"rank": 1, "theta": [[]]}, "must be square"),
+    ({"rank": 1, "theta": [5]}, "theta row must be a list"),
+]
+
+
+def write_json(path, body):
+    path = Path(path)
+    path.write_text(json.dumps(body), encoding="utf-8")
+    return str(path)
+
+
+class TestStrictInputs:
+    @pytest.mark.parametrize("body,message", BAD_MODELS,
+                             ids=["float-bivector", "float-symplectic",
+                                  "bool-symplectic", "ragged-symplectic",
+                                  "complex-symplectic", "string-complex",
+                                  "float-poly-key"])
+    def test_bad_model_exits_two(self, capsys, tmp_path, body, message):
+        model = write_json(tmp_path / "model.json", body)
+        assert message in cli_error(capsys, ["check", "--suite", "koszul",
+                                             "--trials", "1", "--model", model])
+
+    @pytest.mark.parametrize("coeff,message", BAD_FORM_COEFFS,
+                             ids=["float", "bool-re", "float-key", "bool-key",
+                                  "poly-on-torus"])
+    def test_bad_form_coefficient_exits_two(self, capsys, inputs, coeff,
+                                            message):
+        form = write_json(inputs["FORM"], [{"indices": [], "coeff": coeff}])
+        assert message in cli_error(capsys, ["integral", "--model",
+                                             inputs["T2"], "--form", form])
+
+    @pytest.mark.parametrize("body,message", BAD_FORM_FILES,
+                             ids=["int-term", "no-indices", "object"])
+    def test_bad_form_file_exits_two(self, capsys, inputs, body, message):
+        form = write_json(inputs["FORM"], body)
+        assert message in cli_error(capsys, ["integral", "--model",
+                                             inputs["T2"], "--form", form])
+
+    @pytest.mark.parametrize("body,message", BAD_CONNECTIONS,
+                             ids=["float-rank", "bool-rank", "rank-0",
+                                  "short-row", "int-row"])
+    def test_bad_connection_exits_two(self, capsys, inputs, body, message):
+        conn = write_json(inputs["CONN"], body)
+        assert message in cli_error(capsys, ["chern", "--model", inputs["T2"],
+                                             "--connection", conn])
+
+    def test_connection_coefficient_matches_space(self, capsys, inputs,
+                                                  tmp_path):
+        model = write_json(tmp_path / "r2.json",
+                           {**DARBOUX, "space": "affine"})
+        term = {"indices": [1], "coeff": {"fourier": [[[0, 0], "1"]]}}
+        conn = write_json(inputs["CONN"], {"rank": 1, "theta": [[[term]]]})
+        assert "'poly' coefficient on affine models" in cli_error(
+            capsys, ["chern", "--model", model, "--connection", conn])
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyError, TypeError])
+    def test_internal_error_exits_three(self, capsys, monkeypatch, inputs,
+                                        tmp_path, exc):
+        import qexterior.cohomology
+
+        def broken(*_args, **_kwargs):
+            raise exc("engine fault")
+
+        monkeypatch.setattr(qexterior.cohomology, "quantum_derham_table",
+                            broken)
+        out = tmp_path / "out.json"
+        rc = main(["cohomology", "--model", inputs["T2"], "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == "" and "Traceback" not in captured.err
+        err = json.loads(captured.err)
+        assert err["error"]["code"] == 3
+        assert exc.__name__ in err["error"]["message"]
+        assert err["error"]["traceback"][-1].endswith(" in broken")
+        assert json.loads(out.read_text()) == err
+
+    def test_property_failure_is_the_only_exit_one(self, capsys, inputs):
+        # the same suite machinery exits 1 on a failed property and 2 on a
+        # precondition the model violates
+        assert main(["check", "--suite", "negative-control", "--trials", "2",
+                     "--out", "/dev/null"]) == 1
+        assert "complex structure" in cli_error(
+            capsys, ["check", "--suite", "dolbeault", "--trials", "1",
+                     "--model", inputs["T2"]])
+
+    def test_unwritable_out_exits_two(self, capsys, inputs, tmp_path):
+        message = cli_error(capsys, ["cohomology", "--model", inputs["T2"],
+                                     "--out", str(tmp_path / "no" / "x.json")])
+        assert "cannot write the report" in message
 
 
 class TestSerialization:
