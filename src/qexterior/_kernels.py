@@ -22,11 +22,25 @@ T in ascending order from the front of e^J, and wedging the remainders.
 Which (S, T, sign) feed which output monomial depends only on the mask
 pair (:func:`qwedge_plan`); the minors and their signed sums depend on the
 bivector (:class:`QTable`).
+
+When the bivector entries and both forms' coefficients are all Fractions,
+the product runs in integers (fraction-free, as in Bareiss elimination):
+the table holds D W with D the lcm of the entry denominators, so a minor
+of order k is an int over D^k; each form is scaled to int numerators over
+the lcm of its denominators; and every term is summed as one int over the
+common denominator la lb D^K (K the largest contraction order).  One
+normalized Fraction is built per output term.  Every other combination of
+coefficient types (GRat, PolyCoeff, FourierCoeff, ints, mixtures) runs the
+generic loop in the coefficients' own arithmetic.  Under a bivector with
+entries, every output coefficient there has the type of coefficient x
+entry, h^0 terms included.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 def kernel_backend() -> str:
@@ -171,21 +185,39 @@ class QTable:
     coefficient of h^k e^mask in e^ma ^_h e^mb; for k = 0 the coefficient
     is the wedge sign +-1.  Minors are memoized and expanded along their
     lowest row; both memos fill on first use.
+
+    A table built from all-Fraction entries is rational: ``D`` is the lcm
+    of their denominators and the rows hold the integer matrix D W, so
+    its minors det (D W)[S, T] = D^k det W[S, T] and product sums are
+    ints.  ``fraction_product`` reads them back as Fractions.  Any other
+    table has ``D = None`` and rows of the entries themselves.  ``one`` is
+    the unit of the entry type (None without entries).
     """
 
-    __slots__ = ("rows", "minors", "products")
+    __slots__ = ("rows", "D", "one", "minors", "products", "fractions",
+                 "promotions")
 
-    def __init__(self, dim: int, entries: tuple):
+    def __init__(self, dim: int, D, entries: tuple):
         rows = [[] for _ in range(dim)]
-        for i, j, _kind, w in entries:
+        for i, j, *_, w in entries:
             rows[i - 1].append((j - 1, w))
             rows[j - 1].append((i - 1, -w))
         self.rows = rows
+        self.D = D
+        if not entries:
+            self.one = None
+        elif D is None:
+            self.one = entries[0][-1] * 0 + 1
+        else:
+            self.one = Fraction(1)
         self.minors = {}
         self.products = {}
+        self.fractions = {}
+        self.promotions = {}
 
     def minor(self, S: int, T: int):
-        """det W[S, T] for row and column masks of equal size (0 if zero)."""
+        """det W[S, T] for row and column masks of equal size (0 if zero);
+        det (D W)[S, T] on a rational table."""
         key = (S, T)
         d = self.minors.get(key)
         if d is not None:
@@ -230,6 +262,29 @@ class QTable:
         self.products[(ma, mb)] = out
         return out
 
+    def fraction_product(self, ma: int, mb: int) -> list:
+        """``product`` of a rational table with each h^k coefficient, k > 0,
+        divided back by D^k into a Fraction."""
+        expansion = self.products.get((ma, mb))
+        if expansion is None:
+            expansion = self.product(ma, mb)
+        D = self.D
+        out = [(k, mask, Fraction(d, D ** k) if k else d)
+               for k, mask, d in expansion]
+        self.fractions[(ma, mb)] = out
+        return out
+
+    def promotes(self, ca, cb) -> bool:
+        """Whether h^0 terms of ca * cb, which meet no entry, must be
+        multiplied by ``one`` to take the type of coefficient x entry;
+        decided once per pair of coefficient types."""
+        key = (type(ca), type(cb))
+        p = self.promotions.get(key)
+        if p is None:
+            c = ca * cb
+            p = self.promotions[key] = type(c * self.one) is not type(c)
+        return p
+
 
 _qtable = lru_cache(maxsize=_QTABLES)(QTable)
 
@@ -238,23 +293,60 @@ def qwedge_table(dim: int, entries: dict) -> QTable:
     """The table of the bivector with entries {(i, j): w^{ij}} (1-based).
 
     Tables are looked up by the entry values, so a caller may mutate a
-    bivector between calls.  The key holds each value's type too: equal
-    values of different types (Fraction(2), GRat(2)) must not share a
-    table, since the products carry the type of the entries.
+    bivector between calls.  All-Fraction entries are keyed by their
+    integer data ``(D, ((i, j, numerator of D w^{ij}), ..))``; any other
+    key holds each value's type too: equal values of different types
+    (Fraction(2), GRat(2)) must not share a table, since the products
+    carry the type of the entries.
     """
-    return _qtable(dim, tuple((i, j, type(w), w)
-                              for (i, j), w in sorted(entries.items())))
+    items = sorted(entries.items())
+    D = 1
+    for _ij, w in items:
+        if type(w) is not Fraction:
+            return _qtable(dim, None, tuple((i, j, type(w), w)
+                                            for (i, j), w in items))
+        D = lcm(D, w.denominator)
+    return _qtable(dim, D, tuple((i, j, w.numerator * (D // w.denominator))
+                                 for (i, j), w in items))
+
+
+def _numerators(terms: dict):
+    """(l, {key: l c}) with l the lcm of the denominators of an all-Fraction
+    term dict; None if some coefficient is not a Fraction."""
+    l = 1
+    for c in terms.values():
+        if type(c) is not Fraction:
+            return None
+        l = lcm(l, c.denominator)
+    return l, {key: c.numerator * (l // c.denominator)
+               for key, c in terms.items()}
 
 
 def qwedge_terms(A: dict, B: dict, table: QTable) -> dict:
-    """Quantum exterior product of two term dicts under one bivector table."""
-    products = table.products
+    """Quantum exterior product of two term dicts under one bivector table.
+
+    When the table is rational and both dicts are all-Fraction, the sums
+    run in ints over one common denominator; otherwise each term is
+    multiplied out in the coefficients' own arithmetic.
+    """
+    if table.D is not None:
+        na, nb = _numerators(A), _numerators(B)
+        if na and nb:
+            return _qwedge_integer(na, nb, table)
+        memo, expand = table.fractions, table.fraction_product
+    else:
+        memo, expand = table.products, table.product
+    # With entries, every coefficient has the type of coefficient x entry.
+    one = table.one
+    promote = (one is not None and bool(A) and bool(B)
+               and table.promotes(next(iter(A.values())),
+                                  next(iter(B.values()))))
     out = {}
     for (ja, ma), ca in A.items():
         for (jb, mb), cb in B.items():
-            expansion = products.get((ma, mb))
+            expansion = memo.get((ma, mb))
             if expansion is None:
-                expansion = table.product(ma, mb)
+                expansion = expand(ma, mb)
             if not expansion:
                 continue
             c = ca * cb
@@ -262,10 +354,10 @@ def qwedge_terms(A: dict, B: dict, table: QTable) -> dict:
             for k, mask, d in expansion:
                 if k:
                     cc = c * d
-                elif d < 0:
-                    cc = -c
                 else:
-                    cc = c
+                    cc = c * one if promote else c
+                    if d < 0:
+                        cc = -cc
                 key = (j + k, mask)
                 s = out.get(key)
                 s = cc if s is None else s + cc
@@ -274,3 +366,41 @@ def qwedge_terms(A: dict, B: dict, table: QTable) -> dict:
                 else:
                     out.pop(key, None)
     return out
+
+
+def _qwedge_integer(na: tuple, nb: tuple, table: QTable) -> dict:
+    """``qwedge_terms`` of all-Fraction dicts under a rational table.
+
+    With A = NA / la, B = NB / lb and det W[S, T] = det (D W)[S, T] / D^k,
+    every term is an int over la lb D^K, K the largest contraction order,
+    once an order-k term is scaled by D^(K-k).  Zero partial sums are
+    dropped as in the generic loop, so the keys come out in the same order.
+    """
+    la, A = na
+    lb, B = nb
+    if not (A and B):
+        return {}
+    K = min(max(m.bit_count() for _j, m in A),
+            max(m.bit_count() for _j, m in B))
+    D = table.D
+    scale = [D ** (K - k) for k in range(K + 1)]
+    products = table.products
+    out = {}
+    for (ja, ma), a in A.items():
+        for (jb, mb), b in B.items():
+            expansion = products.get((ma, mb))
+            if expansion is None:
+                expansion = table.product(ma, mb)
+            if not expansion:
+                continue
+            c = a * b
+            j = ja + jb
+            for k, mask, d in expansion:
+                key = (j + k, mask)
+                s = out.get(key, 0) + c * d * scale[k]
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+    den = la * lb * scale[0]
+    return {key: Fraction(n, den) for key, n in out.items()}

@@ -7,6 +7,7 @@ Gaussian rational ``re + im*i`` with Fraction parts.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 RatLike = (int, Fraction)
@@ -152,10 +153,21 @@ def as_scalar(c):
     raise TypeError(f"unsupported scalar {c!r}")
 
 
+# Budget of a rational string: at most this many characters and a decimal
+# exponent of at most this size, Python's default limit on the digits of an
+# int read from a string.  Fraction expands an exponent in full, so
+# "1e4000000" would cost seconds; within the budget a string costs little.
+RATIONAL_BUDGET = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def scalar_from_json(obj, what="scalar"):
     """The exact scalar a JSON value encodes: an integer or a rational
     string as a Fraction, an object {"re": x, "im": y} of those as a GRat.
-    Anything else, bools and floats included, raises ValueError."""
+    A rational string longer than ``RATIONAL_BUDGET`` characters or with a
+    decimal exponent beyond +-``RATIONAL_BUDGET`` is refused before it is
+    parsed.  Anything else, bools and floats included, raises ValueError."""
     if isinstance(obj, dict) and obj.keys() == {"re", "im"}:
         return GRat(_rational_from_json(obj["re"], what),
                     _rational_from_json(obj["im"], what))
@@ -166,6 +178,13 @@ def _rational_from_json(x, what) -> Fraction:
     if type(x) is int:
         return Fraction(x)
     if type(x) is str:
+        if len(x) > RATIONAL_BUDGET:
+            raise ValueError(f"{what} is longer than {RATIONAL_BUDGET} "
+                             f"characters")
+        exp = _EXPONENT.search(x)
+        if exp and abs(int(exp.group(1))) > RATIONAL_BUDGET:
+            raise ValueError(f"{what} has a decimal exponent beyond "
+                             f"{RATIONAL_BUDGET}: {x!r}")
         try:
             return Fraction(x)
         except ZeroDivisionError:

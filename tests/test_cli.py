@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -538,6 +539,21 @@ class TestStrictInputs:
         conn = write_json(inputs["CONN"], body)
         assert message in cli_error(capsys, ["chern", "--model", inputs["T2"],
                                              "--connection", conn])
+
+    @pytest.mark.parametrize("coeff,message", [
+        ("1e9999999", "decimal exponent beyond 4300"),
+        ("-3/2E-9999999", "decimal exponent beyond 4300"),
+        ("1" * 4301, "longer than 4300 characters"),
+    ], ids=["exponent", "negative-exponent", "long"])
+    def test_rational_string_budget(self, capsys, tmp_path, coeff, message):
+        # Fraction would expand the exponent in full, taking seconds.
+        model = write_json(tmp_path / "model.json",
+                           {**DARBOUX, "symplectic": None,
+                            "bivector": [[1, 2, coeff]]})
+        start = time.perf_counter()
+        got = cli_error(capsys, ["cohomology", "--model", model])
+        assert time.perf_counter() - start < 0.5
+        assert message in got
 
     def test_connection_coefficient_matches_space(self, capsys, inputs,
                                                   tmp_path):

@@ -248,6 +248,128 @@ class TestMinorExpansion:
                 typed_terms(qwedge_bruteforce(a, b, model.w))
 
 
+# Pairwise coprime denominators: the common denominators of a table and of
+# a form are products of several, so a wrong scale or lcm shows.
+DENS = (7, 11, 13)
+
+
+def rational(s: Sampler, big: bool) -> Fraction:
+    bound = 10 ** 30 if big else 6
+    return Fraction(s.rng.randint(-bound, bound), s.rng.choice(DENS))
+
+
+def rational_bivector(s: Sampler, dim: int, big: bool) -> Bivector:
+    return Bivector(dim, {(i, j): rational(s, big)
+                          for i in range(1, dim + 1)
+                          for j in range(i + 1, dim + 1)
+                          if s.rng.random() < 0.7})
+
+
+def rational_form(s: Sampler, dim: int, big: bool, terms: int = 3,
+                  degree=None, h=(0, 1), laurent=False) -> HForm:
+    data = {}
+    for _ in range(terms):
+        d = s.rng.randint(0, dim) if degree is None else degree
+        key = (s.rng.randint(*h), s.mask(dim, d))
+        data[key] = data.get(key, Fraction(0)) + rational(s, big)
+    return HForm(dim, data, laurent)
+
+
+class TestIntegerProduct:
+    """All-Fraction products run in ints over one common denominator; the
+    oracles still see Fractions, term for term and type for type."""
+
+    @pytest.mark.parametrize("big", [False, True])
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_matches_oracles(self, dim, big):
+        s = Sampler(2000 + 10 * dim + big)
+        for _ in range(6 if dim > 4 else 10):
+            w = rational_bivector(s, dim, big)
+            a = rational_form(s, dim, big, terms=s.rng.randint(1, 3))
+            b = rational_form(s, dim, big, terms=s.rng.randint(1, 3))
+            got = typed_terms(qwedge(a, b, w))
+            assert got == typed_terms(qwedge_cascade(a, b, w))
+            if dim <= 4:
+                assert got == typed_terms(qwedge_bruteforce(a, b, w))
+
+    def test_laurent_negative_exponents(self):
+        s = Sampler(2100)
+        for t in range(24):
+            dim = 1 + t % 6
+            big = t % 2 == 1
+            w = rational_bivector(s, dim, big)
+            a = rational_form(s, dim, big, h=(-2, 1), laurent=True)
+            b = rational_form(s, dim, big, h=(-1, 2), laurent=True)
+            got = typed_terms(qwedge(a, b, w))
+            assert got == typed_terms(qwedge_cascade(a, b, w))
+            if dim <= 3:
+                assert got == typed_terms(qwedge_bruteforce(a, b, w))
+
+    def test_empty_forms_and_zero_bivector(self):
+        s = Sampler(2101)
+        for dim in range(1, 9):
+            w = rational_bivector(s, dim, True)
+            a = rational_form(s, dim, True)
+            zero = HForm.zero(dim)
+            for x, y in ((zero, a), (a, zero), (zero, zero)):
+                assert typed_terms(qwedge(x, y, w)) == typed_terms(zero)
+            b = rational_form(s, dim, True)
+            assert typed_terms(qwedge(a, b, Bivector.zero(dim))) == \
+                typed_terms(wedge(a, b))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_one_side_h0_only(self, side):
+        # Degree-0 masks on one side: no contraction at all (K = 0).  And
+        # h-exponent 0 on one side against higher powers on the other.
+        s = Sampler(2102 + (side == "right"))
+        for t in range(24):
+            dim = 1 + t % 8
+            w = rational_bivector(s, dim, t % 2 == 1)
+            flat = rational_form(s, dim, True, degree=0 if t % 3 else None,
+                                 h=(0, 0))
+            other = rational_form(s, dim, True, h=(0, 2))
+            a, b = (flat, other) if side == "left" else (other, flat)
+            got = typed_terms(qwedge(a, b, w))
+            assert got == typed_terms(qwedge_cascade(a, b, w))
+            if dim <= 3:
+                assert got == typed_terms(qwedge_bruteforce(a, b, w))
+
+
+class TestMixedTypes:
+    """Under a bivector with entries, every coefficient of a product has the
+    type of coefficient x entry, h^0 terms included."""
+
+    def test_one_coefficient_type_per_product(self):
+        s = Sampler(2200)
+        so3 = s.jacobi_model("so3")
+        count = 0
+        for t in range(60):
+            case = t % 4
+            dim = 3 if case >= 2 else 2 + t % 5
+            a = s.ext_form(dim, terms=3, h_max=1)
+            b = s.ext_form(dim, terms=3, h_max=1)
+            if case == 0:
+                w = s.antisymmetric_bivector(dim).map_entries(
+                    lambda x: GRat(x, s.fraction()))
+            elif case == 1:
+                w = s.antisymmetric_bivector(dim)
+                a, b = a.map_coeffs(int), b.map_coeffs(int)
+            elif case == 2:
+                w = so3.w
+            else:
+                w = so3.w
+                a, b = grat_form(s, a), grat_form(s, b)
+            got = qwedge(a, b, w)
+            assert got == qwedge_cascade(a, b, w)
+            if not (w.entries and got):
+                continue
+            c = next(iter(a.terms.values()))
+            expect = type(c * next(iter(w.entries.values())))
+            assert {type(x) for x in got.terms.values()} == {expect}
+            count += 1
+        assert count >= 40
+
+
 class TestQwedgeTable:
     """The per-bivector table is looked up by value, never by identity."""
 
@@ -278,6 +400,11 @@ class TestQwedgeTable:
         for entry in (Fraction(2), GRat(2), Fraction(2)):
             got = qwedge(e1, e2, Bivector(2, {(1, 2): entry}))
             assert type(got.coeff(h=1)) is type(entry)
+        rational = K.qwedge_table(2, {(1, 2): Fraction(2)})
+        gaussian = K.qwedge_table(2, {(1, 2): GRat(2)})
+        assert rational is not gaussian
+        assert rational is K.qwedge_table(2, {(1, 2): Fraction(2)})
+        assert (rational.D, gaussian.D) == (1, None)
 
     def test_caches_stay_bounded(self):
         s = Sampler(94)

@@ -66,6 +66,15 @@ class TestGRat:
         q = Fraction(9, 4)
         assert scalar_from_json(scalar_to_json(q)) == q
 
+    @pytest.mark.parametrize("text,value", [
+        ("1e4300", Fraction(10) ** 4300),
+        (" -2.5E-4_300 ", Fraction(-25, 10) / Fraction(10) ** 4300),
+        ("7" * 4300, Fraction(int("7" * 4300))),
+        ("3/4", Fraction(3, 4)),
+    ])
+    def test_rational_strings_within_budget(self, text, value):
+        assert scalar_from_json(text) == value
+
 
 class TestHPoly:
     def test_grading_and_basics(self):
