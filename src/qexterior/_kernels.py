@@ -89,31 +89,15 @@ def wedge_terms(A: dict, B: dict) -> dict:
     return out
 
 
-def contract_front_terms(terms: dict, i: int) -> dict:
-    """e_i |- form on a term dict (0-based index i)."""
+def contract_terms(terms: dict, i: int, sign_of) -> dict:
+    """A contraction by e_i on a term dict (0-based index i): the front one
+    e_i |- form when ``sign_of`` is :func:`front_sign`, the back one
+    form -| e_i when it is :func:`back_sign`."""
     bit = 1 << i
     out = {}
     for (j, m), c in terms.items():
         if m & bit:
-            if front_sign(m, i) < 0:
-                c = -c
-            key = (j, m ^ bit)
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def contract_back_terms(terms: dict, i: int) -> dict:
-    """form -| e_i on a term dict (0-based index i)."""
-    bit = 1 << i
-    out = {}
-    for (j, m), c in terms.items():
-        if m & bit:
-            if back_sign(m, i) < 0:
+            if sign_of(m, i) < 0:
                 c = -c
             key = (j, m ^ bit)
             s = out.get(key)

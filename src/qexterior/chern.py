@@ -17,11 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .calculus import exterior_d, quantum_d
-from .complexes import dense_matrix, dh_kappa_v, koszul_columns, parity_bases
+from .coeffs import FourierCoeff
+from .complexes import dh_kappa_v, homotopy_columns
 from .forms import HForm
 from .models import PoissonModel, TORUS
 from .quantum import qwedge
-from .snf import solve_linear
 
 
 class QConnection:
@@ -205,55 +205,47 @@ class TransgressionResult:
         return self.ok
 
 
-def solve_dh_primitive(model: PoissonModel, delta: HForm,
-                       ring=None) -> TransgressionResult:
-    """Solve d_h eta = delta mode by mode in the finite torus complexes.
+def solve_dh_primitive(model: PoissonModel, delta: HForm) -> TransgressionResult:
+    """Solve d_h eta = delta on a torus with constant w.
 
-    Returns eta on success; an unsolvable mode is reported as the
-    obstruction (a genuine cohomology class in the target).
+    eta_k = H_k delta_k on each nonzero Fourier mode k, with H_k the
+    Koszul-Brylinski homotopy iota_{e_b} / kappa_b of the tables; it solves
+    the mode exactly when delta_k is closed.  Mode 0, where d_h is zero, is
+    skipped.  The residual d_h eta - delta is then computed once with the
+    symbolic operator: its first nonzero mode in sorted order is the
+    obstruction (a genuine cohomology class in the target), and with none
+    eta, in the ring mode of delta, is returned.  eta is not unique.
     """
-    from .hpoly import HLaurent
-    from .coeffs import FourierCoeff
     if model.kind != TORUS:
         raise ValueError("the d_h solve requires a torus model")
     if not model.is_constant_w():
         raise ValueError("the d_h solve requires constant w")
-    ring = ring or HLaurent
-    if not delta:
-        return TransgressionResult(True, HForm.zero(model.dim))
+    if len({mask.bit_count() & 1 for (_j, mask) in delta.terms}) > 1:
+        raise ValueError("target form has mixed parity")
     m = model.dim
     w = model.constant_bivector()
-    even, odd = parity_bases(m)
-    target_parity = 0 if all(mask.bit_count() % 2 == 0
-                             for (_j, mask) in delta.terms) else 1
-    dst, src = (even, odd) if target_parity == 0 else (odd, even)
-    dst_pos = {mask: i for i, mask in enumerate(dst)}
-    by_mode = {}
+    homotopies = {}
+    terms = []
     for (j, mask), c in delta.terms.items():
-        if mask.bit_count() % 2 != target_parity:
-            raise ValueError("target form has mixed parity")
         for mode, amp in c.terms.items():
-            key = tuple(mode)
-            vec = by_mode.setdefault(key, [ring.zero() for _ in dst])
-            vec[dst_pos[mask]] = vec[dst_pos[mask]] + ring({j: amp})
-    eta = HForm.zero(m, ring is HLaurent)
-    for mode, target in sorted(by_mode.items()):
-        D = dense_matrix(koszul_columns(*dh_kappa_v(w, mode)), src, dst, ring)
-        x = solve_linear(D, target, ring)
-        if x is None:
-            return TransgressionResult(False, None, obstruction_mode=mode)
-        for col, coeff in enumerate(x):
-            if coeff.is_zero():
+            if not any(mode):
                 continue
-            for j, amp in coeff.coeffs.items():
-                eta = eta + HForm(m, {(j, src[col]):
-                                      FourierCoeff.character(m, mode, amp)},
-                                  ring is HLaurent)
+            H = homotopies.get(mode)
+            if H is None:
+                H = homotopies[mode] = homotopy_columns(dh_kappa_v(w, mode)[0])
+            for (mask2, j2), x in H[mask].items():
+                terms.append(((j + j2, mask2),
+                              FourierCoeff.character(m, mode, amp * x)))
+    eta = HForm(m, terms, delta.laurent)
+    residual = quantum_d(eta, model) - delta
+    bad = {mode for c in residual.terms.values() for mode in c.terms}
+    if bad:
+        return TransgressionResult(False, None, obstruction_mode=min(bad))
     return TransgressionResult(True, eta)
 
 
-def transgression_check(conn0: QConnection, conn1: QConnection, k: int,
-                        ring=None) -> TransgressionResult:
+def transgression_check(conn0: QConnection, conn1: QConnection,
+                        k: int) -> TransgressionResult:
     """Solve d_h eta = tr(F_1^k) - tr(F_0^k) mode by mode on a torus.
 
     Pass returns eta; an unsolvable mode is reported as the obstruction (a
@@ -262,4 +254,4 @@ def transgression_check(conn0: QConnection, conn1: QConnection, k: int,
     model = conn0.model
     delta = char_form(quantum_curvature(conn1), k, model) - \
         char_form(quantum_curvature(conn0), k, model)
-    return solve_dh_primitive(model, delta, ring)
+    return solve_dh_primitive(model, delta)

@@ -121,7 +121,7 @@ def cmd_equivariant(args) -> int:
                        "--ring laurent is not supported")
     action = _load_json(args.action, "--action", action_from_json, model)
     table = equivariant_cohomology_table(model, action, cutoff=args.cutoff,
-                                         mode_box=args.mode_box, ring=HPoly)
+                                         mode_box=args.mode_box)
     _emit(args, _table_payload(args, "equivariant", table))
     return EXIT_OK
 

@@ -29,7 +29,7 @@ from .models import PoissonModel, TORUS
 class GroupAction:
     """Commuting generators acting on a model and preserving its bivector."""
 
-    def __init__(self, model: PoissonModel, generators, check: bool = True):
+    def __init__(self, model: PoissonModel, generators):
         self.model = model
         self.generators = []
         for gen in generators:
@@ -41,9 +41,8 @@ class GroupAction:
                     c = model.coeff_const(c)
                 comps.append(c)
             self.generators.append(comps)
-        if check:
-            self._check_commuting()
-            self._check_preserves_w()
+        self._check_commuting()
+        self._check_preserves_w()
 
     @property
     def n_generators(self) -> int:
@@ -285,10 +284,10 @@ def invariant_modes(action: GroupAction, mode_box: int):
 
 
 def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
-                                 cutoff: int, mode_box: int = 1,
-                                 ring=HPoly) -> CohomologyTable:
-    """Quantum equivariant cohomology of a torus translation action,
-    truncated by total degree.
+                                 cutoff: int,
+                                 mode_box: int = 1) -> CohomologyTable:
+    """Quantum equivariant cohomology of a torus translation action over
+    k[h], truncated by total degree.
 
     Assembles, per invariant Fourier mode, the finite Cartan complex in
     each total degree <= cutoff + 1 and reports homology for degrees
@@ -318,7 +317,7 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
         tab = mode_homology(
             degrees, bases, _cartan_columns(action, kappa, v, labels),
             label_columns(homotopy_columns(kappa), labels) if any(k) else None,
-            range(cutoff + 1), ring)
+            range(cutoff + 1), HPoly)
         for n in range(cutoff + 1):
             offset = len(merged[n]["labels"])
             merged[n]["labels"].extend((k, lab) for lab in bases[n])
@@ -328,15 +327,16 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
             merged[n]["rank"] += e.free_rank
             merged[n]["torsion"].extend(e.torsion)
             for vec in e.representatives:
-                merged[n]["reps"].append([ring.zero()] * offset + list(vec))
+                merged[n]["reps"].append([HPoly.zero()] * offset + list(vec))
     entries = []
     for n in range(cutoff + 1):
         data = merged[n]
         width = len(data["labels"])
-        reps = [vec + [ring.zero()] * (width - len(vec)) for vec in data["reps"]]
+        reps = [vec + [HPoly.zero()] * (width - len(vec))
+                for vec in data["reps"]]
         entries.append(DegreeHomology(n, data["rank"], data["torsion"], reps,
                                       data["labels"]))
-    table = CohomologyTable(ring, entries)
+    table = CohomologyTable(HPoly, entries)
     table.meta.update({"kind": "equivariant", "cutoff": cutoff,
                        "mode_box": mode_box, "modes": modes,
                        "generators": d})

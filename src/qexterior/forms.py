@@ -337,14 +337,16 @@ def contract_front(i: int, a: HForm) -> HForm:
     """e_i |- a: evaluation of a on e_i in the first slot (1-based i)."""
     if not 1 <= i <= a.dim:
         raise IndexError(f"index {i} out of range 1..{a.dim}")
-    return HForm(a.dim, K.contract_front_terms(a.terms, i - 1), a.laurent)
+    return HForm(a.dim, K.contract_terms(a.terms, i - 1, K.front_sign),
+                 a.laurent)
 
 
 def contract_back(a: HForm, i: int) -> HForm:
     """a -| e_i: evaluation of a on e_i in the last slot (1-based i)."""
     if not 1 <= i <= a.dim:
         raise IndexError(f"index {i} out of range 1..{a.dim}")
-    return HForm(a.dim, K.contract_back_terms(a.terms, i - 1), a.laurent)
+    return HForm(a.dim, K.contract_terms(a.terms, i - 1, K.back_sign),
+                 a.laurent)
 
 
 def contract_vector(coeffs, a: HForm) -> HForm:

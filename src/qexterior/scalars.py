@@ -140,8 +140,28 @@ def conjugate_scalar(x):
 def scalar_to_json(x):
     """Serialize a base scalar: rationals as 'p/q', Gaussian as {re, im}."""
     if isinstance(x, GRat):
-        return {"re": str(x.re), "im": str(x.im)}
-    return str(as_fraction(x))
+        return {"re": _rational_str(x.re), "im": _rational_str(x.im)}
+    return _rational_str(as_fraction(x))
+
+
+def _rational_str(q: Fraction) -> str:
+    """str(q) past Python's limit on the digits of an int string, which is
+    left in place: it also guards json.load against huge integers."""
+    if q.denominator == 1:
+        return _decimal(q.numerator)
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """str(n) below 2^1993 (600 digits, within every setting of that limit);
+    a longer n is split in two at a power of ten."""
+    if n.bit_length() < 1994:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits, so 10^k < n
+    hi, lo = divmod(n, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
 
 
 def as_scalar(c):

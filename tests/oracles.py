@@ -31,6 +31,11 @@ Cartan differential to one Fourier form per column, and
 Lefschetz commutator check and operator matrix the engine used before it
 kept L_h and L_h* as sparse columns: every identity applies L_h, L_h* (two
 stars around a qwedge), A_h and h^{+-1} to one basis form at a time.
+
+``solve_dh_primitive_snf`` is the transgression solve the engine used
+before it applied the Koszul-Brylinski homotopy: one dense d_h matrix per
+Fourier mode of the target, settled by ``solve_linear`` (a Smith normal
+form) over the given ring.
 """
 
 import itertools
@@ -39,10 +44,13 @@ from fractions import Fraction
 
 from qexterior._kernels import back_sign, front_sign, wedge_sign
 from qexterior.calculus import dolbeault_operators, quantum_d
+from qexterior.chern import TransgressionResult
 from qexterior.coeffs import FourierCoeff
+from qexterior.complexes import (dense_matrix, dh_kappa_v, koszul_columns,
+                                 parity_bases)
 from qexterior.forms import (HForm, check_symplectic, contract_back,
                              contract_front, mask_indices, omega_form, wedge)
-from qexterior.hpoly import HPoly
+from qexterior.hpoly import HLaurent, HPoly
 from qexterior.lefschetz import (CommutatorReport, DarbouxSpace, apply_Ah,
                                  apply_Lh, apply_Lh_star)
 from qexterior.linalg import det, matrix_inverse
@@ -598,3 +606,40 @@ def commutator_check_per_form(n, window=None, corrupt_w=False):
         "-+2 h^{+-1}; the source states +-2 h^{+-1}, which the n = 1 desk "
         "computation contradicts")
     return rep
+
+
+def solve_dh_primitive_snf(model, delta: HForm, ring) -> TransgressionResult:
+    """Solve d_h eta = delta mode by mode by Smith normal form over
+    ``ring``; the first unsolvable mode in sorted order is the
+    obstruction.  Requires a torus model with constant w."""
+    if not delta:
+        return TransgressionResult(True, HForm.zero(model.dim))
+    m = model.dim
+    w = model.constant_bivector()
+    even, odd = parity_bases(m)
+    target_parity = 0 if all(mask.bit_count() % 2 == 0
+                             for (_j, mask) in delta.terms) else 1
+    dst, src = (even, odd) if target_parity == 0 else (odd, even)
+    dst_pos = {mask: i for i, mask in enumerate(dst)}
+    by_mode = {}
+    for (j, mask), c in delta.terms.items():
+        if mask.bit_count() % 2 != target_parity:
+            raise ValueError("target form has mixed parity")
+        for mode, amp in c.terms.items():
+            key = tuple(mode)
+            vec = by_mode.setdefault(key, [ring.zero() for _ in dst])
+            vec[dst_pos[mask]] = vec[dst_pos[mask]] + ring({j: amp})
+    eta = HForm.zero(m, ring is HLaurent)
+    for mode, target in sorted(by_mode.items()):
+        D = dense_matrix(koszul_columns(*dh_kappa_v(w, mode)), src, dst, ring)
+        x = solve_linear(D, target, ring)
+        if x is None:
+            return TransgressionResult(False, None, obstruction_mode=mode)
+        for col, coeff in enumerate(x):
+            if coeff.is_zero():
+                continue
+            for j, amp in coeff.coeffs.items():
+                eta = eta + HForm(m, {(j, src[col]):
+                                      FourierCoeff.character(m, mode, amp)},
+                                  ring is HLaurent)
+    return TransgressionResult(True, eta)

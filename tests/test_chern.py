@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import solve_dh_primitive_snf
 from qexterior.calculus import quantum_d
 from qexterior.chern import (QConnection, char_form, char_form_certificate,
                              covariant_square_check, gauge_char_diagnostic,
                              gauge_transform, quantum_covariant_d,
-                             quantum_curvature, transgression_check)
+                             quantum_curvature, solve_dh_primitive,
+                             transgression_check)
 from qexterior.coeffs import FourierCoeff
 from qexterior.forms import HForm
+from qexterior.hpoly import HLaurent, HPoly
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
 
@@ -218,3 +221,117 @@ class TestTransgression:
         res = solve_dh_primitive(t2, t2.form_monomial([1, 2]))
         assert not res.ok
         assert res.obstruction_mode == (0, 0)
+
+
+SOLVE_MODELS = {
+    "t2": lambda: PoissonModel.darboux_torus(1),
+    "t4": lambda: PoissonModel.darboux_torus(2),
+    "t4-rational": lambda: PoissonModel.torus(
+        4, {(1, 2): Fraction(2, 3), (1, 4): Fraction(-1, 2),
+            (2, 3): Fraction(5), (3, 4): Fraction(-7, 4)}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SOLVE_MODELS))
+def solve_model(request):
+    return SOLVE_MODELS[request.param]()
+
+
+def assert_agrees_with_snf(model, delta):
+    """Same verdict and obstruction mode as the Smith normal form solve
+    over k[h] and k[h,h^-1]; a solved eta satisfies d_h eta = delta."""
+    res = solve_dh_primitive(model, delta)
+    for ring in (HPoly, HLaurent):
+        snf = solve_dh_primitive_snf(model, delta, ring)
+        assert (res.ok, res.obstruction_mode) == \
+            (snf.ok, snf.obstruction_mode), ring.__name__
+    if res.ok:
+        assert res.eta.laurent == delta.laurent
+        assert quantum_d(res.eta, model) == delta
+    return res
+
+
+class TestPrimitiveAgreesWithSNF:
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_char_form_differences(self, solve_model, rank):
+        # tr(F^2) vanishes on T^2, so there k = 2 gives the empty target
+        s = Sampler(31 + rank + 10 * solve_model.dim)
+        for k in (1, 2):
+            c0, c1 = (rand_connection(s, solve_model, rank) for _ in range(2))
+            delta = char_form(quantum_curvature(c1), k, solve_model) - \
+                char_form(quantum_curvature(c0), k, solve_model)
+            assert delta or (k, solve_model.dim) == (2, 2)
+            assert assert_agrees_with_snf(solve_model, delta).ok
+
+    def test_exact_targets(self, solve_model):
+        s = Sampler(37 + solve_model.dim)
+        for degree in range(solve_model.dim):
+            eta = s.model_form(solve_model, degree=degree, terms=3)
+            delta = quantum_d(eta, solve_model)
+            if delta:
+                assert assert_agrees_with_snf(solve_model, delta).ok
+
+    def test_laurent_target(self, solve_model):
+        s = Sampler(41 + solve_model.dim)
+        eta = s.model_form(solve_model, degree=1, terms=3, laurent=True)
+        delta = quantum_d(eta, solve_model).h_shift(-2)
+        res = solve_dh_primitive(solve_model, delta)
+        snf = solve_dh_primitive_snf(solve_model, delta, HLaurent)
+        assert res.ok and snf.ok
+        assert res.eta.laurent
+        assert quantum_d(res.eta, solve_model) == delta
+
+    def test_non_closed_targets(self, solve_model):
+        s = Sampler(43 + solve_model.dim)
+        obstructed = 0
+        for _ in range(6):
+            degree = s.rng.randint(0, solve_model.dim)
+            delta = s.model_form(solve_model, degree=degree, terms=3)
+            if delta:
+                obstructed += not assert_agrees_with_snf(solve_model,
+                                                         delta).ok
+        assert obstructed
+
+    def test_pure_mode_zero_targets(self, solve_model):
+        s = Sampler(47 + solve_model.dim)
+        zero = (0,) * solve_model.dim
+        for degree in range(solve_model.dim + 1):
+            delta = s.model_form(solve_model, degree=degree, span=0)
+            if delta:
+                res = assert_agrees_with_snf(solve_model, delta)
+                assert res.obstruction_mode == zero
+
+    def test_first_of_two_bad_modes(self, solve_model):
+        m = solve_model.dim
+        low, high = (-1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,)
+        # a function e^{ik.theta} is d_h-closed only at k = 0; the exact
+        # part sits at the first mode of the target and is solvable
+        first = (-1,) * m
+        exact = quantum_d(solve_model.form_monomial(
+            [1], FourierCoeff.character(m, first)), solve_model)
+        delta = exact + HForm(m, {(0, 0): FourierCoeff.character(m, high, 3),
+                                  (1, 0): FourierCoeff.character(m, low, 2)})
+        res = assert_agrees_with_snf(solve_model, delta)
+        assert res.obstruction_mode == low
+
+    def test_empty_target(self, solve_model):
+        res = assert_agrees_with_snf(solve_model, HForm.zero(solve_model.dim))
+        assert res.ok and res.eta.is_zero()
+
+    def test_mixed_parity_raises(self, solve_model):
+        m = solve_model.dim
+        c = FourierCoeff.character(m, (1,) + (0,) * (m - 1))
+        delta = HForm(m, {(0, 0b1): c, (0, 0b11): c})
+        with pytest.raises(ValueError, match="mixed parity"):
+            solve_dh_primitive(solve_model, delta)
+        for ring in (HPoly, HLaurent):
+            with pytest.raises(ValueError, match="mixed parity"):
+                solve_dh_primitive_snf(solve_model, delta, ring)
+
+    def test_preconditions(self):
+        so3 = PoissonModel.so3_affine()
+        with pytest.raises(ValueError, match="torus"):
+            solve_dh_primitive(so3, HForm.zero(3))
+        wavy = PoissonModel.torus(2, {(1, 2): FourierCoeff.character(2, (1, 0))})
+        with pytest.raises(ValueError, match="constant w"):
+            solve_dh_primitive(wavy, HForm.zero(2))

@@ -415,6 +415,19 @@ class TestIntegral:
         assert data["integral"] == [[0, {"im": "0", "re": "1"}]]
         assert data["stokes"]["pass"]
 
+    def test_coefficient_past_int_string_limit(self, t2_file, tmp_path):
+        # 4,301 digits: within the input budget, past Python's limit on
+        # int-to-string conversion
+        form = write_json(tmp_path / "f.json",
+                          [{"indices": [1, 2], "h": 0,
+                            "coeff": {"fourier": [[[0, 0], "1e4300"]]}}])
+        out = tmp_path / "int.json"
+        rc = main(["integral", "--model", t2_file, "--form", form,
+                   "--out", str(out)])
+        assert rc == 0
+        data = json.loads(out.read_text())
+        assert data["integral"] == [[0, {"im": "0", "re": "1" + "0" * 4300}]]
+
     def test_affine_rejected(self, affine_file, tmp_path):
         form = tmp_path / "f.json"
         form.write_text("[]", encoding="utf-8")

@@ -148,7 +148,11 @@ class TestAnticommutator:
     def test_corrupted_bivector_fails(self, sampler):
         model = PoissonModel.torus(2, {(1, 2): FourierCoeff.character(2, (1, 0))},
                                    check_jacobi=False)
-        action = GroupAction(model, [[Fraction(1), Fraction(0)]], check=False)
+        # GroupAction refuses a generator that moves w, so the action is
+        # built on the constant T^2 and then handed the moved bivector
+        action = GroupAction(PoissonModel.darboux_torus(1),
+                             [[Fraction(1), Fraction(0)]])
+        action.model = model
         forms = [sampler.model_form(model, degree=2) for _ in range(10)]
         rep = anticommutator_check(action, forms)
         assert not rep.ok

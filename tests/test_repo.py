@@ -49,3 +49,16 @@ def test_solve_linear_reexported_by_cohomology():
     import qexterior.cohomology
     import qexterior.snf
     assert qexterior.cohomology.solve_linear is qexterior.snf.solve_linear
+
+
+def test_no_library_module_calls_solve_linear():
+    # the SNF solve is a test oracle; the library only re-exports it
+    import ast
+    callers = []
+    for path in sorted((ROOT / "src" / "qexterior").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call) and name == "solve_linear":
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []

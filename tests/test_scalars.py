@@ -75,6 +75,34 @@ class TestGRat:
     def test_rational_strings_within_budget(self, text, value):
         assert scalar_from_json(text) == value
 
+    def test_long_integers_written_in_full(self):
+        # str refuses ints past 4,300 digits; read back in short chunks
+        def read(digits):
+            value = 0
+            for i in range(0, len(digits), 1000):
+                chunk = digits[i:i + 1000]
+                value = value * 10 ** len(chunk) + int(chunk)
+            return value
+
+        for n in (10 ** 600, 2 ** 14000 - 1, 7 ** 5000, 10 ** 12000 - 1,
+                  10 ** 9000 + 10 ** 300):
+            for sign in (1, -1):
+                digits = scalar_to_json(Fraction(sign * n))
+                assert digits[0] != "0" and read(digits.lstrip("-")) == n
+                assert digits.startswith("-") == (sign < 0)
+        big = 10 ** 5000 + 1
+        assert scalar_to_json(Fraction(-big, 7)) == \
+            "-1" + "0" * 4999 + "1/7"
+        assert scalar_to_json(GRat(0, Fraction(3, big))) == \
+            {"re": "0", "im": "3/1" + "0" * 4999 + "1"}
+
+    @given(st.integers(min_value=-10 ** 700, max_value=10 ** 700),
+           st.integers(min_value=1, max_value=10 ** 700))
+    @settings(max_examples=60, deadline=None)
+    def test_short_integers_keep_str_bytes(self, num, den):
+        q = Fraction(num, den)
+        assert scalar_to_json(q) == str(q)
+
 
 class TestHPoly:
     def test_grading_and_basics(self):
