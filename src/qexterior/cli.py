@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 
@@ -46,8 +47,44 @@ def _load_json(path, option, decode, *args):
     return decode(obj, *args)
 
 
+# The most work one table command may take: its (2 mode_box + 1)^dim
+# Fourier modes times the 2^dim masks it scans per mode, per first index p
+# (dolbeault) or per total degree and Theta monomial (equivariant).  The
+# certificates cost about 40 us per pair on a 2-vCPU Xeon with Python 3.11:
+# T^4 at --mode-box 3 (38,416 pairs) runs in 2.0 s, T^5 at --mode-box 2
+# (exactly 100,000) in 3.8 s; T^8 at --mode-box 1 (1,679,616) takes 63 s.
+TABLE_BUDGET = 100_000
+
+
+def _require_budget(args, dim, generators=0):
+    """Refuse a table past TABLE_BUDGET before any model or action is
+    built; past 16 dimensions 2^dim alone is, so no larger power is formed."""
+    levels = 1
+    if args.command == "dolbeault":
+        from .cohomology import LEVEL_CAP
+        levels = dim // 2 + 2 * LEVEL_CAP + 1
+    elif args.command == "equivariant":
+        levels = 0
+        for n in range(args.cutoff + 2):
+            levels += math.comb(n // 2 + generators, generators)
+            if levels > TABLE_BUDGET:
+                break
+    if dim > TABLE_BUDGET.bit_length() or \
+            (4 * max(args.mode_box, 0) + 2) ** dim * levels > TABLE_BUDGET:
+        raise CliError(f"{args.command} on dimension {dim} at --mode-box "
+                       f"{args.mode_box} passes the work budget of "
+                       f"{TABLE_BUDGET:,} (Fourier mode, basis label) pairs")
+
+
 def _load_model(args):
-    return _load_json(args.model, "--model", model_from_json)
+    """The --model; a table command (one with --mode-box) first checks its
+    work budget on the raw "dim"."""
+    def decode(obj):
+        dim = obj.get("dim") if isinstance(obj, dict) else None
+        if "mode_box" in vars(args) and type(dim) is int and dim > 0:
+            _require_budget(args, dim)
+        return model_from_json(obj)
+    return _load_json(args.model, "--model", decode)
 
 
 def _ring(args):
@@ -119,7 +156,13 @@ def cmd_equivariant(args) -> int:
     if args.ring == "laurent":
         raise CliError("equivariant tables are computed over k[h] only; "
                        "--ring laurent is not supported")
-    action = _load_json(args.action, "--action", action_from_json, model)
+
+    def decode_action(obj, model):
+        gens = obj.get("generators") if isinstance(obj, dict) else None
+        _require_budget(args, model.dim, len(gens) if isinstance(gens, list)
+                        else 0)
+        return action_from_json(obj, model)
+    action = _load_json(args.action, "--action", decode_action, model)
     table = equivariant_cohomology_table(model, action, cutoff=args.cutoff,
                                          mode_box=args.mode_box)
     _emit(args, _table_payload(args, "equivariant", table))

@@ -7,12 +7,11 @@ constant forms with zero differential, whose Smith-normal-form homology is
 the table, and every nonzero mode gives a finite two-periodic complex over
 the h-ring whose parity components are spanned by the even/odd monomials.
 
-Each mode goes through ``complexes.mode_homology``: its operator (d_h, or
+Only mode 0 is computed, by Smith normal form.  ``complexes.require_acyclic``
+proves every nonzero mode of the box acyclic with its operator (d_h, or
 delbar_h for the Dolbeault table) and the Koszul-Brylinski homotopy H
-(:func:`complexes.homotopy_columns`) prove a nonzero mode acyclic exactly,
-and a mode whose certificate fails is computed by Smith normal form
-instead and listed under ``anomalous_modes`` when its homology is nonzero
--- reported, never silently asserted.
+(:func:`complexes.homotopy_columns`), or raises AssertionError naming the
+mode.  ``anomalous_modes`` stays in the report meta, always empty.
 
 ``ring_table`` reads class coordinates off each product: the
 representatives of the invariant torus complex are basis monomials, so
@@ -24,10 +23,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .complexes import (CohomologyTable, DegreeHomology, FiniteComplex,
-                        complex_homology, contraction_vector, dense_complex,
-                        dh_kappa_v, homotopy_columns, koszul_columns,
-                        label_columns, mode_homology, parity_bases)
+from .complexes import (CohomologyTable, FiniteComplex, complex_homology,
+                        contraction_vector, dense_complex, dh_kappa_v,
+                        homotopy_columns, koszul_columns, label_columns,
+                        parity_bases, require_acyclic)
 from .forms import HForm
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
@@ -87,14 +86,9 @@ def graded_dims(table: CohomologyTable, laurent: bool, max_degree: int):
     """Dimensions of the total-degree strata of a free classical table."""
     out = {n: 0 for n in range(max_degree + 1)}
     for deg in table.degrees():
-        r = table.rank(deg)
-        if not r:
-            continue
-        for n in range(max_degree + 1):
-            if n >= deg and (n - deg) % 2 == 0:
-                out[n] += r
-            elif laurent and (n - deg) % 2 == 0:
-                out[n] += r
+        for n in out:
+            if (n - deg) % 2 == 0 and (laurent or n >= deg):
+                out[n] += table.rank(deg)
     return out
 
 
@@ -103,8 +97,8 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
     """Quantum de Rham cohomology of a torus with constant bivector.
 
     The table holds the mode-0 answer (free module ranks per classical
-    degree and representatives); diagnostics record the homology of every
-    nonzero mode in the box.
+    degree and representatives); every nonzero mode in the box is
+    certified acyclic.
     """
     _require_torus_constant(model)
     if max_degree is not None and max_degree < 0:
@@ -113,25 +107,17 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
     table = complex_homology(invariant_subcomplex(model, ring))
     w = model.constant_bivector()
     bases = parity_bases(model.dim)
-    diagnostics = []
     for k in modes:
         kappa, v = dh_kappa_v(w, k)
-        sub = mode_homology([0, 1], bases, koszul_columns(kappa, v),
-                            homotopy_columns(kappa), (0, 1), ring, cyclic=True)
-        if sub is None:
-            continue
-        ranks = {d: sub.rank(d) for d in sub.degrees()}
-        tors = sub.total_torsion()
-        if any(ranks.values()) or tors:
-            diagnostics.append({"mode": k, "ranks": ranks,
-                                "torsion": [str(t) for t in tors]})
+        require_acyclic(k, bases, (0, 1), koszul_columns(kappa, v),
+                        homotopy_columns(kappa), cyclic=True)
     if max_degree is None:
         max_degree = 2 * model.dim
     table.meta.update({
         "kind": "derham",
         "ring": "laurent" if ring is HLaurent else "polynomial",
         "mode_box": mode_box,
-        "anomalous_modes": diagnostics,
+        "anomalous_modes": [],
         "graded_dims": graded_dims(table, ring is HLaurent, max_degree),
         "note": "flat-torus instance; general closed Kahler degeneracy "
                 "is outside this engine's model class",
@@ -186,10 +172,9 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     For each first index p the complex (Omega_h^{[p,*]}, delbar_h) has
     finite-dimensional strata over the base field; ranks are reported per
     (p, q).  ``LEVEL_CAP`` bounds the reported h-level above the classical
-    window (and, over k[h, h^-1], below it).  Every nonzero mode is
-    certified acyclic at the reported q by the homotopy
-    iota_{ebar_b} / kappa^{0,1}_b; a mode that fails the certificate is
-    computed by Smith normal form and reported if its homology is nonzero.
+    window (and, over k[h, h^-1], below it).  Mode 0 is computed by Smith
+    normal form once per p; every nonzero mode is certified acyclic at the
+    reported q by the homotopy iota_{ebar_b} / kappa^{0,1}_b.
     """
     _require_torus_constant(model)
     if not model.complex_structure:
@@ -198,42 +183,33 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     n = model.dim // 2
     laurent = ring is HLaurent
     wc = complex_frame_bivector(model.constant_bivector())
+    d0 = koszul_columns(*_delbar_kappa_v(wc, (0,) * model.dim))
     mode_cols = {}
-    for k in [(0,) * model.dim] + modes:
+    for k in modes:
         kappa, v = _delbar_kappa_v(wc, k)
-        mode_cols[k] = (koszul_columns(kappa, v),
-                        homotopy_columns(kappa) if any(k) else None)
+        mode_cols[k] = (koszul_columns(kappa, v), homotopy_columns(kappa))
     entries = []
     p_lo = -LEVEL_CAP if laurent else 0
-    diags = []
     for p in range(p_lo, n + LEVEL_CAP + 1):
         comp_qs = list(range(p - n - 1, p + n + 2)) if laurent else \
             list(range(max(0, p - n) - 1, p + n + 2))
         bases = _dolbeault_bases(n, p, comp_qs, laurent)
         spot_bases = [bases[q] for q in comp_qs]
         labels = [lab for b in spot_bases for lab in b]
-        reported = range(1, len(comp_qs) - 1)
+        sub = complex_homology(dense_complex(
+            comp_qs, spot_bases, label_columns(d0, labels), ring))
+        for q in comp_qs[1:-1]:
+            e = sub.entries[q]
+            if e.free_rank or e.torsion:
+                e.degree = (p, q)
+                entries.append(e)
         for k, (d, h) in mode_cols.items():
-            if h is not None:
-                h = label_columns(h, labels)
-            sub = mode_homology(comp_qs, spot_bases, label_columns(d, labels),
-                                h, reported, ring)
-            if sub is None:
-                continue
-            found = [q for q in comp_qs[1:-1] if sub.rank(q) or sub.torsion(q)]
-            if not any(k):
-                for q in found:
-                    e = sub.entries[q]
-                    entries.append(DegreeHomology(
-                        (p, q), e.free_rank, e.torsion, e.representatives,
-                        e.labels))
-            elif found:
-                diags.append({"mode": k, "p": p,
-                              "ranks": {q: sub.rank(q) for q in found}})
+            require_acyclic(k, spot_bases, range(1, len(comp_qs) - 1),
+                            label_columns(d, labels), label_columns(h, labels))
     table = CohomologyTable(ring, entries)
     table.meta.update({"kind": "dolbeault", "mode_box": mode_box,
                        "ring": "laurent" if laurent else "polynomial",
-                       "anomalous_modes": diags})
+                       "anomalous_modes": []})
     return table
 
 
@@ -294,8 +270,7 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
     """
     laurent = ring is HLaurent
     rt = RingTable(model, table, ring)
-    all_masks = list(range(1 << model.dim))
-    mask_pos = {m: i for i, m in enumerate(all_masks)}
+    all_masks = range(1 << model.dim)
     columns = []
     for degree in table.degrees():
         e = table.entries[degree]
@@ -304,7 +279,7 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
             rt.classes.append((degree, idx, form))
             col = [ring.zero() for _ in all_masks]
             for lab, coeff in zip(e.labels, vec):
-                col[mask_pos[lab]] = coeff
+                col[lab] = coeff
             columns.append(col)
     rep_matrix = [[columns[c][r] for c in range(len(columns))]
                   for r in range(len(all_masks))]
@@ -318,7 +293,7 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
             for (jj, mask), c in prod.terms.items():
                 val = c.constant_value() if hasattr(c, "constant_value") else c
                 if val:
-                    target[mask_pos[mask]] = target[mask_pos[mask]] + ring({jj: val})
+                    target[mask] = target[mask] + ring({jj: val})
             x = [target[r] if sign == 1 else -target[r] for r, sign in pivots]
             rt.structure[(i, j)] = {k: coeff for k, coeff in enumerate(x)
                                     if not coeff.is_zero()}

@@ -18,9 +18,9 @@ place that builds and settles a Fourier-mode complex:
 mode, :func:`koszul_columns` builds such an operator on masks and
 :func:`homotopy_columns` its contracting homotopy, and
 :func:`label_columns` lifts mask columns onto labels ``(..., j, mask)``.
-:func:`dense_complex` is the ring-matrix view of columns, and
-:func:`mode_homology` proves spots acyclic by :func:`homotopy_certificate`
-or, failing that, computes their homology by Smith normal form.
+:func:`dense_complex` is the ring-matrix view of columns, whose homology
+the drivers compute for mode 0 only; :func:`require_acyclic` proves every
+other mode acyclic by :func:`homotopy_certificate` or raises.
 """
 
 from __future__ import annotations
@@ -139,11 +139,6 @@ class CohomologyTable:
         return f"CohomologyTable({bits})"
 
 
-def _kernel_basis(snf, cols):
-    """Columns of V past the rank span ker(A) over the PID."""
-    return [[snf.V[r][k] for r in range(cols)] for k in range(snf.rank, cols)]
-
-
 def homology_at(out_mat, in_mat, dim, ring):
     """ker(out)/im(in) for one spot; returns (free_rank, torsion, reps)."""
     if dim == 0:
@@ -156,7 +151,9 @@ def homology_at(out_mat, in_mat, dim, ring):
     else:
         snf_out = smith_normal_form(out_mat, ring, track=("V", "Vinv"))
         out_rank = snf_out.rank
-        kernel = _kernel_basis(snf_out, dim)
+        # the columns of V past the rank span ker(out) over the PID
+        kernel = [[snf_out.V[r][k] for r in range(dim)]
+                  for k in range(out_rank, dim)]
         vinv = snf_out.Vinv
     kdim = len(kernel)
     if kdim == 0:
@@ -201,9 +198,9 @@ def homology_at(out_mat, in_mat, dim, ring):
     return free_rank, torsion, reps
 
 
-def complex_homology(cx: FiniteComplex, ring=None) -> CohomologyTable:
+def complex_homology(cx: FiniteComplex) -> CohomologyTable:
     """Homology of a finite complex over its PID, with verified reps."""
-    ring = ring or cx.ring
+    ring = cx.ring
     entries = []
     for spot, degree in enumerate(cx.degrees):
         dim = len(cx.bases[spot])
@@ -390,11 +387,11 @@ def homotopy_certificate(bases, spots, d, h, cyclic=False) -> bool:
     s-1, d d x = 0 and d h x + h d x = x exactly, every other entry zero.
     Then each cycle z at s is the boundary d(h z), so the homology at s
     vanishes over k[h] and k[h,h^-1] alike: free rank 0 and no torsion.
-    A False answer proves nothing; callers fall back to the Smith normal
-    form.  The arithmetic runs on Gaussian integers: d and h are scaled by
-    their common denominators, so the identity reads (scale_d scale_h) x.
-    On a T^4 de Rham table this is about five times faster than the same
-    check on GRat entries, whose every product normalises four Fractions.
+    A False answer proves nothing.  The arithmetic runs on Gaussian integers:
+    d and h are scaled by their common denominators, so the identity reads
+    (scale_d scale_h) x.  On a T^4 de Rham table this is about five times
+    faster than the same check on GRat entries, whose every product
+    normalises four Fractions.
     """
     n = len(bases)
     spot_of = {lab: s for s, labs in enumerate(bases) for lab in labs}
@@ -417,11 +414,10 @@ def homotopy_certificate(bases, spots, d, h, cyclic=False) -> bool:
     return True
 
 
-def mode_homology(degrees, bases, d, h, spots, ring, cyclic=False):
-    """None when :func:`homotopy_certificate` proves the Fourier-mode
-    complex with columns ``d`` on ``bases`` acyclic at ``spots`` by the
-    homotopy ``h``; else the homology of its dense view by Smith normal
-    form.  Mode 0 passes ``h=None``: its homology is the table itself."""
-    if h is not None and homotopy_certificate(bases, spots, d, h, cyclic):
-        return None
-    return complex_homology(dense_complex(degrees, bases, d, ring, cyclic))
+def require_acyclic(mode, bases, spots, d, h, cyclic=False):
+    """Raise AssertionError naming the Fourier ``mode`` unless
+    :func:`homotopy_certificate` proves its complex acyclic at ``spots``;
+    for constant w every nonzero mode passes (see :func:`homotopy_columns`)."""
+    if not homotopy_certificate(bases, spots, d, h, cyclic):
+        raise AssertionError(f"homotopy certificate failed on Fourier mode "
+                             f"{mode}")

@@ -18,9 +18,9 @@ import itertools
 from fractions import Fraction
 
 from .calculus import koszul_delta, lie_derivative, quantum_d
-from .complexes import (CohomologyTable, DegreeHomology, dh_kappa_v,
-                        homotopy_columns, koszul_columns, label_columns,
-                        mode_homology)
+from .complexes import (CohomologyTable, complex_homology, dense_complex,
+                        dh_kappa_v, homotopy_columns, koszul_columns,
+                        label_columns, require_acyclic)
 from .forms import HForm, contract_vector
 from .hpoly import HPoly
 from .models import PoissonModel, TORUS
@@ -289,14 +289,13 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     """Quantum equivariant cohomology of a torus translation action over
     k[h], truncated by total degree.
 
-    Assembles, per invariant Fourier mode, the finite Cartan complex in
-    each total degree <= cutoff + 1 and reports homology for degrees
-    0..cutoff; the cutoff is recorded so omitted degrees are explicit.
-    Every nonzero mode is certified acyclic at the reported degrees by the
-    homotopy iota_{e_b} / (i k_b), which contracts d_h and anticommutes
-    with Theta^a iota_a; a mode that fails the certificate is computed by
-    Smith normal form like mode 0.  Every mode's labels are listed either
-    way.
+    Assembles the finite Cartan complex in each total degree <= cutoff + 1
+    and reports homology for degrees 0..cutoff; the cutoff is recorded so
+    omitted degrees are explicit.  Only mode 0 is computed, by Smith normal
+    form; every other invariant mode is certified acyclic at the reported
+    degrees by the homotopy iota_{e_b} / (i k_b), which contracts d_h and
+    anticommutes with Theta^a iota_a.  Each degree lists the labels of
+    every mode, so mode 0's representatives sit at its place among them.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -306,36 +305,27 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
         raise ValueError("equivariant tables cover translation actions")
     d = action.n_generators
     degrees = list(range(cutoff + 2))
-    merged = {n: {"rank": 0, "torsion": [], "reps": [], "labels": []}
-              for n in range(cutoff + 1)}
     modes = invariant_modes(action, mode_box)
     bases = [_equivariant_basis(model, d, n) for n in degrees]
     labels = [lab for b in bases for lab in b]
     w = model.constant_bivector()
+    zero = (0,) * model.dim
     for k in modes:
-        kappa, v = dh_kappa_v(w, k)
-        tab = mode_homology(
-            degrees, bases, _cartan_columns(action, kappa, v, labels),
-            label_columns(homotopy_columns(kappa), labels) if any(k) else None,
-            range(cutoff + 1), HPoly)
-        for n in range(cutoff + 1):
-            offset = len(merged[n]["labels"])
-            merged[n]["labels"].extend((k, lab) for lab in bases[n])
-            if tab is None:
-                continue
-            e = tab.entries[n]
-            merged[n]["rank"] += e.free_rank
-            merged[n]["torsion"].extend(e.torsion)
-            for vec in e.representatives:
-                merged[n]["reps"].append([HPoly.zero()] * offset + list(vec))
-    entries = []
-    for n in range(cutoff + 1):
-        data = merged[n]
-        width = len(data["labels"])
-        reps = [vec + [HPoly.zero()] * (width - len(vec))
-                for vec in data["reps"]]
-        entries.append(DegreeHomology(n, data["rank"], data["torsion"], reps,
-                                      data["labels"]))
+        if k != zero:
+            kappa, v = dh_kappa_v(w, k)
+            require_acyclic(k, bases, range(cutoff + 1),
+                            _cartan_columns(action, kappa, v, labels),
+                            label_columns(homotopy_columns(kappa), labels))
+    tab = complex_homology(dense_complex(
+        degrees, bases, _cartan_columns(action, *dh_kappa_v(w, zero), labels),
+        HPoly))
+    place = modes.index(zero)
+    entries = [tab.entries[n] for n in range(cutoff + 1)]
+    for e in entries:
+        pad = [HPoly.zero()] * len(e.labels)
+        e.representatives = [pad * place + vec + pad * (len(modes) - place - 1)
+                             for vec in e.representatives]
+        e.labels = [(k, lab) for k in modes for lab in e.labels]
     table = CohomologyTable(HPoly, entries)
     table.meta.update({"kind": "equivariant", "cutoff": cutoff,
                        "mode_box": mode_box, "modes": modes,

@@ -71,8 +71,7 @@ class PoissonModel:
     """A flat model space with an exact Poisson bivector field."""
 
     def __init__(self, kind: str, dim: int, bivector: Bivector,
-                 symplectic=None, complex_structure: bool = False,
-                 check_jacobi: bool = True):
+                 symplectic=None, complex_structure: bool = False):
         if kind not in (AFFINE, TORUS):
             raise ValueError(f"unknown space kind {kind!r}")
         if bivector.dim != dim:
@@ -101,10 +100,9 @@ class PoissonModel:
                             "bivector is not the calibrated dual of the "
                             "symplectic matrix (expected W = Omega^{-1})")
 
-        if check_jacobi:
-            rep = jacobi_check(bivector)
-            if not rep:
-                raise ValueError(f"bivector fails the Jacobi identity: {rep.witness}")
+        rep = jacobi_check(bivector)
+        if not rep:
+            raise ValueError(f"bivector fails the Jacobi identity: {rep.witness}")
 
         if self.complex_structure:
             if dim % 2:

@@ -258,11 +258,7 @@ def table_to_json(table):
         })
     meta = {}
     for k, v in table.meta.items():
-        if k == "anomalous_modes":
-            meta[k] = [{"mode": list(d["mode"]), **{kk: vv for kk, vv in d.items()
-                                                    if kk != "mode"}}
-                       for d in v]
-        elif k == "modes":
+        if k == "modes":
             meta[k] = [list(m) for m in v]
         elif k == "graded_dims":
             meta[k] = {str(kk): vv for kk, vv in v.items()}

@@ -32,6 +32,12 @@ Lefschetz commutator check and operator matrix the engine used before it
 kept L_h and L_h* as sparse columns: every identity applies L_h, L_h* (two
 stars around a qwedge), A_h and h^{+-1} to one basis form at a time.
 
+``conjugate`` applies E = exp(h iota_w) or its inverse, with iota_w the
+engine's ``bivector_contract``.  For Poisson w, E d E^-1 = d_h and
+E(E^-1 a ^ E^-1 b) = a ^_h b: one conjugation accounts for the quantum
+differential and product, independently of the minor expansion and the
+Fourier-mode columns.
+
 ``solve_dh_primitive_snf`` is the transgression solve the engine used
 before it applied the Koszul-Brylinski homotopy: one dense d_h matrix per
 Fourier mode of the target, settled by ``solve_linear`` (a Smith normal
@@ -48,8 +54,9 @@ from qexterior.chern import TransgressionResult
 from qexterior.coeffs import FourierCoeff
 from qexterior.complexes import (dense_matrix, dh_kappa_v, koszul_columns,
                                  parity_bases)
-from qexterior.forms import (HForm, check_symplectic, contract_back,
-                             contract_front, mask_indices, omega_form, wedge)
+from qexterior.forms import (HForm, bivector_contract, check_symplectic,
+                             contract_back, contract_front, mask_indices,
+                             omega_form, wedge)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.lefschetz import (CommutatorReport, DarbouxSpace, apply_Ah,
                                  apply_Lh, apply_Lh_star)
@@ -643,3 +650,16 @@ def solve_dh_primitive_snf(model, delta: HForm, ring) -> TransgressionResult:
                                       FourierCoeff.character(m, mode, amp)},
                                   ring is HLaurent)
     return TransgressionResult(True, eta)
+
+
+def conjugate(x: HForm, w, sign=1) -> HForm:
+    """E^sign x for E = exp(h iota_w) = sum_k h^k iota_w^k / k!, sign +-1.
+
+    The series ends: iota_w lowers the exterior degree by 2."""
+    out = term = x
+    k = 0
+    while term:
+        k += 1
+        term = bivector_contract(w, term).h_shift(1) * Fraction(sign, k)
+        out = out + term
+    return out

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import conjugate
 from qexterior.calculus import (complexify, dolbeault_operators, exterior_d,
                                 frame_formula_d, koszul_delta, qintegral,
                                 quantum_d, stokes_check)
 from qexterior.coeffs import FourierCoeff, PolyCoeff
-from qexterior.forms import Bivector, HForm
+from qexterior.forms import Bivector, HForm, wedge
 from qexterior.hpoly import HPoly
 from qexterior.models import PoissonModel, jacobi_check
 from qexterior.quantum import bidegree_components, complex_bidegree, qwedge
+from qexterior.sampling import Sampler
 from qexterior.scalars import GRat
 
 
@@ -255,3 +257,59 @@ class TestStokes:
         for _ in range(10):
             a = sampler.model_form(t2, laurent=True)
             assert stokes_check(a, t2)
+
+
+def conjugation_models():
+    """Poisson models of the sampler's constant, so(3) and decomposable
+    families, and f(theta_3) d_1 ^ d_2 on T^3, a torus bivector that is
+    not constant."""
+    s = Sampler(31)
+    models = [s.jacobi_model(family) for family in
+              ("constant", "constant", "so3", "decomposable", "decomposable")]
+    f = FourierCoeff(3, {(0, 0, 1): GRat(2, -1),
+                         (0, 0, -2): GRat(Fraction(1, 3))})
+    models.append(PoissonModel.torus(3, {(1, 2): f}))
+    return models
+
+
+class TestConjugation:
+    """E = exp(h iota_w) (``oracles.conjugate``) carries the classical
+    d and wedge to d_h and the quantum product."""
+
+    @pytest.mark.parametrize("model", conjugation_models(),
+                             ids=["constant-a", "constant-b", "so3",
+                                  "decomposable-a", "decomposable-b",
+                                  "torus-f(theta3)"])
+    def test_dh_is_conjugate_of_d(self, model):
+        s = Sampler(model.dim)
+        w = model.w
+        for _ in range(10):
+            x = s.model_form(model, terms=3)
+            assert conjugate(conjugate(x, w, -1), w) == x
+            assert quantum_d(x, model) == \
+                conjugate(exterior_d(conjugate(x, w, -1)), w), x
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_qwedge_is_conjugate_of_wedge(self, dim):
+        s = Sampler(100 + dim)
+        for trial in range(8):
+            w = s.antisymmetric_bivector(dim)
+            laurent = trial % 2 == 1
+            a = s.ext_form(dim, terms=3, h_max=1, laurent=laurent)
+            b = s.ext_form(dim, terms=3, h_max=1, laurent=laurent)
+            expected = conjugate(wedge(conjugate(a, w, -1),
+                                       conjugate(b, w, -1)), w)
+            assert qwedge(a, b, w) == expected, (dim, trial)
+
+    def test_identity_breaks_without_jacobi(self):
+        # d1^d2 + x2 d2^d3 fails the Jacobi identity; the model is built
+        # with so(3) and then handed the bad bivector
+        model = PoissonModel.so3_affine()
+        model.w = Bivector(3, {(1, 2): PolyCoeff.const(3, 1),
+                               (2, 3): PolyCoeff.variable(3, 2)})
+        assert not jacobi_check(model.w)
+        s = Sampler(5)
+        forms = [s.model_form(model, terms=3) for _ in range(20)]
+        assert any(quantum_d(f, model) !=
+                   conjugate(exterior_d(conjugate(f, model.w, -1)), model.w)
+                   for f in forms)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qexterior import cli
 from qexterior.cli import main
 from qexterior.coeffs import FourierCoeff
 from qexterior.models import PoissonModel
@@ -636,3 +637,86 @@ class TestSerialization:
                "bivector": [[1, 2, {"poly": [[[0, 0], "1"]]}]]}
         with pytest.raises(ValueError):
             model_from_json(bad)
+
+
+def built(*args):
+    raise AssertionError("an over-budget input reached its decoder")
+
+
+class TestWorkBudget:
+    """Table commands refuse a box of Fourier modes times basis labels
+    past ``cli.TABLE_BUDGET`` before any model or action is built."""
+
+    @pytest.mark.parametrize("command,model,extra", [
+        ("cohomology", {"space": "torus", "dim": 8}, ["--mode-box", "1"]),
+        ("cohomology", {"space": "torus", "dim": 10 ** 6},
+         ["--mode-box", "0"]),
+        ("dolbeault", {"space": "torus", "dim": 8, "symplectic": "darboux",
+                       "complex": True}, ["--mode-box", "1"]),
+        ("dolbeault", {"space": "torus", "dim": 10 ** 6,
+                       "symplectic": "darboux", "complex": True},
+         ["--mode-box", "0"]),
+        ("equivariant", {"space": "torus", "dim": 8}, ["--mode-box", "1"]),
+        ("equivariant", {"space": "torus", "dim": 10 ** 6},
+         ["--mode-box", "0"]),
+        ("equivariant", {"space": "torus", "dim": 1},
+         ["--mode-box", "0", "--cutoff", str(10 ** 9)]),
+    ], ids=["cohomology-T8", "cohomology-huge-dim", "dolbeault-T8",
+            "dolbeault-huge-dim", "equivariant-T8", "equivariant-huge-dim",
+            "equivariant-huge-cutoff"])
+    def test_refused_in_milliseconds(self, capsys, monkeypatch, tmp_path,
+                                     command, model, extra):
+        monkeypatch.setattr(cli, "model_from_json", built)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        action = tmp_path / "action.json"
+        action.write_text(json.dumps({"generators": []}), encoding="utf-8")
+        argv = [command, "--model", str(path), *extra]
+        if command == "equivariant":
+            argv += ["--action", str(action)]
+        start = time.perf_counter()
+        message = cli_error(capsys, argv)
+        assert time.perf_counter() - start < 0.5
+        assert "(Fourier mode, basis label) pairs" in message
+
+    def test_many_generators_refused_before_the_action_is_built(
+            self, capsys, monkeypatch, t2_file, tmp_path):
+        monkeypatch.setattr(cli, "action_from_json", built)
+        action = tmp_path / "action.json"
+        action.write_text(json.dumps({"generators": [["1", "0"]] * 400}),
+                          encoding="utf-8")
+        start = time.perf_counter()
+        message = cli_error(capsys, ["equivariant", "--model", t2_file,
+                                     "--action", str(action)])
+        assert time.perf_counter() - start < 0.5
+        assert "work budget of 100,000" in message
+
+    # (argv, dim, generators, pairs): modes (2 b + 1)^dim times 2^dim masks,
+    # times 2 LEVEL_CAP + 1 + dim / 2 levels p for dolbeault and, for
+    # equivariant, the sum over total degrees n <= cutoff + 1 of the
+    # C(n // 2 + g, g) Theta monomials of degree at most n // 2
+    @pytest.mark.parametrize("argv,dim,generators,pairs", [
+        (["cohomology", "--mode-box", "3"], 4, 0, 7 ** 4 * 16),
+        (["cohomology", "--mode-box", "1"], 6, 0, 3 ** 6 * 64),
+        (["cohomology", "--mode-box", "2"], 5, 0, 5 ** 5 * 32),
+        (["cohomology", "--mode-box", "0"], 16, 0, 2 ** 16),
+        (["cohomology", "--mode-box", "2"], 6, 0, 5 ** 6 * 64),
+        (["cohomology", "--mode-box", "1"], 8, 0, 3 ** 8 * 256),
+        (["cohomology", "--mode-box", "0"], 17, 0, 2 ** 17),
+        (["dolbeault", "--mode-box", "2"], 4, 0, 5 ** 4 * 16 * 7),
+        (["equivariant", "--mode-box", "1", "--cutoff", "4"], 4, 2,
+         3 ** 4 * 16 * (1 + 1 + 3 + 3 + 6 + 6)),
+        (["equivariant", "--mode-box", "1"], 4, 2,
+         3 ** 4 * 16 * (1 + 1 + 3 + 3 + 6 + 6 + 10 + 10)),
+        (["equivariant", "--mode-box", "1"], 5, 3,
+         3 ** 5 * 32 * (1 + 1 + 4 + 4 + 10 + 10 + 20 + 20)),
+        (["equivariant", "--mode-box", "0", "--cutoff", "2"], 16, 0,
+         2 ** 16 * 4),
+    ])
+    def test_stated_budget(self, argv, dim, generators, pairs):
+        args = cli.build_parser().parse_args(argv)
+        if pairs <= cli.TABLE_BUDGET:
+            cli._require_budget(args, dim, generators)
+        else:
+            with pytest.raises(cli.CliError, match="work budget of 100,000"):
+                cli._require_budget(args, dim, generators)

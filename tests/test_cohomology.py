@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,15 +20,17 @@ from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
                                   quantum_derham_table,
                                   quantum_dolbeault_table, ring_table)
 from qexterior.complexes import (FiniteComplex, complex_homology,
-                                 dense_matrix, dh_kappa_v,
+                                 dense_complex, dense_matrix, dh_kappa_v,
                                  homotopy_certificate, homotopy_columns,
                                  koszul_columns, label_columns, parity_bases)
+from qexterior.equivariant import GroupAction, equivariant_cohomology_table
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.models import PoissonModel
 from qexterior.scalars import GRat
 from qexterior.quantum import complex_frame_bivector, qwedge
 from qexterior.sampling import Sampler
-from qexterior.serialize import model_from_json, table_to_json
+from qexterior.serialize import model_from_json
+from qexterior.snf import smith_normal_form
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +218,8 @@ def certificate_bivectors(dim):
 @pytest.fixture
 def certificates(monkeypatch):
     """Outcomes of every homotopy certificate the drivers run; they all
-    run it through ``complexes.mode_homology``."""
+    run it through ``complexes.require_acyclic``, once per nonzero mode
+    (and per p for the Dolbeault table)."""
     seen = []
 
     def recording(*args, **kwargs):
@@ -225,24 +229,6 @@ def certificates(monkeypatch):
 
     monkeypatch.setattr(complexes, "homotopy_certificate", recording)
     return seen
-
-
-def failing_every(monkeypatch, period):
-    """Make every ``period``-th homotopy certificate fail, so the driver
-    falls back to the Smith normal form on those modes.  Returns the list
-    of forced failures, one entry per mode that fell back."""
-    calls = itertools.count()
-    forced = []
-
-    def flaky(*args, **kwargs):
-        n = next(calls)
-        if n % period == 0:
-            forced.append(n)
-            return False
-        return homotopy_certificate(*args, **kwargs)
-
-    monkeypatch.setattr(complexes, "homotopy_certificate", flaky)
-    return forced
 
 
 class TestHomotopyCertificate:
@@ -329,17 +315,6 @@ class TestHomotopyCertificate:
         assert tab.meta["anomalous_modes"] == []
 
     @pytest.mark.parametrize("ring", [HLaurent, HPoly])
-    def test_derham_fallback_matches_snf(self, monkeypatch, ring):
-        model = PoissonModel.torus(3, certificate_bivectors(3)["dense"])
-        certified = table_to_json(quantum_derham_table(model, 1, ring=ring))
-        # every mode, then every 97th mode, by SNF
-        for period, n_forced in ((1, 26), (97, 1)):
-            forced = failing_every(monkeypatch, period)
-            fallback = quantum_derham_table(model, 1, ring=ring)
-            assert len(forced) == n_forced
-            assert table_to_json(fallback) == certified
-
-    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
     def test_dolbeault_driver_certifies_every_mode(self, t2c, certificates,
                                                    ring):
         t4c = PoissonModel.darboux_torus(2, complex_structure=True)
@@ -349,21 +324,6 @@ class TestHomotopyCertificate:
             n_p = len(range(-2 if ring is HLaurent else 0, model.dim // 2 + 3))
             assert certificates == [True] * (n_modes * n_p)
             assert tab.meta["anomalous_modes"] == []
-
-    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
-    def test_dolbeault_fallback_matches_snf(self, t2c, monkeypatch, ring):
-        t4c = PoissonModel.darboux_torus(2, complex_structure=True)
-        certified = [table_to_json(quantum_dolbeault_table(m, 1, ring=ring))
-                     for m in (t2c, t4c)]
-        # every mode of T^2 and every 97th (mode, p) of T^4 by SNF
-        forced = failing_every(monkeypatch, 1)
-        assert table_to_json(quantum_dolbeault_table(t2c, 1, ring=ring)) == \
-            certified[0]
-        assert forced
-        forced = failing_every(monkeypatch, 97)
-        assert table_to_json(quantum_dolbeault_table(t4c, 1, ring=ring)) == \
-            certified[1]
-        assert forced
 
     def test_dolbeault_homotopy_on_non_darboux_bivector(self):
         # a J-invariant bivector that is not the Darboux one
@@ -384,6 +344,129 @@ class TestHomotopyCertificate:
                     h = label_columns(homotopy_columns(kappa), labels)
                     assert homotopy_certificate(spots, range(1, len(qs) - 1),
                                                 d, h), (p, k)
+
+
+def dolbeault_spots(n, p, laurent):
+    """The spots (q strata) of the Dolbeault complex for the first index
+    p, as the driver lays them out: reported q and one q on either side."""
+    qs = list(range(p - n - 1, p + n + 2)) if laurent else \
+        list(range(max(0, p - n) - 1, p + n + 2))
+    bases = _dolbeault_bases(n, p, qs, laurent)
+    return qs, [bases[q] for q in qs]
+
+
+class TestNonzeroModesBySNF:
+    """The Smith normal form, the oracle behind the certificates, finds no
+    homology on the nonzero modes the drivers certify."""
+
+    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
+    def test_derham_box(self, ring):
+        model = PoissonModel.torus(3, certificate_bivectors(3)["dense"])
+        for k in box(3, 1):
+            tab = complex_homology(mode_subcomplex(model, k, ring))
+            assert tab.total_rank() == 0 and tab.total_torsion() == [], k
+
+    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
+    def test_dolbeault_modes(self, t2c, ring):
+        laurent = ring is HLaurent
+        t4c = PoissonModel.darboux_torus(2, complex_structure=True)
+        for model, modes in ((t2c, box(2, 1)), (t4c, box(4, 1)[::9])):
+            n = model.dim // 2
+            wc = complex_frame_bivector(model.constant_bivector())
+            for p in range(-2 if laurent else 0, n + 3):
+                qs, spots = dolbeault_spots(n, p, laurent)
+                labels = [lab for b in spots for lab in b]
+                for k in modes:
+                    d = label_columns(koszul_columns(*_delbar_kappa_v(wc, k)),
+                                      labels)
+                    tab = complex_homology(dense_complex(qs, spots, d, ring))
+                    for q in qs[1:-1]:
+                        assert tab.rank(q) == 0, (model.dim, p, q, k)
+                        assert tab.torsion(q) == [], (model.dim, p, q, k)
+
+
+def fail_certificate(monkeypatch, index):
+    """Make the ``index``-th homotopy certificate a driver runs fail."""
+    calls = itertools.count()
+
+    def flaky(*args, **kwargs):
+        return next(calls) != index and homotopy_certificate(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "homotopy_certificate", flaky)
+
+
+def count_snf_calls(monkeypatch):
+    """A list that grows by one per Smith normal form the drivers take."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return smith_normal_form(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "smith_normal_form", counting)
+    return calls
+
+
+def circle_table(model, mode_box):
+    action = GroupAction(model, [[Fraction(1), Fraction(0)]])
+    return equivariant_cohomology_table(model, action, 4, mode_box)
+
+
+class TestCertifyOrFail:
+    """No nonzero mode is computed by Smith normal form: the drivers
+    certify it or raise."""
+
+    @pytest.mark.parametrize("table,modes", [
+        (lambda m, b: quantum_derham_table(m, b, ring=HPoly), box(2, 1)),
+        (lambda m, b: quantum_dolbeault_table(m, b, ring=HLaurent), box(2, 1)),
+        (circle_table, [(0, -1), (0, 1)]),
+    ], ids=["derham", "dolbeault", "equivariant"])
+    def test_failed_certificate_raises_naming_the_mode(self, t2c, monkeypatch,
+                                                       table, modes):
+        for index, mode in enumerate(modes):
+            fail_certificate(monkeypatch, index)
+            with pytest.raises(AssertionError,
+                               match=re.escape(f"Fourier mode {mode}")):
+                table(t2c, 1)
+
+    @pytest.mark.parametrize("argv,mode", [
+        (["cohomology"], (-1, 0)), (["dolbeault"], (-1, 0)),
+        (["equivariant", "--action", "circle"], (0, 1)),
+    ], ids=["cohomology", "dolbeault", "equivariant"])
+    def test_failed_certificate_exits_three(self, tmp_path, monkeypatch,
+                                            capsys, argv, mode):
+        # the second certificate each command runs fails
+        files = {"t2c": PINNED_FILES["t2c"], "circle": PINNED_FILES["circle"]}
+        for name, body in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(body),
+                                                   encoding="utf-8")
+        argv = [str(tmp_path / f"{a}.json") if a in files else a
+                for a in argv]
+        fail_certificate(monkeypatch, 1)
+        out = tmp_path / "report.json"
+        assert main(argv + ["--model", str(tmp_path / "t2c.json"),
+                            "--out", str(out)]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == 3
+        assert error["message"] == "internal error: AssertionError: " \
+            f"homotopy certificate failed on Fourier mode {mode}"
+
+    @pytest.mark.parametrize("table", [
+        lambda m, b: quantum_derham_table(m, b),
+        lambda m, b: quantum_derham_table(m, b, ring=HPoly),
+        lambda m, b: quantum_dolbeault_table(m, b),
+        lambda m, b: quantum_dolbeault_table(m, b, ring=HLaurent),
+        circle_table,
+    ], ids=["derham-laurent", "derham-polynomial", "dolbeault-polynomial",
+            "dolbeault-laurent", "equivariant"])
+    def test_snf_calls_do_not_grow_with_the_box(self, t2c, monkeypatch,
+                                                table):
+        calls = count_snf_calls(monkeypatch)
+        table(t2c, 0)
+        at_zero = list(calls)
+        calls.clear()
+        table(t2c, 2)
+        assert at_zero and calls == at_zero
 
 
 class TestDirectDolbeaultBuilder:

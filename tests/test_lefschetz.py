@@ -153,6 +153,28 @@ class TestOperatorColumnsOracle:
                 assert HForm(2, cols[lab], laurent=True) == L(unit)
 
 
+class TestStarIdentity:
+    """M_h* = M_h - 2n, i.e. L_h* = h^-2 L_h - 2n h^-1: the star-defined
+    adjoint is a polynomial in L_h, which is why [Mh,Mh*] = 0 holds."""
+
+    @pytest.mark.parametrize("n,degrees", [
+        (1, range(-4, 5)), (2, range(-6, 7)), (3, range(-8, 9)),
+        (4, (-3, 0, 4)),
+    ], ids=["n1", "n2", "n3", "n4-window"])
+    def test_Lh_star_is_shifted_Lh(self, n, degrees):
+        space = DarbouxSpace(n)
+        L = OperatorColumns(lambda x: apply_Lh(x, space), space)
+        Ls = OperatorColumns(lambda x: apply_Lh_star(x, space), space)
+        for k in degrees:
+            for j, mask in space.basis(k):
+                expected = {(j2 - 2, m2): c
+                            for (j2, m2), c in L[(j, mask)].items()}
+                key = (j - 1, mask)
+                expected[key] = expected.get(key, 0) - 2 * n
+                assert Ls[(j, mask)] == {key: c for key, c in expected.items()
+                                         if c}, (n, j, mask)
+
+
 class TestSpectra:
     def test_jordan_block(self):
         M = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(2)]]
