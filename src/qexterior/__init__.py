@@ -23,8 +23,8 @@ from .forms import (Bivector, HForm, berezin_integral, bivector_contract,
                     contract_back, contract_front, graded_degree,
                     symplectic_star, wedge)
 from .hpoly import HLaurent, HPoly
-from .lefschetz import (DarbouxSpace, Mh_matrix, apply_Ah, apply_Lh,
-                        apply_Lh_star, char_spectrum, commutator_check,
+from .lefschetz import (DarbouxSpace, Mh_matrix, SpectrumReport, apply_Ah,
+                        apply_Lh, apply_Lh_star, commutator_check,
                         hard_lefschetz_check, recursion_verify)
 from .models import PoissonModel, jacobi_check
 from .quantum import (complex_bidegree, frobenius_pairing, gram_matrix,
@@ -38,9 +38,9 @@ __all__ = [
     "Bivector", "CohomologyTable", "DarbouxSpace", "EquivariantElement",
     "FiniteComplex", "FourierCoeff", "GRat", "GroupAction", "HForm",
     "HLaurent", "HPoly", "Mh_matrix", "PoissonModel", "PolyCoeff",
-    "QConnection", "anticommutator_check", "apply_Ah", "apply_Lh",
-    "apply_Lh_star", "berezin_integral", "bivector_contract", "cartan_d",
-    "char_form", "char_spectrum", "commutator_check", "complex_bidegree",
+    "QConnection", "SpectrumReport", "anticommutator_check", "apply_Ah",
+    "apply_Lh", "apply_Lh_star", "berezin_integral", "bivector_contract",
+    "cartan_d", "char_form", "commutator_check", "complex_bidegree",
     "complex_homology", "contract_back", "contract_front",
     "contract_generator", "dolbeault_operators",
     "equivariant_cohomology_table", "exterior_d", "frame_formula_d",

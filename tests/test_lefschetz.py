@@ -3,19 +3,22 @@ lemma, and the quantum Hard Lefschetz verification."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from qexterior import lefschetz
+from qexterior.cli import main
 from qexterior.forms import Bivector, HForm
 from qexterior.hpoly import HPoly
 from qexterior.lefschetz import (DarbouxSpace, Mh_matrix, OperatorColumns,
-                                 apply_Ah, apply_Lh, apply_Lh_star,
-                                 apply_Mh, char_spectrum, commutator_check,
+                                 SpectrumReport, apply_Ah, apply_Lh,
+                                 apply_Lh_star, apply_Mh, commutator_check,
                                  hard_lefschetz_check,
                                  lefschetz_d_commutators, operator_matrix,
                                  paper_conformance, recursion_matrix,
                                  recursion_verify)
-from qexterior.linalg import charpoly
+from qexterior.linalg import charpoly, det
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
 
@@ -178,7 +181,7 @@ class TestStarIdentity:
 class TestSpectra:
     def test_jordan_block(self):
         M = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(2)]]
-        rep = char_spectrum(M, n_hint=1)
+        rep = SpectrumReport(M, 1)
         assert rep.charpoly == HPoly({2: 1, 1: -2, 0: 1})
         assert not rep.diagonalizable
         assert rep.det == 1
@@ -186,7 +189,7 @@ class TestSpectra:
 
     def test_identity(self):
         M = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        rep = char_spectrum(M)
+        rep = SpectrumReport(M, 1)
         assert rep.diagonalizable
         assert rep.factorization.rational_roots == {Fraction(1): 2}
 
@@ -195,19 +198,36 @@ class TestSpectra:
         # claimed one-dimensional eigenspace decomposition fails and the
         # report must say so rather than hide it
         M = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(2)]]
-        rep = char_spectrum(M, n_hint=1)
+        rep = SpectrumReport(M, 1)
         conf = paper_conformance(rep, 1)
         assert conf["status"] == "mismatch"
         assert any("geometric multiplicity" in issue for issue in conf["issues"])
 
-    def test_sqrt5_quadratic_recognized(self):
-        # companion matrix of x^2 - 2x - 1/4 (roots 1 +- sqrt(5)/2)
-        M = [[Fraction(0), Fraction(1, 4)], [Fraction(1), Fraction(2)]]
-        rep = char_spectrum(M, n_hint=1)
-        assert rep.factorization.quadratics == \
-            {(Fraction(-2), Fraction(-1, 4)): 1}
-        conf = paper_conformance(rep, 1)
-        assert conf["status"] == "match"
+
+class TestClassicalCount:
+    """M_h - n = E (h^-1 omega^) E^-1, so the eigenspace of n on the block
+    of degree k is E applied to the kernel of omega^ on the forms of degree
+    q = k (mod 2).  omega^ : Lambda^q -> Lambda^{q+2} on R^{2n} is injective
+    below q = n - 1 and onto from there, so that kernel telescopes to
+    C(2n, q0), q0 the least q >= n - 1 with q = k (mod 2)."""
+
+    @staticmethod
+    def expected(n, k):
+        q0 = n - 1 if (k - (n - 1)) % 2 == 0 else n
+        return {str(n): (2 ** (2 * n - 1), comb(2 * n, q0))}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_block(self, n):
+        rep = hard_lefschetz_check(n)
+        assert list(rep.blocks) == list(range(-2 * n, 2 * n + 1))
+        for k, block in rep.blocks.items():
+            assert block.geometric == self.expected(n, k), k
+
+    @pytest.mark.parametrize("k,geometric", [(0, 70), (1, 56)])
+    def test_n4_middle_blocks(self, k, geometric):
+        rep = SpectrumReport(Mh_matrix(DarbouxSpace(4), k), 4)
+        assert rep.geometric == self.expected(4, k) == {"4": (128, geometric)}
+        assert rep.det == 4 ** 128
 
 
 class TestRecursion:
@@ -225,15 +245,15 @@ class TestRecursion:
             assert recursion_verify(M)
 
     def test_iterated_doubling(self):
+        # det(M' + x I) = det(M + (x + 1) I)^2: each step adds 1 to the one
+        # eigenvalue of [0] and doubles its multiplicity
         M = [[Fraction(0)]]
-        expected_roots = {Fraction(0): 1}
-        for step in range(4):
+        for step in range(1, 5):
             assert recursion_verify(M)
             M = recursion_matrix(M)
-            expected_roots = {r + 1: 2 * m for r, m in expected_roots.items()}
-            p = charpoly(M)
-            rep = char_spectrum(M)
-            assert rep.factorization.rational_roots == expected_roots
+            rep = SpectrumReport(M, step)
+            assert rep.factorization.rational_roots == {Fraction(step):
+                                                        2 ** step}
 
 
 class TestHardLefschetz:
@@ -249,9 +269,31 @@ class TestHardLefschetz:
         assert {k: b.det for k, b in rep.blocks.items()} == \
             {k: Fraction(1) for k in rep.blocks}
 
-    def test_negative_control_zero_bivector(self):
-        rep = hard_lefschetz_check(1, w=Bivector.zero(2))
-        assert not rep.all_invertible
+    def test_negative_control_zero_bivector(self, s1):
+        # w = 0 leaves the classical h^-1 omega^, which is nilpotent: every
+        # block is singular and fails the (x - n)^size certificate
+        for k in range(-2, 3):
+            M = Mh_matrix(s1, k, Bivector.zero(2))
+            assert det(M) == 0
+            with pytest.raises(AssertionError, match=r"is not \(x - 1\)\^2"):
+                SpectrumReport(M, 1)
+
+    def test_corrupted_block_names_its_degree(self, monkeypatch, capsys):
+        real = lefschetz.Mh_matrix
+
+        def corrupted(space, k, w=None):
+            M = real(space, k, w)
+            if k == 1:
+                M[0][0] += 1       # the trace is no longer n * size
+            return M
+
+        monkeypatch.setattr(lefschetz, "Mh_matrix", corrupted)
+        with pytest.raises(AssertionError, match="M_h block of degree 1: "):
+            hard_lefschetz_check(1)
+        assert main(["lefschetz", "--n", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "AssertionError: M_h block of degree 1: " in captured.err
 
     def test_conformance_recorded(self):
         rep = hard_lefschetz_check(1)

@@ -1,7 +1,7 @@
 """The spectrum layer against the algorithms it replaced (tests/oracles.py):
-Hessenberg charpoly vs determinant interpolation, the bounded integer root
-search vs trial division, and the cached star table vs the per-call star
-formula, plus the safety of the star cache."""
+Hessenberg charpoly vs determinant interpolation and the cached star table
+vs the per-call star formula, plus the (x - n)^size certificate that
+replaced the root search and the safety of the star cache."""
 
 from fractions import Fraction
 
@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (charpoly_interpolation, rational_roots_trial_division,
-                     symplectic_star_uncached)
+from oracles import charpoly_interpolation, symplectic_star_uncached
 from qexterior.forms import HForm, symplectic_star
 from qexterior.hpoly import HPoly
 from qexterior.lefschetz import DarbouxSpace, Mh_matrix
-from qexterior.linalg import (_ceil_root, _rational_roots, charpoly, det,
-                              factor_charpoly, geometric_multiplicity,
-                              matrix_inverse, rank)
+from qexterior.linalg import (charpoly, det, factor_charpoly,
+                              geometric_multiplicity, matrix_inverse, rank)
 from qexterior.models import darboux_matrix
 from qexterior.sampling import Sampler
 
@@ -35,10 +33,6 @@ def _matrices(max_size):
 
 def _linear(r):
     return HPoly({1: Fraction(1), 0: -r})
-
-
-def _sqrt5_quadratic(a):
-    return HPoly({2: Fraction(1), 1: -2 * a, 0: a * a - Fraction(5, 4)})
 
 
 class TestCharpoly:
@@ -92,80 +86,30 @@ class TestIntegerMatrices:
         assert all(type(x) is Fraction for row in inv for x in row)
 
 
-roots_st = st.lists(st.builds(Fraction,
-                              st.integers(min_value=-7, max_value=7),
-                              st.integers(min_value=1, max_value=4)),
-                    max_size=4)
-centers_st = st.lists(st.builds(Fraction,
-                                st.integers(min_value=-6, max_value=6),
-                                st.just(2)),
-                      max_size=2)
-leads_st = st.builds(Fraction,
-                     st.integers(min_value=1, max_value=7).flatmap(
-                         lambda k: st.sampled_from([k, -k])),
-                     st.integers(min_value=1, max_value=5))
+class TestCertificate:
+    """factor_charpoly certifies p == (x - n)^deg p and nothing else."""
 
+    @pytest.mark.parametrize("n", [Fraction(3), Fraction(-7, 2), Fraction(0),
+                                   Fraction(10) ** 400 + 7])
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_accepts_a_pure_power(self, n, size):
+        f = factor_charpoly(_linear(n) ** size, n)
+        assert f.rational_roots == {n: size}
+        assert f.quadratics == {}
+        assert str(f.remainder) == "1"      # the report's "unfactored"
 
-class TestRationalRoots:
-    @given(roots_st, centers_st, leads_st)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_trial_division(self, roots, centers, lead):
-        p = HPoly.from_scalar(lead)
-        for r in roots:
-            p = p * _linear(r)
-        for a in centers:
-            p = p * _sqrt5_quadratic(a)
-        got, rest = _rational_roots(p)
-        want, want_rest = rational_roots_trial_division(p)
-        # same roots in the same order (reports list them in dict order)
-        assert list(got.items()) == list(want.items())
-        assert rest == want_rest
-        expected = {}
-        for r in roots:
-            expected[r] = expected.get(r, 0) + 1
-        assert got == expected
-
-    def test_factor_charpoly_keeps_quadratics(self):
-        p = (_linear(Fraction(3)) * _linear(Fraction(3))
-             * _sqrt5_quadratic(Fraction(3)) * _sqrt5_quadratic(Fraction(3)))
-        f = factor_charpoly(p, [3])
-        assert f.rational_roots == {Fraction(3): 2}
-        assert f.quadratics == {(Fraction(-6), Fraction(31, 4)): 2}
-        assert f.remainder == HPoly.one()
-
-    def test_zero_roots_and_constants(self):
-        assert _rational_roots(HPoly.zero()) == ({}, HPoly.zero())
-        assert _rational_roots(HPoly.from_scalar(Fraction(5))) == \
-            ({}, HPoly.from_scalar(Fraction(5)))
-        p = HPoly({3: Fraction(2, 3)})
-        assert _rational_roots(p) == ({Fraction(0): 3},
-                                      HPoly.from_scalar(Fraction(2, 3)))
-
-    def test_huge_roots_stay_exact(self):
-        # A root near 10^400 makes every float bound overflow; the search
-        # must still find it exactly, as the cofactor of a small divisor,
-        # in the degree-two finish and as a repeated root.
+    def test_rejects_every_other_shape(self):
         big = Fraction(10) ** 400 + 7
-        p = (HPoly.from_scalar(Fraction(3, 5)) * _linear(big)
-             * _linear(Fraction(-7, 3)) * _linear(Fraction(1, 2))
-             * _sqrt5_quadratic(Fraction(1)))
-        f = factor_charpoly(p)
-        assert f.rational_roots == {Fraction(1, 2): 1, Fraction(-7, 3): 1,
-                                    big: 1}
-        assert f.quadratics == {(Fraction(-2), Fraction(-1, 4)): 1}
-        assert f.remainder == HPoly.one()
-        p = _linear(big) * _linear(big) * _linear(Fraction(-2))
-        assert factor_charpoly(p).rational_roots == {Fraction(-2): 1, big: 2}
-        p = _linear(big) * _linear(-big - 1) * _linear(Fraction(1, 3))
-        assert factor_charpoly(p).rational_roots == \
-            {Fraction(1, 3): 1, big: 1, -big - 1: 1}
-
-    def test_ceil_root(self):
-        for m in list(range(0, 300)) + [10 ** 400, 10 ** 400 + 1, 3 ** 64]:
-            for k in range(1, 7):
-                t = _ceil_root(m, k)
-                assert t ** k >= m
-                assert t == 0 or (t - 1) ** k < m
+        for p, n in [
+            (_linear(Fraction(3)) * _linear(Fraction(4)), 3),
+            (_linear(big) ** 2 * _linear(big + 1), big),  # off by one at 10^400
+            (_linear(Fraction(1)) ** 2, 2),                # the wrong eigenvalue
+            # x^2 - 2x - 1/4: the claimed pair 1 +- sqrt(5)/2
+            (HPoly({2: Fraction(1), 1: Fraction(-2), 0: Fraction(-1, 4)}), 1),
+            (HPoly.from_scalar(Fraction(2)), 1),           # not monic
+        ]:
+            with pytest.raises(AssertionError, match=r"is not \(x - "):
+                factor_charpoly(p, n)
 
 
 class TestDarbouxBlocks:
@@ -176,21 +120,20 @@ class TestDarbouxBlocks:
             M = Mh_matrix(space, k)
             p = charpoly(M)
             assert p == charpoly_interpolation(M)
-            got = _rational_roots(p)
-            assert list(got[0].items()) == \
-                list(rational_roots_trial_division(p)[0].items())
+            assert p == _linear(Fraction(n)) ** len(M)
+            assert factor_charpoly(p, n).rational_roots == {n: len(M)}
 
 
 class TestGeometricMultiplicity:
-    def test_linear_and_quadratic_factors(self):
+    def test_eigenspace_dimension(self):
         o, z = Fraction(1), Fraction(0)
         jordan = [[z, -o], [o, 2 * o]]            # (x - 1)^2, one block
-        assert geometric_multiplicity(jordan, _linear(o)) == 1
+        assert geometric_multiplicity(jordan, o) == 1
         ident = [[o, z], [z, o]]
-        assert geometric_multiplicity(ident, _linear(o)) == 2
-        companion = [[z, Fraction(1, 4)], [o, 2 * o]]    # x^2 - 2x - 1/4
-        assert geometric_multiplicity(companion, _sqrt5_quadratic(o)) == 2
-        assert geometric_multiplicity(companion, HPoly.one()) == 0
+        assert geometric_multiplicity(ident, o) == 2
+        assert geometric_multiplicity(ident, 2 * o) == 0
+        assert geometric_multiplicity([[3, 1], [0, 3]], 3) == 1
+        assert geometric_multiplicity([], 1) == 0
 
 
 def _h_form(s, dim):
