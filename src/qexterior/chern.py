@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .calculus import exterior_d, quantum_d
 from .coeffs import FourierCoeff
-from .complexes import dh_kappa_v, homotopy_columns
+from .complexes import (dh_kappa_v, gaussian_rational, homotopy_columns,
+                        integer_bivector)
 from .forms import HForm
 from .models import PoissonModel, TORUS
 from .quantum import qwedge
@@ -223,7 +224,7 @@ def solve_dh_primitive(model: PoissonModel, delta: HForm) -> TransgressionResult
     if len({mask.bit_count() & 1 for (_j, mask) in delta.terms}) > 1:
         raise ValueError("target form has mixed parity")
     m = model.dim
-    w = model.constant_bivector()
+    bivector = integer_bivector(model.constant_bivector())
     homotopies = {}
     terms = []
     for (j, mask), c in delta.terms.items():
@@ -232,10 +233,12 @@ def solve_dh_primitive(model: PoissonModel, delta: HForm) -> TransgressionResult
                 continue
             H = homotopies.get(mode)
             if H is None:
-                H = homotopies[mode] = homotopy_columns(dh_kappa_v(w, mode)[0])
-            for (mask2, j2), x in H[mask].items():
-                terms.append(((j + j2, mask2),
-                              FourierCoeff.character(m, mode, amp * x)))
+                kappa, _v, den = dh_kappa_v(bivector, mode)
+                H = homotopies[mode] = homotopy_columns(kappa, den)
+            columns, den = H
+            for (mask2, j2), x in columns[mask].items():
+                terms.append(((j + j2, mask2), FourierCoeff.character(
+                    m, mode, amp * gaussian_rational(x, den))))
     eta = HForm(m, terms, delta.laurent)
     residual = quantum_d(eta, model) - delta
     bad = {mode for c in residual.terms.values() for mode in c.terms}

@@ -50,9 +50,9 @@ def _load_json(path, option, decode, *args):
 # The most work one table command may take: its (2 mode_box + 1)^dim
 # Fourier modes times the 2^dim masks it scans per mode, per first index p
 # (dolbeault) or per total degree and Theta monomial (equivariant).  The
-# certificates cost about 40 us per pair on a 2-vCPU Xeon with Python 3.11:
-# T^4 at --mode-box 3 (38,416 pairs) runs in 2.0 s, T^5 at --mode-box 2
-# (exactly 100,000) in 3.8 s; T^8 at --mode-box 1 (1,679,616) takes 63 s.
+# certificates cost about 15 us per pair on a 2-vCPU Xeon with Python 3.11:
+# T^4 at --mode-box 3 (38,416 pairs) runs in 0.5 s, T^5 at --mode-box 2
+# (exactly 100,000) in 1.6 s; T^8 at --mode-box 1 (1,679,616) takes 37 s.
 TABLE_BUDGET = 100_000
 
 
@@ -105,9 +105,26 @@ def _report_header(args, command):
             "conventions": CONVENTIONS}
 
 
+# The work budget of ``check``: a --model of dimension at most 8, the
+# largest the suites draw without one, refused with exit 2 before any
+# trial.  A trial then costs no more than one dimension 8 draw, and a run is
+# linear in --trials.  Every suite on the Darboux complex T^8 with --trials
+# 20 (2-vCPU Xeon, Python 3.11): chern 54 s and 33 MiB (its connections'
+# curvature is the cost; 1.1 s a trial already at dimension 4), dolbeault
+# 1.7 s, leibniz 1.5 s, associativity 1.2 s and 46 MiB, lefschetz 0.9 s, the
+# other seven under 0.4 s and 20 MiB.  Past the cap the product suites
+# grow about fourfold per dimension: associativity --trials 20 takes 13.3 s
+# and 401 MiB at dimension 10, and passed 1.75 GB and two minutes at 16.
+CHECK_MAX_DIM = 8
+
+
 def cmd_check(args) -> int:
     from .suites import SUITES, run_suite
     model = _load_model(args) if args.model else None
+    if model is not None and model.dim > CHECK_MAX_DIM:
+        raise CliError(f"check on dimension {model.dim} passes the work "
+                       f"budget: the suites take models of dimension at "
+                       f"most {CHECK_MAX_DIM}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES and name != "negative-control":

@@ -16,18 +16,18 @@ mode.  ``anomalous_modes`` stays in the report meta, always empty.
 ``ring_table`` reads class coordinates off each product: the
 representatives of the invariant torus complex are basis monomials, so
 the representative matrix is a signed permutation and no solve is needed.
+Under a real bivector the products run in qwedge's integer kernel.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .complexes import (CohomologyTable, FiniteComplex, complex_homology,
-                        contraction_vector, dense_complex, dh_kappa_v,
-                        homotopy_columns, koszul_columns, label_columns,
-                        parity_bases, require_acyclic)
-from .forms import HForm
+                        dense_complex, dh_kappa_v, homotopy_columns,
+                        integer_bivector, koszul_columns, koszul_mode,
+                        label_columns, parity_bases, require_acyclic)
+from .forms import Bivector, HForm
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
 from .quantum import complex_frame_bivector, qwedge
@@ -43,8 +43,9 @@ def _require_torus_constant(model: PoissonModel):
 
 
 def _dh_columns(model, k):
-    """Monomial columns of d_h = d - h delta on the Fourier mode k."""
-    return koszul_columns(*dh_kappa_v(model.constant_bivector(), k))
+    """The operator d_h = d - h delta on the Fourier mode k."""
+    return koszul_columns(*dh_kappa_v(
+        integer_bivector(model.constant_bivector()), k))
 
 
 def invariant_subcomplex(model: PoissonModel, ring=HLaurent) -> FiniteComplex:
@@ -105,12 +106,12 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
         raise ValueError("max_degree must be nonnegative")
     modes = _box_modes(model.dim, mode_box)
     table = complex_homology(invariant_subcomplex(model, ring))
-    w = model.constant_bivector()
+    bivector = integer_bivector(model.constant_bivector())
     bases = parity_bases(model.dim)
     for k in modes:
-        kappa, v = dh_kappa_v(w, k)
-        require_acyclic(k, bases, (0, 1), koszul_columns(kappa, v),
-                        homotopy_columns(kappa), cyclic=True)
+        kappa, v, den = dh_kappa_v(bivector, k)
+        require_acyclic(k, bases, (0, 1), koszul_columns(kappa, v, den),
+                        homotopy_columns(kappa, den), cyclic=True)
     if max_degree is None:
         max_degree = 2 * model.dim
     table.meta.update({
@@ -146,7 +147,9 @@ def _dolbeault_bases(n, p, q_range, laurent):
 
 
 def _delbar_kappa_v(wc, k):
-    """kappa^{0,1} and the contraction vector of delbar_h on the mode k.
+    """kappa^{0,1}, the contraction vector of delbar_h on the mode k and
+    their denominator, under ``wc`` = ``integer_bivector`` of the
+    complex-frame bivector.
 
     delbar = sum_l dzbar^l ^ d/dzbar_l with d/dzbar_l = (d_{2l-1} + i d_{2l})/2,
     so on e^{i k.theta} it wedges with kappa^{0,1}_l = (i k_{2l-1} - k_{2l})/2
@@ -155,9 +158,8 @@ def _delbar_kappa_v(wc, k):
     kappa^{0,1} != 0 for every integer k != 0.
     """
     n = len(k) // 2
-    kappa = [GRat(0)] * n + [GRat(Fraction(-k[2 * l + 1], 2),
-                                  Fraction(k[2 * l], 2)) for l in range(n)]
-    return kappa, contraction_vector(wc, kappa)
+    kappa = [(0, 0)] * n + [(-k[2 * l + 1], k[2 * l]) for l in range(n)]
+    return koszul_mode(wc, kappa, 2)
 
 
 # How many h-levels past the classical window 0..n the Dolbeault table
@@ -182,12 +184,13 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     modes = _box_modes(model.dim, mode_box)
     n = model.dim // 2
     laurent = ring is HLaurent
-    wc = complex_frame_bivector(model.constant_bivector())
+    wc = integer_bivector(complex_frame_bivector(model.constant_bivector()))
     d0 = koszul_columns(*_delbar_kappa_v(wc, (0,) * model.dim))
     mode_cols = {}
     for k in modes:
-        kappa, v = _delbar_kappa_v(wc, k)
-        mode_cols[k] = (koszul_columns(kappa, v), homotopy_columns(kappa))
+        kappa, v, den = _delbar_kappa_v(wc, k)
+        mode_cols[k] = (koszul_columns(kappa, v, den),
+                        homotopy_columns(kappa, den))
     entries = []
     p_lo = -LEVEL_CAP if laurent else 0
     for p in range(p_lo, n + LEVEL_CAP + 1):
@@ -266,17 +269,25 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
     The representatives of the invariant torus complex are basis
     monomials, so the rep-matrix is a signed permutation and each class
     coordinate is read off the product directly.  Any other rep-matrix
-    signals a broken representative and raises AssertionError.
+    signals a broken representative and raises AssertionError.  The
+    products multiply constant-coefficient copies of the representatives
+    under the constant bivector: with real entries these are Fractions,
+    which ``qwedge`` sums in integers; a Gaussian w multiplies GRats.
+    Every structure coefficient is a GRat, as the amplitude of the
+    constant Fourier coefficient it stands for.
     """
     laurent = ring is HLaurent
     rt = RingTable(model, table, ring)
     all_masks = range(1 << model.dim)
     columns = []
+    constants = []   # the representatives' terms as GRat scalars
     for degree in table.degrees():
         e = table.entries[degree]
         for idx, vec in enumerate(e.representatives):
             form = _rep_to_form(model, e.labels, vec, ring, laurent)
             rt.classes.append((degree, idx, form))
+            constants.append({key: GRat.coerce(c.constant_value())
+                              for key, c in form.terms.items()})
             col = [ring.zero() for _ in all_masks]
             for lab, coeff in zip(e.labels, vec):
                 col[lab] = coeff
@@ -286,14 +297,20 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
     pivots = _signed_permutation(rep_matrix)
     if pivots is None:
         raise AssertionError("representatives are not signed basis monomials")
-    for i, (_da, _ia, fa) in enumerate(rt.classes):
-        for j, (_db, _ib, fb) in enumerate(rt.classes):
-            prod = qwedge(fa, fb, model.w)
+    w = {ij: GRat.coerce(c)
+         for ij, c in model.constant_bivector().entries.items()}
+    if all(c.is_real() for t in [w, *constants] for c in t.values()):
+        # all-Fraction factors: qwedge sums each product in integers
+        w = {ij: c.re for ij, c in w.items()}
+        constants = [{key: c.re for key, c in t.items()} for t in constants]
+    w = Bivector(model.dim, w)
+    forms = [HForm(model.dim, t, laurent) for t in constants]
+    for i, fa in enumerate(forms):
+        for j, fb in enumerate(forms):
+            prod = qwedge(fa, fb, w)
             target = [ring.zero() for _ in all_masks]
             for (jj, mask), c in prod.terms.items():
-                val = c.constant_value() if hasattr(c, "constant_value") else c
-                if val:
-                    target[mask] = target[mask] + ring({jj: val})
+                target[mask] = target[mask] + ring({jj: GRat.coerce(c)})
             x = [target[r] if sign == 1 else -target[r] for r, sign in pivots]
             rt.structure[(i, j)] = {k: coeff for k, coeff in enumerate(x)
                                     if not coeff.is_zero()}

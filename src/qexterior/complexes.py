@@ -12,20 +12,24 @@ factors, and representative cycles are returned and the representatives
 are re-verified against the outgoing differential.
 
 Operators whose every entry is a monomial ``c h^j`` are also kept as
-sparse columns, ``label -> {(label', j): c}``.  This module is the one
-place that builds and settles a Fourier-mode complex:
-:func:`dh_kappa_v` gives kappa and v of d_h = kappa ^ - h iota_v on a
-mode, :func:`koszul_columns` builds such an operator on masks and
-:func:`homotopy_columns` its contracting homotopy, and
+sparse columns over one denominator: an operator is ``(columns, den)``
+with ``columns`` mapping ``label -> {(label', j): (re, im)}``, the Gaussian
+integer numerators of its entries over the positive int ``den``.  This
+module is the one place that builds and settles a Fourier-mode complex:
+:func:`integer_bivector` scales w once per table, :func:`dh_kappa_v`
+gives kappa and v of d_h = kappa ^ - h iota_v on a mode (the 2m numbers
+of :func:`koszul_mode`), :func:`koszul_columns` builds such an operator on
+masks and :func:`homotopy_columns` its contracting homotopy, and
 :func:`label_columns` lifts mask columns onto labels ``(..., j, mask)``.
-:func:`dense_complex` is the ring-matrix view of columns, whose homology
-the drivers compute for mode 0 only; :func:`require_acyclic` proves every
-other mode acyclic by :func:`homotopy_certificate` or raises.
+:func:`dense_complex` is the ring-matrix view of an operator, whose
+homology the drivers compute for mode 0 only; :func:`require_acyclic`
+proves every other mode acyclic by :func:`homotopy_certificate` or raises.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .hpoly import HPoly
 from .scalars import GRat
@@ -229,9 +233,25 @@ def _verify_cycles(out_mat, reps, ring):
 # -- monomial columns ----------------------------------------------------------
 
 
-def dense_matrix(columns, src, dst, ring):
-    """Ring matrix of monomial ``columns`` from the span of the labels
-    ``src`` to that of ``dst`` (rows indexed by ``dst``)."""
+def gaussian_integers(values):
+    """(den, [(re, im), ..]): the Gaussian rationals ``values`` (ints,
+    Fractions or GRats) times den, the lcm of their denominators."""
+    gs = [GRat.coerce(x) for x in values]
+    den = math.lcm(1, *(x.denominator for g in gs for x in (g.re, g.im)))
+    return den, [(g.re.numerator * (den // g.re.denominator),
+                  g.im.numerator * (den // g.im.denominator)) for g in gs]
+
+
+def gaussian_rational(entry, den) -> GRat:
+    """The entry (re, im) of an operator over ``den`` as a GRat."""
+    return GRat(Fraction(entry[0], den), Fraction(entry[1], den))
+
+
+def dense_matrix(operator, src, dst, ring):
+    """Ring matrix of the operator ``(columns, den)`` from the span of the
+    labels ``src`` to that of ``dst`` (rows indexed by ``dst``); its
+    scalars are GRats."""
+    columns, den = operator
     dst_index = {lab: i for i, lab in enumerate(dst)}
     rows = [[ring.zero() for _ in src] for _ in dst]
     for col, lab in enumerate(src):
@@ -239,15 +259,16 @@ def dense_matrix(columns, src, dst, ring):
             row = dst_index.get(lab2)
             if row is None:
                 raise AssertionError("differential left the target component")
-            rows[row][col] = rows[row][col] + ring({j: c})
+            rows[row][col] = rows[row][col] + \
+                ring({j: gaussian_rational(c, den)})
     return rows
 
 
-def dense_complex(degrees, bases, columns, ring, cyclic=False, meta=None):
+def dense_complex(degrees, bases, operator, ring, cyclic=False, meta=None):
     """The :class:`FiniteComplex` whose differentials are the dense views
-    of ``columns`` between consecutive spots of ``bases``."""
+    of ``operator`` between consecutive spots of ``bases``."""
     n = len(bases)
-    mats = [dense_matrix(columns, bases[s], bases[(s + 1) % n], ring)
+    mats = [dense_matrix(operator, bases[s], bases[(s + 1) % n], ring)
             for s in range(n if cyclic else n - 1)]
     return FiniteComplex(degrees, bases, mats, ring=ring, cyclic=cyclic,
                          meta=meta)
@@ -260,16 +281,70 @@ def parity_bases(m):
     return even, odd
 
 
-def koszul_columns(kappa, v):
-    """Monomial columns of kappa ^ - h iota_v on every mask of
-    len(kappa) generators: mask -> {(mask', j): c}.
+def integer_bivector(w):
+    """(W, D) for a constant bivector ``w``: D is the lcm of the
+    denominators of its entries and W[a] lists (b, (re, im)) for every
+    nonzero entry of row a of D w (0-based, both triangles)."""
+    items = sorted(w.entries.items())
+    D, nums = gaussian_integers([c for _ij, c in items])
+    W = [[] for _ in range(w.dim)]
+    for ((i, j), _c), (re, im) in zip(items, nums):
+        if re or im:
+            W[i - 1].append((j - 1, (re, im)))
+            W[j - 1].append((i - 1, (-re, -im)))
+    return W, D
+
+
+def koszul_mode(bivector, kappa, den):
+    """kappa and v = w kappa of one Fourier mode over one denominator.
+
+    ``kappa`` holds Gaussian integers over ``den`` and ``bivector`` is
+    :func:`integer_bivector` (W, D) of w.  Returns (D kappa, W kappa,
+    D den): v_a = sum_b w^ab kappa_b is (W kappa)_a / (D den), so only
+    the 2m numbers of the mode are formed, all over D den.
+    """
+    W, D = bivector
+    v = []
+    for row in W:
+        re = im = 0
+        for b, (c, d) in row:
+            p, q = kappa[b]
+            re += c * p - d * q
+            im += c * q + d * p
+        v.append((re, im))
+    return [(D * p, D * q) for p, q in kappa], v, D * den
+
+
+def dh_kappa_v(bivector, k):
+    """kappa, v and their denominator for d_h = d - h delta on the Fourier
+    mode k, under ``bivector`` = :func:`integer_bivector` of w.
+
+    On e^{i k.theta} e^I the operator d is wedging from the left with
+    kappa = sum_b i k_b e^b.  Since iota_w = sum_{a<b} w^ab e_b |- e_a |-
+    is second order, the pinned delta = d o iota_w - iota_w o d is the
+    commutator -[iota_w, kappa ^], a first-order contraction:
+    delta e^I = sum_a v_a e_a |- e^I with v_a = sum_b w^ab kappa_b, and
+    <kappa, v> = sum w^ab kappa_a kappa_b = 0.  They are the Gaussian
+    amplitudes of the Fourier coefficients they stand for, here Gaussian
+    integers (re, im) over one denominator; ``koszul_columns(*dh_kappa_v(
+    bivector, k))`` is the operator d_h.
+    """
+    return koszul_mode(bivector, [(0, kb) for kb in k], 1)
+
+
+def koszul_columns(kappa, v, den):
+    """The operator (columns, den) of kappa ^ - h iota_v on every mask of
+    len(kappa) generators, for Gaussian integers kappa and v over ``den``:
+    columns map mask -> {(mask', j): (re, im)}.
 
     e^b ^ e^I and e_a |- e^I both carry the sign (-1)^(number of indices
     of I below the moved one).  When <kappa, v> = 0 the operator squares
     to zero.
     """
-    wedges = [(1 << b, c, -c) for b, c in enumerate(kappa) if c]
-    contractions = [(1 << a, -c, c) for a, c in enumerate(v) if c]
+    wedges = [(1 << b, (p, q), (-p, -q)) for b, (p, q) in enumerate(kappa)
+              if p or q]
+    contractions = [(1 << a, (-p, -q), (p, q)) for a, (p, q) in enumerate(v)
+                    if p or q]
     cols = {}
     for mask in range(1 << len(kappa)):
         col = {}
@@ -282,82 +357,46 @@ def koszul_columns(kappa, v):
                 col[(mask ^ bit, 1)] = \
                     odd if (mask & (bit - 1)).bit_count() & 1 else even
         cols[mask] = col
-    return cols
+    return cols, den
 
 
-def homotopy_columns(kappa):
-    """Monomial columns of H = iota_{e_b} / kappa_b, b the first index
-    with kappa_b != 0.
+def homotopy_columns(kappa, den):
+    """The operator (columns, den') of H = iota_{e_b} / kappa_b, b the
+    first index with kappa_b != 0, for Gaussian integers kappa over
+    ``den``: 1 / kappa_b = den conj(kappa_b) / |kappa_b|^2, reduced.
 
     kappa ^ H + H kappa ^ = 1, and H anticommutes with every constant
     contraction, so H contracts each operator kappa ^ - h iota_v (+ further
     contractions): the Koszul-Brylinski homotopy of a constant Poisson
     structure.
     """
-    b = next(i for i, c in enumerate(kappa) if c)
+    b = next(i for i, (p, q) in enumerate(kappa) if p or q)
     bit = 1 << b
-    inv = 1 / kappa[b]
+    p, q = kappa[b]
+    re, im, norm = den * p, -den * q, p * p + q * q
+    g = math.gcd(re, im, norm)
+    inv, neg = (re // g, im // g), (-re // g, -im // g)
     cols = {}
     for mask in range(1 << len(kappa)):
         if mask & bit:
             odd = (mask & (bit - 1)).bit_count() & 1
-            cols[mask] = {(mask ^ bit, 0): -inv if odd else inv}
+            cols[mask] = {(mask ^ bit, 0): neg if odd else inv}
         else:
             cols[mask] = {}
-    return cols
+    return cols, norm // g
 
 
-def contraction_vector(w, kappa):
-    """v_a = sum_b w^ab kappa_b, so that -[iota_w, kappa ^] = iota_v."""
-    v = []
-    for a in range(len(kappa)):
-        s = GRat(0)
-        for b, kb in enumerate(kappa):
-            wab = w.entry(a + 1, b + 1)
-            if wab and kb:
-                s = s + wab * kb
-        v.append(s)
-    return v
-
-
-def dh_kappa_v(w, k):
-    """kappa and v of d_h = d - h delta on the Fourier mode k.
-
-    On e^{i k.theta} e^I the operator d is wedging from the left with
-    kappa = sum_b i k_b e^b.  Since iota_w = sum_{a<b} w^ab e_b |- e_a |-
-    is second order, the pinned delta = d o iota_w - iota_w o d is the
-    commutator -[iota_w, kappa ^], a first-order contraction:
-    delta e^I = sum_a v_a e_a |- e^I with v_a = sum_b w^ab kappa_b, and
-    <kappa, v> = sum w^ab kappa_a kappa_b = 0.  Entries are Gaussian
-    rationals, as the amplitudes of the Fourier coefficients they stand
-    for; ``koszul_columns(*dh_kappa_v(w, k))`` are the columns of d_h.
-    """
-    kappa = [GRat(0, kb) for kb in k]
-    return kappa, contraction_vector(w, kappa)
-
-
-def label_columns(columns, labels):
-    """Mask columns lifted onto labels (..., j, mask), the h-power moved
-    into the label: h^j e^mask -> sum c (..., j + j', mask')."""
+def label_columns(operator, labels):
+    """The operator (columns, den) with its mask columns lifted onto labels
+    (..., j, mask), the h-power moved into the label:
+    h^j e^mask -> sum c (..., j + j', mask')."""
+    columns, den = operator
     out = {}
     for lab in labels:
         head, j, mask = lab[:-2], lab[-2], lab[-1]
         out[lab] = {(head + (j + j2, m2), 0): c
                     for (m2, j2), c in columns[mask].items()}
-    return out
-
-
-def _gaussian_integer_columns(columns):
-    """The columns times the least common denominator of their entries,
-    as Gaussian integers (re, im); returns (columns, denominator)."""
-    cols = {lab: {key: GRat.coerce(c) for key, c in col.items()}
-            for lab, col in columns.items()}
-    den = math.lcm(1, *(x.denominator for col in cols.values()
-                        for g in col.values() for x in (g.re, g.im)))
-    return {lab: {key: (g.re.numerator * (den // g.re.denominator),
-                        g.im.numerator * (den // g.im.denominator))
-                  for key, g in col.items()}
-            for lab, col in cols.items()}, den
+    return out, den
 
 
 def _apply(columns, vec, out):
@@ -381,22 +420,19 @@ def homotopy_certificate(bases, spots, d, h, cyclic=False) -> bool:
     """Exact proof that the complex is acyclic at ``spots``, or False.
 
     ``bases`` lists the labels of every spot; ``d`` (the differential) and
-    ``h`` (the candidate homotopy, one spot down) map each of these labels
-    to its monomial column.  The certificate holds when, for every label
-    x of every spot s in ``spots``: d x lies in spot s+1, h x in spot
-    s-1, d d x = 0 and d h x + h d x = x exactly, every other entry zero.
-    Then each cycle z at s is the boundary d(h z), so the homology at s
-    vanishes over k[h] and k[h,h^-1] alike: free rank 0 and no torsion.
-    A False answer proves nothing.  The arithmetic runs on Gaussian integers:
-    d and h are scaled by their common denominators, so the identity reads
-    (scale_d scale_h) x.  On a T^4 de Rham table this is about five times
-    faster than the same check on GRat entries, whose every product
-    normalises four Fractions.
+    ``h`` (the candidate homotopy, one spot down) are operators (columns,
+    den) whose columns cover each of these labels.  The certificate holds
+    when, for every label x of every spot s in ``spots``: d x lies in spot
+    s+1, h x in spot s-1, d d x = 0 and d h x + h d x = x exactly, every
+    other entry zero.  Then each cycle z at s is the boundary d(h z), so
+    the homology at s vanishes over k[h] and k[h,h^-1] alike: free rank 0
+    and no torsion.  A False answer proves nothing.  The arithmetic runs
+    on the Gaussian integer entries as they are, so the identity reads
+    (den_d den_h) x.
     """
     n = len(bases)
     spot_of = {lab: s for s, labs in enumerate(bases) for lab in labs}
-    d, den_d = _gaussian_integer_columns(d)
-    h, den_h = _gaussian_integer_columns(h)
+    (d, den_d), (h, den_h) = d, h
     unit = (den_d * den_h, 0)
     for s in spots:
         up, down = s + 1, s - 1

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 from .calculus import koszul_delta, lie_derivative, quantum_d
 from .complexes import (CohomologyTable, complex_homology, dense_complex,
-                        dh_kappa_v, homotopy_columns, koszul_columns,
-                        label_columns, require_acyclic)
+                        dh_kappa_v, gaussian_integers, homotopy_columns,
+                        integer_bivector, koszul_columns, label_columns,
+                        require_acyclic)
 from .forms import HForm, contract_vector
 from .hpoly import HPoly
 from .models import PoissonModel, TORUS
@@ -251,25 +252,40 @@ def _equivariant_basis(model, d, total, laurent=False):
     return out
 
 
-def _cartan_columns(action, kappa, v, labels):
-    """Monomial columns of D = d_h + Theta^a iota_a on labels (A, j, mask),
-    for the mode whose d_h is kappa ^ - h iota_v: d_h lifted from its mask
-    columns, and Theta^a iota_a bumps A_a and contracts by the constant
-    generator X_a with the sign (-1)^(indices of the mask below the
-    removed one)."""
+def _integer_generators(action):
+    """(L, [X_a]): the translation vectors of the generators times L, the
+    lcm of their denominators, as Gaussian integers (re, im)."""
+    m = action.model.dim
+    L, flat = gaussian_integers([c for a in range(action.n_generators)
+                                 for c in action.translation_vector(a)])
+    return L, [flat[a * m:(a + 1) * m] for a in range(action.n_generators)]
+
+
+def _cartan_columns(generators, kappa, v, den, labels):
+    """The operator D = d_h + Theta^a iota_a on labels (A, j, mask), for
+    the mode whose d_h is kappa ^ - h iota_v (Gaussian integers over
+    ``den``) and ``generators`` = :func:`_integer_generators`: d_h lifted
+    from its mask columns, and Theta^a iota_a bumps A_a and contracts by
+    the constant generator X_a with the sign (-1)^(indices of the mask
+    below the removed one).  Both are put over den L."""
+    L, gens = generators
     m = len(kappa)
-    cols = label_columns(koszul_columns(kappa, v), labels)
-    gens = [action.translation_vector(a) for a in range(action.n_generators)]
+    cols, _den = label_columns(koszul_columns(
+        [(L * p, L * q) for p, q in kappa], [(L * p, L * q) for p, q in v],
+        den * L), labels)
+    gens = [[(den * p, den * q) for p, q in x] for x in gens]
     for (A, j, mask) in labels:
         col = cols[(A, j, mask)]
         for a, x in enumerate(gens):
             bumped = A[:a] + (A[a] + 1,) + A[a + 1:]
             for i in range(m):
                 bit = 1 << i
-                if x[i] and mask & bit:
+                p, q = x[i]
+                if (p or q) and mask & bit:
                     odd = (mask & (bit - 1)).bit_count() & 1
-                    col[((bumped, j, mask ^ bit), 0)] = -x[i] if odd else x[i]
-    return cols
+                    col[((bumped, j, mask ^ bit), 0)] = \
+                        (-p, -q) if odd else (p, q)
+    return cols, den * L
 
 
 def invariant_modes(action: GroupAction, mode_box: int):
@@ -308,16 +324,18 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     modes = invariant_modes(action, mode_box)
     bases = [_equivariant_basis(model, d, n) for n in degrees]
     labels = [lab for b in bases for lab in b]
-    w = model.constant_bivector()
+    bivector = integer_bivector(model.constant_bivector())
+    generators = _integer_generators(action)
     zero = (0,) * model.dim
     for k in modes:
         if k != zero:
-            kappa, v = dh_kappa_v(w, k)
+            kappa, v, den = dh_kappa_v(bivector, k)
             require_acyclic(k, bases, range(cutoff + 1),
-                            _cartan_columns(action, kappa, v, labels),
-                            label_columns(homotopy_columns(kappa), labels))
+                            _cartan_columns(generators, kappa, v, den, labels),
+                            label_columns(homotopy_columns(kappa, den), labels))
     tab = complex_homology(dense_complex(
-        degrees, bases, _cartan_columns(action, *dh_kappa_v(w, zero), labels),
+        degrees, bases,
+        _cartan_columns(generators, *dh_kappa_v(bivector, zero), labels),
         HPoly))
     place = modes.index(zero)
     entries = [tab.entries[n] for n in range(cutoff + 1)]

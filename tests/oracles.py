@@ -41,17 +41,24 @@ Fourier-mode columns.
 before it applied the Koszul-Brylinski homotopy: one dense d_h matrix per
 Fourier mode of the target, settled by ``solve_linear`` (a Smith normal
 form) over the given ring.
+
+``grat_dh_kappa_v``, ``grat_delbar_kappa_v``, ``grat_koszul_columns``,
+``grat_homotopy_columns`` and ``grat_cartan_columns`` are the Fourier-mode
+builders the engine used before it built every mode in Gaussian integers
+over one denominator: the same operators with GRat entries, one normalised
+Gaussian rational per product.  ``gaussian_integer_columns`` is the
+conversion the homotopy certificate then ran on each mode's columns.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from qexterior._kernels import back_sign, front_sign, wedge_sign
 from qexterior.calculus import dolbeault_operators, quantum_d
 from qexterior.chern import TransgressionResult
 from qexterior.coeffs import FourierCoeff
-from qexterior.complexes import (dense_matrix, dh_kappa_v, koszul_columns,
-                                 parity_bases)
+from qexterior.complexes import dense_matrix, parity_bases
 from qexterior.forms import (HForm, bivector_contract, check_symplectic,
                              contract_back, contract_front, mask_indices,
                              omega_form, wedge)
@@ -60,6 +67,7 @@ from qexterior.lefschetz import (CommutatorReport, DarbouxSpace, apply_Ah,
                                  apply_Lh, apply_Lh_star)
 from qexterior.linalg import det, matrix_inverse
 from qexterior.quantum import qwedge
+from qexterior.scalars import GRat
 from qexterior.snf import rank_fraction_field, solve_linear
 
 
@@ -593,7 +601,8 @@ def solve_dh_primitive_snf(model, delta: HForm, ring) -> TransgressionResult:
             vec[dst_pos[mask]] = vec[dst_pos[mask]] + ring({j: amp})
     eta = HForm.zero(m, ring is HLaurent)
     for mode, target in sorted(by_mode.items()):
-        D = dense_matrix(koszul_columns(*dh_kappa_v(w, mode)), src, dst, ring)
+        D = dense_matrix(gaussian_integer_columns(
+            grat_koszul_columns(*grat_dh_kappa_v(w, mode))), src, dst, ring)
         x = solve_linear(D, target, ring)
         if x is None:
             return TransgressionResult(False, None, obstruction_mode=mode)
@@ -618,3 +627,101 @@ def conjugate(x: HForm, w, sign=1) -> HForm:
         term = bivector_contract(w, term).h_shift(1) * Fraction(sign, k)
         out = out + term
     return out
+
+
+def grat_contraction_vector(w, kappa):
+    """v_a = sum_b w^ab kappa_b, so that -[iota_w, kappa ^] = iota_v."""
+    v = []
+    for a in range(len(kappa)):
+        s = GRat(0)
+        for b, kb in enumerate(kappa):
+            wab = w.entry(a + 1, b + 1)
+            if wab and kb:
+                s = s + wab * kb
+        v.append(s)
+    return v
+
+
+def grat_dh_kappa_v(w, k):
+    """kappa = sum_b i k_b e^b and v = w kappa of d_h on the mode k, as
+    GRats, for the bivector ``w`` itself."""
+    kappa = [GRat(0, kb) for kb in k]
+    return kappa, grat_contraction_vector(w, kappa)
+
+
+def grat_delbar_kappa_v(wc, k):
+    """kappa^{0,1}_l = (i k_{2l-1} - k_{2l}) / 2 in the dzbar slots and
+    v = wc kappa^{0,1} of delbar_h on the mode k, as GRats, for the
+    complex-frame bivector ``wc`` itself."""
+    n = len(k) // 2
+    kappa = [GRat(0)] * n + [GRat(Fraction(-k[2 * l + 1], 2),
+                                  Fraction(k[2 * l], 2)) for l in range(n)]
+    return kappa, grat_contraction_vector(wc, kappa)
+
+
+def grat_koszul_columns(kappa, v):
+    """Columns of kappa ^ - h iota_v on every mask: mask -> {(mask', j): c}."""
+    wedges = [(1 << b, c, -c) for b, c in enumerate(kappa) if c]
+    contractions = [(1 << a, -c, c) for a, c in enumerate(v) if c]
+    cols = {}
+    for mask in range(1 << len(kappa)):
+        col = {}
+        for bit, even, odd in wedges:
+            if not mask & bit:
+                col[(mask | bit, 0)] = \
+                    odd if (mask & (bit - 1)).bit_count() & 1 else even
+        for bit, even, odd in contractions:
+            if mask & bit:
+                col[(mask ^ bit, 1)] = \
+                    odd if (mask & (bit - 1)).bit_count() & 1 else even
+        cols[mask] = col
+    return cols
+
+
+def grat_homotopy_columns(kappa):
+    """Columns of H = iota_{e_b} / kappa_b, b the first index with
+    kappa_b != 0."""
+    b = next(i for i, c in enumerate(kappa) if c)
+    bit = 1 << b
+    inv = 1 / kappa[b]
+    cols = {}
+    for mask in range(1 << len(kappa)):
+        if mask & bit:
+            odd = (mask & (bit - 1)).bit_count() & 1
+            cols[mask] = {(mask ^ bit, 0): -inv if odd else inv}
+        else:
+            cols[mask] = {}
+    return cols
+
+
+def grat_cartan_columns(action, kappa, v, labels):
+    """Columns of D = d_h + Theta^a iota_a on labels (A, j, mask) for the
+    mode whose d_h is kappa ^ - h iota_v (GRats)."""
+    m = len(kappa)
+    mask_cols = grat_koszul_columns(kappa, v)
+    cols = {}
+    for (A, j, mask) in labels:
+        col = cols[(A, j, mask)] = {((A, j + j2, m2), 0): c
+                                    for (m2, j2), c in mask_cols[mask].items()}
+        for a in range(action.n_generators):
+            x = action.translation_vector(a)
+            bumped = A[:a] + (A[a] + 1,) + A[a + 1:]
+            for i in range(m):
+                bit = 1 << i
+                if x[i] and mask & bit:
+                    odd = (mask & (bit - 1)).bit_count() & 1
+                    col[((bumped, j, mask ^ bit), 0)] = -x[i] if odd else x[i]
+    return cols
+
+
+def gaussian_integer_columns(columns):
+    """The GRat columns times the least common denominator of their
+    entries, as Gaussian integers (re, im): the operator (columns, den)."""
+    cols = {lab: {key: GRat.coerce(c) for key, c in col.items()}
+            for lab, col in columns.items()}
+    den = math.lcm(1, *(x.denominator for col in cols.values()
+                        for g in col.values() for x in (g.re, g.im)))
+    return {lab: {key: (g.re.numerator * (den // g.re.denominator),
+                        g.im.numerator * (den // g.im.denominator))
+                  for key, g in col.items()}
+            for lab, col in cols.items()}, den

@@ -759,21 +759,60 @@ class TestModelDimension:
         assert main(self.argv(command, tmp_path, model)
                     + ["--out", str(tmp_path / "out.json")]) == 0
 
-    def test_dim_16_reaches_the_suites(self, monkeypatch, tmp_path):
-        # a dimension-16 suite run is slow; stop it before the first trial
-        from qexterior import suites
-        reached = []
-
-        def stop(name, model, trials, seed):
-            reached.append(model.dim)
-            raise RuntimeError("suite reached")
-        monkeypatch.setattr(suites, "run_suite", stop)
-        model = {"space": "torus", "dim": 16, "symplectic": "darboux"}
-        assert main(self.argv("check", tmp_path, model)) == 3
-        assert reached == [16]
-
     def test_loader_bounds(self):
         assert model_from_json({"space": "affine", "dim": 16}).dim == 16
         for dim in (0, 17):
             with pytest.raises(ValueError, match=r"must be in 1\.\.16"):
                 model_from_json({"space": "affine", "dim": dim})
+
+
+class TestCheckBudget:
+    """``check`` refuses a model past cli.CHECK_MAX_DIM before any trial;
+    the suites are stubbed, so no admitted case runs a trial either."""
+
+    @pytest.fixture
+    def reached(self, monkeypatch):
+        from qexterior import suites
+        calls = []
+
+        def stop(name, model, trials, seed):
+            calls.append((name, model.dim, trials))
+            raise RuntimeError("suite reached")
+        monkeypatch.setattr(suites, "run_suite", stop)
+        return calls
+
+    @pytest.mark.parametrize("dim,extra", [
+        (9, {}), (10, {}), (16, {}), (10, {"symplectic": "darboux"}),
+        (16, {"symplectic": "darboux", "complex": True}),
+        (12, {"space": "affine"}),
+    ], ids=["T9", "T10", "T16", "T10-darboux", "T16-darboux-complex",
+            "affine12"])
+    def test_past_the_cap_refused_before_any_trial(self, capsys, tmp_path,
+                                                   reached, dim, extra):
+        model = {"space": "torus", "dim": dim, **extra}
+        path = write_json(tmp_path / "model.json", model)
+        start = time.perf_counter()
+        message = cli_error(capsys, ["check", "--model", path, "--suite",
+                                     "associativity", "--trials", "1"])
+        assert time.perf_counter() - start < 0.5
+        assert message == f"check on dimension {dim} passes the work " \
+            "budget: the suites take models of dimension at most 8"
+        assert reached == []
+
+    def test_cap_reaches_the_suites(self, tmp_path, reached):
+        model = {"space": "torus", "dim": 8, "symplectic": "darboux",
+                 "complex": True}
+        path = write_json(tmp_path / "model.json", model)
+        assert main(["check", "--model", path, "--suite", "chern",
+                     "--trials", "100"]) == 3
+        assert reached == [("chern", 8, 100)]
+
+    @pytest.mark.parametrize("suite,trials", [("associativity", 200),
+                                              ("supercommutativity", 500)])
+    def test_benchmark_inputs_admitted(self, tmp_path, reached, suite, trials):
+        # the benchmark's suites jobs: a dimension-4 torus, no bivector
+        path = write_json(tmp_path / "model.json", {"space": "torus",
+                                                    "dim": 4})
+        assert main(["check", "--suite", suite, "--model", path,
+                     "--trials", str(trials), "--seed", "7"]) == 3
+        assert reached == [(suite, 4, trials)]

@@ -11,8 +11,11 @@ from fractions import Fraction
 import pytest
 
 from oracles import (dolbeault_matrix_symbolic, free_rank_oracle,
-                     matrix_of_dh_symbolic, ring_table_per_pair)
-from qexterior import complexes
+                     grat_cartan_columns, grat_delbar_kappa_v,
+                     grat_dh_kappa_v, grat_homotopy_columns,
+                     grat_koszul_columns, matrix_of_dh_symbolic,
+                     ring_table_per_pair)
+from qexterior import _kernels, cohomology, complexes, equivariant
 from qexterior.cli import main
 from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
                                   _signed_permutation, graded_dims,
@@ -22,8 +25,12 @@ from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
 from qexterior.complexes import (FiniteComplex, complex_homology,
                                  dense_complex, dense_matrix, dh_kappa_v,
                                  homotopy_certificate, homotopy_columns,
+                                 integer_bivector,
                                  koszul_columns, label_columns, parity_bases)
-from qexterior.equivariant import GroupAction, equivariant_cohomology_table
+from qexterior.equivariant import (GroupAction, _cartan_columns,
+                                   _equivariant_basis, _integer_generators,
+                                   equivariant_cohomology_table,
+                                   invariant_modes)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.models import PoissonModel
 from qexterior.scalars import GRat
@@ -154,17 +161,18 @@ def same_entries(A, B):
 def matrix_of_dh(model, k, src, dst, ring):
     """The ring matrix of d_h on the mode k from the span of ``src`` to
     that of ``dst``, as the drivers build it."""
-    cols = koszul_columns(*dh_kappa_v(model.constant_bivector(), k))
+    cols = koszul_columns(*dh_kappa_v(
+        integer_bivector(model.constant_bivector()), k))
     return dense_matrix(cols, src, dst, ring)
 
 
 def mode_certified(model, k):
     """Whether the homotopy certificate proves the nonzero mode k of the
     de Rham complex acyclic."""
-    kappa, v = dh_kappa_v(model.constant_bivector(), k)
+    kappa, v, den = dh_kappa_v(integer_bivector(model.constant_bivector()), k)
     return homotopy_certificate(parity_bases(model.dim), (0, 1),
-                                koszul_columns(kappa, v),
-                                homotopy_columns(kappa), cyclic=True)
+                                koszul_columns(kappa, v, den),
+                                homotopy_columns(kappa, den), cyclic=True)
 
 
 class TestDirectDhBuilder:
@@ -261,49 +269,52 @@ class TestHomotopyCertificate:
         model = PoissonModel.torus(4, certificate_bivectors(4)["dense"])
         even = [m for m in range(16) if m.bit_count() % 2 == 0]
         odd = [m for m in range(16) if m.bit_count() % 2 == 1]
+        bivector = integer_bivector(model.constant_bivector())
         for k in box(4, 1):
-            kappa, v = dh_kappa_v(model.constant_bivector(), k)
-            d, h = koszul_columns(kappa, v), homotopy_columns(kappa)
+            kappa, v, den = dh_kappa_v(bivector, k)
+            d, h = koszul_columns(kappa, v, den), homotopy_columns(kappa, den)
             assert homotopy_certificate([even, odd], (0, 1), d, h, cyclic=True)
-            flipped = {x: {key: -c for key, c in col.items()}
-                       for x, col in h.items()}
+            flipped = ({x: {key: (-re, -im) for key, (re, im) in col.items()}
+                        for x, col in h[0].items()}, h[1])
             assert not homotopy_certificate([even, odd], (0, 1), d, flipped,
                                             cyclic=True), k
 
     def test_nonzero_square_rejected(self):
         # kappa ^ - h iota_v with <kappa, v> != 0 is not a differential,
         # yet iota_{e_1} / kappa_1 still satisfies d h + h d = 1
-        kappa, v = [GRat(0, 1), GRat(0)], [GRat(1), GRat(0)]
-        d, h = koszul_columns(kappa, v), homotopy_columns(kappa)
+        kappa, v = [(0, 1), (0, 0)], [(1, 0), (0, 0)]
+        d, h = koszul_columns(kappa, v, 1), homotopy_columns(kappa, 1)
         bases = [[0, 3], [1, 2]]
         assert not homotopy_certificate(bases, (0, 1), d, h, cyclic=True)
-        assert homotopy_certificate(bases, (0, 1), koszul_columns(kappa, [GRat(0)] * 2),
+        assert homotopy_certificate(bases, (0, 1),
+                                    koszul_columns(kappa, [(0, 0)] * 2, 1),
                                     h, cyclic=True)
 
     def test_identity_off_the_diagonal_rejected(self):
         # spot 1 spanned by b, c with d a = b + c: h b = h c = a gives
         # d h + h d = 1 on the diagonal only, and H_1 = C^2 / (b + c) != 0
         bases = [["a"], ["b", "c"]]
-        one = GRat(1)
-        d = {"a": {("b", 0): one, ("c", 0): one}, "b": {}, "c": {}}
-        h = {"a": {}, "b": {("a", 0): one}, "c": {("a", 0): one}}
+        one = (1, 0)
+        d = ({"a": {("b", 0): one, ("c", 0): one}, "b": {}, "c": {}}, 1)
+        h = ({"a": {}, "b": {("a", 0): one}, "c": {("a", 0): one}}, 1)
         assert not homotopy_certificate(bases, (1,), d, h)
         # an extra h^1 entry on the diagonal label is not the identity either
-        kappa, v = [GRat(0, 1), GRat(0)], [GRat(0), GRat(3)]
-        h = homotopy_columns(kappa)
+        kappa, v = [(0, 1), (0, 0)], [(0, 0), (3, 0)]
+        h, den = homotopy_columns(kappa, 1)
+        assert den == 1
         for mask in range(4):   # h + e^2 ^, whose commutator adds -3h
             if not mask & 2:
                 odd = mask & 1
-                h[mask] = {**h[mask], (mask | 2, 0): -one if odd else one}
+                h[mask] = {**h[mask], (mask | 2, 0): (-1, 0) if odd else one}
         assert not homotopy_certificate([[0, 3], [1, 2]], (0, 1),
-                                        koszul_columns(kappa, v), h,
+                                        koszul_columns(kappa, v, 1), (h, 1),
                                         cyclic=True)
 
     def test_truncated_ends_and_components(self):
         # a nonzero image outside the complex is never certified
-        one = GRat(1)
-        d = {"a": {("b", 0): one}, "b": {}}
-        h = {"a": {}, "b": {("a", 0): one}}
+        one = (1, 0)
+        d = ({"a": {("b", 0): one}, "b": {}}, 1)
+        h = ({"a": {}, "b": {("a", 0): one}}, 1)
         assert homotopy_certificate([["a"], ["b"]], (0, 1), d, h)
         assert not homotopy_certificate([["a"], []], (0,), d, h)
 
@@ -330,7 +341,8 @@ class TestHomotopyCertificate:
         model = PoissonModel.torus(4, {(1, 3): Fraction(1), (2, 4): Fraction(1),
                                        (3, 4): Fraction(-2)},
                                    complex_structure=True)
-        wc = complex_frame_bivector(model.constant_bivector())
+        wc = integer_bivector(complex_frame_bivector(
+            model.constant_bivector()))
         for ring, laurent in ((HLaurent, True), (HPoly, False)):
             for p in range(-1 if laurent else 0, 4):
                 qs = list(range(p - 3, p + 4)) if laurent else \
@@ -339,9 +351,9 @@ class TestHomotopyCertificate:
                 spots = [bases[q] for q in qs]
                 labels = [lab for b in spots for lab in b]
                 for k in box(4, 1)[::7]:
-                    kappa, v = _delbar_kappa_v(wc, k)
-                    d = label_columns(koszul_columns(kappa, v), labels)
-                    h = label_columns(homotopy_columns(kappa), labels)
+                    kappa, v, den = _delbar_kappa_v(wc, k)
+                    d = label_columns(koszul_columns(kappa, v, den), labels)
+                    h = label_columns(homotopy_columns(kappa, den), labels)
                     assert homotopy_certificate(spots, range(1, len(qs) - 1),
                                                 d, h), (p, k)
 
@@ -372,7 +384,8 @@ class TestNonzeroModesBySNF:
         t4c = PoissonModel.darboux_torus(2, complex_structure=True)
         for model, modes in ((t2c, box(2, 1)), (t4c, box(4, 1)[::9])):
             n = model.dim // 2
-            wc = complex_frame_bivector(model.constant_bivector())
+            wc = integer_bivector(complex_frame_bivector(
+                model.constant_bivector()))
             for p in range(-2 if laurent else 0, n + 3):
                 qs, spots = dolbeault_spots(n, p, laurent)
                 labels = [lab for b in spots for lab in b]
@@ -469,6 +482,131 @@ class TestCertifyOrFail:
         assert at_zero and calls == at_zero
 
 
+def equals_divided(operator, grat_columns):
+    """Whether the operator (columns, den) divided by den is ``grat_columns``:
+    the same labels and keys, and re / den and im / den equal to the parts
+    of the GRat at every entry (compared by cross-multiplying)."""
+    columns, den = operator
+    if columns.keys() != grat_columns.keys():
+        return False
+    for lab, col in columns.items():
+        grat_col = grat_columns[lab]
+        if col.keys() != grat_col.keys():
+            return False
+        for key, (re_, im_) in col.items():
+            g = GRat.coerce(grat_col[key])
+            if re_ * g.re.denominator != g.re.numerator * den or \
+                    im_ * g.im.denominator != g.im.numerator * den:
+                return False
+    return True
+
+
+def oracle_bivectors(dim):
+    """Seeded integer, rational and Gaussian constant bivectors on T^dim
+    (all zero on T^1)."""
+    rng = random.Random(f"integer-columns:{dim}")
+    pairs = list(itertools.combinations(range(1, dim + 1), 2))
+    return {
+        "integer": {ij: rng.choice([-3, -1, 2, 5]) for ij in pairs},
+        "rational": {ij: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                     for ij in pairs},
+        "gaussian": {ij: GRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                              Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                     for ij in pairs},
+    }
+
+
+# J-invariant bivectors for the Dolbeault operator: on T^4,
+# w^13 = w^24 and w^14 = -w^23.
+COMPLEX_BIVECTORS = {
+    2: {"integer": {(1, 2): 4}, "rational": {(1, 2): Fraction(-5, 3)},
+        "gaussian": {(1, 2): GRat(Fraction(1, 2), 3)}},
+    4: {"integer": {(1, 2): 2, (1, 3): 3, (2, 4): 3, (1, 4): -1, (2, 3): 1,
+                    (3, 4): -5},
+        "rational": {(1, 2): Fraction(3, 7), (1, 3): Fraction(1),
+                     (2, 4): Fraction(1), (3, 4): Fraction(-2)},
+        "gaussian": {(1, 2): GRat(Fraction(1, 2), 3), (1, 3): Fraction(1),
+                     (2, 4): Fraction(1)}},
+}
+
+
+class TestIntegerColumns:
+    """The Gaussian-integer operators the drivers certify equal the GRat
+    builders of the oracle divided by their denominators, on every mode
+    of box 2."""
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "gaussian"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_derham_and_homotopy(self, dim, kind):
+        w = PoissonModel.torus(dim, oracle_bivectors(dim)[kind]) \
+            .constant_bivector()
+        bivector = integer_bivector(w)
+        for k in [(0,) * dim] + box(dim, 2):
+            kappa, v, den = dh_kappa_v(bivector, k)
+            g_kappa, g_v = grat_dh_kappa_v(w, k)
+            assert equals_divided(koszul_columns(kappa, v, den),
+                                  grat_koszul_columns(g_kappa, g_v)), k
+            if any(k):
+                assert equals_divided(homotopy_columns(kappa, den),
+                                      grat_homotopy_columns(g_kappa)), k
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "gaussian"])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_dolbeault_and_homotopy(self, dim, kind):
+        model = PoissonModel.torus(dim, COMPLEX_BIVECTORS[dim][kind],
+                                   complex_structure=True)
+        wc = complex_frame_bivector(model.constant_bivector())
+        bivector = integer_bivector(wc)
+        for k in [(0,) * dim] + box(dim, 2):
+            kappa, v, den = _delbar_kappa_v(bivector, k)
+            g_kappa, g_v = grat_delbar_kappa_v(wc, k)
+            assert equals_divided(koszul_columns(kappa, v, den),
+                                  grat_koszul_columns(g_kappa, g_v)), k
+            if any(k):
+                assert equals_divided(homotopy_columns(kappa, den),
+                                      grat_homotopy_columns(g_kappa)), k
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "gaussian"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_cartan(self, dim, kind):
+        model = PoissonModel.torus(dim, oracle_bivectors(dim)[kind])
+        w = model.constant_bivector()
+        gens = [[Fraction(1, 2)] + [Fraction(0)] * (dim - 1)]
+        if dim > 2:
+            gens.append([Fraction(0), Fraction(2, 3), Fraction(-2, 3)]
+                        + [Fraction(0)] * (dim - 3))
+        action = GroupAction(model, gens)
+        labels = [lab for n in range(4)
+                  for lab in _equivariant_basis(model, len(gens), n)]
+        bivector, generators = integer_bivector(w), _integer_generators(action)
+        for k in invariant_modes(action, 2):
+            assert equals_divided(
+                _cartan_columns(generators, *dh_kappa_v(bivector, k), labels),
+                grat_cartan_columns(action, *grat_dh_kappa_v(w, k), labels)), k
+
+    @pytest.mark.parametrize("module,table,mode", [
+        (cohomology, lambda m: quantum_derham_table(m, 1), (-1, -1)),
+        (cohomology, lambda m: quantum_dolbeault_table(m, 1), (-1, -1)),
+        (equivariant, lambda m: circle_table(m, 1), (0, -1)),
+    ], ids=["derham", "dolbeault", "equivariant"])
+    def test_flipped_sign_raises_naming_the_mode(self, t2c, monkeypatch,
+                                                 module, table, mode):
+        # one entry of the integer builder negated: the first wedge on the
+        # empty mask, whose homotopy then gives -1 instead of 1
+        def flipped(kappa, v, den):
+            cols, den = koszul_columns(kappa, v, den)
+            if cols[0]:
+                key = next(iter(cols[0]))
+                re_, im_ = cols[0][key]
+                cols[0][key] = (-re_, -im_)
+            return cols, den
+
+        monkeypatch.setattr(module, "koszul_columns", flipped)
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"Fourier mode {mode}")):
+            table(t2c)
+
+
 class TestDirectDolbeaultBuilder:
     """delbar_h mode matrices from kappa^{0,1} against the symbolic
     Dolbeault splitting."""
@@ -484,7 +622,7 @@ class TestDirectDolbeaultBuilder:
             model = PoissonModel.darboux_torus(2, complex_structure=True)
         else:
             model = PoissonModel.torus(4, entries, complex_structure=True)
-        wc = complex_frame_bivector(model.constant_bivector())
+        wc = integer_bivector(complex_frame_bivector(model.constant_bivector()))
         for ring, laurent in ((HLaurent, True), (HPoly, False)):
             p = 1
             qs = list(range(p - 3, p + 4)) if laurent else list(range(-1, p + 4))
@@ -627,6 +765,28 @@ class TestRingTable:
             tab = quantum_derham_table(model, mode_box=0, ring=ring)
             assert signature(ring_table(tab, model, ring).structure) == \
                 signature(ring_table_per_pair(tab, model, ring))
+
+    @pytest.mark.parametrize("model,integer", [
+        (PoissonModel.torus(4, {(1, 2): 3, (1, 3): -2, (1, 4): 5, (2, 3): 1,
+                                (2, 4): -4, (3, 4): 6}), True),
+        (PoissonModel.torus(4, {(1, 2): Fraction(-5, 3), (1, 4): Fraction(7, 2),
+                                (2, 3): Fraction(1, 6), (3, 4): 2}), True),
+        (PoissonModel.torus(4, {(1, 2): GRat(Fraction(1, 2), 3), (3, 4): 4}),
+         False),
+    ], ids=["t4-integer", "t4-rational", "t4-gaussian"])
+    def test_real_bivector_takes_the_integer_kernel(self, monkeypatch, model,
+                                                    integer):
+        calls = []
+        kernel = _kernels._qwedge_integer
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "_qwedge_integer", counting)
+        rt = ring_table(quantum_derham_table(model, mode_box=0), model)
+        assert len(rt.structure) == 256
+        assert len(calls) == (256 if integer else 0)
 
     def test_negated_representative_matches_snf_solve(self, t4):
         # -e^I represents the same class line: the -1 pivots are read off

@@ -11,9 +11,10 @@ from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.cohomology import quantum_derham_table
 from qexterior.complexes import (complex_homology, dense_complex,
                                  dense_matrix, dh_kappa_v,
-                                 homotopy_certificate)
+                                 homotopy_certificate, integer_bivector)
 from qexterior.equivariant import (EquivariantElement, GroupAction,
                                    _cartan_columns, _equivariant_basis,
+                                   _integer_generators,
                                    anticommutator_check, cartan_d,
                                    contract_generator,
                                    equivariant_cohomology_table,
@@ -228,7 +229,9 @@ class TestHomotopyCertificate:
             labels = [lab for b in bases for lab in b]
             for k in invariant_modes(action, 1)[::3]:
                 cols = _cartan_columns(
-                    action, *dh_kappa_v(model.constant_bivector(), k), labels)
+                    _integer_generators(action),
+                    *dh_kappa_v(integer_bivector(model.constant_bivector()),
+                                k), labels)
                 for n in range(cutoff + 1):
                     for ring in (HPoly, HLaurent):
                         direct = dense_matrix(cols, bases[n], bases[n + 1], ring)
@@ -266,7 +269,9 @@ class TestHomotopyCertificate:
             assert nonzero
             for k in nonzero:
                 cols = _cartan_columns(
-                    action, *dh_kappa_v(model.constant_bivector(), k), labels)
+                    _integer_generators(action),
+                    *dh_kappa_v(integer_bivector(model.constant_bivector()),
+                                k), labels)
                 tab = complex_homology(dense_complex(degrees, bases, cols,
                                                      HPoly))
                 for n in range(cutoff + 1):
