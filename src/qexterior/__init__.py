@@ -12,8 +12,7 @@ from .calculus import (dolbeault_operators, exterior_d, frame_formula_d,
 from .chern import (QConnection, char_form, quantum_covariant_d,
                     quantum_curvature, transgression_check)
 from .coeffs import FourierCoeff, PolyCoeff
-from .cohomology import (invariant_subcomplex, mode_subcomplex,
-                         quantum_derham_table, quantum_dolbeault_table,
+from .cohomology import (quantum_derham_table, quantum_dolbeault_table,
                          ring_table)
 from .complexes import CohomologyTable, FiniteComplex, complex_homology
 from .equivariant import (EquivariantElement, GroupAction,
@@ -45,8 +44,8 @@ __all__ = [
     "contract_generator", "dolbeault_operators",
     "equivariant_cohomology_table", "exterior_d", "frame_formula_d",
     "frobenius_pairing", "graded_degree", "gram_matrix",
-    "hard_lefschetz_check", "invariant_subcomplex", "jacobi_check",
-    "kernel_backend", "koszul_delta", "mode_subcomplex", "qintegral",
+    "hard_lefschetz_check", "jacobi_check", "kernel_backend",
+    "koszul_delta", "qintegral",
     "quantum_covariant_d", "quantum_curvature", "quantum_d",
     "quantum_derham_table", "quantum_dolbeault_table", "qwedge",
     "rank_fraction_field", "recursion_verify", "ring_table",

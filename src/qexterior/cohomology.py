@@ -2,31 +2,30 @@
 subcomplexes.
 
 With a constant bivector on a torus, d and delta preserve each Fourier
-mode, so (Omega(M)[h], d_h) splits: mode 0 is the finite complex of
-constant forms with zero differential, whose Smith-normal-form homology is
-the table, and every nonzero mode gives a finite two-periodic complex over
-the h-ring whose parity components are spanned by the even/odd monomials.
-
-Only mode 0 is computed, by Smith normal form.  ``complexes.require_acyclic``
-proves every nonzero mode of the box acyclic with its operator (d_h, or
-delbar_h for the Dolbeault table) and the Koszul-Brylinski homotopy H
-(:func:`complexes.homotopy_columns`), or raises AssertionError naming the
-mode.  ``anomalous_modes`` stays in the report meta, always empty.
+mode, so (Omega(M)[h], d_h) splits into one finite complex per mode.  On
+mode 0 both kappa and v vanish, so d_h (and delbar_h) is zero there: once
+:func:`complexes.require_zero` has checked that on every mask, the table
+is free on the constant monomials, each its own representative
+(:func:`complexes.free_homology`).  ``complexes.require_acyclic`` proves
+every nonzero mode of the box acyclic with its operator and the
+Koszul-Brylinski homotopy H (:func:`complexes.homotopy_columns`), or
+raises AssertionError naming the mode.  No Smith normal form is taken.
+``anomalous_modes`` stays in the report meta, always empty.
 
 ``ring_table`` reads class coordinates off each product: the
-representatives of the invariant torus complex are basis monomials, so
-the representative matrix is a signed permutation and no solve is needed.
-Under a real bivector the products run in qwedge's integer kernel.
+representatives are signed basis monomials, one per mask, so each term
+of a product goes to the class of its mask and no solve is needed.  Under
+a real bivector the products run in qwedge's integer kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .complexes import (CohomologyTable, FiniteComplex, complex_homology,
-                        dense_complex, dh_kappa_v, homotopy_columns,
-                        integer_bivector, koszul_columns, koszul_mode,
-                        label_columns, parity_bases, require_acyclic)
+from .complexes import (CohomologyTable, dh_kappa_v, free_homology,
+                        homotopy_columns, integer_bivector, koszul_columns,
+                        koszul_mode, parity_bases, require_acyclic,
+                        require_zero)
 from .forms import Bivector, HForm
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
@@ -40,39 +39,6 @@ def _require_torus_constant(model: PoissonModel):
         raise ValueError("cohomology engine requires a torus model")
     if not model.is_constant_w():
         raise ValueError("cohomology engine requires a constant bivector")
-
-
-def _dh_columns(model, k):
-    """The operator d_h = d - h delta on the Fourier mode k."""
-    return koszul_columns(*dh_kappa_v(
-        integer_bivector(model.constant_bivector()), k))
-
-
-def invariant_subcomplex(model: PoissonModel, ring=HLaurent) -> FiniteComplex:
-    """Constant-coefficient forms on a torus: one component per classical
-    degree, zero differentials (d and delta both vanish)."""
-    _require_torus_constant(model)
-    m = model.dim
-    zero_mode = (0,) * m
-    bases = [[mask for mask in range(1 << m) if mask.bit_count() == k]
-             for k in range(m + 1)]
-    cx = dense_complex(list(range(m + 1)), bases,
-                       _dh_columns(model, zero_mode), ring,
-                       meta={"kind": "invariant", "mode": zero_mode})
-    if any(not x.is_zero() for D in cx.diffs for row in D for x in row):
-        raise AssertionError("invariant complex has nonzero differential")
-    return cx
-
-
-def mode_subcomplex(model: PoissonModel, k, ring=HLaurent) -> FiniteComplex:
-    """Two-periodic complex of the Fourier mode k (even spot, odd spot)."""
-    _require_torus_constant(model)
-    k = tuple(int(x) for x in k)
-    if len(k) != model.dim:
-        raise ValueError("frequency vector has wrong length")
-    return dense_complex([0, 1], parity_bases(model.dim),
-                         _dh_columns(model, k), ring, cyclic=True,
-                         meta={"kind": "mode", "mode": k})
 
 
 def _box_modes(dim, mode_box):
@@ -97,25 +63,32 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
                          max_degree=None, ring=HLaurent) -> CohomologyTable:
     """Quantum de Rham cohomology of a torus with constant bivector.
 
-    The table holds the mode-0 answer (free module ranks per classical
-    degree and representatives); every nonzero mode in the box is
-    certified acyclic.
+    The table holds the mode-0 answer: d_h vanishes there, so degree p is
+    free of rank C(dim, p) on the masks of p generators.  Every nonzero
+    mode in the box is certified acyclic.
     """
     _require_torus_constant(model)
     if max_degree is not None and max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    modes = _box_modes(model.dim, mode_box)
-    table = complex_homology(invariant_subcomplex(model, ring))
+    m = model.dim
+    modes = _box_modes(m, mode_box)
     bivector = integer_bivector(model.constant_bivector())
-    bases = parity_bases(model.dim)
+    zero = (0,) * m
+    require_zero(zero, koszul_columns(*dh_kappa_v(bivector, zero)))
+    table = CohomologyTable(ring, [
+        free_homology(p, [mask for mask in range(1 << m)
+                          if mask.bit_count() == p], ring)
+        for p in range(m + 1)])
+    bases = parity_bases(m)
     for k in modes:
         kappa, v, den = dh_kappa_v(bivector, k)
         require_acyclic(k, bases, (0, 1), koszul_columns(kappa, v, den),
                         homotopy_columns(kappa, den), cyclic=True)
     if max_degree is None:
-        max_degree = 2 * model.dim
+        max_degree = 2 * m
     table.meta.update({
         "kind": "derham",
+        "mode": zero,
         "ring": "laurent" if ring is HLaurent else "polynomial",
         "mode_box": mode_box,
         "anomalous_modes": [],
@@ -174,9 +147,12 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     For each first index p the complex (Omega_h^{[p,*]}, delbar_h) has
     finite-dimensional strata over the base field; ranks are reported per
     (p, q).  ``LEVEL_CAP`` bounds the reported h-level above the classical
-    window (and, over k[h, h^-1], below it).  Mode 0 is computed by Smith
-    normal form once per p; every nonzero mode is certified acyclic at the
-    reported q by the homotopy iota_{ebar_b} / kappa^{0,1}_b.
+    window (and, over k[h, h^-1], below it).  delbar_h vanishes on mode 0,
+    so each (p, q) stratum is free on its labels.  Each nonzero mode is
+    certified acyclic once, on the masks as for d_h, after checking that
+    kappa^{0,1} has no dz and v no dzbar component: then delbar_h raises q
+    by one at fixed p and the homotopy iota_{ebar_b} / kappa^{0,1}_b
+    lowers it by one, so the certificate holds at every (p, q).
     """
     _require_torus_constant(model)
     if not model.complex_structure:
@@ -185,30 +161,21 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     n = model.dim // 2
     laurent = ring is HLaurent
     wc = integer_bivector(complex_frame_bivector(model.constant_bivector()))
-    d0 = koszul_columns(*_delbar_kappa_v(wc, (0,) * model.dim))
-    mode_cols = {}
+    require_zero((0,) * model.dim,
+                 koszul_columns(*_delbar_kappa_v(wc, (0,) * model.dim)))
+    bases = parity_bases(model.dim)
     for k in modes:
         kappa, v, den = _delbar_kappa_v(wc, k)
-        mode_cols[k] = (koszul_columns(kappa, v, den),
-                        homotopy_columns(kappa, den))
+        if any(p or q for p, q in kappa[:n] + v[n:]):
+            raise AssertionError(f"delbar_h is not of bidegree (0, 1) on "
+                                 f"Fourier mode {k}")
+        require_acyclic(k, bases, (0, 1), koszul_columns(kappa, v, den),
+                        homotopy_columns(kappa, den), cyclic=True)
     entries = []
-    p_lo = -LEVEL_CAP if laurent else 0
-    for p in range(p_lo, n + LEVEL_CAP + 1):
-        comp_qs = list(range(p - n - 1, p + n + 2)) if laurent else \
-            list(range(max(0, p - n) - 1, p + n + 2))
-        bases = _dolbeault_bases(n, p, comp_qs, laurent)
-        spot_bases = [bases[q] for q in comp_qs]
-        labels = [lab for b in spot_bases for lab in b]
-        sub = complex_homology(dense_complex(
-            comp_qs, spot_bases, label_columns(d0, labels), ring))
-        for q in comp_qs[1:-1]:
-            e = sub.entries[q]
-            if e.free_rank or e.torsion:
-                e.degree = (p, q)
-                entries.append(e)
-        for k, (d, h) in mode_cols.items():
-            require_acyclic(k, spot_bases, range(1, len(comp_qs) - 1),
-                            label_columns(d, labels), label_columns(h, labels))
+    for p in range(-LEVEL_CAP if laurent else 0, n + LEVEL_CAP + 1):
+        strata = _dolbeault_bases(n, p, range(p - n, p + n + 1), laurent)
+        entries += [free_homology((p, q), labels, ring)
+                    for q, labels in strata.items() if labels]
     table = CohomologyTable(ring, entries)
     table.meta.update({"kind": "dolbeault", "mode_box": mode_box,
                        "ring": "laurent" if laurent else "polynomial",
@@ -239,7 +206,7 @@ class RingTable:
         return self.structure[(i, j)]
 
 
-def _rep_to_form(model, labels, vec, ring, laurent) -> HForm:
+def _rep_to_form(model, labels, vec, laurent) -> HForm:
     terms = {}
     for lab, coeff in zip(labels, vec):
         for j, c in coeff.coeffs.items():
@@ -247,29 +214,14 @@ def _rep_to_form(model, labels, vec, ring, laurent) -> HForm:
     return HForm(model.dim, terms, laurent)
 
 
-def _signed_permutation(matrix):
-    """(row, sign) per column when the square ``matrix`` has exactly one
-    nonzero entry, +1 or -1, in every row and column; else None."""
-    n = len(matrix)
-    pivots = []
-    for c in range(len(matrix[0]) if n else 0):
-        nz = [(r, matrix[r][c]) for r in range(n) if not matrix[r][c].is_zero()]
-        if len(nz) != 1 or not (nz[0][1] == 1 or nz[0][1] == -1):
-            return None
-        pivots.append((nz[0][0], 1 if nz[0][1] == 1 else -1))
-    if len(pivots) != n or len({r for r, _sign in pivots}) != n:
-        return None
-    return pivots
-
-
 def ring_table(table: CohomologyTable, model: PoissonModel,
                ring=HLaurent) -> RingTable:
     """Products of representatives reduced to class coordinates.
 
-    The representatives of the invariant torus complex are basis
-    monomials, so the rep-matrix is a signed permutation and each class
-    coordinate is read off the product directly.  Any other rep-matrix
-    signals a broken representative and raises AssertionError.  The
+    Each representative must be a signed basis monomial, +-e^mask, one
+    class per mask of the model: then each term c h^j e^mask of a product
+    is the coordinate +-c h^j of the class of that mask, read off without a
+    solve.  Any other set of representatives raises AssertionError.  The
     products multiply constant-coefficient copies of the representatives
     under the constant bivector: with real entries these are Fractions,
     which ``qwedge`` sums in integers; a Gaussian w multiplies GRats.
@@ -278,24 +230,24 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
     """
     laurent = ring is HLaurent
     rt = RingTable(model, table, ring)
-    all_masks = range(1 << model.dim)
-    columns = []
+    pivots = {}      # mask -> (class index, sign)
     constants = []   # the representatives' terms as GRat scalars
     for degree in table.degrees():
         e = table.entries[degree]
         for idx, vec in enumerate(e.representatives):
-            form = _rep_to_form(model, e.labels, vec, ring, laurent)
+            nonzero = [(lab, c) for lab, c in zip(e.labels, vec)
+                       if not c.is_zero()]
+            if len(nonzero) == 1 and (nonzero[0][1] == 1
+                                      or nonzero[0][1] == -1):
+                mask, c = nonzero[0]
+                pivots[mask] = (len(rt.classes), 1 if c == 1 else -1)
+            form = _rep_to_form(model, e.labels, vec, laurent)
             rt.classes.append((degree, idx, form))
             constants.append({key: GRat.coerce(c.constant_value())
                               for key, c in form.terms.items()})
-            col = [ring.zero() for _ in all_masks]
-            for lab, coeff in zip(e.labels, vec):
-                col[lab] = coeff
-            columns.append(col)
-    rep_matrix = [[columns[c][r] for c in range(len(columns))]
-                  for r in range(len(all_masks))]
-    pivots = _signed_permutation(rep_matrix)
-    if pivots is None:
+    # one monomial class per mask: none broken, repeated or missing
+    if len(pivots) != len(rt.classes) or \
+            set(pivots) != set(range(1 << model.dim)):
         raise AssertionError("representatives are not signed basis monomials")
     w = {ij: GRat.coerce(c)
          for ij, c in model.constant_bivector().entries.items()}
@@ -307,11 +259,14 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
     forms = [HForm(model.dim, t, laurent) for t in constants]
     for i, fa in enumerate(forms):
         for j, fb in enumerate(forms):
-            prod = qwedge(fa, fb, w)
-            target = [ring.zero() for _ in all_masks]
-            for (jj, mask), c in prod.terms.items():
-                target[mask] = target[mask] + ring({jj: GRat.coerce(c)})
-            x = [target[r] if sign == 1 else -target[r] for r, sign in pivots]
-            rt.structure[(i, j)] = {k: coeff for k, coeff in enumerate(x)
-                                    if not coeff.is_zero()}
+            by_mask = {}
+            for (jj, mask), c in qwedge(fa, fb, w).terms.items():
+                by_mask.setdefault(mask, {})[jj] = GRat.coerce(c)
+            coords = {}
+            for mask, coeffs in by_mask.items():
+                k, sign = pivots[mask]
+                x = ring(coeffs)
+                if not x.is_zero():
+                    coords[k] = x if sign == 1 else -x
+            rt.structure[(i, j)] = dict(sorted(coords.items()))
     return rt

@@ -3,8 +3,9 @@
 A :class:`FiniteComplex` is an ordered list of free components with
 explicit basis labels and differential matrices D_k mapping component k to
 component k+1 (rows indexed by the target basis).  Two-periodic complexes
-(the Fourier-mode complexes of d_h) set ``cyclic=True``, in which case the
-last differential wraps around to component 0.
+(the Fourier-mode complexes of d_h, whose Smith normal forms the tests
+keep as oracles) set ``cyclic=True``, in which case the last differential
+wraps around to component 0.
 
 Homology at each spot is ker(out)/im(in) as a module over the coefficient
 PID, computed from Smith normal forms; free ranks, torsion invariant
@@ -21,9 +22,13 @@ gives kappa and v of d_h = kappa ^ - h iota_v on a mode (the 2m numbers
 of :func:`koszul_mode`), :func:`koszul_columns` builds such an operator on
 masks and :func:`homotopy_columns` its contracting homotopy, and
 :func:`label_columns` lifts mask columns onto labels ``(..., j, mask)``.
-:func:`dense_complex` is the ring-matrix view of an operator, whose
-homology the drivers compute for mode 0 only; :func:`require_acyclic`
-proves every other mode acyclic by :func:`homotopy_certificate` or raises.
+With constant w the torus mode 0 has kappa = v = 0: :func:`require_zero`
+checks that its operator vanishes and :func:`free_homology` is then each
+spot's homology.  :func:`require_acyclic` proves every other mode acyclic
+by :func:`homotopy_certificate` or raises.  :func:`dense_complex` is the
+ring-matrix view of an operator; only the equivariant Cartan complex of
+mode 0, whose Theta^a iota_a part does not vanish, takes its Smith-normal-
+form homology.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from fractions import Fraction
 
 from .hpoly import HPoly
 from .scalars import GRat
-from .snf import mat_promote, smith_normal_form
+from .snf import mat_identity, mat_promote, smith_normal_form
 
 
 class FiniteComplex:
@@ -200,6 +205,13 @@ def homology_at(out_mat, in_mat, dim, ring):
                    start=ring.zero()) for r in range(dim)]
         reps.append(vec)
     return free_rank, torsion, reps
+
+
+def free_homology(degree, labels, ring) -> DegreeHomology:
+    """The homology of a spot whose differentials in and out vanish: free
+    on ``labels``, each basis vector its own representative."""
+    return DegreeHomology(degree, len(labels), [],
+                          mat_identity(len(labels), ring), labels)
 
 
 def complex_homology(cx: FiniteComplex) -> CohomologyTable:
@@ -448,6 +460,13 @@ def homotopy_certificate(bases, spots, d, h, cyclic=False) -> bool:
             if _apply(h, dx, _apply(d, hx, {})) != {(x, 0): unit}:
                 return False
     return True
+
+
+def require_zero(mode, operator):
+    """Raise AssertionError naming the Fourier ``mode`` unless the operator
+    (columns, den) has no entry."""
+    if any(operator[0].values()):
+        raise AssertionError(f"nonzero differential on Fourier mode {mode}")
 
 
 def require_acyclic(mode, bases, spots, d, h, cyclic=False):

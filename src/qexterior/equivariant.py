@@ -308,10 +308,11 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     Assembles the finite Cartan complex in each total degree <= cutoff + 1
     and reports homology for degrees 0..cutoff; the cutoff is recorded so
     omitted degrees are explicit.  Only mode 0 is computed, by Smith normal
-    form; every other invariant mode is certified acyclic at the reported
-    degrees by the homotopy iota_{e_b} / (i k_b), which contracts d_h and
-    anticommutes with Theta^a iota_a.  Each degree lists the labels of
-    every mode, so mode 0's representatives sit at its place among them.
+    form, the one complex of the torus tables whose differential does not
+    vanish there (Theta^a iota_a); every other invariant mode is certified
+    acyclic at the reported degrees by the homotopy iota_{e_b} / (i k_b),
+    which contracts d_h and anticommutes with Theta^a iota_a.  Each degree
+    lists mode 0's labels as (mode, label).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -337,13 +338,9 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
         degrees, bases,
         _cartan_columns(generators, *dh_kappa_v(bivector, zero), labels),
         HPoly))
-    place = modes.index(zero)
     entries = [tab.entries[n] for n in range(cutoff + 1)]
     for e in entries:
-        pad = [HPoly.zero()] * len(e.labels)
-        e.representatives = [pad * place + vec + pad * (len(modes) - place - 1)
-                             for vec in e.representatives]
-        e.labels = [(k, lab) for k in modes for lab in e.labels]
+        e.labels = [(zero, lab) for lab in e.labels]
     table = CohomologyTable(HPoly, entries)
     table.meta.update({"kind": "equivariant", "cutoff": cutoff,
                        "mode_box": mode_box, "modes": modes,

@@ -422,7 +422,9 @@ class _StarTable:
     the index sets I with |I| = |J| and a nonzero minor, where pf is the
     top coefficient of omega^n/n! and sign that of e^I ^ e^{comp I}.
     Validation, the inverse and pf are computed once per table; rows are
-    filled on first use.
+    filled on first use.  The minors det w*[I, J] of w* = -Omega^{-1} are
+    those of its qwedge table, memoized there; for a rational Omega they
+    are the integers det (D w*)[I, J], read back over D^k as Fractions.
     """
 
     __slots__ = ("dim", "wstar", "pf", "rows")
@@ -431,7 +433,10 @@ class _StarTable:
         check_symplectic(omega)
         dim = len(omega)
         self.dim = dim
-        self.wstar = [[-x for x in row] for row in matrix_inverse(omega)]
+        inv = matrix_inverse(omega)
+        self.wstar = K.qwedge_table(dim, {
+            (i + 1, j + 1): -inv[i][j] for i in range(dim)
+            for j in range(i + 1, dim) if inv[i][j]})
         vol = HForm.scalar(dim, Fraction(1))
         om = omega_form(omega)
         for k in range(1, dim // 2 + 1):
@@ -445,13 +450,15 @@ class _StarTable:
             return row
         dim, wstar, pf = self.dim, self.wstar, self.pf
         full = (1 << dim) - 1
-        idxJ = [i for i in range(dim) if maskJ >> i & 1]
+        k = maskJ.bit_count()
         row = []
-        for idxI in combinations(range(dim), len(idxJ)):
+        for idxI in combinations(range(dim), k):
             maskI = 0
             for i in idxI:
                 maskI |= 1 << i
-            lam = det([[wstar[r][s] for s in idxJ] for r in idxI])
+            lam = wstar.minor(maskI, maskJ) if k else 1
+            if wstar.D is not None:
+                lam = Fraction(lam, wstar.D ** k)
             if lam:
                 comp = full ^ maskI
                 row.append((comp, lam * pf * K.wedge_sign(maskI, comp)))

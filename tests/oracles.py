@@ -21,7 +21,14 @@ and cached star table; the tests assert exact agreement with them.
 ``matrix_of_dh_symbolic`` and ``ring_table_per_pair`` are the torus
 cohomology builders the engine used before it assembled the d_h mode
 matrices from the bivector entries and factored the representative matrix
-once for all class products.  ``dolbeault_matrix_symbolic`` and
+once for all class products.  ``invariant_subcomplex`` and
+``mode_subcomplex`` are the dense mode-0 and nonzero-mode complexes of d_h
+whose Smith-normal-form homology the drivers took before they read mode 0
+off the constant monomials and certified every other mode; with
+``derham_table_snf`` and ``dolbeault_table_snf``, the mode-0 tables as the
+drivers then computed them (the Dolbeault one per first index p on a q
+window padded by one on either side), they are the oracles of that
+reading.  ``dolbeault_matrix_symbolic`` and
 ``equivariant_matrix_symbolic`` likewise apply the symbolic delbar_h and
 Cartan differential to one Fourier form per column, and
 ``free_rank_oracle`` counts free ranks over the fraction field.
@@ -58,7 +65,13 @@ from qexterior._kernels import back_sign, front_sign, wedge_sign
 from qexterior.calculus import dolbeault_operators, quantum_d
 from qexterior.chern import TransgressionResult
 from qexterior.coeffs import FourierCoeff
-from qexterior.complexes import dense_matrix, parity_bases
+from qexterior.cohomology import (LEVEL_CAP, _delbar_kappa_v,
+                                  _dolbeault_bases, _require_torus_constant,
+                                  graded_dims)
+from qexterior.complexes import (CohomologyTable, FiniteComplex,
+                                 complex_homology, dense_complex,
+                                 dense_matrix, dh_kappa_v, integer_bivector,
+                                 koszul_columns, label_columns, parity_bases)
 from qexterior.forms import (HForm, bivector_contract, check_symplectic,
                              contract_back, contract_front, mask_indices,
                              omega_form, wedge)
@@ -66,7 +79,7 @@ from qexterior.hpoly import HLaurent, HPoly
 from qexterior.lefschetz import (CommutatorReport, DarbouxSpace, apply_Ah,
                                  apply_Lh, apply_Lh_star)
 from qexterior.linalg import det, matrix_inverse
-from qexterior.quantum import qwedge
+from qexterior.quantum import complex_frame_bivector, qwedge
 from qexterior.scalars import GRat
 from qexterior.snf import rank_fraction_field, solve_linear
 
@@ -454,6 +467,84 @@ def ring_table_per_pair(table, model, ring):
                 raise AssertionError("class reduction system is inconsistent")
             structure[(i, j)] = {k: c for k, c in enumerate(x) if not c.is_zero()}
     return structure
+
+
+def dh_columns(model, k):
+    """The operator d_h = d - h delta on the Fourier mode k."""
+    return koszul_columns(*dh_kappa_v(
+        integer_bivector(model.constant_bivector()), k))
+
+
+def invariant_subcomplex(model, ring=HLaurent) -> FiniteComplex:
+    """Constant-coefficient forms on a torus: one component per classical
+    degree, zero differentials (d and delta both vanish)."""
+    _require_torus_constant(model)
+    m = model.dim
+    zero_mode = (0,) * m
+    bases = [[mask for mask in range(1 << m) if mask.bit_count() == k]
+             for k in range(m + 1)]
+    cx = dense_complex(list(range(m + 1)), bases, dh_columns(model, zero_mode),
+                       ring, meta={"kind": "invariant", "mode": zero_mode})
+    if any(not x.is_zero() for D in cx.diffs for row in D for x in row):
+        raise AssertionError("invariant complex has nonzero differential")
+    return cx
+
+
+def mode_subcomplex(model, k, ring=HLaurent) -> FiniteComplex:
+    """Two-periodic complex of the Fourier mode k (even spot, odd spot)."""
+    _require_torus_constant(model)
+    k = tuple(int(x) for x in k)
+    if len(k) != model.dim:
+        raise ValueError("frequency vector has wrong length")
+    return dense_complex([0, 1], parity_bases(model.dim), dh_columns(model, k),
+                         ring, cyclic=True, meta={"kind": "mode", "mode": k})
+
+
+def derham_table_snf(model, mode_box=1, max_degree=None, ring=HLaurent):
+    """The de Rham table as the Smith normal form of ``invariant_subcomplex``
+    with the driver's meta; nonzero modes are not computed."""
+    table = complex_homology(invariant_subcomplex(model, ring))
+    table.meta.update({
+        "kind": "derham",
+        "ring": "laurent" if ring is HLaurent else "polynomial",
+        "mode_box": mode_box,
+        "anomalous_modes": [],
+        "graded_dims": graded_dims(table, ring is HLaurent,
+                                   2 * model.dim if max_degree is None
+                                   else max_degree),
+        "note": "flat-torus instance; general closed Kahler degeneracy "
+                "is outside this engine's model class",
+    })
+    return table
+
+
+def dolbeault_table_snf(model, mode_box=1, ring=HPoly):
+    """The Dolbeault table as the Smith normal form of the mode-0 complex
+    of each first index p on the q window padded by one on either side,
+    with the driver's meta; nonzero modes are not computed."""
+    n = model.dim // 2
+    laurent = ring is HLaurent
+    wc = integer_bivector(complex_frame_bivector(model.constant_bivector()))
+    d0 = koszul_columns(*_delbar_kappa_v(wc, (0,) * model.dim))
+    entries = []
+    for p in range(-LEVEL_CAP if laurent else 0, n + LEVEL_CAP + 1):
+        qs = list(range(p - n - 1, p + n + 2)) if laurent else \
+            list(range(max(0, p - n) - 1, p + n + 2))
+        bases = _dolbeault_bases(n, p, qs, laurent)
+        spots = [bases[q] for q in qs]
+        labels = [lab for b in spots for lab in b]
+        sub = complex_homology(dense_complex(
+            qs, spots, label_columns(d0, labels), ring))
+        for q in qs[1:-1]:
+            e = sub.entries[q]
+            if e.free_rank or e.torsion:
+                e.degree = (p, q)
+                entries.append(e)
+    table = CohomologyTable(ring, entries)
+    table.meta.update({"kind": "dolbeault", "mode_box": mode_box,
+                       "ring": "laurent" if laurent else "polynomial",
+                       "anomalous_modes": []})
+    return table
 
 
 def dolbeault_matrix_symbolic(model, k, src, dst, ring):

@@ -268,6 +268,24 @@ class TestCohomology:
             main(["cohomology", "--model", t2_file, "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("value", [10_001, 10 ** 9])
+    def test_max_degree_past_the_cap_refused(self, capsys, monkeypatch,
+                                             t2_file, value):
+        # refused before the model or any graded dimension is built
+        from qexterior import cohomology
+        monkeypatch.setattr(cli, "model_from_json", built)
+        monkeypatch.setattr(cohomology, "graded_dims", built)
+        message = cli_error(capsys, ["cohomology", "--model", t2_file,
+                                     "--max-degree", str(value)])
+        assert "--max-degree" in message and "at most 10,000" in message
+
+    def test_max_degree_at_the_cap_accepted(self, t2_file, tmp_path):
+        out = tmp_path / "t2.json"
+        assert main(["cohomology", "--model", t2_file, "--max-degree",
+                     "10000", "--out", str(out)]) == 0
+        dims = json.loads(out.read_text())["meta"]["graded_dims"]
+        assert len(dims) == 10_001 and dims["10000"] == 2
+
 
 class TestDolbeault:
     def test_t2_complex(self, t2c_file, tmp_path):

@@ -10,19 +10,20 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (dolbeault_matrix_symbolic, free_rank_oracle,
+from oracles import (derham_table_snf, dolbeault_matrix_symbolic,
+                     dolbeault_table_snf, free_rank_oracle,
                      grat_cartan_columns, grat_delbar_kappa_v,
                      grat_dh_kappa_v, grat_homotopy_columns,
-                     grat_koszul_columns, matrix_of_dh_symbolic,
+                     grat_koszul_columns, invariant_subcomplex,
+                     matrix_of_dh_symbolic, mode_subcomplex,
                      ring_table_per_pair)
 from qexterior import _kernels, cohomology, complexes, equivariant
 from qexterior.cli import main
 from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
-                                  _signed_permutation, graded_dims,
-                                  invariant_subcomplex, mode_subcomplex,
-                                  quantum_derham_table,
+                                  graded_dims, quantum_derham_table,
                                   quantum_dolbeault_table, ring_table)
-from qexterior.complexes import (FiniteComplex, complex_homology,
+from qexterior.complexes import (CohomologyTable, DegreeHomology,
+                                 FiniteComplex, complex_homology,
                                  dense_complex, dense_matrix, dh_kappa_v,
                                  homotopy_certificate, homotopy_columns,
                                  integer_bivector,
@@ -329,11 +330,11 @@ class TestHomotopyCertificate:
     def test_dolbeault_driver_certifies_every_mode(self, t2c, certificates,
                                                    ring):
         t4c = PoissonModel.darboux_torus(2, complex_structure=True)
+        # one certificate per mode, on the masks, whatever the levels p
         for model, n_modes in ((t2c, 8), (t4c, 80)):
             certificates.clear()
             tab = quantum_dolbeault_table(model, mode_box=1, ring=ring)
-            n_p = len(range(-2 if ring is HLaurent else 0, model.dim // 2 + 3))
-            assert certificates == [True] * (n_modes * n_p)
+            assert certificates == [True] * n_modes
             assert tab.meta["anomalous_modes"] == []
 
     def test_dolbeault_homotopy_on_non_darboux_bivector(self):
@@ -464,22 +465,24 @@ class TestCertifyOrFail:
         assert error["message"] == "internal error: AssertionError: " \
             f"homotopy certificate failed on Fourier mode {mode}"
 
-    @pytest.mark.parametrize("table", [
-        lambda m, b: quantum_derham_table(m, b),
-        lambda m, b: quantum_derham_table(m, b, ring=HPoly),
-        lambda m, b: quantum_dolbeault_table(m, b),
-        lambda m, b: quantum_dolbeault_table(m, b, ring=HLaurent),
-        circle_table,
+    @pytest.mark.parametrize("table,takes_snf", [
+        (lambda m, b: quantum_derham_table(m, b), False),
+        (lambda m, b: quantum_derham_table(m, b, ring=HPoly), False),
+        (lambda m, b: quantum_dolbeault_table(m, b), False),
+        (lambda m, b: quantum_dolbeault_table(m, b, ring=HLaurent), False),
+        (circle_table, True),
     ], ids=["derham-laurent", "derham-polynomial", "dolbeault-polynomial",
             "dolbeault-laurent", "equivariant"])
     def test_snf_calls_do_not_grow_with_the_box(self, t2c, monkeypatch,
-                                                table):
+                                                table, takes_snf):
+        # the de Rham and Dolbeault tables take none at any box; the
+        # equivariant one takes those of its mode-0 Cartan complex only
         calls = count_snf_calls(monkeypatch)
         table(t2c, 0)
         at_zero = list(calls)
         calls.clear()
         table(t2c, 2)
-        assert at_zero and calls == at_zero
+        assert bool(at_zero) == takes_snf and calls == at_zero
 
 
 def equals_divided(operator, grat_columns):
@@ -605,6 +608,117 @@ class TestIntegerColumns:
         with pytest.raises(AssertionError,
                            match=re.escape(f"Fourier mode {mode}")):
             table(t2c)
+
+
+def same_table(a, b):
+    """Equal tables: degrees, ranks, torsion, labels, meta, and
+    representatives equal in value, ring and scalar types."""
+    assert a.ring is b.ring and a.degrees() == b.degrees()
+    assert a.meta == b.meta
+    for deg in a.degrees():
+        ea, eb = a.entries[deg], b.entries[deg]
+        assert (ea.degree, ea.free_rank, ea.labels) == \
+            (eb.degree, eb.free_rank, eb.labels), deg
+        assert ea.torsion == eb.torsion, deg
+        assert same_entries(ea.representatives, eb.representatives), deg
+    return True
+
+
+class TestTablesMatchSnfOracles:
+    """The tables read off the constant monomials equal the Smith normal
+    forms of the mode-0 complexes the drivers took before."""
+
+    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
+    @pytest.mark.parametrize("kind", ["integer", "rational", "gaussian",
+                                      "zero"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_derham(self, dim, kind, ring):
+        entries = {} if kind == "zero" else oracle_bivectors(dim)[kind]
+        model = PoissonModel.torus(dim, entries)
+        assert same_table(quantum_derham_table(model, 1, ring=ring),
+                          derham_table_snf(model, 1, ring=ring))
+        assert same_table(
+            quantum_derham_table(model, 0, max_degree=7, ring=ring),
+            derham_table_snf(model, 0, max_degree=7, ring=ring))
+
+    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
+    @pytest.mark.parametrize("model", [
+        PoissonModel.darboux_torus(1, complex_structure=True),
+        PoissonModel.darboux_torus(2, complex_structure=True),
+        PoissonModel.torus(4, {(1, 3): Fraction(1), (2, 4): Fraction(1),
+                               (3, 4): Fraction(-2)}, complex_structure=True),
+    ], ids=["darboux-t2", "darboux-t4", "j-invariant-t4"])
+    def test_dolbeault(self, model, ring):
+        assert same_table(quantum_dolbeault_table(model, 1, ring=ring),
+                          dolbeault_table_snf(model, 1, ring=ring))
+
+
+def nonzero_on_mode_zero(monkeypatch):
+    """Give the driver's mode-0 operator (the only one without entries)
+    one entry, e^1 on the empty mask."""
+    def broken(kappa, v, den):
+        cols, den = koszul_columns(kappa, v, den)
+        if not any(cols.values()):
+            cols[0] = {(1, 0): (1, 0)}
+        return cols, den
+
+    monkeypatch.setattr(cohomology, "koszul_columns", broken)
+
+
+class TestModeZero:
+    """Mode 0 is read off the constant monomials only after its operator
+    is checked to vanish; each nonzero Dolbeault mode is checked to be of
+    bidegree (0, 1)."""
+
+    @pytest.mark.parametrize("table", [
+        lambda m: quantum_derham_table(m, 1),
+        lambda m: quantum_derham_table(m, 0, ring=HPoly),
+        lambda m: quantum_dolbeault_table(m, 1),
+        lambda m: quantum_dolbeault_table(m, 0, ring=HLaurent),
+    ], ids=["derham", "derham-box-0", "dolbeault", "dolbeault-box-0"])
+    def test_nonzero_mode_zero_raises(self, t2c, monkeypatch, table):
+        nonzero_on_mode_zero(monkeypatch)
+        with pytest.raises(AssertionError,
+                           match=re.escape("Fourier mode (0, 0)")):
+            table(t2c)
+
+    @pytest.mark.parametrize("command", ["cohomology", "dolbeault"])
+    def test_nonzero_mode_zero_exits_three(self, tmp_path, monkeypatch,
+                                           capsys, command):
+        path = tmp_path / "t2c.json"
+        path.write_text(json.dumps(PINNED_FILES["t2c"]), encoding="utf-8")
+        nonzero_on_mode_zero(monkeypatch)
+        assert main([command, "--model", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["message"] == \
+            "internal error: AssertionError: nonzero differential on " \
+            "Fourier mode (0, 0)"
+
+    def test_dzbar_component_of_v_raises(self, monkeypatch):
+        # v gets a dzbar component where kappa^{0,1} vanishes: <kappa, v>
+        # and the homotopy identity on the masks are unchanged, but
+        # iota_v then moves p, so only the bidegree check sees it
+        t4c = PoissonModel.darboux_torus(2, complex_structure=True)
+        mutants = []
+
+        def broken(wc, k):
+            kappa, v, den = _delbar_kappa_v(wc, k)
+            if any(k):
+                v = v[:2] + [(1, 0) if kappa[2 + l] == (0, 0) else v[2 + l]
+                             for l in range(2)]
+                mutants.append((kappa, v, den))
+            return kappa, v, den
+
+        monkeypatch.setattr(cohomology, "_delbar_kappa_v", broken)
+        with pytest.raises(AssertionError, match=re.escape(
+                "delbar_h is not of bidegree (0, 1) on Fourier mode "
+                "(-1, -1, 0, 0)")):
+            quantum_dolbeault_table(t4c, 1)
+        kappa, v, den = mutants[-1]
+        assert homotopy_certificate(parity_bases(4), (0, 1),
+                                    koszul_columns(kappa, v, den),
+                                    homotopy_columns(kappa, den), cyclic=True)
 
 
 class TestDirectDolbeaultBuilder:
@@ -806,17 +920,42 @@ class TestRingTable:
         with pytest.raises(AssertionError, match="signed basis monomials"):
             ring_table(tab, t2)
 
-    def test_signed_permutation_detection(self):
+    def test_signed_monomial_detection(self):
+        # T^1 has the masks 0 and 1: the classes [1] and [e1]
+        t1 = PoissonModel.torus(1, {})
         one, zero = HPoly.one(), HPoly.zero()
-        assert _signed_permutation([[zero, -one], [one, zero]]) == [(1, 1), (0, -1)]
-        assert _signed_permutation([[one, one], [zero, one]]) is None
-        assert _signed_permutation([[HPoly({0: Fraction(2)}), zero],
-                                    [zero, one]]) is None
-        assert _signed_permutation([[HPoly.h(), zero], [zero, one]]) is None
-        assert _signed_permutation([[one, zero], [one, zero]]) is None
-        assert _signed_permutation([[one, zero, one], [zero, one, zero]]) is None
-        assert _signed_permutation([[one], [zero]]) is None
-        assert _signed_permutation([]) == []
+
+        def table(*reps):
+            """A T^1 table whose classes have these vectors on masks 0, 1."""
+            return CohomologyTable(HPoly, [DegreeHomology(
+                0, len(reps), [], [list(r) for r in reps], [0, 1])])
+
+        def rejected(*reps):
+            with pytest.raises(AssertionError, match="signed basis monomials"):
+                ring_table(table(*reps), t1, HPoly)
+
+        # class 0 is -e^1: 1 * (-e^1) has the coordinate +1 on it
+        rt = ring_table(table([zero, -one], [one, zero]), t1, HPoly)
+        assert rt.product(1, 0) == rt.product(0, 1) == {0: one}
+        assert rt.product(1, 1) == {1: one}
+        assert rt.product(0, 0) == {}
+        rejected([one, one], [zero, one])                 # two nonzeros
+        rejected([HPoly({0: Fraction(2)}), zero], [zero, one])
+        rejected([HPoly.h(), zero], [zero, one])
+        rejected([one, zero], [zero, zero])               # a zero class
+        rejected([one, zero], [zero, one], [one, zero])   # mask 0 twice
+        rejected([one, zero])                             # mask 1 missing
+
+    @pytest.mark.parametrize("change", ["duplicated", "missing"])
+    def test_duplicated_or_missing_mask_rejected(self, t4, change):
+        tab = quantum_derham_table(t4, mode_box=0)
+        reps = tab.entries[2].representatives
+        if change == "duplicated":
+            reps[1] = list(reps[0])      # e^13 -> e^12: e^13 has no class
+        else:
+            del reps[-1]
+        with pytest.raises(AssertionError, match="signed basis monomials"):
+            ring_table(tab, t4)
 
     @pytest.mark.parametrize("model", [
         PoissonModel.darboux_torus(1),

@@ -17,6 +17,7 @@ from qexterior.linalg import (charpoly, det, factor_charpoly,
                               geometric_multiplicity, matrix_inverse, rank)
 from qexterior.models import darboux_matrix
 from qexterior.sampling import Sampler
+from qexterior.scalars import GRat
 
 fractions_st = st.builds(Fraction,
                          st.integers(min_value=-9, max_value=9),
@@ -160,6 +161,22 @@ class TestStarTable:
                                   (-1, mask ^ 1): Fraction(-5)}, laurent=True)
                 assert symplectic_star(a, om) == \
                     symplectic_star_uncached(a, om)
+
+    def test_minors_keep_the_entry_type(self):
+        # the minors come from the table of w* = -Omega^-1: read back as
+        # Fractions on a rational Omega, Gaussian on a Gaussian one
+        g = GRat(Fraction(1, 2), 3)
+        z = GRat(0)
+        gaussian = [[z, g, z, z], [-g, z, z, z],
+                    [z, z, z, GRat(2, -1)], [z, z, GRat(-2, 1), z]]
+        for om in (darboux_matrix(2), gaussian):
+            for mask in range(16):
+                a = HForm(4, {(0, mask): Fraction(1)})
+                star, oracle = symplectic_star(a, om), \
+                    symplectic_star_uncached(a, om)
+                assert star == oracle, mask
+                assert [type(c) for c in star.terms.values()] == \
+                    [type(oracle.terms[key]) for key in star.terms], mask
 
     def test_mutated_omega_is_not_stale(self):
         om = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]

@@ -62,3 +62,18 @@ def test_no_library_module_calls_solve_linear():
             if isinstance(node, ast.Call) and name == "solve_linear":
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def test_cohomology_takes_no_smith_normal_form():
+    # the de Rham and Dolbeault tables read mode 0 off the constant
+    # monomials; only the equivariant Cartan complex reaches the SNF
+    import ast
+    forbidden = {"complex_homology", "dense_complex", "smith_normal_form"}
+    path = ROOT / "src" / "qexterior" / "cohomology.py"
+    callers = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        func = getattr(node, "func", None)
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if isinstance(node, ast.Call) and name in forbidden:
+            callers.append(f"{name}:{node.lineno}")
+    assert callers == []
