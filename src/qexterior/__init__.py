@@ -24,12 +24,11 @@ from .forms import (Bivector, HForm, berezin_integral, bivector_contract,
 from .hpoly import HLaurent, HPoly
 from .lefschetz import (DarbouxSpace, Mh_matrix, SpectrumReport, apply_Ah,
                         apply_Lh, apply_Lh_star, commutator_check,
-                        hard_lefschetz_check, recursion_verify)
+                        hard_lefschetz_check)
 from .models import PoissonModel, jacobi_check
-from .quantum import (complex_bidegree, frobenius_pairing, gram_matrix,
-                      qwedge, wwedge)
+from .quantum import frobenius_pairing, gram_matrix, qwedge, wwedge
 from .scalars import GRat
-from .snf import rank_fraction_field, smith_normal_form, solve_linear
+from .snf import smith_normal_form
 
 __version__ = "0.1.0"
 
@@ -39,16 +38,15 @@ __all__ = [
     "HLaurent", "HPoly", "Mh_matrix", "PoissonModel", "PolyCoeff",
     "QConnection", "SpectrumReport", "anticommutator_check", "apply_Ah",
     "apply_Lh", "apply_Lh_star", "berezin_integral", "bivector_contract",
-    "cartan_d", "char_form", "commutator_check", "complex_bidegree",
-    "complex_homology", "contract_back", "contract_front",
-    "contract_generator", "dolbeault_operators",
+    "cartan_d", "char_form", "commutator_check", "complex_homology",
+    "contract_back", "contract_front", "contract_generator",
+    "dolbeault_operators",
     "equivariant_cohomology_table", "exterior_d", "frame_formula_d",
     "frobenius_pairing", "graded_degree", "gram_matrix",
     "hard_lefschetz_check", "jacobi_check", "kernel_backend",
     "koszul_delta", "qintegral",
     "quantum_covariant_d", "quantum_curvature", "quantum_d",
     "quantum_derham_table", "quantum_dolbeault_table", "qwedge",
-    "rank_fraction_field", "recursion_verify", "ring_table",
-    "smith_normal_form", "solve_linear", "stokes_check", "symplectic_star",
+    "ring_table", "smith_normal_form", "stokes_check", "symplectic_star",
     "transgression_check", "wedge", "wwedge",
 ]

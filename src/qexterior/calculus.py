@@ -27,7 +27,7 @@ from fractions import Fraction
 from .coeffs import FourierCoeff
 from .forms import HForm, bivector_contract, wedge
 from .models import PoissonModel, TORUS
-from .quantum import complex_frame_bivector, qwedge, to_complex_frame
+from .quantum import complex_frame_bivector, qwedge
 from .scalars import GRat
 
 
@@ -162,13 +162,6 @@ def dolbeault_operators(a: HForm, model: PoissonModel) -> DolbeaultOps:
     d10 = antiholo_d(iw) - bivector_contract(wc, qa)
     return DolbeaultOps(pa, qa, d01, d10,
                         pa - d01.h_shift(1), qa - d10.h_shift(1))
-
-
-def complexify(a: HForm, model: PoissonModel) -> HForm:
-    """Real-frame model form -> complex frame with GRat Fourier values."""
-    if model.kind != TORUS:
-        raise ValueError("complexification implemented on torus models")
-    return to_complex_frame(a)
 
 
 # -- quantum integral ----------------------------------------------------------

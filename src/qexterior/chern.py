@@ -6,17 +6,11 @@ wedge), an even matrix of graded-degree-2 entries.  Characteristic forms
 are the trace powers tr(F^{^_h k}), which are d_h-closed; elementary
 symmetric (Chern) combinations follow from Newton's identities inside the
 commutative even-degree subalgebra and are not needed separately here.
-
-Because the Koszul operator is not function-linear, the behaviour of F_h
-under non-constant gauge transformations is recorded by a diagnostic
-comparison, never asserted.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .calculus import exterior_d, quantum_d
+from .calculus import quantum_d
 from .coeffs import FourierCoeff
 from .complexes import (dh_kappa_v, gaussian_rational, homotopy_columns,
                         integer_bivector)
@@ -120,77 +114,6 @@ def char_form_certificate(F, k: int, model: PoissonModel):
     """The characteristic form together with its expanded d_h evaluation."""
     form = char_form(F, k, model)
     return form, quantum_d(form, model)
-
-
-def gauge_transform(conn: QConnection, g_matrix, g_inverse=None) -> QConnection:
-    """theta -> G^{-1} theta G + G^{-1} dG.
-
-    ``g_matrix`` has entries that are degree-0 forms (functions).  For a
-    constant G pass plain scalar entries; for function-valued G supply
-    ``g_inverse`` explicitly (exactness is the caller's concern; the pair
-    is validated by multiplying out).
-    """
-    model = conn.model
-    rank = conn.rank
-    G = [[_as_function_form(x, model) for x in row] for row in g_matrix]
-    if g_inverse is None:
-        Ginv = _constant_inverse(g_matrix, model)
-    else:
-        Ginv = [[_as_function_form(x, model) for x in row] for row in g_inverse]
-    prod = _mat_qwedge(Ginv, G, model)
-    for i in range(rank):
-        for j in range(rank):
-            expect = model.form_scalar(1) if i == j else HForm.zero(model.dim)
-            if prod[i][j] != expect:
-                raise ValueError("g_inverse is not the inverse of g_matrix")
-    dG = [[exterior_d(x) for x in row] for row in G]
-    new_theta = _mat_qwedge(Ginv, _mat_qwedge(conn.theta, G, model), model)
-    correction = _mat_qwedge(Ginv, dG, model)
-    for i in range(rank):
-        for j in range(rank):
-            new_theta[i][j] = new_theta[i][j] + correction[i][j]
-    return QConnection(model, new_theta)
-
-
-def _as_function_form(x, model):
-    if isinstance(x, HForm):
-        return x
-    return model.form_scalar(x)
-
-
-def _constant_inverse(g_matrix, model):
-    from .linalg import matrix_inverse
-    scalars = []
-    for row in g_matrix:
-        r = []
-        for x in row:
-            if isinstance(x, HForm):
-                c = x.coeff()
-                if hasattr(c, "constant_value"):
-                    if not c.is_constant():
-                        raise ValueError("non-constant gauge needs an "
-                                         "explicit inverse")
-                    c = c.constant_value()
-                r.append(Fraction(c) if not hasattr(c, "re") else c)
-            else:
-                r.append(Fraction(x))
-        scalars.append(r)
-    inv = matrix_inverse(scalars)
-    return [[model.form_scalar(x) for x in row] for row in inv]
-
-
-def gauge_char_diagnostic(conn: QConnection, g_matrix, k: int,
-                          g_inverse=None) -> dict:
-    """Compare tr(F^k) before and after a gauge transformation.
-
-    Recorded, not asserted: constant gauges must agree; the non-constant
-    case is the open transformation-law question and the diagnostic simply
-    reports whether the two sides agree.
-    """
-    before = char_form(quantum_curvature(conn), k, conn.model)
-    after_conn = gauge_transform(conn, g_matrix, g_inverse)
-    after = char_form(quantum_curvature(after_conn), k, conn.model)
-    return {"agree": before == after, "difference": before - after}
 
 
 # -- transgression ----------------------------------------------------------------

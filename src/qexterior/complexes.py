@@ -2,10 +2,7 @@
 
 A :class:`FiniteComplex` is an ordered list of free components with
 explicit basis labels and differential matrices D_k mapping component k to
-component k+1 (rows indexed by the target basis).  Two-periodic complexes
-(the Fourier-mode complexes of d_h, whose Smith normal forms the tests
-keep as oracles) set ``cyclic=True``, in which case the last differential
-wraps around to component 0.
+component k+1 (rows indexed by the target basis).
 
 Homology at each spot is ker(out)/im(in) as a module over the coefficient
 PID, computed from Smith normal forms; free ranks, torsion invariant
@@ -44,22 +41,19 @@ from .snf import mat_identity, mat_promote, smith_normal_form
 class FiniteComplex:
     """Explicit finite complex; validates shapes and D_{k+1} D_k = 0."""
 
-    def __init__(self, degrees, bases, diffs, ring=HPoly, cyclic=False,
-                 meta=None):
+    def __init__(self, degrees, bases, diffs, ring=HPoly, meta=None):
         if len(degrees) != len(bases):
             raise ValueError("degrees and bases disagree")
-        expected = len(bases) if cyclic else len(bases) - 1
-        if len(diffs) != max(expected, 0):
+        if len(diffs) != max(len(bases) - 1, 0):
             raise ValueError("wrong number of differentials")
         self.degrees = list(degrees)
         self.bases = [list(b) for b in bases]
         self.ring = ring
-        self.cyclic = cyclic
         self.meta = dict(meta or {})
         self.diffs = []
         for k, D in enumerate(diffs):
             src = len(self.bases[k])
-            dst = len(self.bases[(k + 1) % len(bases)])
+            dst = len(self.bases[k + 1])
             D = mat_promote(D, ring) if dst else []
             if len(D) != dst or any(len(row) != src for row in D):
                 raise ValueError(f"differential {k} has wrong shape")
@@ -67,14 +61,8 @@ class FiniteComplex:
         self._check_square_zero()
 
     def _check_square_zero(self):
-        for k in range(len(self.diffs)):
-            if self.cyclic:
-                nxt = (k + 1) % len(self.diffs)
-            else:
-                nxt = k + 1
-                if nxt >= len(self.diffs):
-                    break
-            A, B = self.diffs[nxt], self.diffs[k]
+        for k in range(len(self.diffs) - 1):
+            A, B = self.diffs[k + 1], self.diffs[k]
             if not A or not B:
                 continue
             for i in range(len(A)):
@@ -95,8 +83,6 @@ class FiniteComplex:
     def in_matrix(self, spot: int):
         if spot > 0:
             return self.diffs[spot - 1]
-        if self.cyclic and self.diffs:
-            return self.diffs[-1]
         return None
 
 
@@ -276,14 +262,12 @@ def dense_matrix(operator, src, dst, ring):
     return rows
 
 
-def dense_complex(degrees, bases, operator, ring, cyclic=False, meta=None):
+def dense_complex(degrees, bases, operator, ring, meta=None):
     """The :class:`FiniteComplex` whose differentials are the dense views
     of ``operator`` between consecutive spots of ``bases``."""
-    n = len(bases)
-    mats = [dense_matrix(operator, bases[s], bases[(s + 1) % n], ring)
-            for s in range(n if cyclic else n - 1)]
-    return FiniteComplex(degrees, bases, mats, ring=ring, cyclic=cyclic,
-                         meta=meta)
+    mats = [dense_matrix(operator, src, dst, ring)
+            for src, dst in zip(bases, bases[1:])]
+    return FiniteComplex(degrees, bases, mats, ring=ring, meta=meta)
 
 
 def parity_bases(m):

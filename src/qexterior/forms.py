@@ -275,22 +275,6 @@ class Bivector:
     def zero(cls, dim: int):
         return cls(dim)
 
-    @classmethod
-    def from_matrix(cls, rows):
-        dim = len(rows)
-        ent = {}
-        for i in range(dim):
-            if len(rows[i]) != dim:
-                raise ValueError("bivector matrix must be square")
-            if rows[i][i]:
-                raise ValueError("bivector matrix has nonzero diagonal")
-            for j in range(i + 1, dim):
-                if rows[i][j] != -rows[j][i]:
-                    raise ValueError("bivector matrix is not antisymmetric")
-                if rows[i][j]:
-                    ent[(i + 1, j + 1)] = rows[i][j]
-        return cls(dim, ent)
-
     def entry(self, i: int, j: int):
         """Signed entry w^{ij} (1-based); 0 when absent."""
         if i < j:

@@ -36,8 +36,7 @@ from fractions import Fraction
 
 from .calculus import quantum_d
 from .forms import Bivector, HForm, symplectic_star
-from .linalg import (charpoly, factor_charpoly, geometric_multiplicity,
-                     poly_shift)
+from .linalg import charpoly, factor_charpoly, geometric_multiplicity
 from .models import PoissonModel, darboux_matrix
 from .quantum import qwedge
 
@@ -351,29 +350,6 @@ def paper_conformance(report: SpectrumReport, n: int) -> dict:
               f"algebraic {alg} (not one-dimensional eigenspaces)"
               for name, (alg, geo) in report.geometric.items() if geo != alg]
     return {"status": "match" if not issues else "mismatch", "issues": issues}
-
-
-def recursion_matrix(M):
-    """One step of the block recursion M -> [[M, -I], [I, M + 2I]]."""
-    size = len(M)
-    out = [[Fraction(0)] * (2 * size) for _ in range(2 * size)]
-    for i in range(size):
-        for j in range(size):
-            out[i][j] = Fraction(M[i][j])
-            out[size + i][size + j] = Fraction(M[i][j])
-        out[i][size + i] = Fraction(-1)
-        out[size + i][i] = Fraction(1)
-        out[size + i][size + i] += 2
-    return out
-
-
-def recursion_verify(M) -> bool:
-    """det(M' + x I) == det(M + (x+1) I)^2 as exact polynomials."""
-    Mp = recursion_matrix(M)
-    lhs = charpoly([[-x for x in row] for row in Mp])
-    base = charpoly([[-x for x in row] for row in M])
-    rhs = poly_shift(base, Fraction(1))
-    return lhs == rhs * rhs
 
 
 class HardLefschetzReport:

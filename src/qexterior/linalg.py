@@ -146,19 +146,6 @@ def charpoly(rows) -> HPoly:
     return HPoly(dict(enumerate(polys[n])))
 
 
-def poly_shift(p: HPoly, a) -> HPoly:
-    """p(x + a)."""
-    x_plus_a = HPoly({1: Fraction(1), 0: Fraction(a)})
-    out = HPoly.zero()
-    power = HPoly.one()
-    for j in range(0, p.degree() + 1):
-        c = p.coeffs.get(j)
-        if c:
-            out = out + power * c
-        power = power * x_plus_a
-    return out
-
-
 class CharFactorization:
     """Factorization of a characteristic polynomial: rational roots with
     their multiplicities, quadratic factors and an unfactored remainder.

@@ -1,4 +1,5 @@
-"""The quantum exterior product and its bigraded complexification.
+"""The quantum exterior product, and the complex frame of the Dolbeault
+operators.
 
 The product deforms the wedge by the exponential of the bivector
 contraction, exp(h w^{ij} (-| e_i) (x) (e_j |-)).  Expanded exactly, its
@@ -14,9 +15,11 @@ degree 2, so the product respects the total grading.  The minors of a
 bivector are kept in a table looked up by the bivector's entry values, so
 a caller may mutate ``w.entries`` between calls.
 
-The complexified picture uses the frame f^1..f^n = dz^1..dz^n,
-f^{n+1}..f^{2n} = dzbar^1..dzbar^n with z_k = x_{2k-1} + i x_{2k}; a term
-h^j dz^A dzbar^B has bidegree (|A| + j, |B| + j).
+The complex frame is f^1..f^n = dz^1..dz^n, f^{n+1}..f^{2n} =
+dzbar^1..dzbar^n with z_k = x_{2k-1} + i x_{2k}; a term h^j dz^A dzbar^B
+has bidegree (|A| + j, |B| + j).  The Dolbeault operators contract with
+the bivector as seen in that frame (``complex_frame_bivector``), which
+needs the standard complex structure J to preserve w.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _kernels as K
-from .forms import Bivector, HForm, berezin_integral, wedge
+from .forms import Bivector, HForm, berezin_integral
 from .scalars import GRat, I
 
 
@@ -56,7 +59,7 @@ def gram_matrix(w: Bivector):
     return [[frobenius_pairing(x, y, w) for y in basis] for x in basis]
 
 
-# -- complexification ---------------------------------------------------------
+# -- complex frame ------------------------------------------------------------
 
 
 def standard_j_matrix(dim: int):
@@ -81,44 +84,6 @@ def j_preserves(w: Bivector) -> bool:
     return transform_bivector(w, standard_j_matrix(w.dim)) == w
 
 
-def change_frame(a: HForm, rows) -> HForm:
-    """Substitute e^i -> sum_a rows[i][a] f^a and expand the wedges."""
-    dim = a.dim
-    out = HForm.zero(dim, a.laurent)
-    images = []
-    for i in range(dim):
-        img = HForm.zero(dim, a.laurent)
-        for col, c in enumerate(rows[i]):
-            if c:
-                img = img + HForm(dim, {(0, 1 << col): c}, a.laurent)
-        images.append(img)
-    for (j, mask), c in a.terms.items():
-        term = HForm(dim, {(j, 0): c}, a.laurent)
-        i = 0
-        mm = mask
-        while mm:
-            if mm & 1:
-                term = wedge(term, images[i])
-            mm >>= 1
-            i += 1
-        out = out + term
-    return out
-
-
-def real_to_complex_rows(dim: int):
-    """e^i expressed in the complex frame (dz first, dzbar second)."""
-    n = dim // 2
-    half = Fraction(1, 2)
-    rows = [[GRat(0)] * dim for _ in range(dim)]
-    for k in range(n):
-        # e^{2k-1} = (dz^k + dzbar^k)/2 ; e^{2k} = -i(dz^k - dzbar^k)/2
-        rows[2 * k][k] = GRat(half)
-        rows[2 * k][n + k] = GRat(half)
-        rows[2 * k + 1][k] = GRat(0, -half)
-        rows[2 * k + 1][n + k] = GRat(0, half)
-    return rows
-
-
 def complex_to_real_rows(dim: int):
     """dz^k / dzbar^k expressed in the real frame."""
     n = dim // 2
@@ -129,15 +94,6 @@ def complex_to_real_rows(dim: int):
         rows[n + k][2 * k] = GRat(1)
         rows[n + k][2 * k + 1] = -I
     return rows
-
-
-def to_complex_frame(a: HForm) -> HForm:
-    """Rewrite a real-frame form in the dz/dzbar frame (GRat coefficients)."""
-    return change_frame(a, real_to_complex_rows(a.dim))
-
-
-def to_real_frame(a: HForm) -> HForm:
-    return change_frame(a, complex_to_real_rows(a.dim))
 
 
 def transform_bivector(w: Bivector, rows) -> Bivector:
@@ -168,31 +124,3 @@ def complex_frame_bivector(w: Bivector) -> Bivector:
     if not j_preserves(w):
         raise ValueError("complex structure does not preserve the bivector")
     return transform_bivector(w, complex_to_real_rows(w.dim))
-
-
-def complex_bidegree(a: HForm):
-    """Bidegree (|A| + j, |B| + j) of a complex-frame form; None if mixed."""
-    if a.dim % 2:
-        raise ValueError("complex frame needs even dimension")
-    n = a.dim // 2
-    lo = (1 << n) - 1
-    degs = set()
-    for (j, mask) in a.terms:
-        p = (mask & lo).bit_count() + j
-        q = (mask >> n).bit_count() + j
-        degs.add((p, q))
-    if len(degs) == 1:
-        return degs.pop()
-    return None
-
-
-def bidegree_components(a: HForm) -> dict:
-    """Split a complex-frame form into its (p, q) pieces."""
-    n = a.dim // 2
-    lo = (1 << n) - 1
-    out = {}
-    for (j, mask), c in a.terms.items():
-        p = (mask & lo).bit_count() + j
-        q = (mask >> n).bit_count() + j
-        out.setdefault((p, q), {})[(j, mask)] = c
-    return {pq: HForm(a.dim, t, a.laurent) for pq, t in sorted(out.items())}

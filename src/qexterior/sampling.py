@@ -47,24 +47,6 @@ class Sampler:
                         ent[(i, j)] = w
         return Bivector(dim, ent)
 
-    def invertible_matrix(self, dim: int):
-        from .linalg import det
-        while True:
-            rows = [[self.fraction() for _ in range(dim)] for _ in range(dim)]
-            if det(rows):
-                return rows
-
-    def antisymmetric_invertible(self, dim: int):
-        from .linalg import det
-        while True:
-            rows = [[Fraction(0)] * dim for _ in range(dim)]
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    rows[i][j] = self.fraction()
-                    rows[j][i] = -rows[i][j]
-            if det(rows):
-                return rows
-
     def mask(self, dim: int, degree: int) -> int:
         bits = self.rng.sample(range(dim), degree)
         mask = 0

@@ -55,16 +55,6 @@ def form_to_json(a: HForm):
     return out
 
 
-def model_to_json(model: PoissonModel):
-    biv = [[i, j, coeff_to_json(w)] for (i, j), w in
-           sorted(model.w.entries.items())]
-    out = {"space": model.kind, "dim": model.dim, "bivector": biv,
-           "complex": model.complex_structure}
-    if model.omega is not None:
-        out["symplectic"] = [[str(x) for x in row] for row in model.omega]
-    return out
-
-
 # -- decoding ------------------------------------------------------------------
 # The loaders below are the only way JSON input reaches the engine.  Each
 # checks the shape of what it reads and raises ValueError on anything else,

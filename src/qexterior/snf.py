@@ -36,29 +36,6 @@ def mat_identity(n, ring):
             for i in range(n)]
 
 
-def mat_mul(A, B, ring):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a.is_zero():
-                continue
-            Bk = B[k]
-            oi = out[i]
-            for j in range(cols):
-                if not Bk[j].is_zero():
-                    oi[j] = oi[j] + a * Bk[j]
-    return out
-
-
-def mat_eq(A, B) -> bool:
-    return len(A) == len(B) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(A, B))
-
-
 TRANSFORMS = ("U", "V", "Uinv", "Vinv")
 
 
@@ -77,16 +54,6 @@ class SNFResult:
         self.rank = rank
         self.ring = ring
         self.shape = shape
-
-    def d_matrix(self):
-        rows, cols = self.shape
-        D = [[self.ring.zero() for _ in range(cols)] for _ in range(rows)]
-        for t, d in enumerate(self.diag):
-            D[t][t] = d
-        return D
-
-    def invariant_factors(self):
-        return [d for d in self.diag if not d.is_zero()]
 
     def torsion_factors(self):
         return [d for d in self.diag if not d.is_zero() and not d.is_unit()]

@@ -236,7 +236,8 @@ def suite_chern(model, trials, s: Sampler) -> SuiteResult:
         theta = [[s.model_form(m, degree=1, h_max=0) for _ in range(rank)]
                  for _ in range(rank)]
         conn = QConnection(m, theta)
-        phi = [s.model_form(m, degree=s.rng.randint(0, 2), h_max=0)
+        phi = [s.model_form(m, degree=s.rng.randint(0, min(2, m.dim)),
+                            h_max=0)
                for _ in range(rank)]
         ok = covariant_square_check(phi, conn)
         F = quantum_curvature(conn)
@@ -251,6 +252,9 @@ def suite_chern(model, trials, s: Sampler) -> SuiteResult:
 def suite_equivariant(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("equivariant", trials)
     m = model if model is not None else PoissonModel.darboux_torus(1)
+    if m.kind != TORUS:
+        # the Cartan half draws Fourier coefficients, which only a torus has
+        raise ValueError("equivariant suite runs on torus models")
     action = GroupAction(m, [[Fraction(1)] + [Fraction(0)] * (m.dim - 1)])
     forms = [s.model_form(m) for _ in range(max(1, trials // 2))]
     rep = anticommutator_check(action, forms)

@@ -55,6 +55,20 @@ builders the engine used before it built every mode in Gaussian integers
 over one denominator: the same operators with GRat entries, one normalised
 Gaussian rational per product.  ``gaussian_integer_columns`` is the
 conversion the homotopy certificate then ran on each mode's columns.
+
+The rest checks lemmas of the paper and certifies results; no command
+runs it.  ``gauge_transform`` and ``gauge_char_diagnostic`` compare the
+characteristic forms of a connection before and after a gauge
+transformation (recorded, not asserted: the Koszul operator is not
+function-linear).  ``recursion_matrix`` and ``recursion_verify`` check the
+block-recursion lemma det(M' + x I) = det(M + (x+1) I)^2.
+``change_frame``, ``to_complex_frame``, ``to_real_frame``,
+``complexify``, ``complex_bidegree`` and ``bidegree_components`` rewrite
+real-frame forms in the dz/dzbar frame and read their bidegrees.
+``mat_mul``, ``mat_eq``, ``d_matrix`` and ``invariant_factors`` certify a
+Smith normal form by re-multiplication.  ``invertible_matrix`` and
+``antisymmetric_invertible`` draw random invertible matrices from a
+``Sampler``.
 """
 
 import itertools
@@ -62,8 +76,9 @@ import math
 from fractions import Fraction
 
 from qexterior._kernels import back_sign, front_sign, wedge_sign
-from qexterior.calculus import dolbeault_operators, quantum_d
-from qexterior.chern import TransgressionResult
+from qexterior.calculus import dolbeault_operators, exterior_d, quantum_d
+from qexterior.chern import (QConnection, TransgressionResult, _mat_qwedge,
+                             char_form, quantum_curvature)
 from qexterior.coeffs import FourierCoeff
 from qexterior.cohomology import (LEVEL_CAP, _delbar_kappa_v,
                                   _dolbeault_bases, _require_torus_constant,
@@ -78,8 +93,10 @@ from qexterior.forms import (HForm, bivector_contract, check_symplectic,
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.lefschetz import (CommutatorReport, DarbouxSpace, apply_Ah,
                                  apply_Lh, apply_Lh_star)
-from qexterior.linalg import det, matrix_inverse
-from qexterior.quantum import complex_frame_bivector, qwedge
+from qexterior.linalg import charpoly, det, matrix_inverse
+from qexterior.models import TORUS
+from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
+                               qwedge)
 from qexterior.scalars import GRat
 from qexterior.snf import rank_fraction_field, solve_linear
 
@@ -490,14 +507,34 @@ def invariant_subcomplex(model, ring=HLaurent) -> FiniteComplex:
     return cx
 
 
+class TwoPeriodicComplex(FiniteComplex):
+    """The complex on the spots [even, odd] (degrees [0, 1]) of an operator
+    that maps each spot to the other: ``diffs`` is [even -> odd,
+    odd -> even], and ``in_matrix(0)`` is the odd -> even map."""
+
+    def __init__(self, bases, operator, ring, meta=None):
+        even, odd = bases
+        there = dense_matrix(operator, even, odd, ring)
+        back = dense_matrix(operator, odd, even, ring)
+        # the unrolled complex even -> odd -> even -> odd checks that both
+        # composites around the loop vanish
+        FiniteComplex([0, 1, 2, 3], [even, odd, even, odd],
+                      [there, back, there], ring=ring)
+        super().__init__([0, 1], bases, [there], ring=ring, meta=meta)
+        self.diffs.append(back)
+
+    def in_matrix(self, spot: int):
+        return self.diffs[1 - spot]
+
+
 def mode_subcomplex(model, k, ring=HLaurent) -> FiniteComplex:
     """Two-periodic complex of the Fourier mode k (even spot, odd spot)."""
     _require_torus_constant(model)
     k = tuple(int(x) for x in k)
     if len(k) != model.dim:
         raise ValueError("frequency vector has wrong length")
-    return dense_complex([0, 1], parity_bases(model.dim), dh_columns(model, k),
-                         ring, cyclic=True, meta={"kind": "mode", "mode": k})
+    return TwoPeriodicComplex(parity_bases(model.dim), dh_columns(model, k),
+                              ring, meta={"kind": "mode", "mode": k})
 
 
 def derham_table_snf(model, mode_box=1, max_degree=None, ring=HLaurent):
@@ -816,3 +853,266 @@ def gaussian_integer_columns(columns):
                         g.im.numerator * (den // g.im.denominator))
                   for key, g in col.items()}
             for lab, col in cols.items()}, den
+
+
+# -- gauge transformations ----------------------------------------------------
+
+
+def gauge_transform(conn: QConnection, g_matrix, g_inverse=None) -> QConnection:
+    """theta -> G^{-1} theta G + G^{-1} dG.
+
+    ``g_matrix`` has entries that are degree-0 forms (functions).  For a
+    constant G pass plain scalar entries; for function-valued G supply
+    ``g_inverse`` explicitly (exactness is the caller's concern; the pair
+    is validated by multiplying out).
+    """
+    model = conn.model
+    rank = conn.rank
+    G = [[_as_function_form(x, model) for x in row] for row in g_matrix]
+    if g_inverse is None:
+        Ginv = _constant_inverse(g_matrix, model)
+    else:
+        Ginv = [[_as_function_form(x, model) for x in row] for row in g_inverse]
+    prod = _mat_qwedge(Ginv, G, model)
+    for i in range(rank):
+        for j in range(rank):
+            expect = model.form_scalar(1) if i == j else HForm.zero(model.dim)
+            if prod[i][j] != expect:
+                raise ValueError("g_inverse is not the inverse of g_matrix")
+    dG = [[exterior_d(x) for x in row] for row in G]
+    new_theta = _mat_qwedge(Ginv, _mat_qwedge(conn.theta, G, model), model)
+    correction = _mat_qwedge(Ginv, dG, model)
+    for i in range(rank):
+        for j in range(rank):
+            new_theta[i][j] = new_theta[i][j] + correction[i][j]
+    return QConnection(model, new_theta)
+
+
+def _as_function_form(x, model):
+    if isinstance(x, HForm):
+        return x
+    return model.form_scalar(x)
+
+
+def _constant_inverse(g_matrix, model):
+    scalars = []
+    for row in g_matrix:
+        r = []
+        for x in row:
+            if isinstance(x, HForm):
+                c = x.coeff()
+                if hasattr(c, "constant_value"):
+                    if not c.is_constant():
+                        raise ValueError("non-constant gauge needs an "
+                                         "explicit inverse")
+                    c = c.constant_value()
+                r.append(Fraction(c) if not hasattr(c, "re") else c)
+            else:
+                r.append(Fraction(x))
+        scalars.append(r)
+    inv = matrix_inverse(scalars)
+    return [[model.form_scalar(x) for x in row] for row in inv]
+
+
+def gauge_char_diagnostic(conn: QConnection, g_matrix, k: int,
+                          g_inverse=None) -> dict:
+    """Compare tr(F^k) before and after a gauge transformation.
+
+    Recorded, not asserted: constant gauges must agree; the non-constant
+    case is the open transformation-law question and the diagnostic simply
+    reports whether the two sides agree.
+    """
+    before = char_form(quantum_curvature(conn), k, conn.model)
+    after_conn = gauge_transform(conn, g_matrix, g_inverse)
+    after = char_form(quantum_curvature(after_conn), k, conn.model)
+    return {"agree": before == after, "difference": before - after}
+
+
+# -- block-recursion lemma ----------------------------------------------------
+
+
+def recursion_matrix(M):
+    """One step of the block recursion M -> [[M, -I], [I, M + 2I]]."""
+    size = len(M)
+    out = [[Fraction(0)] * (2 * size) for _ in range(2 * size)]
+    for i in range(size):
+        for j in range(size):
+            out[i][j] = Fraction(M[i][j])
+            out[size + i][size + j] = Fraction(M[i][j])
+        out[i][size + i] = Fraction(-1)
+        out[size + i][i] = Fraction(1)
+        out[size + i][size + i] += 2
+    return out
+
+
+def recursion_verify(M) -> bool:
+    """det(M' + x I) == det(M + (x+1) I)^2 as exact polynomials."""
+    Mp = recursion_matrix(M)
+    lhs = charpoly([[-x for x in row] for row in Mp])
+    base = charpoly([[-x for x in row] for row in M])
+    rhs = poly_shift(base, Fraction(1))
+    return lhs == rhs * rhs
+
+
+def poly_shift(p: HPoly, a) -> HPoly:
+    """p(x + a)."""
+    x_plus_a = HPoly({1: Fraction(1), 0: Fraction(a)})
+    out = HPoly.zero()
+    power = HPoly.one()
+    for j in range(0, p.degree() + 1):
+        c = p.coeffs.get(j)
+        if c:
+            out = out + power * c
+        power = power * x_plus_a
+    return out
+
+
+# -- complex frame ------------------------------------------------------------
+# The frame f^1..f^n = dz^1..dz^n, f^{n+1}..f^{2n} = dzbar^1..dzbar^n with
+# z_k = x_{2k-1} + i x_{2k}; a term h^j dz^A dzbar^B has bidegree
+# (|A| + j, |B| + j).
+
+
+def change_frame(a: HForm, rows) -> HForm:
+    """Substitute e^i -> sum_a rows[i][a] f^a and expand the wedges."""
+    dim = a.dim
+    out = HForm.zero(dim, a.laurent)
+    images = []
+    for i in range(dim):
+        img = HForm.zero(dim, a.laurent)
+        for col, c in enumerate(rows[i]):
+            if c:
+                img = img + HForm(dim, {(0, 1 << col): c}, a.laurent)
+        images.append(img)
+    for (j, mask), c in a.terms.items():
+        term = HForm(dim, {(j, 0): c}, a.laurent)
+        i = 0
+        mm = mask
+        while mm:
+            if mm & 1:
+                term = wedge(term, images[i])
+            mm >>= 1
+            i += 1
+        out = out + term
+    return out
+
+
+def real_to_complex_rows(dim: int):
+    """e^i expressed in the complex frame (dz first, dzbar second)."""
+    n = dim // 2
+    half = Fraction(1, 2)
+    rows = [[GRat(0)] * dim for _ in range(dim)]
+    for k in range(n):
+        # e^{2k-1} = (dz^k + dzbar^k)/2 ; e^{2k} = -i(dz^k - dzbar^k)/2
+        rows[2 * k][k] = GRat(half)
+        rows[2 * k][n + k] = GRat(half)
+        rows[2 * k + 1][k] = GRat(0, -half)
+        rows[2 * k + 1][n + k] = GRat(0, half)
+    return rows
+
+
+def to_complex_frame(a: HForm) -> HForm:
+    """Rewrite a real-frame form in the dz/dzbar frame (GRat coefficients)."""
+    return change_frame(a, real_to_complex_rows(a.dim))
+
+
+def to_real_frame(a: HForm) -> HForm:
+    return change_frame(a, complex_to_real_rows(a.dim))
+
+
+def complexify(a: HForm, model) -> HForm:
+    """Real-frame model form -> complex frame with GRat Fourier values."""
+    if model.kind != TORUS:
+        raise ValueError("complexification implemented on torus models")
+    return to_complex_frame(a)
+
+
+def complex_bidegree(a: HForm):
+    """Bidegree (|A| + j, |B| + j) of a complex-frame form; None if mixed."""
+    if a.dim % 2:
+        raise ValueError("complex frame needs even dimension")
+    n = a.dim // 2
+    lo = (1 << n) - 1
+    degs = set()
+    for (j, mask) in a.terms:
+        p = (mask & lo).bit_count() + j
+        q = (mask >> n).bit_count() + j
+        degs.add((p, q))
+    if len(degs) == 1:
+        return degs.pop()
+    return None
+
+
+def bidegree_components(a: HForm) -> dict:
+    """Split a complex-frame form into its (p, q) pieces."""
+    n = a.dim // 2
+    lo = (1 << n) - 1
+    out = {}
+    for (j, mask), c in a.terms.items():
+        p = (mask & lo).bit_count() + j
+        q = (mask >> n).bit_count() + j
+        out.setdefault((p, q), {})[(j, mask)] = c
+    return {pq: HForm(a.dim, t, a.laurent) for pq, t in sorted(out.items())}
+
+
+# -- Smith normal form certification ------------------------------------------
+
+
+def mat_mul(A, B, ring):
+    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
+    out = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        Ai = A[i]
+        for k in range(inner):
+            a = Ai[k]
+            if a.is_zero():
+                continue
+            Bk = B[k]
+            oi = out[i]
+            for j in range(cols):
+                if not Bk[j].is_zero():
+                    oi[j] = oi[j] + a * Bk[j]
+    return out
+
+
+def mat_eq(A, B) -> bool:
+    return len(A) == len(B) and all(
+        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
+        for ra, rb in zip(A, B))
+
+
+def d_matrix(res):
+    """The diagonal matrix D = U A V of an ``SNFResult``."""
+    rows, cols = res.shape
+    D = [[res.ring.zero() for _ in range(cols)] for _ in range(rows)]
+    for t, d in enumerate(res.diag):
+        D[t][t] = d
+    return D
+
+
+def invariant_factors(res):
+    """The nonzero diagonal entries of an ``SNFResult``."""
+    return [d for d in res.diag if not d.is_zero()]
+
+
+# -- random invertible matrices -----------------------------------------------
+
+
+def invertible_matrix(s, dim: int):
+    """An invertible dim x dim matrix of ``Sampler.fraction`` draws."""
+    while True:
+        rows = [[s.fraction() for _ in range(dim)] for _ in range(dim)]
+        if det(rows):
+            return rows
+
+
+def antisymmetric_invertible(s, dim: int):
+    """An invertible antisymmetric matrix of ``Sampler.fraction`` draws."""
+    while True:
+        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                rows[i][j] = s.fraction()
+                rows[j][i] = -rows[i][j]
+        if det(rows):
+            return rows

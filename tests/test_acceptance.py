@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import recursion_matrix, recursion_verify
 from qexterior.calculus import (dolbeault_operators, exterior_d,
                                 frame_formula_d, koszul_delta, quantum_d,
                                 stokes_check)
@@ -23,8 +24,7 @@ from qexterior.equivariant import (GroupAction, anticommutator_check,
 from qexterior.forms import HForm
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.lefschetz import (commutator_check, hard_lefschetz_check,
-                                 lefschetz_d_commutators, recursion_matrix,
-                                 recursion_verify)
+                                 lefschetz_d_commutators)
 from qexterior.linalg import det
 from qexterior.models import PoissonModel
 from qexterior.quantum import (frobenius_pairing, gram_matrix, qwedge,

@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import conjugate
-from qexterior.calculus import (complexify, dolbeault_operators, exterior_d,
+from oracles import (bidegree_components, complex_bidegree, complexify,
+                     conjugate)
+from qexterior.calculus import (dolbeault_operators, exterior_d,
                                 frame_formula_d, koszul_delta, qintegral,
                                 quantum_d, stokes_check)
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.forms import Bivector, HForm, wedge
 from qexterior.hpoly import HPoly
 from qexterior.models import PoissonModel, jacobi_check
-from qexterior.quantum import bidegree_components, complex_bidegree, qwedge
+from qexterior.quantum import qwedge
 from qexterior.sampling import Sampler
 from qexterior.scalars import GRat
 

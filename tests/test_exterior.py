@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import antisymmetric_invertible
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.forms import (Bivector, HForm, berezin_integral,
                              bivector_contract, contract_back,
@@ -126,8 +127,6 @@ class TestBivectorContract:
         assert w.entry(1, 2) == -5
         assert w.entry(2, 1) == 5
         assert w.entry(1, 1) == 0
-        with pytest.raises(ValueError):
-            Bivector.from_matrix([[0, 1], [1, 0]])
 
 
 class TestBerezin:
@@ -175,7 +174,7 @@ class TestSymplecticStar:
         s = Sampler(23)
         for _ in range(25):
             n = s.rng.randint(1, 3)
-            om = s.antisymmetric_invertible(2 * n)
+            om = antisymmetric_invertible(s, 2 * n)
             a = s.ext_form(2 * n, h_max=1, laurent=True)
             assert symplectic_star(symplectic_star(a, om), om) == a
 
@@ -184,7 +183,7 @@ class TestSymplecticStar:
         from qexterior.forms import omega_form
         for _ in range(10):
             n = s.rng.randint(1, 3)
-            om = s.antisymmetric_invertible(2 * n)
+            om = antisymmetric_invertible(s, 2 * n)
             vol = HForm.scalar(2 * n, Fraction(1))
             of = omega_form(om)
             for k in range(1, n + 1):

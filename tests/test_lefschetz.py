@@ -16,13 +16,13 @@ from qexterior.lefschetz import (DarbouxSpace, Mh_matrix, OperatorColumns,
                                  apply_Lh_star, apply_Mh, commutator_check,
                                  hard_lefschetz_check,
                                  lefschetz_d_commutators, operator_matrix,
-                                 paper_conformance, recursion_matrix,
-                                 recursion_verify)
+                                 paper_conformance)
 from qexterior.linalg import charpoly, det
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
 
-from oracles import commutator_check_per_form, operator_matrix_per_form
+from oracles import (commutator_check_per_form, operator_matrix_per_form,
+                     recursion_matrix, recursion_verify)
 
 
 @pytest.fixture(scope="module")

@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import qwedge_bruteforce, qwedge_cascade, qwedge_multilinear
+from oracles import (bidegree_components, change_frame, complex_bidegree,
+                     invertible_matrix, qwedge_bruteforce, qwedge_cascade,
+                     qwedge_multilinear, to_complex_frame, to_real_frame)
 from qexterior import _kernels as K
 from qexterior.cli import main
 from qexterior.forms import Bivector, HForm, wedge
-from qexterior.quantum import (bidegree_components, change_frame,
-                               complex_bidegree, complex_frame_bivector,
-                               frobenius_pairing, gram_matrix, j_preserves,
-                               qwedge, to_complex_frame, to_real_frame,
+from qexterior.quantum import (complex_frame_bivector, frobenius_pairing,
+                               gram_matrix, j_preserves, qwedge,
                                transform_bivector, wwedge)
 from qexterior.linalg import det
 from qexterior.sampling import Sampler
@@ -145,7 +145,7 @@ class TestQwedgeLaws:
         for _ in range(15):
             dim = s.rng.randint(2, 4)
             w = s.antisymmetric_bivector(dim)
-            rows = s.invertible_matrix(dim)
+            rows = invertible_matrix(s, dim)
             a = s.ext_form(dim, h_max=1)
             b = s.ext_form(dim, h_max=1)
             w_new = transform_bivector(w, matrix_inverse(rows))

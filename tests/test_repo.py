@@ -1,6 +1,8 @@
-"""Repository hygiene: nothing generated or ignored is tracked, and the
-engine names the benchmark traces still exist."""
+"""Repository hygiene: nothing generated or ignored is tracked, the
+engine names the benchmark traces still exist, and every library function
+is reached."""
 
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -77,3 +79,28 @@ def test_cohomology_takes_no_smith_normal_form():
         if isinstance(node, ast.Call) and name in forbidden:
             callers.append(f"{name}:{node.lineno}")
     assert callers == []
+
+
+def test_every_library_function_is_reached():
+    # a top-level function or class of the library must be named by
+    # another part of it, by the benchmark or by the public API; anything
+    # else is test code and lives in tests/oracles.py
+    import ast
+    import qexterior
+    library = sorted((ROOT / "src" / "qexterior").glob("*.py"))
+    bench = "\n".join(p.read_text()
+                      for p in sorted((ROOT / "perfbench").glob("*.py")))
+    defined, named = [], set()
+    for path in library:
+        tree = ast.parse(path.read_text())
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unreached = [f"{module}:{name}" for module, name in defined
+                 if name not in named and name not in qexterior.__all__
+                 and not re.search(rf"\b{name}\b", bench)]
+    assert unreached == []
