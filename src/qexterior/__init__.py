@@ -18,9 +18,9 @@ from .complexes import CohomologyTable, FiniteComplex, complex_homology
 from .equivariant import (EquivariantElement, GroupAction,
                           anticommutator_check, cartan_d, contract_generator,
                           equivariant_cohomology_table)
-from .forms import (Bivector, HForm, berezin_integral, bivector_contract,
-                    contract_back, contract_front, graded_degree,
-                    symplectic_star, wedge)
+from .forms import (Bivector, HForm, StarTable, berezin_integral,
+                    bivector_contract, contract_back, contract_front,
+                    graded_degree, symplectic_star, wedge)
 from .hpoly import HLaurent, HPoly
 from .lefschetz import (DarbouxSpace, Mh_matrix, SpectrumReport, apply_Ah,
                         apply_Lh, apply_Lh_star, commutator_check,
@@ -36,9 +36,10 @@ __all__ = [
     "Bivector", "CohomologyTable", "DarbouxSpace", "EquivariantElement",
     "FiniteComplex", "FourierCoeff", "GRat", "GroupAction", "HForm",
     "HLaurent", "HPoly", "Mh_matrix", "PoissonModel", "PolyCoeff",
-    "QConnection", "SpectrumReport", "anticommutator_check", "apply_Ah",
-    "apply_Lh", "apply_Lh_star", "berezin_integral", "bivector_contract",
-    "cartan_d", "char_form", "commutator_check", "complex_homology",
+    "QConnection", "SpectrumReport", "StarTable", "anticommutator_check",
+    "apply_Ah", "apply_Lh", "apply_Lh_star", "berezin_integral",
+    "bivector_contract", "cartan_d", "char_form", "commutator_check",
+    "complex_homology",
     "contract_back", "contract_front", "contract_generator",
     "dolbeault_operators",
     "equivariant_cohomology_table", "exterior_d", "frame_formula_d",

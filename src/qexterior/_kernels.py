@@ -111,9 +111,6 @@ def contract_terms(terms: dict, i: int, sign_of) -> dict:
 
 # Mask-pair plans kept at once; one per pair of monomials multiplied.
 _PLANS = 4096
-# Bivector tables kept at once; suites that draw a fresh bivector per trial
-# evict the oldest instead of growing.
-_QTABLES = 32
 
 
 def _contraction_signs(mask: int, sign_of) -> dict:
@@ -173,17 +170,17 @@ class QTable:
     A table built from all-Fraction entries is rational: ``D`` is the lcm
     of their denominators and the rows hold the integer matrix D W, so
     its minors det (D W)[S, T] = D^k det W[S, T] and product sums are
-    ints.  ``fraction_product`` reads them back as Fractions.  Any other
-    table has ``D = None`` and rows of the entries themselves.  ``one`` is
-    the unit of the entry type (None without entries).
+    ints.  Any other table has ``D = None`` and rows of the entries
+    themselves.  ``one`` is the unit of the entry type (None without
+    entries).  A table is built once per bivector, which owns it
+    (``Bivector.table``) and whose entries are read-only.
     """
 
-    __slots__ = ("rows", "D", "one", "minors", "products", "fractions",
-                 "promotions")
+    __slots__ = ("rows", "D", "one", "minors", "products", "promotions")
 
-    def __init__(self, dim: int, D, entries: tuple):
+    def __init__(self, dim: int, D, entries: list):
         rows = [[] for _ in range(dim)]
-        for i, j, *_, w in entries:
+        for i, j, w in entries:
             rows[i - 1].append((j - 1, w))
             rows[j - 1].append((i - 1, -w))
         self.rows = rows
@@ -196,7 +193,6 @@ class QTable:
             self.one = Fraction(1)
         self.minors = {}
         self.products = {}
-        self.fractions = {}
         self.promotions = {}
 
     def minor(self, S: int, T: int):
@@ -246,18 +242,6 @@ class QTable:
         self.products[(ma, mb)] = out
         return out
 
-    def fraction_product(self, ma: int, mb: int) -> list:
-        """``product`` of a rational table with each h^k coefficient, k > 0,
-        divided back by D^k into a Fraction."""
-        expansion = self.products.get((ma, mb))
-        if expansion is None:
-            expansion = self.product(ma, mb)
-        D = self.D
-        out = [(k, mask, Fraction(d, D ** k) if k else d)
-               for k, mask, d in expansion]
-        self.fractions[(ma, mb)] = out
-        return out
-
     def promotes(self, ca, cb) -> bool:
         """Whether h^0 terms of ca * cb, which meet no entry, must be
         multiplied by ``one`` to take the type of coefficient x entry;
@@ -270,28 +254,18 @@ class QTable:
         return p
 
 
-_qtable = lru_cache(maxsize=_QTABLES)(QTable)
-
-
 def qwedge_table(dim: int, entries: dict) -> QTable:
-    """The table of the bivector with entries {(i, j): w^{ij}} (1-based).
-
-    Tables are looked up by the entry values, so a caller may mutate a
-    bivector between calls.  All-Fraction entries are keyed by their
-    integer data ``(D, ((i, j, numerator of D w^{ij}), ..))``; any other
-    key holds each value's type too: equal values of different types
-    (Fraction(2), GRat(2)) must not share a table, since the products
-    carry the type of the entries.
-    """
+    """The table of the bivector with entries {(i, j): w^{ij}} (1-based):
+    rational, with the integer rows D W, when every entry is a Fraction;
+    typed, with rows of the entries themselves, otherwise."""
     items = sorted(entries.items())
     D = 1
     for _ij, w in items:
         if type(w) is not Fraction:
-            return _qtable(dim, None, tuple((i, j, type(w), w)
-                                            for (i, j), w in items))
+            return QTable(dim, None, [(i, j, w) for (i, j), w in items])
         D = lcm(D, w.denominator)
-    return _qtable(dim, D, tuple((i, j, w.numerator * (D // w.denominator))
-                                 for (i, j), w in items))
+    return QTable(dim, D, [(i, j, w.numerator * (D // w.denominator))
+                           for (i, j), w in items])
 
 
 def _numerators(terms: dict):
@@ -313,13 +287,11 @@ def qwedge_terms(A: dict, B: dict, table: QTable) -> dict:
     run in ints over one common denominator; otherwise each term is
     multiplied out in the coefficients' own arithmetic.
     """
-    if table.D is not None:
+    D = table.D
+    if D is not None:
         na, nb = _numerators(A), _numerators(B)
         if na and nb:
             return _qwedge_integer(na, nb, table)
-        memo, expand = table.fractions, table.fraction_product
-    else:
-        memo, expand = table.products, table.product
     # With entries, every coefficient has the type of coefficient x entry.
     one = table.one
     promote = (one is not None and bool(A) and bool(B)
@@ -328,16 +300,16 @@ def qwedge_terms(A: dict, B: dict, table: QTable) -> dict:
     out = {}
     for (ja, ma), ca in A.items():
         for (jb, mb), cb in B.items():
-            expansion = memo.get((ma, mb))
+            expansion = table.products.get((ma, mb))
             if expansion is None:
-                expansion = expand(ma, mb)
+                expansion = table.product(ma, mb)
             if not expansion:
                 continue
             c = ca * cb
             j = ja + jb
             for k, mask, d in expansion:
                 if k:
-                    cc = c * d
+                    cc = c * (d if D is None else Fraction(d, D ** k))
                 else:
                     cc = c * one if promote else c
                     if d < 0:

@@ -236,7 +236,7 @@ def _theta_monomials(d: int, max_total: int):
             yield tuple(parts)
 
 
-def _equivariant_basis(model, d, total, laurent=False):
+def _equivariant_basis(model, d, total):
     out = []
     for A in _theta_monomials(d, total // 2):
         rem = total - 2 * sum(A)

@@ -22,8 +22,8 @@ Conventions (pinned, see README):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from . import _kernels as K
 from .linalg import det, matrix_inverse
@@ -248,9 +248,12 @@ class Bivector:
     The entry w^{ij} is exactly the coefficient appearing in the product
     normalization ``e^i ^_w e^j = e^i ^ e^j + w^{ij}``: a writer expressing
     w = sum_{i<j} c_ij d_i ^ d_j supplies entries[(i, j)] = c_ij.
+
+    ``entries`` is read-only, so the minor table of the quantum product
+    (``table``), built on first use, stays that of this bivector.
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "_table")
 
     def __init__(self, dim: int, entries=None):
         self.dim = dim
@@ -269,7 +272,15 @@ class Bivector:
                             del data[(i, j)]
                     else:
                         data[(i, j)] = w
-        self.entries = data
+        self.entries = MappingProxyType(data)
+        self._table = None
+
+    @property
+    def table(self) -> K.QTable:
+        """The minor table of the quantum product under this bivector."""
+        if self._table is None:
+            self._table = K.qwedge_table(self.dim, self.entries)
+        return self._table
 
     @classmethod
     def zero(cls, dim: int):
@@ -304,7 +315,7 @@ class Bivector:
         return self.dim == other.dim and self.entries == other.entries
 
     def __repr__(self):
-        return f"Bivector({self.dim}, {self.entries!r})"
+        return f"Bivector({self.dim}, {dict(self.entries)!r})"
 
 
 # -- classical operations -----------------------------------------------------
@@ -394,21 +405,18 @@ def check_symplectic(omega):
         raise ValueError("symplectic matrix is singular")
 
 
-# Star tables kept at once; suites that draw a fresh Omega per trial evict
-# the oldest instead of growing.
-_STAR_TABLES = 32
-
-
-class _StarTable:
-    """The star of one Omega, one basis monomial e^J at a time.
+class StarTable:
+    """The symplectic star of one matrix Omega, one basis monomial e^J at a
+    time; build it once per Omega and pass it to :func:`symplectic_star`.
 
     ``row(J)`` lists (complement of I, Lambda^k(w)[I, J] * pf * sign) over
     the index sets I with |I| = |J| and a nonzero minor, where pf is the
     top coefficient of omega^n/n! and sign that of e^I ^ e^{comp I}.
-    Validation, the inverse and pf are computed once per table; rows are
-    filled on first use.  The minors det w*[I, J] of w* = -Omega^{-1} are
-    those of its qwedge table, memoized there; for a rational Omega they
-    are the integers det (D w*)[I, J], read back over D^k as Fractions.
+    The constructor validates Omega (ValueError if it is not symplectic)
+    and computes the inverse and pf; rows are filled on first use.  The
+    minors det w*[I, J] of w* = -Omega^{-1} are those of the bivector
+    ``wstar``'s own table; for a rational Omega they are the integers
+    det (D w*)[I, J], read back over D^k as Fractions.
     """
 
     __slots__ = ("dim", "wstar", "pf", "rows")
@@ -418,7 +426,7 @@ class _StarTable:
         dim = len(omega)
         self.dim = dim
         inv = matrix_inverse(omega)
-        self.wstar = K.qwedge_table(dim, {
+        self.wstar = Bivector(dim, {
             (i + 1, j + 1): -inv[i][j] for i in range(dim)
             for j in range(i + 1, dim) if inv[i][j]})
         vol = HForm.scalar(dim, Fraction(1))
@@ -432,7 +440,7 @@ class _StarTable:
         row = self.rows.get(maskJ)
         if row is not None:
             return row
-        dim, wstar, pf = self.dim, self.wstar, self.pf
+        dim, wstar, pf = self.dim, self.wstar.table, self.pf
         full = (1 << dim) - 1
         k = maskJ.bit_count()
         row = []
@@ -450,30 +458,23 @@ class _StarTable:
         return row
 
 
-# Keyed by Omega's entry values.  An invalid Omega raises on every call,
-# because lru_cache stores no exceptions.
-_star_table = lru_cache(maxsize=_STAR_TABLES)(_StarTable)
-
-
-def symplectic_star(a: HForm, omega) -> HForm:
+def symplectic_star(a: HForm, star: StarTable) -> HForm:
     """Symplectic star determined by b ^ *a = Lambda^k(w)(b, a) omega^n/n!.
 
     Here w is the dual bivector of Omega (w(e^i, e^j) = -(Omega^-1)[i][j],
     which makes *1 = omega^n/n! and *e^1 = e^1 in the Darboux model) and
-    the star is extended to h-coefficients by *h = h^-1.  The table of
-    Omega is looked up by the values of its entries, so a caller may
-    mutate its matrix between calls.
+    the star is extended to h-coefficients by *h = h^-1; ``star`` is the
+    :class:`StarTable` of Omega.
     """
     dim = a.dim
-    if len(omega) != dim:
+    if star.dim != dim:
         raise ValueError("matrix dimension mismatch")
-    table = _star_table(tuple(tuple(row) for row in omega))
     if any(j for (j, _m) in a.terms) and not a.laurent:
         raise ValueError("star of an h-carrying form requires Laurent mode")
 
     out = {}
     for (j, maskJ), c in a.terms.items():
-        for comp, scale in table.row(maskJ):
+        for comp, scale in star.row(maskJ):
             key = (-j, comp)
             s = out.get(key, 0) + c * scale
             if s:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .calculus import quantum_d
-from .forms import Bivector, HForm, symplectic_star
+from .forms import Bivector, HForm, StarTable, symplectic_star
 from .linalg import charpoly, factor_charpoly, geometric_multiplicity
 from .models import PoissonModel, darboux_matrix
 from .quantum import qwedge
@@ -48,6 +48,7 @@ class DarbouxSpace:
         self.n = n
         self.dim = 2 * n
         self.omega = darboux_matrix(n)
+        self.star = StarTable(self.omega)
         self.w = Bivector(self.dim, {(2 * k + 1, 2 * k + 2): Fraction(-1)
                                      for k in range(n)})
         self.omega_form = HForm(self.dim, {
@@ -70,12 +71,12 @@ def apply_Lh(x: HForm, space: DarbouxSpace, w: Bivector = None) -> HForm:
     return qwedge(space.omega_form, x.to_laurent(), w if w is not None else space.w)
 
 
-def apply_Lh_star(x: HForm, space: DarbouxSpace, w: Bivector = None) -> HForm:
+def apply_Lh_star(x: HForm, space: DarbouxSpace) -> HForm:
     """L_h* x = -(* L_h *) x with *h = h^{-1}."""
     if not x.laurent:
         raise ValueError("L_h* needs Laurent mode (the star produces h^-1)")
-    starred = symplectic_star(x, space.omega)
-    return -symplectic_star(apply_Lh(starred, space, w), space.omega)
+    star = space.star
+    return -symplectic_star(apply_Lh(symplectic_star(x, star), space), star)
 
 
 def apply_Ah(x: HForm, space: DarbouxSpace) -> HForm:
@@ -291,12 +292,13 @@ def lefschetz_d_commutators(model: PoissonModel, forms) -> CommutatorReport:
     rep = CommutatorReport(n, [])
     omega_form = model.omega_form(laurent=True)
     w = model.w
+    star = StarTable(model.omega)
 
     def L(x):
         return qwedge(omega_form, x, w)
 
     def Ls(x):
-        return -symplectic_star(L(symplectic_star(x, model.omega)), model.omega)
+        return -symplectic_star(L(symplectic_star(x, star)), star)
 
     def A(x):
         return apply_Ah(x, space)

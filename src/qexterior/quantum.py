@@ -12,8 +12,7 @@ over S in I and T in J with |S| = |T| = k and disjoint remainders, with
 the normalization ``e^i ^_w e^j = e^i ^ e^j + w^{ij}`` (see ``_kernels``
 for the sign).  Setting h = 0 recovers the classical wedge; h carries
 degree 2, so the product respects the total grading.  The minors of a
-bivector are kept in a table looked up by the bivector's entry values, so
-a caller may mutate ``w.entries`` between calls.
+bivector are kept in its own table (``Bivector.table``).
 
 The complex frame is f^1..f^n = dz^1..dz^n, f^{n+1}..f^{2n} =
 dzbar^1..dzbar^n with z_k = x_{2k-1} + i x_{2k}; a term h^j dz^A dzbar^B
@@ -37,8 +36,7 @@ def qwedge(a: HForm, b: HForm, w: Bivector) -> HForm:
         raise ValueError(f"dimension mismatch {a.dim} != {b.dim}")
     if w.dim != a.dim:
         raise ValueError(f"bivector dimension mismatch {w.dim} != {a.dim}")
-    table = K.qwedge_table(w.dim, w.entries)
-    return HForm(a.dim, K.qwedge_terms(a.terms, b.terms, table),
+    return HForm(a.dim, K.qwedge_terms(a.terms, b.terms, w.table),
                  a.laurent or b.laurent)
 
 

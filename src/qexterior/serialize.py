@@ -225,21 +225,18 @@ def connection_from_json(obj, model: PoissonModel):
 
 
 def _rep_to_jsonable(labels, vec):
+    """A representative over the labels of a table: masks (de Rham),
+    (j, mask) (Dolbeault) or (mode, label) (equivariant)."""
     out = []
     for lab, coeff in zip(labels, vec):
         if coeff.is_zero():
             continue
         if isinstance(lab, int):
             label = {"indices": mask_indices(lab)}
-        elif isinstance(lab, tuple) and len(lab) == 2 and isinstance(lab[0], int):
+        elif isinstance(lab[0], int):
             label = {"h": lab[0], "indices": mask_indices(lab[1])}
-        elif isinstance(lab, tuple) and len(lab) == 3:
-            label = {"theta": list(lab[0]), "h": lab[1],
-                     "indices": mask_indices(lab[2])}
-        elif isinstance(lab, tuple) and len(lab) == 2:
-            label = {"mode": list(lab[0]), "label": str(lab[1])}
         else:
-            label = {"label": str(lab)}
+            label = {"mode": list(lab[0]), "label": str(lab[1])}
         out.append({"basis": label, "coeff": hpoly_to_json(coeff)})
     return out
 

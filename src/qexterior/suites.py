@@ -2,7 +2,9 @@
 
 Each suite runs ``trials`` seeded random cases of one family of exact
 identities and reports the first failing witness, if any.  All suites are
-exact: a single mismatching coefficient is a failure.
+exact: a single mismatching coefficient is a failure.  A suite whose
+precondition the model violates raises :class:`SuitePrecondition` before
+its first draw.
 """
 
 from __future__ import annotations
@@ -17,11 +19,15 @@ from .chern import (QConnection, char_form, covariant_square_check,
 from .coeffs import FourierCoeff
 from .equivariant import (EquivariantElement, GroupAction,
                           anticommutator_check, cartan_d)
-from .forms import HForm
+from .forms import Bivector, HForm
 from .lefschetz import commutator_check, lefschetz_d_commutators
 from .models import PoissonModel, TORUS
 from .quantum import qwedge, wwedge
 from .sampling import Sampler
+
+
+class SuitePrecondition(ValueError):
+    """The model violates a suite's precondition; raised before any draw."""
 
 
 class SuiteResult:
@@ -141,7 +147,7 @@ def suite_frame(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("frame", trials)
     m = model if model is not None else PoissonModel.darboux_torus(2)
     if not m.is_constant_w():
-        raise ValueError("frame suite needs a constant bivector")
+        raise SuitePrecondition("frame suite needs a constant bivector")
     for t in range(trials):
         a = s.model_form(m)
         res.checked += 1
@@ -152,6 +158,8 @@ def suite_frame(model, trials, s: Sampler) -> SuiteResult:
 
 def suite_stokes(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("stokes", trials)
+    if model is not None and (model.kind != TORUS or model.omega is None):
+        raise SuitePrecondition("stokes suite runs on symplectic torus models")
     models = [model] if model is not None else \
         [PoissonModel.darboux_torus(1), PoissonModel.darboux_torus(2)]
     for t, m in zip(range(trials), cycle(models)):
@@ -167,7 +175,7 @@ def suite_dolbeault(model, trials, s: Sampler) -> SuiteResult:
     m = model if model is not None else \
         PoissonModel.darboux_torus(1, complex_structure=True)
     if not m.complex_structure:
-        raise ValueError("dolbeault suite needs a complex structure")
+        raise SuitePrecondition("dolbeault suite needs a complex structure")
     for t in range(trials):
         a = s.complexified_model_form(m)
         ops = dolbeault_operators(a, m)
@@ -230,7 +238,7 @@ def suite_chern(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("chern", trials)
     m = model if model is not None else PoissonModel.darboux_torus(1)
     if m.kind != TORUS:
-        raise ValueError("chern suite runs on torus models")
+        raise SuitePrecondition("chern suite runs on torus models")
     for t in range(trials):
         rank = s.rng.randint(1, 3)
         theta = [[s.model_form(m, degree=1, h_max=0) for _ in range(rank)]
@@ -254,7 +262,7 @@ def suite_equivariant(model, trials, s: Sampler) -> SuiteResult:
     m = model if model is not None else PoissonModel.darboux_torus(1)
     if m.kind != TORUS:
         # the Cartan half draws Fourier coefficients, which only a torus has
-        raise ValueError("equivariant suite runs on torus models")
+        raise SuitePrecondition("equivariant suite runs on torus models")
     action = GroupAction(m, [[Fraction(1)] + [Fraction(0)] * (m.dim - 1)])
     forms = [s.model_form(m) for _ in range(max(1, trials // 2))]
     rep = anticommutator_check(action, forms)
@@ -298,7 +306,7 @@ def suite_negative_control(model, trials, s: Sampler) -> SuiteResult:
     for t in range(trials):
         dim = s.rng.randint(2, 4)
         w = s.antisymmetric_bivector(dim)
-        w.entries[(1, 2)] = s.nonzero_fraction()
+        w = Bivector(dim, {**w.entries, (1, 2): s.nonzero_fraction()})
         a = HForm.basis(dim, 1) * s.nonzero_fraction()
         b = HForm.basis(dim, 2) * s.nonzero_fraction()
         good = qwedge(a, b, w)

@@ -163,6 +163,44 @@ class TestCheck:
             "--seed", str(seed), "--model", str(model)]) == \
             "equivariant suite runs on torus models"
 
+    @pytest.mark.parametrize("body,skipped", [
+        ({"space": "torus", "dim": 4}, ["stokes", "dolbeault"]),
+        ({"space": "affine", "dim": 3},
+         ["stokes", "dolbeault", "chern", "equivariant"]),
+        ({"space": "affine", "dim": 2, "symplectic": "darboux"},
+         ["stokes", "dolbeault", "chern", "equivariant"]),
+    ], ids=["T4", "R3", "R2-darboux"])
+    def test_all_suites_skip_violated_preconditions(self, tmp_path, body,
+                                                    skipped):
+        from qexterior.suites import SUITES
+        model, out = write_json(tmp_path / "m.json", body), tmp_path / "r.json"
+        rc = main(["check", "--trials", "1", "--model", model,
+                   "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert (rc, report["status"]) == (0, "pass")
+        assert [(x["suite"], x["reason"].split()[0]) for x in
+                report["skipped"]] == [(name, name) for name in skipped]
+        assert sorted([x["suite"] for x in report["results"]] + skipped) == \
+            sorted(SUITES)
+
+    @pytest.mark.parametrize("suite", ["stokes", "dolbeault", "chern",
+                                       "equivariant"])
+    def test_precondition_comes_before_any_draw(self, suite):
+        from qexterior.suites import SUITES, SuitePrecondition
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew {name} before the precondition")
+
+        with pytest.raises(SuitePrecondition, match=suite):
+            SUITES[suite](PoissonModel.affine(3), 1, NoDraws())
+
+    def test_named_suite_still_refuses_the_model(self, capsys, tmp_path):
+        model = write_json(tmp_path / "r3.json", {"space": "affine", "dim": 3})
+        assert cli_error(capsys, ["check", "--suite", "stokes", "--trials",
+                                  "1", "--model", model]) == \
+            "stokes suite runs on symplectic torus models"
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -847,6 +885,26 @@ class TestCheckBudget:
         assert main(["check", "--model", path, "--suite", "chern",
                      "--trials", "100"]) == 3
         assert reached == [("chern", 8, 100)]
+
+    def test_trials_past_the_cap_refused_before_the_model(self, capsys,
+                                                          tmp_path, reached):
+        # the model file is past the dimension budget too; --trials is
+        # checked first, before the model is read
+        path = write_json(tmp_path / "model.json", {"space": "torus",
+                                                    "dim": 100})
+        trials = cli.CHECK_MAX_TRIALS + 1
+        message = cli_error(capsys, ["check", "--model", path, "--suite",
+                                     "chern", "--trials", str(trials)])
+        assert message == f"--trials {trials} passes the work budget: at " \
+            f"most {cli.CHECK_MAX_TRIALS}"
+        assert reached == []
+
+    def test_trials_cap_reaches_the_suites(self, tmp_path, reached):
+        path = write_json(tmp_path / "model.json", {"space": "torus",
+                                                    "dim": 2})
+        assert main(["check", "--model", path, "--suite", "chern",
+                     "--trials", str(cli.CHECK_MAX_TRIALS)]) == 3
+        assert reached == [("chern", 2, cli.CHECK_MAX_TRIALS)]
 
     @pytest.mark.parametrize("suite,trials", [("associativity", 200),
                                               ("supercommutativity", 500)])

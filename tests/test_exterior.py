@@ -6,7 +6,7 @@ import pytest
 
 from oracles import antisymmetric_invertible
 from qexterior.coeffs import FourierCoeff, PolyCoeff
-from qexterior.forms import (Bivector, HForm, berezin_integral,
+from qexterior.forms import (Bivector, HForm, StarTable, berezin_integral,
                              bivector_contract, contract_back,
                              contract_front, graded_degree, symplectic_star,
                              wedge)
@@ -159,24 +159,25 @@ class TestGradedDegree:
 
 class TestSymplecticStar:
     def test_darboux_m2_examples(self):
-        om = darboux_matrix(1)
+        star = StarTable(darboux_matrix(1))
         one = HForm.scalar(2, Fraction(1))
-        assert symplectic_star(one, om) == mono(2, [1, 2])
-        assert symplectic_star(e(2, 1), om) == e(2, 1)
+        assert symplectic_star(one, star) == mono(2, [1, 2])
+        assert symplectic_star(e(2, 1), star) == e(2, 1)
         h1 = HForm(2, {(1, 0): Fraction(1)}, laurent=True)
-        assert symplectic_star(h1, om) == HForm(2, {(-1, 3): Fraction(1)}, laurent=True)
+        assert symplectic_star(h1, star) == HForm(2, {(-1, 3): Fraction(1)}, laurent=True)
 
     def test_polynomial_mode_with_h_rejected(self):
         with pytest.raises(ValueError):
-            symplectic_star(HForm(2, {(1, 0): Fraction(1)}), darboux_matrix(1))
+            symplectic_star(HForm(2, {(1, 0): Fraction(1)}),
+                            StarTable(darboux_matrix(1)))
 
     def test_involution_random(self):
         s = Sampler(23)
         for _ in range(25):
             n = s.rng.randint(1, 3)
-            om = antisymmetric_invertible(s, 2 * n)
+            star = StarTable(antisymmetric_invertible(s, 2 * n))
             a = s.ext_form(2 * n, h_max=1, laurent=True)
-            assert symplectic_star(symplectic_star(a, om), om) == a
+            assert symplectic_star(symplectic_star(a, star), star) == a
 
     def test_star_one_is_volume(self):
         s = Sampler(29)
@@ -188,22 +189,23 @@ class TestSymplecticStar:
             of = omega_form(om)
             for k in range(1, n + 1):
                 vol = wedge(vol, of) * Fraction(1, k)
-            assert symplectic_star(HForm.scalar(2 * n, Fraction(1)), om) == vol
+            assert symplectic_star(HForm.scalar(2 * n, Fraction(1)),
+                                   StarTable(om)) == vol
 
     def test_singular_or_odd_rejected(self):
         with pytest.raises(ValueError):
-            symplectic_star(e(2, 1), [[Fraction(0)] * 2] * 2)
+            symplectic_star(e(2, 1), StarTable([[Fraction(0)] * 2] * 2))
         with pytest.raises(ValueError):
-            symplectic_star(e(3, 1), [[Fraction(0)] * 3] * 3)
+            symplectic_star(e(3, 1), StarTable([[Fraction(0)] * 3] * 3))
 
     def test_degree_reversal(self):
-        om = darboux_matrix(2)
+        star = StarTable(darboux_matrix(2))
         for k in range(5):
             s = Sampler(100 + k)
             a = s.ext_form(4, degree=k, terms=1)
             if a.is_zero():
                 continue
-            img = symplectic_star(a, om)
+            img = symplectic_star(a, star)
             assert all(m.bit_count() == 4 - k for (_j, m) in img.terms)
 
 

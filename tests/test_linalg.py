@@ -1,7 +1,7 @@
 """The spectrum layer against the algorithms it replaced (tests/oracles.py):
-Hessenberg charpoly vs determinant interpolation and the cached star table
-vs the per-call star formula, plus the (x - n)^size certificate that
-replaced the root search and the safety of the star cache."""
+Hessenberg charpoly vs determinant interpolation and the star table of
+one Omega vs the per-call star formula, plus the (x - n)^size certificate
+that replaced the root search."""
 
 from fractions import Fraction
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (antisymmetric_invertible, charpoly_interpolation,
                      symplectic_star_uncached)
-from qexterior.forms import HForm, symplectic_star
+from qexterior.forms import HForm, StarTable, symplectic_star
 from qexterior.hpoly import HPoly
 from qexterior.lefschetz import DarbouxSpace, Mh_matrix
 from qexterior.linalg import (charpoly, det, factor_charpoly,
@@ -149,18 +149,20 @@ class TestStarTable:
         for dim in (2, 4, 6):
             for _ in range(6):
                 om = antisymmetric_invertible(s, dim)
+                star = StarTable(om)
                 for _ in range(4):
                     a = _h_form(s, dim)
-                    assert symplectic_star(a, om) == \
+                    assert symplectic_star(a, star) == \
                         symplectic_star_uncached(a, om)
 
     def test_matches_uncached_on_darboux_basis(self):
         for n in (1, 2, 3):
             om = darboux_matrix(n)
+            star = StarTable(om)
             for mask in range(1 << (2 * n)):
                 a = HForm(2 * n, {(1, mask): Fraction(2, 3),
                                   (-1, mask ^ 1): Fraction(-5)}, laurent=True)
-                assert symplectic_star(a, om) == \
+                assert symplectic_star(a, star) == \
                     symplectic_star_uncached(a, om)
 
     def test_minors_keep_the_entry_type(self):
@@ -171,45 +173,41 @@ class TestStarTable:
         gaussian = [[z, g, z, z], [-g, z, z, z],
                     [z, z, z, GRat(2, -1)], [z, z, GRat(-2, 1), z]]
         for om in (darboux_matrix(2), gaussian):
+            star = StarTable(om)
             for mask in range(16):
                 a = HForm(4, {(0, mask): Fraction(1)})
-                star, oracle = symplectic_star(a, om), \
+                got, oracle = symplectic_star(a, star), \
                     symplectic_star_uncached(a, om)
-                assert star == oracle, mask
-                assert [type(c) for c in star.terms.values()] == \
-                    [type(oracle.terms[key]) for key in star.terms], mask
+                assert got == oracle, mask
+                assert [type(c) for c in got.terms.values()] == \
+                    [type(oracle.terms[key]) for key in got.terms], mask
 
-    def test_mutated_omega_is_not_stale(self):
-        om = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
-        one = HForm.scalar(2, Fraction(1), laurent=True)
-        assert symplectic_star(one, om) == \
-            HForm(2, {(0, 3): Fraction(1)}, laurent=True)
-        om[0][1], om[1][0] = Fraction(3), Fraction(-3)
-        assert symplectic_star(one, om) == \
-            HForm(2, {(0, 3): Fraction(3)}, laurent=True)
-        assert symplectic_star(one, om) == symplectic_star_uncached(one, om)
-
-    def test_invalid_omega_raises_every_call(self):
+    def test_invalid_omega_raises_in_the_constructor(self):
         singular = [[Fraction(0)] * 2] * 2
         odd = [[Fraction(0)] * 3] * 3
-        for _ in range(3):
+        unsymmetric = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+        for om in (singular, odd, unsymmetric):
             with pytest.raises(ValueError):
-                symplectic_star(HForm.basis(2, 1), singular)
-            with pytest.raises(ValueError):
-                symplectic_star(HForm.basis(3, 1), odd)
+                StarTable(om)
 
     def test_polynomial_h_form_still_rejected(self):
-        om = darboux_matrix(1)
-        symplectic_star(HForm.basis(2, 1), om)        # table now cached
+        star = StarTable(darboux_matrix(1))
+        symplectic_star(HForm.basis(2, 1), star)      # a row now filled
         for _ in range(2):
             with pytest.raises(ValueError):
-                symplectic_star(HForm(2, {(1, 0): Fraction(1)}), om)
+                symplectic_star(HForm(2, {(1, 0): Fraction(1)}), star)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            symplectic_star(HForm.basis(4, 1), star)
 
-    def test_cache_is_bounded(self):
-        from qexterior import forms
-        s = Sampler(4102)
-        for _ in range(forms._STAR_TABLES + 8):
-            om = antisymmetric_invertible(s, 4)
-            symplectic_star(HForm.scalar(4, Fraction(1)), om)
-        info = forms._star_table.cache_info()
-        assert info.currsize <= forms._STAR_TABLES
+    def test_commutator_check_builds_one_table(self, monkeypatch):
+        import qexterior.lefschetz as lefschetz
+        built = []
+
+        class Counted(StarTable):
+            def __init__(self, omega):
+                built.append(len(omega))
+                super().__init__(omega)
+
+        monkeypatch.setattr(lefschetz, "StarTable", Counted)
+        assert lefschetz.commutator_check(2).ok
+        assert built == [4]

@@ -104,3 +104,25 @@ def test_every_library_function_is_reached():
                  if name not in named and name not in qexterior.__all__
                  and not re.search(rf"\b{name}\b", bench)]
     assert unreached == []
+
+
+def test_only_the_plan_cache_is_global():
+    # each bivector owns its minor table and each symplectic matrix its
+    # star table; the mask-pair plan, which depends on neither, is the one
+    # module-level cache
+    import ast
+    allowed, found = set(), []
+    for path in sorted((ROOT / "src" / "qexterior").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if path.name == "_kernels.py" and \
+                    getattr(node, "name", None) == "qwedge_plan":
+                allowed |= {id(sub) for dec in node.decorator_list
+                            for sub in ast.walk(dec)}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            renamed = isinstance(node, ast.alias) and \
+                node.name == "lru_cache" and node.asname
+            if renamed or name == "lru_cache" and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert allowed and found == []
