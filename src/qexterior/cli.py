@@ -55,7 +55,10 @@ def _load_json(path, option, decode, *args):
 # (exactly 100,000) in 1.6 s; T^8 at --mode-box 1 (1,679,616) takes 37 s.
 # dolbeault certifies each mode once on its masks, so its count, kept as
 # it was, overstates its work by the levels p: the Darboux T^4 at
-# --mode-box 2 (70,000 pairs) takes 0.09 s.
+# --mode-box 2 (70,000 pairs) takes 0.09 s.  At --mode-box 0 a table
+# stores one map entry per class, so the largest admitted ones fit: a plain
+# T^16 (65,536 pairs) takes 3.9 s and 262 MiB, dolbeault on the complex
+# Darboux T^12 (45,056) 2.8 s and 186 MiB.
 TABLE_BUDGET = 100_000
 
 

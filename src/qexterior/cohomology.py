@@ -12,8 +12,8 @@ Koszul-Brylinski homotopy H (:func:`complexes.homotopy_columns`), or
 raises AssertionError naming the mode.  No Smith normal form is taken.
 ``anomalous_modes`` stays in the report meta, always empty.
 
-``ring_table`` reads class coordinates off each product: the
-representatives are signed basis monomials, one per mask, so each term
+``ring_table`` reads class coordinates off each product: each
+representative is a one-entry map {mask: +-1}, one per mask, so each term
 of a product goes to the class of its mask and no solve is needed.  Under
 a real bivector the products run in qwedge's integer kernel.
 """
@@ -206,9 +206,9 @@ class RingTable:
         return self.structure[(i, j)]
 
 
-def _rep_to_form(model, labels, vec, laurent) -> HForm:
+def _rep_to_form(model, rep, laurent) -> HForm:
     terms = {}
-    for lab, coeff in zip(labels, vec):
+    for lab, coeff in rep.items():
         for j, c in coeff.coeffs.items():
             terms[(j, lab)] = model.coeff_const(c)
     return HForm(model.dim, terms, laurent)
@@ -218,13 +218,14 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
                ring=HLaurent) -> RingTable:
     """Products of representatives reduced to class coordinates.
 
-    Each representative must be a signed basis monomial, +-e^mask, one
-    class per mask of the model: then each term c h^j e^mask of a product
-    is the coordinate +-c h^j of the class of that mask, read off without a
-    solve.  Any other set of representatives raises AssertionError.  The
-    products multiply constant-coefficient copies of the representatives
-    under the constant bivector: with real entries these are Fractions,
-    which ``qwedge`` sums in integers; a Gaussian w multiplies GRats.
+    Each representative must be a signed basis monomial, the one-entry map
+    {mask: +-1}, one class per mask of the model: then each term c h^j
+    e^mask of a product is the coordinate +-c h^j of the class of that
+    mask, read off without a solve.  Any other set of representatives
+    raises AssertionError.  The products multiply constant-coefficient
+    copies of the representatives under the constant bivector: with real
+    entries these are Fractions, which ``qwedge`` sums in integers; a
+    Gaussian w multiplies GRats.
     Every structure coefficient is a GRat, as the amplitude of the
     constant Fourier coefficient it stands for.
     """
@@ -233,15 +234,12 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
     pivots = {}      # mask -> (class index, sign)
     constants = []   # the representatives' terms as GRat scalars
     for degree in table.degrees():
-        e = table.entries[degree]
-        for idx, vec in enumerate(e.representatives):
-            nonzero = [(lab, c) for lab, c in zip(e.labels, vec)
-                       if not c.is_zero()]
-            if len(nonzero) == 1 and (nonzero[0][1] == 1
-                                      or nonzero[0][1] == -1):
-                mask, c = nonzero[0]
-                pivots[mask] = (len(rt.classes), 1 if c == 1 else -1)
-            form = _rep_to_form(model, e.labels, vec, laurent)
+        for idx, rep in enumerate(table.entries[degree].representatives):
+            if len(rep) == 1:
+                (mask, c), = rep.items()
+                if c == 1 or c == -1:
+                    pivots[mask] = (len(rt.classes), 1 if c == 1 else -1)
+            form = _rep_to_form(model, rep, laurent)
             rt.classes.append((degree, idx, form))
             constants.append({key: GRat.coerce(c.constant_value())
                               for key, c in form.terms.items()})

@@ -7,7 +7,8 @@ component k+1 (rows indexed by the target basis).
 Homology at each spot is ker(out)/im(in) as a module over the coefficient
 PID, computed from Smith normal forms; free ranks, torsion invariant
 factors, and representative cycles are returned and the representatives
-are re-verified against the outgoing differential.
+are re-verified against the outgoing differential.  A representative is
+the map ``{label: coeff}`` of its nonzero coefficients, in basis order.
 
 Operators whose every entry is a monomial ``c h^j`` are also kept as
 sparse columns over one denominator: an operator is ``(columns, den)``
@@ -87,14 +88,14 @@ class FiniteComplex:
 
 
 class DegreeHomology:
-    """Homology data at a single degree."""
+    """Homology data at a single degree; each representative maps the
+    labels of its nonzero coefficients, in basis order, to them."""
 
-    def __init__(self, degree, free_rank, torsion, representatives, labels):
+    def __init__(self, degree, free_rank, torsion, representatives):
         self.degree = degree
         self.free_rank = free_rank
         self.torsion = torsion              # list of ring elements
-        self.representatives = representatives  # list of coefficient vectors
-        self.labels = labels
+        self.representatives = representatives  # list of {label: coeff}
 
 
 class CohomologyTable:
@@ -139,8 +140,7 @@ def homology_at(out_mat, in_mat, dim, ring):
     if dim == 0:
         return 0, [], []
     if out_mat is None or not out_mat:
-        kernel = [[ring.one() if i == j else ring.zero() for i in range(dim)]
-                  for j in range(dim)]
+        kernel = mat_identity(dim, ring)
         vinv = None
         out_rank = 0
     else:
@@ -197,7 +197,7 @@ def free_homology(degree, labels, ring) -> DegreeHomology:
     """The homology of a spot whose differentials in and out vanish: free
     on ``labels``, each basis vector its own representative."""
     return DegreeHomology(degree, len(labels), [],
-                          mat_identity(len(labels), ring), labels)
+                          [{lab: ring.one()} for lab in labels])
 
 
 def complex_homology(cx: FiniteComplex) -> CohomologyTable:
@@ -210,8 +210,9 @@ def complex_homology(cx: FiniteComplex) -> CohomologyTable:
         in_mat = cx.in_matrix(spot)
         free_rank, torsion, reps = homology_at(out_mat, in_mat, dim, ring)
         _verify_cycles(out_mat, reps, ring)
-        entries.append(DegreeHomology(degree, free_rank, torsion, reps,
-                                      cx.bases[spot]))
+        reps = [{lab: c for lab, c in zip(cx.bases[spot], vec)
+                 if not c.is_zero()} for vec in reps]
+        entries.append(DegreeHomology(degree, free_rank, torsion, reps))
     return CohomologyTable(ring, entries, meta=dict(cx.meta))
 
 

@@ -311,8 +311,8 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     form, the one complex of the torus tables whose differential does not
     vanish there (Theta^a iota_a); every other invariant mode is certified
     acyclic at the reported degrees by the homotopy iota_{e_b} / (i k_b),
-    which contracts d_h and anticommutes with Theta^a iota_a.  Each degree
-    lists mode 0's labels as (mode, label).
+    which contracts d_h and anticommutes with Theta^a iota_a.  Each
+    representative keys mode 0's labels as (mode, label).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -340,7 +340,8 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
         HPoly))
     entries = [tab.entries[n] for n in range(cutoff + 1)]
     for e in entries:
-        e.labels = [(zero, lab) for lab in e.labels]
+        e.representatives = [{(zero, lab): c for lab, c in rep.items()}
+                             for rep in e.representatives]
     table = CohomologyTable(HPoly, entries)
     table.meta.update({"kind": "equivariant", "cutoff": cutoff,
                        "mode_box": mode_box, "modes": modes,

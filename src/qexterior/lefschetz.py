@@ -42,18 +42,29 @@ from .quantum import qwedge
 
 
 class DarbouxSpace:
-    """Symplectic vector space of dimension 2n in Darboux coordinates."""
+    """Symplectic vector space of dimension 2n in Darboux coordinates.
+
+    The star table of Omega (``star``) is built on first use."""
+
+    __slots__ = ("n", "dim", "omega", "w", "omega_form", "_star")
 
     def __init__(self, n: int):
         self.n = n
         self.dim = 2 * n
         self.omega = darboux_matrix(n)
-        self.star = StarTable(self.omega)
+        self._star = None
         self.w = Bivector(self.dim, {(2 * k + 1, 2 * k + 2): Fraction(-1)
                                      for k in range(n)})
         self.omega_form = HForm(self.dim, {
             (0, (1 << (2 * k)) | (1 << (2 * k + 1))): Fraction(1)
             for k in range(n)}, laurent=True)
+
+    @property
+    def star(self) -> StarTable:
+        """The star table of Omega."""
+        if self._star is None:
+            self._star = StarTable(self.omega)
+        return self._star
 
     def basis(self, k: int):
         """Labels (j, mask) of Lambda^{[k]}, classical stratum first."""

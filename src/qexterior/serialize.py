@@ -12,7 +12,8 @@ Wire formats:
   "complex": bool};
 * actions: {"generators": [[c1..cm], ...]};
 * connections: {"rank": r, "theta": [[form, ...], ...]};
-* tables: per degree {"rank": r, "torsion": [...], "reps": [form-like]}.
+* tables: per degree {"rank": r, "torsion": [...], "reps": [[{"basis":
+  label, "coeff": coeff}, ...], ...]}, each class its nonzero terms.
 
 On input a JSON integer is also a scalar, and the loaders refuse anything
 else (bools and floats included) with ValueError.
@@ -224,13 +225,11 @@ def connection_from_json(obj, model: PoissonModel):
                                for row in theta])
 
 
-def _rep_to_jsonable(labels, vec):
-    """A representative over the labels of a table: masks (de Rham),
-    (j, mask) (Dolbeault) or (mode, label) (equivariant)."""
+def _rep_to_jsonable(rep):
+    """A representative {label: coeff} of a table, its labels masks (de
+    Rham), (j, mask) (Dolbeault) or (mode, label) (equivariant)."""
     out = []
-    for lab, coeff in zip(labels, vec):
-        if coeff.is_zero():
-            continue
+    for lab, coeff in rep.items():
         if isinstance(lab, int):
             label = {"indices": mask_indices(lab)}
         elif isinstance(lab[0], int):
@@ -249,8 +248,7 @@ def table_to_json(table):
             "degree": list(deg) if isinstance(deg, tuple) else deg,
             "rank": e.free_rank,
             "torsion": [str(t) for t in e.torsion],
-            "reps": [_rep_to_jsonable(e.labels, vec)
-                     for vec in e.representatives],
+            "reps": [_rep_to_jsonable(rep) for rep in e.representatives],
         })
     meta = {}
     for k, v in table.meta.items():

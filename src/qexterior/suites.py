@@ -91,6 +91,9 @@ def suite_supercommutativity(model, trials, s: Sampler) -> SuiteResult:
 
 def suite_normalization(model, trials, s: Sampler) -> SuiteResult:
     """e^i ^_w e^j == e^i ^ e^j + w^ij for all pairs, dims <= 6."""
+    if model is not None:
+        raise SuitePrecondition("normalization suite draws its own "
+                                "bivectors and takes no model")
     res = SuiteResult("normalization", trials)
     for dim in range(2, 7):
         w = s.antisymmetric_bivector(dim)
@@ -194,6 +197,9 @@ def suite_dolbeault(model, trials, s: Sampler) -> SuiteResult:
 
 
 def suite_frobenius(model, trials, s: Sampler) -> SuiteResult:
+    if model is not None:
+        raise SuitePrecondition("frobenius suite draws its own bivectors "
+                                "and takes no model")
     res = SuiteResult("frobenius", trials)
     from .linalg import det as _det
     from .quantum import frobenius_pairing, gram_matrix
@@ -217,6 +223,8 @@ def suite_frobenius(model, trials, s: Sampler) -> SuiteResult:
 
 
 def suite_lefschetz(model, trials, s: Sampler) -> SuiteResult:
+    if model is not None and model.omega is None:
+        raise SuitePrecondition("lefschetz suite needs a symplectic model")
     res = SuiteResult("lefschetz", trials)
     for n in (1, 2):
         rep = commutator_check(n)
@@ -224,8 +232,7 @@ def suite_lefschetz(model, trials, s: Sampler) -> SuiteResult:
         if not rep.ok:
             res.fail({"n": n, "identities": [k for k, v in rep.results.items()
                                              if not v]})
-    m = model if model is not None and model.omega is not None \
-        else PoissonModel.darboux_torus(1)
+    m = model if model is not None else PoissonModel.darboux_torus(1)
     forms = [s.model_form(m, laurent=True) for _ in range(max(1, trials // 2))]
     rep = lefschetz_d_commutators(m, forms)
     res.checked += len(forms)

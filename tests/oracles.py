@@ -461,10 +461,10 @@ def ring_table_per_pair(table, model, ring):
     forms, columns = [], []
     for degree in table.degrees():
         e = table.entries[degree]
-        for vec in e.representatives:
+        for rep in e.representatives:
             terms = {}
             col = [ring.zero() for _ in all_masks]
-            for lab, coeff in zip(e.labels, vec):
+            for lab, coeff in rep.items():
                 for j, c in coeff.coeffs.items():
                     terms[(j, lab)] = model.coeff_const(c)
                 col[mask_pos[lab]] = coeff

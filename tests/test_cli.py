@@ -1,6 +1,7 @@
 """CLI: commands, exit codes, determinism, serialization round trips."""
 
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -164,11 +165,14 @@ class TestCheck:
             "equivariant suite runs on torus models"
 
     @pytest.mark.parametrize("body,skipped", [
-        ({"space": "torus", "dim": 4}, ["stokes", "dolbeault"]),
+        ({"space": "torus", "dim": 4},
+         ["normalization", "stokes", "dolbeault", "frobenius", "lefschetz"]),
         ({"space": "affine", "dim": 3},
-         ["stokes", "dolbeault", "chern", "equivariant"]),
+         ["normalization", "stokes", "dolbeault", "frobenius", "lefschetz",
+          "chern", "equivariant"]),
         ({"space": "affine", "dim": 2, "symplectic": "darboux"},
-         ["stokes", "dolbeault", "chern", "equivariant"]),
+         ["normalization", "stokes", "dolbeault", "frobenius", "chern",
+          "equivariant"]),
     ], ids=["T4", "R3", "R2-darboux"])
     def test_all_suites_skip_violated_preconditions(self, tmp_path, body,
                                                     skipped):
@@ -183,8 +187,9 @@ class TestCheck:
         assert sorted([x["suite"] for x in report["results"]] + skipped) == \
             sorted(SUITES)
 
-    @pytest.mark.parametrize("suite", ["stokes", "dolbeault", "chern",
-                                       "equivariant"])
+    @pytest.mark.parametrize("suite", ["normalization", "stokes",
+                                       "dolbeault", "frobenius", "lefschetz",
+                                       "chern", "equivariant"])
     def test_precondition_comes_before_any_draw(self, suite):
         from qexterior.suites import SUITES, SuitePrecondition
 
@@ -800,6 +805,29 @@ class TestWorkBudget:
             with pytest.raises(cli.CliError, match="work budget of 100,000"):
                 cli._require_budget(args, dim, generators)
 
+
+    @pytest.mark.parametrize("command,model,total", [
+        ("cohomology", {"space": "torus", "dim": 16}, 2 ** 16),
+        ("dolbeault", {"space": "torus", "dim": 12, "symplectic": "darboux",
+                       "complex": True}, 11 * 2 ** 12),
+    ], ids=["cohomology-T16", "dolbeault-darboux-T12"])
+    def test_admitted_edge_fits_one_gib(self, tmp_path, command, model,
+                                        total):
+        # the largest admitted mode-0 tables, each class stored by its one
+        # basis label, in a child limited to 1 GiB of address space
+        path, out = tmp_path / "model.json", tmp_path / "report.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+        r = subprocess.run([sys.executable, "-m", "qexterior.cli", command,
+                            "--model", str(path), "--mode-box", "0",
+                            "--out", str(out)],
+                           capture_output=True, text=True, preexec_fn=limit)
+        assert r.returncode == 0, r.stderr
+        report = json.loads(out.read_text())
+        assert sum(d["rank"] for d in report["table"]) == total
 
 class TestModelDimension:
     """Every command refuses a model past serialize.MAX_MODEL_DIM before it

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -611,16 +612,19 @@ class TestIntegerColumns:
 
 
 def same_table(a, b):
-    """Equal tables: degrees, ranks, torsion, labels, meta, and
-    representatives equal in value, ring and scalar types."""
+    """Equal tables: degrees, ranks, torsion, meta, and representatives
+    with the same ordered (label, coeff) items, each coefficient equal in
+    value, ring and scalar types."""
     assert a.ring is b.ring and a.degrees() == b.degrees()
     assert a.meta == b.meta
     for deg in a.degrees():
         ea, eb = a.entries[deg], b.entries[deg]
-        assert (ea.degree, ea.free_rank, ea.labels) == \
-            (eb.degree, eb.free_rank, eb.labels), deg
+        assert (ea.degree, ea.free_rank) == (eb.degree, eb.free_rank), deg
         assert ea.torsion == eb.torsion, deg
-        assert same_entries(ea.representatives, eb.representatives), deg
+        assert [list(r) for r in ea.representatives] == \
+            [list(r) for r in eb.representatives], deg
+        assert same_entries([list(r.values()) for r in ea.representatives],
+                            [list(r.values()) for r in eb.representatives]), deg
     return True
 
 
@@ -651,6 +655,41 @@ class TestTablesMatchSnfOracles:
     def test_dolbeault(self, model, ring):
         assert same_table(quantum_dolbeault_table(model, 1, ring=ring),
                           dolbeault_table_snf(model, 1, ring=ring))
+
+
+class TestSparseRepresentatives:
+    """Each class of a table is stored by its nonzero coefficients only."""
+
+    @pytest.mark.parametrize("ring", [HLaurent, HPoly])
+    def test_every_class_is_one_basis_label(self, t4, ring):
+        derham = quantum_derham_table(t4, 0, ring=ring)
+        for p in derham.degrees():
+            masks = [mask for mask in range(16) if mask.bit_count() == p]
+            assert derham.entries[p].representatives == \
+                [{mask: ring.one()} for mask in masks]
+        t4c = PoissonModel.darboux_torus(2, complex_structure=True)
+        dolbeault = quantum_dolbeault_table(t4c, 0, ring=ring)
+        for p, q in dolbeault.degrees():
+            labels = _dolbeault_bases(2, p, [q], ring is HLaurent)[q]
+            assert dolbeault.entries[(p, q)].representatives == \
+                [{lab: ring.one()} for lab in labels]
+        assert all(type(c) is ring
+                   for tab in (derham, dolbeault)
+                   for e in tab.entries.values()
+                   for rep in e.representatives for c in rep.values())
+
+    def test_mode_zero_table_memory_is_linear(self):
+        # a dense vector per class would hold C(12, 6)^2 ring elements in
+        # degree 6 alone
+        model = PoissonModel.torus(12, {})
+        tracemalloc.start()
+        try:
+            table = quantum_derham_table(model, mode_box=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.total_rank() == 4096
+        assert peak < 16 * 2 ** 20
 
 
 def nonzero_on_mode_zero(monkeypatch):
@@ -907,7 +946,7 @@ class TestRingTable:
         tab = quantum_derham_table(t4, mode_box=0)
         for degree in (1, 2):
             reps = tab.entries[degree].representatives
-            reps[-1] = [-c for c in reps[-1]]
+            reps[-1] = {lab: -c for lab, c in reps[-1].items()}
         assert ring_table(tab, t4).structure == \
             ring_table_per_pair(tab, t4, HLaurent)
 
@@ -916,42 +955,42 @@ class TestRingTable:
     def test_broken_representative_rejected(self, t2, scale):
         tab = quantum_derham_table(t2, mode_box=0)
         reps = tab.entries[1].representatives
-        reps[0] = [c * scale for c in reps[0]]
+        reps[0] = {lab: c * scale for lab, c in reps[0].items()}
         with pytest.raises(AssertionError, match="signed basis monomials"):
             ring_table(tab, t2)
 
     def test_signed_monomial_detection(self):
         # T^1 has the masks 0 and 1: the classes [1] and [e1]
         t1 = PoissonModel.torus(1, {})
-        one, zero = HPoly.one(), HPoly.zero()
+        one = HPoly.one()
 
         def table(*reps):
-            """A T^1 table whose classes have these vectors on masks 0, 1."""
+            """A T^1 table whose classes are these maps on masks 0, 1."""
             return CohomologyTable(HPoly, [DegreeHomology(
-                0, len(reps), [], [list(r) for r in reps], [0, 1])])
+                0, len(reps), [], list(reps))])
 
         def rejected(*reps):
             with pytest.raises(AssertionError, match="signed basis monomials"):
                 ring_table(table(*reps), t1, HPoly)
 
         # class 0 is -e^1: 1 * (-e^1) has the coordinate +1 on it
-        rt = ring_table(table([zero, -one], [one, zero]), t1, HPoly)
+        rt = ring_table(table({1: -one}, {0: one}), t1, HPoly)
         assert rt.product(1, 0) == rt.product(0, 1) == {0: one}
         assert rt.product(1, 1) == {1: one}
         assert rt.product(0, 0) == {}
-        rejected([one, one], [zero, one])                 # two nonzeros
-        rejected([HPoly({0: Fraction(2)}), zero], [zero, one])
-        rejected([HPoly.h(), zero], [zero, one])
-        rejected([one, zero], [zero, zero])               # a zero class
-        rejected([one, zero], [zero, one], [one, zero])   # mask 0 twice
-        rejected([one, zero])                             # mask 1 missing
+        rejected({0: one, 1: one}, {1: one})              # two entries
+        rejected({0: HPoly({0: Fraction(2)})}, {1: one})
+        rejected({0: HPoly.h()}, {1: one})
+        rejected({0: one}, {})                            # an empty class
+        rejected({0: one}, {1: one}, {0: one})            # mask 0 twice
+        rejected({0: one})                                # mask 1 missing
 
     @pytest.mark.parametrize("change", ["duplicated", "missing"])
     def test_duplicated_or_missing_mask_rejected(self, t4, change):
         tab = quantum_derham_table(t4, mode_box=0)
         reps = tab.entries[2].representatives
         if change == "duplicated":
-            reps[1] = list(reps[0])      # e^13 -> e^12: e^13 has no class
+            reps[1] = dict(reps[0])      # e^13 -> e^12: e^13 has no class
         else:
             del reps[-1]
         with pytest.raises(AssertionError, match="signed basis monomials"):

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from oracles import (antisymmetric_invertible, charpoly_interpolation,
                      symplectic_star_uncached)
+from qexterior import lefschetz
 from qexterior.forms import HForm, StarTable, symplectic_star
 from qexterior.hpoly import HPoly
 from qexterior.lefschetz import DarbouxSpace, Mh_matrix
 from qexterior.linalg import (charpoly, det, factor_charpoly,
                               geometric_multiplicity, matrix_inverse, rank)
-from qexterior.models import darboux_matrix
+from qexterior.models import PoissonModel, darboux_matrix
 from qexterior.sampling import Sampler
 from qexterior.scalars import GRat
 
@@ -200,14 +201,35 @@ class TestStarTable:
             symplectic_star(HForm.basis(4, 1), star)
 
     def test_commutator_check_builds_one_table(self, monkeypatch):
-        import qexterior.lefschetz as lefschetz
-        built = []
-
-        class Counted(StarTable):
-            def __init__(self, omega):
-                built.append(len(omega))
-                super().__init__(omega)
-
-        monkeypatch.setattr(lefschetz, "StarTable", Counted)
+        built = count_star_tables(monkeypatch)
         assert lefschetz.commutator_check(2).ok
         assert built == [4]
+
+    def test_hard_lefschetz_check_builds_no_table(self, monkeypatch):
+        # the M_h blocks use L_h only, never the star
+        built = count_star_tables(monkeypatch)
+        assert lefschetz.hard_lefschetz_check(2).all_invertible
+        assert built == []
+
+    def test_d_commutators_build_only_their_own_table(self, monkeypatch):
+        # the model's Omega has its own table; the Darboux space it takes
+        # A_h from never builds one
+        model = PoissonModel.darboux_torus(2)
+        forms = [Sampler(7).model_form(model, laurent=True)]
+        built = count_star_tables(monkeypatch)
+        assert lefschetz.lefschetz_d_commutators(model, forms).ok
+        assert built == [4]
+
+
+def count_star_tables(monkeypatch):
+    """The sizes of the StarTables the lefschetz module builds from now
+    on, in order."""
+    built = []
+
+    class Counted(StarTable):
+        def __init__(self, omega):
+            built.append(len(omega))
+            super().__init__(omega)
+
+    monkeypatch.setattr(lefschetz, "StarTable", Counted)
+    return built
