@@ -53,18 +53,43 @@ def _load_json(path, option, decode, *args):
 # certificates cost about 15 us per pair on a 2-vCPU Xeon with Python 3.11:
 # T^4 at --mode-box 3 (38,416 pairs) runs in 0.5 s, T^5 at --mode-box 2
 # (exactly 100,000) in 1.6 s; T^8 at --mode-box 1 (1,679,616) takes 37 s.
-# dolbeault certifies each mode once on its masks, so its count, kept as
-# it was, overstates its work by the levels p: the Darboux T^4 at
-# --mode-box 2 (70,000 pairs) takes 0.09 s.  At --mode-box 0 a table
-# stores one map entry per class, so the largest admitted ones fit: a plain
-# T^16 (65,536 pairs) takes 3.9 s and 262 MiB, dolbeault on the complex
-# Darboux T^12 (45,056) 2.8 s and 186 MiB.
+# dolbeault and equivariant certify each nonzero mode once on its masks,
+# so their counts, kept as they were, overstate that work by the levels:
+# the Darboux T^4 at --mode-box 2 (70,000 pairs) takes 0.09 s.  At
+# --mode-box 0 a table stores one map entry per class, so the largest
+# admitted ones fit: a plain T^16 (65,536 pairs) takes 3.9 s and 262 MiB,
+# dolbeault on the complex Darboux T^12 (45,056) 2.8 s and 186 MiB.
 TABLE_BUDGET = 100_000
+
+# The equivariant mode-0 Smith normal form, which the pairs do not see,
+# costs sum_n |B_n|^3 units, |B_n| the Cartan labels of total degree
+# n <= cutoff + 1: 0.1-2 us a unit on the same host, so the dearest
+# admitted table, T^9 with three generators at --cutoff 2 (1,792,730), takes
+# 3.6 s and T^4 with (1, 2, 0, 0) at 13 (705,601) 0.45 s.  T^2 at 12 with
+# three generators (12 s), at 30 with two (60 s) and at 300 with one
+# (199 s) are refused.  With no generator D vanishes on mode 0.
+MODE_ZERO_BUDGET = 2_000_000
+
+
+def _mode_zero_work(dim, generators, cutoff):
+    """The mode-0 work units of an equivariant table (see MODE_ZERO_BUDGET),
+    counted up to the first spot that passes the budget."""
+    work = 0
+    for n in range(cutoff + 2):
+        size = sum(math.comb(a + generators - 1, a)
+                   * sum(math.comb(dim, c)
+                         for c in range(n % 2, min(dim, n - 2 * a) + 1, 2))
+                   for a in range(n // 2 + 1))
+        work += size ** 3
+        if work > MODE_ZERO_BUDGET:
+            break
+    return work
 
 
 def _require_budget(args, dim, generators=0):
-    """Refuse a table past TABLE_BUDGET before any model or action is
-    built; past 16 dimensions 2^dim alone is, so no larger power is formed."""
+    """Refuse a table past TABLE_BUDGET, or an equivariant one past
+    MODE_ZERO_BUDGET, before any model or action is built; past 16
+    dimensions 2^dim alone is, so no larger power is formed."""
     levels = 1
     if args.command == "dolbeault":
         from .cohomology import LEVEL_CAP
@@ -80,6 +105,12 @@ def _require_budget(args, dim, generators=0):
         raise CliError(f"{args.command} on dimension {dim} at --mode-box "
                        f"{args.mode_box} passes the work budget of "
                        f"{TABLE_BUDGET:,} (Fourier mode, basis label) pairs")
+    if args.command == "equivariant" and generators and \
+            _mode_zero_work(dim, generators, args.cutoff) > MODE_ZERO_BUDGET:
+        raise CliError(f"equivariant on dimension {dim} with {generators} "
+                       f"generator(s) at --cutoff {args.cutoff} passes the "
+                       f"work budget of {MODE_ZERO_BUDGET:,} units for the "
+                       f"Smith normal form of mode 0")
 
 
 def _load_model(args):

@@ -7,9 +7,9 @@ mode 0 both kappa and v vanish, so d_h (and delbar_h) is zero there: once
 :func:`complexes.require_zero` has checked that on every mask, the table
 is free on the constant monomials, each its own representative
 (:func:`complexes.free_homology`).  ``complexes.require_acyclic`` proves
-every nonzero mode of the box acyclic with its operator and the
-Koszul-Brylinski homotopy H (:func:`complexes.homotopy_columns`), or
-raises AssertionError naming the mode.  No Smith normal form is taken.
+every nonzero mode of the box acyclic on the masks, from its kappa and v,
+with the Koszul-Brylinski homotopy H (:func:`complexes.homotopy_columns`),
+or raises AssertionError naming the mode.  No Smith normal form is taken.
 ``anomalous_modes`` stays in the report meta, always empty.
 
 ``ring_table`` reads class coordinates off each product: each
@@ -20,12 +20,9 @@ a real bivector the products run in qwedge's integer kernel.
 
 from __future__ import annotations
 
-import itertools
-
-from .complexes import (CohomologyTable, dh_kappa_v, free_homology,
-                        homotopy_columns, integer_bivector, koszul_columns,
-                        koszul_mode, parity_bases, require_acyclic,
-                        require_zero)
+from .complexes import (CohomologyTable, box_modes, dh_kappa_v,
+                        free_homology, integer_bivector, koszul_columns,
+                        koszul_mode, require_acyclic, require_zero)
 from .forms import Bivector, HForm
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
@@ -39,14 +36,6 @@ def _require_torus_constant(model: PoissonModel):
         raise ValueError("cohomology engine requires a torus model")
     if not model.is_constant_w():
         raise ValueError("cohomology engine requires a constant bivector")
-
-
-def _box_modes(dim, mode_box):
-    """The nonzero modes of the box [-mode_box, mode_box]^dim."""
-    if mode_box < 0:
-        raise ValueError("mode_box must be nonnegative")
-    return [k for k in itertools.product(range(-mode_box, mode_box + 1),
-                                         repeat=dim) if any(k)]
 
 
 def graded_dims(table: CohomologyTable, laurent: bool, max_degree: int):
@@ -71,7 +60,7 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
     if max_degree is not None and max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     m = model.dim
-    modes = _box_modes(m, mode_box)
+    modes = [k for k in box_modes(m, mode_box) if any(k)]
     bivector = integer_bivector(model.constant_bivector())
     zero = (0,) * m
     require_zero(zero, koszul_columns(*dh_kappa_v(bivector, zero)))
@@ -79,11 +68,8 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
         free_homology(p, [mask for mask in range(1 << m)
                           if mask.bit_count() == p], ring)
         for p in range(m + 1)])
-    bases = parity_bases(m)
     for k in modes:
-        kappa, v, den = dh_kappa_v(bivector, k)
-        require_acyclic(k, bases, (0, 1), koszul_columns(kappa, v, den),
-                        homotopy_columns(kappa, den), cyclic=True)
+        require_acyclic(k, *dh_kappa_v(bivector, k))
     if max_degree is None:
         max_degree = 2 * m
     table.meta.update({
@@ -157,20 +143,18 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     _require_torus_constant(model)
     if not model.complex_structure:
         raise ValueError("Dolbeault table requires a complex structure")
-    modes = _box_modes(model.dim, mode_box)
+    modes = [k for k in box_modes(model.dim, mode_box) if any(k)]
     n = model.dim // 2
     laurent = ring is HLaurent
     wc = integer_bivector(complex_frame_bivector(model.constant_bivector()))
     require_zero((0,) * model.dim,
                  koszul_columns(*_delbar_kappa_v(wc, (0,) * model.dim)))
-    bases = parity_bases(model.dim)
     for k in modes:
         kappa, v, den = _delbar_kappa_v(wc, k)
         if any(p or q for p, q in kappa[:n] + v[n:]):
             raise AssertionError(f"delbar_h is not of bidegree (0, 1) on "
                                  f"Fourier mode {k}")
-        require_acyclic(k, bases, (0, 1), koszul_columns(kappa, v, den),
-                        homotopy_columns(kappa, den), cyclic=True)
+        require_acyclic(k, kappa, v, den)
     entries = []
     for p in range(-LEVEL_CAP if laurent else 0, n + LEVEL_CAP + 1):
         strata = _dolbeault_bases(n, p, range(p - n, p + n + 1), laurent)

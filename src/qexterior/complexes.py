@@ -15,22 +15,23 @@ sparse columns over one denominator: an operator is ``(columns, den)``
 with ``columns`` mapping ``label -> {(label', j): (re, im)}``, the Gaussian
 integer numerators of its entries over the positive int ``den``.  This
 module is the one place that builds and settles a Fourier-mode complex:
-:func:`integer_bivector` scales w once per table, :func:`dh_kappa_v`
-gives kappa and v of d_h = kappa ^ - h iota_v on a mode (the 2m numbers
-of :func:`koszul_mode`), :func:`koszul_columns` builds such an operator on
-masks and :func:`homotopy_columns` its contracting homotopy, and
-:func:`label_columns` lifts mask columns onto labels ``(..., j, mask)``.
+:func:`box_modes` enumerates the modes of a box, :func:`integer_bivector`
+scales w once per table, :func:`dh_kappa_v` gives kappa and v of
+d_h = kappa ^ - h iota_v on a mode (the 2m numbers of
+:func:`koszul_mode`), :func:`koszul_columns` builds such an operator on
+the 2^m masks and :func:`homotopy_columns` its contracting homotopy.
 With constant w the torus mode 0 has kappa = v = 0: :func:`require_zero`
 checks that its operator vanishes and :func:`free_homology` is then each
 spot's homology.  :func:`require_acyclic` proves every other mode acyclic
-by :func:`homotopy_certificate` or raises.  :func:`dense_complex` is the
-ring-matrix view of an operator; only the equivariant Cartan complex of
-mode 0, whose Theta^a iota_a part does not vanish, takes its Smith-normal-
-form homology.
+on the two-periodic complex of the masks by :func:`homotopy_certificate`,
+or raises.  :func:`dense_complex` is the ring-matrix view of an operator;
+only the equivariant Cartan complex of mode 0, whose Theta^a iota_a part
+does not vanish, takes its Smith-normal-form homology.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -271,11 +272,11 @@ def dense_complex(degrees, bases, operator, ring, meta=None):
     return FiniteComplex(degrees, bases, mats, ring=ring, meta=meta)
 
 
-def parity_bases(m):
-    """Even and odd masks of m generators: the two spots of a d_h mode."""
-    even = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 0]
-    odd = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 1]
-    return even, odd
+def box_modes(dim, mode_box):
+    """The Fourier modes of the box [-mode_box, mode_box]^dim."""
+    if mode_box < 0:
+        raise ValueError("mode_box must be nonnegative")
+    return list(itertools.product(range(-mode_box, mode_box + 1), repeat=dim))
 
 
 def integer_bivector(w):
@@ -383,19 +384,6 @@ def homotopy_columns(kappa, den):
     return cols, norm // g
 
 
-def label_columns(operator, labels):
-    """The operator (columns, den) with its mask columns lifted onto labels
-    (..., j, mask), the h-power moved into the label:
-    h^j e^mask -> sum c (..., j + j', mask')."""
-    columns, den = operator
-    out = {}
-    for lab in labels:
-        head, j, mask = lab[:-2], lab[-2], lab[-1]
-        out[lab] = {(head + (j + j2, m2), 0): c
-                    for (m2, j2), c in columns[mask].items()}
-    return out, den
-
-
 def _apply(columns, vec, out):
     """Add the image of the sparse vector ``vec`` under ``columns`` to
     ``out``; both map (label, j) to a nonzero Gaussian integer (re, im)."""
@@ -413,37 +401,30 @@ def _apply(columns, vec, out):
     return out
 
 
-def homotopy_certificate(bases, spots, d, h, cyclic=False) -> bool:
-    """Exact proof that the complex is acyclic at ``spots``, or False.
+def homotopy_certificate(d, h) -> bool:
+    """Exact proof that the two-periodic complex of the masks is acyclic,
+    or False.
 
-    ``bases`` lists the labels of every spot; ``d`` (the differential) and
-    ``h`` (the candidate homotopy, one spot down) are operators (columns,
-    den) whose columns cover each of these labels.  The certificate holds
-    when, for every label x of every spot s in ``spots``: d x lies in spot
-    s+1, h x in spot s-1, d d x = 0 and d h x + h d x = x exactly, every
-    other entry zero.  Then each cycle z at s is the boundary d(h z), so
-    the homology at s vanishes over k[h] and k[h,h^-1] alike: free rank 0
-    and no torsion.  A False answer proves nothing.  The arithmetic runs
-    on the Gaussian integer entries as they are, so the identity reads
-    (den_d den_h) x.
+    ``d`` (the differential) and ``h`` (the candidate homotopy) are
+    operators (columns, den) on the same masks.  The certificate holds
+    when, for every mask x: every label of d x and h x is a mask of the
+    other parity, d d x = 0 and d h x + h d x = x exactly, every other
+    entry zero.  Then each cycle z is the boundary d(h z), so the homology
+    vanishes over k[h] and k[h,h^-1] alike: free rank 0 and no torsion.  A
+    False answer proves nothing.  The arithmetic runs on the Gaussian
+    integer entries as they are, so the identity reads (den_d den_h) x.
     """
-    n = len(bases)
-    spot_of = {lab: s for s, labs in enumerate(bases) for lab in labs}
     (d, den_d), (h, den_h) = d, h
     unit = (den_d * den_h, 0)
-    for s in spots:
-        up, down = s + 1, s - 1
-        if cyclic:
-            up, down = up % n, down % n
-        for x in bases[s]:
-            dx, hx = d[x], h[x]
-            if any(spot_of.get(lab) != up for lab, _j in dx) or \
-                    any(spot_of.get(lab) != down for lab, _j in hx):
-                return False
-            if _apply(d, dx, {}):
-                return False
-            if _apply(h, dx, _apply(d, hx, {})) != {(x, 0): unit}:
-                return False
+    for x, dx in d.items():
+        hx = h[x]
+        if any(lab not in d or not (lab ^ x).bit_count() & 1
+               for lab, _j in (*dx, *hx)):
+            return False
+        if _apply(d, dx, {}):
+            return False
+        if _apply(h, dx, _apply(d, hx, {})) != {(x, 0): unit}:
+            return False
     return True
 
 
@@ -454,10 +435,12 @@ def require_zero(mode, operator):
         raise AssertionError(f"nonzero differential on Fourier mode {mode}")
 
 
-def require_acyclic(mode, bases, spots, d, h, cyclic=False):
+def require_acyclic(mode, kappa, v, den):
     """Raise AssertionError naming the Fourier ``mode`` unless
-    :func:`homotopy_certificate` proves its complex acyclic at ``spots``;
-    for constant w every nonzero mode passes (see :func:`homotopy_columns`)."""
-    if not homotopy_certificate(bases, spots, d, h, cyclic):
+    :func:`homotopy_certificate` proves kappa ^ - h iota_v (Gaussian
+    integers over ``den``) acyclic on the masks, with the homotopy of
+    :func:`homotopy_columns`; for constant w every nonzero mode passes."""
+    if not homotopy_certificate(koszul_columns(kappa, v, den),
+                                homotopy_columns(kappa, den)):
         raise AssertionError(f"homotopy certificate failed on Fourier mode "
                              f"{mode}")

@@ -10,6 +10,9 @@ symbolically.  Dual generators Theta^a carry degree 2; the differential is
 on invariant elements of S(g*) (x) Omega(M)[h], and D^2 = 0 follows from
 delta iota_a + iota_a delta = -iota_{L_a w} = 0 (sign-robust, verified by
 :func:`anticommutator_check` on arbitrary forms when w is preserved).
+
+On a torus translation action the table builds the Cartan complex of
+Fourier mode 0 alone; each other invariant mode takes d_h's certificate.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import itertools
 from fractions import Fraction
 
 from .calculus import koszul_delta, lie_derivative, quantum_d
-from .complexes import (CohomologyTable, complex_homology, dense_complex,
-                        dh_kappa_v, gaussian_integers, homotopy_columns,
-                        integer_bivector, koszul_columns, label_columns,
-                        require_acyclic)
+from .complexes import (CohomologyTable, box_modes, complex_homology,
+                        dense_complex, dh_kappa_v, gaussian_integers,
+                        integer_bivector, koszul_columns, require_acyclic,
+                        require_zero)
 from .forms import HForm, contract_vector
 from .hpoly import HPoly
 from .models import PoissonModel, TORUS
@@ -261,40 +264,31 @@ def _integer_generators(action):
     return L, [flat[a * m:(a + 1) * m] for a in range(action.n_generators)]
 
 
-def _cartan_columns(generators, kappa, v, den, labels):
-    """The operator D = d_h + Theta^a iota_a on labels (A, j, mask), for
-    the mode whose d_h is kappa ^ - h iota_v (Gaussian integers over
-    ``den``) and ``generators`` = :func:`_integer_generators`: d_h lifted
-    from its mask columns, and Theta^a iota_a bumps A_a and contracts by
-    the constant generator X_a with the sign (-1)^(indices of the mask
-    below the removed one).  Both are put over den L."""
+def _cartan_columns(generators, labels):
+    """The mode-0 operator D = Theta^a iota_a on labels (A, j, mask), for
+    ``generators`` = :func:`_integer_generators` (L, [X_a]): d_h vanishes
+    there, and Theta^a iota_a bumps A_a and contracts by the constant
+    generator X_a with the sign (-1)^(indices of the mask below the
+    removed one), over L."""
     L, gens = generators
-    m = len(kappa)
-    cols, _den = label_columns(koszul_columns(
-        [(L * p, L * q) for p, q in kappa], [(L * p, L * q) for p, q in v],
-        den * L), labels)
-    gens = [[(den * p, den * q) for p, q in x] for x in gens]
+    cols = {}
     for (A, j, mask) in labels:
-        col = cols[(A, j, mask)]
+        col = cols[(A, j, mask)] = {}
         for a, x in enumerate(gens):
             bumped = A[:a] + (A[a] + 1,) + A[a + 1:]
-            for i in range(m):
+            for i, (p, q) in enumerate(x):
                 bit = 1 << i
-                p, q = x[i]
                 if (p or q) and mask & bit:
                     odd = (mask & (bit - 1)).bit_count() & 1
                     col[((bumped, j, mask ^ bit), 0)] = \
                         (-p, -q) if odd else (p, q)
-    return cols, den * L
+    return cols, L
 
 
 def invariant_modes(action: GroupAction, mode_box: int):
     """Fourier modes of the box orthogonal to all translation generators."""
-    if mode_box < 0:
-        raise ValueError("mode_box must be nonnegative")
     vecs = [action.translation_vector(a) for a in range(action.n_generators)]
-    return [k for k in itertools.product(range(-mode_box, mode_box + 1),
-                                         repeat=action.model.dim)
+    return [k for k in box_modes(action.model.dim, mode_box)
             if all(sum(Fraction(ki) * ci for ki, ci in zip(k, v)) == 0
                    for v in vecs)]
 
@@ -305,14 +299,15 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     """Quantum equivariant cohomology of a torus translation action over
     k[h], truncated by total degree.
 
-    Assembles the finite Cartan complex in each total degree <= cutoff + 1
-    and reports homology for degrees 0..cutoff; the cutoff is recorded so
-    omitted degrees are explicit.  Only mode 0 is computed, by Smith normal
-    form, the one complex of the torus tables whose differential does not
-    vanish there (Theta^a iota_a); every other invariant mode is certified
-    acyclic at the reported degrees by the homotopy iota_{e_b} / (i k_b),
-    which contracts d_h and anticommutes with Theta^a iota_a.  Each
-    representative keys mode 0's labels as (mode, label).
+    Only mode 0 is computed, where d_h is checked to vanish and D is
+    Theta^a iota_a: its Cartan complex in each total degree <= cutoff + 1
+    is assembled and its Smith normal form reports degrees 0..cutoff; the
+    cutoff is recorded so omitted degrees are explicit.  Every other
+    invariant mode k is checked exactly to have kappa(X_a) = 0 for each
+    generator, so D^2 = Theta^a kappa(X_a) = 0, and ``require_acyclic``
+    then certifies d_h on the masks: its homotopy H = iota_{e_b} / kappa_b
+    anticommutes with every constant iota_a, so DH + HD = 1 in every
+    degree.  Each representative keys mode 0's labels as (mode, label).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -328,16 +323,20 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     bivector = integer_bivector(model.constant_bivector())
     generators = _integer_generators(action)
     zero = (0,) * model.dim
+    require_zero(zero, koszul_columns(*dh_kappa_v(bivector, zero)))
     for k in modes:
-        if k != zero:
-            kappa, v, den = dh_kappa_v(bivector, k)
-            require_acyclic(k, bases, range(cutoff + 1),
-                            _cartan_columns(generators, kappa, v, den, labels),
-                            label_columns(homotopy_columns(kappa, den), labels))
+        if not any(k):
+            continue
+        kappa, v, den = dh_kappa_v(bivector, k)
+        for a, x in enumerate(generators[1]):
+            re = sum(p * r - q * s for (p, q), (r, s) in zip(kappa, x))
+            im = sum(p * s + q * r for (p, q), (r, s) in zip(kappa, x))
+            if re or im:
+                raise AssertionError(f"Fourier mode {k} is not invariant "
+                                     f"under generator {a}")
+        require_acyclic(k, kappa, v, den)
     tab = complex_homology(dense_complex(
-        degrees, bases,
-        _cartan_columns(generators, *dh_kappa_v(bivector, zero), labels),
-        HPoly))
+        degrees, bases, _cartan_columns(generators, labels), HPoly))
     entries = [tab.entries[n] for n in range(cutoff + 1)]
     for e in entries:
         e.representatives = [{(zero, lab): c for lab, c in rep.items()}

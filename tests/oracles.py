@@ -49,6 +49,13 @@ before it applied the Koszul-Brylinski homotopy: one dense d_h matrix per
 Fourier mode of the target, settled by ``solve_linear`` (a Smith normal
 form) over the given ring.
 
+``parity_bases``, ``label_columns``, ``cartan_columns_at_mode`` and
+``label_homotopy_certificate`` are how the equivariant table settled its
+nonzero invariant modes before it ran d_h's certificate on the masks: the
+Cartan operator D = d_h + Theta^a iota_a of one mode built on every label
+(A, j, mask) of the truncated complex, and the homotopy certificate on
+arbitrary labelled spots.
+
 ``grat_dh_kappa_v``, ``grat_delbar_kappa_v``, ``grat_koszul_columns``,
 ``grat_homotopy_columns`` and ``grat_cartan_columns`` are the Fourier-mode
 builders the engine used before it built every mode in Gaussian integers
@@ -83,10 +90,10 @@ from qexterior.coeffs import FourierCoeff
 from qexterior.cohomology import (LEVEL_CAP, _delbar_kappa_v,
                                   _dolbeault_bases, _require_torus_constant,
                                   graded_dims)
-from qexterior.complexes import (CohomologyTable, FiniteComplex,
+from qexterior.complexes import (CohomologyTable, FiniteComplex, _apply,
                                  complex_homology, dense_complex,
                                  dense_matrix, dh_kappa_v, integer_bivector,
-                                 koszul_columns, label_columns, parity_bases)
+                                 koszul_columns)
 from qexterior.forms import (HForm, bivector_contract, check_symplectic,
                              contract_back, contract_front, mask_indices,
                              omega_form, wedge)
@@ -755,6 +762,80 @@ def conjugate(x: HForm, w, sign=1) -> HForm:
         term = bivector_contract(w, term).h_shift(1) * Fraction(sign, k)
         out = out + term
     return out
+
+
+def parity_bases(m):
+    """Even and odd masks of m generators: the two spots of a d_h mode."""
+    even = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 0]
+    odd = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 1]
+    return even, odd
+
+
+def label_columns(operator, labels):
+    """The operator (columns, den) with its mask columns lifted onto labels
+    (..., j, mask), the h-power moved into the label:
+    h^j e^mask -> sum c (..., j + j', mask')."""
+    columns, den = operator
+    out = {}
+    for lab in labels:
+        head, j, mask = lab[:-2], lab[-2], lab[-1]
+        out[lab] = {(head + (j + j2, m2), 0): c
+                    for (m2, j2), c in columns[mask].items()}
+    return out, den
+
+
+def cartan_columns_at_mode(generators, kappa, v, den, labels):
+    """The operator D = d_h + Theta^a iota_a on labels (A, j, mask), for
+    the mode whose d_h is kappa ^ - h iota_v (Gaussian integers over
+    ``den``) and ``generators`` = ``equivariant._integer_generators``: d_h
+    lifted from its mask columns, and Theta^a iota_a bumps A_a and
+    contracts by the constant generator X_a with the sign (-1)^(indices of
+    the mask below the removed one).  Both are put over den L."""
+    L, gens = generators
+    m = len(kappa)
+    cols, _den = label_columns(koszul_columns(
+        [(L * p, L * q) for p, q in kappa], [(L * p, L * q) for p, q in v],
+        den * L), labels)
+    gens = [[(den * p, den * q) for p, q in x] for x in gens]
+    for (A, j, mask) in labels:
+        col = cols[(A, j, mask)]
+        for a, x in enumerate(gens):
+            bumped = A[:a] + (A[a] + 1,) + A[a + 1:]
+            for i in range(m):
+                bit = 1 << i
+                p, q = x[i]
+                if (p or q) and mask & bit:
+                    odd = (mask & (bit - 1)).bit_count() & 1
+                    col[((bumped, j, mask ^ bit), 0)] = \
+                        (-p, -q) if odd else (p, q)
+    return cols, den * L
+
+
+def label_homotopy_certificate(bases, spots, d, h) -> bool:
+    """Exact proof that the complex is acyclic at ``spots``, or False.
+
+    ``bases`` lists the labels of every spot; ``d`` (the differential) and
+    ``h`` (the candidate homotopy, one spot down) are operators (columns,
+    den) whose columns cover each of these labels.  The certificate holds
+    when, for every label x of every spot s in ``spots``: d x lies in spot
+    s+1, h x in spot s-1, d d x = 0 and d h x + h d x = x exactly, every
+    other entry zero.  A False answer proves nothing.  The identity reads
+    (den_d den_h) x on the Gaussian integer entries.
+    """
+    spot_of = {lab: s for s, labs in enumerate(bases) for lab in labs}
+    (d, den_d), (h, den_h) = d, h
+    unit = (den_d * den_h, 0)
+    for s in spots:
+        for x in bases[s]:
+            dx, hx = d[x], h[x]
+            if any(spot_of.get(lab) != s + 1 for lab, _j in dx) or \
+                    any(spot_of.get(lab) != s - 1 for lab, _j in hx):
+                return False
+            if _apply(d, dx, {}):
+                return False
+            if _apply(h, dx, _apply(d, hx, {})) != {(x, 0): unit}:
+                return False
+    return True
 
 
 def grat_contraction_vector(w, kappa):

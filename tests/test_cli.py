@@ -13,6 +13,7 @@ import pytest
 from qexterior import cli
 from qexterior.cli import main
 from qexterior.coeffs import FourierCoeff
+from qexterior.equivariant import _equivariant_basis
 from qexterior.models import PoissonModel
 from qexterior.serialize import form_from_json, form_to_json, model_from_json
 
@@ -805,6 +806,64 @@ class TestWorkBudget:
             with pytest.raises(cli.CliError, match="work budget of 100,000"):
                 cli._require_budget(args, dim, generators)
 
+
+    @pytest.mark.parametrize("generators,cutoff", [
+        ([["1", "0"], ["2", "0"]], 30),
+        ([["1", "0"], ["0", "1"], ["1", "1"]], 12),
+        ([["1", "0"]], 300),
+    ], ids=["dependent-30", "three-12", "circle-300"])
+    def test_mode_zero_refused_in_milliseconds(self, capsys, monkeypatch,
+                                               t2_file, tmp_path, generators,
+                                               cutoff):
+        # mode-0 Smith normal forms of 60 s, 12 s and 199 s at --mode-box 0
+        monkeypatch.setattr(cli, "action_from_json", built)
+        action = tmp_path / "action.json"
+        action.write_text(json.dumps({"generators": generators}),
+                          encoding="utf-8")
+        start = time.perf_counter()
+        message = cli_error(capsys, ["equivariant", "--model", t2_file,
+                                     "--action", str(action), "--mode-box",
+                                     "0", "--cutoff", str(cutoff)])
+        assert time.perf_counter() - start < 0.5
+        assert "work budget of 2,000,000 units for the Smith normal form " \
+            "of mode 0" in message
+
+    # (dim, generators, cutoff, units): the sum over the spots n <= cutoff
+    # + 1 of |B_n|^3, |B_n| the Theta monomials of degree a <= n / 2 times
+    # the masks with parity n and at most n - 2a indices
+    @pytest.mark.parametrize("dim,generators,cutoff,units", [
+        (4, 1, 13, 705_601),
+        (4, 2, 8, 1_978_405),
+        (9, 3, 2, 1_792_730),
+        (2, 1, 50, 1_898_884),
+        (1, 1, 2, 1 + 1 + 2 ** 3 + 2 ** 3),
+        (2, 1, 51, 2_047_761),
+        (4, 3, 6, 2_548_260),
+        (2, 3, 12, 10_255_896),
+    ])
+    def test_stated_mode_zero_budget(self, dim, generators, cutoff, units):
+        args = cli.build_parser().parse_args(
+            ["equivariant", "--mode-box", "0", "--cutoff", str(cutoff)])
+        work = cli._mode_zero_work(dim, generators, cutoff)
+        if units <= cli.MODE_ZERO_BUDGET:
+            assert work == units
+            cli._require_budget(args, dim, generators)
+        else:
+            # the count stops at the first spot past the budget
+            assert cli.MODE_ZERO_BUDGET < work <= units
+            with pytest.raises(cli.CliError, match="2,000,000 units"):
+                cli._require_budget(args, dim, generators)
+        # without generators D vanishes on mode 0: the pairs alone decide
+        cli._require_budget(args, dim, 0)
+
+    @pytest.mark.parametrize("dim,generators,cutoff", [
+        (1, 1, 9), (2, 2, 6), (3, 1, 5), (4, 3, 3), (5, 2, 2)])
+    def test_mode_zero_units_count_the_cartan_labels(self, dim, generators,
+                                                     cutoff):
+        model = PoissonModel.torus(dim, {})
+        assert cli._mode_zero_work(dim, generators, cutoff) == sum(
+            len(_equivariant_basis(model, generators, n)) ** 3
+            for n in range(cutoff + 2))
 
     @pytest.mark.parametrize("command,model,total", [
         ("cohomology", {"space": "torus", "dim": 16}, 2 ** 16),

@@ -11,14 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (derham_table_snf, dolbeault_matrix_symbolic,
-                     dolbeault_table_snf, free_rank_oracle,
-                     grat_cartan_columns, grat_delbar_kappa_v,
-                     grat_dh_kappa_v, grat_homotopy_columns,
-                     grat_koszul_columns, invariant_subcomplex,
-                     matrix_of_dh_symbolic, mode_subcomplex,
-                     ring_table_per_pair)
-from qexterior import _kernels, cohomology, complexes, equivariant
+from oracles import (cartan_columns_at_mode, derham_table_snf,
+                     dolbeault_matrix_symbolic, dolbeault_table_snf,
+                     free_rank_oracle, grat_cartan_columns,
+                     grat_delbar_kappa_v, grat_dh_kappa_v,
+                     grat_homotopy_columns, grat_koszul_columns,
+                     invariant_subcomplex, label_columns,
+                     label_homotopy_certificate, matrix_of_dh_symbolic,
+                     mode_subcomplex, ring_table_per_pair)
+from qexterior import _kernels, cohomology, complexes
 from qexterior.cli import main
 from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
                                   graded_dims, quantum_derham_table,
@@ -27,8 +28,7 @@ from qexterior.complexes import (CohomologyTable, DegreeHomology,
                                  FiniteComplex, complex_homology,
                                  dense_complex, dense_matrix, dh_kappa_v,
                                  homotopy_certificate, homotopy_columns,
-                                 integer_bivector,
-                                 koszul_columns, label_columns, parity_bases)
+                                 integer_bivector, koszul_columns)
 from qexterior.equivariant import (GroupAction, _cartan_columns,
                                    _equivariant_basis, _integer_generators,
                                    equivariant_cohomology_table,
@@ -172,9 +172,8 @@ def mode_certified(model, k):
     """Whether the homotopy certificate proves the nonzero mode k of the
     de Rham complex acyclic."""
     kappa, v, den = dh_kappa_v(integer_bivector(model.constant_bivector()), k)
-    return homotopy_certificate(parity_bases(model.dim), (0, 1),
-                                koszul_columns(kappa, v, den),
-                                homotopy_columns(kappa, den), cyclic=True)
+    return homotopy_certificate(koszul_columns(kappa, v, den),
+                                homotopy_columns(kappa, den))
 
 
 class TestDirectDhBuilder:
@@ -269,37 +268,34 @@ class TestHomotopyCertificate:
 
     def test_flipped_homotopy_rejected(self):
         model = PoissonModel.torus(4, certificate_bivectors(4)["dense"])
-        even = [m for m in range(16) if m.bit_count() % 2 == 0]
-        odd = [m for m in range(16) if m.bit_count() % 2 == 1]
         bivector = integer_bivector(model.constant_bivector())
         for k in box(4, 1):
             kappa, v, den = dh_kappa_v(bivector, k)
             d, h = koszul_columns(kappa, v, den), homotopy_columns(kappa, den)
-            assert homotopy_certificate([even, odd], (0, 1), d, h, cyclic=True)
+            assert homotopy_certificate(d, h)
             flipped = ({x: {key: (-re, -im) for key, (re, im) in col.items()}
                         for x, col in h[0].items()}, h[1])
-            assert not homotopy_certificate([even, odd], (0, 1), d, flipped,
-                                            cyclic=True), k
+            assert not homotopy_certificate(d, flipped), k
 
     def test_nonzero_square_rejected(self):
         # kappa ^ - h iota_v with <kappa, v> != 0 is not a differential,
         # yet iota_{e_1} / kappa_1 still satisfies d h + h d = 1
         kappa, v = [(0, 1), (0, 0)], [(1, 0), (0, 0)]
         d, h = koszul_columns(kappa, v, 1), homotopy_columns(kappa, 1)
-        bases = [[0, 3], [1, 2]]
-        assert not homotopy_certificate(bases, (0, 1), d, h, cyclic=True)
-        assert homotopy_certificate(bases, (0, 1),
-                                    koszul_columns(kappa, [(0, 0)] * 2, 1),
-                                    h, cyclic=True)
+        assert not homotopy_certificate(d, h)
+        assert homotopy_certificate(koszul_columns(kappa, [(0, 0)] * 2, 1), h)
 
     def test_identity_off_the_diagonal_rejected(self):
-        # spot 1 spanned by b, c with d a = b + c: h b = h c = a gives
-        # d h + h d = 1 on the diagonal only, and H_1 = C^2 / (b + c) != 0
-        bases = [["a"], ["b", "c"]]
+        # on the masks of two generators d e^0 = e^1 and d e^3 = e^2, so
+        # h e^1 = e^0 and h e^2 = e^3 contract it; h e^2 = e^0 + e^3 keeps
+        # every diagonal entry of d h + h d at 1 but adds e^0 to its value
+        # on e^3 and e^1 to its value on e^2
         one = (1, 0)
-        d = ({"a": {("b", 0): one, ("c", 0): one}, "b": {}, "c": {}}, 1)
-        h = ({"a": {}, "b": {("a", 0): one}, "c": {("a", 0): one}}, 1)
-        assert not homotopy_certificate(bases, (1,), d, h)
+        d = ({0: {(1, 0): one}, 1: {}, 2: {}, 3: {(2, 0): one}}, 1)
+        h = {0: {}, 1: {(0, 0): one}, 2: {(3, 0): one}, 3: {}}
+        assert homotopy_certificate(d, (h, 1))
+        h[2] = {(0, 0): one, (3, 0): one}
+        assert not homotopy_certificate(d, (h, 1))
         # an extra h^1 entry on the diagonal label is not the identity either
         kappa, v = [(0, 1), (0, 0)], [(0, 0), (3, 0)]
         h, den = homotopy_columns(kappa, 1)
@@ -308,17 +304,20 @@ class TestHomotopyCertificate:
             if not mask & 2:
                 odd = mask & 1
                 h[mask] = {**h[mask], (mask | 2, 0): (-1, 0) if odd else one}
-        assert not homotopy_certificate([[0, 3], [1, 2]], (0, 1),
-                                        koszul_columns(kappa, v, 1), (h, 1),
-                                        cyclic=True)
+        assert not homotopy_certificate(koszul_columns(kappa, v, 1), (h, 1))
 
     def test_truncated_ends_and_components(self):
-        # a nonzero image outside the complex is never certified
+        # a column of the wrong parity or an image outside the masks is
+        # never certified, even where d h + h d = 1
         one = (1, 0)
-        d = ({"a": {("b", 0): one}, "b": {}}, 1)
-        h = ({"a": {}, "b": {("a", 0): one}}, 1)
-        assert homotopy_certificate([["a"], ["b"]], (0, 1), d, h)
-        assert not homotopy_certificate([["a"], []], (0,), d, h)
+        d = {0: {(1, 0): one}, 1: {}}
+        h = {0: {}, 1: {(0, 0): one}}
+        assert homotopy_certificate((d, 1), (h, 1))
+        # the same identity between the masks 0 and 3 of one parity
+        assert not homotopy_certificate(({0: {(3, 0): one}, 3: {}}, 1),
+                                        ({0: {}, 3: {(0, 0): one}}, 1))
+        assert not homotopy_certificate(({**d, 0: {(1, 0): one, (4, 0): one}},
+                                         1), (h, 1))
 
     @pytest.mark.parametrize("ring", [HLaurent, HPoly])
     def test_derham_driver_certifies_every_mode(self, certificates, ring):
@@ -356,8 +355,8 @@ class TestHomotopyCertificate:
                     kappa, v, den = _delbar_kappa_v(wc, k)
                     d = label_columns(koszul_columns(kappa, v, den), labels)
                     h = label_columns(homotopy_columns(kappa, den), labels)
-                    assert homotopy_certificate(spots, range(1, len(qs) - 1),
-                                                d, h), (p, k)
+                    assert label_homotopy_certificate(
+                        spots, range(1, len(qs) - 1), d, h), (p, k)
 
 
 def dolbeault_spots(n, p, laurent):
@@ -583,18 +582,23 @@ class TestIntegerColumns:
         labels = [lab for n in range(4)
                   for lab in _equivariant_basis(model, len(gens), n)]
         bivector, generators = integer_bivector(w), _integer_generators(action)
+        zero = (0,) * dim
+        assert equals_divided(
+            _cartan_columns(generators, labels),
+            grat_cartan_columns(action, *grat_dh_kappa_v(w, zero), labels))
         for k in invariant_modes(action, 2):
             assert equals_divided(
-                _cartan_columns(generators, *dh_kappa_v(bivector, k), labels),
+                cartan_columns_at_mode(generators, *dh_kappa_v(bivector, k),
+                                       labels),
                 grat_cartan_columns(action, *grat_dh_kappa_v(w, k), labels)), k
 
-    @pytest.mark.parametrize("module,table,mode", [
-        (cohomology, lambda m: quantum_derham_table(m, 1), (-1, -1)),
-        (cohomology, lambda m: quantum_dolbeault_table(m, 1), (-1, -1)),
-        (equivariant, lambda m: circle_table(m, 1), (0, -1)),
+    @pytest.mark.parametrize("table,mode", [
+        (lambda m: quantum_derham_table(m, 1), (-1, -1)),
+        (lambda m: quantum_dolbeault_table(m, 1), (-1, -1)),
+        (lambda m: circle_table(m, 1), (0, -1)),
     ], ids=["derham", "dolbeault", "equivariant"])
     def test_flipped_sign_raises_naming_the_mode(self, t2c, monkeypatch,
-                                                 module, table, mode):
+                                                 table, mode):
         # one entry of the integer builder negated: the first wedge on the
         # empty mask, whose homotopy then gives -1 instead of 1
         def flipped(kappa, v, den):
@@ -605,7 +609,7 @@ class TestIntegerColumns:
                 cols[0][key] = (-re_, -im_)
             return cols, den
 
-        monkeypatch.setattr(module, "koszul_columns", flipped)
+        monkeypatch.setattr(complexes, "koszul_columns", flipped)
         with pytest.raises(AssertionError,
                            match=re.escape(f"Fourier mode {mode}")):
             table(t2c)
@@ -755,9 +759,8 @@ class TestModeZero:
                 "(-1, -1, 0, 0)")):
             quantum_dolbeault_table(t4c, 1)
         kappa, v, den = mutants[-1]
-        assert homotopy_certificate(parity_bases(4), (0, 1),
-                                    koszul_columns(kappa, v, den),
-                                    homotopy_columns(kappa, den), cyclic=True)
+        assert homotopy_certificate(koszul_columns(kappa, v, den),
+                                    homotopy_columns(kappa, den))
 
 
 class TestDirectDolbeaultBuilder:
@@ -1047,6 +1050,10 @@ PINNED_FILES = {
     "circle": {"generators": [["1", "0"]]},
     "two-translations": {"generators": [["1", "0", "0", "0"],
                                         ["0", "1", "-1", "0"]]},
+    "non-coordinate-t4": {"generators": [["1", "2", "0", "0"]]},
+    "non-coordinate-t2": {"generators": [["1", "2"]]},
+    "dependent": {"generators": [["1", "0"], ["2", "0"]]},
+    "rational": {"generators": [["1/2", "0", "1/3", "0"]]},
 }
 PINNED_REPORTS = {
     "dolbeault-t2c-laurent": (
@@ -1068,6 +1075,25 @@ PINNED_REPORTS = {
         "equivariant --model t4 --action two-translations --mode-box 1 "
         "--cutoff 4",
         "5ace1478f819efc490086f662f22113e4b553176a84ae4f2d9a8b3713f8f506b"),
+    # pinned while each nonzero equivariant mode was still certified on
+    # the Cartan labels; the mode-0 classes are the Smith normal form's
+    # own, such as -2 e^1 + e^2 in degree 1 of the non-coordinate action
+    "equivariant-t4-non-coordinate": (
+        "equivariant --model t4 --action non-coordinate-t4 --mode-box 1 "
+        "--cutoff 8",
+        "c4447ee8d08d0d287a1117098ad5c789f65eeb628f5f97ddf3a6d13e2f659f42"),
+    "equivariant-t2-dependent": (
+        "equivariant --model t2 --action dependent --mode-box 1",
+        "dae648c451185ed94d29c32b70c1dc2b549a00a24d7eb6803052b7817e4cdb52"),
+    "equivariant-t4-rational": (
+        "equivariant --model t4 --action rational --mode-box 1 --cutoff 6",
+        "7d8f0f591cd9c3f5894242e0ca553e351fe19107204eea920e55f3988683757d"),
+    "equivariant-t2-box-0": (
+        "equivariant --model t2 --action circle --mode-box 0",
+        "dd6be114f57fdf36beac6d2ba45dd39b7c849a198ea4b606aa97dfb745fa9123"),
+    "equivariant-t2-box-2": (
+        "equivariant --model t2 --action non-coordinate-t2 --mode-box 2",
+        "2ed473d5aa6bcee0e60a44ca84a064a24b980edb86343eb744dd9df285844c80"),
     "cohomology-t3-laurent": (
         "cohomology --model t3 --mode-box 2 --ring laurent",
         "c206affd5dbc6dc0814fa3950bc65c53d01a38b0bdba9afe1d39a8b08089d5c2"),

@@ -1,20 +1,23 @@
 """Quantum Cartan model: contraction, differential, the anticommutator
 identity, and truncated equivariant tables."""
 
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
-from oracles import equivariant_matrix_symbolic
-from qexterior import complexes
+from oracles import (cartan_columns_at_mode, equivariant_matrix_symbolic,
+                     label_columns, label_homotopy_certificate)
+from qexterior import complexes, equivariant
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.cohomology import quantum_derham_table
 from qexterior.complexes import (complex_homology, dense_complex,
                                  dense_matrix, dh_kappa_v,
-                                 homotopy_certificate, integer_bivector)
+                                 homotopy_certificate, homotopy_columns,
+                                 integer_bivector, require_acyclic)
 from qexterior.equivariant import (EquivariantElement, GroupAction,
-                                   _cartan_columns, _equivariant_basis,
-                                   _integer_generators,
+                                   _equivariant_basis, _integer_generators,
                                    anticommutator_check, cartan_d,
                                    contract_generator,
                                    equivariant_cohomology_table,
@@ -228,7 +231,7 @@ class TestHomotopyCertificate:
             bases = [_equivariant_basis(model, d, n) for n in range(cutoff + 2)]
             labels = [lab for b in bases for lab in b]
             for k in invariant_modes(action, 1)[::3]:
-                cols = _cartan_columns(
+                cols = cartan_columns_at_mode(
                     _integer_generators(action),
                     *dh_kappa_v(integer_bivector(model.constant_bivector()),
                                 k), labels)
@@ -268,7 +271,7 @@ class TestHomotopyCertificate:
             nonzero = [k for k in invariant_modes(action, 1) if any(k)]
             assert nonzero
             for k in nonzero:
-                cols = _cartan_columns(
+                cols = cartan_columns_at_mode(
                     _integer_generators(action),
                     *dh_kappa_v(integer_bivector(model.constant_bivector()),
                                 k), labels)
@@ -276,3 +279,103 @@ class TestHomotopyCertificate:
                                                      HPoly))
                 for n in range(cutoff + 1):
                     assert tab.rank(n) == 0 and tab.torsion(n) == [], (k, n)
+
+
+def agreement_actions():
+    """(model, generators, box): coordinate, non-coordinate, rational and
+    dependent translations on T^1..T^4, one to three generators."""
+    t1 = PoissonModel.torus(1, {})
+    t2 = PoissonModel.darboux_torus(1)
+    t3 = PoissonModel.torus(3, {(1, 2): 2, (1, 3): Fraction(-1, 2),
+                                (2, 3): 3})
+    t4 = PoissonModel.torus(4, {(1, 2): 3, (1, 3): -2, (1, 4): 5,
+                                (2, 3): 1, (2, 4): -4, (3, 4): 6})
+    return [
+        (t1, [[0]], 2),
+        (t1, [[Fraction(1, 2)]], 2),
+        (t2, [[1, 0]], 2),
+        (t2, [[1, 2]], 2),
+        (t2, [[1, 0], [2, 0]], 2),
+        (t3, [[Fraction(1, 2), 0, Fraction(1, 3)]], 2),
+        (t3, [[1, 0, 0], [0, 1, -1]], 2),
+        (t4, [[1, 2, 0, 0]], 2),
+        (t4, [[1, 0, 0, 0], [2, 0, 0, 0], [0, 1, -1, 0]], 2),
+    ]
+
+
+def cartan_label_certificate(model, action, k, cutoff):
+    """The certificate the table ran before: the Cartan operator of the
+    mode k on every label of the truncated complex, with the homotopy
+    lifted onto the labels, at the reported degrees."""
+    bases = [_equivariant_basis(model, action.n_generators, n)
+             for n in range(cutoff + 2)]
+    labels = [lab for b in bases for lab in b]
+    kappa, v, den = dh_kappa_v(integer_bivector(model.constant_bivector()),
+                               k)
+    return label_homotopy_certificate(
+        bases, range(cutoff + 1),
+        cartan_columns_at_mode(_integer_generators(action), kappa, v, den,
+                               labels),
+        label_columns(homotopy_columns(kappa, den), labels))
+
+
+def built(*args, **kwargs):
+    raise AssertionError("a Smith normal form was taken")
+
+
+class TestMaskCertificate:
+    """Each nonzero invariant mode is settled by d_h's certificate on the
+    masks after the exact check kappa(X_a) = 0, in agreement with the
+    Cartan-label certificate it replaces."""
+
+    CUTOFF = 3
+
+    @pytest.mark.parametrize("index", range(len(agreement_actions())))
+    def test_agrees_with_cartan_label_certificate(self, index):
+        model, gens, box = agreement_actions()[index]
+        action = GroupAction(model, gens)
+        bivector = integer_bivector(model.constant_bivector())
+        for k in invariant_modes(action, box):
+            if not any(k):
+                continue
+            require_acyclic(k, *dh_kappa_v(bivector, k))
+            assert cartan_label_certificate(model, action, k, self.CUTOFF), k
+
+    def test_non_invariant_mode_raises_naming_it(self, monkeypatch):
+        # a mode the action does not fix, handed to the table as invariant:
+        # D no longer squares to zero, the oracle rejects it, and the
+        # table raises before any Smith normal form
+        monkeypatch.setattr(complexes, "smith_normal_form", built)
+        checked = 0
+        for model, gens, _box in agreement_actions():
+            action = GroupAction(model, gens)
+            modes = set(invariant_modes(action, 1))
+            for k in itertools.product((-1, 0, 1), repeat=model.dim):
+                if k in modes:
+                    continue
+                assert not cartan_label_certificate(model, action, k,
+                                                    self.CUTOFF), k
+                monkeypatch.setattr(equivariant, "invariant_modes",
+                                    lambda action, box, k=k: [k])
+                with pytest.raises(AssertionError, match=re.escape(
+                        f"Fourier mode {k} is not invariant under generator")):
+                    equivariant_cohomology_table(model, action, self.CUTOFF)
+                checked += 1
+        assert checked
+
+    def test_once_per_nonzero_mode_on_the_masks(self, monkeypatch):
+        seen = []
+
+        def recording(d, h):
+            seen.append((sorted(d[0]), sorted(h[0])))
+            return homotopy_certificate(d, h)
+
+        monkeypatch.setattr(complexes, "homotopy_certificate", recording)
+        for model, gens, box in agreement_actions():
+            action = GroupAction(model, gens)
+            seen.clear()
+            tab = equivariant_cohomology_table(model, action, 4, box)
+            masks = list(range(1 << model.dim))
+            nonzero = [k for k in tab.meta["modes"] if any(k)]
+            assert seen == [(masks, masks)] * len(nonzero)
+

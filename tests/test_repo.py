@@ -66,19 +66,32 @@ def test_no_library_module_calls_solve_linear():
     assert callers == []
 
 
-def test_cohomology_takes_no_smith_normal_form():
+def test_only_equivariant_mode_zero_takes_a_smith_normal_form():
     # the de Rham and Dolbeault tables read mode 0 off the constant
-    # monomials; only the equivariant Cartan complex reaches the SNF
+    # monomials and every table certifies its nonzero modes on the masks
+    # through require_acyclic; outside complexes.py and snf.py (whose
+    # solve_linear no library module calls) only the equivariant Cartan
+    # complex of mode 0 reaches the SNF, in one call
     import ast
     forbidden = {"complex_homology", "dense_complex", "smith_normal_form"}
-    path = ROOT / "src" / "qexterior" / "cohomology.py"
-    callers = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        func = getattr(node, "func", None)
-        name = getattr(func, "id", None) or getattr(func, "attr", None)
-        if isinstance(node, ast.Call) and name in forbidden:
-            callers.append(f"{name}:{node.lineno}")
-    assert callers == []
+    callers, certificates = [], []
+    for path in sorted((ROOT / "src" / "qexterior").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.name}:{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if not isinstance(node, ast.Call):
+                    continue
+                if name in forbidden and \
+                        path.name not in ("complexes.py", "snf.py"):
+                    callers.append(f"{where}:{name}")
+                elif name == "homotopy_certificate":
+                    certificates.append(where)
+    assert callers == [
+        "equivariant.py:equivariant_cohomology_table:complex_homology",
+        "equivariant.py:equivariant_cohomology_table:dense_complex"]
+    assert certificates == ["complexes.py:require_acyclic"]
 
 
 def test_every_library_function_is_reached():
