@@ -10,6 +10,8 @@ commutative even-degree subalgebra and are not needed separately here.
 
 from __future__ import annotations
 
+import itertools
+
 from .calculus import quantum_d
 from .coeffs import FourierCoeff
 from .complexes import (dh_kappa_v, gaussian_rational, homotopy_columns,
@@ -44,16 +46,19 @@ class QConnection:
 
 
 def _mat_qwedge(A, B, model):
-    rank = len(A)
+    """The matrix product A B under ^_h, A r x s and B s x c (rows of
+    h-forms)."""
     dim = model.dim
-    out = [[HForm.zero(dim) for _ in range(rank)] for _ in range(rank)]
-    for i in range(rank):
-        for j in range(rank):
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
             acc = HForm.zero(dim)
-            for l in range(rank):
-                if A[i][l] and B[l][j]:
-                    acc = acc + qwedge(A[i][l], B[l][j], model.w)
-            out[i][j] = acc
+            for a, b_row in zip(row, B):
+                if a and b_row[j]:
+                    acc = acc + qwedge(a, b_row[j], model.w)
+            out_row.append(acc)
+        out.append(out_row)
     return out
 
 
@@ -72,48 +77,34 @@ def quantum_covariant_d(phi, conn: QConnection):
     model = conn.model
     if len(phi) != conn.rank:
         raise ValueError("section has wrong rank")
-    out = []
-    for k in range(conn.rank):
-        acc = quantum_d(phi[k], model)
-        for j in range(conn.rank):
-            if conn.theta[k][j] and phi[j]:
-                acc = acc + qwedge(conn.theta[k][j], phi[j], model.w)
-        out.append(acc)
-    return out
+    wedged = _mat_qwedge(conn.theta, [[x] for x in phi], model)
+    return [quantum_d(x, model) + row[0] for x, row in zip(phi, wedged)]
 
 
 def covariant_square_check(phi, conn: QConnection) -> bool:
     """(d_h^nabla)^2 phi == F_h applied to phi (even entries commute)."""
-    model = conn.model
     lhs = quantum_covariant_d(quantum_covariant_d(phi, conn), conn)
-    F = quantum_curvature(conn)
-    for k in range(conn.rank):
-        acc = HForm.zero(model.dim, lhs[k].laurent)
-        for j in range(conn.rank):
-            if F[k][j] and phi[j]:
-                acc = acc + qwedge(F[k][j], phi[j], model.w)
-        if lhs[k] != acc:
-            return False
-    return True
+    rhs = _mat_qwedge(quantum_curvature(conn), [[x] for x in phi], conn.model)
+    return all(a == row[0] for a, row in zip(lhs, rhs))
+
+
+def char_forms(F, model: PoissonModel):
+    """tr(F^{^_h k}) for k = 1, 2, ..., one matrix product per further k;
+    each is d_h-closed by the quantum Bianchi identity."""
+    power = F
+    while True:
+        out = HForm.zero(model.dim)
+        for i in range(len(F)):
+            out = out + power[i][i]
+        yield out
+        power = _mat_qwedge(power, F, model)
 
 
 def char_form(F, k: int, model: PoissonModel) -> HForm:
-    """tr(F^{^_h k}); d_h-closed by the quantum Bianchi identity."""
+    """tr(F^{^_h k}), the k-th of :func:`char_forms`."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    power = F
-    for _ in range(k - 1):
-        power = _mat_qwedge(power, F, model)
-    out = HForm.zero(model.dim)
-    for i in range(len(F)):
-        out = out + power[i][i]
-    return out
-
-
-def char_form_certificate(F, k: int, model: PoissonModel):
-    """The characteristic form together with its expanded d_h evaluation."""
-    form = char_form(F, k, model)
-    return form, quantum_d(form, model)
+    return next(itertools.islice(char_forms(F, model), k - 1, None))
 
 
 # -- transgression ----------------------------------------------------------------

@@ -21,9 +21,10 @@ import traceback
 
 from .hpoly import HLaurent, HPoly
 from .sampling import PRNG_NAME
-from .serialize import (CONVENTIONS, action_from_json, connection_from_json,
-                        dump_json, form_from_json, model_from_json,
-                        spectrum_to_json, table_to_json, table_to_latex)
+from .serialize import (CONVENTIONS, MAX_MODEL_DIM, action_from_json,
+                        connection_from_json, dump_json, form_from_json,
+                        model_from_json, spectrum_to_json, table_to_json,
+                        table_to_latex)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -47,18 +48,16 @@ def _load_json(path, option, decode, *args):
     return decode(obj, *args)
 
 
-# The most work one table command may take: its (2 mode_box + 1)^dim
-# Fourier modes times the 2^dim masks it scans per mode, per first index p
-# (dolbeault) or per total degree and Theta monomial (equivariant).  The
-# certificates cost about 15 us per pair on a 2-vCPU Xeon with Python 3.11:
-# T^4 at --mode-box 3 (38,416 pairs) runs in 0.5 s, T^5 at --mode-box 2
-# (exactly 100,000) in 1.6 s; T^8 at --mode-box 1 (1,679,616) takes 37 s.
-# dolbeault and equivariant certify each nonzero mode once on its masks,
-# so their counts, kept as they were, overstate that work by the levels:
-# the Darboux T^4 at --mode-box 2 (70,000 pairs) takes 0.09 s.  At
-# --mode-box 0 a table stores one map entry per class, so the largest
-# admitted ones fit: a plain T^16 (65,536 pairs) takes 3.9 s and 262 MiB,
-# dolbeault on the complex Darboux T^12 (45,056) 2.8 s and 186 MiB.
+# The most work one table command may take: each of its (2 mode_box + 1)^dim
+# - 1 nonzero Fourier modes is certified once on the 2^dim masks, and mode 0
+# scans the masks once per level (per first index p for dolbeault, per
+# total degree and Theta monomial for equivariant).  About 15 us a pair on
+# a 2-vCPU Xeon with Python 3.11: T^4 at --mode-box 3 (38,416 pairs) runs in
+# 0.5 s, T^5 at --mode-box 2 (exactly 100,000) in 1.6 s; T^8 at --mode-box 1
+# (1,679,616) takes 37 s.  At --mode-box 0 a table stores one map entry per
+# class, so the largest admitted ones fit: a plain T^16 (65,536 pairs) takes
+# 3.9 s and 262 MiB, dolbeault on the complex Darboux T^12 (45,056) 2.8 s
+# and 186 MiB.
 TABLE_BUDGET = 100_000
 
 # The equivariant mode-0 Smith normal form, which the pairs do not see,
@@ -67,29 +66,31 @@ TABLE_BUDGET = 100_000
 # admitted table, T^9 with three generators at --cutoff 2 (1,792,730), takes
 # 3.6 s and T^4 with (1, 2, 0, 0) at 13 (705,601) 0.45 s.  T^2 at 12 with
 # three generators (12 s), at 30 with two (60 s) and at 300 with one
-# (199 s) are refused.  With no generator D vanishes on mode 0.
+# (199 s) are refused, and without generators T^8 at 6 (1.4 s, D = 0).
 MODE_ZERO_BUDGET = 2_000_000
 
 
 def _mode_zero_work(dim, generators, cutoff):
     """The mode-0 work units of an equivariant table (see MODE_ZERO_BUDGET),
-    counted up to the first spot that passes the budget."""
+    counted up to the first spot that passes the budget; without generators
+    only the Theta monomial 1 exists."""
     work = 0
     for n in range(cutoff + 2):
-        size = sum(math.comb(a + generators - 1, a)
+        size = sum((math.comb(a + generators - 1, a) if generators else 1)
                    * sum(math.comb(dim, c)
                          for c in range(n % 2, min(dim, n - 2 * a) + 1, 2))
-                   for a in range(n // 2 + 1))
+                   for a in range(n // 2 + 1 if generators else 1))
         work += size ** 3
         if work > MODE_ZERO_BUDGET:
             break
     return work
 
 
-def _require_budget(args, dim, generators=0):
+def _require_budget(args, dim, generators=None):
     """Refuse a table past TABLE_BUDGET, or an equivariant one past
     MODE_ZERO_BUDGET, before any model or action is built; past 16
-    dimensions 2^dim alone is, so no larger power is formed."""
+    dimensions 2^dim alone is, so no larger power is formed.  ``generators``
+    is None before the action is read: the pairs then count none."""
     levels = 1
     if args.command == "dolbeault":
         from .cohomology import LEVEL_CAP
@@ -97,15 +98,16 @@ def _require_budget(args, dim, generators=0):
     elif args.command == "equivariant":
         levels = 0
         for n in range(args.cutoff + 2):
-            levels += math.comb(n // 2 + generators, generators)
+            levels += math.comb(n // 2 + (generators or 0), n // 2)
             if levels > TABLE_BUDGET:
                 break
     if dim > TABLE_BUDGET.bit_length() or \
-            (4 * max(args.mode_box, 0) + 2) ** dim * levels > TABLE_BUDGET:
+            ((2 * max(args.mode_box, 0) + 1) ** dim - 1 + levels) * 2 ** dim \
+            > TABLE_BUDGET:
         raise CliError(f"{args.command} on dimension {dim} at --mode-box "
                        f"{args.mode_box} passes the work budget of "
                        f"{TABLE_BUDGET:,} (Fourier mode, basis label) pairs")
-    if args.command == "equivariant" and generators and \
+    if args.command == "equivariant" and generators is not None and \
             _mode_zero_work(dim, generators, args.cutoff) > MODE_ZERO_BUDGET:
         raise CliError(f"equivariant on dimension {dim} with {generators} "
                        f"generator(s) at --cutoff {args.cutoff} passes the "
@@ -272,9 +274,19 @@ def cmd_lefschetz(args) -> int:
     return EXIT_OK if comm.ok and hl.all_invertible else EXIT_PROPERTY_FAILURE
 
 
+# The largest --power of ``chern``, refused with exit 2 before the model is
+# read: by E = exp(h iota_w) every F_h^k with 2k > dim is zero.  It bounds
+# the number of powers, not the cost of one matrix product.
+CHERN_MAX_POWER = MAX_MODEL_DIM // 2
+
+
 def cmd_chern(args) -> int:
-    from .chern import char_form_certificate, quantum_curvature
+    from .calculus import quantum_d
+    from .chern import char_forms, quantum_curvature
     from .serialize import form_to_json
+    if args.power > CHERN_MAX_POWER:
+        raise CliError(f"--power {args.power} passes the work budget: at "
+                       f"most {CHERN_MAX_POWER}")
     model = _load_model(args)
     if args.power < 1:
         raise CliError("--power must be at least 1")
@@ -287,8 +299,8 @@ def cmd_chern(args) -> int:
                             for i in range(conn.rank)]
     chars = {}
     closed = True
-    for k in range(1, args.power + 1):
-        form, cert = char_form_certificate(F, k, model)
+    for k, form in zip(range(1, args.power + 1), char_forms(F, model)):
+        cert = quantum_d(form, model)
         chars[str(k)] = {"form": form_to_json(form),
                          "d_h": form_to_json(cert),
                          "closed": cert.is_zero()}

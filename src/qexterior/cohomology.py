@@ -173,10 +173,9 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
 class RingTable:
     """Multiplication table of cohomology classes over the h-ring."""
 
-    def __init__(self, model, table, ring):
+    def __init__(self, model, table):
         self.model = model
         self.table = table
-        self.ring = ring
         self.classes = []          # (degree, index, rep form)
         self.structure = {}        # (i, j) -> {k: ring coeff}
 
@@ -198,8 +197,7 @@ def _rep_to_form(model, rep, laurent) -> HForm:
     return HForm(model.dim, terms, laurent)
 
 
-def ring_table(table: CohomologyTable, model: PoissonModel,
-               ring=HLaurent) -> RingTable:
+def ring_table(table: CohomologyTable, model: PoissonModel) -> RingTable:
     """Products of representatives reduced to class coordinates.
 
     Each representative must be a signed basis monomial, the one-entry map
@@ -211,10 +209,11 @@ def ring_table(table: CohomologyTable, model: PoissonModel,
     entries these are Fractions, which ``qwedge`` sums in integers; a
     Gaussian w multiplies GRats.
     Every structure coefficient is a GRat, as the amplitude of the
-    constant Fourier coefficient it stands for.
+    constant Fourier coefficient it stands for, in the table's ring.
     """
+    ring = table.ring
     laurent = ring is HLaurent
-    rt = RingTable(model, table, ring)
+    rt = RingTable(model, table)
     pivots = {}      # mask -> (class index, sign)
     constants = []   # the representatives' terms as GRat scalars
     for degree in table.degrees():

@@ -43,7 +43,7 @@ from .snf import mat_identity, mat_promote, smith_normal_form
 class FiniteComplex:
     """Explicit finite complex; validates shapes and D_{k+1} D_k = 0."""
 
-    def __init__(self, degrees, bases, diffs, ring=HPoly, meta=None):
+    def __init__(self, degrees, bases, diffs, ring=HPoly):
         if len(degrees) != len(bases):
             raise ValueError("degrees and bases disagree")
         if len(diffs) != max(len(bases) - 1, 0):
@@ -51,7 +51,6 @@ class FiniteComplex:
         self.degrees = list(degrees)
         self.bases = [list(b) for b in bases]
         self.ring = ring
-        self.meta = dict(meta or {})
         self.diffs = []
         for k, D in enumerate(diffs):
             src = len(self.bases[k])
@@ -102,10 +101,10 @@ class DegreeHomology:
 class CohomologyTable:
     """Per-degree free rank, torsion factors, and verified representatives."""
 
-    def __init__(self, ring, entries, meta=None):
+    def __init__(self, ring, entries):
         self.ring = ring
         self.entries = {e.degree: e for e in entries}
-        self.meta = dict(meta or {})
+        self.meta = {}
 
     def degrees(self):
         return sorted(self.entries)
@@ -214,7 +213,7 @@ def complex_homology(cx: FiniteComplex) -> CohomologyTable:
         reps = [{lab: c for lab, c in zip(cx.bases[spot], vec)
                  if not c.is_zero()} for vec in reps]
         entries.append(DegreeHomology(degree, free_rank, torsion, reps))
-    return CohomologyTable(ring, entries, meta=dict(cx.meta))
+    return CohomologyTable(ring, entries)
 
 
 def _verify_cycles(out_mat, reps, ring):
@@ -264,12 +263,12 @@ def dense_matrix(operator, src, dst, ring):
     return rows
 
 
-def dense_complex(degrees, bases, operator, ring, meta=None):
+def dense_complex(degrees, bases, operator, ring):
     """The :class:`FiniteComplex` whose differentials are the dense views
     of ``operator`` between consecutive spots of ``bases``."""
     mats = [dense_matrix(operator, src, dst, ring)
             for src, dst in zip(bases, bases[1:])]
-    return FiniteComplex(degrees, bases, mats, ring=ring, meta=meta)
+    return FiniteComplex(degrees, bases, mats, ring=ring)
 
 
 def box_modes(dim, mode_box):

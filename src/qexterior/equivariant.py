@@ -179,11 +179,10 @@ class EquivariantElement:
         return " + ".join(bits) if bits else "0"
 
 
-def cartan_d(x: EquivariantElement, action: GroupAction,
-             require_invariant: bool = True) -> EquivariantElement:
+def cartan_d(x: EquivariantElement, action: GroupAction) -> EquivariantElement:
     """D x = Theta^A (x) d_h x_A + Theta^{A+e_a} (x) iota_a x_A."""
     model = action.model
-    if require_invariant and not x.is_invariant(action):
+    if not x.is_invariant(action):
         raise ValueError("element is not invariant under the action")
     terms = []
     for key, form in x.terms.items():

@@ -77,9 +77,9 @@ class DarbouxSpace:
         return out
 
 
-def apply_Lh(x: HForm, space: DarbouxSpace, w: Bivector = None) -> HForm:
+def apply_Lh(x: HForm, space: DarbouxSpace) -> HForm:
     """L_h x = omega ^_h x."""
-    return qwedge(space.omega_form, x.to_laurent(), w if w is not None else space.w)
+    return qwedge(space.omega_form, x.to_laurent(), space.w)
 
 
 def apply_Lh_star(x: HForm, space: DarbouxSpace) -> HForm:
@@ -98,8 +98,8 @@ def apply_Ah(x: HForm, space: DarbouxSpace) -> HForm:
     return out
 
 
-def apply_Mh(x: HForm, space: DarbouxSpace, w: Bivector = None) -> HForm:
-    return apply_Lh(x, space, w).h_shift(-1)
+def apply_Mh(x: HForm, space: DarbouxSpace) -> HForm:
+    return apply_Lh(x, space).h_shift(-1)
 
 
 def _exact(c):
@@ -130,28 +130,24 @@ class OperatorColumns(dict):
         return col
 
 
-def operator_matrix(op, space: DarbouxSpace, k: int, shift: int):
-    """Matrix of a degree-homogeneous operator on Lambda^{[k]}.
-
-    Rows are indexed by the basis of Lambda^{[k + shift]}; entries are
-    exact rationals (``Fraction``), read off the operator's columns.
-    """
-    src = space.basis(k)
-    dst = space.basis(k + shift)
-    index = {lab: i for i, lab in enumerate(dst)}
+def operator_matrix(op, space: DarbouxSpace, k: int):
+    """Matrix of a degree-preserving operator on Lambda^{[k]}: exact
+    rationals (``Fraction``), read off the operator's columns."""
+    basis = space.basis(k)
+    index = {lab: i for i, lab in enumerate(basis)}
     cols = OperatorColumns(op, space)
-    rows = [[Fraction(0)] * len(src) for _ in dst]
-    for col, lab in enumerate(src):
+    rows = [[Fraction(0)] * len(basis) for _ in basis]
+    for col, lab in enumerate(basis):
         for key, c in cols[lab].items():
             if key not in index:
-                raise AssertionError(f"operator output left degree {k + shift}")
+                raise AssertionError(f"operator output left degree {k}")
             rows[index[key]][col] = Fraction(c)
     return rows
 
 
-def Mh_matrix(space: DarbouxSpace, k: int, w: Bivector = None):
+def Mh_matrix(space: DarbouxSpace, k: int):
     """Exact rational matrix of M_h = h^{-1} L_h on Lambda^{[k]}."""
-    return operator_matrix(lambda x: apply_Mh(x, space, w), space, k, 0)
+    return operator_matrix(lambda x: apply_Mh(x, space), space, k)
 
 
 class CommutatorReport:
@@ -222,7 +218,7 @@ def _apply_A(v: dict, n: int) -> dict:
     return out
 
 
-def commutator_check(n: int, window=None, corrupt_w: bool = False) -> CommutatorReport:
+def commutator_check(n: int, window=None) -> CommutatorReport:
     """Verify the Lefschetz commutator identities exactly on every
     homogeneous piece in the degree window.
 
@@ -233,10 +229,7 @@ def commutator_check(n: int, window=None, corrupt_w: bool = False) -> Commutator
     Every identity is checked on every basis label of the window by exact
     equality.
 
-    ``corrupt_w=True`` flips the calibration sign of the dual bivector
-    inside L_h while the star keeps the calibrated one -- the negative
-    control demonstrating that the checker reports failures.  The h-shift
-    identity is verified with the computed sign
+    The h-shift identity is verified with the computed sign
     [A_h, h^{+-1}] = -+ 2 h^{+-1}; the source lemma prints +- 2 h^{+-1},
     which fails the n = 1 desk computation, and the note records that
     discrepancy.
@@ -245,8 +238,7 @@ def commutator_check(n: int, window=None, corrupt_w: bool = False) -> Commutator
     if window is None:
         window = range(-(2 * n + 2), 2 * n + 3)
     rep = CommutatorReport(n, list(window))
-    w_for_L = space.w.map_entries(lambda v: -v) if corrupt_w else space.w
-    L_cols = OperatorColumns(lambda x: apply_Lh(x, space, w_for_L), space)
+    L_cols = OperatorColumns(lambda x: apply_Lh(x, space), space)
     Ls_cols = OperatorColumns(lambda x: apply_Lh_star(x, space), space)
 
     L = lambda v: _apply(L_cols, v)

@@ -1,7 +1,8 @@
 """Exact linear algebra over the base field (Fraction / GRat).
 
-* ``det``, ``rank`` and ``matrix_inverse`` use Gaussian elimination; this
-  is the one exact det/inverse of the engine.  Entries are Fractions or
+* ``det``, ``rank`` and ``matrix_inverse`` share one forward Gaussian
+  elimination (``_echelon``), to which the inverse adds back-substitution;
+  this is the one exact det/inverse of the engine.  Entries are Fractions or
   GRats; plain ints are read as Fractions, so no input yields a float.
 * ``charpoly`` reduces the matrix to upper Hessenberg form by similarity
   transforms and reads det(xI - A) off the Hessenberg recurrence (Cohen,
@@ -28,71 +29,74 @@ def _field_rows(rows):
             for row in rows]
 
 
-def det(rows):
-    """Exact determinant by Gaussian elimination over a field."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
+def _echelon(rows, width=None):
+    """Forward Gaussian elimination of a copy of ``rows``, with pivots in
+    the first ``width`` columns (default all): (m, pivots, swaps), m in row
+    echelon form with its i-th pivot in column pivots[i]."""
     m = _field_rows(rows)
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
+    nrows = len(m)
+    if width is None:
+        width = len(m[0]) if m else 0
+    pivots = []
+    swaps = 0
+    for c in range(width):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
-            return Fraction(0) * out
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = -out
-        out = out * m[c][c]
-        inv = m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] / inv
-                for k in range(c + 1, n):
-                    m[r][k] = m[r][k] - f * m[c][k]
-                m[r][c] = 0
-    return out
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        top = m[r]
+        inv = top[c]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            if row[c]:
+                f = row[c] / inv
+                row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:],
+                                                          top[c + 1:])]
+                row[c] = 0
+        pivots.append(c)
+    return m, pivots, swaps
+
+
+def det(rows):
+    """Exact determinant of a square matrix: the signed product of pivots."""
+    m, pivots, swaps = _echelon(rows)
+    out = Fraction(1)
+    for i, c in enumerate(pivots):
+        if c != i:
+            break
+        out = out * m[i][c]
+    if pivots != list(range(len(rows))):
+        return Fraction(0) * out
+    return -out if swaps % 2 else out
 
 
 def matrix_inverse(rows):
-    """Inverse of a square matrix over Fraction/GRat entries."""
+    """Inverse of a square matrix: [A | I] eliminated, then back-substituted."""
     n = len(rows)
-    m = [r + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, r in enumerate(_field_rows(rows))]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    m, pivots, _swaps = _echelon(
+        [[*row] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    for c in reversed(range(n)):
+        top = m[c]
+        inv = top[c]
+        top[c:] = [x / inv for x in top[c:]]
+        for row in m[:c]:
+            f = row[c]
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], top[c:])]
     return [row[n:] for row in m]
 
 
 def rank(rows) -> int:
     """Rank over the base field."""
-    if not rows or not rows[0]:
-        return 0
-    m = _field_rows(rows)
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        for i in range(r + 1, nrows):
-            if m[i][c]:
-                f = m[i][c] / inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_echelon(rows)[1])
 
 
 def charpoly(rows) -> HPoly:

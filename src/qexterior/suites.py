@@ -18,7 +18,7 @@ from .chern import (QConnection, char_form, covariant_square_check,
                     quantum_curvature)
 from .coeffs import FourierCoeff
 from .equivariant import (EquivariantElement, GroupAction,
-                          anticommutator_check, cartan_d)
+                          anticommutator_check, cartan_d, lie_bivector)
 from .forms import Bivector, HForm
 from .lefschetz import commutator_check, lefschetz_d_commutators
 from .models import PoissonModel, TORUS
@@ -270,7 +270,10 @@ def suite_equivariant(model, trials, s: Sampler) -> SuiteResult:
     if m.kind != TORUS:
         # the Cartan half draws Fourier coefficients, which only a torus has
         raise SuitePrecondition("equivariant suite runs on torus models")
-    action = GroupAction(m, [[Fraction(1)] + [Fraction(0)] * (m.dim - 1)])
+    d_1 = [m.coeff_const(Fraction(int(i == 0))) for i in range(m.dim)]
+    if lie_bivector(d_1, m):
+        raise SuitePrecondition("equivariant suite needs d_1 to preserve w")
+    action = GroupAction(m, [d_1])
     forms = [s.model_form(m) for _ in range(max(1, trials // 2))]
     rep = anticommutator_check(action, forms)
     res.checked += len(forms)

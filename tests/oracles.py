@@ -33,10 +33,20 @@ reading.  ``dolbeault_matrix_symbolic`` and
 Cartan differential to one Fourier form per column, and
 ``free_rank_oracle`` counts free ranks over the fraction field.
 
+``det_by_columns``, ``rank_by_rows`` and ``inverse_gauss_jordan`` are
+the three eliminations of ``linalg`` before det, rank and the inverse
+shared one forward elimination.
+
 ``commutator_check_per_form`` and ``operator_matrix_per_form`` are the
 Lefschetz commutator check and operator matrix the engine used before it
 kept L_h and L_h* as sparse columns: every identity applies L_h, L_h* (two
-stars around a qwedge), A_h and h^{+-1} to one basis form at a time.
+stars around a qwedge, ``lh_per_form`` and ``lh_star_per_form``), A_h and
+h^{+-1} to one basis form at a time.  ``flip_lh_bivector`` patches the
+engine's L_h to the flipped dual bivector, the negative control of its
+commutator check.
+
+``char_form_per_power`` is tr(F^k) as the engine computed it before one
+running power served every k: k - 1 matrix products of its own.
 
 ``conjugate`` applies E = exp(h iota_w) or its inverse, with iota_w the
 engine's ``bivector_contract``.  For Poisson w, E d E^-1 = d_h and
@@ -96,10 +106,10 @@ from qexterior.complexes import (CohomologyTable, FiniteComplex, _apply,
                                  koszul_columns)
 from qexterior.forms import (HForm, bivector_contract, check_symplectic,
                              contract_back, contract_front, mask_indices,
-                             omega_form, wedge)
+                             omega_form, symplectic_star, wedge)
 from qexterior.hpoly import HLaurent, HPoly
-from qexterior.lefschetz import (CommutatorReport, DarbouxSpace, apply_Ah,
-                                 apply_Lh, apply_Lh_star)
+from qexterior import lefschetz
+from qexterior.lefschetz import CommutatorReport, DarbouxSpace, apply_Ah
 from qexterior.linalg import charpoly, det, matrix_inverse
 from qexterior.models import TORUS
 from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
@@ -389,6 +399,80 @@ def charpoly_interpolation(rows) -> HPoly:
     return out
 
 
+def _field_copy(rows):
+    return [[Fraction(x) if isinstance(x, int) else x for x in row]
+            for row in rows]
+
+
+def det_by_columns(rows):
+    """Determinant by elimination column by column, stopping at the first
+    column without a pivot."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    m = _field_copy(rows)
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0) * out
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            out = -out
+        out = out * m[c][c]
+        inv = m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] / inv
+                for k in range(c + 1, n):
+                    m[r][k] = m[r][k] - f * m[c][k]
+                m[r][c] = 0
+    return out
+
+
+def inverse_gauss_jordan(rows):
+    """Inverse by Gauss-Jordan elimination of [A | I], each pivot row
+    normalised and cleared from every other row."""
+    n = len(rows)
+    m = [r + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i, r in enumerate(_field_copy(rows))]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        inv = m[c][c]
+        m[c] = [x / inv for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def rank_by_rows(rows) -> int:
+    """Rank by elimination with whole-row operations."""
+    if not rows or not rows[0]:
+        return 0
+    m = _field_copy(rows)
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        for i in range(r + 1, nrows):
+            if m[i][c]:
+                f = m[i][c] / inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 def symplectic_star_uncached(a: HForm, omega) -> HForm:
     """b ^ *a = Lambda^k(w)(b, a) omega^n/n!, recomputing everything per call:
     validation, Omega^-1, omega^n/n! and one minor per (I, J) pair."""
@@ -508,7 +592,7 @@ def invariant_subcomplex(model, ring=HLaurent) -> FiniteComplex:
     bases = [[mask for mask in range(1 << m) if mask.bit_count() == k]
              for k in range(m + 1)]
     cx = dense_complex(list(range(m + 1)), bases, dh_columns(model, zero_mode),
-                       ring, meta={"kind": "invariant", "mode": zero_mode})
+                       ring)
     if any(not x.is_zero() for D in cx.diffs for row in D for x in row):
         raise AssertionError("invariant complex has nonzero differential")
     return cx
@@ -519,7 +603,7 @@ class TwoPeriodicComplex(FiniteComplex):
     that maps each spot to the other: ``diffs`` is [even -> odd,
     odd -> even], and ``in_matrix(0)`` is the odd -> even map."""
 
-    def __init__(self, bases, operator, ring, meta=None):
+    def __init__(self, bases, operator, ring):
         even, odd = bases
         there = dense_matrix(operator, even, odd, ring)
         back = dense_matrix(operator, odd, even, ring)
@@ -527,7 +611,7 @@ class TwoPeriodicComplex(FiniteComplex):
         # composites around the loop vanish
         FiniteComplex([0, 1, 2, 3], [even, odd, even, odd],
                       [there, back, there], ring=ring)
-        super().__init__([0, 1], bases, [there], ring=ring, meta=meta)
+        super().__init__([0, 1], bases, [there], ring=ring)
         self.diffs.append(back)
 
     def in_matrix(self, spot: int):
@@ -541,7 +625,7 @@ def mode_subcomplex(model, k, ring=HLaurent) -> FiniteComplex:
     if len(k) != model.dim:
         raise ValueError("frequency vector has wrong length")
     return TwoPeriodicComplex(parity_bases(model.dim), dh_columns(model, k),
-                              ring, meta={"kind": "mode", "mode": k})
+                              ring)
 
 
 def derham_table_snf(model, mode_box=1, max_degree=None, ring=HLaurent):
@@ -550,6 +634,7 @@ def derham_table_snf(model, mode_box=1, max_degree=None, ring=HLaurent):
     table = complex_homology(invariant_subcomplex(model, ring))
     table.meta.update({
         "kind": "derham",
+        "mode": (0,) * model.dim,
         "ring": "laurent" if ring is HLaurent else "polynomial",
         "mode_box": mode_box,
         "anomalous_modes": [],
@@ -621,7 +706,7 @@ def equivariant_matrix_symbolic(model, action, k, src, dst, ring):
     for col, (A, j, mask) in enumerate(src):
         form = HForm(model.dim, {(j, mask): FourierCoeff.character(model.dim, k)})
         elem = EquivariantElement(model, d, {A: form})
-        image = cartan_d(elem, action, require_invariant=False)
+        image = cartan_d(elem, action)
         for A2, f2 in image.terms.items():
             for (j2, m2), c in f2.terms.items():
                 amp = c.mode_amplitude(k)
@@ -662,6 +747,27 @@ def operator_matrix_per_form(op, space, k, shift):
     return rows
 
 
+def lh_per_form(x, space, w):
+    """L_h x = omega ^_h x under the bivector ``w``."""
+    return qwedge(space.omega_form, x.to_laurent(), w)
+
+
+def lh_star_per_form(x, space):
+    """L_h* x = -(* L_h *) x under the calibrated bivector."""
+    star = space.star
+    return -symplectic_star(lh_per_form(symplectic_star(x, star), space,
+                                        space.w), star)
+
+
+def flip_lh_bivector(monkeypatch):
+    """The negative control of ``lefschetz.commutator_check``: its L_h
+    multiplies under the dual bivector with the calibration sign flipped,
+    while L_h* keeps the calibrated one, as ``corrupt_w`` does below."""
+    monkeypatch.setattr(lefschetz, "apply_Lh", lambda x, space: lh_per_form(
+        x, space, space.w.map_entries(lambda v: -v)))
+    monkeypatch.setattr(lefschetz, "apply_Lh_star", lh_star_per_form)
+
+
 def commutator_check_per_form(n, window=None, corrupt_w=False):
     """The commutator identities of ``lefschetz.commutator_check``, each
     evaluated as operators on HForms, basis form by basis form."""
@@ -671,8 +777,8 @@ def commutator_check_per_form(n, window=None, corrupt_w=False):
     rep = CommutatorReport(n, list(window))
     w_for_L = space.w.map_entries(lambda v: -v) if corrupt_w else space.w
 
-    L = lambda x: apply_Lh(x, space, w_for_L)
-    Ls = lambda x: apply_Lh_star(x, space)
+    L = lambda x: lh_per_form(x, space, w_for_L)
+    Ls = lambda x: lh_star_per_form(x, space)
     A = lambda x: apply_Ah(x, space)
     H = lambda x: x.h_shift(1)
     Hi = lambda x: x.h_shift(-1)
@@ -993,6 +1099,17 @@ def _constant_inverse(g_matrix, model):
         scalars.append(r)
     inv = matrix_inverse(scalars)
     return [[model.form_scalar(x) for x in row] for row in inv]
+
+
+def char_form_per_power(F, k: int, model):
+    """tr(F^{^_h k}) from its own k - 1 matrix products."""
+    power = F
+    for _ in range(k - 1):
+        power = _mat_qwedge(power, F, model)
+    out = HForm.zero(model.dim)
+    for i in range(len(F)):
+        out = out + power[i][i]
+    return out
 
 
 def gauge_char_diagnostic(conn: QConnection, g_matrix, k: int,

@@ -188,6 +188,30 @@ class TestCheck:
         assert sorted([x["suite"] for x in report["results"]] + skipped) == \
             sorted(SUITES)
 
+    def test_all_suites_skip_equivariant_when_d1_moves_w(self, capsys,
+                                                          tmp_path):
+        # w = cos(theta_1) d_1 ^ d_2 is not preserved by the translation d_1
+        # (with cos(theta_2) it is, and the equivariant suite runs)
+        model = write_json(tmp_path / "cos1.json", {
+            "space": "torus", "dim": 2, "bivector": [[1, 2, {"fourier": [
+                [[1, 0], "1/2"], [[-1, 0], "1/2"]]}]]})
+        out = tmp_path / "all.json"
+        assert main(["check", "--trials", "2", "--model", model,
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["skipped"][-1] == {
+            "suite": "equivariant",
+            "reason": "equivariant suite needs d_1 to preserve w"}
+        assert "equivariant" not in [x["suite"] for x in report["skipped"][:-1]]
+        for result in report["results"]:
+            named = tmp_path / f"{result['suite']}.json"
+            assert main(["check", "--trials", "2", "--model", model,
+                         "--suite", result["suite"], "--out", str(named)]) == 0
+            assert json.loads(named.read_text())["results"] == [result]
+        assert cli_error(capsys, ["check", "--trials", "2", "--model", model,
+                                  "--suite", "equivariant"]) == \
+            report["skipped"][-1]["reason"]
+
     @pytest.mark.parametrize("suite", ["normalization", "stokes",
                                        "dolbeault", "frobenius", "lefschetz",
                                        "chern", "equivariant"])
@@ -480,6 +504,34 @@ class TestChern:
     def test_missing_connection(self, t2_file):
         r = run_cli(["chern", "--model", t2_file])
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("power", [cli.CHERN_MAX_POWER + 1, 100_000])
+    def test_power_past_the_cap_refused_before_the_model(self, capsys,
+                                                         tmp_path, power):
+        # the model file is past the dimension budget and the connection
+        # file is missing: --power is checked before either is read
+        path = write_json(tmp_path / "model.json", {"space": "torus",
+                                                    "dim": 100})
+        start = time.perf_counter()
+        message = cli_error(capsys, ["chern", "--model", path, "--connection",
+                                     str(tmp_path / "missing.json"),
+                                     "--power", str(power)])
+        assert time.perf_counter() - start < 0.5
+        assert message == f"--power {power} passes the work budget: at " \
+            f"most {cli.CHERN_MAX_POWER}"
+
+    def test_power_at_the_cap(self, t2_file, tmp_path):
+        # theta = e^1 has zero curvature, so every trace power is zero
+        assert cli.CHERN_MAX_POWER == 8
+        conn = write_json(tmp_path / "conn.json", {"rank": 1, "theta": [[[
+            {"indices": [1], "h": 0, "coeff": "1"}]]]})
+        out = tmp_path / "chern.json"
+        assert main(["chern", "--model", t2_file, "--connection", conn,
+                     "--power", "8", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert list(data["char_forms"]) == [str(k) for k in range(1, 9)]
+        assert all(c["form"] == [] and c["closed"]
+                   for c in data["char_forms"].values())
 
 
 class TestIntegral:
@@ -776,10 +828,12 @@ class TestWorkBudget:
         assert time.perf_counter() - start < 0.5
         assert "work budget of 100,000" in message
 
-    # (argv, dim, generators, pairs): modes (2 b + 1)^dim times 2^dim masks,
-    # times 2 LEVEL_CAP + 1 + dim / 2 levels p for dolbeault and, for
-    # equivariant, the sum over total degrees n <= cutoff + 1 of the
-    # C(n // 2 + g, g) Theta monomials of degree at most n // 2
+    # (argv, dim, generators, pairs): the (2 b + 1)^dim - 1 nonzero modes,
+    # each certified once, plus the levels of mode 0, times 2^dim masks:
+    # one level for cohomology, 2 LEVEL_CAP + 1 + dim / 2 first indices p
+    # for dolbeault and, for equivariant, the sum over total degrees
+    # n <= cutoff + 1 of the C(n // 2 + g, g) Theta monomials of degree at
+    # most n // 2
     @pytest.mark.parametrize("argv,dim,generators,pairs", [
         (["cohomology", "--mode-box", "3"], 4, 0, 7 ** 4 * 16),
         (["cohomology", "--mode-box", "1"], 6, 0, 3 ** 6 * 64),
@@ -788,23 +842,37 @@ class TestWorkBudget:
         (["cohomology", "--mode-box", "2"], 6, 0, 5 ** 6 * 64),
         (["cohomology", "--mode-box", "1"], 8, 0, 3 ** 8 * 256),
         (["cohomology", "--mode-box", "0"], 17, 0, 2 ** 17),
-        (["dolbeault", "--mode-box", "2"], 4, 0, 5 ** 4 * 16 * 7),
+        (["dolbeault", "--mode-box", "2"], 4, 0, (5 ** 4 - 1 + 7) * 16),
         (["equivariant", "--mode-box", "1", "--cutoff", "4"], 4, 2,
-         3 ** 4 * 16 * (1 + 1 + 3 + 3 + 6 + 6)),
+         (3 ** 4 - 1 + (1 + 1 + 3 + 3 + 6 + 6)) * 16),
         (["equivariant", "--mode-box", "1"], 4, 2,
-         3 ** 4 * 16 * (1 + 1 + 3 + 3 + 6 + 6 + 10 + 10)),
+         (3 ** 4 - 1 + (1 + 1 + 3 + 3 + 6 + 6 + 10 + 10)) * 16),
         (["equivariant", "--mode-box", "1"], 5, 3,
-         3 ** 5 * 32 * (1 + 1 + 4 + 4 + 10 + 10 + 20 + 20)),
+         (3 ** 5 - 1 + (1 + 1 + 4 + 4 + 10 + 10 + 20 + 20)) * 32),
         (["equivariant", "--mode-box", "0", "--cutoff", "2"], 16, 0,
          2 ** 16 * 4),
+        (["dolbeault", "--mode-box", "1"], 6, 0, 47_104),
+        (["dolbeault", "--mode-box", "3"], 4, 0, 38_512),
+        (["equivariant", "--mode-box", "2"], 4, 1, 10_304),
+        (["equivariant", "--mode-box", "3"], 4, 1, 38_720),
+        (["equivariant", "--mode-box", "0", "--cutoff", "49998"], 1, 0,
+         100_000),
+        (["equivariant", "--mode-box", "0", "--cutoff", "49999"], 1, 0,
+         100_002),
     ])
     def test_stated_budget(self, argv, dim, generators, pairs):
+        # T^5 with three generators at box 1 fits the pairs but not the
+        # mode-0 budget at the default cutoff 6
         args = cli.build_parser().parse_args(argv)
-        if pairs <= cli.TABLE_BUDGET:
-            cli._require_budget(args, dim, generators)
-        else:
+        if pairs > cli.TABLE_BUDGET:
             with pytest.raises(cli.CliError, match="work budget of 100,000"):
                 cli._require_budget(args, dim, generators)
+        elif args.command == "equivariant" and cli._mode_zero_work(
+                dim, generators, args.cutoff) > cli.MODE_ZERO_BUDGET:
+            with pytest.raises(cli.CliError, match="2,000,000 units"):
+                cli._require_budget(args, dim, generators)
+        else:
+            cli._require_budget(args, dim, generators)
 
 
     @pytest.mark.parametrize("generators,cutoff", [
@@ -853,17 +921,52 @@ class TestWorkBudget:
             assert cli.MODE_ZERO_BUDGET < work <= units
             with pytest.raises(cli.CliError, match="2,000,000 units"):
                 cli._require_budget(args, dim, generators)
-        # without generators D vanishes on mode 0: the pairs alone decide
+        # without generators only the Theta monomial 1 counts, and each of
+        # these tori fits at its cutoff
+        assert cli._mode_zero_work(dim, 0, cutoff) <= cli.MODE_ZERO_BUDGET
         cli._require_budget(args, dim, 0)
 
     @pytest.mark.parametrize("dim,generators,cutoff", [
-        (1, 1, 9), (2, 2, 6), (3, 1, 5), (4, 3, 3), (5, 2, 2)])
+        (1, 1, 9), (2, 2, 6), (3, 1, 5), (4, 3, 3), (5, 2, 2), (3, 0, 7),
+        (7, 0, 6)])
     def test_mode_zero_units_count_the_cartan_labels(self, dim, generators,
                                                      cutoff):
         model = PoissonModel.torus(dim, {})
         assert cli._mode_zero_work(dim, generators, cutoff) == sum(
             len(_equivariant_basis(model, generators, n)) ** 3
             for n in range(cutoff + 2))
+
+    @pytest.mark.parametrize("dim", [8, 10])
+    def test_no_generators_refused_in_milliseconds(
+            self, capsys, monkeypatch, tmp_path, dim):
+        # the dense mode-0 Cartan complex is built and its representatives
+        # checked with or without generators: 1.4 s on T^8, 29 s on T^10
+        monkeypatch.setattr(cli, "action_from_json", built)
+        model = write_json(tmp_path / "model.json",
+                           {"space": "torus", "dim": dim})
+        action = write_json(tmp_path / "action.json", {"generators": []})
+        start = time.perf_counter()
+        message = cli_error(capsys, ["equivariant", "--model", model,
+                                     "--action", action, "--mode-box", "0"])
+        assert time.perf_counter() - start < 0.5
+        assert "work budget of 2,000,000 units" in message
+
+    def test_no_generators_admitted_edges(self, tmp_path):
+        # T^7 at the default cutoff 6: 1,044,608 units; T^1 up to the cutoff
+        # the pairs admit, counted in time linear in the cutoff
+        assert cli._mode_zero_work(7, 0, 6) == 1_044_608
+        cli._require_budget(cli.build_parser().parse_args(
+            ["equivariant", "--mode-box", "0"]), 7, 0)
+        start = time.perf_counter()
+        assert cli._mode_zero_work(1, 0, 49_998) == 50_000
+        assert time.perf_counter() - start < 0.5
+        model = write_json(tmp_path / "model.json",
+                           {"space": "torus", "dim": 7})
+        action = write_json(tmp_path / "action.json", {"generators": []})
+        out = tmp_path / "report.json"
+        assert main(["equivariant", "--model", model, "--action", action,
+                     "--mode-box", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["generators"] == 0
 
     @pytest.mark.parametrize("command,model,total", [
         ("cohomology", {"space": "torus", "dim": 16}, 2 ** 16),

@@ -919,7 +919,7 @@ class TestRingTable:
 
         for ring in (HLaurent, HPoly):
             tab = quantum_derham_table(model, mode_box=0, ring=ring)
-            assert signature(ring_table(tab, model, ring).structure) == \
+            assert signature(ring_table(tab, model).structure) == \
                 signature(ring_table_per_pair(tab, model, ring))
 
     @pytest.mark.parametrize("model,integer", [
@@ -974,10 +974,10 @@ class TestRingTable:
 
         def rejected(*reps):
             with pytest.raises(AssertionError, match="signed basis monomials"):
-                ring_table(table(*reps), t1, HPoly)
+                ring_table(table(*reps), t1)
 
         # class 0 is -e^1: 1 * (-e^1) has the coordinate +1 on it
-        rt = ring_table(table({1: -one}, {0: one}), t1, HPoly)
+        rt = ring_table(table({1: -one}, {0: one}), t1)
         assert rt.product(1, 0) == rt.product(0, 1) == {0: one}
         assert rt.product(1, 1) == {1: one}
         assert rt.product(0, 0) == {}
@@ -1010,7 +1010,7 @@ class TestRingTable:
         rings = (HLaurent, HPoly) if model.dim == 2 else (HLaurent,)
         for ring in rings:
             tab = quantum_derham_table(model, mode_box=0, ring=ring)
-            assert ring_table(tab, model, ring).structure == \
+            assert ring_table(tab, model).structure == \
                 ring_table_per_pair(tab, model, ring)
 
 

@@ -21,8 +21,9 @@ from qexterior.linalg import charpoly, det
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
 
-from oracles import (commutator_check_per_form, operator_matrix_per_form,
-                     recursion_matrix, recursion_verify)
+from oracles import (commutator_check_per_form, flip_lh_bivector,
+                     operator_matrix_per_form, recursion_matrix,
+                     recursion_verify)
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +85,9 @@ class TestCommutators:
         rep = commutator_check(n)
         assert rep.ok, rep.failures
 
-    def test_negative_control(self):
-        rep = commutator_check(1, corrupt_w=True)
+    def test_negative_control(self, monkeypatch):
+        flip_lh_bivector(monkeypatch)
+        rep = commutator_check(1)
         assert not rep.ok
         assert "[Lh,Lh*]=0" in rep.failures
 
@@ -107,9 +109,11 @@ class TestOperatorColumnsOracle:
 
     @pytest.mark.parametrize("corrupt_w", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_commutator_reports_identical(self, n, corrupt_w):
-        got = commutator_check(n, corrupt_w=corrupt_w)
+    def test_commutator_reports_identical(self, monkeypatch, n, corrupt_w):
         want = commutator_check_per_form(n, corrupt_w=corrupt_w)
+        if corrupt_w:
+            flip_lh_bivector(monkeypatch)
+        got = commutator_check(n)
         assert _report(got) == _report(want)
         assert got.ok != corrupt_w
 
@@ -122,13 +126,13 @@ class TestOperatorColumnsOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_Mh_matrix_matches_per_form(self, n):
-        space = DarbouxSpace(n)
-        ws = [None, Bivector.zero(2 * n)]
-        for w in ws:
+        calibrated, zero = DarbouxSpace(n), DarbouxSpace(n)
+        zero.w = Bivector.zero(2 * n)
+        for space in (calibrated, zero):
             for k in range(-(2 * n + 2), 2 * n + 3):
-                got = Mh_matrix(space, k, w)
+                got = Mh_matrix(space, k)
                 want = operator_matrix_per_form(
-                    lambda x: apply_Mh(x, space, w), space, k, 0)
+                    lambda x: apply_Mh(x, space), space, k, 0)
                 assert got == want
                 assert all(type(c) is Fraction for row in got for c in row)
 
@@ -138,9 +142,10 @@ class TestOperatorColumnsOracle:
         # omega ^_h omega = 2 h omega - h^2, see TestOperators
         assert cols[(0, 3)] == {(1, 3): Fraction(2, 3), (2, 0): Fraction(-1, 3)}
         assert all(type(c) is Fraction for c in cols[(0, 3)].values())
+        third = lambda x: apply_Mh(x, s1) * Fraction(1, 3)
         for k in (-1, 0, 1):
-            assert operator_matrix(third, s1, k, 2) == \
-                operator_matrix_per_form(third, s1, k, 2)
+            assert operator_matrix(third, s1, k) == \
+                operator_matrix_per_form(third, s1, k, 0)
 
     def test_columns_store_integral_values_as_int(self, s1):
         cols = OperatorColumns(lambda x: apply_Lh(x, s1), s1)
@@ -269,11 +274,13 @@ class TestHardLefschetz:
         assert {k: b.det for k, b in rep.blocks.items()} == \
             {k: Fraction(1) for k in rep.blocks}
 
-    def test_negative_control_zero_bivector(self, s1):
+    def test_negative_control_zero_bivector(self):
         # w = 0 leaves the classical h^-1 omega^, which is nilpotent: every
         # block is singular and fails the (x - n)^size certificate
+        space = DarbouxSpace(1)
+        space.w = Bivector.zero(2)
         for k in range(-2, 3):
-            M = Mh_matrix(s1, k, Bivector.zero(2))
+            M = Mh_matrix(space, k)
             assert det(M) == 0
             with pytest.raises(AssertionError, match=r"is not \(x - 1\)\^2"):
                 SpectrumReport(M, 1)
@@ -281,8 +288,8 @@ class TestHardLefschetz:
     def test_corrupted_block_names_its_degree(self, monkeypatch, capsys):
         real = lefschetz.Mh_matrix
 
-        def corrupted(space, k, w=None):
-            M = real(space, k, w)
+        def corrupted(space, k):
+            M = real(space, k)
             if k == 1:
                 M[0][0] += 1       # the trace is no longer n * size
             return M

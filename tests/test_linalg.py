@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import random
+
 from oracles import (antisymmetric_invertible, charpoly_interpolation,
+                     det_by_columns, inverse_gauss_jordan, rank_by_rows,
                      symplectic_star_uncached)
 from qexterior import lefschetz
 from qexterior.forms import HForm, StarTable, symplectic_star
@@ -87,6 +90,95 @@ class TestIntegerMatrices:
         inv = matrix_inverse(rows)
         assert inv == [[-1, 1], [10**20 + 1, -10**20]]
         assert all(type(x) is Fraction for row in inv for x in row)
+
+
+def _typed(x):
+    """A value with its type, entry by entry; errors by class and text."""
+    if isinstance(x, list):
+        return [_typed(y) for y in x]
+    return type(x), x
+
+
+def _outcome(f, rows):
+    try:
+        return "value", _typed(f(rows))
+    except Exception as exc:       # noqa: BLE001 - the error is compared
+        return "error", type(exc), str(exc)
+
+
+def _entry(rng, kind):
+    """A random entry of the kind int, Fraction or GRat, zero 40% of the
+    time (so pivots vanish and rows swap)."""
+    if rng.random() < 0.4:
+        return {"int": 0, "fraction": Fraction(0), "grat": GRat(0)}[kind]
+    num, den = rng.randint(-6, 6), rng.randint(1, 4)
+    if kind == "int":
+        return num
+    if kind == "fraction":
+        return Fraction(num, den)
+    return GRat(Fraction(num, den), rng.randint(-3, 3))
+
+
+def _seeded_matrices(seed, kinds, count=150):
+    """(square, rectangular) pairs of sizes 0..6 with entries of one kind
+    each, or of a kind drawn per entry ("mixed")."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.choice(kinds)
+        pick = (lambda: _entry(rng, rng.choice(["int", "fraction", "grat"]))) \
+            if kind == "mixed" else (lambda: _entry(rng, kind))
+        n, c = rng.randint(0, 6), rng.randint(0, 6)
+        yield ([[pick() for _ in range(n)] for _ in range(n)],
+               [[pick() for _ in range(c)] for _ in range(n)])
+
+
+class TestOneElimination:
+    """det, rank and matrix_inverse share one forward elimination; each
+    agrees in value and type with the elimination it replaced, singular,
+    rectangular and empty inputs included."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_det_and_rank_match_the_separate_eliminations(self, seed):
+        for square, rect in _seeded_matrices(
+                seed, ["int", "fraction", "grat", "mixed"]):
+            assert _outcome(det, square) == _outcome(det_by_columns, square)
+            for rows in (square, rect):
+                assert _outcome(rank, rows) == _outcome(rank_by_rows, rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_inverse_matches_gauss_jordan(self, seed):
+        # one entry type per matrix, as every caller passes (a symplectic
+        # matrix is read as Fractions)
+        singular = 0
+        for square, _rect in _seeded_matrices(seed,
+                                              ["int", "fraction", "grat"]):
+            got = _outcome(matrix_inverse, square)
+            assert got == _outcome(inverse_gauss_jordan, square)
+            singular += got[0] == "error"
+        assert 0 < singular < 150
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_inverse_of_mixed_entries_has_the_same_values(self, seed):
+        # with Fraction and GRat entries mixed in one matrix, which entries
+        # come out as GRat follows the order of the row operations; the
+        # values agree
+        for square, _rect in _seeded_matrices(seed, ["mixed"]):
+            try:
+                want = inverse_gauss_jordan(square)
+            except ValueError:
+                with pytest.raises(ValueError, match="singular matrix"):
+                    matrix_inverse(square)
+                continue
+            assert matrix_inverse(square) == want
+
+    def test_empty_and_degenerate_shapes(self):
+        assert _typed(det([])) == (Fraction, 1)
+        assert matrix_inverse([]) == []
+        assert rank([]) == rank([[]]) == rank([[], []]) == 0
+        assert _typed(det([[0, 0], [0, 5]])) == (Fraction, 0)
+        assert _typed(det([[GRat(2), 1], [0, 0]])) == (GRat, 0)
+        with pytest.raises(ValueError, match="singular matrix"):
+            matrix_inverse([[1, 2], [2, 4]])
 
 
 class TestCertificate:

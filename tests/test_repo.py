@@ -139,3 +139,19 @@ def test_only_the_plan_cache_is_global():
             if renamed or name == "lru_cache" and id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno}")
     assert allowed and found == []
+
+
+def test_readme_states_every_cli_constant_it_names():
+    # a budget or cap named as `cli.NAME` in the README appears with its
+    # value, formatted with thousands separators, in the same paragraph
+    from qexterior import cli
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = []
+    for paragraph in re.split(r"\n\s*\n", text):
+        for name in re.findall(r"`cli\.([A-Za-z_]\w*)", paragraph):
+            value = f"{getattr(cli, name):,}"
+            named.append(name)
+            assert re.search(rf"(?<![\d,]){re.escape(value)}(?!,?\d)",
+                             paragraph), f"cli.{name} = {value}"
+    assert {"TABLE_BUDGET", "MODE_ZERO_BUDGET", "MAX_DEGREE", "CHECK_MAX_DIM",
+            "CHECK_MAX_TRIALS"} <= set(named)
