@@ -21,7 +21,13 @@ sign is that of contracting S in ascending order from the back of e^I,
 T in ascending order from the front of e^J, and wedging the remainders.
 Which (S, T, sign) feed which output monomial depends only on the mask
 pair (:func:`qwedge_plan`); the minors and their signed sums depend on the
-bivector (:class:`QTable`).
+bivector (:class:`QTable`).  The table keeps each row of W as a
+``{column bit: entry}`` dict, so an order-1 minor is one row lookup, and
+memoizes the minors of order 2 and up per ``(S, T)``.
+
+Every kernel returns a clean term dict: no zero coefficient, and only keys
+built from its inputs' masks and h-exponents.  ``forms.HForm`` wraps that
+output without validating it again.
 
 When the bivector entries and both forms' coefficients are all Fractions,
 the product runs in integers (fraction-free, as in Bareiss elimination):
@@ -164,8 +170,12 @@ class QTable:
 
     ``product(ma, mb)`` lists (k, mask, coefficient) with a nonzero
     coefficient of h^k e^mask in e^ma ^_h e^mb; for k = 0 the coefficient
-    is the wedge sign +-1.  Minors are memoized and expanded along their
-    lowest row; both memos fill on first use.
+    is the wedge sign +-1.  ``rows[i]`` maps the bit of each column j
+    with w^{ij} != 0 to the entry, in ascending column order, so an
+    order-1 minor is one row lookup.  Minors of order 2 and up are
+    memoized per ``(S, T)`` and expanded along their lowest row, columns
+    ascending; ``product`` and the expansion read ``minors`` inline and
+    call :meth:`minor` only on a miss.  Both memos fill on first use.
 
     A table built from all-Fraction entries is rational: ``D`` is the lcm
     of their denominators and the rows hold the integer matrix D W, so
@@ -179,10 +189,10 @@ class QTable:
     __slots__ = ("rows", "D", "one", "minors", "products", "promotions")
 
     def __init__(self, dim: int, D, entries: list):
-        rows = [[] for _ in range(dim)]
+        rows = [{} for _ in range(dim)]
         for i, j, w in entries:
-            rows[i - 1].append((j - 1, w))
-            rows[j - 1].append((i - 1, -w))
+            rows[i - 1][1 << (j - 1)] = w
+            rows[j - 1][1 << (i - 1)] = -w
         self.rows = rows
         self.D = D
         if not entries:
@@ -198,32 +208,47 @@ class QTable:
     def minor(self, S: int, T: int):
         """det W[S, T] for row and column masks of equal size (0 if zero);
         det (D W)[S, T] on a rational table."""
-        key = (S, T)
-        d = self.minors.get(key)
+        row = self.rows[(S & -S).bit_length() - 1]
+        rest = S & (S - 1)
+        if not rest:
+            return row.get(T, 0)
+        minors = self.minors
+        d = minors.get((S, T))
         if d is not None:
             return d
-        low = S & -S
-        rest = S ^ low
+        deep = rest & (rest - 1)
+        sub_row = self.rows[(rest & -rest).bit_length() - 1]
+        # Columns of T in ascending order, the order of the row's keys,
+        # with the alternating cofactor sign.
         d = None
-        for c, w in self.rows[low.bit_length() - 1]:
-            bit = 1 << c
-            if not T & bit:
-                continue
-            if rest:
-                m = self.minor(rest, T ^ bit)
-                if not m:
-                    continue
-                w = w * m
-            if (T & (bit - 1)).bit_count() & 1:
-                d = -w if d is None else d - w
-            else:
-                d = w if d is None else d + w
+        odd = False
+        t = T
+        while t:
+            bit = t & -t
+            t ^= bit
+            w = row.get(bit)
+            if w is not None:
+                sub = T ^ bit
+                if deep:
+                    m = minors.get((rest, sub))
+                    if m is None:
+                        m = self.minor(rest, sub)
+                else:
+                    m = sub_row.get(sub)
+                if m:
+                    w = w * m
+                    if odd:
+                        d = -w if d is None else d - w
+                    else:
+                        d = w if d is None else d + w
+            odd = not odd
         if not d:
             d = 0
-        self.minors[key] = d
+        minors[(S, T)] = d
         return d
 
     def product(self, ma: int, mb: int) -> list:
+        rows, minors = self.rows, self.minors
         out = []
         for k, mask, group in qwedge_plan(ma, mb):
             if not k:
@@ -231,7 +256,12 @@ class QTable:
                 continue
             total = None
             for S, T, sign in group:
-                d = self.minor(S, T)
+                if k == 1:
+                    d = rows[S.bit_length() - 1].get(T)
+                else:
+                    d = minors.get((S, T))
+                    if d is None:
+                        d = self.minor(S, T)
                 if not d:
                     continue
                 if sign < 0:
@@ -269,15 +299,22 @@ def qwedge_table(dim: int, entries: dict) -> QTable:
 
 
 def _numerators(terms: dict):
-    """(l, {key: l c}) with l the lcm of the denominators of an all-Fraction
-    term dict; None if some coefficient is not a Fraction."""
+    """(l, top, {key: l c}) with l the lcm of the denominators of an
+    all-Fraction term dict and top its largest exterior degree; None if
+    some coefficient is not a Fraction."""
     l = 1
-    for c in terms.values():
+    top = 0
+    for (_j, m), c in terms.items():
         if type(c) is not Fraction:
             return None
-        l = lcm(l, c.denominator)
-    return l, {key: c.numerator * (l // c.denominator)
-               for key, c in terms.items()}
+        den = c.denominator
+        if den != 1:
+            l = lcm(l, den)
+        k = m.bit_count()
+        if k > top:
+            top = k
+    return l, top, {key: c.numerator * (l // c.denominator)
+                    for key, c in terms.items()}
 
 
 def qwedge_terms(A: dict, B: dict, table: QTable) -> dict:
@@ -332,12 +369,11 @@ def _qwedge_integer(na: tuple, nb: tuple, table: QTable) -> dict:
     once an order-k term is scaled by D^(K-k).  Zero partial sums are
     dropped as in the generic loop, so the keys come out in the same order.
     """
-    la, A = na
-    lb, B = nb
+    la, ta, A = na
+    lb, tb, B = nb
     if not (A and B):
         return {}
-    K = min(max(m.bit_count() for _j, m in A),
-            max(m.bit_count() for _j, m in B))
+    K = min(ta, tb)
     D = table.D
     scale = [D ** (K - k) for k in range(K + 1)]
     products = table.products

@@ -55,7 +55,20 @@ def mask_indices(mask: int):
 
 
 class HForm:
-    """Sparse exterior form with coefficients in an exact algebra."""
+    """Sparse exterior form with coefficients in an exact algebra.
+
+    ``terms`` maps ``(j, mask)`` to a nonzero coefficient, every mask below
+    ``2^dim``, and ``j >= 0`` unless ``laurent``.  The public constructor
+    validates and merges its terms.  The private ``_from_clean`` skips
+    that, and only these callers use it, each on a dict it built itself
+    from forms of one dimension: :func:`~qexterior.quantum.qwedge`,
+    :func:`wedge`, :func:`symplectic_star`, ``+`` and ``-`` (addition),
+    which drop every zero sum; ``-a``, which negates nonzero coefficients;
+    and :meth:`to_laurent`, which copies the terms.  Their masks are unions
+    or complements of their inputs' masks; their h-exponents are sums of
+    the inputs' exponents and contraction orders, or a negated exponent
+    that the star allows only in Laurent mode.
+    """
 
     __slots__ = ("dim", "laurent", "terms")
 
@@ -79,6 +92,16 @@ class HForm:
                     else:
                         data.pop(key, None)
         self.terms = data
+
+    @classmethod
+    def _from_clean(cls, dim: int, terms: dict, laurent: bool):
+        """Wrap a term dict that is already clean, without validating or
+        re-merging its terms; the form takes ownership of ``terms``."""
+        form = object.__new__(cls)
+        form.dim = dim
+        form.laurent = laurent
+        form.terms = terms
+        return form
 
     # -- constructors ---------------------------------------------------------
 
@@ -133,13 +156,15 @@ class HForm:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return HForm(self.dim, out, laurent)
+        return HForm._from_clean(self.dim, out, laurent)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return HForm(self.dim, {k: -c for k, c in self.terms.items()}, self.laurent)
+        return HForm._from_clean(self.dim,
+                                 {k: -c for k, c in self.terms.items()},
+                                 self.laurent)
 
     def __mul__(self, c):
         """Multiply every coefficient by a scalar or coefficient object."""
@@ -163,7 +188,7 @@ class HForm:
         return HForm(self.dim, terms, self.laurent)
 
     def to_laurent(self) -> "HForm":
-        return HForm(self.dim, self.terms, True)
+        return HForm._from_clean(self.dim, dict(self.terms), True)
 
     def at_h(self, value) -> "HForm":
         """Substitute a scalar for h (e.g. 1 for the w-product, 0 classical)."""
@@ -325,7 +350,8 @@ def wedge(a: HForm, b: HForm) -> HForm:
     """Classical exterior product."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch {a.dim} != {b.dim}")
-    return HForm(a.dim, K.wedge_terms(a.terms, b.terms), a.laurent or b.laurent)
+    return HForm._from_clean(a.dim, K.wedge_terms(a.terms, b.terms),
+                             a.laurent or b.laurent)
 
 
 def contract_front(i: int, a: HForm) -> HForm:
@@ -481,4 +507,4 @@ def symplectic_star(a: HForm, star: StarTable) -> HForm:
                 out[key] = s
             else:
                 out.pop(key, None)
-    return HForm(dim, out, a.laurent)
+    return HForm._from_clean(dim, out, a.laurent)

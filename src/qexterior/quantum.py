@@ -36,8 +36,8 @@ def qwedge(a: HForm, b: HForm, w: Bivector) -> HForm:
         raise ValueError(f"dimension mismatch {a.dim} != {b.dim}")
     if w.dim != a.dim:
         raise ValueError(f"bivector dimension mismatch {w.dim} != {a.dim}")
-    return HForm(a.dim, K.qwedge_terms(a.terms, b.terms, w.table),
-                 a.laurent or b.laurent)
+    return HForm._from_clean(a.dim, K.qwedge_terms(a.terms, b.terms, w.table),
+                             a.laurent or b.laurent)
 
 
 def wwedge(a: HForm, b: HForm, w: Bivector) -> HForm:

@@ -62,21 +62,27 @@ class Sampler:
             d = degree if degree is not None else self.rng.randint(0, dim)
             j = self.rng.randint(-h_max if laurent else 0, h_max)
             key = (j, self.mask(dim, d))
-            data[key] = data.get(key, Fraction(0)) + self.fraction()
+            c = self.fraction()
+            old = data.get(key)
+            data[key] = c if old is None else old + c
         return HForm(dim, data, laurent)
 
     def poly_coeff(self, dim: int, max_exp: int = 2, terms: int = 2) -> PolyCoeff:
         data = {}
         for _ in range(terms):
             key = tuple(self.rng.randint(0, max_exp) for _ in range(dim))
-            data[key] = data.get(key, Fraction(0)) + self.fraction()
+            c = self.fraction()
+            old = data.get(key)
+            data[key] = c if old is None else old + c
         return PolyCoeff(dim, data)
 
     def fourier_coeff(self, dim: int, span: int = 1, terms: int = 2) -> FourierCoeff:
         data = {}
         for _ in range(terms):
             key = tuple(self.rng.randint(-span, span) for _ in range(dim))
-            data[key] = data.get(key, GRat(0)) + GRat(self.fraction())
+            c = GRat(self.fraction())
+            old = data.get(key)
+            data[key] = c if old is None else old + c
         return FourierCoeff(dim, data)
 
     def model_coeff(self, model: PoissonModel, span: int = 1):

@@ -1,6 +1,19 @@
-"""Term kernels: sign oracles."""
+"""Term kernels: sign oracles, the minor table against elimination, and
+the forms wrapped from kernel output without validation."""
 
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from oracles import det_by_columns
 from qexterior import _kernels as K
+from qexterior.forms import Bivector, HForm, StarTable, symplectic_star, wedge
+from qexterior.linalg import det
+from qexterior.models import PoissonModel
+from qexterior.quantum import qwedge
+from qexterior.sampling import Sampler
+from qexterior.scalars import GRat
 
 
 def inversion_sign(a_bits, b_bits):
@@ -36,3 +49,171 @@ class TestSignOracles:
             for i in bits(mask):
                 assert K.back_sign(mask, i) == \
                     (-1) ** (k - 1) * K.front_sign(mask, i)
+
+
+# -- minors -------------------------------------------------------------------
+
+
+def minor_mismatches(w, max_order):
+    """Every QTable.minor(S, T) of ``w`` with |S| = |T| <= max_order that
+    differs from det_by_columns on the submatrix W[S, T] (a rational table
+    read back over D^k) or has the wrong type: an int numerator on a
+    rational table, the entry type on any other, the int 0 when zero."""
+    table, W = w.table, w.matrix()
+    entry_type = int if table.D is not None else GRat
+    bad = []
+    for k in range(1, max_order + 1):
+        for rows in combinations(range(w.dim), k):
+            for cols in combinations(range(w.dim), k):
+                got = table.minor(sum(1 << i for i in rows),
+                                  sum(1 << j for j in cols))
+                want = det_by_columns([[W[i][j] for j in cols]
+                                       for i in rows])
+                value = got if table.D is None else Fraction(got,
+                                                             table.D ** k)
+                typ = entry_type if got else int
+                if value != want or type(got) is not typ:
+                    bad.append((rows, cols, got, want))
+    return bad
+
+
+def seeded_bivector(dim, density, gaussian):
+    s = Sampler(7000 + 10 * dim + int(10 * density) + 100 * gaussian)
+    w = s.antisymmetric_bivector(dim, density)
+    if gaussian:
+        w = w.map_entries(lambda x: GRat(x, s.fraction()))
+    return w
+
+
+class TestMinorOracle:
+    """Every minor of a table against elimination on its submatrix."""
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_every_minor(self, dim, density, gaussian):
+        w = seeded_bivector(dim, density, gaussian)
+        if w.entries:
+            assert (w.table.D is None) is gaussian
+        assert minor_mismatches(w, 4 if dim == 8 else dim) == []
+
+    def test_rational_minors_are_read_back_over_d_to_the_k(self):
+        w = Bivector(3, {(1, 2): Fraction(1, 2), (1, 3): Fraction(2, 3),
+                         (2, 3): Fraction(5)})
+        assert w.table.D == 6
+        assert w.table.minor(0b1, 0b10) == 3
+        assert w.table.minor(0b10, 0b1) == -3
+        assert minor_mismatches(w, 3) == []
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_negative_control_mis_signed_row(self, gaussian):
+        # an order-1 minor read with the wrong sign out of one row
+        w = seeded_bivector(4, 1.0, gaussian)
+        row = w.table.rows[0]
+        col = next(iter(row))
+        row[col] = -row[col]
+        bad = minor_mismatches(w, 1)
+        assert [(rows, cols) for rows, cols, _g, _w in bad] == \
+            [((0,), (col.bit_length() - 1,))]
+
+
+# -- forms wrapped without validation -----------------------------------------
+
+
+def clean(f: HForm) -> bool:
+    """Whether a form equals its own revalidation by the public constructor,
+    term for term, in key order and with the coefficient types."""
+    g = HForm(f.dim, f.terms, f.laurent)
+    return g.laurent == f.laurent and \
+        [(k, type(c), c) for k, c in g.terms.items()] == \
+        [(k, type(c), c) for k, c in f.terms.items()]
+
+
+COEFFS = ("Fraction", "GRat", "PolyCoeff")
+
+
+def seeded_form(s: Sampler, dim: int, coeff: str, laurent: bool) -> HForm:
+    if coeff == "PolyCoeff":
+        return s.model_form(PoissonModel.affine(dim), terms=4, laurent=laurent)
+    f = s.ext_form(dim, terms=4, h_max=2 if laurent else 1, laurent=laurent)
+    if coeff == "GRat":
+        f = f.map_coeffs(lambda c: GRat(c, s.fraction()))
+    return f
+
+
+def seeded_star(s: Sampler, dim: int) -> StarTable:
+    while True:
+        omega = s.antisymmetric_bivector(dim).matrix()
+        if det(omega):
+            return StarTable(omega)
+
+
+def clean_outputs(caller: str, dim: int, coeff: str, laurent: bool,
+                  trials: int = 6):
+    """Seeded outputs of one caller of ``HForm._from_clean``."""
+    s = Sampler(1000 * CLEAN_CALLERS.index(caller) + 10 * dim
+                + 2 * COEFFS.index(coeff) + laurent)
+    star = seeded_star(s, dim) if caller == "symplectic_star" else None
+    for _ in range(trials):
+        a = seeded_form(s, dim, coeff, laurent)
+        b = seeded_form(s, dim, coeff, laurent and s.rng.random() < 0.5)
+        if caller == "qwedge":
+            w = s.antisymmetric_bivector(dim, s.rng.choice([0.3, 1.0]))
+            yield qwedge(a, b, w)
+        elif caller == "wedge":
+            yield wedge(a, b)
+        elif caller == "symplectic_star":
+            yield symplectic_star(a if laurent else a.at_h(0), star)
+        elif caller == "HForm.__add__":
+            # b - a + a cancels every term of a not in b
+            yield a + b
+            yield (b + -a) + a
+        elif caller == "HForm.__neg__":
+            yield -a
+        elif caller == "HForm.to_laurent":
+            f = a.to_laurent()
+            assert f.terms is not a.terms
+            yield f
+
+
+CLEAN_CALLERS = ("qwedge", "wedge", "symplectic_star", "HForm.__add__",
+                 "HForm.__neg__", "HForm.to_laurent")
+
+
+class TestCleanKernelOutput:
+    """The callers that wrap kernel output without validating it give the
+    form the public constructor would: no zero coefficient, no mask beyond
+    the dimension, no negative h-power in polynomial mode."""
+
+    @pytest.mark.parametrize("laurent", [False, True])
+    @pytest.mark.parametrize("coeff", COEFFS)
+    @pytest.mark.parametrize("caller", CLEAN_CALLERS)
+    def test_outputs_revalidate_unchanged(self, caller, coeff, laurent):
+        for dim in range(1, 9):
+            if caller == "symplectic_star" and dim % 2:
+                continue
+            trials = 2 if dim > 6 and caller == "qwedge" else 6
+            outs = list(clean_outputs(caller, dim, coeff, laurent, trials))
+            assert outs and all(clean(f) for f in outs), (caller, dim)
+
+    def test_polynomial_qwedge_of_so3(self):
+        s = Sampler(95)
+        model = s.jacobi_model("so3")
+        for _ in range(10):
+            prod = qwedge(s.model_form(model, terms=3),
+                          s.model_form(model, terms=3), model.w)
+            assert clean(prod)
+
+    @pytest.mark.parametrize("kernel,caller", [
+        ("wedge_terms", "wedge"), ("qwedge_terms", "qwedge")])
+    def test_negative_control_leaked_zero(self, monkeypatch, kernel, caller):
+        real = getattr(K, kernel)
+
+        def leaky(*args):
+            out = real(*args)
+            out[next(iter(out), (0, 0))] = Fraction(0)
+            return out
+
+        monkeypatch.setattr(K, kernel, leaky)
+        outs = list(clean_outputs(caller, 3, "Fraction", False))
+        assert not any(clean(f) for f in outs)

@@ -155,3 +155,35 @@ def test_readme_states_every_cli_constant_it_names():
                              paragraph), f"cli.{name} = {value}"
     assert {"TABLE_BUDGET", "MODE_ZERO_BUDGET", "MAX_DEGREE", "CHECK_MAX_DIM",
             "CHECK_MAX_TRIALS"} <= set(named)
+
+
+def test_only_the_listed_callers_skip_form_validation():
+    # HForm._from_clean wraps a term dict without validating it; each
+    # caller below guarantees the invariants itself and is covered by
+    # tests/test_kernels.py::TestCleanKernelOutput, so a new caller must
+    # join that test before it may skip validation
+    import ast
+    callers = []
+    for path in sorted((ROOT / "src" / "qexterior").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(top.name, top) for top in tree.body
+                  if isinstance(top, ast.FunctionDef)]
+        scopes += [(f"{top.name}.{sub.name}", sub) for top in tree.body
+                   if isinstance(top, ast.ClassDef) for sub in top.body
+                   if isinstance(sub, ast.FunctionDef)]
+        for where, scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and \
+                        getattr(node.func, "attr", None) == "_from_clean":
+                    callers.append(f"{path.name}:{where}")
+        named = sum(getattr(node, "attr", None) == "_from_clean"
+                    or getattr(node, "id", None) == "_from_clean"
+                    for node in ast.walk(tree))
+        calls = sum(c.startswith(f"{path.name}:") for c in callers)
+        assert named == calls, f"{path.name} names _from_clean outside a call"
+    assert sorted(callers) == [
+        "forms.py:HForm.__add__", "forms.py:HForm.__neg__",
+        "forms.py:HForm.to_laurent", "forms.py:symplectic_star",
+        "forms.py:wedge", "quantum.py:qwedge"]
+    from test_kernels import CLEAN_CALLERS
+    assert sorted(c.split(":")[1] for c in callers) == sorted(CLEAN_CALLERS)
