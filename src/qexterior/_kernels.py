@@ -3,11 +3,13 @@
 Forms are flattened to dicts keyed by ``(h_exponent, index_bitmask)`` with
 duck-typed exact coefficients (Fraction, GRat, PolyCoeff, FourierCoeff).
 
-Sign conventions (0-based bit positions):
-
-* wedge of disjoint masks: parity of inversions when concatenating;
-* front contraction e_i |- : (-1)^(number of bits below i);
-* back contraction -| e_i : (-1)^(number of bits above i).
+Sign conventions (0-based bit positions).  Every sign is the parity of
+the inversions between two index sets, read off one parity mask:
+``odd_above(m)`` has bit i set when m has an odd number of bits above i,
+``odd_below(m)`` when below i.  The sign of e^a ^ e^b is the parity of
+``odd_above(a) & b``; of contracting S ascending from the back of e^m,
+``odd_above(m) & S``; of contracting T ascending from the front of e^m,
+``odd_below(m) & T`` plus k(k-1)/2 (k = |T|).
 
 The quantum product of two monomials is a sum of signed minors of the
 bivector matrix W:
@@ -17,8 +19,8 @@ bivector matrix W:
 over ``S`` in ``I`` and ``T`` in ``J`` with ``|S| = |T| = k`` and disjoint
 remainders.  The k! orderings of a k-fold contraction in the exponential
 series sum to k! det W[S, T], which cancels the 1/k! of the series.  The
-sign is that of contracting S in ascending order from the back of e^I,
-T in ascending order from the front of e^J, and wedging the remainders.
+sign is that of contracting S from the back of e^I, T from the front of
+e^J, and wedging the remainders.
 Which (S, T, sign) feed which output monomial depends only on the mask
 pair (:func:`qwedge_plan`); the minors and their signed sums depend on the
 bivector (:class:`QTable`).  The table keeps each row of W as a
@@ -54,36 +56,41 @@ def kernel_backend() -> str:
     return "python"
 
 
+def odd_above(mask: int) -> int:
+    """Bit i set when ``mask`` has an odd number of bits above i: a suffix
+    XOR over windows of 2, 4, 8, .. bits, shifted down by one."""
+    p = mask ^ mask >> 1
+    p ^= p >> 2
+    p ^= p >> 4
+    step = 8
+    while mask >> step:
+        p ^= p >> step
+        step <<= 1
+    return p >> 1
+
+
+def odd_below(mask: int) -> int:
+    """Bit i set when ``mask`` has an odd number of bits below i.  Above its
+    top bit that is every bit or none: the result is negative when ``mask``
+    has an odd number of bits."""
+    return odd_above(mask) ^ mask ^ -(mask.bit_count() & 1)
+
+
 def wedge_sign(a: int, b: int) -> int:
     """Sign of e^a ^ e^b for disjoint masks a, b."""
-    s = 0
-    t = b
-    while t:
-        low = t & -t
-        s += (a >> low.bit_length()).bit_count()
-        t ^= low
-    return -1 if s & 1 else 1
-
-
-def front_sign(mask: int, i: int) -> int:
-    """Sign of the front contraction by e_i on a monomial containing bit i."""
-    return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
-
-
-def back_sign(mask: int, i: int) -> int:
-    """Sign of the back contraction by e_i on a monomial containing bit i."""
-    return -1 if (mask >> (i + 1)).bit_count() & 1 else 1
+    return -1 if (odd_above(a) & b).bit_count() & 1 else 1
 
 
 def wedge_terms(A: dict, B: dict) -> dict:
     """Classical wedge on (h, mask)-keyed term dicts."""
     out = {}
     for (ja, ma), ca in A.items():
+        above = odd_above(ma)
         for (jb, mb), cb in B.items():
             if ma & mb:
                 continue
             c = ca * cb
-            if wedge_sign(ma, mb) < 0:
+            if (above & mb).bit_count() & 1:
                 c = -c
             key = (ja + jb, ma | mb)
             s = out.get(key)
@@ -95,15 +102,15 @@ def wedge_terms(A: dict, B: dict) -> dict:
     return out
 
 
-def contract_terms(terms: dict, i: int, sign_of) -> dict:
+def contract_terms(terms: dict, i: int, front: bool) -> dict:
     """A contraction by e_i on a term dict (0-based index i): the front one
-    e_i |- form when ``sign_of`` is :func:`front_sign`, the back one
-    form -| e_i when it is :func:`back_sign`."""
+    e_i |- form, or the back one form -| e_i."""
     bit = 1 << i
+    odd = odd_below if front else odd_above
     out = {}
     for (j, m), c in terms.items():
         if m & bit:
-            if sign_of(m, i) < 0:
+            if odd(m) & bit:
                 c = -c
             key = (j, m ^ bit)
             s = out.get(key)
@@ -119,24 +126,12 @@ def contract_terms(terms: dict, i: int, sign_of) -> dict:
 _PLANS = 4096
 
 
-def _contraction_signs(mask: int, sign_of) -> dict:
-    """Sign of contracting each submask S of ``mask`` bit by bit, ascending.
-
-    Returns {k: [(S, sign)]} grouped by |S|; ``sign_of`` is
-    :func:`back_sign` or :func:`front_sign`.
-    """
+def _submasks(mask: int) -> dict:
+    """The submasks of ``mask`` grouped by size, each group descending."""
     out = {}
     sub = mask
     while True:
-        sign = 1
-        cur = mask
-        rest = sub
-        while rest:
-            low = rest & -rest
-            sign *= sign_of(cur, low.bit_length() - 1)
-            cur ^= low
-            rest ^= low
-        out.setdefault(sub.bit_count(), []).append((sub, sign))
+        out.setdefault(sub.bit_count(), []).append(sub)
         if not sub:
             return out
         sub = (sub - 1) & mask
@@ -150,18 +145,21 @@ def qwedge_plan(ma: int, mb: int) -> tuple:
     monomial h^k e^mask, the row set S, column set T and sign of every
     minor det W[S, T] that contributes to it.
     """
-    left = _contraction_signs(ma, back_sign)
-    right = _contraction_signs(mb, front_sign)
+    above, below = odd_above(ma), odd_below(mb)
+    left, right = _submasks(ma), _submasks(mb)
     groups = {}
     for k in range(min(ma.bit_count(), mb.bit_count()) + 1):
-        for S, sa in left[k]:
+        cols = [(T, mb ^ T, (below & T).bit_count()) for T in right[k]]
+        for S in left[k]:
             ra = ma ^ S
-            for T, sb in right[k]:
-                rb = mb ^ T
+            ra_above = odd_above(ra)
+            pa = (above & S).bit_count() + k * (k - 1) // 2
+            for T, rb, pb in cols:
                 if ra & rb:
                     continue
-                sign = sa * sb * wedge_sign(ra, rb)
-                groups.setdefault((k, ra | rb), []).append((S, T, sign))
+                odd = (pa + pb + (ra_above & rb).bit_count()) & 1
+                groups.setdefault((k, ra | rb), []).append(
+                    (S, T, -1 if odd else 1))
     return tuple((k, mask, tuple(g)) for (k, mask), g in groups.items())
 
 

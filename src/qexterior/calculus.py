@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._kernels import odd_below
 from .coeffs import FourierCoeff
 from .forms import HForm, bivector_contract, wedge
 from .models import PoissonModel, TORUS
@@ -35,6 +36,7 @@ def exterior_d(a: HForm) -> HForm:
     """Classical exterior differential on a form with coefficient entries."""
     out = {}
     for (j, mask), c in a.terms.items():
+        below = odd_below(mask)
         for i in range(a.dim):
             bit = 1 << i
             if mask & bit:
@@ -42,7 +44,7 @@ def exterior_d(a: HForm) -> HForm:
             dc = c.partial(i + 1)
             if not dc:
                 continue
-            if (mask & (bit - 1)).bit_count() & 1:
+            if below & bit:
                 dc = -dc
             key = (j, mask | bit)
             s = out.get(key, 0) + dc

@@ -76,6 +76,8 @@ class _SparseFunc:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_value())    # as the scalar it equals
         return hash((self.dim, frozenset(self.terms.items())))
 
     def __add__(self, other):

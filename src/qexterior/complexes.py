@@ -35,6 +35,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from ._kernels import odd_below
 from .hpoly import HPoly
 from .scalars import GRat
 from .snf import mat_identity, mat_promote, smith_normal_form
@@ -344,15 +345,14 @@ def koszul_columns(kappa, v, den):
                     if p or q]
     cols = {}
     for mask in range(1 << len(kappa)):
+        below = odd_below(mask)
         col = {}
         for bit, even, odd in wedges:
             if not mask & bit:
-                col[(mask | bit, 0)] = \
-                    odd if (mask & (bit - 1)).bit_count() & 1 else even
+                col[(mask | bit, 0)] = odd if below & bit else even
         for bit, even, odd in contractions:
             if mask & bit:
-                col[(mask ^ bit, 1)] = \
-                    odd if (mask & (bit - 1)).bit_count() & 1 else even
+                col[(mask ^ bit, 1)] = odd if below & bit else even
         cols[mask] = col
     return cols, den
 
@@ -373,13 +373,8 @@ def homotopy_columns(kappa, den):
     re, im, norm = den * p, -den * q, p * p + q * q
     g = math.gcd(re, im, norm)
     inv, neg = (re // g, im // g), (-re // g, -im // g)
-    cols = {}
-    for mask in range(1 << len(kappa)):
-        if mask & bit:
-            odd = (mask & (bit - 1)).bit_count() & 1
-            cols[mask] = {(mask ^ bit, 0): neg if odd else inv}
-        else:
-            cols[mask] = {}
+    cols = {mask: {(mask ^ bit, 0): neg if odd_below(mask) & bit else inv}
+            if mask & bit else {} for mask in range(1 << len(kappa))}
     return cols, norm // g
 
 

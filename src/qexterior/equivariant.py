@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from ._kernels import odd_below
 from .calculus import koszul_delta, lie_derivative, quantum_d
 from .complexes import (CohomologyTable, box_modes, complex_homology,
                         dense_complex, dh_kappa_v, gaussian_integers,
@@ -272,15 +273,15 @@ def _cartan_columns(generators, labels):
     L, gens = generators
     cols = {}
     for (A, j, mask) in labels:
+        below = odd_below(mask)
         col = cols[(A, j, mask)] = {}
         for a, x in enumerate(gens):
             bumped = A[:a] + (A[a] + 1,) + A[a + 1:]
             for i, (p, q) in enumerate(x):
                 bit = 1 << i
                 if (p or q) and mask & bit:
-                    odd = (mask & (bit - 1)).bit_count() & 1
                     col[((bumped, j, mask ^ bit), 0)] = \
-                        (-p, -q) if odd else (p, q)
+                        (-p, -q) if below & bit else (p, q)
     return cols, L
 
 

@@ -44,14 +44,7 @@ def _mask_from_indices(indices, dim):
 
 def mask_indices(mask: int):
     """Ascending 1-based indices of a bitmask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class HForm:
@@ -358,7 +351,7 @@ def contract_front(i: int, a: HForm) -> HForm:
     """e_i |- a: evaluation of a on e_i in the first slot (1-based i)."""
     if not 1 <= i <= a.dim:
         raise IndexError(f"index {i} out of range 1..{a.dim}")
-    return HForm(a.dim, K.contract_terms(a.terms, i - 1, K.front_sign),
+    return HForm(a.dim, K.contract_terms(a.terms, i - 1, front=True),
                  a.laurent)
 
 
@@ -366,7 +359,7 @@ def contract_back(a: HForm, i: int) -> HForm:
     """a -| e_i: evaluation of a on e_i in the last slot (1-based i)."""
     if not 1 <= i <= a.dim:
         raise IndexError(f"index {i} out of range 1..{a.dim}")
-    return HForm(a.dim, K.contract_terms(a.terms, i - 1, K.back_sign),
+    return HForm(a.dim, K.contract_terms(a.terms, i - 1, front=False),
                  a.laurent)
 
 

@@ -87,6 +87,8 @@ class HPoly:
         return NotImplemented
 
     def __hash__(self):
+        if set(self.coeffs) <= {0}:
+            return hash(self.constant())    # as the scalar it equals
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
@@ -134,6 +136,8 @@ class HPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative power {k} of {type(self).__name__}")
         out = type(self).one()
         for _ in range(k):
             out = out * self

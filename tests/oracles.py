@@ -7,7 +7,11 @@ sparsity shortcuts, no shared code with the engine's minor expansion.
 
 ``qwedge_cascade`` is the term kernel the engine used before the minor
 expansion: it contracts one ordered index pair per level on term dicts
-and scales level n by 1/n!.
+and scales level n by 1/n!.  Its signs come from ``wedge_sign``,
+``front_sign`` and ``back_sign``, which count the inversions bit by bit
+as the engine did before it read every sign off one parity mask;
+``contraction_signs`` and ``qwedge_plan`` are the engine's mask-pair plan
+built on them the same way.
 
 ``MultilinearForm`` evaluates forms as explicit antisymmetric multilinear
 maps on basis tuples; contractions are slot evaluations and the wedge is
@@ -92,7 +96,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from qexterior._kernels import back_sign, front_sign, wedge_sign
 from qexterior.calculus import dolbeault_operators, exterior_d, quantum_d
 from qexterior.chern import (QConnection, TransgressionResult, _mat_qwedge,
                              char_form, quantum_curvature)
@@ -116,6 +119,69 @@ from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
                                qwedge)
 from qexterior.scalars import GRat
 from qexterior.snf import rank_fraction_field, solve_linear
+
+
+def wedge_sign(a: int, b: int) -> int:
+    """Sign of e^a ^ e^b for disjoint masks: the bits of a above each bit
+    of b, counted bit by bit."""
+    s = 0
+    t = b
+    while t:
+        low = t & -t
+        s += (a >> low.bit_length()).bit_count()
+        t ^= low
+    return -1 if s & 1 else 1
+
+
+def front_sign(mask: int, i: int) -> int:
+    """Sign of the front contraction by e_i on a monomial containing bit i."""
+    return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+
+
+def back_sign(mask: int, i: int) -> int:
+    """Sign of the back contraction by e_i on a monomial containing bit i."""
+    return -1 if (mask >> (i + 1)).bit_count() & 1 else 1
+
+
+def contraction_signs(mask: int, sign_of) -> dict:
+    """Sign of contracting each submask S of ``mask`` bit by bit, ascending.
+
+    Returns {k: [(S, sign)]} grouped by |S|, each group in descending
+    order; ``sign_of`` is :func:`back_sign` or :func:`front_sign`.
+    """
+    out = {}
+    sub = mask
+    while True:
+        sign = 1
+        cur = mask
+        rest = sub
+        while rest:
+            low = rest & -rest
+            sign *= sign_of(cur, low.bit_length() - 1)
+            cur ^= low
+            rest ^= low
+        out.setdefault(sub.bit_count(), []).append((sub, sign))
+        if not sub:
+            return out
+        sub = (sub - 1) & mask
+
+
+def qwedge_plan(ma: int, mb: int) -> tuple:
+    """``_kernels.qwedge_plan`` with every sign a product of per-bit
+    contraction signs and a bit-by-bit wedge sign."""
+    left = contraction_signs(ma, back_sign)
+    right = contraction_signs(mb, front_sign)
+    groups = {}
+    for k in range(min(ma.bit_count(), mb.bit_count()) + 1):
+        for S, sa in left[k]:
+            ra = ma ^ S
+            for T, sb in right[k]:
+                rb = mb ^ T
+                if ra & rb:
+                    continue
+                sign = sa * sb * wedge_sign(ra, rb)
+                groups.setdefault((k, ra | rb), []).append((S, T, sign))
+    return tuple((k, mask, tuple(g)) for (k, mask), g in groups.items())
 
 
 def qwedge_bruteforce(a: HForm, b: HForm, w) -> HForm:

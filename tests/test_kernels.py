@@ -1,11 +1,13 @@
-"""Term kernels: sign oracles, the minor table against elimination, and
-the forms wrapped from kernel output without validation."""
+"""Term kernels: the parity-mask signs and plans against the bit-by-bit
+oracles, the minor table against elimination, and the forms wrapped from
+kernel output without validation."""
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import oracles
 from oracles import det_by_columns
 from qexterior import _kernels as K
 from qexterior.forms import Bivector, HForm, StarTable, symplectic_star, wedge
@@ -28,6 +30,52 @@ def bits(mask):
     return [i for i in range(8) if mask >> i & 1]
 
 
+def back_parity(mask, S):
+    """Parity of the library's sign for contracting S ascending from the
+    back of e^mask."""
+    return (K.odd_above(mask) & S).bit_count() & 1
+
+
+def front_parity(mask, T):
+    """Parity of the library's sign for contracting T ascending from the
+    front of e^mask."""
+    k = T.bit_count()
+    return ((K.odd_below(mask) & T).bit_count() + k * (k - 1) // 2) & 1
+
+
+def wedge_mismatches(nbits):
+    """Disjoint mask pairs on which the wedge sign differs from the oracle."""
+    return [(a, b) for a in range(1 << nbits) for b in range(1 << nbits)
+            if not a & b and K.wedge_sign(a, b) != oracles.wedge_sign(a, b)]
+
+
+def contraction_mismatches(nbits):
+    """(side, mask, submask) on which a contraction sign differs from the
+    oracle's bit-by-bit contraction."""
+    bad = []
+    for mask in range(1 << nbits):
+        for side, parity, sign_of in [("back", back_parity, oracles.back_sign),
+                                      ("front", front_parity,
+                                       oracles.front_sign)]:
+            for group in oracles.contraction_signs(mask, sign_of).values():
+                for sub, sign in group:
+                    if (-1) ** parity(mask, sub) != sign:
+                        bad.append((side, mask, sub))
+    return bad
+
+
+def plan_mismatches(pairs):
+    """Mask pairs whose uncached plan differs from the oracle's."""
+    return [(ma, mb) for ma, mb in pairs
+            if K.qwedge_plan.__wrapped__(ma, mb) != oracles.qwedge_plan(ma, mb)]
+
+
+def seeded_pairs(nbits, count, seed=22):
+    rng = Sampler(seed).rng
+    return [(rng.getrandbits(nbits), rng.getrandbits(nbits))
+            for _ in range(count)]
+
+
 class TestSignOracles:
     def test_wedge_sign_matches_inversion_count(self):
         for a in range(64):
@@ -40,15 +88,53 @@ class TestSignOracles:
         for mask in range(1, 64):
             for i in bits(mask):
                 pos = sorted(bits(mask)).index(i)  # 0-based position
-                assert K.front_sign(mask, i) == (-1) ** pos
+                assert (-1) ** front_parity(mask, 1 << i) == (-1) ** pos
 
     def test_back_sign_relation(self):
         # back = (-1)^(k-1) * front on degree-k monomials
         for mask in range(1, 64):
             k = bin(mask).count("1")
             for i in bits(mask):
-                assert K.back_sign(mask, i) == \
-                    (-1) ** (k - 1) * K.front_sign(mask, i)
+                assert (-1) ** back_parity(mask, 1 << i) == \
+                    (-1) ** (k - 1) * (-1) ** front_parity(mask, 1 << i)
+
+    def test_parity_masks_count_bits(self):
+        # odd_below holds above the top bit of the mask too, and both
+        # hold past the first log steps of odd_above
+        masks = list(range(1 << 10)) + [m for pair in seeded_pairs(200, 100)
+                                        for m in pair]
+        for mask in masks:
+            above, below = K.odd_above(mask), K.odd_below(mask)
+            assert above >= 0
+            for i in range(mask.bit_length() + 3):
+                assert above >> i & 1 == (mask >> (i + 1)).bit_count() & 1
+                assert below >> i & 1 == \
+                    (mask & ((1 << i) - 1)).bit_count() & 1
+
+    def test_wedge_sign_matches_oracle(self):
+        assert wedge_mismatches(8) == []
+
+    def test_contraction_signs_match_oracle(self):
+        assert contraction_mismatches(8) == []
+
+    def test_qwedge_plan_matches_oracle(self):
+        assert plan_mismatches((ma, mb) for ma in range(1 << 7)
+                               for mb in range(1 << 7)) == []
+        assert plan_mismatches(seeded_pairs(10, 300)) == []
+
+    def test_negative_control_flipped_parity_bit(self, monkeypatch):
+        # bit 3 of every parity mask flipped: exactly the signs that read
+        # it go wrong, and every wrong plan involves index 3
+        real = K.odd_above
+        monkeypatch.setattr(K, "odd_above", lambda mask: real(mask) ^ 8)
+        assert wedge_mismatches(5) == [
+            (a, b) for a in range(32) for b in range(32)
+            if not a & b and b & 8]
+        bad = contraction_mismatches(5)
+        # both sides of each of the 3^4 (mask, submask) pairs holding bit 3
+        assert len(bad) == 2 * 3 ** 4 and all(sub & 8 for *_, sub in bad)
+        bad = plan_mismatches((ma, mb) for ma in range(16) for mb in range(16))
+        assert bad and all((ma | mb) & 8 for ma, mb in bad)
 
 
 # -- minors -------------------------------------------------------------------

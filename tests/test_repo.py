@@ -141,6 +141,48 @@ def test_only_the_plan_cache_is_global():
     assert allowed and found == []
 
 
+def masked_prefix_parities(root):
+    """``module:line`` of every ``(x & (... - 1)).bit_count()`` in the
+    library modules under ``root`` other than ``_kernels.py``: a sign
+    worked out from the bits below one index."""
+    import ast
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if not (isinstance(node, ast.Call)
+                    and isinstance(func, ast.Attribute)
+                    and func.attr == "bit_count"):
+                continue
+            masked = func.value
+            if isinstance(masked, ast.BinOp) and \
+                    isinstance(masked.op, ast.BitAnd) and \
+                    isinstance(masked.right, ast.BinOp) and \
+                    isinstance(masked.right.op, ast.Sub) and \
+                    getattr(masked.right.right, "value", None) == 1:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_kernels_work_out_a_sign():
+    # every wedge and contraction sign is read off the parity masks of
+    # _kernels (odd_above, odd_below); tests/oracles.py keeps its own
+    # bit-by-bit copies on purpose
+    assert masked_prefix_parities(ROOT / "src" / "qexterior") == []
+
+
+def test_sign_guard_finds_an_inline_sign(tmp_path):
+    (tmp_path / "_kernels.py").write_text(
+        "odd = (mask & (bit - 1)).bit_count() & 1\n")
+    (tmp_path / "ops.py").write_text(
+        "def f(mask, bit):\n"
+        "    n = (mask >> 1).bit_count()\n"
+        "    return (mask & ((1 << bit) - 1)).bit_count() & 1\n")
+    assert masked_prefix_parities(tmp_path) == ["ops.py:3"]
+
+
 def test_readme_states_every_cli_constant_it_names():
     # a budget or cap named as `cli.NAME` in the README appears with its
     # value, formatted with thousands separators, in the same paragraph

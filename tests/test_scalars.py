@@ -172,6 +172,51 @@ class TestHPoly:
         p = HLaurent({-1: GRat(0, Fraction(1, 2)), 2: Fraction(3)})
         assert hpoly_to_json(p) == [[-1, {"re": "0", "im": "1/2"}], [2, "3"]]
 
+    def test_negative_power_rejected(self):
+        # a negative exponent used to return one silently
+        assert HPoly.h(1) ** 3 == HPoly.h(3)
+        assert HLaurent.h(-1) ** 0 == 1
+        for p in (HPoly.h(1), HLaurent.h(1), HLaurent.h(-2, 3)):
+            with pytest.raises(ValueError):
+                p ** -1
+        with pytest.raises(ValueError):
+            HPoly.h(1) ** -2
+
+
+def equal_scalar_pairs():
+    """(element, scalar) pairs that compare equal, zero included."""
+    for cls in (HPoly, HLaurent):
+        yield cls.one(), Fraction(1)
+        yield cls.from_scalar(Fraction(-3, 4)), Fraction(-3, 4)
+        yield cls.from_scalar(GRat(2, 1)), GRat(2, 1)
+        yield cls.zero(), 0
+        yield cls({0: 5}), 5
+    for cls in (PolyCoeff, FourierCoeff):
+        for dim in (1, 2):
+            yield cls.one(dim), 1
+            yield cls.const(dim, 3), 3
+            yield cls.const(dim, Fraction(1, 2)), Fraction(1, 2)
+            yield cls.const(dim, GRat(0, 7)), GRat(0, 7)
+            yield cls.zero(dim), Fraction(0)
+
+
+class TestHashMatchesEquality:
+    """Elements equal to a scalar hash like it, so sets and dict keys
+    treat them as one."""
+
+    def test_constants_hash_like_their_scalar(self):
+        # e.g. {HPoly.one(), Fraction(1)} used to have two elements
+        for x, c in equal_scalar_pairs():
+            assert x == c and hash(x) == hash(c), (x, c)
+            assert len({x, c}) == 1 and {c: 0}[x] == 0
+
+    def test_nonconstants_still_hash_by_terms(self):
+        assert hash(HPoly.h(1)) == hash(HLaurent.h(1))
+        assert HPoly({0: 1, 1: 2}) == HPoly({1: 2, 0: 1})
+        assert hash(HPoly({0: 1, 1: 2})) == hash(HPoly({1: 2, 0: 1}))
+        x = PolyCoeff.variable(2, 1)
+        assert hash(x * 2) == hash(x + x)
+
 
 class TestCoefficients:
     def test_poly_partial(self):
