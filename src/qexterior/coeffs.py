@@ -67,8 +67,13 @@ class _SparseFunc:
         return self.terms.get((0,) * self.dim, Fraction(0))
 
     def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.dim == other.dim and self.terms == other.terms
+        if isinstance(other, _SparseFunc):
+            if type(other) is type(self) and other.dim == self.dim:
+                return self.terms == other.terms
+            # constants of any class and dimension compare as the scalar
+            # they equal (and hash like), so equality stays transitive
+            return self.is_constant() and other.is_constant() and \
+                self.constant_value() == other.constant_value()
         if isinstance(other, (int, Fraction, GRat)):
             if not other:
                 return not self.terms

@@ -1,8 +1,14 @@
 """Seeded random generators for forms, bivectors, and models.
 
-Every randomized suite draws from one :class:`Sampler`, a thin wrapper
-over the stdlib Mersenne Twister; the PRNG name and version are embedded
-in report headers so golden files stay stable across platforms.
+Every randomized suite draws from one :class:`Sampler` over the stdlib
+Mersenne Twister; the PRNG name and version are embedded in report headers
+so golden files stay stable across platforms.  Every integer draw is
+``below(n)``: ``k = n.bit_length()`` bits from ``getrandbits`` until the
+value is under ``n``, the rule of ``random.Random.randrange(n)``.  So
+``randint`` draws as ``random.Random.randint`` does and ``mask(dim, k)`` as
+``random.Random.sample(range(dim), k)``, whose pool branch it repeats (the
+branch ``sample`` takes for every population of at most 21): the same
+values from the same stream, without the stdlib's argument checks.
 """
 
 from __future__ import annotations
@@ -22,13 +28,34 @@ class Sampler:
     def __init__(self, seed: int):
         self.seed = seed
         self.rng = random.Random(seed)
+        self._fractions = {}    # (lo, hi, max_den) -> Fraction(n, d) rows
+
+    def below(self, n: int) -> int:
+        """A uniform int in ``[0, n)``, drawn as ``randrange(n)`` draws it."""
+        if n <= 0:
+            raise ValueError(f"empty range [0, {n})")
+        k = n.bit_length()
+        r = self.rng.getrandbits(k)
+        while r >= n:
+            r = self.rng.getrandbits(k)
+        return r
+
+    def randint(self, lo: int, hi: int) -> int:
+        return lo + self.below(hi - lo + 1)
 
     def fraction(self, lo: int = -6, hi: int = 6, max_den: int = 3) -> Fraction:
-        num = self.rng.randint(lo, hi)
-        den = self.rng.randint(1, max_den)
-        return Fraction(num, den)
+        """``Fraction(randint(lo, hi), randint(1, max_den))``, read from a
+        table of the ``(hi - lo + 1) * max_den`` values."""
+        table = self._fractions.get((lo, hi, max_den))
+        if table is None:
+            table = self._fractions[lo, hi, max_den] = tuple(
+                tuple(Fraction(n, d) for d in range(1, max_den + 1))
+                for n in range(lo, hi + 1))
+        return table[self.below(hi - lo + 1)][self.below(max_den)]
 
     def nonzero_fraction(self, lo: int = -6, hi: int = 6) -> Fraction:
+        if lo == hi == 0:
+            raise ValueError("no nonzero numerator in 0..0")
         while True:
             f = self.fraction(lo, hi)
             if f:
@@ -48,10 +75,15 @@ class Sampler:
         return Bivector(dim, ent)
 
     def mask(self, dim: int, degree: int) -> int:
-        bits = self.rng.sample(range(dim), degree)
+        """The bits of ``sample(range(dim), degree)``, for ``dim <= 21``."""
+        if not 0 <= degree <= dim <= 21:
+            raise ValueError(f"no {degree} of {dim} bits to draw")
+        pool = list(range(dim))
         mask = 0
-        for b in bits:
-            mask |= 1 << b
+        for n in range(dim, dim - degree, -1):
+            j = self.below(n)
+            mask |= 1 << pool[j]
+            pool[j] = pool[n - 1]
         return mask
 
     def ext_form(self, dim: int, degree=None, terms: int = 2,
@@ -59,8 +91,8 @@ class Sampler:
         """Random constant-coefficient form; ``degree`` is exterior degree."""
         data = {}
         for _ in range(terms):
-            d = degree if degree is not None else self.rng.randint(0, dim)
-            j = self.rng.randint(-h_max if laurent else 0, h_max)
+            d = degree if degree is not None else self.randint(0, dim)
+            j = self.randint(-h_max if laurent else 0, h_max)
             key = (j, self.mask(dim, d))
             c = self.fraction()
             old = data.get(key)
@@ -70,7 +102,7 @@ class Sampler:
     def poly_coeff(self, dim: int, max_exp: int = 2, terms: int = 2) -> PolyCoeff:
         data = {}
         for _ in range(terms):
-            key = tuple(self.rng.randint(0, max_exp) for _ in range(dim))
+            key = tuple(self.randint(0, max_exp) for _ in range(dim))
             c = self.fraction()
             old = data.get(key)
             data[key] = c if old is None else old + c
@@ -79,7 +111,7 @@ class Sampler:
     def fourier_coeff(self, dim: int, span: int = 1, terms: int = 2) -> FourierCoeff:
         data = {}
         for _ in range(terms):
-            key = tuple(self.rng.randint(-span, span) for _ in range(dim))
+            key = tuple(self.randint(-span, span) for _ in range(dim))
             c = GRat(self.fraction())
             old = data.get(key)
             data[key] = c if old is None else old + c
@@ -94,8 +126,8 @@ class Sampler:
                    h_max: int = 1, laurent: bool = False, span: int = 1) -> HForm:
         out = HForm.zero(model.dim, laurent)
         for _ in range(terms):
-            d = degree if degree is not None else self.rng.randint(0, model.dim)
-            j = self.rng.randint(-h_max if laurent else 0, h_max)
+            d = degree if degree is not None else self.randint(0, model.dim)
+            j = self.randint(-h_max if laurent else 0, h_max)
             c = self.model_coeff(model, span)
             out = out + HForm(model.dim, {(j, self.mask(model.dim, d)): c}, laurent)
         return out
@@ -107,9 +139,9 @@ class Sampler:
         structure, and decomposable X ^ Y structures with [X, Y] = 0.
         """
         if family is None:
-            family = self.rng.choice(["constant", "so3", "decomposable"])
+            family = ("constant", "so3", "decomposable")[self.below(3)]
         if family == "constant":
-            dim = self.rng.randint(2, 4)
+            dim = self.randint(2, 4)
             return PoissonModel.affine(dim, {
                 (i, j): self.fraction()
                 for i in range(1, dim + 1) for j in range(i + 1, dim + 1)
@@ -117,7 +149,7 @@ class Sampler:
         if family == "so3":
             return PoissonModel.so3_affine()
         # f(x2) d1 ^ d3 on R^3: d1 and f(x2) d3 commute
-        f = PolyCoeff(3, {(0, self.rng.randint(0, 2), 0): self.nonzero_fraction()})
+        f = PolyCoeff(3, {(0, self.randint(0, 2), 0): self.nonzero_fraction()})
         return PoissonModel.affine(3, {(1, 3): f})
 
     def complexified_model_form(self, model: PoissonModel, degree=None,
@@ -126,9 +158,9 @@ class Sampler:
         """Random form directly in the complex dz/dzbar frame."""
         out = HForm.zero(model.dim, laurent)
         for _ in range(terms):
-            d = degree if degree is not None else self.rng.randint(0, model.dim)
-            j = self.rng.randint(-h_max if laurent else 0, h_max)
-            data = {tuple(self.rng.randint(-1, 2) for _ in range(model.dim)):
+            d = degree if degree is not None else self.randint(0, model.dim)
+            j = self.randint(-h_max if laurent else 0, h_max)
+            data = {tuple(self.randint(-1, 2) for _ in range(model.dim)):
                     self.grat()}
             c = FourierCoeff(model.dim, data)
             out = out + HForm(model.dim, {(j, self.mask(model.dim, d)): c}, laurent)

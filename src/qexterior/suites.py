@@ -52,7 +52,7 @@ class SuiteResult:
 
 def _product_triple(model, s: Sampler, dim):
     w = s.antisymmetric_bivector(dim)
-    forms = [s.ext_form(dim, degree=s.rng.randint(0, dim), h_max=1)
+    forms = [s.ext_form(dim, degree=s.randint(0, dim), h_max=1)
              for _ in range(3)]
     return w, forms
 
@@ -60,7 +60,7 @@ def _product_triple(model, s: Sampler, dim):
 def suite_associativity(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("associativity", trials)
     for t in range(trials):
-        dim = (model.dim if model is not None else s.rng.randint(2, 8))
+        dim = (model.dim if model is not None else s.randint(2, 8))
         w, (a, b, c) = _product_triple(model, s, dim)
         lhs = qwedge(qwedge(a, b, w), c, w)
         rhs = qwedge(a, qwedge(b, c, w), w)
@@ -74,9 +74,9 @@ def suite_associativity(model, trials, s: Sampler) -> SuiteResult:
 def suite_supercommutativity(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("supercommutativity", trials)
     for t in range(trials):
-        dim = (model.dim if model is not None else s.rng.randint(2, 8))
+        dim = (model.dim if model is not None else s.randint(2, 8))
         w = s.antisymmetric_bivector(dim)
-        da, db = s.rng.randint(0, dim), s.rng.randint(0, dim)
+        da, db = s.randint(0, dim), s.randint(0, dim)
         a = s.ext_form(dim, degree=da, h_max=1)
         b = s.ext_form(dim, degree=db, h_max=1)
         lhs = qwedge(a, b, w)
@@ -132,9 +132,9 @@ def suite_leibniz(model, trials, s: Sampler) -> SuiteResult:
     models = [model] if model is not None else \
         [s.jacobi_model("constant"), s.jacobi_model("so3")]
     for t, m in zip(range(trials), cycle(models)):
-        da = s.rng.randint(0, m.dim)
+        da = s.randint(0, m.dim)
         a = s.model_form(m, degree=da)
-        b = s.model_form(m, degree=s.rng.randint(0, m.dim))
+        b = s.model_form(m, degree=s.randint(0, m.dim))
         lhs = quantum_d(qwedge(a, b, m.w), m)
         sign = Fraction(-1 if da % 2 else 1)
         rhs = qwedge(quantum_d(a, m), b, m.w) + \
@@ -204,11 +204,11 @@ def suite_frobenius(model, trials, s: Sampler) -> SuiteResult:
     from .linalg import det as _det
     from .quantum import frobenius_pairing, gram_matrix
     for t in range(trials):
-        dim = s.rng.randint(2, 6)
+        dim = s.randint(2, 6)
         w = s.antisymmetric_bivector(dim)
-        a = s.ext_form(dim, degree=s.rng.randint(0, dim))
-        b = s.ext_form(dim, degree=s.rng.randint(0, dim))
-        c = s.ext_form(dim, degree=s.rng.randint(0, dim))
+        a = s.ext_form(dim, degree=s.randint(0, dim))
+        b = s.ext_form(dim, degree=s.randint(0, dim))
+        c = s.ext_form(dim, degree=s.randint(0, dim))
         lhs = frobenius_pairing(wwedge(a, b, w), c, w)
         rhs = frobenius_pairing(a, wwedge(b, c, w), w)
         res.checked += 1
@@ -247,11 +247,11 @@ def suite_chern(model, trials, s: Sampler) -> SuiteResult:
     if m.kind != TORUS:
         raise SuitePrecondition("chern suite runs on torus models")
     for t in range(trials):
-        rank = s.rng.randint(1, 3)
+        rank = s.randint(1, 3)
         theta = [[s.model_form(m, degree=1, h_max=0) for _ in range(rank)]
                  for _ in range(rank)]
         conn = QConnection(m, theta)
-        phi = [s.model_form(m, degree=s.rng.randint(0, min(2, m.dim)),
+        phi = [s.model_form(m, degree=s.randint(0, min(2, m.dim)),
                             h_max=0)
                for _ in range(rank)]
         ok = covariant_square_check(phi, conn)
@@ -283,10 +283,10 @@ def suite_equivariant(model, trials, s: Sampler) -> SuiteResult:
         c = s.fourier_coeff(m.dim, span=1)
         invariant_part = {k: v for k, v in c.terms.items() if k[0] == 0}
         cinv = FourierCoeff(m.dim, invariant_part)
-        form = HForm(m.dim, {(s.rng.randint(0, 1),
-                              s.mask(m.dim, s.rng.randint(0, m.dim))): cinv}) \
+        form = HForm(m.dim, {(s.randint(0, 1),
+                              s.mask(m.dim, s.randint(0, m.dim))): cinv}) \
             if cinv else m.form_scalar(1)
-        elem = EquivariantElement(m, 1, {(s.rng.randint(0, 2),): form})
+        elem = EquivariantElement(m, 1, {(s.randint(0, 2),): form})
         res.checked += 1
         if cartan_d(cartan_d(elem, action), action):
             res.fail({"trial": t, "D2": "nonzero"})
@@ -314,7 +314,7 @@ def suite_negative_control(model, trials, s: Sampler) -> SuiteResult:
     exists to demonstrate witness reporting.  Not listed in SUITES."""
     res = SuiteResult("negative-control", trials)
     for t in range(trials):
-        dim = s.rng.randint(2, 4)
+        dim = s.randint(2, 4)
         w = s.antisymmetric_bivector(dim)
         w = Bivector(dim, {**w.entries, (1, 2): s.nonzero_fraction()})
         a = HForm.basis(dim, 1) * s.nonzero_fraction()

@@ -90,16 +90,22 @@ real-frame forms in the dz/dzbar frame and read their bidegrees.
 Smith normal form by re-multiplication.  ``invertible_matrix`` and
 ``antisymmetric_invertible`` draw random invertible matrices from a
 ``Sampler``.
+
+``StdlibSampler`` is the ``Sampler`` as it was before it read its draws
+straight from ``getrandbits``: every draw goes through ``random.Random``'s
+own ``randint``, ``sample`` and ``choice``, and every fraction is a fresh
+``Fraction(num, den)``.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from qexterior.calculus import dolbeault_operators, exterior_d, quantum_d
 from qexterior.chern import (QConnection, TransgressionResult, _mat_qwedge,
                              char_form, quantum_curvature)
-from qexterior.coeffs import FourierCoeff
+from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.cohomology import (LEVEL_CAP, _delbar_kappa_v,
                                   _dolbeault_bases, _require_torus_constant,
                                   graded_dims)
@@ -107,14 +113,14 @@ from qexterior.complexes import (CohomologyTable, FiniteComplex, _apply,
                                  complex_homology, dense_complex,
                                  dense_matrix, dh_kappa_v, integer_bivector,
                                  koszul_columns)
-from qexterior.forms import (HForm, bivector_contract, check_symplectic,
-                             contract_back, contract_front, mask_indices,
-                             omega_form, symplectic_star, wedge)
+from qexterior.forms import (Bivector, HForm, bivector_contract,
+                             check_symplectic, contract_back, contract_front,
+                             mask_indices, omega_form, symplectic_star, wedge)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior import lefschetz
 from qexterior.lefschetz import CommutatorReport, DarbouxSpace, apply_Ah
 from qexterior.linalg import charpoly, det, matrix_inverse
-from qexterior.models import TORUS
+from qexterior.models import AFFINE, TORUS, PoissonModel
 from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
                                qwedge)
 from qexterior.scalars import GRat
@@ -1380,3 +1386,118 @@ def antisymmetric_invertible(s, dim: int):
                 rows[j][i] = -rows[i][j]
         if det(rows):
             return rows
+
+
+# -- the stdlib sampler -------------------------------------------------------
+
+
+class StdlibSampler:
+    """The seeded draws of ``qexterior.sampling.Sampler``, each taken
+    through ``random.Random.randint``, ``sample`` or ``choice``."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.rng = random.Random(seed)
+
+    def fraction(self, lo: int = -6, hi: int = 6, max_den: int = 3) -> Fraction:
+        num = self.rng.randint(lo, hi)
+        den = self.rng.randint(1, max_den)
+        return Fraction(num, den)
+
+    def nonzero_fraction(self, lo: int = -6, hi: int = 6) -> Fraction:
+        while True:
+            f = self.fraction(lo, hi)
+            if f:
+                return f
+
+    def grat(self) -> GRat:
+        return GRat(self.fraction(), self.fraction())
+
+    def antisymmetric_bivector(self, dim: int, density: float = 1.0) -> Bivector:
+        ent = {}
+        for i in range(1, dim + 1):
+            for j in range(i + 1, dim + 1):
+                if self.rng.random() <= density:
+                    w = self.fraction()
+                    if w:
+                        ent[(i, j)] = w
+        return Bivector(dim, ent)
+
+    def mask(self, dim: int, degree: int) -> int:
+        bits = self.rng.sample(range(dim), degree)
+        mask = 0
+        for b in bits:
+            mask |= 1 << b
+        return mask
+
+    def ext_form(self, dim: int, degree=None, terms: int = 2,
+                 h_max: int = 0, laurent: bool = False) -> HForm:
+        data = {}
+        for _ in range(terms):
+            d = degree if degree is not None else self.rng.randint(0, dim)
+            j = self.rng.randint(-h_max if laurent else 0, h_max)
+            key = (j, self.mask(dim, d))
+            c = self.fraction()
+            old = data.get(key)
+            data[key] = c if old is None else old + c
+        return HForm(dim, data, laurent)
+
+    def poly_coeff(self, dim: int, max_exp: int = 2, terms: int = 2) -> PolyCoeff:
+        data = {}
+        for _ in range(terms):
+            key = tuple(self.rng.randint(0, max_exp) for _ in range(dim))
+            c = self.fraction()
+            old = data.get(key)
+            data[key] = c if old is None else old + c
+        return PolyCoeff(dim, data)
+
+    def fourier_coeff(self, dim: int, span: int = 1, terms: int = 2) -> FourierCoeff:
+        data = {}
+        for _ in range(terms):
+            key = tuple(self.rng.randint(-span, span) for _ in range(dim))
+            c = GRat(self.fraction())
+            old = data.get(key)
+            data[key] = c if old is None else old + c
+        return FourierCoeff(dim, data)
+
+    def model_coeff(self, model: PoissonModel, span: int = 1):
+        if model.kind == AFFINE:
+            return self.poly_coeff(model.dim, max_exp=span + 1)
+        return self.fourier_coeff(model.dim, span=span)
+
+    def model_form(self, model: PoissonModel, degree=None, terms: int = 2,
+                   h_max: int = 1, laurent: bool = False, span: int = 1) -> HForm:
+        out = HForm.zero(model.dim, laurent)
+        for _ in range(terms):
+            d = degree if degree is not None else self.rng.randint(0, model.dim)
+            j = self.rng.randint(-h_max if laurent else 0, h_max)
+            c = self.model_coeff(model, span)
+            out = out + HForm(model.dim, {(j, self.mask(model.dim, d)): c}, laurent)
+        return out
+
+    def jacobi_model(self, family=None) -> PoissonModel:
+        if family is None:
+            family = self.rng.choice(["constant", "so3", "decomposable"])
+        if family == "constant":
+            dim = self.rng.randint(2, 4)
+            return PoissonModel.affine(dim, {
+                (i, j): self.fraction()
+                for i in range(1, dim + 1) for j in range(i + 1, dim + 1)
+                if self.rng.random() < 0.8})
+        if family == "so3":
+            return PoissonModel.so3_affine()
+        f = PolyCoeff(3, {(0, self.rng.randint(0, 2), 0): self.nonzero_fraction()})
+        return PoissonModel.affine(3, {(1, 3): f})
+
+    def complexified_model_form(self, model: PoissonModel, degree=None,
+                                terms: int = 2, h_max: int = 1,
+                                laurent: bool = False) -> HForm:
+        out = HForm.zero(model.dim, laurent)
+        for _ in range(terms):
+            d = degree if degree is not None else self.rng.randint(0, model.dim)
+            j = self.rng.randint(-h_max if laurent else 0, h_max)
+            data = {tuple(self.rng.randint(-1, 2) for _ in range(model.dim)):
+                    self.grat()}
+            c = FourierCoeff(model.dim, data)
+            out = out + HForm(model.dim, {(j, self.mask(model.dim, d)): c}, laurent)
+        return out

@@ -183,6 +183,48 @@ def test_sign_guard_finds_an_inline_sign(tmp_path):
     assert masked_prefix_parities(tmp_path) == ["ops.py:3"]
 
 
+def rng_draws(root):
+    """``module:line:name`` of every attribute read off an ``rng`` (a name
+    or an ``.rng`` attribute) in the library modules under ``root``, other
+    than ``random`` and, in ``sampling.py``, ``getrandbits``."""
+    import ast
+    found = []
+    for path in sorted(root.glob("*.py")):
+        allowed = {"random"} | ({"getrandbits"}
+                                if path.name == "sampling.py" else set())
+        reads = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)
+                 and node.attr not in allowed
+                 and "rng" in (getattr(node.value, "attr", None),
+                               getattr(node.value, "id", None))]
+        found += [f"{path.name}:{node.lineno}:{node.attr}" for node in
+                  sorted(reads, key=lambda n: (n.lineno, n.col_offset))]
+    return found
+
+
+def test_every_draw_goes_through_the_sampler():
+    # Sampler.below, randint and mask draw as random.Random does, from
+    # getrandbits (tests/test_sampling.py checks them draw for draw); a
+    # library module that calls randint, sample or choice on the generator
+    # itself would bypass them
+    assert rng_draws(ROOT / "src" / "qexterior") == []
+
+
+def test_draw_guard_finds_a_direct_draw(tmp_path):
+    (tmp_path / "sampling.py").write_text(
+        "def below(self, n):\n"
+        "    bits = self.rng.getrandbits\n"
+        "    return self.rng.random() if n else bits(1)\n")
+    (tmp_path / "suites.py").write_text(
+        "def trial(s, rng):\n"
+        "    x = s.rng.random() + s.randint(0, 3)\n"
+        "    pick = s.rng.choice\n"
+        "    return rng.getrandbits(2) + s.rng.randint(0, 3)\n")
+    assert rng_draws(tmp_path) == ["suites.py:3:choice",
+                                   "suites.py:4:getrandbits",
+                                   "suites.py:4:randint"]
+
+
 def test_readme_states_every_cli_constant_it_names():
     # a budget or cap named as `cli.NAME` in the README appears with its
     # value, formatted with thousands separators, in the same paragraph

@@ -1,8 +1,14 @@
-"""Seeded draws: the random inputs every suite and test builds on."""
+"""Seeded draws: the random inputs every suite and test builds on, draw
+for draw those of ``random.Random`` and of ``oracles.StdlibSampler``."""
 
 import hashlib
 import json
+import random
 from fractions import Fraction
+
+import pytest
+
+from oracles import StdlibSampler
 
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.forms import Bivector, HForm
@@ -58,3 +64,106 @@ def test_pinned_draws():
     # to a fresh zero: a moved draw, key order or coefficient type fails
     assert hashlib.sha256(draws_bytes()).hexdigest() == \
         "423cd015962d00a46bd4c7678757220f377c0f46fe89f8a7779e79fad8cd7c80"
+
+
+# -- the draws of random.Random -----------------------------------------------
+
+SEEDS = range(300)
+RANGES = [(0, 0), (5, 5), (-3, -3), (0, 1), (0, 3), (-4, 3), (0, 15),
+          (1, 2 ** 20), (-6, 6), (1, 3), (0, 8), (2, 8), (-1000, 2 ** 40)]
+
+
+def randint_mismatches():
+    """(seed, lo, hi) of every ``Sampler.randint`` draw, and ``(seed,)``
+    of every stream position after them, that differ from
+    ``random.Random(seed)``."""
+    bad = []
+    for seed in SEEDS:
+        s, r = Sampler(seed), random.Random(seed)
+        for lo, hi in RANGES:
+            for _ in range(4):
+                if s.randint(lo, hi) != r.randint(lo, hi):
+                    bad.append((seed, lo, hi))
+        if s.rng.random() != r.random():
+            bad.append((seed,))
+    return bad
+
+
+def test_randint_draws_as_the_stdlib():
+    assert randint_mismatches() == []
+
+
+def test_mask_draws_as_sample():
+    for seed in SEEDS:
+        s, r = Sampler(seed), random.Random(seed)
+        for dim in range(17):
+            for degree in range(dim + 1):
+                bits = r.sample(range(dim), degree)
+                assert s.mask(dim, degree) == sum(1 << b for b in bits), \
+                    (seed, dim, degree)
+        assert s.rng.random() == r.random()
+
+
+def model_typed(m):
+    return ["PoissonModel", m.kind, m.dim, typed(m.w)]
+
+
+def every_draw(s):
+    """One call of every public sampler method, and of several argument
+    shapes, as typed values; then the next ``random()`` of the stream."""
+    affine = PoissonModel.affine(3, {(1, 2): Fraction(1)})
+    torus = PoissonModel.torus(2, {(1, 2): Fraction(-1)})
+    return [
+        typed(s.fraction()), typed(s.fraction(-2, 9, 5)),
+        typed(s.nonzero_fraction()), typed(s.nonzero_fraction(0, 1)),
+        typed(s.grat()),
+        typed(s.antisymmetric_bivector(5)),
+        typed(s.antisymmetric_bivector(4, density=0.4)),
+        s.mask(7, 3), s.mask(16, 16), s.mask(5, 0),
+        typed(s.ext_form(4, h_max=1)),
+        typed(s.ext_form(3, degree=2, terms=5, h_max=2, laurent=True)),
+        typed(s.ext_form(1, degree=1, terms=6)),
+        typed(s.poly_coeff(3, terms=4)), typed(s.poly_coeff(1, max_exp=1)),
+        typed(s.fourier_coeff(2, terms=4)), typed(s.fourier_coeff(3, span=2)),
+        typed(s.model_coeff(affine)), typed(s.model_coeff(torus, span=2)),
+        typed(s.model_form(affine)),
+        typed(s.model_form(torus, degree=1, terms=3, laurent=True)),
+        model_typed(s.jacobi_model()), model_typed(s.jacobi_model()),
+        model_typed(s.jacobi_model("constant")),
+        model_typed(s.jacobi_model("decomposable")),
+        typed(s.complexified_model_form(torus)),
+        typed(s.complexified_model_form(torus, degree=2, laurent=True)),
+        [s.rng.random()]]
+
+
+def test_every_method_draws_as_the_stdlib_sampler():
+    for seed in SEEDS:
+        assert every_draw(Sampler(seed)) == every_draw(StdlibSampler(seed)), \
+            seed
+
+
+@pytest.mark.parametrize("draw", [lambda s: s.randint(3, 2),
+                                  lambda s: s.below(0),
+                                  lambda s: s.mask(4, 5),
+                                  lambda s: s.mask(22, 1),
+                                  lambda s: s.nonzero_fraction(0, 0)])
+def test_empty_draws_raise_before_drawing(draw):
+    s, r = Sampler(5), random.Random(5)
+    with pytest.raises(ValueError):
+        draw(s)
+    assert s.rng.random() == r.random()
+
+
+def test_negative_control_one_bit_too_many(monkeypatch):
+    # below reading k + 1 bits keeps every draw in range, but moves the
+    # values and the stream; the oracle comparisons must see it
+    def wide_below(self, n):
+        k = n.bit_length() + 1
+        r = self.rng.getrandbits(k)
+        while r >= n:
+            r = self.rng.getrandbits(k)
+        return r
+
+    monkeypatch.setattr(Sampler, "below", wide_below)
+    assert len(randint_mismatches()) > len(SEEDS)
+    assert every_draw(Sampler(1)) != every_draw(StdlibSampler(1))

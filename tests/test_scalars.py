@@ -210,6 +210,31 @@ class TestHashMatchesEquality:
             assert x == c and hash(x) == hash(c), (x, c)
             assert len({x, c}) == 1 and {c: 0}[x] == 0
 
+    def test_constants_of_any_dimension_or_class_are_one_key(self):
+        # PolyCoeff.const(2, 1) and PolyCoeff.const(3, 1) both equal
+        # Fraction(1); they must equal each other for a set to hold one
+        # element whatever the order of insertion
+        ones = [PolyCoeff.const(2, 1), PolyCoeff.const(3, 1),
+                FourierCoeff.const(2, 1), FourierCoeff.const(1, GRat(1))]
+        for a in ones:
+            for b in ones:
+                assert a == b and hash(a) == hash(b), (a, b)
+        assert len({*ones, Fraction(1)}) == 1
+        assert len({Fraction(1), *ones}) == 1
+        zeros = [PolyCoeff.zero(2), PolyCoeff.zero(3), FourierCoeff.zero(1)]
+        assert len({*zeros, 0}) == len({0, *zeros}) == 1
+        assert PolyCoeff.const(2, 1) != PolyCoeff.const(3, 2)
+        assert PolyCoeff.const(2, 1) != FourierCoeff.const(2, 2)
+
+    def test_nonconstants_differ_across_dimension_or_class(self):
+        x = PolyCoeff.variable(2, 1)
+        assert x != PolyCoeff.variable(3, 1)
+        assert x + 1 != PolyCoeff.variable(3, 1) + 1
+        c = FourierCoeff.character(2, (1, 0))
+        assert c != PolyCoeff(2, {(1, 0): 1}) and c != x
+        assert x == PolyCoeff(2, {(1, 0): 1})
+        assert len({x, PolyCoeff.variable(3, 1), 1}) == 3
+
     def test_nonconstants_still_hash_by_terms(self):
         assert hash(HPoly.h(1)) == hash(HLaurent.h(1))
         assert HPoly({0: 1, 1: 2}) == HPoly({1: 2, 0: 1})
