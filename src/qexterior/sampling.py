@@ -77,7 +77,8 @@ class Sampler:
     def mask(self, dim: int, degree: int) -> int:
         """The bits of ``sample(range(dim), degree)``, for ``dim <= 21``."""
         if not 0 <= degree <= dim <= 21:
-            raise ValueError(f"no {degree} of {dim} bits to draw")
+            raise ValueError(f"cannot draw {degree} of {dim} bits "
+                             f"(0 <= degree <= dim <= 21)")
         pool = list(range(dim))
         mask = 0
         for n in range(dim, dim - degree, -1):
