@@ -22,12 +22,15 @@ spectrum {n, n +- sqrt(5)/2} with one-dimensional eigenspaces and records
 any mismatch instead of forcing it; under the conventions pinned here the
 n = 1 base case comes out as (x - 1)^2 with a single Jordan block.
 
-Operators are kept as sparse columns ``label -> {label': c}`` over the
-basis labels (j, mask) of h^j e^mask (:class:`OperatorColumns`), each
-column the operator applied to one unit form, computed once.  The M_h
-matrices are dense ``Fraction`` views of those columns; the commutator
-check composes the L_h and L_h* columns with A_h (a scalar per label) and
-h^{+-1} (a shift of j) and compares exact coefficient dicts.
+L_h and L_h* are kept as sparse columns ``label -> {label': c}`` over the
+basis labels (j, mask) of h^j e^mask (:class:`Columns`), one per label,
+computed once with integral coefficients as ints.  An L_h column sums the
+expansions of omega's masks with the label's mask in the bivector's own
+product table (:func:`lh_column`); an L_h* column is -* L_h * read off
+those L_h columns through the star table (:func:`lefschetz_columns`).
+The M_h matrices are dense ``Fraction`` views of the L_h columns; the
+commutator check composes the L_h and L_h* columns with A_h (a scalar per
+label) and h^{+-1} (a shift of j) and compares exact coefficient dicts.
 """
 
 from __future__ import annotations
@@ -98,10 +101,6 @@ def apply_Ah(x: HForm, space: DarbouxSpace) -> HForm:
     return out
 
 
-def apply_Mh(x: HForm, space: DarbouxSpace) -> HForm:
-    return apply_Lh(x, space).h_shift(-1)
-
-
 def _exact(c):
     """An integral Fraction as an int (faster to add and multiply); any
     other coefficient unchanged."""
@@ -110,44 +109,84 @@ def _exact(c):
     return c
 
 
-class OperatorColumns(dict):
-    """Sparse columns ``label -> {label': c}`` of one operator.
+def lh_column(space: DarbouxSpace, lab) -> dict:
+    """The column ``{label': c}`` of L_h on the basis label (j, mask):
+    omega ^_h h^j e^mask, summed from the expansions of omega's masks with
+    ``mask`` in the bivector's own product table.  A coefficient of order
+    k is d / D^k, kept as an int when it is integral."""
+    j, mask = lab
+    table = space.w.table
+    D, products = table.D, table.products
+    col = {}
+    for (i, om), c in space.omega_form.terms.items():
+        c = _exact(c)
+        expansion = products.get((om, mask))
+        if expansion is None:
+            expansion = table.product(om, mask)
+        for k, m, d in expansion:
+            if k and D != 1:
+                d = Fraction(d, D ** k)
+            key = (i + j + k, m)
+            s = col.get(key, 0) + c * d
+            if s:
+                col[key] = s
+            else:
+                col.pop(key, None)
+    return {key: _exact(c) for key, c in col.items()}
 
-    The column of a basis label (j, mask) is the operator applied to that
-    label's unit form, computed on first lookup and kept; integral
-    ``Fraction`` coefficients are stored as ``int``.
-    """
 
-    def __init__(self, op, space: DarbouxSpace):
+class Columns(dict):
+    """Sparse columns ``label -> {label': c}`` of one operator, each one
+    ``fill(label)``, computed on first lookup and kept."""
+
+    def __init__(self, fill):
         super().__init__()
-        self.op = op
-        self.space = space
+        self.fill = fill
 
     def __missing__(self, lab):
-        image = self.op(HForm(self.space.dim, {lab: Fraction(1)}, laurent=True))
-        col = {key: _exact(c) for key, c in image.terms.items()}
-        self[lab] = col
+        col = self[lab] = self.fill(lab)
         return col
 
 
-def operator_matrix(op, space: DarbouxSpace, k: int):
-    """Matrix of a degree-preserving operator on Lambda^{[k]}: exact
-    rationals (``Fraction``), read off the operator's columns."""
-    basis = space.basis(k)
-    index = {lab: i for i, lab in enumerate(basis)}
-    cols = OperatorColumns(op, space)
-    rows = [[Fraction(0)] * len(basis) for _ in basis]
-    for col, lab in enumerate(basis):
-        for key, c in cols[lab].items():
-            if key not in index:
-                raise AssertionError(f"operator output left degree {k}")
-            rows[index[key]][col] = Fraction(c)
-    return rows
+def lefschetz_columns(space: DarbouxSpace):
+    """The columns of L_h (:func:`lh_column`) and of L_h* = -* L_h * on
+    ``space``, the latter read off those same L_h columns through the
+    star table, with *h = h^{-1} (j -> -j) and integral scales as ints."""
+    L = Columns(lambda lab: lh_column(space, lab))
+    star = space.star
+
+    def lh_star_column(lab):
+        j, mask = lab
+        col = {}
+        for comp, s in star.row(mask):
+            s = -_exact(s)
+            for (j2, m2), c in L[(-j, comp)].items():
+                c = c * s
+                for comp2, s2 in star.row(m2):
+                    key = (-j2, comp2)
+                    v = col.get(key, 0) + c * _exact(s2)
+                    if v:
+                        col[key] = v
+                    else:
+                        col.pop(key, None)
+        return col
+
+    return L, Columns(lh_star_column)
 
 
 def Mh_matrix(space: DarbouxSpace, k: int):
-    """Exact rational matrix of M_h = h^{-1} L_h on Lambda^{[k]}."""
-    return operator_matrix(lambda x: apply_Mh(x, space), space, k)
+    """Exact rational matrix of M_h = h^{-1} L_h on Lambda^{[k]}, read off
+    the L_h columns of its basis labels."""
+    basis = space.basis(k)
+    index = {lab: i for i, lab in enumerate(basis)}
+    rows = [[Fraction(0)] * len(basis) for _ in basis]
+    for col, lab in enumerate(basis):
+        for (j, m), c in lh_column(space, lab).items():
+            row = index.get((j - 1, m))
+            if row is None:
+                raise AssertionError(f"operator output left degree {k}")
+            rows[row][col] = Fraction(c)
+    return rows
 
 
 class CommutatorReport:
@@ -175,7 +214,7 @@ class CommutatorReport:
 
 # Vectors of the commutator check: dicts label -> nonzero coefficient.
 
-def _apply(cols: OperatorColumns, v: dict) -> dict:
+def _apply(cols: Columns, v: dict) -> dict:
     out = {}
     for lab, c in v.items():
         for key, d in cols[lab].items():
@@ -223,11 +262,15 @@ def commutator_check(n: int, window=None) -> CommutatorReport:
     homogeneous piece in the degree window.
 
     ``L_h`` and ``L_h*`` are kept as sparse columns, one per basis label
-    (computed once, on first use, by :func:`apply_Lh` / :func:`apply_Lh_star`
-    on the label's unit form); the composites are sums of columns, ``A_h``
-    scales a label by ``n - |I| - 2j`` and ``h^{+-1}`` shifts its ``j``.
-    Every identity is checked on every basis label of the window by exact
-    equality.
+    (computed once, on first use, by :func:`lefschetz_columns`); the
+    composites are sums of columns, ``A_h`` scales a label by
+    ``n - |I| - 2j`` and ``h^{+-1}`` shifts its ``j``.  Every identity is
+    checked on every basis label of the window by exact equality.
+
+    The identities do not fix the calibration sign of the dual bivector:
+    with ``w`` flipped for both ``L_h`` and ``L_h*`` all of them still
+    hold.  :func:`hard_lefschetz_check` catches that sign, since its
+    blocks are then no longer (x - n)^size.
 
     The h-shift identity is verified with the computed sign
     [A_h, h^{+-1}] = -+ 2 h^{+-1}; the source lemma prints +- 2 h^{+-1},
@@ -238,8 +281,7 @@ def commutator_check(n: int, window=None) -> CommutatorReport:
     if window is None:
         window = range(-(2 * n + 2), 2 * n + 3)
     rep = CommutatorReport(n, list(window))
-    L_cols = OperatorColumns(lambda x: apply_Lh(x, space), space)
-    Ls_cols = OperatorColumns(lambda x: apply_Lh_star(x, space), space)
+    L_cols, Ls_cols = lefschetz_columns(space)
 
     L = lambda v: _apply(L_cols, v)
     Ls = lambda v: _apply(Ls_cols, v)

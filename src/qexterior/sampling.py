@@ -28,7 +28,7 @@ class Sampler:
     def __init__(self, seed: int):
         self.seed = seed
         self.rng = random.Random(seed)
-        self._fractions = {}    # (lo, hi, max_den) -> Fraction(n, d) rows
+        self._fractions = {}    # (num, den) -> Fraction(num, den)
 
     def below(self, n: int) -> int:
         """A uniform int in ``[0, n)``, drawn as ``randrange(n)`` draws it."""
@@ -44,14 +44,14 @@ class Sampler:
         return lo + self.below(hi - lo + 1)
 
     def fraction(self, lo: int = -6, hi: int = 6, max_den: int = 3) -> Fraction:
-        """``Fraction(randint(lo, hi), randint(1, max_den))``, read from a
-        table of the ``(hi - lo + 1) * max_den`` values."""
-        table = self._fractions.get((lo, hi, max_den))
-        if table is None:
-            table = self._fractions[lo, hi, max_den] = tuple(
-                tuple(Fraction(n, d) for d in range(1, max_den + 1))
-                for n in range(lo, hi + 1))
-        return table[self.below(hi - lo + 1)][self.below(max_den)]
+        """``Fraction(randint(lo, hi), randint(1, max_den))``, each value
+        built on its first draw and kept."""
+        num = lo + self.below(hi - lo + 1)
+        den = 1 + self.below(max_den)
+        f = self._fractions.get((num, den))
+        if f is None:
+            f = self._fractions[num, den] = Fraction(num, den)
+        return f
 
     def nonzero_fraction(self, lo: int = -6, hi: int = 6) -> Fraction:
         if lo == hi == 0:

@@ -45,9 +45,13 @@ shared one forward elimination.
 Lefschetz commutator check and operator matrix the engine used before it
 kept L_h and L_h* as sparse columns: every identity applies L_h, L_h* (two
 stars around a qwedge, ``lh_per_form`` and ``lh_star_per_form``), A_h and
-h^{+-1} to one basis form at a time.  ``flip_lh_bivector`` patches the
-engine's L_h to the flipped dual bivector, the negative control of its
-commutator check.
+h^{+-1} to one basis form at a time.  ``OperatorColumns`` are those
+columns as the engine built them next, one operator call on a unit form
+per label, before it filled the L_h columns from the bivector's product
+table and the L_h* columns from those; ``apply_Mh`` is h^-1 L_h on
+forms.  ``flip_lh_bivector`` makes the engine's L_h columns multiply
+under the flipped dual bivector, the negative control of its commutator
+check.
 
 ``char_form_per_power`` is tr(F^k) as the engine computed it before one
 running power served every k: k - 1 matrix products of its own.
@@ -118,7 +122,8 @@ from qexterior.forms import (Bivector, HForm, bivector_contract,
                              mask_indices, omega_form, symplectic_star, wedge)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior import lefschetz
-from qexterior.lefschetz import CommutatorReport, DarbouxSpace, apply_Ah
+from qexterior.lefschetz import (CommutatorReport, DarbouxSpace, _exact,
+                                 apply_Ah, apply_Lh)
 from qexterior.linalg import charpoly, det, matrix_inverse
 from qexterior.models import AFFINE, TORUS, PoissonModel
 from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
@@ -833,11 +838,43 @@ def lh_star_per_form(x, space):
 
 def flip_lh_bivector(monkeypatch):
     """The negative control of ``lefschetz.commutator_check``: its L_h
-    multiplies under the dual bivector with the calibration sign flipped,
-    while L_h* keeps the calibrated one, as ``corrupt_w`` does below."""
-    monkeypatch.setattr(lefschetz, "apply_Lh", lambda x, space: lh_per_form(
-        x, space, space.w.map_entries(lambda v: -v)))
-    monkeypatch.setattr(lefschetz, "apply_Lh_star", lh_star_per_form)
+    columns multiply under the dual bivector with the calibration sign
+    flipped, while its L_h* columns are read off the calibrated L_h
+    columns, as ``corrupt_w`` does below."""
+    real = lefschetz.lefschetz_columns
+
+    def flipped(space):
+        _L, Ls = real(space)
+        other = DarbouxSpace(space.n)
+        other.w = space.w.map_entries(lambda v: -v)
+        return real(other)[0], Ls
+
+    monkeypatch.setattr(lefschetz, "lefschetz_columns", flipped)
+
+
+def apply_Mh(x, space):
+    """M_h x = h^-1 L_h x."""
+    return apply_Lh(x, space).h_shift(-1)
+
+
+class OperatorColumns(dict):
+    """Sparse columns ``label -> {label': c}`` of one operator on HForms.
+
+    The column of a basis label (j, mask) is the operator applied to that
+    label's unit form, computed on first lookup and kept; integral
+    ``Fraction`` coefficients are stored as ``int``.
+    """
+
+    def __init__(self, op, space):
+        super().__init__()
+        self.op = op
+        self.space = space
+
+    def __missing__(self, lab):
+        image = self.op(HForm(self.space.dim, {lab: Fraction(1)}, laurent=True))
+        col = {key: _exact(c) for key, c in image.terms.items()}
+        self[lab] = col
+        return col
 
 
 def commutator_check_per_form(n, window=None, corrupt_w=False):

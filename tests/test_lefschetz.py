@@ -11,19 +11,18 @@ from qexterior import lefschetz
 from qexterior.cli import main
 from qexterior.forms import Bivector, HForm
 from qexterior.hpoly import HPoly
-from qexterior.lefschetz import (DarbouxSpace, Mh_matrix, OperatorColumns,
-                                 SpectrumReport, apply_Ah, apply_Lh,
-                                 apply_Lh_star, apply_Mh, commutator_check,
-                                 hard_lefschetz_check,
-                                 lefschetz_d_commutators, operator_matrix,
+from qexterior.lefschetz import (DarbouxSpace, Mh_matrix, SpectrumReport,
+                                 apply_Ah, apply_Lh, apply_Lh_star,
+                                 commutator_check, hard_lefschetz_check,
+                                 lefschetz_columns, lefschetz_d_commutators,
                                  paper_conformance)
 from qexterior.linalg import charpoly, det
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
 
-from oracles import (commutator_check_per_form, flip_lh_bivector,
-                     operator_matrix_per_form, recursion_matrix,
-                     recursion_verify)
+from oracles import (OperatorColumns, apply_Mh, commutator_check_per_form,
+                     flip_lh_bivector, operator_matrix_per_form,
+                     recursion_matrix, recursion_verify)
 
 
 @pytest.fixture(scope="module")
@@ -136,29 +135,50 @@ class TestOperatorColumnsOracle:
                 assert got == want
                 assert all(type(c) is Fraction for row in got for c in row)
 
-    def test_columns_keep_non_integral_values(self, s1):
-        third = lambda x: apply_Lh(x, s1) * Fraction(1, 3)
-        cols = OperatorColumns(third, s1)
-        # omega ^_h omega = 2 h omega - h^2, see TestOperators
-        assert cols[(0, 3)] == {(1, 3): Fraction(2, 3), (2, 0): Fraction(-1, 3)}
-        assert all(type(c) is Fraction for c in cols[(0, 3)].values())
-        third = lambda x: apply_Mh(x, s1) * Fraction(1, 3)
+    def test_columns_keep_non_integral_values(self):
+        # w^{12} / 3 makes the table's D = 3: an order-k term is d / 3^k,
+        # and one that comes out integral is stored as an int
+        space = DarbouxSpace(2)
+        space.w = Bivector(4, {(1, 2): Fraction(-1, 3), (3, 4): Fraction(-1)})
+        L, _Ls = lefschetz_columns(space)
+        # omega ^_h e^{ij} = e^1234 + 2 h e^{ij} - h^2 under w^{ij} = -1,
+        # see TestOperators
+        assert L[(0, 3)] == {(0, 15): 1, (1, 3): Fraction(2, 3),
+                             (2, 0): Fraction(-1, 9)}
+        assert L[(0, 12)] == {(0, 15): 1, (1, 12): 2, (2, 0): -1}
+        assert all(type(c) is int for c in L[(0, 12)].values())
+        oracle = OperatorColumns(lambda x: apply_Lh(x, space), space)
+        for k in range(-3, 4):
+            for lab in space.basis(k):
+                assert L[lab] == oracle[lab]
+                assert {key: type(c) for key, c in L[lab].items()} == \
+                    {key: type(c) for key, c in oracle[lab].items()}
         for k in (-1, 0, 1):
-            assert operator_matrix(third, s1, k) == \
-                operator_matrix_per_form(third, s1, k, 0)
+            assert Mh_matrix(space, k) == operator_matrix_per_form(
+                lambda x: apply_Mh(x, space), space, k, 0)
 
     def test_columns_store_integral_values_as_int(self, s1):
-        cols = OperatorColumns(lambda x: apply_Lh(x, s1), s1)
-        assert cols[(0, 3)] == {(1, 3): 2, (2, 0): -1}
-        assert all(type(c) is int for c in cols[(0, 3)].values())
+        L, _Ls = lefschetz_columns(s1)
+        assert L[(0, 3)] == {(1, 3): 2, (2, 0): -1}
+        assert all(type(c) is int for c in L[(0, 3)].values())
 
-    def test_column_is_the_operator_on_its_label(self, s1):
-        L = lambda x: apply_Lh(x, s1)
-        cols = OperatorColumns(L, s1)
-        for k in range(-3, 4):
-            for lab in s1.basis(k):
-                unit = HForm(2, {lab: Fraction(1)}, laurent=True)
-                assert HForm(2, cols[lab], laurent=True) == L(unit)
+    def test_column_is_the_operator_on_its_label(self):
+        # every label for n <= 3 and a seeded window of three degrees at
+        # n = 4: the L_h and L_h* columns are apply_Lh and apply_Lh_star
+        # on the label's unit form, every coefficient an int
+        lo = random.Random(24).randint(-10, 8)
+        for n, degrees in [(1, range(-4, 5)), (2, range(-6, 7)),
+                           (3, range(-8, 9)), (4, range(lo, lo + 3))]:
+            space = DarbouxSpace(n)
+            L, Ls = lefschetz_columns(space)
+            for op, cols in [(apply_Lh, L), (apply_Lh_star, Ls)]:
+                for k in degrees:
+                    for lab in space.basis(k):
+                        unit = HForm(2 * n, {lab: Fraction(1)}, laurent=True)
+                        assert HForm(2 * n, cols[lab], laurent=True) == \
+                            op(unit, space), (n, op.__name__, lab)
+                        assert all(type(c) is int
+                                   for c in cols[lab].values())
 
 
 class TestStarIdentity:
@@ -171,8 +191,7 @@ class TestStarIdentity:
     ], ids=["n1", "n2", "n3", "n4-window"])
     def test_Lh_star_is_shifted_Lh(self, n, degrees):
         space = DarbouxSpace(n)
-        L = OperatorColumns(lambda x: apply_Lh(x, space), space)
-        Ls = OperatorColumns(lambda x: apply_Lh_star(x, space), space)
+        L, Ls = lefschetz_columns(space)
         for k in degrees:
             for j, mask in space.basis(k):
                 expected = {(j2 - 2, m2): c
@@ -301,6 +320,29 @@ class TestHardLefschetz:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "AssertionError: M_h block of degree 1: " in captured.err
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_calibration_sign_caught_by_the_blocks(self, monkeypatch, capsys,
+                                                   n):
+        # w flipped for L_h and L_h* alike passes every commutator
+        # identity; only the (x - n)^size certificate of the blocks sees it
+        real = DarbouxSpace.__init__
+
+        def flipped(self, n):
+            real(self, n)
+            self.w = self.w.map_entries(lambda v: -v)
+
+        monkeypatch.setattr(DarbouxSpace, "__init__", flipped)
+        assert commutator_check(n).ok
+        with pytest.raises(AssertionError, match=(
+                rf"M_h block of degree {-2 * n}: characteristic polynomial "
+                rf"is not \(x - {n}\)\^{2 ** (2 * n - 1)}")):
+            hard_lefschetz_check(n)
+        assert main(["lefschetz", "--n", str(n)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"AssertionError: M_h block of degree {-2 * n}: " in \
+            captured.err
 
     def test_conformance_recorded(self):
         rep = hard_lefschetz_check(1)

@@ -12,6 +12,7 @@ from oracles import StdlibSampler
 
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.forms import Bivector, HForm
+from qexterior import sampling
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
 from qexterior.scalars import GRat
@@ -140,6 +141,26 @@ def test_every_method_draws_as_the_stdlib_sampler():
     for seed in SEEDS:
         assert every_draw(Sampler(seed)) == every_draw(StdlibSampler(seed)), \
             seed
+
+
+def test_wide_fraction_range_is_not_tabulated(monkeypatch):
+    # the first draw from a billion numerators builds one value, not the
+    # range: a tabulating sampler stops at its third Fraction here
+    built = []
+
+    def counted(num, den):
+        built.append((num, den))
+        if len(built) > 2:
+            raise AssertionError("the sampler tabulated its fraction range")
+        return Fraction(num, den)
+
+    monkeypatch.setattr(sampling, "Fraction", counted)
+    s, r = Sampler(9), random.Random(9)
+    num, den = r.randint(0, 10 ** 9), r.randint(1, 3)
+    got = s.fraction(0, 10 ** 9)
+    assert got == Fraction(num, den) and type(got) is Fraction
+    assert built == [(num, den)]
+    assert s.rng.random() == r.random()
 
 
 @pytest.mark.parametrize("draw", [lambda s: s.randint(3, 2),
