@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from ._kernels import odd_below
 from .coeffs import FourierCoeff
-from .forms import HForm, bivector_contract, wedge
+from .forms import HForm, bivector_contract, contract_vector, wedge
+from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
 from .quantum import complex_frame_bivector, qwedge
 from .scalars import GRat
@@ -88,7 +89,6 @@ def lie_derivative(coeffs, a: HForm) -> HForm:
     ``coeffs`` lists the m component functions of X (coefficient objects
     or scalars promoted by the caller).
     """
-    from .forms import contract_vector
     return exterior_d(contract_vector(coeffs, a)) + \
         contract_vector(coeffs, exterior_d(a))
 
@@ -177,7 +177,6 @@ def qintegral(a: HForm, model: PoissonModel):
     as a module map.  Returns a map h-exponent -> GRat packed in an HPoly
     or HLaurent.
     """
-    from .hpoly import HLaurent, HPoly
     if model.kind != TORUS:
         raise ValueError("quantum integral is defined on closed torus models")
     if model.omega is None:

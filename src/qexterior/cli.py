@@ -19,12 +19,13 @@ import math
 import sys
 import traceback
 
-from .hpoly import HLaurent, HPoly
+from . import calculus, chern, cohomology, equivariant, lefschetz
+from .hpoly import HLaurent, HPoly, hpoly_to_json
 from .sampling import PRNG_NAME
 from .serialize import (CONVENTIONS, MAX_MODEL_DIM, action_from_json,
                         connection_from_json, dump_json, form_from_json,
-                        model_from_json, spectrum_to_json, table_to_json,
-                        table_to_latex)
+                        form_to_json, model_from_json, spectrum_to_json,
+                        table_to_json, table_to_latex)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -93,8 +94,7 @@ def _require_budget(args, dim, generators=None):
     is None before the action is read: the pairs then count none."""
     levels = 1
     if args.command == "dolbeault":
-        from .cohomology import LEVEL_CAP
-        levels = dim // 2 + 2 * LEVEL_CAP + 1
+        levels = dim // 2 + 2 * cohomology.LEVEL_CAP + 1
     elif args.command == "equivariant":
         levels = 0
         for n in range(args.cutoff + 2):
@@ -164,6 +164,8 @@ CHECK_MAX_TRIALS = 500
 
 
 def cmd_check(args) -> int:
+    # qexterior does not load suites; a top-level import would compile it
+    # on every CLI start
     from .suites import SUITES, SuitePrecondition, run_suite
     if args.trials > CHECK_MAX_TRIALS:
         raise CliError(f"--trials {args.trials} passes the work budget: at "
@@ -215,28 +217,26 @@ MAX_DEGREE = 10_000
 
 
 def cmd_cohomology(args) -> int:
-    from .cohomology import quantum_derham_table
     if args.max_degree is not None and args.max_degree > MAX_DEGREE:
         raise CliError(f"--max-degree {args.max_degree} passes the work "
                        f"budget: at most {MAX_DEGREE:,}")
     model = _load_model(args)
-    table = quantum_derham_table(model, mode_box=args.mode_box,
-                                 max_degree=args.max_degree, ring=_ring(args))
+    table = cohomology.quantum_derham_table(
+        model, mode_box=args.mode_box, max_degree=args.max_degree,
+        ring=_ring(args))
     _emit(args, _table_payload(args, "cohomology", table))
     return EXIT_OK
 
 
 def cmd_dolbeault(args) -> int:
-    from .cohomology import quantum_dolbeault_table
     model = _load_model(args)
-    table = quantum_dolbeault_table(model, mode_box=args.mode_box,
-                                    ring=_ring(args))
+    table = cohomology.quantum_dolbeault_table(
+        model, mode_box=args.mode_box, ring=_ring(args))
     _emit(args, _table_payload(args, "dolbeault", table))
     return EXIT_OK
 
 
 def cmd_equivariant(args) -> int:
-    from .equivariant import equivariant_cohomology_table
     model = _load_model(args)
     if args.ring == "laurent":
         raise CliError("equivariant tables are computed over k[h] only; "
@@ -248,19 +248,18 @@ def cmd_equivariant(args) -> int:
                         else 0)
         return action_from_json(obj, model)
     action = _load_json(args.action, "--action", decode_action, model)
-    table = equivariant_cohomology_table(model, action, cutoff=args.cutoff,
-                                         mode_box=args.mode_box)
+    table = equivariant.equivariant_cohomology_table(
+        model, action, cutoff=args.cutoff, mode_box=args.mode_box)
     _emit(args, _table_payload(args, "equivariant", table))
     return EXIT_OK
 
 
 def cmd_lefschetz(args) -> int:
-    from .lefschetz import commutator_check, hard_lefschetz_check
     n = args.n
     if n < 1 or n > 3:
         raise CliError("lefschetz reports cover n in 1..3")
-    comm = commutator_check(n)
-    hl = hard_lefschetz_check(n)
+    comm = lefschetz.commutator_check(n)
+    hl = lefschetz.hard_lefschetz_check(n)
     payload = dict(_report_header(args, "lefschetz"))
     payload["n"] = n
     payload["commutators"] = {k: bool(v) for k, v in comm.results.items()}
@@ -281,9 +280,6 @@ CHERN_MAX_POWER = MAX_MODEL_DIM // 2
 
 
 def cmd_chern(args) -> int:
-    from .calculus import quantum_d
-    from .chern import char_forms, quantum_curvature
-    from .serialize import form_to_json
     if args.power > CHERN_MAX_POWER:
         raise CliError(f"--power {args.power} passes the work budget: at "
                        f"most {CHERN_MAX_POWER}")
@@ -292,15 +288,15 @@ def cmd_chern(args) -> int:
         raise CliError("--power must be at least 1")
     conn = _load_json(args.connection, "--connection", connection_from_json,
                       model)
-    F = quantum_curvature(conn)
+    F = chern.quantum_curvature(conn)
     payload = dict(_report_header(args, "chern"))
     payload["rank"] = conn.rank
     payload["curvature"] = [[form_to_json(F[i][j]) for j in range(conn.rank)]
                             for i in range(conn.rank)]
     chars = {}
     closed = True
-    for k, form in zip(range(1, args.power + 1), char_forms(F, model)):
-        cert = quantum_d(form, model)
+    for k, form in zip(range(1, args.power + 1), chern.char_forms(F, model)):
+        cert = calculus.quantum_d(form, model)
         chars[str(k)] = {"form": form_to_json(form),
                          "d_h": form_to_json(cert),
                          "closed": cert.is_zero()}
@@ -312,13 +308,11 @@ def cmd_chern(args) -> int:
 
 
 def cmd_integral(args) -> int:
-    from .calculus import qintegral, stokes_check
-    from .hpoly import hpoly_to_json
     model = _load_model(args)
     form = _load_json(args.form, "--form", form_from_json, model,
                       _ring(args) is HLaurent)
-    value = qintegral(form, model)
-    stokes = stokes_check(form, model)
+    value = calculus.qintegral(form, model)
+    stokes = calculus.stokes_check(form, model)
     payload = dict(_report_header(args, "integral"))
     payload["integral"] = hpoly_to_json(value)
     payload["stokes"] = {"int_d": hpoly_to_json(stokes.int_d),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GRat, as_scalar, conjugate_scalar
+from .scalars import GRat, as_scalar, conjugate_scalar, scalar_to_json
 
 
 class _SparseFunc:
@@ -219,9 +219,6 @@ class FourierCoeff(_SparseFunc):
         """True iff c_{-k} == conj(c_k) for every mode."""
         return self == self.conjugate()
 
-    def modes(self):
-        return set(self.terms)
-
     def mode_amplitude(self, freq) -> GRat:
         return self.terms.get(tuple(freq), GRat(0))
 
@@ -244,7 +241,6 @@ class FourierCoeff(_SparseFunc):
 
 
 def coeff_to_json(c):
-    from .scalars import scalar_to_json
     if isinstance(c, PolyCoeff):
         return {"poly": [[list(k), scalar_to_json(v)]
                          for k, v in sorted(c.terms.items())]}

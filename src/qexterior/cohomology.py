@@ -2,31 +2,32 @@
 subcomplexes.
 
 With a constant bivector on a torus, d and delta preserve each Fourier
-mode, so (Omega(M)[h], d_h) splits into one finite complex per mode.  On
-mode 0 both kappa and v vanish, so d_h (and delbar_h) is zero there: once
-:func:`complexes.require_zero` has checked that on every mask, the table
-is free on the constant monomials, each its own representative
-(:func:`complexes.free_homology`).  ``complexes.require_acyclic`` proves
-every nonzero mode of the box acyclic on the masks, from its kappa and v,
-with the Koszul-Brylinski homotopy H (:func:`complexes.homotopy_columns`),
-or raises AssertionError naming the mode.  No Smith normal form is taken.
-``anomalous_modes`` stays in the report meta, always empty.
+mode, so (Omega(M)[h], d_h) splits into one finite complex per mode.
+:func:`complexes.require_modes` settles the box, or raises AssertionError
+naming the mode: on mode 0 it checks that kappa and v vanish, so d_h (and
+delbar_h) is zero there and the table is free on the constant monomials,
+each its own representative (:func:`complexes.free_homology`); every
+nonzero mode it proves acyclic on the masks with the Koszul-Brylinski
+homotopy H (:func:`complexes.homotopy_columns`).  No Smith normal form is
+taken.  ``anomalous_modes`` stays in the report meta, always empty.
 
-``ring_table`` reads class coordinates off each product: each
-representative is a one-entry map {mask: +-1}, one per mask, so each term
-of a product goes to the class of its mask and no solve is needed.  Under
-a real bivector the products run in qwedge's integer kernel.
+``ring_table`` reads class coordinates off the bivector's product table:
+each representative is a one-entry map {mask: +-1}, one per mask, so each
+term of e^ma ^_h e^mb goes to the class of its mask and no solve is
+needed.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .complexes import (CohomologyTable, box_modes, dh_kappa_v,
-                        free_homology, integer_bivector, koszul_columns,
-                        koszul_mode, require_acyclic, require_zero)
+                        free_homology, integer_bivector, koszul_mode,
+                        require_modes)
 from .forms import Bivector, HForm
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
-from .quantum import complex_frame_bivector, qwedge
+from .quantum import complex_frame_bivector
 from .scalars import GRat
 from .snf import solve_linear  # noqa: F401 (kept importable)
 
@@ -60,21 +61,17 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
     if max_degree is not None and max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     m = model.dim
-    modes = [k for k in box_modes(m, mode_box) if any(k)]
     bivector = integer_bivector(model.constant_bivector())
-    zero = (0,) * m
-    require_zero(zero, koszul_columns(*dh_kappa_v(bivector, zero)))
+    require_modes(box_modes(m, mode_box), lambda k: dh_kappa_v(bivector, k))
     table = CohomologyTable(ring, [
         free_homology(p, [mask for mask in range(1 << m)
                           if mask.bit_count() == p], ring)
         for p in range(m + 1)])
-    for k in modes:
-        require_acyclic(k, *dh_kappa_v(bivector, k))
     if max_degree is None:
         max_degree = 2 * m
     table.meta.update({
         "kind": "derham",
-        "mode": zero,
+        "mode": (0,) * m,
         "ring": "laurent" if ring is HLaurent else "polynomial",
         "mode_box": mode_box,
         "anomalous_modes": [],
@@ -143,18 +140,16 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     _require_torus_constant(model)
     if not model.complex_structure:
         raise ValueError("Dolbeault table requires a complex structure")
-    modes = [k for k in box_modes(model.dim, mode_box) if any(k)]
+    modes = box_modes(model.dim, mode_box)
     n = model.dim // 2
     laurent = ring is HLaurent
     wc = integer_bivector(complex_frame_bivector(model.constant_bivector()))
-    require_zero((0,) * model.dim,
-                 koszul_columns(*_delbar_kappa_v(wc, (0,) * model.dim)))
-    for k in modes:
-        kappa, v, den = _delbar_kappa_v(wc, k)
+
+    def bidegree(k, kappa, v):
         if any(p or q for p, q in kappa[:n] + v[n:]):
             raise AssertionError(f"delbar_h is not of bidegree (0, 1) on "
                                  f"Fourier mode {k}")
-        require_acyclic(k, kappa, v, den)
+    require_modes(modes, lambda k: _delbar_kappa_v(wc, k), bidegree)
     entries = []
     for p in range(-LEVEL_CAP if laurent else 0, n + LEVEL_CAP + 1):
         strata = _dolbeault_bases(n, p, range(p - n, p + n + 1), laurent)
@@ -201,53 +196,46 @@ def ring_table(table: CohomologyTable, model: PoissonModel) -> RingTable:
     """Products of representatives reduced to class coordinates.
 
     Each representative must be a signed basis monomial, the one-entry map
-    {mask: +-1}, one class per mask of the model: then each term c h^j
-    e^mask of a product is the coordinate +-c h^j of the class of that
-    mask, read off without a solve.  Any other set of representatives
-    raises AssertionError.  The products multiply constant-coefficient
-    copies of the representatives under the constant bivector: with real
-    entries these are Fractions, which ``qwedge`` sums in integers; a
-    Gaussian w multiplies GRats.
-    Every structure coefficient is a GRat, as the amplitude of the
-    constant Fourier coefficient it stands for, in the table's ring.
+    {mask: +-1}, one class per mask of the model; any other set of
+    representatives raises AssertionError.  The product of the classes
+    +-e^ma and +-e^mb is then read off ``QTable.product(ma, mb)`` of the
+    constant bivector without a solve: its term (k, mask, d) is the
+    coordinate +-d / D^k h^k on the class of ``mask``.  A real w takes the
+    rational table, with Fraction entries; a Gaussian w the typed one,
+    where the coordinate is +-d.  Every structure coefficient is a GRat,
+    as the amplitude of the constant Fourier coefficient it stands for,
+    in the table's ring.
     """
     ring = table.ring
-    laurent = ring is HLaurent
     rt = RingTable(model, table)
     pivots = {}      # mask -> (class index, sign)
-    constants = []   # the representatives' terms as GRat scalars
     for degree in table.degrees():
         for idx, rep in enumerate(table.entries[degree].representatives):
             if len(rep) == 1:
                 (mask, c), = rep.items()
                 if c == 1 or c == -1:
                     pivots[mask] = (len(rt.classes), 1 if c == 1 else -1)
-            form = _rep_to_form(model, rep, laurent)
-            rt.classes.append((degree, idx, form))
-            constants.append({key: GRat.coerce(c.constant_value())
-                              for key, c in form.terms.items()})
+            rt.classes.append((degree, idx,
+                               _rep_to_form(model, rep, ring is HLaurent)))
     # one monomial class per mask: none broken, repeated or missing
     if len(pivots) != len(rt.classes) or \
             set(pivots) != set(range(1 << model.dim)):
         raise AssertionError("representatives are not signed basis monomials")
     w = {ij: GRat.coerce(c)
          for ij, c in model.constant_bivector().entries.items()}
-    if all(c.is_real() for t in [w, *constants] for c in t.values()):
-        # all-Fraction factors: qwedge sums each product in integers
-        w = {ij: c.re for ij, c in w.items()}
-        constants = [{key: c.re for key, c in t.items()} for t in constants]
-    w = Bivector(model.dim, w)
-    forms = [HForm(model.dim, t, laurent) for t in constants]
-    for i, fa in enumerate(forms):
-        for j, fb in enumerate(forms):
-            by_mask = {}
-            for (jj, mask), c in qwedge(fa, fb, w).terms.items():
-                by_mask.setdefault(mask, {})[jj] = GRat.coerce(c)
+    if all(c.is_real() for c in w.values()):
+        w = {ij: c.re for ij, c in w.items()}   # a rational table, D W in ints
+    qt = Bivector(model.dim, w).table
+    D = qt.D
+    monomials = sorted((i, mask, sign) for mask, (i, sign) in pivots.items())
+    for i, ma, sa in monomials:
+        for j, mb, sb in monomials:
             coords = {}
-            for mask, coeffs in by_mask.items():
-                k, sign = pivots[mask]
-                x = ring(coeffs)
-                if not x.is_zero():
-                    coords[k] = x if sign == 1 else -x
+            for k, mask, d in qt.product(ma, mb):
+                c, sc = pivots[mask]
+                if D is not None:
+                    d = Fraction(d, D ** k)
+                coords[c] = ring({k: GRat.coerce(d if sa * sb * sc > 0
+                                                 else -d)})
             rt.structure[(i, j)] = dict(sorted(coords.items()))
     return rt

@@ -20,13 +20,14 @@ scales w once per table, :func:`dh_kappa_v` gives kappa and v of
 d_h = kappa ^ - h iota_v on a mode (the 2m numbers of
 :func:`koszul_mode`), :func:`koszul_columns` builds such an operator on
 the 2^m masks and :func:`homotopy_columns` its contracting homotopy.
-With constant w the torus mode 0 has kappa = v = 0: :func:`require_zero`
-checks that its operator vanishes and :func:`free_homology` is then each
-spot's homology.  :func:`require_acyclic` proves every other mode acyclic
-on the two-periodic complex of the masks by :func:`homotopy_certificate`,
-or raises.  :func:`dense_complex` is the ring-matrix view of an operator;
-only the equivariant Cartan complex of mode 0, whose Theta^a iota_a part
-does not vanish, takes its Smith-normal-form homology.
+:func:`require_modes` settles every mode of a box, or raises: with
+constant w the torus mode 0 has kappa = v = 0, so its operator vanishes
+and :func:`free_homology` is each spot's homology, and
+:func:`require_acyclic` proves every other mode acyclic on the
+two-periodic complex of the masks by :func:`homotopy_certificate`.
+:func:`dense_complex` is the ring-matrix view of an operator; only the
+equivariant Cartan complex of mode 0, whose Theta^a iota_a part does not
+vanish, takes its Smith-normal-form homology.
 """
 
 from __future__ import annotations
@@ -422,13 +423,6 @@ def homotopy_certificate(d, h) -> bool:
     return True
 
 
-def require_zero(mode, operator):
-    """Raise AssertionError naming the Fourier ``mode`` unless the operator
-    (columns, den) has no entry."""
-    if any(operator[0].values()):
-        raise AssertionError(f"nonzero differential on Fourier mode {mode}")
-
-
 def require_acyclic(mode, kappa, v, den):
     """Raise AssertionError naming the Fourier ``mode`` unless
     :func:`homotopy_certificate` proves kappa ^ - h iota_v (Gaussian
@@ -438,3 +432,26 @@ def require_acyclic(mode, kappa, v, den):
                                 homotopy_columns(kappa, den)):
         raise AssertionError(f"homotopy certificate failed on Fourier mode "
                              f"{mode}")
+
+
+def require_modes(modes, kappa_v, check=None):
+    """Settle mode 0 and the Fourier ``modes`` of a box for kappa ^ - h
+    iota_v, with ``kappa_v(k)`` = (kappa, v, den) of the mode k, or raise
+    AssertionError naming the first mode that fails.
+
+    Mode 0 comes first: its operator must vanish, and it has an entry
+    exactly when some kappa_b or v_a is nonzero (mask 0 takes every wedge,
+    the full mask every contraction), so those 2m numbers are checked.
+    Each nonzero mode follows in box order: ``check(k, kappa, v)``, when
+    given, then :func:`require_acyclic`.
+    """
+    zero = (0,) * len(modes[0])
+    kappa, v, _den = kappa_v(zero)
+    if any(p or q for p, q in kappa + v):
+        raise AssertionError(f"nonzero differential on Fourier mode {zero}")
+    for k in modes:
+        if any(k):
+            kappa, v, den = kappa_v(k)
+            if check is not None:
+                check(k, kappa, v)
+            require_acyclic(k, kappa, v, den)

@@ -17,15 +17,13 @@ Fourier mode 0 alone; each other invariant mode takes d_h's certificate.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from ._kernels import odd_below
 from .calculus import koszul_delta, lie_derivative, quantum_d
 from .complexes import (CohomologyTable, box_modes, complex_homology,
                         dense_complex, dh_kappa_v, gaussian_integers,
-                        integer_bivector, koszul_columns, require_acyclic,
-                        require_zero)
+                        integer_bivector, require_modes)
 from .forms import HForm, contract_vector
 from .hpoly import HPoly
 from .models import PoissonModel, TORUS
@@ -225,18 +223,11 @@ def anticommutator_check(action: GroupAction, forms) -> AnticommutatorReport:
 
 
 def _theta_monomials(d: int, max_total: int):
-    if d == 0:
-        yield ()
-        return
-    for total in range(max_total + 1):
-        for cuts in itertools.combinations(range(total + d - 1), d - 1):
-            parts = []
-            prev = -1
-            for c in cuts:
-                parts.append(c - prev - 1)
-                prev = c
-            parts.append(total + d - 2 - prev)
-            yield tuple(parts)
+    """The exponents A of the Theta-monomials with sum(A) <= max_total."""
+    out = [()]
+    for _ in range(d):
+        out = [A + (a,) for A in out for a in range(max_total - sum(A) + 1)]
+    return out
 
 
 def _equivariant_basis(model, d, total):
@@ -304,7 +295,7 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     is assembled and its Smith normal form reports degrees 0..cutoff; the
     cutoff is recorded so omitted degrees are explicit.  Every other
     invariant mode k is checked exactly to have kappa(X_a) = 0 for each
-    generator, so D^2 = Theta^a kappa(X_a) = 0, and ``require_acyclic``
+    generator, so D^2 = Theta^a kappa(X_a) = 0, and ``require_modes``
     then certifies d_h on the masks: its homotopy H = iota_{e_b} / kappa_b
     anticommutes with every constant iota_a, so DH + HD = 1 in every
     degree.  Each representative keys mode 0's labels as (mode, label).
@@ -322,22 +313,19 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     labels = [lab for b in bases for lab in b]
     bivector = integer_bivector(model.constant_bivector())
     generators = _integer_generators(action)
-    zero = (0,) * model.dim
-    require_zero(zero, koszul_columns(*dh_kappa_v(bivector, zero)))
-    for k in modes:
-        if not any(k):
-            continue
-        kappa, v, den = dh_kappa_v(bivector, k)
+
+    def invariant(k, kappa, _v):
         for a, x in enumerate(generators[1]):
             re = sum(p * r - q * s for (p, q), (r, s) in zip(kappa, x))
             im = sum(p * s + q * r for (p, q), (r, s) in zip(kappa, x))
             if re or im:
                 raise AssertionError(f"Fourier mode {k} is not invariant "
                                      f"under generator {a}")
-        require_acyclic(k, kappa, v, den)
+    require_modes(modes, lambda k: dh_kappa_v(bivector, k), invariant)
     tab = complex_homology(dense_complex(
         degrees, bases, _cartan_columns(generators, labels), HPoly))
     entries = [tab.entries[n] for n in range(cutoff + 1)]
+    zero = (0,) * model.dim
     for e in entries:
         e.representatives = [{(zero, lab): c for lab, c in rep.items()}
                              for rep in e.representatives]

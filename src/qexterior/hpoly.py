@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GRat, RatLike, as_scalar
+from .scalars import GRat, RatLike, as_scalar, scalar_to_json
 
 
 class HPoly:
@@ -142,10 +142,6 @@ class HPoly:
         for _ in range(k):
             out = out * self
         return out
-
-    def shift(self, k: int):
-        """Multiply by h^k."""
-        return type(self)({j + k: c for j, c in self.coeffs.items()})
 
     def evaluate(self, x):
         out = None
@@ -312,5 +308,4 @@ def poly_gcd(a: HPoly, b: HPoly) -> HPoly:
 
 
 def hpoly_to_json(p: HPoly):
-    from .scalars import scalar_to_json
     return [[j, scalar_to_json(p.coeffs[j])] for j in sorted(p.coeffs)]

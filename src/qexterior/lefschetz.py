@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .calculus import quantum_d
-from .forms import Bivector, HForm, StarTable, symplectic_star
+from .forms import Bivector, HForm, StarTable, omega_form, symplectic_star
 from .linalg import charpoly, factor_charpoly, geometric_multiplicity
 from .models import PoissonModel, darboux_matrix
 from .quantum import qwedge
@@ -58,9 +58,7 @@ class DarbouxSpace:
         self._star = None
         self.w = Bivector(self.dim, {(2 * k + 1, 2 * k + 2): Fraction(-1)
                                      for k in range(n)})
-        self.omega_form = HForm(self.dim, {
-            (0, (1 << (2 * k)) | (1 << (2 * k + 1))): Fraction(1)
-            for k in range(n)}, laurent=True)
+        self.omega_form = omega_form(self.omega, laurent=True)
 
     @property
     def star(self) -> StarTable:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import FourierCoeff, PolyCoeff
-from .forms import Bivector, HForm, check_symplectic
+from .forms import Bivector, HForm, check_symplectic, omega_form
 from .linalg import matrix_inverse
 from .quantum import j_preserves
 from .scalars import as_fraction
@@ -149,12 +149,7 @@ class PoissonModel:
     def omega_form(self, laurent: bool = False) -> HForm:
         if self.omega is None:
             raise ValueError("model has no symplectic structure")
-        terms = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.omega[i][j]:
-                    terms[(0, (1 << i) | (1 << j))] = self.coeff_const(self.omega[i][j])
-        return HForm(self.dim, terms, laurent)
+        return omega_form(self.omega, laurent).map_coeffs(self.coeff_const)
 
     # -- canonical constructors -----------------------------------------------
 

@@ -27,9 +27,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .chern import QConnection
 from .coeffs import FourierCoeff, PolyCoeff, coeff_to_json
+from .equivariant import GroupAction
 from .forms import Bivector, HForm, mask_indices
 from .hpoly import hpoly_to_json
+from .linalg import matrix_inverse
 from .models import AFFINE, TORUS, PoissonModel, darboux_matrix
 from .sampling import PRNG_NAME
 from .scalars import scalar_from_json
@@ -182,7 +185,6 @@ def model_from_json(obj) -> PoissonModel:
             raise ValueError("darboux needs even dimension")
         symp = darboux_matrix(dim // 2)
         if not entries:
-            from .linalg import matrix_inverse
             dual = matrix_inverse(symp)
             cls = PolyCoeff if kind == AFFINE else FourierCoeff
             entries = {(i + 1, j + 1): cls.const(dim, dual[i][j])
@@ -200,7 +202,6 @@ def model_from_json(obj) -> PoissonModel:
 
 
 def action_from_json(obj, model: PoissonModel):
-    from .equivariant import GroupAction
     _object(obj, "an action")
     gens = []
     for row in _list(obj.get("generators", []), "action generators"):
@@ -212,7 +213,6 @@ def action_from_json(obj, model: PoissonModel):
 
 
 def connection_from_json(obj, model: PoissonModel):
-    from .chern import QConnection
     _object(obj, "a connection")
     rank = _exact_int(obj.get("rank"), "connection rank")
     if rank < 1:

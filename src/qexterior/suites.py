@@ -21,8 +21,9 @@ from .equivariant import (EquivariantElement, GroupAction,
                           anticommutator_check, cartan_d, lie_bivector)
 from .forms import Bivector, HForm
 from .lefschetz import commutator_check, lefschetz_d_commutators
+from .linalg import det
 from .models import PoissonModel, TORUS
-from .quantum import qwedge, wwedge
+from .quantum import frobenius_pairing, gram_matrix, qwedge, wwedge
 from .sampling import Sampler
 
 
@@ -50,7 +51,7 @@ class SuiteResult:
                 "failures": self.failures[:5]}
 
 
-def _product_triple(model, s: Sampler, dim):
+def _product_triple(s: Sampler, dim):
     w = s.antisymmetric_bivector(dim)
     forms = [s.ext_form(dim, degree=s.randint(0, dim), h_max=1)
              for _ in range(3)]
@@ -61,7 +62,7 @@ def suite_associativity(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("associativity", trials)
     for t in range(trials):
         dim = (model.dim if model is not None else s.randint(2, 8))
-        w, (a, b, c) = _product_triple(model, s, dim)
+        w, (a, b, c) = _product_triple(s, dim)
         lhs = qwedge(qwedge(a, b, w), c, w)
         rhs = qwedge(a, qwedge(b, c, w), w)
         res.checked += 1
@@ -201,8 +202,6 @@ def suite_frobenius(model, trials, s: Sampler) -> SuiteResult:
         raise SuitePrecondition("frobenius suite draws its own bivectors "
                                 "and takes no model")
     res = SuiteResult("frobenius", trials)
-    from .linalg import det as _det
-    from .quantum import frobenius_pairing, gram_matrix
     for t in range(trials):
         dim = s.randint(2, 6)
         w = s.antisymmetric_bivector(dim)
@@ -217,7 +216,7 @@ def suite_frobenius(model, trials, s: Sampler) -> SuiteResult:
     for dim in range(2, 5):
         g = gram_matrix(s.antisymmetric_bivector(dim))
         res.checked += 1
-        if not _det([[Fraction(x) for x in row] for row in g]):
+        if not det([[Fraction(x) for x in row] for row in g]):
             res.fail({"gram_dim": dim})
     return res
 

@@ -19,7 +19,7 @@ from oracles import (cartan_columns_at_mode, derham_table_snf,
                      invariant_subcomplex, label_columns,
                      label_homotopy_certificate, matrix_of_dh_symbolic,
                      mode_subcomplex, ring_table_per_pair)
-from qexterior import _kernels, cohomology, complexes
+from qexterior import _kernels, cohomology, complexes, equivariant
 from qexterior.cli import main
 from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
                                   graded_dims, quantum_derham_table,
@@ -696,42 +696,70 @@ class TestSparseRepresentatives:
         assert peak < 16 * 2 ** 20
 
 
-def nonzero_on_mode_zero(monkeypatch):
-    """Give the driver's mode-0 operator (the only one without entries)
-    one entry, e^1 on the empty mask."""
-    def broken(kappa, v, den):
-        cols, den = koszul_columns(kappa, v, den)
-        if not any(cols.values()):
-            cols[0] = {(1, 0): (1, 0)}
-        return cols, den
+def nonzero_on_mode_zero(monkeypatch, part="kappa"):
+    """Give mode 0 of every driver (the only mode with kappa = v = 0) a
+    nonzero first entry of ``part``, kappa or v: its operator then has
+    an entry, e^1 on the empty mask or e_1 |- on the full one."""
+    def broken(builder):
+        def kappa_v(w, k):
+            kappa, v, den = builder(w, k)
+            if not any(k):
+                if part == "kappa":
+                    kappa = [(1, 0)] + kappa[1:]
+                else:
+                    v = [(1, 0)] + v[1:]
+            return kappa, v, den
+        return kappa_v
 
-    monkeypatch.setattr(cohomology, "koszul_columns", broken)
+    monkeypatch.setattr(cohomology, "dh_kappa_v", broken(dh_kappa_v))
+    monkeypatch.setattr(cohomology, "_delbar_kappa_v",
+                        broken(_delbar_kappa_v))
+    monkeypatch.setattr(equivariant, "dh_kappa_v", broken(dh_kappa_v))
+
+
+MODE_ZERO_TABLES = [
+    lambda m: quantum_derham_table(m, 1),
+    lambda m: quantum_derham_table(m, 0, ring=HPoly),
+    lambda m: quantum_dolbeault_table(m, 1),
+    lambda m: quantum_dolbeault_table(m, 0, ring=HLaurent),
+    lambda m: circle_table(m, 1),
+    lambda m: circle_table(m, 0),
+]
+MODE_ZERO_IDS = ["derham", "derham-box-0", "dolbeault", "dolbeault-box-0",
+                 "equivariant", "equivariant-box-0"]
 
 
 class TestModeZero:
-    """Mode 0 is read off the constant monomials only after its operator
-    is checked to vanish; each nonzero Dolbeault mode is checked to be of
-    bidegree (0, 1)."""
+    """Mode 0 is read off the constant monomials only after its kappa and
+    v are checked to vanish; each nonzero Dolbeault mode is checked to be
+    of bidegree (0, 1)."""
 
-    @pytest.mark.parametrize("table", [
-        lambda m: quantum_derham_table(m, 1),
-        lambda m: quantum_derham_table(m, 0, ring=HPoly),
-        lambda m: quantum_dolbeault_table(m, 1),
-        lambda m: quantum_dolbeault_table(m, 0, ring=HLaurent),
-    ], ids=["derham", "derham-box-0", "dolbeault", "dolbeault-box-0"])
+    @pytest.mark.parametrize("table", MODE_ZERO_TABLES, ids=MODE_ZERO_IDS)
     def test_nonzero_mode_zero_raises(self, t2c, monkeypatch, table):
         nonzero_on_mode_zero(monkeypatch)
         with pytest.raises(AssertionError,
                            match=re.escape("Fourier mode (0, 0)")):
             table(t2c)
 
-    @pytest.mark.parametrize("command", ["cohomology", "dolbeault"])
+    @pytest.mark.parametrize("table", MODE_ZERO_TABLES, ids=MODE_ZERO_IDS)
+    def test_nonzero_v_on_mode_zero_raises(self, t2c, monkeypatch, table):
+        nonzero_on_mode_zero(monkeypatch, part="v")
+        with pytest.raises(AssertionError, match=re.escape(
+                "nonzero differential on Fourier mode (0, 0)")):
+            table(t2c)
+
+    @pytest.mark.parametrize("command", ["cohomology", "dolbeault",
+                                         "equivariant"])
     def test_nonzero_mode_zero_exits_three(self, tmp_path, monkeypatch,
                                            capsys, command):
         path = tmp_path / "t2c.json"
         path.write_text(json.dumps(PINNED_FILES["t2c"]), encoding="utf-8")
+        action = tmp_path / "circle.json"
+        action.write_text(json.dumps(PINNED_FILES["circle"]),
+                          encoding="utf-8")
+        extra = ["--action", str(action)] if command == "equivariant" else []
         nonzero_on_mode_zero(monkeypatch)
-        assert main([command, "--model", str(path)]) == 3
+        assert main([command, "--model", str(path), *extra]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["message"] == \
@@ -932,17 +960,28 @@ class TestRingTable:
     ], ids=["t4-integer", "t4-rational", "t4-gaussian"])
     def test_real_bivector_takes_the_integer_kernel(self, monkeypatch, model,
                                                     integer):
-        calls = []
-        kernel = _kernels._qwedge_integer
+        # the class products are read off the bivector's product table, one
+        # mask pair each, without a qwedge call: a rational table (integer
+        # rows D W) for a real w, a typed one for a Gaussian w
+        tab = quantum_derham_table(model, mode_box=0)
+        qwedges, tables = [], []
+        qwedge_terms, product = _kernels.qwedge_terms, _kernels.QTable.product
 
         def counting(*args):
-            calls.append(args)
-            return kernel(*args)
+            qwedges.append(args)
+            return qwedge_terms(*args)
 
-        monkeypatch.setattr(_kernels, "_qwedge_integer", counting)
-        rt = ring_table(quantum_derham_table(model, mode_box=0), model)
+        def reading(table, ma, mb):
+            tables.append(table)
+            return product(table, ma, mb)
+
+        monkeypatch.setattr(_kernels, "qwedge_terms", counting)
+        monkeypatch.setattr(_kernels.QTable, "product", reading)
+        rt = ring_table(tab, model)
         assert len(rt.structure) == 256
-        assert len(calls) == (256 if integer else 0)
+        assert qwedges == []
+        assert len(tables) == 256
+        assert {table.D is not None for table in tables} == {integer}
 
     def test_negated_representative_matches_snf_solve(self, t4):
         # -e^I represents the same class line: the -1 pivots are read off

@@ -94,6 +94,29 @@ def test_only_equivariant_mode_zero_takes_a_smith_normal_form():
     assert certificates == ["complexes.py:require_acyclic"]
 
 
+def test_every_mode_is_settled_through_require_modes():
+    # the three table drivers settle their Fourier modes through one call;
+    # only require_modes runs require_acyclic, and no module outside
+    # complexes.py builds a Koszul operator on the masks
+    import ast
+    calls = []
+    for path in sorted((ROOT / "src" / "qexterior").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name in (
+                        "require_modes", "require_acyclic", "koszul_columns"):
+                    calls.append(f"{path.name}:"
+                                 f"{getattr(top, 'name', '<module>')}:{name}")
+    assert calls == [
+        "cohomology.py:quantum_derham_table:require_modes",
+        "cohomology.py:quantum_dolbeault_table:require_modes",
+        "complexes.py:require_acyclic:koszul_columns",
+        "complexes.py:require_modes:require_acyclic",
+        "equivariant.py:equivariant_cohomology_table:require_modes"]
+
+
 def test_every_library_function_is_reached():
     # a top-level function or class of the library must be named by
     # another part of it, by the benchmark or by the public API; anything
