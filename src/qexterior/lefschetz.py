@@ -28,9 +28,11 @@ computed once with integral coefficients as ints.  An L_h column sums the
 expansions of omega's masks with the label's mask in the bivector's own
 product table (:func:`lh_column`); an L_h* column is -* L_h * read off
 those L_h columns through the star table (:func:`lefschetz_columns`).
-The M_h matrices are dense ``Fraction`` views of the L_h columns; the
-commutator check composes the L_h and L_h* columns with A_h (a scalar per
-label) and h^{+-1} (a shift of j) and compares exact coefficient dicts.
+The M_h matrices are dense ``Fraction`` views of the L_h columns.  The
+commutator check takes each operator image of a label once (columns,
+four composites, the A_h factor n - |mask| - 2j per label), compares the
+identities on those exact coefficient dicts, then certifies the scale of
+L_h* by M_h* = M_h - 2n on every label.
 """
 
 from __future__ import annotations
@@ -152,17 +154,18 @@ def lefschetz_columns(space: DarbouxSpace):
     star table, with *h = h^{-1} (j -> -j) and integral scales as ints."""
     L = Columns(lambda lab: lh_column(space, lab))
     star = space.star
+    rows = Columns(lambda mask: [(comp, _exact(s))
+                                 for comp, s in star.row(mask)])
 
     def lh_star_column(lab):
         j, mask = lab
         col = {}
-        for comp, s in star.row(mask):
-            s = -_exact(s)
+        for comp, s in rows[mask]:
             for (j2, m2), c in L[(-j, comp)].items():
-                c = c * s
-                for comp2, s2 in star.row(m2):
+                c = c * -s
+                for comp2, s2 in rows[m2]:
                     key = (-j2, comp2)
-                    v = col.get(key, 0) + c * _exact(s2)
+                    v = col.get(key, 0) + c * s2
                     if v:
                         col[key] = v
                     else:
@@ -225,50 +228,43 @@ def _apply(cols: Columns, v: dict) -> dict:
     return out
 
 
-def _sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        s = out.get(key)
-        s = -c if s is None else s - c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _scale(v: dict, c) -> dict:
-    return {key: x * c for key, x in v.items()}
-
-
 def _h_shift(v: dict, k: int) -> dict:
     return {(j + k, m): c for (j, m), c in v.items()}
 
 
-def _apply_A(v: dict, n: int) -> dict:
-    """A_h on a label (j, mask): multiplication by n - |mask| - 2j."""
-    out = {}
-    for (j, m), c in v.items():
-        f = n - m.bit_count() - 2 * j
-        if f:
-            out[(j, m)] = c * f
-    return out
+def _a_factor(lab, n: int) -> int:
+    """A_h on the label (j, mask): multiplication by n - |mask| - 2j."""
+    j, mask = lab
+    return n - mask.bit_count() - 2 * j
+
+
+def _witness(space: DarbouxSpace, k: int, lab) -> str:
+    unit = HForm(space.dim, {lab: Fraction(1)}, laurent=True)
+    return f"degree {k}, basis element {unit}"
 
 
 def commutator_check(n: int, window=None) -> CommutatorReport:
     """Verify the Lefschetz commutator identities exactly on every
-    homogeneous piece in the degree window.
+    homogeneous piece in the degree window, then certify the scale of
+    ``L_h*``.
 
     ``L_h`` and ``L_h*`` are kept as sparse columns, one per basis label
-    (computed once, on first use, by :func:`lefschetz_columns`); the
-    composites are sums of columns, ``A_h`` scales a label by
-    ``n - |I| - 2j`` and ``h^{+-1}`` shifts its ``j``.  Every identity is
-    checked on every basis label of the window by exact equality.
+    (computed once, on first use, by :func:`lefschetz_columns`).  On each
+    label x = (j, mask) the images are taken once: the columns ``L_h x``,
+    ``L_h* x`` and those at (j +- 1, mask), which the h-shift identities
+    compare with ``L_h x`` and ``L_h* x`` shifted; the composites
+    ``L_h L_h* x``, ``L_h* L_h x``, ``L_h h L_h* x`` and
+    ``L_h* h^-1 L_h x``; and ``A_h``, the factor ``n - |mask| - 2j`` of a
+    label, so that an identity with ``A_h`` compares factors on the labels
+    of an image.  ``[h,h^-1]=0``, ``Mh=h^-1Lh`` and ``Mh*=hLh*`` hold by
+    the definitions of the shift, ``M_h`` and ``M_h*``.
 
-    The identities do not fix the calibration sign of the dual bivector:
-    with ``w`` flipped for both ``L_h`` and ``L_h*`` all of them still
-    hold.  :func:`hard_lefschetz_check` catches that sign, since its
-    blocks are then no longer (x - n)^size.
+    Every identity is linear in ``L_h*``, so none of them sees its scale.
+    Once all of them hold, ``M_h* x = M_h x - 2n x`` is certified on every
+    label of the window; a label that fails it raises AssertionError
+    naming its degree and the label.  That certificate also catches the
+    calibration sign of the dual bivector flipped for both ``L_h`` and
+    ``L_h*``, which every identity lets through.
 
     The h-shift identity is verified with the computed sign
     [A_h, h^{+-1}] = -+ 2 h^{+-1}; the source lemma prints +- 2 h^{+-1},
@@ -279,46 +275,42 @@ def commutator_check(n: int, window=None) -> CommutatorReport:
     if window is None:
         window = range(-(2 * n + 2), 2 * n + 3)
     rep = CommutatorReport(n, list(window))
-    L_cols, Ls_cols = lefschetz_columns(space)
-
-    L = lambda v: _apply(L_cols, v)
-    Ls = lambda v: _apply(Ls_cols, v)
-    A = lambda v: _apply_A(v, n)
-    H = lambda v: _h_shift(v, 1)
-    Hi = lambda v: _h_shift(v, -1)
-    M = lambda v: Hi(L(v))
-    Ms = lambda v: H(Ls(v))
-
-    def comm(P, Q):
-        return lambda v: _sub(P(Q(v)), Q(P(v)))
-
-    checks = [
-        ("[Lh,Lh*]=0", comm(L, Ls), None),
-        ("[Lh,Ah]=2Lh", comm(L, A), lambda v: _scale(L(v), 2)),
-        ("[Lh*,Ah]=-2Lh*", comm(Ls, A), lambda v: _scale(Ls(v), -2)),
-        ("[h,h^-1]=0", comm(H, Hi), None),
-        ("[Lh,h]=0", comm(L, H), None),
-        ("[Lh,h^-1]=0", comm(L, Hi), None),
-        ("[Lh*,h]=0", comm(Ls, H), None),
-        ("[Lh*,h^-1]=0", comm(Ls, Hi), None),
-        ("[Ah,h]=-2h", comm(A, H), lambda v: _scale(H(v), -2)),
-        ("[Ah,h^-1]=2h^-1", comm(A, Hi), lambda v: _scale(Hi(v), 2)),
-        ("[Mh,Mh*]=0", comm(M, Ms), None),
-        ("[Mh,Ah]=0", comm(M, A), None),
-        ("[Mh*,Ah]=0", comm(Ms, A), None),
-        ("Mh=h^-1Lh", lambda v: _sub(M(v), Hi(L(v))), None),
-        ("Mh*=hLh*", lambda v: _sub(Ms(v), H(Ls(v))), None),
-    ]
+    L, Ls = lefschetz_columns(space)
+    A = _a_factor
+    scale_failure = None
     for k in rep.window:
         for lab in space.basis(k):
-            x = {lab: 1}
-            for name, lhs, rhs in checks:
-                if lhs(x) != (rhs(x) if rhs else {}):
-                    unit = HForm(space.dim, {lab: Fraction(1)}, laurent=True)
-                    rep.record(name, False,
-                               f"degree {k}, basis element {unit}")
-                else:
-                    rep.record(name, True)
+            j, mask = lab
+            a = A(lab, n)
+            up, down = (j + 1, mask), (j - 1, mask)
+            Lx, Lsx = L[lab], Ls[lab]
+            Mx, Msx = _h_shift(Lx, -1), _h_shift(Lsx, 1)
+            held = (
+                ("[Lh,Lh*]=0", _apply(L, Lsx) == _apply(Ls, Lx)),
+                ("[Lh,Ah]=2Lh", all(A(y, n) == a - 2 for y in Lx)),
+                ("[Lh*,Ah]=-2Lh*", all(A(y, n) == a + 2 for y in Lsx)),
+                ("[h,h^-1]=0", True),
+                ("[Lh,h]=0", L[up] == _h_shift(Lx, 1)),
+                ("[Lh,h^-1]=0", L[down] == Mx),
+                ("[Lh*,h]=0", Ls[up] == Msx),
+                ("[Lh*,h^-1]=0", Ls[down] == _h_shift(Lsx, -1)),
+                ("[Ah,h]=-2h", A(up, n) - a == -2),
+                ("[Ah,h^-1]=2h^-1", A(down, n) - a == 2),
+                ("[Mh,Mh*]=0", _h_shift(_apply(L, Msx), -1)
+                 == _h_shift(_apply(Ls, Mx), 1)),
+                ("[Mh,Ah]=0", all(A(y, n) == a for y in Mx)),
+                ("[Mh*,Ah]=0", all(A(y, n) == a for y in Msx)),
+                ("Mh=h^-1Lh", True),
+                ("Mh*=hLh*", True),
+            )
+            for name, ok in held:
+                rep.record(name, ok, None if ok else _witness(space, k, lab))
+            scaled = {**Mx, lab: Mx.get(lab, 0) - 2 * n}
+            if scale_failure is None and \
+                    Msx != {y: c for y, c in scaled.items() if c}:
+                scale_failure = _witness(space, k, lab)
+    if rep.ok and scale_failure:
+        raise AssertionError(f"M_h* = M_h - 2n fails on {scale_failure}")
     rep.notes.append(
         "h-shift identity verified with computed sign [A_h, h^{+-1}] = "
         "-+2 h^{+-1}; the source states +-2 h^{+-1}, which the n = 1 desk "

@@ -123,9 +123,11 @@ def charpoly(rows) -> HPoly:
             u = H[i][m - 1] / t
             row = H[i]
             for j in range(m - 1, n):
-                row[j] = row[j] - u * pivot_row[j]
+                if pivot_row[j]:
+                    row[j] = row[j] - u * pivot_row[j]
             for r in H:
-                r[m] = r[m] + u * r[i]
+                if r[i]:
+                    r[m] = r[m] + u * r[i]
     # p_k = det(xI - H_k) of the leading k x k block, coefficients low to
     # high:  p_{k+1} = (x - H[k][k]) p_k
     #                  - sum_{i<k} H[i][k] H[i+1][i] ... H[k][k-1] p_i.

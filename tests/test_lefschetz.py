@@ -1,9 +1,14 @@
 """Lefschetz operators, commutator algebra, exact spectra, recursion
 lemma, and the quantum Hard Lefschetz verification."""
 
+import hashlib
+import importlib.util
+import json
 import random
+import re
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +16,11 @@ from qexterior import lefschetz
 from qexterior.cli import main
 from qexterior.forms import Bivector, HForm
 from qexterior.hpoly import HPoly
-from qexterior.lefschetz import (DarbouxSpace, Mh_matrix, SpectrumReport,
-                                 apply_Ah, apply_Lh, apply_Lh_star,
-                                 commutator_check, hard_lefschetz_check,
-                                 lefschetz_columns, lefschetz_d_commutators,
-                                 paper_conformance)
+from qexterior.lefschetz import (Columns, DarbouxSpace, Mh_matrix,
+                                 SpectrumReport, _a_factor, apply_Ah,
+                                 apply_Lh, apply_Lh_star, commutator_check,
+                                 hard_lefschetz_check, lefschetz_columns,
+                                 lefschetz_d_commutators, paper_conformance)
 from qexterior.linalg import charpoly, det
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
@@ -78,6 +83,63 @@ class TestMhMatrices:
         assert len(s2.basis(1)) == 8
 
 
+def _patch_columns(monkeypatch, L=None, Ls=None):
+    """Make ``lefschetz_columns`` hand out ``L(lab, column)`` and
+    ``Ls(lab, column)`` in place of the calibrated columns."""
+    real = lefschetz.lefschetz_columns
+
+    def patched(space):
+        cols = real(space)
+        return tuple(cols[i] if f is None else
+                     Columns(lambda lab, f=f, c=cols[i]: f(lab, c[lab]))
+                     for i, f in enumerate((L, Ls)))
+
+    monkeypatch.setattr(lefschetz, "lefschetz_columns", patched)
+
+
+def _plus_identity(lab, col):
+    out = dict(col)
+    out[lab] = out.get(lab, 0) + 1
+    return {y: c for y, c in out.items() if c}
+
+
+def _doubled_on_h0(lab, col):
+    return {y: 2 * c for y, c in col.items()} if lab[0] == 0 else col
+
+
+def _drop_empty_mask(lab, col):
+    return {y: c for y, c in col.items() if y[1]}
+
+
+def _a_factor_3j(lab, n):
+    return n - lab[1].bit_count() - 3 * lab[0]
+
+
+def _a_factor_odd_e1(lab, n):
+    return _a_factor(lab, n) + (lab[1] & 1)
+
+
+# One targeted mutant per identity that can fail: the columns patched
+# through lefschetz_columns and the A_h factor of a label.  [h,h^-1]=0,
+# Mh=h^-1Lh and Mh*=hLh* hold by the definitions of the shift, M_h and
+# M_h*.  Each mutant must make its identity fail, so that no identity is
+# compared with itself.
+MUTANTS = {
+    "[Lh,Lh*]=0": ({"L": _drop_empty_mask}, None),
+    "[Lh,Ah]=2Lh": ({"L": _plus_identity}, None),
+    "[Lh*,Ah]=-2Lh*": ({"Ls": _plus_identity}, None),
+    "[Lh,h]=0": ({"L": _doubled_on_h0}, None),
+    "[Lh,h^-1]=0": ({"L": _doubled_on_h0}, None),
+    "[Lh*,h]=0": ({"Ls": _doubled_on_h0}, None),
+    "[Lh*,h^-1]=0": ({"Ls": _doubled_on_h0}, None),
+    "[Ah,h]=-2h": ({}, _a_factor_3j),
+    "[Ah,h^-1]=2h^-1": ({}, _a_factor_3j),
+    "[Mh,Mh*]=0": ({"Ls": _drop_empty_mask}, None),
+    "[Mh,Ah]=0": ({}, _a_factor_odd_e1),
+    "[Mh*,Ah]=0": ({}, _a_factor_odd_e1),
+}
+
+
 class TestCommutators:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_all_identities(self, n):
@@ -89,6 +151,34 @@ class TestCommutators:
         rep = commutator_check(1)
         assert not rep.ok
         assert "[Lh,Lh*]=0" in rep.failures
+
+    @pytest.mark.parametrize("factor", [-1, 3], ids=["negated", "tripled"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scale_of_Lh_star(self, monkeypatch, capsys, n, factor):
+        # every identity is linear in L_h*, so a rescaled L_h* passes all
+        # fifteen; the certificate M_h* = M_h - 2n fails on the first label
+        _patch_columns(monkeypatch,
+                       Ls=lambda lab, col: {y: factor * c
+                                            for y, c in col.items()})
+        message = (f"M_h* = M_h - 2n fails on degree {-2 * n - 2}, "
+                   f"basis element h^{-n - 1}")
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            commutator_check(n)
+        assert main(["lefschetz", "--n", str(n)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"AssertionError: {message}" in captured.err
+
+    @pytest.mark.parametrize("name", list(MUTANTS))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mutant_fails_its_identity(self, monkeypatch, n, name):
+        columns, factor = MUTANTS[name]
+        _patch_columns(monkeypatch, **columns)
+        if factor is not None:
+            monkeypatch.setattr(lefschetz, "_a_factor", factor)
+        rep = commutator_check(n)
+        assert rep.results[name] is False
+        assert rep.failures[name].startswith("degree ")
 
     def test_d_commutators_on_torus_forms(self):
         s = Sampler(77)
@@ -325,7 +415,8 @@ class TestHardLefschetz:
     def test_calibration_sign_caught_by_the_blocks(self, monkeypatch, capsys,
                                                    n):
         # w flipped for L_h and L_h* alike passes every commutator
-        # identity; only the (x - n)^size certificate of the blocks sees it
+        # identity; the scale certificate M_h* = M_h - 2n of the commutator
+        # check and the (x - n)^size certificate of the blocks both see it
         real = DarbouxSpace.__init__
 
         def flipped(self, n):
@@ -333,7 +424,9 @@ class TestHardLefschetz:
             self.w = self.w.map_entries(lambda v: -v)
 
         monkeypatch.setattr(DarbouxSpace, "__init__", flipped)
-        assert commutator_check(n).ok
+        with pytest.raises(AssertionError, match=(
+                rf"M_h\* = M_h - 2n fails on degree {-2 * n - 2}, ")):
+            commutator_check(n)
         with pytest.raises(AssertionError, match=(
                 rf"M_h block of degree {-2 * n}: characteristic polynomial "
                 rf"is not \(x - {n}\)\^{2 ** (2 * n - 1)}")):
@@ -341,8 +434,8 @@ class TestHardLefschetz:
         assert main(["lefschetz", "--n", str(n)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"AssertionError: M_h block of degree {-2 * n}: " in \
-            captured.err
+        assert "AssertionError: M_h* = M_h - 2n fails on degree " \
+            f"{-2 * n - 2}, " in captured.err
 
     def test_conformance_recorded(self):
         rep = hard_lefschetz_check(1)
@@ -351,3 +444,41 @@ class TestHardLefschetz:
         assert statuses[0] == "mismatch"
         # and no block is silently dropped
         assert set(statuses) == set(rep.blocks)
+
+
+class TestBenchmarkDigests:
+    """The Lefschetz jobs of the benchmark, rebuilt with its own job
+    builders, against the sha256 digests in its reference file."""
+
+    def test_reference_digests_replay(self, tmp_path):
+        root = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", root / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        reference = json.loads((root / "reference.json").read_text())
+        digests = {key: sha for key, sha in reference["digests"].items()
+                   if key.startswith(("cli:lefschetz:", "commutator_check:",
+                                      "hard_lefschetz_check:"))}
+        assert len(digests) == 42
+        mismatched = []
+        for key, want in digests.items():
+            kind, *fields = key.split(":")
+            args = dict(f.split("=") for f in fields if "=" in f)
+            n = int(args["n"])
+            if kind == "cli":
+                job = workloads._cli_job(
+                    key, ["lefschetz", "--n", str(n)],
+                    tmp_path / "lefschetz.json",
+                    workloads._check_lefschetz_report)
+            elif kind == "commutator_check":
+                lo, hi = map(int, args["window"].split(".."))
+                job = workloads._commutator_job(n, list(range(lo, hi + 1)))
+            else:
+                job = workloads._spectrum_job(n, int(args["k"]))
+            assert job.key == key
+            result = job.run()
+            assert job.check(result) == [], key
+            if hashlib.sha256(job.output(result)).hexdigest() != want:
+                mismatched.append(key)
+        assert mismatched == []
