@@ -49,16 +49,15 @@ def _load_json(path, option, decode, *args):
     return decode(obj, *args)
 
 
-# The most work one table command may take: each of its (2 mode_box + 1)^dim
-# - 1 nonzero Fourier modes is certified once on the 2^dim masks, and mode 0
-# scans the masks once per level (per first index p for dolbeault, per
-# total degree and Theta monomial for equivariant).  About 15 us a pair on
-# a 2-vCPU Xeon with Python 3.11: T^4 at --mode-box 3 (38,416 pairs) runs in
-# 0.5 s, T^5 at --mode-box 2 (exactly 100,000) in 1.6 s; T^8 at --mode-box 1
-# (1,679,616) takes 37 s.  At --mode-box 0 a table stores one map entry per
-# class, so the largest admitted ones fit: a plain T^16 (65,536 pairs) takes
-# 3.9 s and 262 MiB, dolbeault on the complex Darboux T^12 (45,056) 2.8 s
-# and 186 MiB.
+# The most work one table command may take, in (Fourier mode, basis label)
+# pairs: (2 mode_box + 1)^dim - 1 nonzero modes and a scan of the 2^dim
+# masks per mode-0 level (per first index p for dolbeault, per total degree
+# and Theta monomial for equivariant).  Certified from the unit modes, a
+# nonzero mode costs O(dim^2), 14-18 us (2-vCPU Xeon, Python 3.11), so as CLI
+# processes T^4 at --mode-box 3 (38,416 pairs) takes 0.15 s and T^5 at
+# --mode-box 2 (exactly 100,000) 0.17 s.  At --mode-box 0 a plain T^16
+# (65,536 pairs) takes 3.9 s and 262 MiB, dolbeault on the complex Darboux
+# T^12 (45,056) 2.8 s and 186 MiB.
 TABLE_BUDGET = 100_000
 
 # The equivariant mode-0 Smith normal form, which the pairs do not see,
@@ -371,12 +370,12 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     p = _Parser(
         prog="qexterior",
         description="Exact quantum exterior calculus on Poisson model spaces")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, options) in COMMANDS.items():
+    for name, (func, help_text, options) in commands.items():
         sp = sub.add_parser(name, help=help_text)
         for option in options:
             sp.add_argument(option, **OPTIONS[option])
@@ -386,8 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = None
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # the named command's subparser alone gives the same usage errors
+        named = {c: COMMANDS[c] for c in argv[:1] if c in COMMANDS}
+        args = build_parser(named or COMMANDS).parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         error = {"code": EXIT_BAD_INPUT, "message": str(exc)}

@@ -7,9 +7,9 @@ mode, so (Omega(M)[h], d_h) splits into one finite complex per mode.
 naming the mode: on mode 0 it checks that kappa and v vanish, so d_h (and
 delbar_h) is zero there and the table is free on the constant monomials,
 each its own representative (:func:`complexes.free_homology`); every
-nonzero mode it proves acyclic on the masks with the Koszul-Brylinski
-homotopy H (:func:`complexes.homotopy_columns`).  No Smith normal form is
-taken.  ``anomalous_modes`` stays in the report meta, always empty.
+nonzero mode it proves acyclic with the Koszul-Brylinski homotopy H,
+certified once on the unit modes and then by linearity.  No Smith normal
+form is taken.  ``anomalous_modes`` stays in the report meta, always empty.
 
 ``ring_table`` reads class coordinates off the bivector's product table:
 each representative is a one-entry map {mask: +-1}, one per mask, so each
@@ -132,7 +132,7 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     (p, q).  ``LEVEL_CAP`` bounds the reported h-level above the classical
     window (and, over k[h, h^-1], below it).  delbar_h vanishes on mode 0,
     so each (p, q) stratum is free on its labels.  Each nonzero mode is
-    certified acyclic once, on the masks as for d_h, after checking that
+    certified acyclic as for d_h, on the masks, after checking that
     kappa^{0,1} has no dz and v no dzbar component: then delbar_h raises q
     by one at fixed p and the homotopy iota_{ebar_b} / kappa^{0,1}_b
     lowers it by one, so the certificate holds at every (p, q).

@@ -22,12 +22,11 @@ d_h = kappa ^ - h iota_v on a mode (the 2m numbers of
 the 2^m masks and :func:`homotopy_columns` its contracting homotopy.
 :func:`require_modes` settles every mode of a box, or raises: with
 constant w the torus mode 0 has kappa = v = 0, so its operator vanishes
-and :func:`free_homology` is each spot's homology, and
-:func:`require_acyclic` proves every other mode acyclic on the
-two-periodic complex of the masks by :func:`homotopy_certificate`.
-:func:`dense_complex` is the ring-matrix view of an operator; only the
-equivariant Cartan complex of mode 0, whose Theta^a iota_a part does not
-vanish, takes its Smith-normal-form homology.
+and :func:`free_homology` is each spot's homology, and every other mode is
+proved acyclic by linearity from the unit modes.  :func:`dense_complex` is
+the ring-matrix view of an operator; only the equivariant Cartan complex
+of mode 0, whose Theta^a iota_a part does not vanish, takes its
+Smith-normal-form homology.
 """
 
 from __future__ import annotations
@@ -396,44 +395,6 @@ def _apply(columns, vec, out):
     return out
 
 
-def homotopy_certificate(d, h) -> bool:
-    """Exact proof that the two-periodic complex of the masks is acyclic,
-    or False.
-
-    ``d`` (the differential) and ``h`` (the candidate homotopy) are
-    operators (columns, den) on the same masks.  The certificate holds
-    when, for every mask x: every label of d x and h x is a mask of the
-    other parity, d d x = 0 and d h x + h d x = x exactly, every other
-    entry zero.  Then each cycle z is the boundary d(h z), so the homology
-    vanishes over k[h] and k[h,h^-1] alike: free rank 0 and no torsion.  A
-    False answer proves nothing.  The arithmetic runs on the Gaussian
-    integer entries as they are, so the identity reads (den_d den_h) x.
-    """
-    (d, den_d), (h, den_h) = d, h
-    unit = (den_d * den_h, 0)
-    for x, dx in d.items():
-        hx = h[x]
-        if any(lab not in d or not (lab ^ x).bit_count() & 1
-               for lab, _j in (*dx, *hx)):
-            return False
-        if _apply(d, dx, {}):
-            return False
-        if _apply(h, dx, _apply(d, hx, {})) != {(x, 0): unit}:
-            return False
-    return True
-
-
-def require_acyclic(mode, kappa, v, den):
-    """Raise AssertionError naming the Fourier ``mode`` unless
-    :func:`homotopy_certificate` proves kappa ^ - h iota_v (Gaussian
-    integers over ``den``) acyclic on the masks, with the homotopy of
-    :func:`homotopy_columns`; for constant w every nonzero mode passes."""
-    if not homotopy_certificate(koszul_columns(kappa, v, den),
-                                homotopy_columns(kappa, den)):
-        raise AssertionError(f"homotopy certificate failed on Fourier mode "
-                             f"{mode}")
-
-
 def require_modes(modes, kappa_v, check=None):
     """Settle mode 0 and the Fourier ``modes`` of a box for kappa ^ - h
     iota_v, with ``kappa_v(k)`` = (kappa, v, den) of the mode k, or raise
@@ -443,15 +404,51 @@ def require_modes(modes, kappa_v, check=None):
     exactly when some kappa_b or v_a is nonzero (mask 0 takes every wedge,
     the full mask every contraction), so those 2m numbers are checked.
     Each nonzero mode follows in box order: ``check(k, kappa, v)``, when
-    given, then :func:`require_acyclic`.
+    given, then the homotopy certificate.  :func:`koszul_columns` is
+    linear in (kappa, v), so after the first check the operators d_c of
+    the unit modes e_c are certified once on every mask: each column has
+    the other parity, d_c d_c' + d_c' d_c = 0 and d_c iota_b + iota_b d_c
+    = (kappa_c)_b (a failure names e_c, which need not be in the box and
+    is never checked).  A mode k then needs kappa_v(k) = sum_c k_c
+    kappa_v(e_c) over one den and some kappa_b(k) != 0: d(k) = sum_c k_c
+    d_c squares to zero and d(k) H + H d(k) = 1 for H = iota_{e_b} /
+    kappa_b(k), over k[h] and k[h,h^-1] alike.
     """
-    zero = (0,) * len(modes[0])
+    m = len(modes[0])
+    zero = (0,) * m
     kappa, v, _den = kappa_v(zero)
     if any(p or q for p, q in kappa + v):
         raise AssertionError(f"nonzero differential on Fourier mode {zero}")
-    for k in modes:
-        if any(k):
-            kappa, v, den = kappa_v(k)
-            if check is not None:
-                check(k, kappa, v)
-            require_acyclic(k, kappa, v, den)
+    units = []
+    for k in filter(any, modes):
+        kappa, v, den = kappa_v(k)
+        if check is not None:
+            check(k, kappa, v)
+        if not units:
+            # iota_{e_b} is the homotopy of kappa = e^b, over 1
+            iotas = [homotopy_columns([(0, 0)] * b + [(1, 0)] * (m - b), 1)[0]
+                     for b in range(m)]
+            for c in range(m):
+                unit = tuple(int(i == c) for i in range(m))
+                u_kappa, u_v, u_den = kappa_v(unit)
+                d = koszul_columns(u_kappa, u_v, u_den)[0]
+                units.append((d, u_kappa + u_v, u_den))
+                for x, dx in d.items():
+                    if not (all(lab in d and (lab ^ x).bit_count() & 1
+                                for col in (dx, *(i[x] for i in iotas))
+                                for lab, _j in col)
+                            and not any(_apply(d2, dx, _apply(d, d2[x], {}))
+                                        for d2, _kv, _den in units)
+                            and all(_apply(i, dx, _apply(d, i[x], {})) ==
+                                    ({(x, 0): kb} if any(kb) else {})
+                                    for i, kb in zip(iotas, u_kappa))):
+                        raise AssertionError(f"homotopy certificate failed "
+                                             f"on Fourier mode {unit}")
+        terms = [(kc, kv) for kc, (_d, kv, _den) in zip(k, units) if kc]
+        if any(u_den != den for _d, _kv, u_den in units) or \
+                not any(p or q for p, q in kappa) or kappa + v != [
+                    (sum(kc * kv[i][0] for kc, kv in terms),
+                     sum(kc * kv[i][1] for kc, kv in terms))
+                    for i in range(2 * m)]:
+            raise AssertionError(f"homotopy certificate failed on Fourier "
+                                 f"mode {k}")

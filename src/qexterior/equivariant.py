@@ -296,9 +296,9 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     cutoff is recorded so omitted degrees are explicit.  Every other
     invariant mode k is checked exactly to have kappa(X_a) = 0 for each
     generator, so D^2 = Theta^a kappa(X_a) = 0, and ``require_modes``
-    then certifies d_h on the masks: its homotopy H = iota_{e_b} / kappa_b
-    anticommutes with every constant iota_a, so DH + HD = 1 in every
-    degree.  Each representative keys mode 0's labels as (mode, label).
+    certifies d_h from the unit modes (invariant or not): H = iota_{e_b} /
+    kappa_b anticommutes with every constant iota_a, so DH + HD = 1 in
+    every degree.  Each representative keys mode 0's labels as (mode, label).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")

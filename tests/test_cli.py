@@ -325,6 +325,37 @@ class TestOptions:
     def test_usage_error_is_json(self, capsys, argv, message):
         assert message in cli_error(capsys, argv)
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_one_subparser_errors_as_the_full_parser(self, capsys,
+                                                     monkeypatch, command):
+        # main builds only the named command's subparser; every usage
+        # error, and an unknown command, gives the same exit code and
+        # error object, byte for byte, as the parser of all commands
+        options = cli.COMMANDS[command][2]
+        int_option = next(o for o in options
+                          if cli.OPTIONS[o].get("type") is int)
+        malformed = [[command, "--bogus"], [command, int_option, "abc"],
+                     [command, options[0]], [command + "x"],
+                     [command, "--ring", "rational"]]
+        built = []
+        original = cli.build_parser
+
+        def recording(commands=cli.COMMANDS):
+            built.append(list(commands))
+            return original(commands)
+
+        def full(commands=cli.COMMANDS):
+            return original()
+
+        for argv in malformed:
+            monkeypatch.setattr(cli, "build_parser", recording)
+            code = main(argv)
+            one = capsys.readouterr()
+            monkeypatch.setattr(cli, "build_parser", full)
+            assert (code, one) == (main(argv), capsys.readouterr()), argv
+            assert code == 2 and one.out == "", argv
+        assert built == [[command]] * 3 + [list(cli.COMMANDS), [command]]
+
 
 class TestCohomology:
     def test_t2_table(self, t2_file, tmp_path):

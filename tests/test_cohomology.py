@@ -16,7 +16,8 @@ from oracles import (cartan_columns_at_mode, derham_table_snf,
                      free_rank_oracle, grat_cartan_columns,
                      grat_delbar_kappa_v, grat_dh_kappa_v,
                      grat_homotopy_columns, grat_koszul_columns,
-                     invariant_subcomplex, label_columns,
+                     homotopy_certificate, invariant_subcomplex,
+                     label_columns, require_acyclic,
                      label_homotopy_certificate, matrix_of_dh_symbolic,
                      mode_subcomplex, ring_table_per_pair)
 from qexterior import _kernels, cohomology, complexes, equivariant
@@ -26,9 +27,10 @@ from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
                                   quantum_dolbeault_table, ring_table)
 from qexterior.complexes import (CohomologyTable, DegreeHomology,
                                  FiniteComplex, complex_homology,
-                                 dense_complex, dense_matrix, dh_kappa_v,
-                                 homotopy_certificate, homotopy_columns,
-                                 integer_bivector, koszul_columns)
+                                 box_modes, dense_complex, dense_matrix,
+                                 dh_kappa_v, homotopy_columns,
+                                 integer_bivector, koszul_columns,
+                                 require_modes)
 from qexterior.equivariant import (GroupAction, _cartan_columns,
                                    _equivariant_basis, _integer_generators,
                                    equivariant_cohomology_table,
@@ -224,20 +226,53 @@ def certificate_bivectors(dim):
     }
 
 
+def unit_modes(dim):
+    """The unit Fourier modes e_1, .., e_dim."""
+    return [tuple(int(i == c) for i in range(dim)) for c in range(dim)]
+
+
+def patch_builders(monkeypatch, wrap):
+    """Replace the kappa_v builder of every driver by ``wrap(builder)``."""
+    monkeypatch.setattr(cohomology, "dh_kappa_v", wrap(dh_kappa_v))
+    monkeypatch.setattr(cohomology, "_delbar_kappa_v",
+                        wrap(_delbar_kappa_v))
+    monkeypatch.setattr(equivariant, "dh_kappa_v", wrap(dh_kappa_v))
+
+
 @pytest.fixture
 def certificates(monkeypatch):
-    """Outcomes of every homotopy certificate the drivers run; they all
-    run it through ``complexes.require_acyclic``, once per nonzero mode
-    (and per p for the Dolbeault table)."""
-    seen = []
+    """What the drivers' homotopy certificate reads: the modes whose kappa
+    and v it asks for, in order, and the (kappa, v, den) of every Koszul
+    operator it builds."""
+    seen = {"modes": [], "operators": []}
 
-    def recording(*args, **kwargs):
-        ok = homotopy_certificate(*args, **kwargs)
-        seen.append(ok)
-        return ok
+    def wrap(builder):
+        def kappa_v(w, k):
+            seen["modes"].append(k)
+            return builder(w, k)
+        return kappa_v
 
-    monkeypatch.setattr(complexes, "homotopy_certificate", recording)
+    def recording(kappa, v, den):
+        seen["operators"].append((kappa, v, den))
+        return koszul_columns(kappa, v, den)
+
+    patch_builders(monkeypatch, wrap)
+    monkeypatch.setattr(complexes, "koszul_columns", recording)
     return seen
+
+
+def assert_certified_in_order(seen, modes, kappa_v):
+    """The certificate read mode 0, the first nonzero mode, then the unit
+    modes, whose operators alone it built, then the other nonzero modes
+    once each; and the per-mode certificate it replaced proves each
+    nonzero mode acyclic."""
+    dim = len(modes[0])
+    nonzero = [k for k in modes if any(k)]
+    units = unit_modes(dim)
+    assert seen["modes"] == [(0,) * dim, nonzero[0], *units, *nonzero[1:]]
+    assert seen["operators"] == [kappa_v(e) for e in units]
+    for k in nonzero:
+        require_acyclic(k, *kappa_v(k))
 
 
 class TestHomotopyCertificate:
@@ -322,19 +357,27 @@ class TestHomotopyCertificate:
     @pytest.mark.parametrize("ring", [HLaurent, HPoly])
     def test_derham_driver_certifies_every_mode(self, certificates, ring):
         model = model_from_json(PINNED_MODEL)
+        bivector = integer_bivector(model.constant_bivector())
         tab = quantum_derham_table(model, mode_box=1, ring=ring)
-        assert certificates == [True] * 80
+        assert len(certificates["modes"]) == 1 + 80 + 4
+        assert_certified_in_order(certificates, box_modes(4, 1),
+                                  lambda k: dh_kappa_v(bivector, k))
         assert tab.meta["anomalous_modes"] == []
 
     @pytest.mark.parametrize("ring", [HLaurent, HPoly])
     def test_dolbeault_driver_certifies_every_mode(self, t2c, certificates,
                                                    ring):
         t4c = PoissonModel.darboux_torus(2, complex_structure=True)
-        # one certificate per mode, on the masks, whatever the levels p
-        for model, n_modes in ((t2c, 8), (t4c, 80)):
-            certificates.clear()
+        # one Koszul operator per unit mode, on the masks, whatever the
+        # levels p, and every nonzero mode read once
+        for model in (t2c, t4c):
+            certificates["modes"].clear()
+            certificates["operators"].clear()
+            wc = integer_bivector(complex_frame_bivector(
+                model.constant_bivector()))
             tab = quantum_dolbeault_table(model, mode_box=1, ring=ring)
-            assert certificates == [True] * n_modes
+            assert_certified_in_order(certificates, box_modes(model.dim, 1),
+                                      lambda k: _delbar_kappa_v(wc, k))
             assert tab.meta["anomalous_modes"] == []
 
     def test_dolbeault_homotopy_on_non_darboux_bivector(self):
@@ -368,6 +411,98 @@ def dolbeault_spots(n, p, laurent):
     return qs, [bases[q] for q in qs]
 
 
+def conjugate_pairing_on(mode, kappa_v):
+    """``kappa_v`` with v + conj(kappa) on ``mode`` alone: there <kappa, v>
+    gains sum |kappa_a|^2 > 0, so that mode's operator is no
+    differential."""
+    def mutant(k):
+        kappa, v, den = kappa_v(k)
+        if k == mode:
+            v = [(a + p, b - q) for (a, b), (p, q) in zip(v, kappa)]
+        return kappa, v, den
+    return mutant
+
+
+def assert_agrees_per_mode(modes, kappa_v, rng):
+    """The unit certificate of ``require_modes`` and the per-mode
+    certificate it replaced agree on every nonzero mode: both prove each
+    acyclic, and on a seeded sample both reject the one mode whose v is
+    made to pair with kappa, the first naming it."""
+    require_modes(modes, kappa_v)
+    nonzero = [k for k in modes if any(k)]
+    for k in nonzero:
+        assert homotopy_certificate(koszul_columns(*kappa_v(k)),
+                                    homotopy_columns(*kappa_v(k)[::2])), k
+    for k in rng.sample(nonzero, 3):
+        broken = conjugate_pairing_on(k, kappa_v)
+        kappa, v, den = broken(k)
+        assert not homotopy_certificate(koszul_columns(kappa, v, den),
+                                        homotopy_columns(kappa, den)), k
+        with pytest.raises(AssertionError, match=re.escape(
+                f"homotopy certificate failed on Fourier mode {k}")):
+            require_modes(modes, broken)
+
+
+class TestUnitCertificate:
+    """``require_modes`` certifies the Koszul operators of the unit modes
+    once and every other mode by linearity; it agrees with the per-mode
+    certificate on the masks (``oracles.homotopy_certificate``)."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "degenerate", "zero"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_agrees_with_per_mode_certificate(self, dim, kind):
+        model = PoissonModel.torus(dim, certificate_bivectors(dim)[kind])
+        bivector = integer_bivector(model.constant_bivector())
+        assert_agrees_per_mode(box_modes(dim, 2 if dim <= 3 else 1),
+                               lambda k: dh_kappa_v(bivector, k),
+                               random.Random(f"unit-certificate:{dim}:{kind}"))
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "gaussian"])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_dolbeault_frames_agree(self, dim, kind):
+        model = PoissonModel.torus(dim, COMPLEX_BIVECTORS[dim][kind],
+                                   complex_structure=True)
+        wc = integer_bivector(complex_frame_bivector(
+            model.constant_bivector()))
+        assert_agrees_per_mode(box_modes(dim, 2 if dim == 2 else 1),
+                               lambda k: _delbar_kappa_v(wc, k),
+                               random.Random(f"unit-dolbeault:{dim}:{kind}"))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_koszul_columns_is_linear(self, m):
+        # each entry is +- one number of (kappa, v), so the operator of a
+        # x + b y is a (op of x) + b (op of y), zero entries dropped
+        rng = random.Random(f"koszul-linear:{m}")
+
+        def draw():
+            return [(rng.choice([0, rng.randint(-4, 4)]),
+                     rng.choice([0, rng.randint(-4, 4)])) for _ in range(m)]
+
+        def times(c, xs):
+            return [(c * p, c * q) for p, q in xs]
+
+        def plus(xs, ys):
+            return [(p + r, q + s_) for (p, q), (r, s_) in zip(xs, ys)]
+
+        for _ in range(20):
+            (kx, vx), (ky, vy) = (draw(), draw()), (draw(), draw())
+            a, b, den = rng.randint(-3, 3), rng.randint(-3, 3), \
+                rng.randint(1, 5)
+            cols, den_ = koszul_columns(plus(times(a, kx), times(b, ky)),
+                                        plus(times(a, vx), times(b, vy)), den)
+            x, y = koszul_columns(kx, vx, den)[0], \
+                koszul_columns(ky, vy, den)[0]
+            assert den_ == den and cols.keys() == set(range(1 << m))
+            for mask, col in cols.items():
+                want = {}
+                for key in x[mask].keys() | y[mask].keys():
+                    p, q = plus(times(a, [x[mask].get(key, (0, 0))]),
+                                times(b, [y[mask].get(key, (0, 0))]))[0]
+                    if p or q:
+                        want[key] = (p, q)
+                assert col == want, (mask, a, b)
+
+
 class TestNonzeroModesBySNF:
     """The Smith normal form, the oracle behind the certificates, finds no
     homology on the nonzero modes the drivers certify."""
@@ -399,14 +534,60 @@ class TestNonzeroModesBySNF:
                         assert tab.torsion(q) == [], (model.dim, p, q, k)
 
 
-def fail_certificate(monkeypatch, index):
-    """Make the ``index``-th homotopy certificate a driver runs fail."""
-    calls = itertools.count()
+def flip_unit_column(monkeypatch):
+    """Negate the first wedge on the empty mask of every Koszul operator,
+    which the certificate builds on the unit modes only: d_c iota_b +
+    iota_b d_c then gives -(kappa_c)_b there."""
+    def flipped(kappa, v, den):
+        cols, den = koszul_columns(kappa, v, den)
+        if cols[0]:
+            key = next(iter(cols[0]))
+            re_, im_ = cols[0][key]
+            cols[0][key] = (-re_, -im_)
+        return cols, den
 
-    def flaky(*args, **kwargs):
-        return next(calls) != index and homotopy_certificate(*args, **kwargs)
+    monkeypatch.setattr(complexes, "koszul_columns", flipped)
 
-    monkeypatch.setattr(complexes, "homotopy_certificate", flaky)
+
+def flip_iota_sign(monkeypatch):
+    """Negate the homotopy's entry on the full mask, so that each iota_b
+    the certificate contracts with has one wrong sign."""
+    def flipped(kappa, den):
+        cols, den = homotopy_columns(kappa, den)
+        full = max(cols)
+        cols[full] = {key: (-re_, -im_)
+                      for key, (re_, im_) in cols[full].items()}
+        return cols, den
+
+    monkeypatch.setattr(complexes, "homotopy_columns", flipped)
+
+
+def nonlinear_on(mode):
+    """A mutant that adds 1 to v_1 on the Fourier ``mode`` alone: kappa_v
+    is then not linear there, so the certificate of the unit modes says
+    nothing about that mode's operator."""
+    def mutant(monkeypatch):
+        def wrap(builder):
+            def kappa_v(w, k):
+                kappa, v, den = builder(w, k)
+                if k == mode:
+                    v = [(v[0][0] + 1, v[0][1])] + v[1:]
+                return kappa, v, den
+            return kappa_v
+        patch_builders(monkeypatch, wrap)
+    return mutant
+
+
+def pair_kappa_with_v(monkeypatch):
+    """v += kappa on every mode: linear, but <kappa, v> = sum_a kappa_a^2
+    != 0, so kappa ^ - h iota_v no longer squares to zero."""
+    def wrap(builder):
+        def kappa_v(w, k):
+            kappa, v, den = builder(w, k)
+            return kappa, [(a + p, b + q)
+                           for (a, b), (p, q) in zip(v, kappa)], den
+        return kappa_v
+    patch_builders(monkeypatch, wrap)
 
 
 def count_snf_calls(monkeypatch):
@@ -430,40 +611,109 @@ class TestCertifyOrFail:
     """No nonzero mode is computed by Smith normal form: the drivers
     certify it or raise."""
 
-    @pytest.mark.parametrize("table,modes", [
-        (lambda m, b: quantum_derham_table(m, b, ring=HPoly), box(2, 1)),
-        (lambda m, b: quantum_dolbeault_table(m, b, ring=HLaurent), box(2, 1)),
-        (circle_table, [(0, -1), (0, 1)]),
+    @pytest.mark.parametrize("table,box_,modes", [
+        (lambda m, b: quantum_derham_table(m, b, ring=HPoly), 1,
+         [k for k in box(2, 1) if k not in unit_modes(2)]),
+        (lambda m, b: quantum_dolbeault_table(m, b, ring=HLaurent), 1,
+         [k for k in box(2, 1) if k not in unit_modes(2)]),
+        (circle_table, 2, [(0, -2), (0, -1), (0, 2)]),
     ], ids=["derham", "dolbeault", "equivariant"])
     def test_failed_certificate_raises_naming_the_mode(self, t2c, monkeypatch,
-                                                       table, modes):
-        for index, mode in enumerate(modes):
-            fail_certificate(monkeypatch, index)
-            with pytest.raises(AssertionError,
-                               match=re.escape(f"Fourier mode {mode}")):
-                table(t2c, 1)
+                                                       table, box_, modes):
+        # kappa_v made non-linear on one box mode after another: the unit
+        # certificate holds, and that mode alone fails
+        for mode in modes:
+            with monkeypatch.context() as patch:
+                nonlinear_on(mode)(patch)
+                with pytest.raises(AssertionError, match=re.escape(
+                        f"homotopy certificate failed on Fourier mode "
+                        f"{mode}")):
+                    table(t2c, box_)
 
-    @pytest.mark.parametrize("argv,mode", [
-        (["cohomology"], (-1, 0)), (["dolbeault"], (-1, 0)),
-        (["equivariant", "--action", "circle"], (0, 1)),
+    @pytest.mark.parametrize("table,first", [
+        (lambda m: quantum_derham_table(m, 1, ring=HPoly), (-1, -1)),
+        (lambda m: quantum_dolbeault_table(m, 1), (-1, -1)),
+        (lambda m: circle_table(m, 1), (0, -1)),
+    ], ids=["derham", "dolbeault", "equivariant"])
+    def test_degenerate_mode_raises_naming_it(self, t2c, monkeypatch, table,
+                                              first):
+        # kappa = v = 0 on every mode is linear and passes the unit
+        # certificate, but leaves no homotopy iota_{e_b} / kappa_b; a den
+        # doubled on one mode keeps the linear numerators but halves the
+        # operator, which the unit operators then do not sum to
+        def vanishing(w, k, builder):
+            kappa, v, den = builder(w, k)
+            return [(0, 0)] * len(kappa), [(0, 0)] * len(v), den
+
+        def doubled_den(w, k, builder):
+            kappa, v, den = builder(w, k)
+            return kappa, v, 2 * den if k == (0, -1) else den
+
+        for mutant, mode in ((vanishing, first), (doubled_den, (0, -1))):
+            with monkeypatch.context() as patch:
+                patch_builders(patch, lambda builder, mutant=mutant:
+                               lambda w, k: mutant(w, k, builder))
+                with pytest.raises(AssertionError, match=re.escape(
+                        f"homotopy certificate failed on Fourier mode "
+                        f"{mode}")):
+                    table(t2c)
+
+    @pytest.mark.parametrize("label", [4, 3], ids=["outside", "same-parity"])
+    def test_column_off_the_other_parity_raises(self, t2c, monkeypatch,
+                                                label):
+        # the empty mask of each unit operator gains an image outside the
+        # masks of T^2, or one of its own parity: the unit certificate
+        # names e_1 before any identity is evaluated on it
+        def widened(kappa, v, den):
+            cols, den = koszul_columns(kappa, v, den)
+            cols[0][(label, 0)] = (1, 0)
+            return cols, den
+
+        monkeypatch.setattr(complexes, "koszul_columns", widened)
+        for table in (quantum_derham_table, quantum_dolbeault_table,
+                      lambda m: circle_table(m, 1)):
+            with pytest.raises(AssertionError, match=re.escape(
+                    "homotopy certificate failed on Fourier mode (1, 0)")):
+                table(t2c)
+
+    @pytest.mark.parametrize("argv,bidegree", [
+        (["cohomology"], False), (["dolbeault"], True),
+        (["equivariant", "--action", "circle"], False),
     ], ids=["cohomology", "dolbeault", "equivariant"])
     def test_failed_certificate_exits_three(self, tmp_path, monkeypatch,
-                                            capsys, argv, mode):
-        # the second certificate each command runs fails
+                                            capsys, argv, bidegree):
+        # every mutant raises naming a mode, and the command exits 3 with
+        # it: a failed unit certificate names the unit mode (1, 0), which
+        # is in no circle-invariant box; on the Dolbeault frame kappa and
+        # v have disjoint slots, so a v with <kappa, v> != 0 fails the
+        # bidegree check on the first mode
         files = {"t2c": PINNED_FILES["t2c"], "circle": PINNED_FILES["circle"]}
         for name, body in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(body),
                                                    encoding="utf-8")
         argv = [str(tmp_path / f"{a}.json") if a in files else a
                 for a in argv]
-        fail_certificate(monkeypatch, 1)
-        out = tmp_path / "report.json"
-        assert main(argv + ["--model", str(tmp_path / "t2c.json"),
-                            "--out", str(out)]) == 3
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["code"] == 3
-        assert error["message"] == "internal error: AssertionError: " \
-            f"homotopy certificate failed on Fourier mode {mode}"
+        last = (0, -1) if argv[0] == "equivariant" else (1, 1)
+        pairing = "delbar_h is not of bidegree (0, 1) on Fourier mode " \
+            "(-1, -1)" if bidegree else \
+            "homotopy certificate failed on Fourier mode (1, 0)"
+        for mutant, message in (
+                (flip_unit_column,
+                 "homotopy certificate failed on Fourier mode (1, 0)"),
+                (flip_iota_sign,
+                 "homotopy certificate failed on Fourier mode (1, 0)"),
+                (nonlinear_on(last),
+                 f"homotopy certificate failed on Fourier mode {last}"),
+                (pair_kappa_with_v, pairing)):
+            with monkeypatch.context() as patch:
+                mutant(patch)
+                out = tmp_path / "report.json"
+                assert main(argv + ["--model", str(tmp_path / "t2c.json"),
+                                    "--out", str(out)]) == 3
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["code"] == 3
+            assert error["message"] == \
+                f"internal error: AssertionError: {message}", mutant
 
     @pytest.mark.parametrize("table,takes_snf", [
         (lambda m, b: quantum_derham_table(m, b), False),
@@ -592,27 +842,25 @@ class TestIntegerColumns:
                                        labels),
                 grat_cartan_columns(action, *grat_dh_kappa_v(w, k), labels)), k
 
-    @pytest.mark.parametrize("table,mode", [
-        (lambda m: quantum_derham_table(m, 1), (-1, -1)),
-        (lambda m: quantum_dolbeault_table(m, 1), (-1, -1)),
-        (lambda m: circle_table(m, 1), (0, -1)),
+    @pytest.mark.parametrize("table", [
+        lambda m: quantum_derham_table(m, 1),
+        lambda m: quantum_dolbeault_table(m, 1),
+        lambda m: circle_table(m, 1),
     ], ids=["derham", "dolbeault", "equivariant"])
     def test_flipped_sign_raises_naming_the_mode(self, t2c, monkeypatch,
-                                                 table, mode):
-        # one entry of the integer builder negated: the first wedge on the
-        # empty mask, whose homotopy then gives -1 instead of 1
-        def flipped(kappa, v, den):
-            cols, den = koszul_columns(kappa, v, den)
-            if cols[0]:
-                key = next(iter(cols[0]))
-                re_, im_ = cols[0][key]
-                cols[0][key] = (-re_, -im_)
-            return cols, den
-
-        monkeypatch.setattr(complexes, "koszul_columns", flipped)
-        with pytest.raises(AssertionError,
-                           match=re.escape(f"Fourier mode {mode}")):
-            table(t2c)
+                                                 table):
+        # one entry of the integer builder negated (the first wedge on the
+        # empty mask, where d_c iota_b + iota_b d_c then gives -kappa_b),
+        # or one sign of iota_b: the certificate of the unit modes fails
+        # on e_1, which the circle-invariant box does not hold
+        for mutant in (flip_unit_column, flip_iota_sign):
+            with monkeypatch.context() as patch:
+                mutant(patch)
+                with pytest.raises(AssertionError, match=re.escape(
+                        "homotopy certificate failed on Fourier mode "
+                        "(1, 0)")):
+                    table(t2c)
+        table(t2c)
 
 
 def same_table(a, b):
@@ -711,10 +959,7 @@ def nonzero_on_mode_zero(monkeypatch, part="kappa"):
             return kappa, v, den
         return kappa_v
 
-    monkeypatch.setattr(cohomology, "dh_kappa_v", broken(dh_kappa_v))
-    monkeypatch.setattr(cohomology, "_delbar_kappa_v",
-                        broken(_delbar_kappa_v))
-    monkeypatch.setattr(equivariant, "dh_kappa_v", broken(dh_kappa_v))
+    patch_builders(monkeypatch, broken)
 
 
 MODE_ZERO_TABLES = [
@@ -767,28 +1012,33 @@ class TestModeZero:
             "Fourier mode (0, 0)"
 
     def test_dzbar_component_of_v_raises(self, monkeypatch):
-        # v gets a dzbar component where kappa^{0,1} vanishes: <kappa, v>
-        # and the homotopy identity on the masks are unchanged, but
-        # iota_v then moves p, so only the bidegree check sees it
+        # the complex-frame bivector gains a dzbar-dzbar entry, so v = wc
+        # kappa^{0,1} gets a dzbar component on every nonzero mode,
+        # linearly: <kappa, v> and the homotopy identity on the masks are
+        # unchanged, per mode and on the unit modes, but iota_v then moves
+        # p, so only the bidegree check sees it
         t4c = PoissonModel.darboux_torus(2, complex_structure=True)
-        mutants = []
 
-        def broken(wc, k):
-            kappa, v, den = _delbar_kappa_v(wc, k)
-            if any(k):
-                v = v[:2] + [(1, 0) if kappa[2 + l] == (0, 0) else v[2 + l]
-                             for l in range(2)]
-                mutants.append((kappa, v, den))
-            return kappa, v, den
+        def broken(w):
+            W, D = integer_bivector(w)
+            if w.dim == 4:
+                W = [list(row) for row in W]
+                W[2].append((3, (D, 0)))
+                W[3].append((2, (-D, 0)))
+            return W, D
 
-        monkeypatch.setattr(cohomology, "_delbar_kappa_v", broken)
+        monkeypatch.setattr(cohomology, "integer_bivector", broken)
         with pytest.raises(AssertionError, match=re.escape(
                 "delbar_h is not of bidegree (0, 1) on Fourier mode "
-                "(-1, -1, 0, 0)")):
+                "(-1, -1, -1, -1)")):
             quantum_dolbeault_table(t4c, 1)
-        kappa, v, den = mutants[-1]
-        assert homotopy_certificate(koszul_columns(kappa, v, den),
-                                    homotopy_columns(kappa, den))
+        wc = broken(complex_frame_bivector(t4c.constant_bivector()))
+        modes = box_modes(4, 1)
+        for k in modes:
+            if any(k):
+                require_acyclic(k, *_delbar_kappa_v(wc, k))
+                assert _delbar_kappa_v(wc, k)[1][2:] != [(0, 0)] * 2, k
+        require_modes(modes, lambda k: _delbar_kappa_v(wc, k))
 
 
 class TestDirectDolbeaultBuilder:

@@ -8,14 +8,15 @@ from fractions import Fraction
 import pytest
 
 from oracles import (cartan_columns_at_mode, equivariant_matrix_symbolic,
-                     label_columns, label_homotopy_certificate)
+                     homotopy_certificate, label_columns,
+                     label_homotopy_certificate, require_acyclic)
 from qexterior import complexes, equivariant
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.cohomology import quantum_derham_table
 from qexterior.complexes import (complex_homology, dense_complex,
-                                 dense_matrix, dh_kappa_v,
-                                 homotopy_certificate, homotopy_columns,
-                                 integer_bivector, require_acyclic)
+                                 dense_matrix, dh_kappa_v, homotopy_columns,
+                                 integer_bivector, koszul_columns,
+                                 require_modes)
 from qexterior.equivariant import (EquivariantElement, GroupAction,
                                    _equivariant_basis, _integer_generators,
                                    anticommutator_check, cartan_d,
@@ -246,19 +247,23 @@ class TestHomotopyCertificate:
                               for x in row] for row in symbolic], (k, n)
 
     def test_every_nonzero_mode_certified(self, monkeypatch):
-        seen = []
-
-        def recording(*args, **kwargs):
-            ok = homotopy_certificate(*args, **kwargs)
-            seen.append(ok)
-            return ok
-
-        monkeypatch.setattr(complexes, "homotopy_certificate", recording)
+        # every nonzero invariant mode is read once, and each passes the
+        # per-mode certificate on the masks that the table ran before
+        seen = record_modes(monkeypatch)
         for model, action, cutoff in translation_actions():
             seen.clear()
             tab = equivariant_cohomology_table(model, action, cutoff, 1)
             nonzero = [k for k in tab.meta["modes"] if any(k)]
-            assert nonzero and seen == [True] * len(nonzero)
+            units = [tuple(int(i == c) for i in range(model.dim))
+                     for c in range(model.dim)]
+            assert nonzero
+            assert seen == [(0,) * model.dim, nonzero[0], *units,
+                            *nonzero[1:]]
+            bivector = integer_bivector(model.constant_bivector())
+            assert all(homotopy_certificate(
+                koszul_columns(*dh_kappa_v(bivector, k)),
+                homotopy_columns(*dh_kappa_v(bivector, k)[::2]))
+                for k in nonzero)
 
     def test_nonzero_modes_acyclic_by_snf(self):
         # the Smith normal form oracle agrees: no homology on any nonzero
@@ -319,6 +324,19 @@ def cartan_label_certificate(model, action, k, cutoff):
         label_columns(homotopy_columns(kappa, den), labels))
 
 
+def record_modes(monkeypatch):
+    """The list of modes whose kappa and v the equivariant table asks
+    for, in order."""
+    seen = []
+
+    def recording(bivector, k):
+        seen.append(k)
+        return dh_kappa_v(bivector, k)
+
+    monkeypatch.setattr(equivariant, "dh_kappa_v", recording)
+    return seen
+
+
 def built(*args, **kwargs):
     raise AssertionError("a Smith normal form was taken")
 
@@ -364,18 +382,56 @@ class TestMaskCertificate:
         assert checked
 
     def test_once_per_nonzero_mode_on_the_masks(self, monkeypatch):
-        seen = []
+        # mode 0, the first nonzero invariant mode, the unit modes, whose
+        # Koszul operators on the masks are the only ones built, then the
+        # other nonzero modes, each once
+        modes = record_modes(monkeypatch)
+        operators = []
 
-        def recording(d, h):
-            seen.append((sorted(d[0]), sorted(h[0])))
-            return homotopy_certificate(d, h)
+        def recording(kappa, v, den):
+            cols = koszul_columns(kappa, v, den)
+            operators.append(sorted(cols[0]))
+            return cols
 
-        monkeypatch.setattr(complexes, "homotopy_certificate", recording)
+        monkeypatch.setattr(complexes, "koszul_columns", recording)
         for model, gens, box in agreement_actions():
             action = GroupAction(model, gens)
-            seen.clear()
+            modes.clear()
+            operators.clear()
             tab = equivariant_cohomology_table(model, action, 4, box)
             masks = list(range(1 << model.dim))
+            units = [tuple(int(i == c) for i in range(model.dim))
+                     for c in range(model.dim)]
             nonzero = [k for k in tab.meta["modes"] if any(k)]
-            assert seen == [(masks, masks)] * len(nonzero)
+            # a box with no nonzero invariant mode builds nothing
+            assert modes == [(0,) * model.dim] + (
+                [nonzero[0], *units, *nonzero[1:]] if nonzero else [])
+            assert operators == [masks] * (model.dim if nonzero else 0)
+
+    @pytest.mark.parametrize("index", range(len(agreement_actions())))
+    def test_require_modes_agrees_per_mode(self, index):
+        # on every nonzero invariant mode of the box, alone, the unit
+        # certificate passes exactly when the per-mode one does: always
+        # for d_h, never once v = kappa makes <kappa, v> != 0
+        model, gens, box = agreement_actions()[index]
+        bivector = integer_bivector(model.constant_bivector())
+
+        def paired(k):
+            kappa, v, den = dh_kappa_v(bivector, k)
+            return kappa, [(a + p, b + q)
+                           for (a, b), (p, q) in zip(v, kappa)], den
+
+        for k in invariant_modes(GroupAction(model, gens), box):
+            if not any(k):
+                continue
+            for kappa_v in (lambda k: dh_kappa_v(bivector, k), paired):
+                kappa, v, den = kappa_v(k)
+                old = homotopy_certificate(koszul_columns(kappa, v, den),
+                                           homotopy_columns(kappa, den))
+                try:
+                    require_modes([k], kappa_v)
+                    new = True
+                except AssertionError:
+                    new = False
+                assert old == new == (kappa_v is not paired), k
 

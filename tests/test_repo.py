@@ -68,10 +68,11 @@ def test_no_library_module_calls_solve_linear():
 
 def test_only_equivariant_mode_zero_takes_a_smith_normal_form():
     # the de Rham and Dolbeault tables read mode 0 off the constant
-    # monomials and every table certifies its nonzero modes on the masks
-    # through require_acyclic; outside complexes.py and snf.py (whose
-    # solve_linear no library module calls) only the equivariant Cartan
-    # complex of mode 0 reaches the SNF, in one call
+    # monomials and every table certifies its nonzero modes through
+    # require_modes, which builds no per-mode certificate; outside
+    # complexes.py and snf.py (whose solve_linear no library module calls)
+    # only the equivariant Cartan complex of mode 0 reaches the SNF, in
+    # one call
     import ast
     forbidden = {"complex_homology", "dense_complex", "smith_normal_form"}
     callers, certificates = [], []
@@ -91,13 +92,13 @@ def test_only_equivariant_mode_zero_takes_a_smith_normal_form():
     assert callers == [
         "equivariant.py:equivariant_cohomology_table:complex_homology",
         "equivariant.py:equivariant_cohomology_table:dense_complex"]
-    assert certificates == ["complexes.py:require_acyclic"]
+    assert certificates == []
 
 
 def test_every_mode_is_settled_through_require_modes():
     # the three table drivers settle their Fourier modes through one call;
-    # only require_modes runs require_acyclic, and no module outside
-    # complexes.py builds a Koszul operator on the masks
+    # only require_modes builds a Koszul operator on the masks (those of
+    # the unit modes), and no library module runs a per-mode certificate
     import ast
     calls = []
     for path in sorted((ROOT / "src" / "qexterior").glob("*.py")):
@@ -106,14 +107,14 @@ def test_every_mode_is_settled_through_require_modes():
                 func = getattr(node, "func", None)
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 if isinstance(node, ast.Call) and name in (
-                        "require_modes", "require_acyclic", "koszul_columns"):
+                        "require_modes", "require_acyclic", "koszul_columns",
+                        "homotopy_certificate"):
                     calls.append(f"{path.name}:"
                                  f"{getattr(top, 'name', '<module>')}:{name}")
     assert calls == [
         "cohomology.py:quantum_derham_table:require_modes",
         "cohomology.py:quantum_dolbeault_table:require_modes",
-        "complexes.py:require_acyclic:koszul_columns",
-        "complexes.py:require_modes:require_acyclic",
+        "complexes.py:require_modes:koszul_columns",
         "equivariant.py:equivariant_cohomology_table:require_modes"]
 
 
