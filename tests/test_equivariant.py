@@ -260,10 +260,8 @@ class TestHomotopyCertificate:
             assert seen == [(0,) * model.dim, nonzero[0], *units,
                             *nonzero[1:]]
             bivector = integer_bivector(model.constant_bivector())
-            assert all(homotopy_certificate(
-                koszul_columns(*dh_kappa_v(bivector, k)),
-                homotopy_columns(*dh_kappa_v(bivector, k)[::2]))
-                for k in nonzero)
+            for k in nonzero:
+                require_acyclic(k, *dh_kappa_v(bivector, k))
 
     def test_nonzero_modes_acyclic_by_snf(self):
         # the Smith normal form oracle agrees: no homology on any nonzero
