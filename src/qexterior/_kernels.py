@@ -23,9 +23,9 @@ sign is that of contracting S from the back of e^I, T from the front of
 e^J, and wedging the remainders.
 Which (S, T, sign) feed which output monomial depends only on the mask
 pair (:func:`qwedge_plan`); the minors and their signed sums depend on the
-bivector (:class:`QTable`).  The table keeps each row of W as a
-``{column bit: entry}`` dict, so an order-1 minor is one row lookup, and
-memoizes the minors of order 2 and up per ``(S, T)``.
+bivector (:class:`QTable`, built by ``Bivector.table``).  The table keeps
+each row of W as a ``{column bit: entry}`` dict, so an order-1 minor is one
+row lookup, and memoizes the minors of order 2 and up per ``(S, T)``.
 
 Every kernel returns a clean term dict: no zero coefficient, and only keys
 built from its inputs' masks and h-exponents.  ``forms.HForm`` wraps that
@@ -280,20 +280,6 @@ class QTable:
             c = ca * cb
             p = self.promotions[key] = type(c * self.one) is not type(c)
         return p
-
-
-def qwedge_table(dim: int, entries: dict) -> QTable:
-    """The table of the bivector with entries {(i, j): w^{ij}} (1-based):
-    rational, with the integer rows D W, when every entry is a Fraction;
-    typed, with rows of the entries themselves, otherwise."""
-    items = sorted(entries.items())
-    D = 1
-    for _ij, w in items:
-        if type(w) is not Fraction:
-            return QTable(dim, None, [(i, j, w) for (i, j), w in items])
-        D = lcm(D, w.denominator)
-    return QTable(dim, D, [(i, j, w.numerator * (D // w.denominator))
-                           for (i, j), w in items])
 
 
 def _numerators(terms: dict):

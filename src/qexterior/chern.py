@@ -14,8 +14,7 @@ import itertools
 
 from .calculus import quantum_d
 from .coeffs import FourierCoeff
-from .complexes import (dh_kappa_v, gaussian_rational, homotopy_columns,
-                        integer_bivector)
+from .complexes import dh_kappa_v, gaussian_rational, homotopy_columns
 from .forms import HForm
 from .models import PoissonModel, TORUS
 from .quantum import qwedge
@@ -138,7 +137,7 @@ def solve_dh_primitive(model: PoissonModel, delta: HForm) -> TransgressionResult
     if len({mask.bit_count() & 1 for (_j, mask) in delta.terms}) > 1:
         raise ValueError("target form has mixed parity")
     m = model.dim
-    bivector = integer_bivector(model.constant_bivector())
+    bivector = model.constant_bivector().integer
     homotopies = {}
     terms = []
     for (j, mask), c in delta.terms.items():

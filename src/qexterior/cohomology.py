@@ -11,10 +11,10 @@ nonzero mode it proves acyclic with the Koszul-Brylinski homotopy H,
 certified once on the unit modes and then by linearity.  No Smith normal
 form is taken.  ``anomalous_modes`` stays in the report meta, always empty.
 
-``ring_table`` reads class coordinates off the bivector's product table:
-each representative is a one-entry map {mask: +-1}, one per mask, so each
-term of e^ma ^_h e^mb goes to the class of its mask and no solve is
-needed.
+Both integer forms of w come off ``model.constant_bivector()``: the mode
+operators take ``.integer``, and ``ring_table`` reads class coordinates off
+``.table``, one signed monomial class {mask: +-1} per mask, so each term of
+e^ma ^_h e^mb goes to the class of its mask and no solve is needed.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import (CohomologyTable, box_modes, dh_kappa_v,
-                        free_homology, integer_bivector, koszul_mode,
-                        require_modes)
-from .forms import Bivector, HForm
+                        free_homology, koszul_mode, require_modes)
+from .forms import HForm
 from .hpoly import HLaurent, HPoly
 from .models import PoissonModel, TORUS
 from .quantum import complex_frame_bivector
@@ -61,7 +60,7 @@ def quantum_derham_table(model: PoissonModel, mode_box: int = 1,
     if max_degree is not None and max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     m = model.dim
-    bivector = integer_bivector(model.constant_bivector())
+    bivector = model.constant_bivector().integer
     require_modes(box_modes(m, mode_box), lambda k: dh_kappa_v(bivector, k))
     table = CohomologyTable(ring, [
         free_homology(p, [mask for mask in range(1 << m)
@@ -104,7 +103,7 @@ def _dolbeault_bases(n, p, q_range, laurent):
 
 def _delbar_kappa_v(wc, k):
     """kappa^{0,1}, the contraction vector of delbar_h on the mode k and
-    their denominator, under ``wc`` = ``integer_bivector`` of the
+    their denominator, under ``wc`` = ``Bivector.integer`` of the
     complex-frame bivector.
 
     delbar = sum_l dzbar^l ^ d/dzbar_l with d/dzbar_l = (d_{2l-1} + i d_{2l})/2,
@@ -143,7 +142,7 @@ def quantum_dolbeault_table(model: PoissonModel, mode_box: int = 1,
     modes = box_modes(model.dim, mode_box)
     n = model.dim // 2
     laurent = ring is HLaurent
-    wc = integer_bivector(complex_frame_bivector(model.constant_bivector()))
+    wc = complex_frame_bivector(model.constant_bivector()).integer
 
     def bidegree(k, kappa, v):
         if any(p or q for p, q in kappa[:n] + v[n:]):
@@ -200,9 +199,9 @@ def ring_table(table: CohomologyTable, model: PoissonModel) -> RingTable:
     representatives raises AssertionError.  The product of the classes
     +-e^ma and +-e^mb is then read off ``QTable.product(ma, mb)`` of the
     constant bivector without a solve: its term (k, mask, d) is the
-    coordinate +-d / D^k h^k on the class of ``mask``.  A real w takes the
-    rational table, with Fraction entries; a Gaussian w the typed one,
-    where the coordinate is +-d.  Every structure coefficient is a GRat,
+    coordinate +-d / D^k h^k on the class of ``mask``.  A real w has
+    Fraction entries there, so its table is rational; a Gaussian w's is
+    typed, and the coordinate is +-d.  Every structure coefficient is a GRat,
     as the amplitude of the constant Fourier coefficient it stands for,
     in the table's ring.
     """
@@ -221,11 +220,7 @@ def ring_table(table: CohomologyTable, model: PoissonModel) -> RingTable:
     if len(pivots) != len(rt.classes) or \
             set(pivots) != set(range(1 << model.dim)):
         raise AssertionError("representatives are not signed basis monomials")
-    w = {ij: GRat.coerce(c)
-         for ij, c in model.constant_bivector().entries.items()}
-    if all(c.is_real() for c in w.values()):
-        w = {ij: c.re for ij, c in w.items()}   # a rational table, D W in ints
-    qt = Bivector(model.dim, w).table
+    qt = model.constant_bivector().table
     D = qt.D
     monomials = sorted((i, mask, sign) for mask, (i, sign) in pivots.items())
     for i, ma, sa in monomials:

@@ -15,11 +15,11 @@ sparse columns over one denominator: an operator is ``(columns, den)``
 with ``columns`` mapping ``label -> {(label', j): (re, im)}``, the Gaussian
 integer numerators of its entries over the positive int ``den``.  This
 module is the one place that builds and settles a Fourier-mode complex:
-:func:`box_modes` enumerates the modes of a box, :func:`integer_bivector`
-scales w once per table, :func:`dh_kappa_v` gives kappa and v of
-d_h = kappa ^ - h iota_v on a mode (the 2m numbers of
-:func:`koszul_mode`), :func:`koszul_columns` builds such an operator on
-the 2^m masks and :func:`homotopy_columns` its contracting homotopy.
+:func:`box_modes` enumerates the modes of a box, :func:`dh_kappa_v` gives
+kappa and v of d_h = kappa ^ - h iota_v on a mode under the integer form
+``Bivector.integer`` of w (the 2m numbers of :func:`koszul_mode`),
+:func:`koszul_columns` builds such an operator on the 2^m masks and
+:func:`homotopy_columns` its contracting homotopy.
 :func:`require_modes` settles every mode of a box, or raises: with
 constant w the torus mode 0 has kappa = v = 0, so its operator vanishes
 and :func:`free_homology` is each spot's homology, and every other mode is
@@ -233,15 +233,6 @@ def _verify_cycles(out_mat, reps, ring):
 # -- monomial columns ----------------------------------------------------------
 
 
-def gaussian_integers(values):
-    """(den, [(re, im), ..]): the Gaussian rationals ``values`` (ints,
-    Fractions or GRats) times den, the lcm of their denominators."""
-    gs = [GRat.coerce(x) for x in values]
-    den = math.lcm(1, *(x.denominator for g in gs for x in (g.re, g.im)))
-    return den, [(g.re.numerator * (den // g.re.denominator),
-                  g.im.numerator * (den // g.im.denominator)) for g in gs]
-
-
 def gaussian_rational(entry, den) -> GRat:
     """The entry (re, im) of an operator over ``den`` as a GRat."""
     return GRat(Fraction(entry[0], den), Fraction(entry[1], den))
@@ -279,25 +270,11 @@ def box_modes(dim, mode_box):
     return list(itertools.product(range(-mode_box, mode_box + 1), repeat=dim))
 
 
-def integer_bivector(w):
-    """(W, D) for a constant bivector ``w``: D is the lcm of the
-    denominators of its entries and W[a] lists (b, (re, im)) for every
-    nonzero entry of row a of D w (0-based, both triangles)."""
-    items = sorted(w.entries.items())
-    D, nums = gaussian_integers([c for _ij, c in items])
-    W = [[] for _ in range(w.dim)]
-    for ((i, j), _c), (re, im) in zip(items, nums):
-        if re or im:
-            W[i - 1].append((j - 1, (re, im)))
-            W[j - 1].append((i - 1, (-re, -im)))
-    return W, D
-
-
 def koszul_mode(bivector, kappa, den):
     """kappa and v = w kappa of one Fourier mode over one denominator.
 
     ``kappa`` holds Gaussian integers over ``den`` and ``bivector`` is
-    :func:`integer_bivector` (W, D) of w.  Returns (D kappa, W kappa,
+    the (W, D) ``Bivector.integer`` of w.  Returns (D kappa, W kappa,
     D den): v_a = sum_b w^ab kappa_b is (W kappa)_a / (D den), so only
     the 2m numbers of the mode are formed, all over D den.
     """
@@ -315,7 +292,7 @@ def koszul_mode(bivector, kappa, den):
 
 def dh_kappa_v(bivector, k):
     """kappa, v and their denominator for d_h = d - h delta on the Fourier
-    mode k, under ``bivector`` = :func:`integer_bivector` of w.
+    mode k, under ``bivector`` = ``Bivector.integer`` of w.
 
     On e^{i k.theta} e^I the operator d is wedging from the left with
     kappa = sum_b i k_b e^b.  Since iota_w = sum_{a<b} w^ab e_b |- e_a |-

@@ -22,11 +22,11 @@ from fractions import Fraction
 from ._kernels import odd_below
 from .calculus import koszul_delta, lie_derivative, quantum_d
 from .complexes import (CohomologyTable, box_modes, complex_homology,
-                        dense_complex, dh_kappa_v, gaussian_integers,
-                        integer_bivector, require_modes)
+                        dense_complex, dh_kappa_v, require_modes)
 from .forms import HForm, contract_vector
 from .hpoly import HPoly
 from .models import PoissonModel, TORUS
+from .scalars import gaussian_integers
 
 
 class GroupAction:
@@ -311,7 +311,7 @@ def equivariant_cohomology_table(model: PoissonModel, action: GroupAction,
     modes = invariant_modes(action, mode_box)
     bases = [_equivariant_basis(model, d, n) for n in degrees]
     labels = [lab for b in bases for lab in b]
-    bivector = integer_bivector(model.constant_bivector())
+    bivector = model.constant_bivector().integer
     generators = _integer_generators(action)
 
     def invariant(k, kappa, _v):

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 
 from . import _kernels as K
 from .linalg import det, matrix_inverse
-from .scalars import GRat
+from .scalars import GRat, gaussian_integers
 
 
 def _mask_from_indices(indices, dim):
@@ -267,11 +268,11 @@ class Bivector:
     normalization ``e^i ^_w e^j = e^i ^ e^j + w^{ij}``: a writer expressing
     w = sum_{i<j} c_ij d_i ^ d_j supplies entries[(i, j)] = c_ij.
 
-    ``entries`` is read-only, so the minor table of the quantum product
-    (``table``), built on first use, stays that of this bivector.
+    ``entries`` is read-only, so the integer forms of w built on first use
+    (``table`` for ``qwedge``, ``integer`` for the mode operators) stay its.
     """
 
-    __slots__ = ("dim", "entries", "_table")
+    __slots__ = ("dim", "entries", "_table", "_integer")
 
     def __init__(self, dim: int, entries=None):
         self.dim = dim
@@ -291,14 +292,42 @@ class Bivector:
                     else:
                         data[(i, j)] = w
         self.entries = MappingProxyType(data)
-        self._table = None
+        self._table = self._integer = None
 
     @property
     def table(self) -> K.QTable:
-        """The minor table of the quantum product under this bivector."""
+        """The minor table of ``qwedge`` under this bivector: rational (rows
+        D W in ints) when every entry is a Fraction, typed otherwise."""
         if self._table is None:
-            self._table = K.qwedge_table(self.dim, self.entries)
+            items = sorted(self.entries.items())
+            D = 1
+            for _ij, w in items:
+                if type(w) is not Fraction:
+                    self._table = K.QTable(self.dim, None, [
+                        (i, j, w) for (i, j), w in items])
+                    break
+                D = lcm(D, w.denominator)
+            else:
+                self._table = K.QTable(self.dim, D, [
+                    (i, j, w.numerator * (D // w.denominator))
+                    for (i, j), w in items])
         return self._table
+
+    @property
+    def integer(self):
+        """(W, D) of a constant bivector for the mode operators: D is the
+        lcm of the entries' denominators (real and imaginary parts) and W[a]
+        lists (b, (re, im)) for each entry of row a of D w (0-based, both
+        triangles)."""
+        if self._integer is None:
+            items = sorted(self.entries.items())
+            D, nums = gaussian_integers([c for _ij, c in items])
+            W = [[] for _ in range(self.dim)]
+            for ((i, j), _c), (re, im) in zip(items, nums):
+                W[i - 1].append((j - 1, (re, im)))
+                W[j - 1].append((i - 1, (-re, -im)))
+            self._integer = W, D
+        return self._integer
 
     @classmethod
     def zero(cls, dim: int):

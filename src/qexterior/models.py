@@ -17,7 +17,7 @@ from .coeffs import FourierCoeff, PolyCoeff
 from .forms import Bivector, HForm, check_symplectic, omega_form
 from .linalg import matrix_inverse
 from .quantum import j_preserves
-from .scalars import as_fraction
+from .scalars import GRat, as_fraction
 
 AFFINE = "affine"
 TORUS = "torus"
@@ -136,14 +136,15 @@ class PoissonModel:
         return self.w.is_constant()
 
     def constant_bivector(self):
-        """The bivector as plain scalars, or None if not constant."""
+        """The bivector as plain scalars, or None if not constant: Fraction
+        entries when every amplitude is real, GRat entries otherwise."""
         if not self.is_constant_w():
             return None
-        ent = {}
-        for (i, j), c in self.w.entries.items():
-            v = c.constant_value() if hasattr(c, "constant_value") else c
-            if v:
-                ent[(i, j)] = v
+        ent = {ij: GRat.coerce(c.constant_value()
+                               if hasattr(c, "constant_value") else c)
+               for ij, c in self.w.entries.items()}
+        if all(c.is_real() for c in ent.values()):
+            ent = {ij: c.re for ij, c in ent.items()}
         return Bivector(self.dim, ent)
 
     def omega_form(self, laurent: bool = False) -> HForm:

@@ -7,6 +7,7 @@ Gaussian rational ``re + im*i`` with Fraction parts.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -128,6 +129,15 @@ class GRat:
 
 
 I = GRat(0, 1)
+
+
+def gaussian_integers(values):
+    """(den, [(re, im), ..]): the Gaussian rationals ``values`` (ints,
+    Fractions or GRats) times den, the lcm of their denominators."""
+    gs = [GRat.coerce(x) for x in values]
+    den = math.lcm(1, *(x.denominator for g in gs for x in (g.re, g.im)))
+    return den, [(g.re.numerator * (den // g.re.denominator),
+                  g.im.numerator * (den // g.im.denominator)) for g in gs]
 
 
 def conjugate_scalar(x):

@@ -80,6 +80,12 @@ the unit modes once and the modes by linearity: the operator of one mode
 and its homotopy built on the 2^m masks, and d d = 0 and d h + h d = 1
 checked on every mask.
 
+``integer_bivector`` and ``qwedge_table`` are the two integer forms of a
+constant bivector as free functions, before the ``Bivector`` built both
+itself (``Bivector.integer`` and ``Bivector.table``): the (W, D) of the
+Fourier-mode operators over the lcm of the entries' Gaussian denominators,
+and the minor table, rational on all-Fraction entries and typed otherwise.
+
 ``grat_dh_kappa_v``, ``grat_delbar_kappa_v``, ``grat_koszul_columns``,
 ``grat_homotopy_columns`` and ``grat_cartan_columns`` are the Fourier-mode
 builders the engine used before it built every mode in Gaussian integers
@@ -112,6 +118,7 @@ import math
 import random
 from fractions import Fraction
 
+from qexterior._kernels import QTable
 from qexterior.calculus import dolbeault_operators, exterior_d, quantum_d
 from qexterior.chern import (QConnection, TransgressionResult, _mat_qwedge,
                              char_form, quantum_curvature)
@@ -122,7 +129,7 @@ from qexterior.cohomology import (LEVEL_CAP, _delbar_kappa_v,
 from qexterior.complexes import (CohomologyTable, FiniteComplex, _apply,
                                  complex_homology, dense_complex,
                                  dense_matrix, dh_kappa_v, homotopy_columns,
-                                 integer_bivector, koszul_columns)
+                                 koszul_columns)
 from qexterior.forms import (Bivector, HForm, bivector_contract,
                              check_symplectic, contract_back, contract_front,
                              mask_indices, omega_form, symplectic_star, wedge)
@@ -1194,6 +1201,37 @@ def gaussian_integer_columns(columns):
                         g.im.numerator * (den // g.im.denominator))
                   for key, g in col.items()}
             for lab, col in cols.items()}, den
+
+
+def integer_bivector(w):
+    """(W, D) for a constant bivector ``w``: D is the lcm of the
+    denominators of its entries and W[a] lists (b, (re, im)) for every
+    nonzero entry of row a of D w (0-based, both triangles)."""
+    items = sorted(w.entries.items())
+    gs = [GRat.coerce(c) for _ij, c in items]
+    D = math.lcm(1, *(x.denominator for g in gs for x in (g.re, g.im)))
+    W = [[] for _ in range(w.dim)]
+    for ((i, j), _c), g in zip(items, gs):
+        re = g.re.numerator * (D // g.re.denominator)
+        im = g.im.numerator * (D // g.im.denominator)
+        if re or im:
+            W[i - 1].append((j - 1, (re, im)))
+            W[j - 1].append((i - 1, (-re, -im)))
+    return W, D
+
+
+def qwedge_table(dim: int, entries: dict) -> QTable:
+    """The table of the bivector with entries {(i, j): w^{ij}} (1-based):
+    rational, with the integer rows D W, when every entry is a Fraction;
+    typed, with rows of the entries themselves, otherwise."""
+    items = sorted(entries.items())
+    D = 1
+    for _ij, w in items:
+        if type(w) is not Fraction:
+            return QTable(dim, None, [(i, j, w) for (i, j), w in items])
+        D = math.lcm(D, w.denominator)
+    return QTable(dim, D, [(i, j, w.numerator * (D // w.denominator))
+                           for (i, j), w in items])
 
 
 # -- gauge transformations ----------------------------------------------------

@@ -29,12 +29,12 @@ from qexterior.complexes import (CohomologyTable, DegreeHomology,
                                  FiniteComplex, complex_homology,
                                  box_modes, dense_complex, dense_matrix,
                                  dh_kappa_v, homotopy_columns,
-                                 integer_bivector, koszul_columns,
-                                 require_modes)
+                                 koszul_columns, require_modes)
 from qexterior.equivariant import (GroupAction, _cartan_columns,
                                    _equivariant_basis, _integer_generators,
                                    equivariant_cohomology_table,
                                    invariant_modes)
+from qexterior.forms import Bivector
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.models import PoissonModel
 from qexterior.scalars import GRat
@@ -42,6 +42,7 @@ from qexterior.quantum import complex_frame_bivector, qwedge
 from qexterior.sampling import Sampler
 from qexterior.serialize import model_from_json
 from qexterior.snf import smith_normal_form
+from test_kernels import integer_form_mismatches
 
 
 @pytest.fixture(scope="module")
@@ -166,14 +167,14 @@ def matrix_of_dh(model, k, src, dst, ring):
     """The ring matrix of d_h on the mode k from the span of ``src`` to
     that of ``dst``, as the drivers build it."""
     cols = koszul_columns(*dh_kappa_v(
-        integer_bivector(model.constant_bivector()), k))
+        model.constant_bivector().integer, k))
     return dense_matrix(cols, src, dst, ring)
 
 
 def mode_certified(model, k):
     """Whether the homotopy certificate proves the nonzero mode k of the
     de Rham complex acyclic."""
-    kappa, v, den = dh_kappa_v(integer_bivector(model.constant_bivector()), k)
+    kappa, v, den = dh_kappa_v(model.constant_bivector().integer, k)
     return homotopy_certificate(koszul_columns(kappa, v, den),
                                 homotopy_columns(kappa, den))
 
@@ -303,7 +304,7 @@ class TestHomotopyCertificate:
 
     def test_flipped_homotopy_rejected(self):
         model = PoissonModel.torus(4, certificate_bivectors(4)["dense"])
-        bivector = integer_bivector(model.constant_bivector())
+        bivector = model.constant_bivector().integer
         for k in box(4, 1):
             kappa, v, den = dh_kappa_v(bivector, k)
             d, h = koszul_columns(kappa, v, den), homotopy_columns(kappa, den)
@@ -357,7 +358,7 @@ class TestHomotopyCertificate:
     @pytest.mark.parametrize("ring", [HLaurent, HPoly])
     def test_derham_driver_certifies_every_mode(self, certificates, ring):
         model = model_from_json(PINNED_MODEL)
-        bivector = integer_bivector(model.constant_bivector())
+        bivector = model.constant_bivector().integer
         tab = quantum_derham_table(model, mode_box=1, ring=ring)
         assert len(certificates["modes"]) == 1 + 80 + 4
         assert_certified_in_order(certificates, box_modes(4, 1),
@@ -373,8 +374,7 @@ class TestHomotopyCertificate:
         for model in (t2c, t4c):
             certificates["modes"].clear()
             certificates["operators"].clear()
-            wc = integer_bivector(complex_frame_bivector(
-                model.constant_bivector()))
+            wc = complex_frame_bivector(model.constant_bivector()).integer
             tab = quantum_dolbeault_table(model, mode_box=1, ring=ring)
             assert_certified_in_order(certificates, box_modes(model.dim, 1),
                                       lambda k: _delbar_kappa_v(wc, k))
@@ -385,8 +385,7 @@ class TestHomotopyCertificate:
         model = PoissonModel.torus(4, {(1, 3): Fraction(1), (2, 4): Fraction(1),
                                        (3, 4): Fraction(-2)},
                                    complex_structure=True)
-        wc = integer_bivector(complex_frame_bivector(
-            model.constant_bivector()))
+        wc = complex_frame_bivector(model.constant_bivector()).integer
         for ring, laurent in ((HLaurent, True), (HPoly, False)):
             for p in range(-1 if laurent else 0, 4):
                 qs = list(range(p - 3, p + 4)) if laurent else \
@@ -450,7 +449,7 @@ class TestUnitCertificate:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_agrees_with_per_mode_certificate(self, dim, kind):
         model = PoissonModel.torus(dim, certificate_bivectors(dim)[kind])
-        bivector = integer_bivector(model.constant_bivector())
+        bivector = model.constant_bivector().integer
         assert_agrees_per_mode(box_modes(dim, 2 if dim <= 3 else 1),
                                lambda k: dh_kappa_v(bivector, k),
                                random.Random(f"unit-certificate:{dim}:{kind}"))
@@ -460,8 +459,7 @@ class TestUnitCertificate:
     def test_dolbeault_frames_agree(self, dim, kind):
         model = PoissonModel.torus(dim, COMPLEX_BIVECTORS[dim][kind],
                                    complex_structure=True)
-        wc = integer_bivector(complex_frame_bivector(
-            model.constant_bivector()))
+        wc = complex_frame_bivector(model.constant_bivector()).integer
         assert_agrees_per_mode(box_modes(dim, 2 if dim == 2 else 1),
                                lambda k: _delbar_kappa_v(wc, k),
                                random.Random(f"unit-dolbeault:{dim}:{kind}"))
@@ -516,8 +514,7 @@ class TestNonzeroModesBySNF:
         t4c = PoissonModel.darboux_torus(2, complex_structure=True)
         for model, modes in ((t2c, box(2, 1)), (t4c, box(4, 1)[::9])):
             n = model.dim // 2
-            wc = integer_bivector(complex_frame_bivector(
-                model.constant_bivector()))
+            wc = complex_frame_bivector(model.constant_bivector()).integer
             for p in range(-2 if laurent else 0, n + 3):
                 qs, spots = dolbeault_spots(n, p, laurent)
                 labels = [lab for b in spots for lab in b]
@@ -779,6 +776,42 @@ COMPLEX_BIVECTORS = {
 }
 
 
+class TestBivectorIntegerForms:
+    """The constant bivector decides its realness once, and both its
+    integer forms match the free functions that built them before."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_certificate_bivectors(self, dim):
+        for kind, entries in certificate_bivectors(dim).items():
+            w = PoissonModel.torus(dim, entries).constant_bivector()
+            assert integer_form_mismatches(w) == [], kind
+
+    def test_dolbeault_frames(self):
+        models = [PoissonModel.darboux_torus(n, complex_structure=True)
+                  for n in (1, 2)]
+        models += [PoissonModel.torus(dim, entries, complex_structure=True)
+                   for dim, kinds in COMPLEX_BIVECTORS.items()
+                   for entries in kinds.values()]
+        for model in models:
+            wc = complex_frame_bivector(model.constant_bivector())
+            assert integer_form_mismatches(wc) == [], model
+
+    @pytest.mark.parametrize("bivector,real", [
+        ([[1, 2, "3"], [3, 4, "-2"]], True),
+        ([[1, 2, "1/2"], [1, 3, "-2/3"], [2, 4, "5"]], True),
+        ([[1, 2, {"re": "1", "im": "0"}], [3, 4, "2"]], True),
+        ([[1, 2, {"re": "1", "im": "2"}]], False),
+        ([[1, 2, "3"], [3, 4, {"re": "0", "im": "1/2"}]], False),
+    ], ids=["integer", "rational", "real-gaussian-json", "gaussian", "mixed"])
+    def test_fraction_entries_exactly_when_real(self, bivector, real):
+        model = model_from_json({"space": "torus", "dim": 4,
+                                 "bivector": bivector})
+        w = model.constant_bivector()
+        assert {type(c) for c in w.entries.values()} == \
+            ({Fraction} if real else {GRat})
+        assert (w.table.D is not None) is real
+
+
 class TestIntegerColumns:
     """The Gaussian-integer operators the drivers certify equal the GRat
     builders of the oracle divided by their denominators, on every mode
@@ -789,7 +822,7 @@ class TestIntegerColumns:
     def test_derham_and_homotopy(self, dim, kind):
         w = PoissonModel.torus(dim, oracle_bivectors(dim)[kind]) \
             .constant_bivector()
-        bivector = integer_bivector(w)
+        bivector = w.integer
         for k in [(0,) * dim] + box(dim, 2):
             kappa, v, den = dh_kappa_v(bivector, k)
             g_kappa, g_v = grat_dh_kappa_v(w, k)
@@ -805,7 +838,7 @@ class TestIntegerColumns:
         model = PoissonModel.torus(dim, COMPLEX_BIVECTORS[dim][kind],
                                    complex_structure=True)
         wc = complex_frame_bivector(model.constant_bivector())
-        bivector = integer_bivector(wc)
+        bivector = wc.integer
         for k in [(0,) * dim] + box(dim, 2):
             kappa, v, den = _delbar_kappa_v(bivector, k)
             g_kappa, g_v = grat_delbar_kappa_v(wc, k)
@@ -827,7 +860,7 @@ class TestIntegerColumns:
         action = GroupAction(model, gens)
         labels = [lab for n in range(4)
                   for lab in _equivariant_basis(model, len(gens), n)]
-        bivector, generators = integer_bivector(w), _integer_generators(action)
+        bivector, generators = w.integer, _integer_generators(action)
         zero = (0,) * dim
         assert equals_divided(
             _cartan_columns(generators, labels),
@@ -1016,19 +1049,15 @@ class TestModeZero:
         t4c = PoissonModel.darboux_torus(2, complex_structure=True)
 
         def broken(w):
-            W, D = integer_bivector(w)
-            if w.dim == 4:
-                W = [list(row) for row in W]
-                W[2].append((3, (D, 0)))
-                W[3].append((2, (-D, 0)))
-            return W, D
+            wc = complex_frame_bivector(w)
+            return Bivector(4, {**wc.entries, (3, 4): Fraction(1)})
 
-        monkeypatch.setattr(cohomology, "integer_bivector", broken)
+        monkeypatch.setattr(cohomology, "complex_frame_bivector", broken)
         with pytest.raises(AssertionError, match=re.escape(
                 "delbar_h is not of bidegree (0, 1) on Fourier mode "
                 "(-1, -1, -1, -1)")):
             quantum_dolbeault_table(t4c, 1)
-        wc = broken(complex_frame_bivector(t4c.constant_bivector()))
+        wc = broken(t4c.constant_bivector()).integer
         modes = box_modes(4, 1)
         for k in modes:
             if any(k):
@@ -1052,7 +1081,7 @@ class TestDirectDolbeaultBuilder:
             model = PoissonModel.darboux_torus(2, complex_structure=True)
         else:
             model = PoissonModel.torus(4, entries, complex_structure=True)
-        wc = integer_bivector(complex_frame_bivector(model.constant_bivector()))
+        wc = complex_frame_bivector(model.constant_bivector()).integer
         for ring, laurent in ((HLaurent, True), (HPoly, False)):
             p = 1
             qs = list(range(p - 3, p + 4)) if laurent else list(range(-1, p + 4))

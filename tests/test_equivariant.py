@@ -15,8 +15,7 @@ from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.cohomology import quantum_derham_table
 from qexterior.complexes import (complex_homology, dense_complex,
                                  dense_matrix, dh_kappa_v, homotopy_columns,
-                                 integer_bivector, koszul_columns,
-                                 require_modes)
+                                 koszul_columns, require_modes)
 from qexterior.equivariant import (EquivariantElement, GroupAction,
                                    _equivariant_basis, _integer_generators,
                                    anticommutator_check, cartan_d,
@@ -234,8 +233,8 @@ class TestHomotopyCertificate:
             for k in invariant_modes(action, 1)[::3]:
                 cols = cartan_columns_at_mode(
                     _integer_generators(action),
-                    *dh_kappa_v(integer_bivector(model.constant_bivector()),
-                                k), labels)
+                    *dh_kappa_v(model.constant_bivector().integer, k),
+                    labels)
                 for n in range(cutoff + 1):
                     for ring in (HPoly, HLaurent):
                         direct = dense_matrix(cols, bases[n], bases[n + 1], ring)
@@ -259,7 +258,7 @@ class TestHomotopyCertificate:
             assert nonzero
             assert seen == [(0,) * model.dim, nonzero[0], *units,
                             *nonzero[1:]]
-            bivector = integer_bivector(model.constant_bivector())
+            bivector = model.constant_bivector().integer
             for k in nonzero:
                 require_acyclic(k, *dh_kappa_v(bivector, k))
 
@@ -276,8 +275,8 @@ class TestHomotopyCertificate:
             for k in nonzero:
                 cols = cartan_columns_at_mode(
                     _integer_generators(action),
-                    *dh_kappa_v(integer_bivector(model.constant_bivector()),
-                                k), labels)
+                    *dh_kappa_v(model.constant_bivector().integer, k),
+                    labels)
                 tab = complex_homology(dense_complex(degrees, bases, cols,
                                                      HPoly))
                 for n in range(cutoff + 1):
@@ -313,8 +312,7 @@ def cartan_label_certificate(model, action, k, cutoff):
     bases = [_equivariant_basis(model, action.n_generators, n)
              for n in range(cutoff + 2)]
     labels = [lab for b in bases for lab in b]
-    kappa, v, den = dh_kappa_v(integer_bivector(model.constant_bivector()),
-                               k)
+    kappa, v, den = dh_kappa_v(model.constant_bivector().integer, k)
     return label_homotopy_certificate(
         bases, range(cutoff + 1),
         cartan_columns_at_mode(_integer_generators(action), kappa, v, den,
@@ -350,7 +348,7 @@ class TestMaskCertificate:
     def test_agrees_with_cartan_label_certificate(self, index):
         model, gens, box = agreement_actions()[index]
         action = GroupAction(model, gens)
-        bivector = integer_bivector(model.constant_bivector())
+        bivector = model.constant_bivector().integer
         for k in invariant_modes(action, box):
             if not any(k):
                 continue
@@ -412,7 +410,7 @@ class TestMaskCertificate:
         # certificate passes exactly when the per-mode one does: always
         # for d_h, never once v = kappa makes <kappa, v> != 0
         model, gens, box = agreement_actions()[index]
-        bivector = integer_bivector(model.constant_bivector())
+        bivector = model.constant_bivector().integer
 
         def paired(k):
             kappa, v, den = dh_kappa_v(bivector, k)

@@ -203,6 +203,84 @@ class TestMinorOracle:
             [((0,), (col.bit_length() - 1,))]
 
 
+# -- the integer forms of a bivector ------------------------------------------
+
+
+def integer_form_mismatches(w, max_order=3):
+    """The parts of ``w.table`` and ``w.integer`` that differ from the free
+    functions ``oracles.qwedge_table`` and ``oracles.integer_bivector`` on
+    the same entries: the table's rows (entries, their types and key
+    order), D, one and every minor of order <= max_order (value and type);
+    the (W, D) of the mode operators, or the error both raise on entries
+    that are not constant."""
+    got, want = w.table, oracles.qwedge_table(w.dim, dict(w.entries))
+    bad = []
+
+    def typed(x):
+        return type(x), x
+
+    if [[(k, *typed(v)) for k, v in row.items()] for row in got.rows] != \
+            [[(k, *typed(v)) for k, v in row.items()] for row in want.rows]:
+        bad.append("rows")
+    if (got.D, *typed(got.one)) != (want.D, *typed(want.one)):
+        bad.append("D, one")
+    for k in range(1, min(w.dim, max_order) + 1):
+        for rows in combinations(range(w.dim), k):
+            S = sum(1 << i for i in rows)
+            for cols in combinations(range(w.dim), k):
+                T = sum(1 << j for j in cols)
+                if typed(got.minor(S, T)) != typed(want.minor(S, T)):
+                    bad.append(("minor", rows, cols))
+    forms = []
+    for integer in (lambda: w.integer, lambda: oracles.integer_bivector(w)):
+        try:
+            forms.append(integer())
+        except TypeError as exc:
+            forms.append(type(exc))
+    if forms[0] != forms[1]:
+        bad.append("integer")
+    return bad
+
+
+ENTRY_KINDS = ("Fraction", "GRat", "real GRat", "mixed", "PolyCoeff",
+               "FourierCoeff")
+
+
+def seeded_entry_bivector(dim, kind):
+    """A seeded bivector on dim generators whose entries are of ``kind``;
+    "mixed" draws a Fraction or a GRat per entry."""
+    s = Sampler(8000 + 10 * dim + ENTRY_KINDS.index(kind))
+    entry = {
+        "Fraction": lambda x: x,
+        "GRat": lambda x: GRat(x, s.fraction()),
+        "real GRat": GRat,
+        "mixed": lambda x: GRat(x, s.fraction()) if s.below(2) else x,
+        "PolyCoeff": lambda x: s.poly_coeff(dim),
+        "FourierCoeff": lambda x: s.fourier_coeff(dim),
+    }[kind]
+    return s.antisymmetric_bivector(dim).map_entries(entry)
+
+
+class TestBivectorIntegerForms:
+    """``Bivector.table`` and ``Bivector.integer`` against the free
+    functions that built them from the entries before the bivector did."""
+
+    @pytest.mark.parametrize("kind", ENTRY_KINDS)
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_seeded_entries(self, dim, kind):
+        # function entries take the typed path of GRat ones, at more cost
+        w = seeded_entry_bivector(dim, kind)
+        assert w.entries or dim == 1
+        assert integer_form_mismatches(
+            w, 2 if kind.endswith("Coeff") else 3) == []
+
+    def test_negative_control_scaled_table(self):
+        # a table whose rows are those of W over a wrong D
+        w = Bivector(3, {(1, 2): Fraction(1, 2), (1, 3): Fraction(2, 3)})
+        w.table.D = 12
+        assert integer_form_mismatches(w) == ["D, one"]
+
+
 # -- forms wrapped without validation -----------------------------------------
 
 

@@ -401,8 +401,8 @@ class TestQwedgeTable:
         for entry in (Fraction(2), GRat(2), Fraction(2)):
             got = qwedge(e1, e2, Bivector(2, {(1, 2): entry}))
             assert type(got.coeff(h=1)) is type(entry)
-        rational = K.qwedge_table(2, {(1, 2): Fraction(2)})
-        gaussian = K.qwedge_table(2, {(1, 2): GRat(2)})
+        rational = Bivector(2, {(1, 2): Fraction(2)}).table
+        gaussian = Bivector(2, {(1, 2): GRat(2)}).table
         assert (rational.D, gaussian.D) == (1, None)
 
     def test_caches_stay_bounded(self):

@@ -207,6 +207,59 @@ def test_sign_guard_finds_an_inline_sign(tmp_path):
     assert masked_prefix_parities(tmp_path) == ["ops.py:3"]
 
 
+def bivector_scalings(root):
+    """``module:top-level name:callee`` of every call of
+    ``gaussian_integers`` or ``is_real`` in the library modules under
+    ``root``, and of every ``Bivector`` that ``cohomology.py`` constructs,
+    sorted."""
+    import ast
+    found = []
+    for path in sorted(root.glob("*.py")):
+        callees = {"gaussian_integers", "is_real"} | (
+            {"Bivector"} if path.name == "cohomology.py" else set())
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name in callees:
+                    found.append(f"{path.name}:"
+                                 f"{getattr(top, 'name', '<module>')}:{name}")
+    return sorted(found)
+
+
+def test_only_the_bivector_scales_its_entries():
+    # realness is decided once, by the model's constant bivector, and both
+    # integer forms of w (the product table and the mode operators' (W, D))
+    # are built by the Bivector; the equivariant table scales only the
+    # action's generators
+    assert bivector_scalings(ROOT / "src" / "qexterior") == [
+        "equivariant.py:_integer_generators:gaussian_integers",
+        "forms.py:Bivector:gaussian_integers",
+        "models.py:PoissonModel:is_real"]
+
+
+def test_scaling_guard_finds_a_second_scaling(tmp_path):
+    (tmp_path / "forms.py").write_text(
+        "class Bivector:\n"
+        "    def integer(self):\n"
+        "        return gaussian_integers(self.entries.values())\n")
+    (tmp_path / "cohomology.py").write_text(
+        "from .forms import Bivector\n"
+        "def ring_table(model):\n"
+        "    w = model.constant_bivector()\n"
+        "    if all(c.is_real() for c in w.entries.values()):\n"
+        "        return Bivector(w.dim, dict(w.entries)).table\n"
+        "    return gaussian_integers(w.entries.values())\n")
+    (tmp_path / "models.py").write_text(
+        "def constant_bivector(self):\n"
+        "    return Bivector(self.dim, {})\n")
+    assert bivector_scalings(tmp_path) == [
+        "cohomology.py:ring_table:Bivector",
+        "cohomology.py:ring_table:gaussian_integers",
+        "cohomology.py:ring_table:is_real",
+        "forms.py:Bivector:gaussian_integers"]
+
+
 def rng_draws(root):
     """``module:line:name`` of every attribute read off an ``rng`` (a name
     or an ``.rng`` attribute) in the library modules under ``root``, other
