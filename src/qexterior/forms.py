@@ -268,11 +268,12 @@ class Bivector:
     normalization ``e^i ^_w e^j = e^i ^ e^j + w^{ij}``: a writer expressing
     w = sum_{i<j} c_ij d_i ^ d_j supplies entries[(i, j)] = c_ij.
 
-    ``entries`` is read-only, so the integer forms of w built on first use
-    (``table`` for ``qwedge``, ``integer`` for the mode operators) stay its.
+    ``entries`` is read-only, so the minor table built on first use
+    (``table``, for ``qwedge``) stays its; ``integer`` builds the mode
+    operators' form of w on each read.
     """
 
-    __slots__ = ("dim", "entries", "_table", "_integer")
+    __slots__ = ("dim", "entries", "_table")
 
     def __init__(self, dim: int, entries=None):
         self.dim = dim
@@ -292,7 +293,7 @@ class Bivector:
                     else:
                         data[(i, j)] = w
         self.entries = MappingProxyType(data)
-        self._table = self._integer = None
+        self._table = None
 
     @property
     def table(self) -> K.QTable:
@@ -319,15 +320,13 @@ class Bivector:
         lcm of the entries' denominators (real and imaginary parts) and W[a]
         lists (b, (re, im)) for each entry of row a of D w (0-based, both
         triangles)."""
-        if self._integer is None:
-            items = sorted(self.entries.items())
-            D, nums = gaussian_integers([c for _ij, c in items])
-            W = [[] for _ in range(self.dim)]
-            for ((i, j), _c), (re, im) in zip(items, nums):
-                W[i - 1].append((j - 1, (re, im)))
-                W[j - 1].append((i - 1, (-re, -im)))
-            self._integer = W, D
-        return self._integer
+        items = sorted(self.entries.items())
+        D, nums = gaussian_integers([c for _ij, c in items])
+        W = [[] for _ in range(self.dim)]
+        for ((i, j), _c), (re, im) in zip(items, nums):
+            W[i - 1].append((j - 1, (re, im)))
+            W[j - 1].append((i - 1, (-re, -im)))
+        return W, D
 
     @classmethod
     def zero(cls, dim: int):

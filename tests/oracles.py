@@ -85,6 +85,8 @@ constant bivector as free functions, before the ``Bivector`` built both
 itself (``Bivector.integer`` and ``Bivector.table``): the (W, D) of the
 Fourier-mode operators over the lcm of the entries' Gaussian denominators,
 and the minor table, rational on all-Fraction entries and typed otherwise.
+``integer_form_mismatches`` lists the parts of a bivector's own forms
+that differ from them.
 
 ``grat_dh_kappa_v``, ``grat_delbar_kappa_v``, ``grat_koszul_columns``,
 ``grat_homotopy_columns`` and ``grat_cartan_columns`` are the Fourier-mode
@@ -1232,6 +1234,42 @@ def qwedge_table(dim: int, entries: dict) -> QTable:
         D = math.lcm(D, w.denominator)
     return QTable(dim, D, [(i, j, w.numerator * (D // w.denominator))
                            for (i, j), w in items])
+
+
+def integer_form_mismatches(w, max_order=3):
+    """The parts of ``w.table`` and ``w.integer`` that differ from the free
+    functions :func:`qwedge_table` and :func:`integer_bivector` on
+    the same entries: the table's rows (entries, their types and key
+    order), D, one and every minor of order <= max_order (value and type);
+    the (W, D) of the mode operators, or the error both raise on entries
+    that are not constant."""
+    got, want = w.table, qwedge_table(w.dim, dict(w.entries))
+    bad = []
+
+    def typed(x):
+        return type(x), x
+
+    if [[(k, *typed(v)) for k, v in row.items()] for row in got.rows] != \
+            [[(k, *typed(v)) for k, v in row.items()] for row in want.rows]:
+        bad.append("rows")
+    if (got.D, *typed(got.one)) != (want.D, *typed(want.one)):
+        bad.append("D, one")
+    for k in range(1, min(w.dim, max_order) + 1):
+        for rows in itertools.combinations(range(w.dim), k):
+            S = sum(1 << i for i in rows)
+            for cols in itertools.combinations(range(w.dim), k):
+                T = sum(1 << j for j in cols)
+                if typed(got.minor(S, T)) != typed(want.minor(S, T)):
+                    bad.append(("minor", rows, cols))
+    forms = []
+    for integer in (lambda: w.integer, lambda: integer_bivector(w)):
+        try:
+            forms.append(integer())
+        except TypeError as exc:
+            forms.append(type(exc))
+    if forms[0] != forms[1]:
+        bad.append("integer")
+    return bad
 
 
 # -- gauge transformations ----------------------------------------------------

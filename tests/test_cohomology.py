@@ -16,7 +16,8 @@ from oracles import (cartan_columns_at_mode, derham_table_snf,
                      free_rank_oracle, grat_cartan_columns,
                      grat_delbar_kappa_v, grat_dh_kappa_v,
                      grat_homotopy_columns, grat_koszul_columns,
-                     homotopy_certificate, invariant_subcomplex,
+                     homotopy_certificate, integer_form_mismatches,
+                     invariant_subcomplex,
                      label_columns, require_acyclic,
                      label_homotopy_certificate, matrix_of_dh_symbolic,
                      mode_subcomplex, ring_table_per_pair)
@@ -42,7 +43,6 @@ from qexterior.quantum import complex_frame_bivector, qwedge
 from qexterior.sampling import Sampler
 from qexterior.serialize import model_from_json
 from qexterior.snf import smith_normal_form
-from test_kernels import integer_form_mismatches
 
 
 @pytest.fixture(scope="module")

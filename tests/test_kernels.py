@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from oracles import det_by_columns
+from oracles import det_by_columns, integer_form_mismatches
 from qexterior import _kernels as K
 from qexterior.forms import Bivector, HForm, StarTable, symplectic_star, wedge
 from qexterior.linalg import det
@@ -204,42 +204,6 @@ class TestMinorOracle:
 
 
 # -- the integer forms of a bivector ------------------------------------------
-
-
-def integer_form_mismatches(w, max_order=3):
-    """The parts of ``w.table`` and ``w.integer`` that differ from the free
-    functions ``oracles.qwedge_table`` and ``oracles.integer_bivector`` on
-    the same entries: the table's rows (entries, their types and key
-    order), D, one and every minor of order <= max_order (value and type);
-    the (W, D) of the mode operators, or the error both raise on entries
-    that are not constant."""
-    got, want = w.table, oracles.qwedge_table(w.dim, dict(w.entries))
-    bad = []
-
-    def typed(x):
-        return type(x), x
-
-    if [[(k, *typed(v)) for k, v in row.items()] for row in got.rows] != \
-            [[(k, *typed(v)) for k, v in row.items()] for row in want.rows]:
-        bad.append("rows")
-    if (got.D, *typed(got.one)) != (want.D, *typed(want.one)):
-        bad.append("D, one")
-    for k in range(1, min(w.dim, max_order) + 1):
-        for rows in combinations(range(w.dim), k):
-            S = sum(1 << i for i in rows)
-            for cols in combinations(range(w.dim), k):
-                T = sum(1 << j for j in cols)
-                if typed(got.minor(S, T)) != typed(want.minor(S, T)):
-                    bad.append(("minor", rows, cols))
-    forms = []
-    for integer in (lambda: w.integer, lambda: oracles.integer_bivector(w)):
-        try:
-            forms.append(integer())
-        except TypeError as exc:
-            forms.append(type(exc))
-    if forms[0] != forms[1]:
-        bad.append("integer")
-    return bad
 
 
 ENTRY_KINDS = ("Fraction", "GRat", "real GRat", "mixed", "PolyCoeff",
