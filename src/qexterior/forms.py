@@ -412,6 +412,47 @@ def bivector_contract(w: Bivector, a: HForm) -> HForm:
     return out
 
 
+def exp_contract_terms(w: Bivector, terms: dict) -> dict:
+    """E = exp(h iota_w) = sum_k h^k iota_w^k / k! on a term dict, for a
+    constant bivector w and iota_w the contraction of
+    :func:`bivector_contract`; the series ends, since iota_w lowers the
+    exterior degree by 2.  Integral Fraction entries are read as ints, so
+    int coefficients stay ints while integral; any other coefficient has
+    the type that coefficient * entry / k gives it."""
+    entries = [(i - 1, j - 1, c.numerator if type(c) is Fraction
+                and c.denominator == 1 else c)
+               for (i, j), c in w.entries.items()]
+    out = dict(terms)
+    term = terms
+    k = 0
+    while term:
+        k += 1
+        step = {}
+        for i, j, c in entries:
+            inner = K.contract_terms(K.contract_terms(term, i, True), j, True)
+            for (jh, m), d in inner.items():
+                key = (jh + 1, m)
+                s = step.get(key)
+                s = d * c if s is None else s + d * c
+                if s:
+                    step[key] = s
+                else:
+                    step.pop(key, None)
+        if k > 1:
+            step = {key: (s // k if s % k == 0 else Fraction(s, k))
+                    if type(s) is int else s / k
+                    for key, s in step.items()}
+        for key, c in step.items():
+            s = out.get(key)
+            s = c if s is None else s + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        term = step
+    return out
+
+
 def berezin_integral(a: HForm):
     """Coefficient of the top monomial e^{1..m}; requires an h-free form."""
     if any(j for (j, _m) in a.terms):

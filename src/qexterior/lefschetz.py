@@ -10,14 +10,14 @@ Operators on Lambda_{h,h^-1}(V*) with dim V = 2n, Darboux omega:
 * ``A_h(x) = (n - k) x`` on the homogeneous piece of degree k.
 
 ``M_h = h^{-1} L_h`` and ``M_h* = h L_h*`` act degree-preservingly on the
-finite pieces Lambda^{[k]}, whose exact matrices, characteristic
-polynomials, and eigenstructure are reported.  With E = exp(h iota_w) and
-iota_w omega = -n, M_h = E (h^{-1} omega^ + n) E^{-1}: n plus a nilpotent,
-so every block has characteristic polynomial (x - n)^size and det n^size
-(the symplectic sl2 of Yan, Adv. Math. 120, 1996, is the classical case).
-The spectrum is therefore certified, not searched for: a block whose
-Hessenberg characteristic polynomial is anything else raises
-AssertionError.  The conformance field compares against the claimed
+finite pieces Lambda^{[k]}, whose characteristic polynomials and
+eigenstructure are reported.  With E = exp(h iota_w) and iota_w omega =
+-n, M_h = E (h^{-1} omega^ + n) E^{-1}: n plus a nilpotent, so every block
+has characteristic polynomial (x - n)^size and det n^size (the symplectic
+sl2 of Yan, Adv. Math. 120, 1996, is the classical case).  The spectrum is
+therefore certified by that transport identity, label by label, and not
+computed from a matrix (:class:`SpectrumReport`); a block that fails it
+raises AssertionError.  The conformance field compares against the claimed
 spectrum {n, n +- sqrt(5)/2} with one-dimensional eigenspaces and records
 any mismatch instead of forcing it; under the conventions pinned here the
 n = 1 base case comes out as (x - 1)^2 with a single Jordan block.
@@ -28,7 +28,8 @@ computed once with integral coefficients as ints.  An L_h column sums the
 expansions of omega's masks with the label's mask in the bivector's own
 product table (:func:`lh_column`); an L_h* column is -* L_h * read off
 those L_h columns through the star table (:func:`lefschetz_columns`).
-The M_h matrices are dense ``Fraction`` views of the L_h columns.  The
+The M_h matrices (:func:`Mh_matrix`) are dense ``Fraction`` views of the
+L_h columns, kept for the test oracles and the benchmark's tracer.  The
 commutator check takes each operator image of a label once (columns,
 four composites, the A_h factor n - |mask| - 2j per label), compares the
 identities on those exact coefficient dicts, then certifies the scale of
@@ -38,10 +39,14 @@ L_h* by M_h* = M_h - 2n on every label.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .calculus import quantum_d
-from .forms import Bivector, HForm, StarTable, omega_form, symplectic_star
-from .linalg import charpoly, factor_charpoly, geometric_multiplicity
+from ._kernels import wedge_terms
+from .forms import (Bivector, HForm, StarTable, exp_contract_terms,
+                    omega_form, symplectic_star)
+from .hpoly import HPoly
+from .linalg import CharFactorization, rank
 from .models import PoissonModel, darboux_matrix
 from .quantum import qwedge
 
@@ -354,21 +359,61 @@ def lefschetz_d_commutators(model: PoissonModel, forms) -> CommutatorReport:
 
 
 class SpectrumReport:
-    """Exact characteristic data of one M_h block, certified rather than
-    searched: the Hessenberg characteristic polynomial must equal
-    (x - n)^size exactly, or the constructor raises AssertionError."""
+    """Exact characteristic data of the M_h block of degree k on ``space``,
+    certified by transport rather than computed from a matrix.
 
-    def __init__(self, matrix, n):
-        self.size = len(matrix)
-        self.charpoly = charpoly(matrix)
-        self.factorization = factor_charpoly(self.charpoly, n)
-        # det = (-1)^size p(0), which the certificate fixes as n^size
-        self.det = Fraction(n) ** self.size
-        self.geometric = {
-            str(root): (mult, geometric_multiplicity(matrix, root))
-            for root, mult in self.factorization.rational_roots.items()}
-        self.diagonalizable = \
-            sum(g for _a, g in self.geometric.values()) == self.size
+    With E = exp(h iota_w) (:func:`~qexterior.forms.exp_contract_terms`)
+    and N = h^{-1} omega^ the classical Lefschetz operator, every basis
+    label x of the block must satisfy M_h(E x) == E((N + n) x) exactly,
+    with E x = x plus terms of lower exterior degree in the same block.  E
+    is then invertible on the block and M_h = E (N + n) E^{-1} there: n
+    plus a nilpotent.  So the characteristic polynomial is (x - n)^size,
+    det = n^size, and the eigenspace of n has dimension size - rank N,
+    where N maps each exterior-degree stratum p to p + 2.  A label that
+    fails raises AssertionError naming the degree and the label."""
+
+    def __init__(self, space: DarbouxSpace, k: int):
+        n = space.n
+        basis = space.basis(k)
+        omega = {key: _exact(c) for key, c in space.omega_form.terms.items()}
+        L = Columns(lambda lab: lh_column(space, lab))
+        E = Columns(lambda lab: exp_contract_terms(space.w, {lab: 1}))
+        strata = {}    # p -> (labels of exterior degree p, their N x)
+        for lab in basis:
+            p = lab[1].bit_count()
+            Ex = E[lab]
+            lower = all(m.bit_count() < p and m.bit_count() + 2 * j == k
+                        for j, m in Ex if (j, m) != lab)
+            if Ex.get(lab) != 1 or not lower:
+                raise AssertionError(
+                    f"M_h block of degree {k}: E x is not x plus lower "
+                    f"exterior degrees of the block, {_witness(space, k, lab)}")
+            Nx = _h_shift(wedge_terms(omega, {lab: 1}), -1)
+            if _h_shift(_apply(L, Ex), -1) != _apply(E, {**Nx, lab: n}):
+                raise AssertionError(
+                    f"M_h block of degree {k}: M_h E x != E (N + n) x on "
+                    f"{_witness(space, k, lab)}")
+            labels, images = strata.setdefault(p, ([], []))
+            labels.append(lab)
+            images.append(Nx)
+        # N maps the stratum of exterior degree p into that of p + 2
+        rank_N = 0
+        for p, (_labels, images) in strata.items():
+            if p + 2 in strata:
+                index = {y: i for i, y in enumerate(strata[p + 2][0])}
+                rows = [[0] * len(index) for _ in images]
+                for row, Nx in zip(rows, images):
+                    for y, c in Nx.items():
+                        row[index[y]] = c
+                rank_N += rank(rows)
+        self.size = size = len(basis)
+        root = Fraction(n)
+        self.charpoly = HPoly({j: comb(size, j) * (-root) ** (size - j)
+                               for j in range(size + 1)})
+        self.factorization = CharFactorization({root: size}, {}, HPoly.one())
+        self.det = root ** size
+        self.geometric = {str(root): (size, size - rank_N)}
+        self.diagonalizable = rank_N == 0
         self.invertible = bool(self.det)
 
     def eigen_summary(self):
@@ -403,21 +448,18 @@ class HardLefschetzReport:
 
 
 def hard_lefschetz_check(n: int, window=None) -> HardLefschetzReport:
-    """Certify every M_h block in the window as (x - n)^size, so that
-    det(M_h) = n^size != 0 on every homogeneous piece.
+    """Certify every M_h block in the window by transport
+    (:class:`SpectrumReport`), so that det(M_h) = n^size != 0 on every
+    homogeneous piece.
 
     A block that fails the certificate raises AssertionError naming its
-    degree k.
+    degree k and the failing label.
     """
     space = DarbouxSpace(n)
     if window is None:
         window = range(-(2 * n), 2 * n + 1)
     rep = HardLefschetzReport(n)
     for k in window:
-        try:
-            block = SpectrumReport(Mh_matrix(space, k), n)
-        except AssertionError as exc:
-            raise AssertionError(f"M_h block of degree {k}: {exc}") from exc
-        rep.blocks[k] = block
+        block = rep.blocks[k] = SpectrumReport(space, k)
         rep.conformance[k] = paper_conformance(block, n)
     return rep

@@ -10,8 +10,11 @@
   O(n^3) pass, exact over any field.
 * ``factor_charpoly`` does not search for roots: it certifies that a
   characteristic polynomial is exactly (x - n)^size, the only shape an M_h
-  block can have (``lefschetz``), and ``geometric_multiplicity`` is
-  size - rank(A - n I).
+  block can have, and ``geometric_multiplicity`` is size - rank(A - n I).
+  These three are the spectrum oracle: ``lefschetz`` certifies each block
+  by transport, M_h = E (N + n) E^-1, and calls none of them; they stay
+  here because the benchmark's tracer names them.  ``CharFactorization``
+  is the factorization that ``lefschetz.SpectrumReport`` reports.
 """
 
 from __future__ import annotations

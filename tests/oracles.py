@@ -21,6 +21,10 @@ representation-independent route.
 ``charpoly_interpolation`` and ``symplectic_star_uncached`` are the
 spectrum-layer algorithms the engine used before its Hessenberg charpoly
 and cached star table; the tests assert exact agreement with them.
+``HessenbergSpectrumReport`` is the M_h block report the engine built
+before it certified each block by transport, M_h = E (N + n) E^-1: the
+Hessenberg charpoly of the block's matrix, certified as (x - n)^size by
+``factor_charpoly``, and the geometric multiplicity size - rank(M - n I).
 
 ``matrix_of_dh_symbolic`` and ``ring_table_per_pair`` are the torus
 cohomology builders the engine used before it assembled the d_h mode
@@ -139,7 +143,8 @@ from qexterior.hpoly import HLaurent, HPoly
 from qexterior import lefschetz
 from qexterior.lefschetz import (CommutatorReport, DarbouxSpace, _exact,
                                  apply_Ah, apply_Lh)
-from qexterior.linalg import charpoly, det, matrix_inverse
+from qexterior.linalg import (charpoly, det, factor_charpoly,
+                              geometric_multiplicity, matrix_inverse)
 from qexterior.models import AFFINE, TORUS, PoissonModel
 from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
                                qwedge)
@@ -489,6 +494,29 @@ def charpoly_interpolation(rows) -> HPoly:
             denom *= xi - xj
         out = out + num * (Fraction(1) / denom)
     return out
+
+
+class HessenbergSpectrumReport:
+    """Exact characteristic data of a square matrix whose characteristic
+    polynomial must be (x - n)^size, or the constructor raises
+    AssertionError; the attributes of ``lefschetz.SpectrumReport``."""
+
+    def __init__(self, matrix, n):
+        self.size = len(matrix)
+        self.charpoly = charpoly(matrix)
+        self.factorization = factor_charpoly(self.charpoly, n)
+        # det = (-1)^size p(0), which the certificate fixes as n^size
+        self.det = Fraction(n) ** self.size
+        self.geometric = {
+            str(root): (mult, geometric_multiplicity(matrix, root))
+            for root, mult in self.factorization.rational_roots.items()}
+        self.diagonalizable = \
+            sum(g for _a, g in self.geometric.values()) == self.size
+        self.invertible = bool(self.det)
+
+    def eigen_summary(self):
+        return {name: {"algebraic": a, "geometric": g}
+                for name, (a, g) in self.geometric.items()}
 
 
 def _field_copy(rows):

@@ -11,8 +11,9 @@ from qexterior.calculus import (dolbeault_operators, exterior_d,
                                 frame_formula_d, koszul_delta, qintegral,
                                 quantum_d, stokes_check)
 from qexterior.coeffs import FourierCoeff, PolyCoeff
-from qexterior.forms import Bivector, HForm, wedge
+from qexterior.forms import Bivector, HForm, exp_contract_terms, wedge
 from qexterior.hpoly import HPoly
+from qexterior.lefschetz import DarbouxSpace
 from qexterior.models import PoissonModel, jacobi_check
 from qexterior.quantum import qwedge
 from qexterior.sampling import Sampler
@@ -301,6 +302,40 @@ class TestConjugation:
             expected = conjugate(wedge(conjugate(a, w, -1),
                                        conjugate(b, w, -1)), w)
             assert qwedge(a, b, w) == expected, (dim, trial)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_library_E_is_the_oracle(self, dim):
+        # forms.exp_contract_terms against conjugate(x, w, +1), term for
+        # term and type for type, under rational, Gaussian and Darboux w
+        s = Sampler(300 + dim)
+        bivectors = [s.antisymmetric_bivector(dim), Bivector(dim, {
+            ij: GRat(c, s.fraction())
+            for ij, c in s.antisymmetric_bivector(dim).entries.items()})]
+        if dim % 2 == 0:
+            bivectors.append(DarbouxSpace(dim // 2).w)
+        for w in bivectors:
+            for trial in range(8):
+                laurent = trial % 2 == 1
+                x = s.ext_form(dim, terms=4, h_max=2, laurent=laurent)
+                if trial >= 4:
+                    x = HForm(dim, {key: GRat(c, s.fraction())
+                                    for key, c in x.terms.items()}, laurent)
+                got = exp_contract_terms(w, x.terms)
+                want = conjugate(x, w).terms
+                assert got == want, (w, x)
+                assert [type(got[key]) for key in want] == \
+                    [type(c) for c in want.values()], (w, x)
+
+    def test_library_E_keeps_integral_values_as_int(self):
+        # on int coefficients under the Darboux w, h^2 iota_w^2 / 2 of
+        # e^{1234} is the int 1, and on T^6 iota_w^2 e^{123456} / 2 has
+        # three int terms
+        w = DarbouxSpace(2).w
+        assert exp_contract_terms(w, {(0, 0b1111): 1}) == {
+            (0, 0b1111): 1, (1, 0b1100): -1, (1, 0b0011): -1, (2, 0): 1}
+        got = exp_contract_terms(DarbouxSpace(3).w, {(0, 0b111111): 1})
+        assert got[(3, 0)] == -1
+        assert {type(c) for c in got.values()} == {int}
 
     def test_identity_breaks_without_jacobi(self):
         # d1^d2 + x2 d2^d3 fails the Jacobi identity; the model is built

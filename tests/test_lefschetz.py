@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from qexterior import lefschetz
+from qexterior import lefschetz, linalg
 from qexterior.cli import main
-from qexterior.forms import Bivector, HForm
+from qexterior._kernels import wedge_terms
+from qexterior.forms import Bivector, HForm, bivector_contract
 from qexterior.hpoly import HPoly
 from qexterior.lefschetz import (Columns, DarbouxSpace, Mh_matrix,
                                  SpectrumReport, _a_factor, apply_Ah,
@@ -24,10 +25,29 @@ from qexterior.lefschetz import (Columns, DarbouxSpace, Mh_matrix,
 from qexterior.linalg import charpoly, det
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
+from qexterior.serialize import dump_json, spectrum_to_json
 
-from oracles import (OperatorColumns, apply_Mh, commutator_check_per_form,
-                     flip_lh_bivector, operator_matrix_per_form,
-                     recursion_matrix, recursion_verify)
+from oracles import (HessenbergSpectrumReport, OperatorColumns, apply_Mh,
+                     commutator_check_per_form, flip_lh_bivector,
+                     operator_matrix_per_form, recursion_matrix,
+                     recursion_verify)
+
+
+TRANSPORT = r"M_h E x != E \(N \+ n\) x"
+
+
+def assert_block_fails(capsys, n, k, message):
+    """hard_lefschetz_check(n) fails the block of degree k with
+    ``message`` (a regex), and ``lefschetz --n n`` exits 3 with that
+    error on stderr."""
+    with pytest.raises(AssertionError,
+                       match=rf"^M_h block of degree {k}: {message}"):
+        hard_lefschetz_check(n)
+    assert main(["lefschetz", "--n", str(n)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(rf"AssertionError: M_h block of degree {k}: {message}",
+                     captured.err)
 
 
 @pytest.fixture(scope="module")
@@ -293,9 +313,11 @@ class TestStarIdentity:
 
 
 class TestSpectra:
+    """The Hessenberg oracle on small matrices."""
+
     def test_jordan_block(self):
         M = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(2)]]
-        rep = SpectrumReport(M, 1)
+        rep = HessenbergSpectrumReport(M, 1)
         assert rep.charpoly == HPoly({2: 1, 1: -2, 0: 1})
         assert not rep.diagonalizable
         assert rep.det == 1
@@ -303,7 +325,7 @@ class TestSpectra:
 
     def test_identity(self):
         M = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        rep = SpectrumReport(M, 1)
+        rep = HessenbergSpectrumReport(M, 1)
         assert rep.diagonalizable
         assert rep.factorization.rational_roots == {Fraction(1): 2}
 
@@ -312,7 +334,7 @@ class TestSpectra:
         # claimed one-dimensional eigenspace decomposition fails and the
         # report must say so rather than hide it
         M = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(2)]]
-        rep = SpectrumReport(M, 1)
+        rep = HessenbergSpectrumReport(M, 1)
         conf = paper_conformance(rep, 1)
         assert conf["status"] == "mismatch"
         assert any("geometric multiplicity" in issue for issue in conf["issues"])
@@ -339,9 +361,60 @@ class TestClassicalCount:
 
     @pytest.mark.parametrize("k,geometric", [(0, 70), (1, 56)])
     def test_n4_middle_blocks(self, k, geometric):
-        rep = SpectrumReport(Mh_matrix(DarbouxSpace(4), k), 4)
+        rep = SpectrumReport(DarbouxSpace(4), k)
         assert rep.geometric == self.expected(4, k) == {"4": (128, geometric)}
         assert rep.det == 4 ** 128
+
+
+class TestTransportCertificate:
+    """SpectrumReport(space, k) certifies a block by M_h E = E (N + n) and
+    reads its data off N; it must equal the Hessenberg oracle on the
+    block's matrix, down to the bytes of the report."""
+
+    @staticmethod
+    def assert_agrees(space, k):
+        n = space.n
+        got = SpectrumReport(space, k)
+        want = HessenbergSpectrumReport(Mh_matrix(space, k), n)
+        assert got.size == want.size
+        assert got.charpoly == want.charpoly
+        assert [(j, str(c)) for j, c in got.charpoly.coeffs.items()] == \
+            [(j, str(c)) for j, c in want.charpoly.coeffs.items()]
+        assert (got.det, str(got.det)) == (want.det, str(want.det))
+        f, g = got.factorization, want.factorization
+        assert list(f.rational_roots.items()) == \
+            list(g.rational_roots.items())
+        assert (f.quadratics, f.remainder) == (g.quadratics, g.remainder)
+        assert got.geometric == want.geometric
+        assert got.diagonalizable == want.diagonalizable
+        assert got.invertible == want.invertible
+        assert got.eigen_summary() == want.eigen_summary()
+        assert paper_conformance(got, n) == paper_conformance(want, n)
+        conformance = paper_conformance(want, n)
+        assert dump_json(spectrum_to_json(got, conformance)) == \
+            dump_json(spectrum_to_json(want, conformance))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_block_agrees_with_hessenberg(self, n):
+        space = DarbouxSpace(n)
+        for k in range(-2 * n, 2 * n + 1):
+            self.assert_agrees(space, k)
+
+    def test_n4_window_agrees_with_hessenberg(self):
+        space = DarbouxSpace(4)
+        lo = random.Random("transport-n4").randint(-8, 6)
+        for k in range(lo, lo + 3):
+            self.assert_agrees(space, k)
+
+    def test_check_calls_no_matrix_path(self, monkeypatch):
+        # the certificate never builds a block matrix or its charpoly
+        def forbidden(*_args):
+            raise AssertionError("matrix path called")
+
+        monkeypatch.setattr(lefschetz, "Mh_matrix", forbidden)
+        for name in ("charpoly", "factor_charpoly", "geometric_multiplicity"):
+            monkeypatch.setattr(linalg, name, forbidden)
+        assert hard_lefschetz_check(2).all_invertible
 
 
 class TestRecursion:
@@ -365,7 +438,7 @@ class TestRecursion:
         for step in range(1, 5):
             assert recursion_verify(M)
             M = recursion_matrix(M)
-            rep = SpectrumReport(M, step)
+            rep = HessenbergSpectrumReport(M, step)
             assert rep.factorization.rational_roots == {Fraction(step):
                                                         2 ** step}
 
@@ -383,40 +456,54 @@ class TestHardLefschetz:
         assert {k: b.det for k, b in rep.blocks.items()} == \
             {k: Fraction(1) for k in rep.blocks}
 
-    def test_negative_control_zero_bivector(self):
+    def test_negative_control_zero_bivector(self, monkeypatch, capsys):
         # w = 0 leaves the classical h^-1 omega^, which is nilpotent: every
-        # block is singular and fails the (x - n)^size certificate
+        # block is singular, fails the Hessenberg oracle's (x - n)^size, and
+        # fails the transport certificate, whose E is then the identity
         space = DarbouxSpace(1)
         space.w = Bivector.zero(2)
         for k in range(-2, 3):
             M = Mh_matrix(space, k)
             assert det(M) == 0
             with pytest.raises(AssertionError, match=r"is not \(x - 1\)\^2"):
-                SpectrumReport(M, 1)
+                HessenbergSpectrumReport(M, 1)
+            with pytest.raises(AssertionError, match=(
+                    rf"M_h block of degree {k}: {TRANSPORT} on degree {k}, ")):
+                SpectrumReport(space, k)
+        real = DarbouxSpace.__init__
+
+        def zero(self, n):
+            real(self, n)
+            self.w = Bivector.zero(2 * n)
+
+        monkeypatch.setattr(DarbouxSpace, "__init__", zero)
+        assert_block_fails(capsys, 2, -4, TRANSPORT)
 
     def test_corrupted_block_names_its_degree(self, monkeypatch, capsys):
-        real = lefschetz.Mh_matrix
+        # the L_h column of e^1 gains h e^1, so M_h e^1 = 2 e^1 while
+        # E (N + n) e^1 = e^1; only the block of degree 1 reads that column
+        real = lefschetz.lh_column
+        target = (0, 0b01)
 
-        def corrupted(space, k):
-            M = real(space, k)
-            if k == 1:
-                M[0][0] += 1       # the trace is no longer n * size
-            return M
+        def corrupted(space, lab):
+            col = real(space, lab)
+            if lab == target:
+                key = (lab[0] + 1, lab[1])
+                col[key] = col.get(key, 0) + 1
+            return col
 
-        monkeypatch.setattr(lefschetz, "Mh_matrix", corrupted)
-        with pytest.raises(AssertionError, match="M_h block of degree 1: "):
-            hard_lefschetz_check(1)
-        assert main(["lefschetz", "--n", "1"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "AssertionError: M_h block of degree 1: " in captured.err
+        monkeypatch.setattr(lefschetz, "lh_column", corrupted)
+        for k in (-1, 0, 2):
+            hard_lefschetz_check(1, window=[k])
+        assert_block_fails(capsys, 1, 1, rf"{TRANSPORT} on degree 1, "
+                           r"basis element e1(?!\d)")
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_calibration_sign_caught_by_the_blocks(self, monkeypatch, capsys,
                                                    n):
-        # w flipped for L_h and L_h* alike passes every commutator
+        # w flipped for L_h, L_h* and E alike passes every commutator
         # identity; the scale certificate M_h* = M_h - 2n of the commutator
-        # check and the (x - n)^size certificate of the blocks both see it
+        # check and the transport certificate of the blocks both see it
         real = DarbouxSpace.__init__
 
         def flipped(self, n):
@@ -428,14 +515,53 @@ class TestHardLefschetz:
                 rf"M_h\* = M_h - 2n fails on degree {-2 * n - 2}, ")):
             commutator_check(n)
         with pytest.raises(AssertionError, match=(
-                rf"M_h block of degree {-2 * n}: characteristic polynomial "
-                rf"is not \(x - {n}\)\^{2 ** (2 * n - 1)}")):
+                rf"M_h block of degree {-2 * n}: {TRANSPORT} on degree "
+                rf"{-2 * n}, ")):
             hard_lefschetz_check(n)
         assert main(["lefschetz", "--n", str(n)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "AssertionError: M_h* = M_h - 2n fails on degree " \
             f"{-2 * n - 2}, " in captured.err
+
+    @pytest.mark.parametrize("factorials,shift,n", [
+        (False, 1, 2), (False, 1, 3), (True, 0, 1), (True, 0, 2)],
+        ids=["no-1/k!-n2", "no-1/k!-n3", "no-h-n1", "no-h-n2"])
+    def test_broken_E_caught(self, monkeypatch, capsys, factorials, shift,
+                             n):
+        # E = exp(h iota_w) without its 1/k! (which iota_w^2 = 0 on T^2
+        # cannot show) or without its h shift fails the identity in the
+        # first block
+        def broken(w, terms):
+            out = term = HForm(w.dim, terms, laurent=True)
+            k = 0
+            while term:
+                k += 1
+                term = bivector_contract(w, term).h_shift(shift) * \
+                    Fraction(1, k if factorials else 1)
+                out = out + term
+            return out.terms
+
+        monkeypatch.setattr(lefschetz, "exp_contract_terms", broken)
+        assert_block_fails(capsys, n, -2 * n, TRANSPORT)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_E_must_be_unitriangular(self, monkeypatch, capsys, n):
+        # E = 0 and E = exp(h iota_w) N satisfy M_h E = E (N + n) on every
+        # label, but neither is invertible: only the check that E x is x
+        # plus lower exterior degrees of the block rejects them
+        real = lefschetz.exp_contract_terms
+        space = DarbouxSpace(n)
+        omega = space.omega_form.terms
+
+        def times_N(w, terms):
+            return real(w, {(j - 1, m): c for (j, m), c in
+                            wedge_terms(omega, terms).items()})
+
+        for broken in (lambda w, terms: {}, times_N):
+            monkeypatch.setattr(lefschetz, "exp_contract_terms", broken)
+            assert_block_fails(capsys, n, -2 * n, "E x is not x plus lower "
+                               "exterior degrees of the block, ")
 
     def test_conformance_recorded(self):
         rep = hard_lefschetz_check(1)

@@ -260,6 +260,49 @@ def test_scaling_guard_finds_a_second_scaling(tmp_path):
         "forms.py:Bivector:gaussian_integers"]
 
 
+def spectrum_matrix_calls(root):
+    """``module:top-level name:callee`` of every call of ``charpoly``,
+    ``factor_charpoly`` or ``geometric_multiplicity`` in the library
+    modules under ``root``."""
+    import ast
+    found = []
+    callees = {"charpoly", "factor_charpoly", "geometric_multiplicity"}
+    for path in sorted(root.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name in callees:
+                    found.append(f"{path.name}:"
+                                 f"{getattr(top, 'name', '<module>')}:{name}")
+    return found
+
+
+def test_no_library_module_takes_a_matrix_spectrum():
+    # each M_h block is certified by transport, M_h = E (N + n) E^-1; the
+    # Hessenberg charpoly and its factorization stay in linalg only for
+    # the benchmark's tracer and the test oracles
+    assert spectrum_matrix_calls(ROOT / "src" / "qexterior") == []
+
+
+def test_spectrum_guard_finds_a_matrix_spectrum(tmp_path):
+    (tmp_path / "linalg.py").write_text(
+        "def charpoly(rows):\n"
+        "    return rows\n")
+    (tmp_path / "lefschetz.py").write_text(
+        "from . import linalg\n"
+        "from .linalg import factor_charpoly, geometric_multiplicity\n"
+        "class SpectrumReport:\n"
+        "    def __init__(self, matrix, n):\n"
+        "        self.f = factor_charpoly(linalg.charpoly(matrix), n)\n"
+        "def check(m):\n"
+        "    return geometric_multiplicity(m, 1), charpoly\n")
+    assert spectrum_matrix_calls(tmp_path) == [
+        "lefschetz.py:SpectrumReport:factor_charpoly",
+        "lefschetz.py:SpectrumReport:charpoly",
+        "lefschetz.py:check:geometric_multiplicity"]
+
+
 def rng_draws(root):
     """``module:line:name`` of every attribute read off an ``rng`` (a name
     or an ``.rng`` attribute) in the library modules under ``root``, other
