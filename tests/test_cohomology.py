@@ -216,15 +216,23 @@ def box(dim, radius):
 
 def certificate_bivectors(dim):
     """Dense (rational), sparse (Gaussian entries), degenerate (rank 2)
-    and zero constant bivectors on T^dim; on T^1 every bivector is zero."""
+    and zero constant bivectors on T^dim; on T^1, where every bivector is
+    zero, only the zero one."""
+    if dim == 1:
+        return {"zero": {}}
     return {
         "dense": Sampler(40 + dim).antisymmetric_bivector(dim),
         "sparse": {(2 * i + 1, 2 * i + 2): GRat(Fraction(1, i + 2), i - 1)
                    for i in range(dim // 2)},
         "degenerate": {(1, dim): Fraction(7, 3), (1, 2): Fraction(-2)}
-        if dim > 2 else {(1, 2): Fraction(7, 3)} if dim == 2 else {},
+        if dim > 2 else {(1, 2): Fraction(7, 3)},
         "zero": {},
     }
+
+
+# (dim, kind) of every certificate bivector on T^1 .. T^5
+CERTIFICATE_CASES = [(dim, kind) for dim in range(1, 6)
+                     for kind in certificate_bivectors(dim)]
 
 
 def unit_modes(dim):
@@ -280,8 +288,7 @@ class TestHomotopyCertificate:
     """The contracting-homotopy proof of acyclicity against the per-mode
     Smith normal form."""
 
-    @pytest.mark.parametrize("kind", ["dense", "sparse", "degenerate", "zero"])
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim,kind", CERTIFICATE_CASES)
     def test_agrees_with_snf_oracle(self, dim, kind):
         model = PoissonModel.torus(dim, certificate_bivectors(dim)[kind])
         # every mode of the box certifies; a seeded sample of |k_i| <= 2
@@ -445,8 +452,7 @@ class TestUnitCertificate:
     once and every other mode by linearity; it agrees with the per-mode
     certificate on the masks (``oracles.homotopy_certificate``)."""
 
-    @pytest.mark.parametrize("kind", ["dense", "sparse", "degenerate", "zero"])
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim,kind", CERTIFICATE_CASES)
     def test_agrees_with_per_mode_certificate(self, dim, kind):
         model = PoissonModel.torus(dim, certificate_bivectors(dim)[kind])
         bivector = model.constant_bivector().integer
