@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qexterior import lefschetz, linalg
+from qexterior import lefschetz
 from qexterior.cli import main
 from qexterior._kernels import wedge_terms
 from qexterior.forms import Bivector, HForm, bivector_contract
@@ -389,8 +389,8 @@ class TestTransportCertificate:
         assert got.diagonalizable == want.diagonalizable
         assert got.invertible == want.invertible
         assert got.eigen_summary() == want.eigen_summary()
-        assert paper_conformance(got, n) == paper_conformance(want, n)
         conformance = paper_conformance(want, n)
+        assert paper_conformance(got, n) == conformance
         assert dump_json(spectrum_to_json(got, conformance)) == \
             dump_json(spectrum_to_json(want, conformance))
 
@@ -406,14 +406,13 @@ class TestTransportCertificate:
         for k in range(lo, lo + 3):
             self.assert_agrees(space, k)
 
-    def test_check_calls_no_matrix_path(self, monkeypatch):
-        # the certificate never builds a block matrix or its charpoly
+    def test_check_builds_no_block_matrix(self, monkeypatch):
+        # the certificate works on columns; tests/test_repo.py keeps the
+        # charpoly and its factorization out of the library
         def forbidden(*_args):
-            raise AssertionError("matrix path called")
+            raise AssertionError("Mh_matrix called")
 
         monkeypatch.setattr(lefschetz, "Mh_matrix", forbidden)
-        for name in ("charpoly", "factor_charpoly", "geometric_multiplicity"):
-            monkeypatch.setattr(linalg, name, forbidden)
         assert hard_lefschetz_check(2).all_invertible
 
 
@@ -562,6 +561,38 @@ class TestHardLefschetz:
             monkeypatch.setattr(lefschetz, "exp_contract_terms", broken)
             assert_block_fails(capsys, n, -2 * n, "E x is not x plus lower "
                                "exterior degrees of the block, ")
+
+    def test_E_must_not_mix_one_exterior_degree(self, monkeypatch):
+        # sigma: e^1 <-> e^3, e^2 <-> e^4 keeps omega and w, so E (1 + sigma)
+        # satisfies M_h E = E (N + n) too, and is singular since
+        # sigma^2 = 1; on the odd blocks of n = 2 no mask is fixed by
+        # sigma, every E x has coefficient 1 on x, and only the strictly
+        # lower exterior degree rejects it
+        real = lefschetz.exp_contract_terms
+        image = {0: 2, 1: 3, 2: 0, 3: 1}
+
+        def sigma(terms):
+            out = {}
+            for (j, m), c in terms.items():
+                y = {(j, 0): c}
+                for i in range(4):
+                    if m >> i & 1:
+                        y = wedge_terms(y, {(0, 1 << image[i]): 1})
+                for key, v in y.items():
+                    out[key] = out.get(key, 0) + v
+            return out
+
+        def mixing(w, terms):
+            both = dict(terms)
+            for key, v in sigma(terms).items():
+                both[key] = both.get(key, 0) + v
+            return real(w, {key: v for key, v in both.items() if v})
+
+        monkeypatch.setattr(lefschetz, "exp_contract_terms", mixing)
+        for k in (-3, 1):
+            with pytest.raises(AssertionError, match=(
+                    rf"^M_h block of degree {k}: E x is not x plus lower ")):
+                hard_lefschetz_check(2, window=[k])
 
     def test_conformance_recorded(self):
         rep = hard_lefschetz_check(1)
