@@ -56,6 +56,11 @@ def kernel_backend() -> str:
     return "python"
 
 
+def int_if_integral(c):
+    """An integral Fraction as an int, faster to add and multiply."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def odd_above(mask: int) -> int:
     """Bit i set when ``mask`` has an odd number of bits above i: a suffix
     XOR over windows of 2, 4, 8, .. bits, shifted down by one."""
@@ -115,6 +120,26 @@ def contract_terms(terms: dict, i: int, front: bool) -> dict:
             key = (j, m ^ bit)
             s = out.get(key)
             s = c if s is None else s + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+def iota_terms(terms: dict, pairs) -> dict:
+    """Sum over ``(indices, c)`` of the front contractions by the 0-based
+    indices, first index first, each term times c (coefficient * c):
+    pairs ``((i,), X^i)`` give X |- a, pairs ``((i, j), w^ij)`` w |- a."""
+    out = {}
+    for indices, c in pairs:
+        inner = terms
+        for i in indices:
+            inner = contract_terms(inner, i, True)
+        for key, d in inner.items():
+            d = d * c
+            s = out.get(key)
+            s = d if s is None else s + d
             if s:
                 out[key] = s
             else:

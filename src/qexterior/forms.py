@@ -12,8 +12,9 @@ Conventions (pinned, see README):
   ``(v |- a)(v_1, ..)= a(v, v_1, ..)``;
 * ``contract_back(a, i)`` implements ``a -| e_i`` with
   ``(a -| v)(v_1, ..) = a(v_1, .., v)``;
-* ``bivector_contract`` implements
-  ``w |- a = sum_{i<j} w^ij a(e_i, e_j, ..)``;
+* ``contract_vector``, ``bivector_contract`` (``w |- a = sum_{i<j} w^ij
+  a(e_i, e_j, ..)``) and ``exp_contract_terms`` (``E = exp(h w |-)``) all
+  run the one contraction ``_kernels.iota_terms``, on any coefficients;
 * the symplectic star is defined by
   ``b ^ *a = Lambda^k(w)(b, a) * omega^n/n!`` with w the dual bivector of
   Omega, extended to h-coefficients by ``*h = h^-1``.
@@ -28,7 +29,7 @@ from types import MappingProxyType
 
 from . import _kernels as K
 from .linalg import det, matrix_inverse
-from .scalars import GRat, gaussian_integers
+from .scalars import gaussian_integers
 
 
 def _mask_from_indices(indices, dim):
@@ -377,72 +378,53 @@ def wedge(a: HForm, b: HForm) -> HForm:
 
 def contract_front(i: int, a: HForm) -> HForm:
     """e_i |- a: evaluation of a on e_i in the first slot (1-based i)."""
-    if not 1 <= i <= a.dim:
-        raise IndexError(f"index {i} out of range 1..{a.dim}")
+    _mask_from_indices([i], a.dim)
     return HForm(a.dim, K.contract_terms(a.terms, i - 1, front=True),
                  a.laurent)
 
 
 def contract_back(a: HForm, i: int) -> HForm:
     """a -| e_i: evaluation of a on e_i in the last slot (1-based i)."""
-    if not 1 <= i <= a.dim:
-        raise IndexError(f"index {i} out of range 1..{a.dim}")
+    _mask_from_indices([i], a.dim)
     return HForm(a.dim, K.contract_terms(a.terms, i - 1, front=False),
                  a.laurent)
 
 
 def contract_vector(coeffs, a: HForm) -> HForm:
     """Front contraction by the vector sum_i coeffs[i-1] * e_i."""
-    out = HForm.zero(a.dim, a.laurent)
-    for i, c in enumerate(coeffs, start=1):
-        if c:
-            out = out + contract_front(i, a) * c
-    return out
+    pairs = [((i,), c) for i, c in enumerate(coeffs) if c]
+    _mask_from_indices([i + 1 for (i,), _c in pairs], a.dim)
+    return HForm(a.dim, K.iota_terms(a.terms, pairs), a.laurent)
 
 
 def bivector_contract(w: Bivector, a: HForm) -> HForm:
     """w |- a = sum_{i<j} w^{ij} a(e_i, e_j, ...); drops degree by 2."""
     if w.dim != a.dim:
         raise ValueError(f"dimension mismatch {w.dim} != {a.dim}")
-    out = HForm.zero(a.dim, a.laurent)
-    for (i, j), wij in w.entries.items():
-        t = contract_front(j, contract_front(i, a))
-        if t:
-            out = out + t * wij
-    return out
+    return HForm(a.dim, K.iota_terms(a.terms, [
+        ((i - 1, j - 1), c) for (i, j), c in w.entries.items()]), a.laurent)
 
 
 def exp_contract_terms(w: Bivector, terms: dict) -> dict:
-    """E = exp(h iota_w) = sum_k h^k iota_w^k / k! on a term dict, for a
-    constant bivector w and iota_w the contraction of
-    :func:`bivector_contract`; the series ends, since iota_w lowers the
-    exterior degree by 2.  Integral Fraction entries are read as ints, so
-    int coefficients stay ints while integral; any other coefficient has
-    the type that coefficient * entry / k gives it."""
-    entries = [(i - 1, j - 1, c.numerator if type(c) is Fraction
-                and c.denominator == 1 else c)
-               for (i, j), c in w.entries.items()]
+    """E = exp(h iota_w) = sum_k h^k iota_w^k / k! on a term dict, for any
+    bivector w, constant or not (iota_w as in :func:`bivector_contract`);
+    the series ends, as iota_w lowers the exterior degree by 2.  Integral
+    Fraction entries are read as ints and an int term divided by k stays
+    an int while integral; any other term is multiplied by Fraction(1, k)."""
+    pairs = [((i - 1, j - 1), K.int_if_integral(c))
+             for (i, j), c in w.entries.items()]
     out = dict(terms)
-    term = terms
-    k = 0
+    term, k = terms, 0
     while term:
         k += 1
+        inverse = Fraction(1, k)
         step = {}
-        for i, j, c in entries:
-            inner = K.contract_terms(K.contract_terms(term, i, True), j, True)
-            for (jh, m), d in inner.items():
-                key = (jh + 1, m)
-                s = step.get(key)
-                s = d * c if s is None else s + d * c
-                if s:
-                    step[key] = s
-                else:
-                    step.pop(key, None)
-        if k > 1:
-            step = {key: (s // k if s % k == 0 else Fraction(s, k))
-                    if type(s) is int else s / k
-                    for key, s in step.items()}
-        for key, c in step.items():
+        for (jh, m), c in K.iota_terms(term, pairs).items():
+            if k > 1:
+                c = c * inverse if type(c) is not int else \
+                    c // k if c % k == 0 else Fraction(c, k)
+            key = (jh + 1, m)
+            step[key] = c
             s = out.get(key)
             s = c if s is None else s + c
             if s:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import comb
 
 from .calculus import quantum_d
-from ._kernels import wedge_terms
+from ._kernels import int_if_integral, wedge_terms
 from .forms import (Bivector, HForm, StarTable, exp_contract_terms,
                     omega_form, symplectic_star)
 from .hpoly import HPoly
@@ -106,14 +106,6 @@ def apply_Ah(x: HForm, space: DarbouxSpace) -> HForm:
     return out
 
 
-def _exact(c):
-    """An integral Fraction as an int (faster to add and multiply); any
-    other coefficient unchanged."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 def lh_column(space: DarbouxSpace, lab) -> dict:
     """The column ``{label': c}`` of L_h on the basis label (j, mask):
     omega ^_h h^j e^mask, summed from the expansions of omega's masks with
@@ -124,7 +116,7 @@ def lh_column(space: DarbouxSpace, lab) -> dict:
     D, products = table.D, table.products
     col = {}
     for (i, om), c in space.omega_form.terms.items():
-        c = _exact(c)
+        c = int_if_integral(c)
         expansion = products.get((om, mask))
         if expansion is None:
             expansion = table.product(om, mask)
@@ -137,7 +129,7 @@ def lh_column(space: DarbouxSpace, lab) -> dict:
                 col[key] = s
             else:
                 col.pop(key, None)
-    return {key: _exact(c) for key, c in col.items()}
+    return {key: int_if_integral(c) for key, c in col.items()}
 
 
 class Columns(dict):
@@ -159,7 +151,7 @@ def lefschetz_columns(space: DarbouxSpace):
     star table, with *h = h^{-1} (j -> -j) and integral scales as ints."""
     L = Columns(lambda lab: lh_column(space, lab))
     star = space.star
-    rows = Columns(lambda mask: [(comp, _exact(s))
+    rows = Columns(lambda mask: [(comp, int_if_integral(s))
                                  for comp, s in star.row(mask)])
 
     def lh_star_column(lab):
@@ -375,7 +367,8 @@ class SpectrumReport:
     def __init__(self, space: DarbouxSpace, k: int):
         n = space.n
         basis = space.basis(k)
-        omega = {key: _exact(c) for key, c in space.omega_form.terms.items()}
+        omega = {key: int_if_integral(c)
+                 for key, c in space.omega_form.terms.items()}
         L = Columns(lambda lab: lh_column(space, lab))
         E = Columns(lambda lab: exp_contract_terms(space.w, {lab: 1}))
         strata = {}    # p -> (labels of exterior degree p, their N x)

@@ -60,11 +60,16 @@ check.
 ``char_form_per_power`` is tr(F^k) as the engine computed it before one
 running power served every k: k - 1 matrix products of its own.
 
-``conjugate`` applies E = exp(h iota_w) or its inverse, with iota_w the
-engine's ``bivector_contract``.  For Poisson w, E d E^-1 = d_h and
+``bivector_contract_per_entry`` and ``contract_vector_per_index`` are
+iota_w and iota_X as the engine computed them before both went through
+one kernel contraction: one ``HForm`` of front contractions per entry or
+index, scaled and added as forms.
+
+``conjugate`` applies E = exp(h iota_w) or its inverse, with iota_w
+``bivector_contract_per_entry``.  For Poisson w, E d E^-1 = d_h and
 E(E^-1 a ^ E^-1 b) = a ^_h b: one conjugation accounts for the quantum
-differential and product, independently of the minor expansion and the
-Fourier-mode columns.
+differential and product, independently of the minor expansion, the
+Fourier-mode columns and the kernel contraction.
 
 ``solve_dh_primitive_snf`` is the transgression solve the engine used
 before it applied the Koszul-Brylinski homotopy: one dense d_h matrix per
@@ -124,7 +129,7 @@ import math
 import random
 from fractions import Fraction
 
-from qexterior._kernels import QTable
+from qexterior._kernels import QTable, int_if_integral
 from qexterior.calculus import dolbeault_operators, exterior_d, quantum_d
 from qexterior.chern import (QConnection, TransgressionResult, _mat_qwedge,
                              char_form, quantum_curvature)
@@ -136,12 +141,12 @@ from qexterior.complexes import (CohomologyTable, FiniteComplex, _apply,
                                  complex_homology, dense_complex,
                                  dense_matrix, dh_kappa_v, homotopy_columns,
                                  koszul_columns)
-from qexterior.forms import (Bivector, HForm, bivector_contract,
-                             check_symplectic, contract_back, contract_front,
-                             mask_indices, omega_form, symplectic_star, wedge)
+from qexterior.forms import (Bivector, HForm, check_symplectic,
+                             contract_back, contract_front, mask_indices,
+                             omega_form, symplectic_star, wedge)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior import lefschetz
-from qexterior.lefschetz import (CommutatorReport, DarbouxSpace, _exact,
+from qexterior.lefschetz import (CommutatorReport, DarbouxSpace,
                                  apply_Ah, apply_Lh)
 from qexterior.linalg import (charpoly, det, factor_charpoly,
                               geometric_multiplicity, matrix_inverse)
@@ -915,7 +920,7 @@ class OperatorColumns(dict):
 
     def __missing__(self, lab):
         image = self.op(HForm(self.space.dim, {lab: Fraction(1)}, laurent=True))
-        col = {key: _exact(c) for key, c in image.terms.items()}
+        col = {key: int_if_integral(c) for key, c in image.terms.items()}
         self[lab] = col
         return col
 
@@ -1009,6 +1014,27 @@ def solve_dh_primitive_snf(model, delta: HForm, ring) -> TransgressionResult:
     return TransgressionResult(True, eta)
 
 
+def contract_vector_per_index(coeffs, a: HForm) -> HForm:
+    """Front contraction by the vector sum_i coeffs[i-1] * e_i."""
+    out = HForm.zero(a.dim, a.laurent)
+    for i, c in enumerate(coeffs, start=1):
+        if c:
+            out = out + contract_front(i, a) * c
+    return out
+
+
+def bivector_contract_per_entry(w: Bivector, a: HForm) -> HForm:
+    """w |- a = sum_{i<j} w^{ij} a(e_i, e_j, ...); drops degree by 2."""
+    if w.dim != a.dim:
+        raise ValueError(f"dimension mismatch {w.dim} != {a.dim}")
+    out = HForm.zero(a.dim, a.laurent)
+    for (i, j), wij in w.entries.items():
+        t = contract_front(j, contract_front(i, a))
+        if t:
+            out = out + t * wij
+    return out
+
+
 def conjugate(x: HForm, w, sign=1) -> HForm:
     """E^sign x for E = exp(h iota_w) = sum_k h^k iota_w^k / k!, sign +-1.
 
@@ -1017,7 +1043,8 @@ def conjugate(x: HForm, w, sign=1) -> HForm:
     k = 0
     while term:
         k += 1
-        term = bivector_contract(w, term).h_shift(1) * Fraction(sign, k)
+        term = bivector_contract_per_entry(w, term).h_shift(1) * \
+            Fraction(sign, k)
         out = out + term
     return out
 

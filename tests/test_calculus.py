@@ -274,14 +274,44 @@ def conjugation_models():
     return models
 
 
+MODEL_IDS = ["constant-a", "constant-b", "so3", "decomposable-a",
+             "decomposable-b", "torus-f(theta3)"]
+COEFFICIENT_KINDS = (int, Fraction, GRat, FourierCoeff, PolyCoeff)
+
+
+def retyped(s, x, kind):
+    """``x`` with each Fraction coefficient c made a coefficient of
+    ``kind``: its numerator, c itself, c + i q, or c times a seeded
+    Fourier or polynomial function."""
+    dim = x.dim
+    make = {int: lambda c: c.numerator,
+            Fraction: lambda c: c,
+            GRat: lambda c: GRat(c, s.fraction()),
+            FourierCoeff: lambda c: s.fourier_coeff(dim) * c,
+            PolyCoeff: lambda c: s.poly_coeff(dim) * c}[kind]
+    return HForm(dim, {key: make(c) for key, c in x.terms.items()},
+                 x.laurent)
+
+
+def assert_E_is_the_oracle(w, x):
+    """exp_contract_terms(w, x) is conjugate(x, w, +1) term for term and
+    type for type, except that on int coefficients an integral term may
+    stay an int where the oracle's 1/k! made it a Fraction."""
+    got = exp_contract_terms(w, x.terms)
+    want = conjugate(x, w).terms
+    assert got == want, (w, x)
+    ints = all(type(c) is int for c in x.terms.values())
+    for key, c in want.items():
+        kind = type(got[key])
+        assert kind is type(c) or ints and kind is int and \
+            type(c) is Fraction, (w, x, key, kind)
+
+
 class TestConjugation:
     """E = exp(h iota_w) (``oracles.conjugate``) carries the classical
     d and wedge to d_h and the quantum product."""
 
-    @pytest.mark.parametrize("model", conjugation_models(),
-                             ids=["constant-a", "constant-b", "so3",
-                                  "decomposable-a", "decomposable-b",
-                                  "torus-f(theta3)"])
+    @pytest.mark.parametrize("model", conjugation_models(), ids=MODEL_IDS)
     def test_dh_is_conjugate_of_d(self, model):
         s = Sampler(model.dim)
         w = model.w
@@ -306,7 +336,8 @@ class TestConjugation:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_library_E_is_the_oracle(self, dim):
         # forms.exp_contract_terms against conjugate(x, w, +1), term for
-        # term and type for type, under rational, Gaussian and Darboux w
+        # term and type for type, under rational, Gaussian and Darboux w,
+        # on every coefficient type in both rings
         s = Sampler(300 + dim)
         bivectors = [s.antisymmetric_bivector(dim), Bivector(dim, {
             ij: GRat(c, s.fraction())
@@ -314,17 +345,23 @@ class TestConjugation:
         if dim % 2 == 0:
             bivectors.append(DarbouxSpace(dim // 2).w)
         for w in bivectors:
-            for trial in range(8):
-                laurent = trial % 2 == 1
-                x = s.ext_form(dim, terms=4, h_max=2, laurent=laurent)
-                if trial >= 4:
-                    x = HForm(dim, {key: GRat(c, s.fraction())
-                                    for key, c in x.terms.items()}, laurent)
-                got = exp_contract_terms(w, x.terms)
-                want = conjugate(x, w).terms
-                assert got == want, (w, x)
-                assert [type(got[key]) for key in want] == \
-                    [type(c) for c in want.values()], (w, x)
+            for kind in COEFFICIENT_KINDS:
+                for laurent in (False, True):
+                    x = retyped(s, s.ext_form(dim, terms=4, h_max=2,
+                                              laurent=laurent), kind)
+                    assert_E_is_the_oracle(w, x)
+
+    @pytest.mark.parametrize("model", conjugation_models(), ids=MODEL_IDS)
+    def test_library_E_is_the_oracle_under_the_model_w(self, model):
+        # the model's own w has PolyCoeff or FourierCoeff entries, constant
+        # or not; the forms carry scalars or the model's coefficients
+        s = Sampler(400 + model.dim)
+        for kind in (int, Fraction, GRat, model.coeff_cls):
+            for laurent in (False, True):
+                for _ in range(3):
+                    x = retyped(s, s.ext_form(model.dim, terms=4, h_max=2,
+                                              laurent=laurent), kind)
+                    assert_E_is_the_oracle(model.w, x)
 
     def test_library_E_keeps_integral_values_as_int(self):
         # on int coefficients under the Darboux w, h^2 iota_w^2 / 2 of

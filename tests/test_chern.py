@@ -11,16 +11,18 @@ from oracles import (char_form_per_power, gauge_char_diagnostic,
                      gauge_transform, invertible_matrix,
                      solve_dh_primitive_snf)
 from qexterior import chern
-from qexterior.calculus import quantum_d
+from qexterior.calculus import exterior_d, quantum_d
 from qexterior.chern import (QConnection, char_form, char_forms,
                              covariant_square_check, quantum_covariant_d,
                              quantum_curvature, solve_dh_primitive,
                              transgression_check)
 from qexterior.coeffs import FourierCoeff
-from qexterior.forms import HForm
+from qexterior.forms import HForm, exp_contract_terms, wedge
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.models import PoissonModel
+from qexterior.quantum import qwedge
 from qexterior.sampling import Sampler
+from test_calculus import conjugation_models
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,37 @@ class TestCurvature:
             QConnection(t2, [[t2.form_monomial([1, 2])]])
         with pytest.raises(ValueError):
             QConnection(t2, [[t2.form_monomial([1]).h_shift(1)]])
+
+
+class TestCurvatureTransport:
+    @pytest.mark.parametrize("model", [PoissonModel.darboux_torus(2),
+                                       conjugation_models()[-1]],
+                             ids=["T4", "torus-f(theta3)"])
+    def test_curvature_is_E_of_the_classical_curvature(self, model):
+        # E = exp(h iota_w) fixes 1-forms and carries d to d_h and ^ to
+        # ^_h, so F_h = E(d theta + theta ^ theta), entry by entry and
+        # type for type, on the Sampler(7) rank-3 probe; and the corner
+        # of F_h ^_h F_h is E of that of F ^ F, where E divides the
+        # iota_w^2 of a 4-form by 2
+        s = Sampler(7)
+        conn = rand_connection(s, model, 3)
+        theta = conn.theta
+        F_h = quantum_curvature(conn)
+        F = [[exterior_d(theta[i][j]) for j in range(3)] for i in range(3)]
+        for i, j, l in itertools.product(range(3), repeat=3):
+            F[i][j] = F[i][j] + wedge(theta[i][l], theta[l][j])
+        square = HForm.zero(model.dim)
+        square_h = HForm.zero(model.dim)
+        for l in range(3):
+            square = square + wedge(F[0][l], F[l][0])
+            square_h = square_h + qwedge(F_h[0][l], F_h[l][0], model.w)
+        pairs = [(F[i][j], F_h[i][j], (i, j))
+                 for i in range(3) for j in range(3)]
+        for x, want, where in pairs + [(square, square_h, "F^2")]:
+            got = exp_contract_terms(model.w, x.terms)
+            assert got == want.terms, where
+            assert [type(got[key]) for key in want.terms] == \
+                [type(c) for c in want.terms.values()], where
 
 
 class TestCovariantDerivative:

@@ -10,7 +10,9 @@ import pytest
 import oracles
 from oracles import det_by_columns, integer_form_mismatches
 from qexterior import _kernels as K
-from qexterior.forms import Bivector, HForm, StarTable, symplectic_star, wedge
+from qexterior.coeffs import FourierCoeff
+from qexterior.forms import (Bivector, HForm, StarTable, bivector_contract,
+                             contract_vector, symplectic_star, wedge)
 from qexterior.linalg import det
 from qexterior.models import PoissonModel
 from qexterior.quantum import qwedge
@@ -345,3 +347,155 @@ class TestCleanKernelOutput:
         monkeypatch.setattr(K, kernel, leaky)
         outs = list(clean_outputs(caller, 3, "Fraction", False))
         assert not any(clean(f) for f in outs)
+
+
+# -- the one contraction kernel -----------------------------------------------
+
+
+def same_terms(got: HForm, want: HForm) -> bool:
+    """Whether two forms agree term for term, in key order and with the
+    coefficient types."""
+    return [(k, type(c), c) for k, c in got.terms.items()] == \
+        [(k, type(c), c) for k, c in want.terms.items()]
+
+
+def contraction_models():
+    """Seeded Poisson models of every entry kind: constant, so(3) and
+    decomposable affine ones, the Darboux T^4, and f(theta_3) d_1 ^ d_2
+    on T^3, a torus bivector that is not constant."""
+    s = Sampler(61)
+    models = [s.jacobi_model(family)
+              for family in ("constant", "so3", "decomposable")]
+    f = FourierCoeff(3, {(0, 0, 1): GRat(2, -1),
+                         (0, 0, -2): GRat(Fraction(1, 3))})
+    return models + [PoissonModel.darboux_torus(2),
+                     PoissonModel.torus(3, {(1, 2): f})]
+
+
+CONTRACTION_IDS = ["constant", "so3", "decomposable", "T4",
+                   "torus-f(theta3)"]
+
+
+def seeded_vector(s: Sampler, model: PoissonModel, scalar: bool) -> list:
+    """Components of a vector field, about a third of them zero: seeded
+    Fractions, or functions of the model's coefficient type."""
+    return [0 if not s.below(3) else
+            s.fraction() if scalar else s.model_coeff(model)
+            for _ in range(model.dim)]
+
+
+def patch_contraction_oracles(monkeypatch):
+    """Route the library operators' iota_w and iota_X through the loops
+    of ``oracles`` instead of the kernel contraction."""
+    from qexterior import calculus, equivariant
+    monkeypatch.setattr(calculus, "bivector_contract",
+                        oracles.bivector_contract_per_entry)
+    monkeypatch.setattr(calculus, "contract_vector",
+                        oracles.contract_vector_per_index)
+    monkeypatch.setattr(equivariant, "contract_vector",
+                        oracles.contract_vector_per_index)
+
+
+class TestContractionOracle:
+    """``contract_vector`` and ``bivector_contract``, thin wrappers over
+    ``_kernels.iota_terms``, against the per-index and per-entry ``HForm``
+    loops they replaced (``oracles``), directly and through every library
+    operator that contracts."""
+
+    @pytest.mark.parametrize("model", contraction_models(),
+                             ids=CONTRACTION_IDS)
+    def test_direct(self, model):
+        s = Sampler(70 + model.dim)
+        for laurent in (False, True):
+            for _ in range(4):
+                x = s.model_form(model, terms=4, laurent=laurent)
+                for w in (model.w, s.antisymmetric_bivector(model.dim, 0.7)):
+                    assert same_terms(
+                        bivector_contract(w, x),
+                        oracles.bivector_contract_per_entry(w, x)), (w, x)
+                for scalar in (False, True):
+                    X = seeded_vector(s, model, scalar)
+                    assert same_terms(
+                        contract_vector(X, x),
+                        oracles.contract_vector_per_index(X, x)), (X, x)
+
+    def test_vector_index_range(self):
+        with pytest.raises(IndexError):
+            contract_vector([0, 0, 1], HForm.basis(2, 1))
+        assert contract_vector([1, 0, 0], HForm.basis(2, 1)) == \
+            HForm.scalar(2, Fraction(1))
+
+    @pytest.mark.parametrize("model", contraction_models(),
+                             ids=CONTRACTION_IDS)
+    def test_through_the_calculus_operators(self, model, monkeypatch):
+        from qexterior.calculus import koszul_delta, lie_derivative, quantum_d
+        s = Sampler(80 + model.dim)
+        cases = [(s.model_form(model, terms=4, laurent=laurent),
+                  seeded_vector(s, model, scalar=False))
+                 for laurent in (False, True) for _ in range(3)]
+
+        def outputs():
+            return [f for x, X in cases for f in (
+                koszul_delta(x, model), quantum_d(x, model),
+                lie_derivative(X, x))]
+
+        got = outputs()
+        patch_contraction_oracles(monkeypatch)
+        want = outputs()
+        assert len(got) == len(want) == 18
+        assert all(same_terms(a, b) for a, b in zip(got, want))
+
+    def test_through_contract_generator(self, monkeypatch):
+        from qexterior.coeffs import PolyCoeff
+        from qexterior.equivariant import GroupAction, contract_generator
+        s = Sampler(90)
+        t4 = PoissonModel.darboux_torus(2)
+        so3 = PoissonModel.so3_affine()
+        x = [PolyCoeff.variable(3, i) for i in (1, 2, 3)]
+        actions = [
+            GroupAction(t4, [[s.fraction() for _ in range(4)]
+                             for _ in range(2)]),
+            GroupAction(so3, [[-x[1], x[0], PolyCoeff.zero(3)]])]
+
+        def outputs():
+            s = Sampler(91)
+            return [contract_generator(a, s.model_form(act.model, terms=4,
+                                                       laurent=laurent), act)
+                    for act in actions for a in range(act.n_generators)
+                    for laurent in (False, True) for _ in range(3)]
+
+        got = outputs()
+        patch_contraction_oracles(monkeypatch)
+        want = outputs()
+        assert any(got) and all(same_terms(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_through_dolbeault_operators(self, n, monkeypatch):
+        from qexterior.calculus import dolbeault_operators
+        model = PoissonModel.darboux_torus(n, complex_structure=True)
+        s = Sampler(100 + n)
+        forms = [s.complexified_model_form(model, terms=3, laurent=laurent)
+                 for laurent in (False, True) for _ in range(3)]
+
+        def outputs():
+            return [getattr(ops, name) for ops in
+                    (dolbeault_operators(a, model) for a in forms)
+                    for name in ops.__slots__]
+
+        got = outputs()
+        patch_contraction_oracles(monkeypatch)
+        want = outputs()
+        assert len(got) == len(want) == 36
+        assert all(same_terms(a, b) for a, b in zip(got, want))
+
+    def test_negative_control_contractions_swapped(self, monkeypatch):
+        # contracting e_j before e_i flips the sign of every w^ij term
+        real = K.iota_terms
+        monkeypatch.setattr(K, "iota_terms", lambda terms, pairs: real(
+            terms, [(indices[::-1], c) for indices, c in pairs]))
+        s = Sampler(110)
+        w = s.antisymmetric_bivector(4)
+        x = s.ext_form(4, degree=3, terms=4)
+        assert bivector_contract(w, x)
+        assert not same_terms(bivector_contract(w, x),
+                              oracles.bivector_contract_per_entry(w, x))

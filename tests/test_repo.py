@@ -260,6 +260,58 @@ def test_scaling_guard_finds_a_second_scaling(tmp_path):
         "forms.py:Bivector:gaussian_integers"]
 
 
+def contract_terms_callers(root):
+    """``module:top-level name`` of every call of ``contract_terms`` in the
+    library modules under ``root`` other than ``_kernels.py``, sorted."""
+    import ast
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name == "contract_terms":
+                    found.append(f"{path.name}:"
+                                 f"{getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_the_kernel_contraction_contracts():
+    # iota_X, iota_w and E = exp(h iota_w) all run _kernels.iota_terms;
+    # outside _kernels only the single-index contractions call
+    # contract_terms themselves
+    assert contract_terms_callers(ROOT / "src" / "qexterior") == [
+        "forms.py:contract_back", "forms.py:contract_front"]
+
+
+def test_contraction_guard_finds_a_second_loop(tmp_path):
+    (tmp_path / "_kernels.py").write_text(
+        "def iota_terms(terms, pairs):\n"
+        "    return contract_terms(terms, pairs[0][0][0], True)\n")
+    (tmp_path / "forms.py").write_text(
+        "from . import _kernels as K\n"
+        "def contract_front(i, a):\n"
+        "    return K.contract_terms(a.terms, i - 1, front=True)\n"
+        "def contract_back(a, i):\n"
+        "    return K.contract_terms(a.terms, i - 1, front=False)\n"
+        "def exp_contract_terms(w, terms):\n"
+        "    for i, j, c in w:\n"
+        "        terms = K.contract_terms(K.contract_terms(terms, i, True),\n"
+        "                                 j, True)\n"
+        "    return terms\n")
+    (tmp_path / "lefschetz.py").write_text(
+        "from ._kernels import contract_terms\n"
+        "class SpectrumReport:\n"
+        "    def __init__(self, terms):\n"
+        "        self.terms = contract_terms(terms, 0, True)\n")
+    assert contract_terms_callers(tmp_path) == [
+        "forms.py:contract_back", "forms.py:contract_front",
+        "forms.py:exp_contract_terms", "forms.py:exp_contract_terms",
+        "lefschetz.py:SpectrumReport"]
+
+
 def spectrum_matrix_calls(root):
     """``module:top-level name:callee`` of every call of ``charpoly``,
     ``factor_charpoly`` or ``geometric_multiplicity`` in the library
