@@ -128,9 +128,9 @@ def contract_terms(terms: dict, i: int, front: bool) -> dict:
 
 
 def iota_terms(terms: dict, pairs) -> dict:
-    """Sum over ``(indices, c)`` of the front contractions by the 0-based
-    indices, first index first, each term times c (coefficient * c):
-    pairs ``((i,), X^i)`` give X |- a, pairs ``((i, j), w^ij)`` w |- a."""
+    """The sum over ``(indices, c)`` pairs of the front contractions of a
+    term dict a by the 0-based indices, first index first, times c (as
+    coefficient * c): ``((i,), X^i)`` give X |- a, ``((i, j), w^ij)`` w |- a."""
     out = {}
     for indices, c in pairs:
         inner = terms

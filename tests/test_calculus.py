@@ -346,7 +346,7 @@ class TestConjugation:
             bivectors.append(DarbouxSpace(dim // 2).w)
         for w in bivectors:
             for kind in COEFFICIENT_KINDS:
-                for laurent in (False, True):
+                for laurent in (False, True, False, True):
                     x = retyped(s, s.ext_form(dim, terms=4, h_max=2,
                                               laurent=laurent), kind)
                     assert_E_is_the_oracle(w, x)
