@@ -23,7 +23,6 @@ Conventions (pinned, see README):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from types import MappingProxyType
 
@@ -480,8 +479,12 @@ class StarTable:
     time; build it once per Omega and pass it to :func:`symplectic_star`.
 
     ``row(J)`` lists (complement of I, Lambda^k(w)[I, J] * pf * sign) over
-    the index sets I with |I| = |J| and a nonzero minor, where pf is the
-    top coefficient of omega^n/n! and sign that of e^I ^ e^{comp I}.
+    the index sets I with |I| = |J| and a nonzero minor, in the order of
+    ``itertools.combinations``, where pf is the top coefficient of
+    omega^n/n! and sign that of e^I ^ e^{comp I}.  Only the sets I that
+    give each column of J a row of its own with a nonzero w* entry are
+    tried, as every other minor is zero: one set per row of a Darboux
+    Omega, where w* has one nonzero entry per column.
     The constructor validates Omega (ValueError if it is not symplectic)
     and computes the inverse and pf; rows are filled on first use.  The
     minors det w*[I, J] of w* = -Omega^{-1} are those of the bivector
@@ -510,14 +513,18 @@ class StarTable:
         row = self.rows.get(maskJ)
         if row is not None:
             return row
-        dim, wstar, pf = self.dim, self.wstar.table, self.pf
-        full = (1 << dim) - 1
+        wstar, pf = self.wstar.table, self.pf
+        full = (1 << self.dim) - 1
         k = maskJ.bit_count()
+        # the rows of column j are the keys of row j, w* being antisymmetric
+        sets = {0}
+        t = maskJ
+        while t:
+            column = wstar.rows[(t & -t).bit_length() - 1]
+            t &= t - 1
+            sets = {S | bit for S in sets for bit in column if not S & bit}
         row = []
-        for idxI in combinations(range(dim), k):
-            maskI = 0
-            for i in idxI:
-                maskI |= 1 << i
+        for maskI in sorted(sets, key=mask_indices):
             lam = wstar.minor(maskI, maskJ) if k else 1
             if wstar.D is not None:
                 lam = Fraction(lam, wstar.D ** k)

@@ -17,10 +17,15 @@ has characteristic polynomial (x - n)^size and det n^size (the symplectic
 sl2 of Yan, Adv. Math. 120, 1996, is the classical case).  The spectrum is
 therefore certified by that transport identity, label by label, and not
 computed from a matrix (:class:`SpectrumReport`); a block that fails it
-raises AssertionError.  The conformance field compares against the claimed
-spectrum {n, n +- sqrt(5)/2} with one-dimensional eigenspaces and records
-any mismatch instead of forcing it; under the conventions pinned here the
-n = 1 base case comes out as (x - 1)^2 with a single Jordan block.
+raises AssertionError.  Since ^_h is k[h, h^-1]-bilinear, multiplication
+by h maps block k onto block k + 2 label by label and commutes with M_h,
+E and N: the blocks of one parity are certified once, on the generators
+(0, mask) of its masks, and read off one report, with every stratum map
+omega^: Lambda^p -> Lambda^{p+2} ranked once.  The conformance field
+compares against the claimed spectrum {n, n +- sqrt(5)/2} with
+one-dimensional eigenspaces and records any mismatch instead of forcing
+it; under the conventions pinned here the n = 1 base case comes out as
+(x - 1)^2 with a single Jordan block.
 
 L_h and L_h* are kept as sparse columns ``label -> {label': c}`` over the
 basis labels (j, mask) of h^j e^mask (:class:`Columns`), one per label,
@@ -33,7 +38,10 @@ L_h columns, kept for the test oracles and the benchmark's tracer.  The
 commutator check takes each operator image of a label once (columns,
 four composites, the A_h factor n - |mask| - 2j per label), compares the
 identities on those exact coefficient dicts, then certifies the scale of
-L_h* by M_h* = M_h - 2n on every label.
+L_h* by M_h* = M_h - 2n, on the generators (0, mask) of the window's
+parities.  Both checks run again label by label, or block by block, when
+anything fails on the generators, so a failure is reported on the labels
+of the window.
 """
 
 from __future__ import annotations
@@ -240,6 +248,56 @@ def _witness(space: DarbouxSpace, k: int, lab) -> str:
     return f"degree {k}, basis element {unit}"
 
 
+def _generators(space: DarbouxSpace, parities) -> list:
+    """The labels (0, mask) of every mask whose exterior degree has a
+    parity in ``parities``: the k[h, h^-1]-module generators of the blocks
+    of those parities, one label per mask."""
+    return [(0, mask) for mask in range(1 << space.dim)
+            if mask.bit_count() % 2 in parities]
+
+
+def _check_identities(rep: CommutatorReport, space: DarbouxSpace, L, Ls,
+                      labels):
+    """Record the fifteen identities on every label of ``labels`` in
+    ``rep``; return the witness of the first label that fails
+    M_h* = M_h - 2n, or None."""
+    n = space.n
+    A = _a_factor
+    scale_failure = None
+    for lab in labels:
+        j, mask = lab
+        k = 2 * j + mask.bit_count()
+        a = A(lab, n)
+        up, down = (j + 1, mask), (j - 1, mask)
+        Lx, Lsx = L[lab], Ls[lab]
+        Mx, Msx = _h_shift(Lx, -1), _h_shift(Lsx, 1)
+        held = (
+            ("[Lh,Lh*]=0", _apply(L, Lsx) == _apply(Ls, Lx)),
+            ("[Lh,Ah]=2Lh", all(A(y, n) == a - 2 for y in Lx)),
+            ("[Lh*,Ah]=-2Lh*", all(A(y, n) == a + 2 for y in Lsx)),
+            ("[h,h^-1]=0", True),
+            ("[Lh,h]=0", L[up] == _h_shift(Lx, 1)),
+            ("[Lh,h^-1]=0", L[down] == Mx),
+            ("[Lh*,h]=0", Ls[up] == Msx),
+            ("[Lh*,h^-1]=0", Ls[down] == _h_shift(Lsx, -1)),
+            ("[Ah,h]=-2h", A(up, n) - a == -2),
+            ("[Ah,h^-1]=2h^-1", A(down, n) - a == 2),
+            ("[Mh,Mh*]=0", _h_shift(_apply(L, Msx), -1)
+             == _h_shift(_apply(Ls, Mx), 1)),
+            ("[Mh,Ah]=0", all(A(y, n) == a for y in Mx)),
+            ("[Mh*,Ah]=0", all(A(y, n) == a for y in Msx)),
+            ("Mh=h^-1Lh", True),
+            ("Mh*=hLh*", True),
+        )
+        for name, ok in held:
+            rep.record(name, ok, None if ok else _witness(space, k, lab))
+        scaled = {**Mx, lab: Mx.get(lab, 0) - 2 * n}
+        if scale_failure is None and \
+                Msx != {y: c for y, c in scaled.items() if c}:
+            scale_failure = _witness(space, k, lab)
+    return scale_failure
+
+
 def commutator_check(n: int, window=None) -> CommutatorReport:
     """Verify the Lefschetz commutator identities exactly on every
     homogeneous piece in the degree window, then certify the scale of
@@ -256,6 +314,16 @@ def commutator_check(n: int, window=None) -> CommutatorReport:
     of an image.  ``[h,h^-1]=0``, ``Mh=h^-1Lh`` and ``Mh*=hLh*`` hold by
     the definitions of the shift, ``M_h`` and ``M_h*``.
 
+    The identities are taken on the module generators (0, mask) of every
+    mask whose parity occurs in the window, not on every label: there the
+    four ``[., h^{+-1}]`` identities compare the columns at (+-1, mask),
+    computed independently, with the h-shifts of those at (0, mask), which
+    certifies that the operators commute with h on every mask, and every
+    label of the window is h^j times a generator.  If an identity or the
+    scale certificate below fails on a generator, the same loop runs again
+    on every label of the window, and the results, their order and the
+    first witness of each failure are read off that run.
+
     Every identity is linear in ``L_h*``, so none of them sees its scale.
     Once all of them hold, ``M_h* x = M_h x - 2n x`` is certified on every
     label of the window; a label that fails it raises AssertionError
@@ -271,41 +339,15 @@ def commutator_check(n: int, window=None) -> CommutatorReport:
     space = DarbouxSpace(n)
     if window is None:
         window = range(-(2 * n + 2), 2 * n + 3)
-    rep = CommutatorReport(n, list(window))
+    window = list(window)
     L, Ls = lefschetz_columns(space)
-    A = _a_factor
-    scale_failure = None
-    for k in rep.window:
-        for lab in space.basis(k):
-            j, mask = lab
-            a = A(lab, n)
-            up, down = (j + 1, mask), (j - 1, mask)
-            Lx, Lsx = L[lab], Ls[lab]
-            Mx, Msx = _h_shift(Lx, -1), _h_shift(Lsx, 1)
-            held = (
-                ("[Lh,Lh*]=0", _apply(L, Lsx) == _apply(Ls, Lx)),
-                ("[Lh,Ah]=2Lh", all(A(y, n) == a - 2 for y in Lx)),
-                ("[Lh*,Ah]=-2Lh*", all(A(y, n) == a + 2 for y in Lsx)),
-                ("[h,h^-1]=0", True),
-                ("[Lh,h]=0", L[up] == _h_shift(Lx, 1)),
-                ("[Lh,h^-1]=0", L[down] == Mx),
-                ("[Lh*,h]=0", Ls[up] == Msx),
-                ("[Lh*,h^-1]=0", Ls[down] == _h_shift(Lsx, -1)),
-                ("[Ah,h]=-2h", A(up, n) - a == -2),
-                ("[Ah,h^-1]=2h^-1", A(down, n) - a == 2),
-                ("[Mh,Mh*]=0", _h_shift(_apply(L, Msx), -1)
-                 == _h_shift(_apply(Ls, Mx), 1)),
-                ("[Mh,Ah]=0", all(A(y, n) == a for y in Mx)),
-                ("[Mh*,Ah]=0", all(A(y, n) == a for y in Msx)),
-                ("Mh=h^-1Lh", True),
-                ("Mh*=hLh*", True),
-            )
-            for name, ok in held:
-                rep.record(name, ok, None if ok else _witness(space, k, lab))
-            scaled = {**Mx, lab: Mx.get(lab, 0) - 2 * n}
-            if scale_failure is None and \
-                    Msx != {y: c for y, c in scaled.items() if c}:
-                scale_failure = _witness(space, k, lab)
+    rep = CommutatorReport(n, window)
+    generators = _generators(space, {k % 2 for k in window})
+    scale_failure = _check_identities(rep, space, L, Ls, generators)
+    if not rep.ok or scale_failure:
+        rep = CommutatorReport(n, window)
+        scale_failure = _check_identities(
+            rep, space, L, Ls, [lab for k in window for lab in space.basis(k)])
     if rep.ok and scale_failure:
         raise AssertionError(f"M_h* = M_h - 2n fails on {scale_failure}")
     rep.notes.append(
@@ -350,6 +392,52 @@ def lefschetz_d_commutators(model: PoissonModel, forms) -> CommutatorReport:
 # -- spectra --------------------------------------------------------------------
 
 
+def _transport_columns(space: DarbouxSpace):
+    """The columns of L_h (:func:`lh_column`) and of E = exp(h iota_w)
+    (:func:`~qexterior.forms.exp_contract_terms`) on ``space``."""
+    return (Columns(lambda lab: lh_column(space, lab)),
+            Columns(lambda lab: exp_contract_terms(space.w, {lab: 1})))
+
+
+def _certify_transport(space: DarbouxSpace, labels, L, E) -> int:
+    """Check M_h(E x) == E((N + n) x) and that E x is x plus terms of lower
+    exterior degree in the block of x, on every label x of ``labels``;
+    return the rank of N summed over the maps between the exterior-degree
+    strata p -> p + 2 of those labels.  A label that fails raises
+    AssertionError naming its block's degree and the label."""
+    n = space.n
+    omega = {key: int_if_integral(c)
+             for key, c in space.omega_form.terms.items()}
+    strata = {}    # p -> {mask: N x} over the labels of exterior degree p
+    for lab in labels:
+        p = lab[1].bit_count()
+        k = 2 * lab[0] + p
+        Ex = E[lab]
+        lower = all(m.bit_count() < p and m.bit_count() + 2 * j == k
+                    for j, m in Ex if (j, m) != lab)
+        if Ex.get(lab) != 1 or not lower:
+            raise AssertionError(
+                f"M_h block of degree {k}: E x is not x plus lower "
+                f"exterior degrees of the block, {_witness(space, k, lab)}")
+        Nx = _h_shift(wedge_terms(omega, {lab: 1}), -1)
+        if _h_shift(_apply(L, Ex), -1) != _apply(E, {**Nx, lab: n}):
+            raise AssertionError(
+                f"M_h block of degree {k}: M_h E x != E (N + n) x on "
+                f"{_witness(space, k, lab)}")
+        strata.setdefault(p, {})[lab[1]] = Nx
+    # N maps the stratum of exterior degree p into that of p + 2
+    rank_N = 0
+    for p, images in strata.items():
+        if p + 2 in strata:
+            index = {m: i for i, m in enumerate(strata[p + 2])}
+            rows = [[0] * len(index) for _ in images]
+            for row, Nx in zip(rows, images.values()):
+                for (_j, m), c in Nx.items():
+                    row[index[m]] = c
+            rank_N += rank(rows)
+    return rank_N
+
+
 class SpectrumReport:
     """Exact characteristic data of the M_h block of degree k on ``space``,
     certified by transport rather than computed from a matrix.
@@ -362,44 +450,41 @@ class SpectrumReport:
     plus a nilpotent.  So the characteristic polynomial is (x - n)^size,
     det = n^size, and the eigenspace of n has dimension size - rank N,
     where N maps each exterior-degree stratum p to p + 2.  A label that
-    fails raises AssertionError naming the degree and the label."""
+    fails raises AssertionError naming the degree and the label
+    (:func:`_certify_transport`)."""
 
     def __init__(self, space: DarbouxSpace, k: int):
-        n = space.n
         basis = space.basis(k)
-        omega = {key: int_if_integral(c)
-                 for key, c in space.omega_form.terms.items()}
-        L = Columns(lambda lab: lh_column(space, lab))
-        E = Columns(lambda lab: exp_contract_terms(space.w, {lab: 1}))
-        strata = {}    # p -> (labels of exterior degree p, their N x)
-        for lab in basis:
-            p = lab[1].bit_count()
-            Ex = E[lab]
-            lower = all(m.bit_count() < p and m.bit_count() + 2 * j == k
-                        for j, m in Ex if (j, m) != lab)
-            if Ex.get(lab) != 1 or not lower:
+        self._read_off(space.n, len(basis), _certify_transport(
+            space, basis, *_transport_columns(space)))
+
+    @classmethod
+    def of_parity(cls, space: DarbouxSpace, parity: int):
+        """The report shared by every block whose degree has ``parity``.
+
+        Multiplication by h maps block k onto block k + 2 label by label
+        and commutes with M_h, E and N, so the transport certificate runs
+        on the generators (0, mask) of the parity's masks (one label per
+        mask, as in every block), together with the check that the L_h
+        and E columns at (1, mask) are the h-shifts of those at (0, mask);
+        each stratum map is ranked once.  A failure raises
+        AssertionError."""
+        generators = _generators(space, {parity})
+        L, E = _transport_columns(space)
+        rank_N = _certify_transport(space, generators, L, E)
+        for _j, mask in generators:
+            if L[(1, mask)] != _h_shift(L[(0, mask)], 1) or \
+                    E[(1, mask)] != _h_shift(E[(0, mask)], 1):
                 raise AssertionError(
-                    f"M_h block of degree {k}: E x is not x plus lower "
-                    f"exterior degrees of the block, {_witness(space, k, lab)}")
-            Nx = _h_shift(wedge_terms(omega, {lab: 1}), -1)
-            if _h_shift(_apply(L, Ex), -1) != _apply(E, {**Nx, lab: n}):
-                raise AssertionError(
-                    f"M_h block of degree {k}: M_h E x != E (N + n) x on "
-                    f"{_witness(space, k, lab)}")
-            labels, images = strata.setdefault(p, ([], []))
-            labels.append(lab)
-            images.append(Nx)
-        # N maps the stratum of exterior degree p into that of p + 2
-        rank_N = 0
-        for p, (_labels, images) in strata.items():
-            if p + 2 in strata:
-                index = {y: i for i, y in enumerate(strata[p + 2][0])}
-                rows = [[0] * len(index) for _ in images]
-                for row, Nx in zip(rows, images):
-                    for y, c in Nx.items():
-                        row[index[y]] = c
-                rank_N += rank(rows)
-        self.size = size = len(basis)
+                    f"M_h blocks of parity {parity}: the L_h or E column is "
+                    f"not the h-shift of the generator's on "
+                    f"{_witness(space, mask.bit_count() + 2, (1, mask))}")
+        report = cls.__new__(cls)
+        report._read_off(space.n, len(generators), rank_N)
+        return report
+
+    def _read_off(self, n: int, size: int, rank_N: int):
+        self.size = size
         root = Fraction(n)
         self.charpoly = HPoly({j: comb(size, j) * (-root) ** (size - j)
                                for j in range(size + 1)})
@@ -445,14 +530,27 @@ def hard_lefschetz_check(n: int, window=None) -> HardLefschetzReport:
     (:class:`SpectrumReport`), so that det(M_h) = n^size != 0 on every
     homogeneous piece.
 
-    A block that fails the certificate raises AssertionError naming its
-    degree k and the failing label.
+    A parity with one block in the window certifies that block; a parity
+    with several reads all of them off one report
+    (:meth:`SpectrumReport.of_parity`), and falls back to certifying each
+    of its blocks if that report fails.  A block that fails the
+    certificate raises AssertionError naming its degree k and the failing
+    label.
     """
     space = DarbouxSpace(n)
     if window is None:
         window = range(-(2 * n), 2 * n + 1)
+    window = list(window)
+    shared = {}
+    for parity in (0, 1):
+        if sum(k % 2 == parity for k in window) > 1:
+            try:
+                shared[parity] = SpectrumReport.of_parity(space, parity)
+            except AssertionError:
+                pass
     rep = HardLefschetzReport(n)
     for k in window:
-        block = rep.blocks[k] = SpectrumReport(space, k)
+        block = rep.blocks[k] = shared[k % 2] if k % 2 in shared else \
+            SpectrumReport(space, k)
         rep.conformance[k] = paper_conformance(block, n)
     return rep

@@ -57,6 +57,14 @@ forms.  ``flip_lh_bivector`` makes the engine's L_h columns multiply
 under the flipped dual bivector, the negative control of its commutator
 check.
 
+``commutator_check_per_label`` and ``hard_lefschetz_check_per_block``
+are the Lefschetz checks as the engine ran them before it certified each
+parity once on the module generators (0, mask): the identities on every
+label of the window, and every block of the window certified on its own
+labels.  ``star_row_dense`` is a star-table row as the engine computed it
+before it enumerated only the row sets that can carry a nonzero minor: one
+minor per index set in ``itertools.combinations`` order.
+
 ``char_form_per_power`` is tr(F^k) as the engine computed it before one
 running power served every k: k - 1 matrix products of its own.
 
@@ -974,6 +982,97 @@ def commutator_check_per_form(n, window=None, corrupt_w=False):
         "-+2 h^{+-1}; the source states +-2 h^{+-1}, which the n = 1 desk "
         "computation contradicts")
     return rep
+
+
+def commutator_check_per_label(n, window=None):
+    """``lefschetz.commutator_check`` as the engine ran it before it took
+    the identities on the module generators (0, mask): the fifteen
+    identities and the scale certificate on every label of every degree
+    in the window.  The engine's names are read from the module at call
+    time, so a test's patch reaches both."""
+    space = lefschetz.DarbouxSpace(n)
+    if window is None:
+        window = range(-(2 * n + 2), 2 * n + 3)
+    rep = CommutatorReport(n, list(window))
+    L, Ls = lefschetz.lefschetz_columns(space)
+    A = lefschetz._a_factor
+    _apply, _h_shift, _witness = (lefschetz._apply, lefschetz._h_shift,
+                                  lefschetz._witness)
+    scale_failure = None
+    for k in rep.window:
+        for lab in space.basis(k):
+            j, mask = lab
+            a = A(lab, n)
+            up, down = (j + 1, mask), (j - 1, mask)
+            Lx, Lsx = L[lab], Ls[lab]
+            Mx, Msx = _h_shift(Lx, -1), _h_shift(Lsx, 1)
+            held = (
+                ("[Lh,Lh*]=0", _apply(L, Lsx) == _apply(Ls, Lx)),
+                ("[Lh,Ah]=2Lh", all(A(y, n) == a - 2 for y in Lx)),
+                ("[Lh*,Ah]=-2Lh*", all(A(y, n) == a + 2 for y in Lsx)),
+                ("[h,h^-1]=0", True),
+                ("[Lh,h]=0", L[up] == _h_shift(Lx, 1)),
+                ("[Lh,h^-1]=0", L[down] == Mx),
+                ("[Lh*,h]=0", Ls[up] == Msx),
+                ("[Lh*,h^-1]=0", Ls[down] == _h_shift(Lsx, -1)),
+                ("[Ah,h]=-2h", A(up, n) - a == -2),
+                ("[Ah,h^-1]=2h^-1", A(down, n) - a == 2),
+                ("[Mh,Mh*]=0", _h_shift(_apply(L, Msx), -1)
+                 == _h_shift(_apply(Ls, Mx), 1)),
+                ("[Mh,Ah]=0", all(A(y, n) == a for y in Mx)),
+                ("[Mh*,Ah]=0", all(A(y, n) == a for y in Msx)),
+                ("Mh=h^-1Lh", True),
+                ("Mh*=hLh*", True),
+            )
+            for name, ok in held:
+                rep.record(name, ok, None if ok else _witness(space, k, lab))
+            scaled = {**Mx, lab: Mx.get(lab, 0) - 2 * n}
+            if scale_failure is None and \
+                    Msx != {y: c for y, c in scaled.items() if c}:
+                scale_failure = _witness(space, k, lab)
+    if rep.ok and scale_failure:
+        raise AssertionError(f"M_h* = M_h - 2n fails on {scale_failure}")
+    rep.notes.append(
+        "h-shift identity verified with computed sign [A_h, h^{+-1}] = "
+        "-+2 h^{+-1}; the source states +-2 h^{+-1}, which the n = 1 desk "
+        "computation contradicts")
+    return rep
+
+
+def hard_lefschetz_check_per_block(n, window=None):
+    """``lefschetz.hard_lefschetz_check`` as the engine ran it before it
+    read the blocks of one parity off one report: every block of the
+    window certified on its own labels, in window order."""
+    space = lefschetz.DarbouxSpace(n)
+    if window is None:
+        window = range(-(2 * n), 2 * n + 1)
+    rep = lefschetz.HardLefschetzReport(n)
+    for k in window:
+        block = rep.blocks[k] = lefschetz.SpectrumReport(space, k)
+        rep.conformance[k] = lefschetz.paper_conformance(block, n)
+    return rep
+
+
+def star_row_dense(star, maskJ):
+    """``StarTable.row`` as the engine computed it before it tried only
+    the row sets that can carry a nonzero minor: one minor of w* per index
+    set I with |I| = |J|, in ``itertools.combinations`` order, kept when
+    nonzero.  Nothing is cached."""
+    dim, wstar, pf = star.dim, star.wstar.table, star.pf
+    full = (1 << dim) - 1
+    k = maskJ.bit_count()
+    row = []
+    for idxI in itertools.combinations(range(dim), k):
+        maskI = 0
+        for i in idxI:
+            maskI |= 1 << i
+        lam = wstar.minor(maskI, maskJ) if k else 1
+        if wstar.D is not None:
+            lam = Fraction(lam, wstar.D ** k)
+        if lam:
+            comp = full ^ maskI
+            row.append((comp, lam * pf * wedge_sign(maskI, comp)))
+    return row
 
 
 def solve_dh_primitive_snf(model, delta: HForm, ring) -> TransgressionResult:

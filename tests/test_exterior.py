@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import antisymmetric_invertible
+from oracles import antisymmetric_invertible, star_row_dense
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.forms import (Bivector, HForm, StarTable, berezin_integral,
                              bivector_contract, contract_back,
@@ -207,6 +207,56 @@ class TestSymplecticStar:
                 continue
             img = symplectic_star(a, star)
             assert all(m.bit_count() == 4 - k for (_j, m) in img.terms)
+
+
+def congruent_darboux(s: Sampler, dim: int, density: float = 1.0):
+    """omega = P^T Omega_0 P for a seeded invertible integer P, each entry
+    drawn in -2..2 with probability ``density`` and 0 otherwise: symplectic
+    and not Darboux."""
+    omega0 = darboux_matrix(dim // 2)
+    while True:
+        P = [[s.rng.randint(-2, 2) if s.rng.random() < density else 0
+              for _ in range(dim)] for _ in range(dim)]
+        if det(P):
+            break
+    return [[Fraction(sum(P[a][i] * omega0[a][b] * P[b][j]
+                          for a in range(dim) for b in range(dim)))
+             for j in range(dim)] for i in range(dim)]
+
+
+class TestStarRowOracle:
+    """StarTable.row tries only the row sets I that give each column of J
+    its own row with a nonzero w* entry; the dense loop over every I
+    (oracles.star_row_dense) must give the same rows, in the same order,
+    value for value and type for type, and the same star."""
+
+    @staticmethod
+    def assert_rows_agree(omega, s):
+        star, dense = StarTable(omega), StarTable(omega)
+        dim = len(omega)
+        for maskJ in range(1 << dim):
+            got, want = star.row(maskJ), star_row_dense(dense, maskJ)
+            assert got == want, maskJ
+            assert [(comp, type(v)) for comp, v in got] == \
+                [(comp, type(v)) for comp, v in want], maskJ
+            dense.rows[maskJ] = want
+        a = HForm(dim, {(s.rng.randint(-2, 2), m): s.nonzero_fraction()
+                        for m in range(1 << dim)}, laurent=True)
+        got, want = symplectic_star(a, star), symplectic_star(a, dense)
+        assert got.terms == want.terms
+        assert [type(c) for c in got.terms.values()] == \
+            [type(c) for c in want.terms.values()]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_darboux(self, n):
+        self.assert_rows_agree(darboux_matrix(n), Sampler(600 + n))
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_congruent_to_darboux(self, dim):
+        # dense P give a w* of few zeros, sparse ones a w* with some
+        s = Sampler(700 + dim)
+        for density in (1.0, 1.0, 1.0, 0.4, 0.4, 0.4):
+            self.assert_rows_agree(congruent_darboux(s, dim, density), s)
 
 
 class TestFrobeniusExamples:

@@ -15,7 +15,8 @@ import pytest
 from qexterior import lefschetz
 from qexterior.cli import main
 from qexterior._kernels import wedge_terms
-from qexterior.forms import Bivector, HForm, bivector_contract
+from qexterior.forms import (Bivector, HForm, bivector_contract,
+                             exp_contract_terms)
 from qexterior.hpoly import HPoly
 from qexterior.lefschetz import (Columns, DarbouxSpace, Mh_matrix,
                                  SpectrumReport, _a_factor, apply_Ah,
@@ -28,7 +29,8 @@ from qexterior.sampling import Sampler
 from qexterior.serialize import dump_json, spectrum_to_json
 
 from oracles import (HessenbergSpectrumReport, OperatorColumns, apply_Mh,
-                     commutator_check_per_form, flip_lh_bivector,
+                     commutator_check_per_form, commutator_check_per_label,
+                     flip_lh_bivector, hard_lefschetz_check_per_block,
                      operator_matrix_per_form, recursion_matrix,
                      recursion_verify)
 
@@ -601,6 +603,290 @@ class TestHardLefschetz:
         assert statuses[0] == "mismatch"
         # and no block is silently dropped
         assert set(statuses) == set(rep.blocks)
+
+
+def _outcome(check, n, window):
+    """What ``check(n, window)`` gives, in the fields the per-label and
+    per-block oracles pin: a commutator report's results (in order),
+    failures, notes and window, a Lefschetz report's blocks (in order, as
+    the bytes of their spectrum reports) and conformance, or the message
+    of the AssertionError it raises."""
+    try:
+        rep = check(n, window)
+    except AssertionError as exc:
+        return "raised", str(exc)
+    if isinstance(rep, lefschetz.CommutatorReport):
+        return ("commutators", list(rep.results.items()),
+                list(rep.failures.items()), rep.notes, rep.window)
+    return ("blocks", [(k, dump_json(spectrum_to_json(b, rep.conformance[k])))
+                       for k, b in rep.blocks.items()],
+            list(rep.conformance.items()))
+
+
+def assert_same_as_oracles(n, commutator_window=None, block_window=None):
+    """commutator_check and hard_lefschetz_check give what the per-label
+    and per-block oracles give, on the full windows unless others are
+    named; returns the two outcomes."""
+    got = _outcome(commutator_check, n, commutator_window)
+    assert got == _outcome(commutator_check_per_label, n, commutator_window)
+    blocks = _outcome(hard_lefschetz_check, n, block_window)
+    assert blocks == _outcome(hard_lefschetz_check_per_block, n, block_window)
+    return got, blocks
+
+
+def _flip_w(monkeypatch):
+    real = DarbouxSpace.__init__
+
+    def flipped(self, n):
+        real(self, n)
+        self.w = self.w.map_entries(lambda v: -v)
+
+    monkeypatch.setattr(DarbouxSpace, "__init__", flipped)
+
+
+def _zero_w(monkeypatch):
+    real = DarbouxSpace.__init__
+
+    def zero(self, n):
+        real(self, n)
+        self.w = Bivector.zero(2 * n)
+
+    monkeypatch.setattr(DarbouxSpace, "__init__", zero)
+
+
+def _E_without(factorials, shift):
+    """E without its 1/k! or without its h shift, as in
+    TestHardLefschetz.test_broken_E_caught."""
+    def broken(w, terms):
+        out = term = HForm(w.dim, terms, laurent=True)
+        k = 0
+        while term:
+            k += 1
+            term = bivector_contract(w, term).h_shift(shift) * \
+                Fraction(1, k if factorials else 1)
+            out = out + term
+        return out.terms
+    return broken
+
+
+def _E_times_N(w, terms):
+    omega = DarbouxSpace(w.dim // 2).omega_form.terms
+    return exp_contract_terms(w, {(j - 1, m): c for (j, m), c in
+                                  wedge_terms(omega, terms).items()})
+
+
+def _E_mixing(w, terms):
+    # E (1 + sigma) with sigma: e^1 <-> e^3, e^2 <-> e^4 on n = 2, as in
+    # TestHardLefschetz.test_E_must_not_mix_one_exterior_degree
+    image = {0: 2, 1: 3, 2: 0, 3: 1}
+    both = dict(terms)
+    for (j, m), c in terms.items():
+        y = {(j, 0): c}
+        for i in range(4):
+            if m >> i & 1:
+                y = wedge_terms(y, {(0, 1 << image[i]): 1})
+        for key, v in y.items():
+            both[key] = both.get(key, 0) + v
+    return exp_contract_terms(w, {key: v for key, v in both.items() if v})
+
+
+def _patch_E(broken):
+    return lambda mp: mp.setattr(lefschetz, "exp_contract_terms", broken)
+
+
+def _patch_mutant(name):
+    columns, factor = MUTANTS[name]
+
+    def patch(mp):
+        _patch_columns(mp, **columns)
+        if factor is not None:
+            mp.setattr(lefschetz, "_a_factor", factor)
+    return patch
+
+
+def _scaled_Lh_star(factor):
+    return lambda mp: _patch_columns(
+        mp, Ls=lambda lab, col: {y: factor * c for y, c in col.items()})
+
+
+# Every negative control of TestCommutators and TestHardLefschetz, as
+# (id, patch, values of n).
+ORACLE_MUTANTS = (
+    [(f"identity {name}", _patch_mutant(name), (1, 2)) for name in MUTANTS]
+    + [(f"Lh* times {f}", _scaled_Lh_star(f), (1, 2, 3)) for f in (-1, 3)]
+    + [("Lh under the flipped w", flip_lh_bivector, (1, 2, 3)),
+       ("flipped w", _flip_w, (1, 2, 3)),
+       ("zero w", _zero_w, (1, 2)),
+       ("E without 1/k!", _patch_E(_E_without(False, 1)), (2, 3)),
+       ("E without h", _patch_E(_E_without(True, 0)), (1, 2)),
+       ("E = 0", _patch_E(lambda w, terms: {}), (1, 2)),
+       ("E times N", _patch_E(_E_times_N), (1, 2)),
+       ("mixing E", _patch_E(_E_mixing), (2,))])
+
+
+class TestPerMaskOracles:
+    """The generator certificates of commutator_check and
+    hard_lefschetz_check against the per-label and per-block checks they
+    replace (tests/oracles.py): the same reports, down to the order of the
+    results and the bytes of every block, or the same AssertionError."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full_windows(self, n):
+        comm, blocks = assert_same_as_oracles(n)
+        assert comm[0] == "commutators" and all(ok for _, ok in comm[1])
+        assert blocks[0] == "blocks" and len(blocks[1]) == 4 * n + 1
+
+    def test_every_three_degree_window_n3(self):
+        # the commutator windows the benchmark draws (lo in -8..6) and the
+        # three-degree windows of blocks
+        for lo in range(-8, 7):
+            assert_same_as_oracles(3, [lo, lo + 1, lo + 2], [])
+        for lo in range(-6, 5):
+            assert_same_as_oracles(3, [], [lo, lo + 1, lo + 2])
+
+    def test_seeded_window_n5(self):
+        rng = random.Random("per-mask-n5")
+        lo, k = rng.randint(-12, 10), rng.randint(-10, 8)
+        comm, blocks = assert_same_as_oracles(5, [lo, lo + 1, lo + 2],
+                                              [k, k + 1, k + 2])
+        assert comm[0] == "commutators" and blocks[0] == "blocks"
+
+    @pytest.mark.parametrize("name,patch,n", [
+        (name, patch, n) for name, patch, ns in ORACLE_MUTANTS for n in ns],
+        ids=[f"{name}-n{n}" for name, _patch, ns in ORACLE_MUTANTS
+             for n in ns])
+    def test_every_negative_control(self, monkeypatch, name, patch, n):
+        patch(monkeypatch)
+        comm, blocks = assert_same_as_oracles(n)
+        windows = [[k] for k in range(-2 * n, 2 * n + 1)]
+        for window in windows + [[-3, 1], [-3, -1, 1]]:
+            assert _outcome(hard_lefschetz_check, n, window) == \
+                _outcome(hard_lefschetz_check_per_block, n, window)
+        # each control is caught by one of the two checks
+        assert comm[0] == "raised" or blocks[0] == "raised" or \
+            not all(ok for _, ok in comm[1])
+
+
+def _shifted_column_plus_h(lab, col):
+    # L x gains h x: the column at lab gains the label one power of h up
+    out = dict(col)
+    key = (lab[0] + 1, lab[1])
+    out[key] = out.get(key, 0) + 1
+    return {y: c for y, c in out.items() if c}
+
+
+def _corrupt_lh_column(monkeypatch, labels):
+    real = lefschetz.lh_column
+
+    def corrupted(space, lab):
+        col = real(space, lab)
+        return _shifted_column_plus_h(lab, col) if labels(lab) else col
+
+    monkeypatch.setattr(lefschetz, "lh_column", corrupted)
+
+
+class TestHShiftControls:
+    """Negative controls of the reduction to the generators (0, mask):
+    columns broken only at (1, mask), or at one label above the first
+    block of its parity, must fail exactly as in the per-label and
+    per-block oracles, in process and from the lefschetz command (exit 3
+    with the error on stderr, or exit 1 where only an identity fails)."""
+
+    @staticmethod
+    def assert_cli_raises(capsys, n, message):
+        assert main(["lefschetz", "--n", str(n)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"AssertionError: {message}" in captured.err
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_Lh_broken_at_h_times_every_mask(self, monkeypatch, capsys, n):
+        _corrupt_lh_column(monkeypatch, lambda lab: lab[0] == 1)
+        comm, blocks = assert_same_as_oracles(n)
+        assert comm[0] == "commutators"
+        assert dict(comm[1])["[Lh,h]=0"] is False
+        assert blocks[0] == "raised"
+        assert blocks[1].startswith("M_h block of degree ")
+        self.assert_cli_raises(capsys, n, blocks[1])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_Lh_star_broken_at_h_times_every_mask(self, monkeypatch, capsys,
+                                                  n):
+        # the blocks do not read L_h*, so the commutator identities alone
+        # fail: the command reports them and exits 1
+        _patch_columns(monkeypatch, Ls=lambda lab, col: (
+            _shifted_column_plus_h(lab, col) if lab[0] == 1 else col))
+        comm, blocks = assert_same_as_oracles(n)
+        results = dict(comm[1])
+        assert results["[Lh*,h]=0"] is False and blocks[0] == "blocks"
+        assert main(["lefschetz", "--n", str(n)]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["status"] == "fail"
+        assert report["commutators"] == results
+        assert captured.err == ""
+
+    def test_Lh_star_broken_on_the_odd_masks_only(self, monkeypatch):
+        # a window holding both parities takes the generators of both
+        _patch_columns(monkeypatch, Ls=lambda lab, col: (
+            _shifted_column_plus_h(lab, col)
+            if lab[0] == 1 and lab[1].bit_count() % 2 else col))
+        comm, _blocks = assert_same_as_oracles(2)
+        assert dict(comm[1])["[Lh*,h]=0"] is False
+        for lo in range(-6, 5):
+            assert_same_as_oracles(2, [lo, lo + 1, lo + 2], [])
+
+    def test_one_Lh_column_two_blocks_up(self, monkeypatch, capsys):
+        # (1, 0) = h in the block of degree 2 on T^2, two blocks above the
+        # first even block -2 and no generator; E e12 = e12 - h reads it
+        _corrupt_lh_column(monkeypatch, lambda lab: lab == (1, 0))
+        comm, blocks = assert_same_as_oracles(1)
+        assert dict(comm[1])["[Lh,h]=0"] is False
+        assert blocks == ("raised", "M_h block of degree 2: M_h E x != "
+                          "E (N + n) x on degree 2, basis element e12")
+        self.assert_cli_raises(capsys, 1, blocks[1])
+
+    def test_one_Lh_column_no_generator_reads(self, monkeypatch, capsys):
+        # e^{13} meets both Darboux pairs of T^4, so no generator's E x
+        # holds h e^{13}: only the h-shift check of the L_h columns sees
+        # this column, which the block of degree 4 reads
+        _corrupt_lh_column(monkeypatch, lambda lab: lab == (1, 0b0101))
+        comm, blocks = assert_same_as_oracles(2)
+        assert dict(comm[1])["[Lh,h]=0"] is False
+        assert blocks == ("raised", "M_h block of degree 4: M_h E x != "
+                          "E (N + n) x on degree 4, basis element h*e13")
+        self.assert_cli_raises(capsys, 2, blocks[1])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_E_broken_at_h_times_every_mask(self, monkeypatch, capsys, n):
+        # no generator's certificate reads E at (1, mask): only the h-shift
+        # check of the E columns sees it
+        real = lefschetz.exp_contract_terms
+
+        def broken(w, terms):
+            out = real(w, terms)
+            if any(j == 1 for j, _m in terms):
+                out = {key: 2 * c for key, c in out.items()}
+            return out
+
+        monkeypatch.setattr(lefschetz, "exp_contract_terms", broken)
+        comm, blocks = assert_same_as_oracles(n)
+        assert blocks[0] == "raised"
+        assert blocks[1].startswith("M_h block of degree ")
+        self.assert_cli_raises(capsys, n, blocks[1])
+
+    def test_each_stratum_map_ranked_once(self, monkeypatch):
+        # 2n - 1 maps omega^: Lambda^p -> Lambda^(p + 2), p = 0..2n - 2
+        calls = []
+        real = lefschetz.rank
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(lefschetz, "rank", counted)
+        assert hard_lefschetz_check(3).all_invertible
+        assert sorted(calls) == sorted(comb(6, p) for p in range(5))
 
 
 class TestBenchmarkDigests:
