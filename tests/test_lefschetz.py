@@ -634,24 +634,17 @@ def assert_same_as_oracles(n, commutator_window=None, block_window=None):
     return got, blocks
 
 
-def _flip_w(monkeypatch):
-    real = DarbouxSpace.__init__
+def _replace_w(new_w):
+    """A patch that gives every DarbouxSpace the bivector new_w(w)."""
+    def patch(monkeypatch):
+        real = DarbouxSpace.__init__
 
-    def flipped(self, n):
-        real(self, n)
-        self.w = self.w.map_entries(lambda v: -v)
+        def replaced(self, n):
+            real(self, n)
+            self.w = new_w(self.w)
 
-    monkeypatch.setattr(DarbouxSpace, "__init__", flipped)
-
-
-def _zero_w(monkeypatch):
-    real = DarbouxSpace.__init__
-
-    def zero(self, n):
-        real(self, n)
-        self.w = Bivector.zero(2 * n)
-
-    monkeypatch.setattr(DarbouxSpace, "__init__", zero)
+        monkeypatch.setattr(DarbouxSpace, "__init__", replaced)
+    return patch
 
 
 def _E_without(factorials, shift):
@@ -715,8 +708,9 @@ ORACLE_MUTANTS = (
     [(f"identity {name}", _patch_mutant(name), (1, 2)) for name in MUTANTS]
     + [(f"Lh* times {f}", _scaled_Lh_star(f), (1, 2, 3)) for f in (-1, 3)]
     + [("Lh under the flipped w", flip_lh_bivector, (1, 2, 3)),
-       ("flipped w", _flip_w, (1, 2, 3)),
-       ("zero w", _zero_w, (1, 2)),
+       ("flipped w", _replace_w(lambda w: w.map_entries(lambda v: -v)),
+        (1, 2, 3)),
+       ("zero w", _replace_w(lambda w: Bivector.zero(w.dim)), (1, 2)),
        ("E without 1/k!", _patch_E(_E_without(False, 1)), (2, 3)),
        ("E without h", _patch_E(_E_without(True, 0)), (1, 2)),
        ("E = 0", _patch_E(lambda w, terms: {}), (1, 2)),
@@ -870,7 +864,7 @@ class TestHShiftControls:
             return out
 
         monkeypatch.setattr(lefschetz, "exp_contract_terms", broken)
-        comm, blocks = assert_same_as_oracles(n)
+        _comm, blocks = assert_same_as_oracles(n)
         assert blocks[0] == "raised"
         assert blocks[1].startswith("M_h block of degree ")
         self.assert_cli_raises(capsys, n, blocks[1])
