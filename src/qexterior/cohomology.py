@@ -203,7 +203,9 @@ def ring_table(table: CohomologyTable, model: PoissonModel) -> RingTable:
     Fraction entries there, so its table is rational; a Gaussian w's is
     typed, and the coordinate is +-d.  Every structure coefficient is a GRat,
     as the amplitude of the constant Fourier coefficient it stands for,
-    in the table's ring.
+    in the table's ring.  Ring elements are immutable values, so each
+    distinct coordinate (k, +-d) is built once and every entry that has it
+    holds that one element.
     """
     ring = table.ring
     rt = RingTable(model, table)
@@ -223,14 +225,18 @@ def ring_table(table: CohomologyTable, model: PoissonModel) -> RingTable:
     qt = model.constant_bivector().table
     D = qt.D
     monomials = sorted((i, mask, sign) for mask, (i, sign) in pivots.items())
+    built = {}       # (k, +-d) -> its ring element
     for i, ma, sa in monomials:
         for j, mb, sb in monomials:
             coords = {}
             for k, mask, d in qt.product(ma, mb):
                 c, sc = pivots[mask]
-                if D is not None:
-                    d = Fraction(d, D ** k)
-                coords[c] = ring({k: GRat.coerce(d if sa * sb * sc > 0
-                                                 else -d)})
+                if sa * sb * sc < 0:
+                    d = -d
+                x = built.get((k, d))
+                if x is None:
+                    x = built[(k, d)] = ring({k: GRat.coerce(
+                        d if D is None else Fraction(d, D ** k))})
+                coords[c] = x
             rt.structure[(i, j)] = dict(sorted(coords.items()))
     return rt

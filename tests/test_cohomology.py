@@ -1334,6 +1334,98 @@ class TestRingTable:
                 ring_table_per_pair(tab, model, ring)
 
 
+def seeded_constant_torus(dim, kind, seed):
+    """T^dim with a seeded constant w, nonzero on every pair: integer,
+    rational or (with a nonzero imaginary part) Gaussian entries."""
+    s = Sampler(seed)
+
+    def entry():
+        if kind == "integer":
+            return Fraction(s.nonzero_fraction().numerator)
+        if kind == "rational":
+            return s.nonzero_fraction()
+        return GRat(s.fraction(), s.nonzero_fraction())
+
+    return PoissonModel.torus(dim, {(i, j): entry()
+                                    for i in range(1, dim + 1)
+                                    for j in range(i + 1, dim + 1)})
+
+
+def structure_signature(structure):
+    """The structure in its (i, j) and key order, each coefficient with
+    its type."""
+    return [(key, [(k, sorted((j, type(c), c) for j, c in v.coeffs.items()))
+                   for k, v in prod.items()])
+            for key, prod in structure.items()]
+
+
+# The torus_tables benchmark's bivector of seed 11 on T^4
+SEED11_T4 = {(1, 2): 3, (1, 3): -6, (1, 4): -4, (2, 3): 4, (2, 4): 1,
+             (3, 4): -4}
+
+
+class TestSharedRingElements:
+    def built_elements(self, monkeypatch, tab, model):
+        """ring_table of ``tab`` and the number of ring elements it
+        constructed."""
+        built = []
+        init = HPoly.__init__
+
+        def counting(self, *args, **kw):
+            built.append(type(self))
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(HPoly, "__init__", counting)
+        rt = ring_table(tab, model)
+        monkeypatch.setattr(HPoly, "__init__", init)
+        assert set(built) <= {tab.ring}
+        return rt, len(built)
+
+    def test_one_element_per_coordinate_on_the_benchmark_t4(self,
+                                                            monkeypatch):
+        # 835 constructions before, one per structure entry
+        model = PoissonModel.torus(4, SEED11_T4)
+        rt, built = self.built_elements(
+            monkeypatch, quantum_derham_table(model, mode_box=0), model)
+        entries = [x for prod in rt.structure.values() for x in prod.values()]
+        assert len(entries) == 835
+        assert built == len({id(x) for x in entries}) == 58
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "gaussian"])
+    @pytest.mark.parametrize("ring", [HLaurent, HPoly],
+                             ids=["laurent", "polynomial"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_shared_elements_match_per_pair_solves(self, monkeypatch, dim,
+                                                   ring, kind):
+        # each distinct (k, +-d), signed by the classes of a table whose
+        # representatives are a seeded half of them negated, is built once
+        # and every entry with it holds that element; the values, their
+        # types and the key order are those of one SNF solve per pair (on
+        # T^5, 1,024 solves of a 32 x 32 system take seconds, so a seeded
+        # eighth of the pairs)
+        model = seeded_constant_torus(dim, kind, 100 * dim + len(kind))
+        tab = quantum_derham_table(model, mode_box=0, ring=ring)
+        rng = random.Random(dim)
+        for degree in tab.degrees():
+            reps = tab.entries[degree].representatives
+            for idx, rep in enumerate(reps):
+                if rng.random() < 0.5:
+                    reps[idx] = {lab: -c for lab, c in rep.items()}
+        rt, built = self.built_elements(monkeypatch, tab, model)
+        entries = [x for prod in rt.structure.values() for x in prod.values()]
+        distinct = {(type(x), tuple(sorted(x.coeffs.items())))
+                    for x in entries}
+        assert built == len({id(x) for x in entries}) == len(distinct)
+        assert all(len(x.coeffs) == 1 for x in entries)
+        pairs = list(rt.structure)
+        if dim == 5:
+            pairs = sorted(rng.sample(pairs, len(pairs) // 8))
+        oracle = ring_table_per_pair(tab, model, ring, pairs)
+        assert structure_signature({p: rt.structure[p] for p in pairs}) == \
+            structure_signature(oracle)
+        assert list(rt.structure) == sorted(rt.structure)
+
+
 # Reports of one fixed integer bivector on T^4, pinned by sha256 when the
 # engine still built d_h symbolically and solved each class product with
 # its own Smith normal form: a changed answer fails here.

@@ -260,6 +260,93 @@ def test_scaling_guard_finds_a_second_scaling(tmp_path):
         "forms.py:Bivector:gaussian_integers"]
 
 
+def value_writes(root):
+    """``module:line:target`` of every write outside an ``__init__`` in the
+    library modules under ``root`` to ``.re``, ``.im`` or ``.coeffs``:
+    an assignment (plain, augmented or annotated) or deletion of one, of
+    an item of ``.coeffs``, or a call of a dict method that changes
+    ``.coeffs``."""
+    import ast
+    fields = {"re", "im", "coeffs"}
+    changes = {"pop", "popitem", "update", "clear", "setdefault"}
+
+    def targets(node):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            todo = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            todo = [node.target]
+        else:
+            return []
+        out = []
+        while todo:
+            t = todo.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                todo += t.elts
+            elif isinstance(t, ast.Starred):
+                todo.append(t.value)
+            elif isinstance(t, ast.Attribute) and t.attr in fields:
+                out.append(t.attr)
+            elif isinstance(t, ast.Subscript) and \
+                    getattr(t.value, "attr", None) == "coeffs":
+                out.append("coeffs[]")
+        return out
+
+    def visit(node, path, constructor):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                visit(child, path,
+                      getattr(child, "name", None) == "__init__")
+                continue
+            if not constructor:
+                names = targets(child)
+                func = getattr(child, "func", None)
+                if isinstance(child, ast.Call) and \
+                        getattr(func, "attr", None) in changes and \
+                        getattr(func.value, "attr", None) == "coeffs":
+                    names.append(f"coeffs.{func.attr}")
+                found.extend(f"{path.name}:{child.lineno}:{name}"
+                             for name in sorted(names))
+            visit(child, path, constructor)
+
+    found = []
+    for path in sorted(root.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, False)
+    return found
+
+
+def test_scalars_and_ring_elements_are_written_only_when_built():
+    # ring_table stores one element per distinct coordinate in every entry
+    # that has it, and GRats share their parts: a write after construction
+    # would change every holder at once
+    assert value_writes(ROOT / "src" / "qexterior") == []
+
+
+def test_value_write_guard_finds_a_write(tmp_path):
+    (tmp_path / "scalars.py").write_text(
+        "class GRat:\n"
+        "    def __init__(self, re, im):\n"
+        "        self.re, self.im = re, im\n"
+        "        self.coeffs = {}\n"
+        "    def conjugate(self):\n"
+        "        self.im = -self.im\n"
+        "        return self\n")
+    (tmp_path / "cohomology.py").write_text(
+        "def ring_table(structure, k):\n"
+        "    for prod in structure.values():\n"
+        "        for x in prod.values():\n"
+        "            x.coeffs[k] = x.coeffs[k] * 2\n"
+        "            x.coeffs.pop(k)\n"
+        "            del x.coeffs[k]\n"
+        "            x.re += 1\n"
+        "            y, x.coeffs = x.coeffs, {}\n"
+        "    return y.re\n")
+    assert value_writes(tmp_path) == [
+        "cohomology.py:4:coeffs[]", "cohomology.py:5:coeffs.pop",
+        "cohomology.py:6:coeffs[]", "cohomology.py:7:re",
+        "cohomology.py:8:coeffs", "scalars.py:6:im"]
+
+
 def contract_terms_callers(root):
     """``module:top-level name`` of every call of ``contract_terms`` in the
     library modules under ``root`` other than ``_kernels.py``, sorted."""
