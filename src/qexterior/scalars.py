@@ -22,17 +22,12 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
-# The default part of a GRat: Fractions are immutable, so every GRat built
-# without an imaginary part shares this one instead of converting an int 0.
-_ZERO = Fraction(0)
-
-
 class GRat:
     """Gaussian rational ``re + im*i``; conjugation is an involution."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=_ZERO, im=_ZERO):
+    def __init__(self, re=0, im=0):
         self.re = as_fraction(re)
         self.im = as_fraction(im)
 

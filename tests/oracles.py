@@ -41,11 +41,6 @@ reading.  ``dolbeault_matrix_symbolic`` and
 Cartan differential to one Fourier form per column, and
 ``free_rank_oracle`` counts free ranks over the fraction field.
 
-``jacobi_check_per_triple`` is the Jacobi check as the engine ran it
-before it took each partial of w once: on every triple and axis it
-re-derives the partials d_l w^ab, the one of w^ba from the negated entry,
-also for a constant w, whose partials are all zero.
-
 ``det_by_columns``, ``rank_by_rows`` and ``inverse_gauss_jordan`` are
 the three eliminations of ``linalg`` before det, rank and the inverse
 shared one forward elimination.
@@ -163,7 +158,7 @@ from qexterior.lefschetz import (CommutatorReport, DarbouxSpace,
                                  apply_Ah, apply_Lh)
 from qexterior.linalg import (charpoly, det, factor_charpoly,
                               geometric_multiplicity, matrix_inverse)
-from qexterior.models import AFFINE, TORUS, JacobiReport, PoissonModel
+from qexterior.models import AFFINE, TORUS, PoissonModel
 from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
                                qwedge)
 from qexterior.scalars import GRat
@@ -715,36 +710,6 @@ def ring_table_per_pair(table, model, ring, pairs=None):
             raise AssertionError("class reduction system is inconsistent")
         structure[(i, j)] = {k: c for k, c in enumerate(x) if not c.is_zero()}
     return structure
-
-
-def jacobi_check_per_triple(w: Bivector) -> JacobiReport:
-    """Verify sum_l (w^li d_l w^jk + w^lj d_l w^ki + w^lk d_l w^ij) = 0.
-
-    Constant entries contribute nothing; a failure reports the first
-    triple i < j < k with its nonzero residual.
-    """
-    m = w.dim
-
-    def d(entry, axis):
-        if hasattr(entry, "partial"):
-            return entry.partial(axis)
-        return 0
-
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for k in range(j + 1, m + 1):
-                residual = 0
-                for l in range(1, m + 1):
-                    for (a, bc) in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-                        wla = w.entry(l, a)
-                        if not wla:
-                            continue
-                        dw = d(w.entry(*bc), l)
-                        if dw:
-                            residual = residual + wla * dw
-                if residual:
-                    return JacobiReport(False, (i, j, k, residual))
-    return JacobiReport(True)
 
 
 def dh_columns(model, k):
