@@ -20,7 +20,7 @@ from .equivariant import (EquivariantElement, GroupAction,
                           equivariant_cohomology_table)
 from .forms import (Bivector, HForm, StarTable, berezin_integral,
                     bivector_contract, contract_back, contract_front,
-                    graded_degree, symplectic_star, wedge)
+                    symplectic_star, wedge)
 from .hpoly import HLaurent, HPoly
 from .lefschetz import (DarbouxSpace, Mh_matrix, SpectrumReport, apply_Ah,
                         apply_Lh, apply_Lh_star, commutator_check,
@@ -43,7 +43,7 @@ __all__ = [
     "contract_back", "contract_front", "contract_generator",
     "dolbeault_operators",
     "equivariant_cohomology_table", "exterior_d", "frame_formula_d",
-    "frobenius_pairing", "graded_degree", "gram_matrix",
+    "frobenius_pairing", "gram_matrix",
     "hard_lefschetz_check", "jacobi_check", "kernel_backend",
     "koszul_delta", "qintegral",
     "quantum_covariant_d", "quantum_curvature", "quantum_d",

@@ -176,7 +176,7 @@ def cmd_check(args) -> int:
                        f"most {CHECK_MAX_DIM}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
-        if name not in SUITES and name != "negative-control":
+        if name not in SUITES:
             raise CliError(f"unknown suite {args.suite!r}; choose from "
                            f"{', '.join(SUITES)} or 'all'")
     results, skipped = [], []

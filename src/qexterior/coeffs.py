@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GRat, as_scalar, conjugate_scalar, scalar_to_json
+from .scalars import GRat, as_scalar, scalar_to_json
 
 
 class _SparseFunc:
@@ -208,19 +208,6 @@ class FourierCoeff(_SparseFunc):
     def total_integral(self) -> GRat:
         """Integral over the torus with volume normalized to 1."""
         return self.terms.get((0,) * self.dim, GRat(0))
-
-    def conjugate(self) -> "FourierCoeff":
-        return FourierCoeff(
-            self.dim,
-            {tuple(-k for k in key): conjugate_scalar(c)
-             for key, c in self.terms.items()})
-
-    def is_real_valued(self) -> bool:
-        """True iff c_{-k} == conj(c_k) for every mode."""
-        return self == self.conjugate()
-
-    def mode_amplitude(self, freq) -> GRat:
-        return self.terms.get(tuple(freq), GRat(0))
 
     def __str__(self):
         if not self.terms:

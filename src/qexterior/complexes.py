@@ -127,9 +127,6 @@ class CohomologyTable:
             out.extend(e.torsion)
         return out
 
-    def is_free(self) -> bool:
-        return not self.total_torsion()
-
     def __repr__(self):
         bits = ", ".join(f"{d}: {e.free_rank}" + (f"+{len(e.torsion)}t" if e.torsion else "")
                          for d, e in sorted(self.entries.items()))

@@ -136,10 +136,6 @@ class EquivariantElement:
                         data[key] = form
         self.terms = data
 
-    @classmethod
-    def from_form(cls, model, n_generators, form: HForm):
-        return cls(model, n_generators, {(0,) * n_generators: form})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -232,9 +232,6 @@ class HForm:
             out.setdefault(m.bit_count(), {})[(j, m)] = c
         return {k: HForm(self.dim, t, self.laurent) for k, t in sorted(out.items())}
 
-    def max_exterior_degree(self) -> int:
-        return max((m.bit_count() for (_j, m) in self.terms), default=0)
-
     def __repr__(self):
         return f"HForm({self.dim}, {self.terms!r}, laurent={self.laurent})"
 
@@ -439,11 +436,6 @@ def berezin_integral(a: HForm):
     if any(j for (j, _m) in a.terms):
         raise ValueError("Berezin integral expects an h-free form")
     return a.terms.get((0, (1 << a.dim) - 1), 0)
-
-
-def graded_degree(a: HForm):
-    """Graded degree of a homogeneous form (h has degree 2), else None."""
-    return a.graded_degree()
 
 
 # -- symplectic star ----------------------------------------------------------

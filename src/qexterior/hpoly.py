@@ -143,13 +143,6 @@ class HPoly:
             out = out * self
         return out
 
-    def evaluate(self, x):
-        out = None
-        for j, c in self.coeffs.items():
-            term = c * x**j if j else c
-            out = term if out is None else out + term
-        return Fraction(0) if out is None else out
-
     # -- Euclidean structure -------------------------------------------------
 
     def euclid_size(self) -> int:
@@ -209,11 +202,6 @@ class HPoly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def divides(self, other) -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return divmod(other, self)[1].is_zero()
 
     def exact_div(self, other):
         q, r = divmod(self, other)

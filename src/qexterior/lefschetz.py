@@ -55,7 +55,7 @@ from .forms import (Bivector, HForm, StarTable, exp_contract_terms,
                     omega_form, symplectic_star)
 from .hpoly import HPoly
 from .linalg import CharFactorization, rank
-from .models import PoissonModel, darboux_matrix
+from .models import PoissonModel, darboux_dual, darboux_matrix
 from .quantum import qwedge
 
 
@@ -71,8 +71,7 @@ class DarbouxSpace:
         self.dim = 2 * n
         self.omega = darboux_matrix(n)
         self._star = None
-        self.w = Bivector(self.dim, {(2 * k + 1, 2 * k + 2): Fraction(-1)
-                                     for k in range(n)})
+        self.w = Bivector(self.dim, darboux_dual(n))
         self.omega_form = omega_form(self.omega, laurent=True)
 
     @property
@@ -499,7 +498,7 @@ class SpectrumReport:
                 for name, (a, g) in self.geometric.items()}
 
 
-def paper_conformance(report: SpectrumReport, n: int) -> dict:
+def paper_conformance(report: SpectrumReport) -> dict:
     """Compare a block spectrum with the claimed {n, n +- sqrt5/2} picture.
 
     The certificate leaves the eigenvalue n alone, so what is compared is
@@ -552,5 +551,5 @@ def hard_lefschetz_check(n: int, window=None) -> HardLefschetzReport:
     for k in window:
         block = rep.blocks[k] = shared[k % 2] if k % 2 in shared else \
             SpectrumReport(space, k)
-        rep.conformance[k] = paper_conformance(block, n)
+        rep.conformance[k] = paper_conformance(block)
     return rep

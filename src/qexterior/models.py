@@ -170,12 +170,8 @@ class PoissonModel:
     @classmethod
     def darboux_torus(cls, n: int, complex_structure: bool = False) -> "PoissonModel":
         """T^{2n} with the standard symplectic form and calibrated dual."""
-        dim = 2 * n
-        omega = darboux_matrix(n)
-        entries = {(2 * k + 1, 2 * k + 2): FourierCoeff.const(dim, Fraction(-1))
-                   for k in range(n)}
-        return cls(TORUS, dim, Bivector(dim, entries), symplectic=omega,
-                   complex_structure=complex_structure)
+        return cls.torus(2 * n, darboux_dual(n), symplectic=darboux_matrix(n),
+                         complex_structure=complex_structure)
 
     @classmethod
     def so3_affine(cls) -> "PoissonModel":
@@ -200,6 +196,12 @@ def darboux_matrix(n: int):
         omega[2 * k][2 * k + 1] = Fraction(1)
         omega[2 * k + 1][2 * k] = Fraction(-1)
     return omega
+
+
+def darboux_dual(n: int) -> dict:
+    """The calibrated dual W = Omega^{-1} of ``darboux_matrix(n)`` as
+    bivector entries: w^{2k+1, 2k+2} = -1 for k < n."""
+    return {(2 * k + 1, 2 * k + 2): Fraction(-1) for k in range(n)}
 
 
 def _build_bivector(kind: str, dim: int, entries) -> Bivector:

@@ -23,7 +23,7 @@ def as_fraction(x) -> Fraction:
 
 
 class GRat:
-    """Gaussian rational ``re + im*i``; conjugation is an involution."""
+    """Gaussian rational ``re + im*i`` with Fraction parts."""
 
     __slots__ = ("re", "im")
 
@@ -36,9 +36,6 @@ class GRat:
         if isinstance(x, GRat):
             return x
         return cls(as_fraction(x))
-
-    def conjugate(self) -> "GRat":
-        return GRat(self.re, -self.im)
 
     def is_real(self) -> bool:
         return self.im == 0
@@ -138,13 +135,6 @@ def gaussian_integers(values):
     den = math.lcm(1, *(x.denominator for g in gs for x in (g.re, g.im)))
     return den, [(g.re.numerator * (den // g.re.denominator),
                   g.im.numerator * (den // g.im.denominator)) for g in gs]
-
-
-def conjugate_scalar(x):
-    """Complex conjugation on any base scalar (identity on rationals)."""
-    if isinstance(x, GRat):
-        return x.conjugate()
-    return x
 
 
 def scalar_to_json(x):

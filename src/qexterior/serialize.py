@@ -32,8 +32,7 @@ from .coeffs import FourierCoeff, PolyCoeff, coeff_to_json
 from .equivariant import GroupAction
 from .forms import Bivector, HForm, mask_indices
 from .hpoly import hpoly_to_json
-from .linalg import matrix_inverse
-from .models import AFFINE, TORUS, PoissonModel, darboux_matrix
+from .models import AFFINE, TORUS, PoissonModel, darboux_dual, darboux_matrix
 from .sampling import PRNG_NAME
 from .scalars import scalar_from_json
 
@@ -185,11 +184,9 @@ def model_from_json(obj) -> PoissonModel:
             raise ValueError("darboux needs even dimension")
         symp = darboux_matrix(dim // 2)
         if not entries:
-            dual = matrix_inverse(symp)
             cls = PolyCoeff if kind == AFFINE else FourierCoeff
-            entries = {(i + 1, j + 1): cls.const(dim, dual[i][j])
-                       for i in range(dim) for j in range(i + 1, dim)
-                       if dual[i][j]}
+            entries = {ij: cls.const(dim, c)
+                       for ij, c in darboux_dual(dim // 2).items()}
     elif symp is not None:
         symp = _symplectic_from_json(symp, dim)
     complex_structure = obj.get("complex", False)

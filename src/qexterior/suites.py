@@ -19,7 +19,7 @@ from .chern import (QConnection, char_form, covariant_square_check,
 from .coeffs import FourierCoeff
 from .equivariant import (EquivariantElement, GroupAction,
                           anticommutator_check, cartan_d, lie_bivector)
-from .forms import Bivector, HForm
+from .forms import HForm
 from .lefschetz import commutator_check, lefschetz_d_commutators
 from .linalg import det
 from .models import PoissonModel, TORUS
@@ -308,30 +308,9 @@ SUITES = {
 }
 
 
-def suite_negative_control(model, trials, s: Sampler) -> SuiteResult:
-    """Deliberately broken product (sign flipped on the h-correction);
-    exists to demonstrate witness reporting.  Not listed in SUITES."""
-    res = SuiteResult("negative-control", trials)
-    for t in range(trials):
-        dim = s.randint(2, 4)
-        w = s.antisymmetric_bivector(dim)
-        w = Bivector(dim, {**w.entries, (1, 2): s.nonzero_fraction()})
-        a = HForm.basis(dim, 1) * s.nonzero_fraction()
-        b = HForm.basis(dim, 2) * s.nonzero_fraction()
-        good = qwedge(a, b, w)
-        corrupted = (a ^ b) - (good - (a ^ b))
-        res.checked += 1
-        if corrupted != good:
-            res.fail({"trial": t, "dim": dim, "witness": str(corrupted - good)})
-    return res
-
-
 def run_suite(name: str, model, trials: int, seed: int):
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    s = Sampler(seed)
-    if name == "negative-control":
-        return suite_negative_control(model, trials, s)
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](model, trials, s)
+    return SUITES[name](model, trials, Sampler(seed))

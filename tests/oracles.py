@@ -231,7 +231,8 @@ def qwedge_plan(ma: int, mb: int) -> tuple:
 def qwedge_bruteforce(a: HForm, b: HForm, w) -> HForm:
     m = a.dim
     out = HForm.zero(m, a.laurent or b.laurent)
-    max_n = min(a.max_exterior_degree(), b.max_exterior_degree())
+    max_n = min(max((mask.bit_count() for _j, mask in x.terms),
+                    default=0) for x in (a, b))
     fact = 1
     for n in range(max_n + 1):
         if n:
@@ -458,7 +459,8 @@ def qwedge_multilinear(a: HForm, b: HForm, w) -> HForm:
     A = MultilinearForm.from_hform(a)
     B = MultilinearForm.from_hform(b)
     out = MultilinearForm(m)
-    max_n = min(a.max_exterior_degree(), b.max_exterior_degree())
+    max_n = min(max((mask.bit_count() for _j, mask in x.terms),
+                    default=0) for x in (a, b))
     fact = 1
     for n in range(max_n + 1):
         if n:
@@ -664,7 +666,7 @@ def matrix_of_dh_symbolic(model, k, src_masks, dst_masks, ring):
                                  FourierCoeff.character(model.dim, k)})
         image = quantum_d(form, model)
         for (j, m2), c in image.terms.items():
-            amp = c.mode_amplitude(k)
+            amp = c.terms.get(tuple(k), GRat(0))
             if c.terms and (set(c.terms) - {tuple(k)}):
                 raise AssertionError("constant-w differential mixed Fourier modes")
             if not amp:
@@ -821,7 +823,7 @@ def dolbeault_matrix_symbolic(model, k, src, dst, ring):
                      laurent=(j < 0))
         image = dolbeault_operators(form, model).antiholo_h
         for (j2, m2), c in image.terms.items():
-            amp = c.mode_amplitude(k)
+            amp = c.terms.get(tuple(k), GRat(0))
             if not amp:
                 continue
             lab = (j2, m2)
@@ -844,7 +846,7 @@ def equivariant_matrix_symbolic(model, action, k, src, dst, ring):
         image = cartan_d(elem, action)
         for A2, f2 in image.terms.items():
             for (j2, m2), c in f2.terms.items():
-                amp = c.mode_amplitude(k)
+                amp = c.terms.get(tuple(k), GRat(0))
                 if not amp:
                     continue
                 lab = (A2, j2, m2)
@@ -1051,7 +1053,7 @@ def hard_lefschetz_check_per_block(n, window=None):
     rep = lefschetz.HardLefschetzReport(n)
     for k in window:
         block = rep.blocks[k] = lefschetz.SpectrumReport(space, k)
-        rep.conformance[k] = lefschetz.paper_conformance(block, n)
+        rep.conformance[k] = lefschetz.paper_conformance(block)
     return rep
 
 

@@ -166,11 +166,11 @@ def test_06_derham_tables(t2, t4):
     tab2 = quantum_derham_table(t2)
     assert tab2.total_rank() == 4
     assert {d: tab2.rank(d) for d in tab2.degrees()} == {0: 1, 1: 2, 2: 1}
-    assert tab2.is_free()
+    assert tab2.total_torsion() == []
     assert tab2.meta["anomalous_modes"] == []
     tab4 = quantum_derham_table(t4)
     assert tab4.total_rank() == 16
-    assert tab4.is_free()
+    assert tab4.total_torsion() == []
     assert tab4.meta["anomalous_modes"] == []
     rt = ring_table(tab2, t2)
     i1, i2 = rt.class_index(1, 0), rt.class_index(1, 1)

@@ -14,6 +14,7 @@ from qexterior import cli
 from qexterior.cli import main
 from qexterior.coeffs import FourierCoeff
 from qexterior.equivariant import _equivariant_basis
+from qexterior.forms import HForm
 from qexterior.models import PoissonModel
 from qexterior.serialize import form_from_json, form_to_json, model_from_json
 
@@ -22,6 +23,20 @@ def run_cli(args):
     r = subprocess.run([sys.executable, "-m", "qexterior.cli", *args],
                        capture_output=True, text=True)
     return r
+
+
+def break_suite_product(monkeypatch):
+    """Make the check suites multiply by a ^_h b + h a, which is neither
+    associative nor supercommutative.  (Flipping the sign of the
+    h-correction would not do: that is the product under -w.)"""
+    from qexterior import suites
+    qwedge = suites.qwedge
+
+    def broken(a, b, w):
+        ha = HForm(a.dim, {(j + 1, m): c for (j, m), c in a.terms.items()},
+                   a.laurent)
+        return qwedge(a, b, w) + ha
+    monkeypatch.setattr(suites, "qwedge", broken)
 
 
 @pytest.fixture
@@ -65,20 +80,25 @@ class TestCheck:
         assert len(report["results"]) >= 10
         assert "conventions" in report
 
-    def test_negative_control_exits_one(self, tmp_path):
-        out = tmp_path / "neg.json"
-        rc = main(["check", "--suite", "negative-control", "--trials", "4",
-                   "--seed", "1", "--out", str(out)])
-        assert rc == 1
-        report = json.loads(out.read_text())
-        assert report["status"] == "fail"
-        assert report["results"][0]["failures"]
+    def test_negative_control_exits_one(self, tmp_path, monkeypatch):
+        break_suite_product(monkeypatch)
+        for suite in ("associativity", "supercommutativity"):
+            out = tmp_path / f"{suite}.json"
+            rc = main(["check", "--suite", suite, "--trials", "4",
+                       "--seed", "1", "--out", str(out)])
+            assert rc == 1
+            report = json.loads(out.read_text())
+            assert report["status"] == "fail"
+            assert report["results"][0]["failures"]
 
     def test_unknown_suite_exits_two(self):
-        r = run_cli(["check", "--suite", "nope", "--trials", "1"])
-        assert r.returncode == 2
-        err = json.loads(r.stderr)
-        assert err["error"]["code"] == 2
+        # negative-control was a demo suite that always failed; it is gone
+        for suite in ("nope", "negative-control"):
+            r = run_cli(["check", "--suite", suite, "--trials", "1"])
+            assert r.returncode == 2
+            err = json.loads(r.stderr)
+            assert err["error"]["code"] == 2
+            assert f"unknown suite {suite!r}" in err["error"]["message"]
 
     def test_malformed_model_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -765,11 +785,14 @@ class TestExitCodes:
         assert err["error"]["traceback"][-1].endswith(" in broken")
         assert json.loads(out.read_text()) == err
 
-    def test_property_failure_is_the_only_exit_one(self, capsys, inputs):
+    def test_property_failure_is_the_only_exit_one(self, capsys, inputs,
+                                                   monkeypatch):
         # the same suite machinery exits 1 on a failed property and 2 on a
         # precondition the model violates
-        assert main(["check", "--suite", "negative-control", "--trials", "2",
-                     "--out", "/dev/null"]) == 1
+        with monkeypatch.context() as patch:
+            break_suite_product(patch)
+            assert main(["check", "--suite", "associativity", "--trials",
+                         "2", "--out", "/dev/null"]) == 1
         assert "complex structure" in cli_error(
             capsys, ["check", "--suite", "dolbeault", "--trials", "1",
                      "--model", inputs["T2"]])

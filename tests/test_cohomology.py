@@ -1127,7 +1127,7 @@ class TestDerhamTables:
         tab = quantum_derham_table(t2)
         assert {d: tab.rank(d) for d in tab.degrees()} == {0: 1, 1: 2, 2: 1}
         assert tab.total_rank() == 4
-        assert tab.is_free()
+        assert tab.total_torsion() == []
         assert tab.meta["anomalous_modes"] == []
 
     def test_t4_laurent(self, t4):
@@ -1135,7 +1135,7 @@ class TestDerhamTables:
         assert tab.total_rank() == 16
         assert {d: tab.rank(d) for d in tab.degrees()} == \
             {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
-        assert tab.is_free()
+        assert tab.total_torsion() == []
         assert tab.meta["anomalous_modes"] == []
 
     def test_t2_polynomial_graded_dims(self, t2):

@@ -8,8 +8,7 @@ from oracles import antisymmetric_invertible, star_row_dense
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.forms import (Bivector, HForm, StarTable, berezin_integral,
                              bivector_contract, contract_back,
-                             contract_front, graded_degree, symplectic_star,
-                             wedge)
+                             contract_front, symplectic_star, wedge)
 from qexterior.models import darboux_matrix
 from qexterior.quantum import frobenius_pairing
 from qexterior.linalg import det
@@ -152,9 +151,9 @@ class TestBerezin:
 
 class TestGradedDegree:
     def test_examples(self):
-        assert graded_degree(HForm(2, {(1, 1): Fraction(1)})) == 3
-        assert graded_degree(mono(2, [1, 2]) + HForm(2, {(1, 0): Fraction(1)})) == 2
-        assert graded_degree(e(2, 1) + HForm(2, {(1, 0): Fraction(1)})) is None
+        assert HForm(2, {(1, 1): Fraction(1)}).graded_degree() == 3
+        assert (mono(2, [1, 2]) + HForm(2, {(1, 0): Fraction(1)})).graded_degree() == 2
+        assert (e(2, 1) + HForm(2, {(1, 0): Fraction(1)})).graded_degree() is None
 
 
 class TestSymplecticStar:

@@ -337,7 +337,7 @@ class TestSpectra:
         # report must say so rather than hide it
         M = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(2)]]
         rep = HessenbergSpectrumReport(M, 1)
-        conf = paper_conformance(rep, 1)
+        conf = paper_conformance(rep)
         assert conf["status"] == "mismatch"
         assert any("geometric multiplicity" in issue for issue in conf["issues"])
 
@@ -391,8 +391,8 @@ class TestTransportCertificate:
         assert got.diagonalizable == want.diagonalizable
         assert got.invertible == want.invertible
         assert got.eigen_summary() == want.eigen_summary()
-        conformance = paper_conformance(want, n)
-        assert paper_conformance(got, n) == conformance
+        conformance = paper_conformance(want)
+        assert paper_conformance(got) == conformance
         assert dump_json(spectrum_to_json(got, conformance)) == \
             dump_json(spectrum_to_json(want, conformance))
 

@@ -12,8 +12,11 @@ from qexterior.cli import main
 from qexterior.cohomology import (quantum_derham_table,
                                   quantum_dolbeault_table, ring_table)
 from qexterior.hpoly import HLaurent
-from qexterior.models import PoissonModel
+from qexterior.lefschetz import DarbouxSpace
+from qexterior.linalg import matrix_inverse
+from qexterior.models import PoissonModel, darboux_matrix
 from qexterior.sampling import Sampler
+from qexterior.serialize import model_from_json
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +24,29 @@ def t2_scaled():
     """T^2 with omega = 3 dtheta1 ^ dtheta2 and its calibrated dual."""
     om = [[0, Fraction(3)], [Fraction(-3), 0]]
     return PoissonModel.torus(2, {(1, 2): Fraction(-1, 3)}, symplectic=om)
+
+
+class TestDarbouxDual:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_darboux_bivector_is_the_inverse(self, n):
+        # DarbouxSpace, darboux_torus and the "darboux" loader all read W
+        # from models.darboux_dual: the off-diagonal entries of Omega^-1,
+        # in the same key order
+        dim = 2 * n
+        dual = matrix_inverse(darboux_matrix(n))
+        want = [((i + 1, j + 1), dual[i][j]) for i in range(dim)
+                for j in range(i + 1, dim) if dual[i][j]]
+        space = DarbouxSpace(n).w
+        assert list(space.entries.items()) == want
+        assert all(type(c) is Fraction for c in space.entries.values())
+        torus = PoissonModel.darboux_torus(n).w
+        loaded = [model_from_json({"space": kind, "dim": dim,
+                                   "symplectic": "darboux"}).w
+                  for kind in ("torus", "affine")]
+        assert list(torus.entries.items()) == list(loaded[0].entries.items())
+        for w in (torus, *loaded):
+            assert [(ij, c.constant_value())
+                    for ij, c in w.entries.items()] == want
 
 
 class TestScaledSymplectic:

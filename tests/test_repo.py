@@ -1,6 +1,6 @@
 """Repository hygiene: nothing generated or ignored is tracked, the
-engine names the benchmark traces still exist, and every library function
-is reached."""
+engine names the benchmark traces still exist, every library function and
+method is reached, and every method the README names exists."""
 
 import re
 import shutil
@@ -118,29 +118,130 @@ def test_every_mode_is_settled_through_require_modes():
         "equivariant.py:equivariant_cohomology_table:require_modes"]
 
 
-def test_every_library_function_is_reached():
-    # a top-level function or class of the library must be named by
-    # another part of it, by the benchmark or by the public API; anything
-    # else is test code and lives in tests/oracles.py
+def unreached_names(root, bench, readme, public):
+    """The library names under ``root`` that only tests could reach.
+
+    Returns ``(functions, methods)``: ``module:name`` of every top-level
+    function or class that no library module names, that is not in
+    ``public`` and that is not a word of ``bench``; and
+    ``module:Class.method`` of every method of a top-level class, other
+    than a dunder, that no library module names and that is a word of
+    neither ``bench`` nor ``readme``.  A name counts as named by a module
+    where it appears there as a variable or an attribute."""
     import ast
-    import qexterior
-    library = sorted((ROOT / "src" / "qexterior").glob("*.py"))
-    bench = "\n".join(p.read_text()
-                      for p in sorted((ROOT / "perfbench").glob("*.py")))
-    defined, named = [], set()
-    for path in library:
+    defined, members, named = [], [], set()
+    for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text())
-        defined += [(path.name, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                members += [(path.name, node.name, sub.name)
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not (sub.name.startswith("__")
+                                     and sub.name.endswith("__"))]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    unreached = [f"{module}:{name}" for module, name in defined
-                 if name not in named and name not in qexterior.__all__
-                 and not re.search(rf"\b{name}\b", bench)]
-    assert unreached == []
+
+    def said(name, text):
+        return re.search(rf"\b{name}\b", text)
+    functions = [f"{module}:{name}" for module, name in defined
+                 if name not in named and name not in public
+                 and not said(name, bench)]
+    methods = [f"{module}:{cls}.{name}" for module, cls, name in members
+               if name not in named and not said(name, bench)
+               and not said(name, readme)]
+    return functions, methods
+
+
+def library_reach():
+    import qexterior
+    bench = "\n".join(p.read_text()
+                      for p in sorted((ROOT / "perfbench").glob("*.py")))
+    return unreached_names(ROOT / "src" / "qexterior", bench,
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           qexterior.__all__)
+
+
+def test_every_library_function_is_reached():
+    # a top-level function or class of the library must be named by
+    # another part of it, by the benchmark or by the public API; anything
+    # else is test code and lives in tests/oracles.py
+    functions, _methods = library_reach()
+    assert functions == []
+
+
+def test_every_library_member_is_reached():
+    # a method of a library class must be named by the library, by the
+    # benchmark or by the README, which says why tests and scripts read
+    # results through it; a method only tests call is test code
+    _functions, methods = library_reach()
+    assert methods == []
+
+
+def test_reach_guard_finds_an_unreached_method(tmp_path):
+    (tmp_path / "hpoly.py").write_text(
+        "class HPoly:\n"
+        "    def __init__(self, coeffs):\n"
+        "        self.coeffs = coeffs\n"
+        "    def __eq__(self, other):\n"
+        "        return self.coeffs == other.coeffs\n"
+        "    def degree(self):\n"
+        "        return max(self.coeffs)\n"
+        "    def evaluate(self, x):\n"
+        "        return sum(c * x ** j for j, c in self.coeffs.items())\n"
+        "    def divides(self, other):\n"
+        "        return self.is_unit() or other.evaluate(0) == 0\n"
+        "    def is_unit(self):\n"
+        "        return self.degree() == 0\n"
+        "    def normalized(self):\n"
+        "        return self\n"
+        "    def leading(self):\n"
+        "        return self.coeffs[self.degree()]\n"
+        "def helper(p):\n"
+        "    return p\n"
+        "def gcd(a, b):\n"
+        "    return a\n")
+    (tmp_path / "snf.py").write_text(
+        "from . import hpoly\n"
+        "class SNF:\n"
+        "    def pivot(self, p):\n"
+        "        return hpoly.HPoly(p).degree()\n")
+    functions, methods = unreached_names(
+        tmp_path, bench="p.normalized()", readme="`HPoly.leading()`",
+        public=["gcd", "SNF"])
+    assert functions == ["hpoly.py:helper"]
+    assert methods == ["hpoly.py:HPoly.divides", "snf.py:SNF.pivot"]
+
+
+def test_readme_names_only_existing_members():
+    # the reverse of the reach guard: a `Class.method(` the README names
+    # in backticks (a code span or a fenced block) exists on that library
+    # class, so a stale line cannot keep a deleted name documented
+    import ast
+    import importlib
+    classes = {}
+    for path in sorted((ROOT / "src" / "qexterior").glob("*.py")):
+        module = importlib.import_module(
+            "qexterior" if path.stem == "__init__" else
+            f"qexterior.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = getattr(module, node.name)
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = {(cls, name)
+             for span in re.finditer(r"(`+)(.+?)\1", text, re.S)
+             for cls, name in re.findall(r"\b([A-Z]\w*)\.(\w+)\(",
+                                         span.group(2))
+             if cls in classes}
+    missing = [f"{cls}.{name}" for cls, name in sorted(named)
+               if not hasattr(classes[cls], name)]
+    assert missing == []
+    assert ("RingTable", "class_index") in named
 
 
 def test_only_the_plan_cache_is_global():
