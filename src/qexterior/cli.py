@@ -53,9 +53,9 @@ def _load_json(path, option, decode, *args):
 # pairs: (2 mode_box + 1)^dim - 1 nonzero modes and a scan of the 2^dim
 # masks per mode-0 level (per first index p for dolbeault, per total degree
 # and Theta monomial for equivariant).  Certified from the unit modes, a
-# nonzero mode costs O(dim^2), 14-18 us (2-vCPU Xeon, Python 3.11), so as CLI
-# processes T^4 at --mode-box 3 (38,416 pairs) takes 0.15 s and T^5 at
-# --mode-box 2 (exactly 100,000) 0.17 s.  At --mode-box 0 a plain T^16
+# nonzero mode costs O(dim^2), 8-12 us (2-vCPU Xeon, Python 3.11), so as CLI
+# processes T^4 at --mode-box 3 (38,416 pairs) takes 0.17 s and T^5 at
+# --mode-box 2 (exactly 100,000) 0.19 s.  At --mode-box 0 a plain T^16
 # (65,536 pairs) takes 3.9 s and 262 MiB, dolbeault on the complex Darboux
 # T^12 (45,056) 2.8 s and 186 MiB.
 TABLE_BUDGET = 100_000

@@ -380,13 +380,23 @@ def require_modes(modes, kappa_v, check=None):
     Each nonzero mode follows in box order: ``check(k, kappa, v)``, when
     given, then the homotopy certificate.  :func:`koszul_columns` is
     linear in (kappa, v), so after the first check the operators d_c of
-    the unit modes e_c are certified once on every mask: each column has
-    the other parity, d_c d_c' + d_c' d_c = 0 and d_c iota_b + iota_b d_c
-    = (kappa_c)_b (a failure names e_c, which need not be in the box and
-    is never checked).  A mode k then needs kappa_v(k) = sum_c k_c
-    kappa_v(e_c) over one den and some kappa_b(k) != 0: d(k) = sum_c k_c
-    d_c squares to zero and d(k) H + H d(k) = 1 for H = iota_{e_b} /
-    kappa_b(k), over k[h] and k[h,h^-1] alike.
+    the unit modes e_c are certified once, in order (a failure names e_c,
+    which need not be in the box and is never checked): on every mask
+    each entry of the column is nonzero and on a mask of the other
+    parity, and d_c iota_b + iota_b d_c = (kappa_c)_b; then d_c d_c' +
+    d_c' d_c = 0 for c' <= c on the full mask alone.  That suffices: for
+    E = d_c d_c' + d_c' d_c the super-Jacobi identity gives [E, iota_b] =
+    [d_c, [d_c', iota_b]] + [d_c', [d_c, iota_b]], and both inner brackets
+    are scalars, so E commutes with every iota_b; each e^x is +-iota_{top
+    ^ x} e^top (the iota_b for the bits of top, the full mask, not in x),
+    and E is h-linear, so E = 0 exactly when E e^top = 0.  The identities
+    of d_c and of every earlier unit hold before its anticommutators are
+    read, so the first unit to fail is the one a check on every mask
+    would name.  A mode k then needs kappa_v(k) = sum_c k_c kappa_v(e_c),
+    summed in one pass over its nonzero k_c, over the units' one den, and
+    some kappa_b(k) != 0: d(k) = sum_c k_c d_c squares to zero and d(k) H
+    + H d(k) = 1 for H = iota_{e_b} / kappa_b(k), over k[h] and
+    k[h,h^-1] alike.
     """
     m = len(modes[0])
     zero = (0,) * m
@@ -402,27 +412,40 @@ def require_modes(modes, kappa_v, check=None):
             # iota_{e_b} is the homotopy of kappa = e^b, over 1
             iotas = [homotopy_columns([(0, 0)] * b + [(1, 0)] * (m - b), 1)[0]
                      for b in range(m)]
+            top = (1 << m) - 1
             for c in range(m):
                 unit = tuple(int(i == c) for i in range(m))
                 u_kappa, u_v, u_den = kappa_v(unit)
                 d = koszul_columns(u_kappa, u_v, u_den)[0]
                 units.append((d, u_kappa + u_v, u_den))
-                for x, dx in d.items():
-                    if not (all(lab in d and (lab ^ x).bit_count() & 1
-                                for col in (dx, *(i[x] for i in iotas))
-                                for lab, _j in col)
-                            and not any(_apply(d2, dx, _apply(d, d2[x], {}))
-                                        for d2, _kv, _den in units)
-                            and all(_apply(i, dx, _apply(d, i[x], {})) ==
-                                    ({(x, 0): kb} if any(kb) else {})
-                                    for i, kb in zip(iotas, u_kappa))):
-                        raise AssertionError(f"homotopy certificate failed "
-                                             f"on Fourier mode {unit}")
-        terms = [(kc, kv) for kc, (_d, kv, _den) in zip(k, units) if kc]
-        if any(u_den != den for _d, _kv, u_den in units) or \
-                not any(p or q for p, q in kappa) or kappa + v != [
-                    (sum(kc * kv[i][0] for kc, kv in terms),
-                     sum(kc * kv[i][1] for kc, kv in terms))
-                    for i in range(2 * m)]:
+                if not (_contracts(d, u_kappa, iotas) and
+                        not any(_apply(d2, d[top], _apply(d, d2[top], {}))
+                                for d2, _kv, _den in units)):
+                    raise AssertionError(f"homotopy certificate failed "
+                                         f"on Fourier mode {unit}")
+            unit_den = units[0][2]
+            if any(u_den != unit_den for _d, _kv, u_den in units):
+                unit_den = None
+        sums = [(0, 0)] * (2 * m)
+        for kc, (_d, kv, _den) in zip(k, units):
+            if kc:
+                sums = [(a + kc * p, b + kc * q)
+                        for (a, b), (p, q) in zip(sums, kv)]
+        if den != unit_den or not any(p or q for p, q in kappa) or \
+                kappa + v != sums:
             raise AssertionError(f"homotopy certificate failed on Fourier "
                                  f"mode {k}")
+
+
+def _contracts(d, kappa, iotas):
+    """Whether each entry of every column of the operator ``d``, and of
+    each iota_b of ``iotas`` on the same mask, is nonzero and on a mask of
+    the other parity, and then d iota_b + iota_b d = kappa_b on every
+    mask."""
+    return all(lab in d and (lab ^ x).bit_count() & 1 and (re or im)
+               for x, dx in d.items()
+               for col in (dx, *(i[x] for i in iotas))
+               for (lab, _j), (re, im) in col.items()) and \
+        all(_apply(i, dx, _apply(d, i[x], {}) if i[x] else {}) ==
+            ({(x, 0): kb} if any(kb) else {})
+            for x, dx in d.items() for i, kb in zip(iotas, kappa))

@@ -95,7 +95,11 @@ arbitrary labelled spots.
 settled each nonzero Fourier mode before it certified the operators of
 the unit modes once and the modes by linearity: the operator of one mode
 and its homotopy built on the 2^m masks, and d d = 0 and d h + h d = 1
-checked on every mask.
+checked on every mask.  ``require_modes_every_mask`` is how every table
+then settled its box before it read the anticommutators of the unit
+operators on the full mask alone: ``complexes.require_modes`` with
+d_c d_c' + d_c' d_c = 0 checked on every mask, each mode's linearity
+as 2m generator sums and its den compared with every unit's.
 
 ``integer_bivector`` and ``qwedge_table`` are the two integer forms of a
 constant bivector as free functions, before the ``Bivector`` built both
@@ -153,7 +157,7 @@ from qexterior.forms import (Bivector, HForm, check_symplectic,
                              contract_back, contract_front, mask_indices,
                              omega_form, symplectic_star, wedge)
 from qexterior.hpoly import HLaurent, HPoly
-from qexterior import lefschetz
+from qexterior import complexes, lefschetz
 from qexterior.lefschetz import (CommutatorReport, DarbouxSpace,
                                  apply_Ah, apply_Lh)
 from qexterior.linalg import (charpoly, det, factor_charpoly,
@@ -1263,6 +1267,51 @@ def require_acyclic(mode, kappa, v, den):
                                 homotopy_columns(kappa, den)):
         raise AssertionError(f"homotopy certificate failed on Fourier mode "
                              f"{mode}")
+
+
+def require_modes_every_mask(modes, kappa_v, check=None):
+    """``complexes.require_modes`` with the anticommutators of the unit
+    operators checked on every mask: the same verdicts and messages.  It
+    builds its operators through ``complexes``, so a test that patches
+    the builders there patches both."""
+    m = len(modes[0])
+    zero = (0,) * m
+    kappa, v, _den = kappa_v(zero)
+    if any(p or q for p, q in kappa + v):
+        raise AssertionError(f"nonzero differential on Fourier mode {zero}")
+    units = []
+    for k in filter(any, modes):
+        kappa, v, den = kappa_v(k)
+        if check is not None:
+            check(k, kappa, v)
+        if not units:
+            # iota_{e_b} is the homotopy of kappa = e^b, over 1
+            iotas = [complexes.homotopy_columns(
+                [(0, 0)] * b + [(1, 0)] * (m - b), 1)[0] for b in range(m)]
+            for c in range(m):
+                unit = tuple(int(i == c) for i in range(m))
+                u_kappa, u_v, u_den = kappa_v(unit)
+                d = complexes.koszul_columns(u_kappa, u_v, u_den)[0]
+                units.append((d, u_kappa + u_v, u_den))
+                for x, dx in d.items():
+                    if not (all(lab in d and (lab ^ x).bit_count() & 1
+                                for col in (dx, *(i[x] for i in iotas))
+                                for lab, _j in col)
+                            and not any(_apply(d2, dx, _apply(d, d2[x], {}))
+                                        for d2, _kv, _den in units)
+                            and all(_apply(i, dx, _apply(d, i[x], {})) ==
+                                    ({(x, 0): kb} if any(kb) else {})
+                                    for i, kb in zip(iotas, u_kappa))):
+                        raise AssertionError(f"homotopy certificate failed "
+                                             f"on Fourier mode {unit}")
+        terms = [(kc, kv) for kc, (_d, kv, _den) in zip(k, units) if kc]
+        if any(u_den != den for _d, _kv, u_den in units) or \
+                not any(p or q for p, q in kappa) or kappa + v != [
+                    (sum(kc * kv[i][0] for kc, kv in terms),
+                     sum(kc * kv[i][1] for kc, kv in terms))
+                    for i in range(2 * m)]:
+            raise AssertionError(f"homotopy certificate failed on Fourier "
+                                 f"mode {k}")
 
 
 def grat_contraction_vector(w, kappa):

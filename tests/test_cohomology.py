@@ -1,6 +1,7 @@
 """Finite complexes, Smith-normal-form homology, and the cohomology
 tables of torus models."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import (cartan_columns_at_mode, derham_table_snf,
                      dolbeault_matrix_symbolic, dolbeault_table_snf,
                      free_rank_oracle, grat_cartan_columns,
@@ -20,14 +22,15 @@ from oracles import (cartan_columns_at_mode, derham_table_snf,
                      invariant_subcomplex,
                      label_columns, require_acyclic,
                      label_homotopy_certificate, matrix_of_dh_symbolic,
-                     mode_subcomplex, ring_table_per_pair)
+                     mode_subcomplex, require_modes_every_mask,
+                     ring_table_per_pair)
 from qexterior import _kernels, cohomology, complexes, equivariant
 from qexterior.cli import main
 from qexterior.cohomology import (_delbar_kappa_v, _dolbeault_bases,
                                   graded_dims, quantum_derham_table,
                                   quantum_dolbeault_table, ring_table)
 from qexterior.complexes import (CohomologyTable, DegreeHomology,
-                                 FiniteComplex, complex_homology,
+                                 FiniteComplex, _apply, complex_homology,
                                  box_modes, dense_complex, dense_matrix,
                                  dh_kappa_v, homotopy_columns,
                                  koszul_columns, require_modes)
@@ -430,21 +433,21 @@ def conjugate_pairing_on(mode, kappa_v):
 
 
 def assert_agrees_per_mode(modes, kappa_v, rng):
-    """The unit certificate of ``require_modes`` and the per-mode
-    certificate it replaced agree on every nonzero mode: both prove each
-    acyclic, and on a seeded sample both reject the one mode whose v is
-    made to pair with kappa, the first naming it."""
-    require_modes(modes, kappa_v)
+    """The unit certificate of ``require_modes``, the one on every mask it
+    replaced and the per-mode certificate agree on every nonzero mode: all
+    prove each acyclic, and on every unit mode and a seeded sample all
+    reject the one mode whose v is made to pair with kappa, naming it.  On
+    a unit mode every contraction identity still holds, and d_c d_c fails
+    on the full mask too."""
+    assert same_verdict(modes, kappa_v) is None
     nonzero = [k for k in modes if any(k)]
     for k in nonzero:
         require_acyclic(k, *kappa_v(k))
-    for k in rng.sample(nonzero, 3):
+    for k in unit_modes(len(modes[0])) + rng.sample(nonzero, 3):
         broken = conjugate_pairing_on(k, kappa_v)
-        for settle in (lambda: require_acyclic(k, *broken(k)),
-                       lambda: require_modes(modes, broken)):
-            with pytest.raises(AssertionError, match=re.escape(
-                    f"homotopy certificate failed on Fourier mode {k}")):
-                settle()
+        with pytest.raises(AssertionError, match=re.escape(failed_on(k))):
+            require_acyclic(k, *broken(k))
+        assert same_verdict(modes, broken) == failed_on(k)
 
 
 class TestUnitCertificate:
@@ -561,6 +564,19 @@ def flip_iota_sign(monkeypatch):
     monkeypatch.setattr(complexes, "homotopy_columns", flipped)
 
 
+def zero_unit_entry(monkeypatch):
+    """Set the entry (1, 0) on the empty mask of every Koszul operator to
+    an explicit zero: the wedge by e^1 of the unit e_1, an added key on
+    the others.  The certificate on every mask crashed on it with
+    KeyError in ``_apply``."""
+    def zeroed(kappa, v, den):
+        cols, den = koszul_columns(kappa, v, den)
+        cols[0][(1, 0)] = (0, 0)
+        return cols, den
+
+    monkeypatch.setattr(complexes, "koszul_columns", zeroed)
+
+
 def nonlinear_on(mode):
     """A mutant that adds 1 to v_1 on the Fourier ``mode`` alone: kappa_v
     is then not linear there, so the certificate of the unit modes says
@@ -599,6 +615,176 @@ def count_snf_calls(monkeypatch):
 
     monkeypatch.setattr(complexes, "smith_normal_form", counting)
     return calls
+
+
+def verdict(settle, modes, kappa_v):
+    """None when ``settle`` accepts the box, else its AssertionError
+    message."""
+    try:
+        settle(modes, kappa_v)
+    except AssertionError as error:
+        return str(error)
+    return None
+
+
+def same_verdict(modes, kappa_v):
+    """The verdict of ``require_modes``, asserted equal to that of the
+    certificate on every mask it replaced."""
+    got = verdict(require_modes, modes, kappa_v)
+    assert got == verdict(require_modes_every_mask, modes, kappa_v)
+    return got
+
+
+def failed_on(mode):
+    return f"homotopy certificate failed on Fourier mode {mode}"
+
+
+def corrupted(cols, rng, m):
+    """A copy of the operator columns ``cols`` with one entry nudged,
+    added (its label may lie past the masks, its h-exponent up to 2) or
+    deleted, drawn from ``rng``; every entry stays nonzero."""
+    cols = {x: dict(col) for x, col in cols.items()}
+    kind = rng.choice(["nudge", "add", "delete"])
+    if kind == "add":
+        col = cols[rng.randrange(1 << m)]
+        key = next(key for key in iter(lambda: (rng.randrange(2 << m),
+                                                rng.randrange(3)), None)
+                   if key not in col)
+        col[key] = rng.choice([(1, 0), (-1, 0), (0, 1), (2, -1), (-3, 0)])
+        return cols, kind
+    col = cols[rng.choice([x for x, col in cols.items() if col])]
+    key = rng.choice(sorted(col))
+    if kind == "delete":
+        del col[key]
+    else:
+        (re_, im_), (dr, di) = col[key], rng.choice([(1, 0), (-1, 0),
+                                                     (0, 1), (0, -1)])
+        col[key] = (re_ + dr, im_ + di) if (re_ + dr, im_ + di) != (0, 0) \
+            else (re_ - dr, im_ - di)
+    return cols, kind
+
+
+def corrupt_unit(monkeypatch, unit, columns):
+    """Make ``complexes.koszul_columns`` return ``columns`` for the (kappa,
+    v) ``unit`` and the true operator for every other."""
+    def patched(kappa, v, den):
+        if (kappa, v) == unit:
+            return {x: dict(col) for x, col in columns.items()}, den
+        return koszul_columns(kappa, v, den)
+
+    monkeypatch.setattr(complexes, "koszul_columns", patched)
+
+
+class TestEveryMaskOracle:
+    """``require_modes`` reads the anticommutators of the unit operators
+    on the full mask alone; ``oracles.require_modes_every_mask``, the
+    certificate it replaced, reads them on every mask.  Both give the same
+    verdict and message on every box, correct or corrupted."""
+
+    @pytest.mark.parametrize("mutant", [flip_unit_column, flip_iota_sign],
+                             ids=["flip_unit_column", "flip_iota_sign"])
+    def test_mutants(self, monkeypatch, mutant):
+        mutant(monkeypatch)
+        for dim, kind in CERTIFICATE_CASES:
+            bivector = PoissonModel.torus(
+                dim, certificate_bivectors(dim)[kind]).constant_bivector() \
+                .integer
+            assert same_verdict(box_modes(dim, 1),
+                                lambda k: dh_kappa_v(bivector, k)) == \
+                failed_on(unit_modes(dim)[0]), (dim, kind)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_fuzzed_unit_columns(self, monkeypatch, dim):
+        # 400 seeded corruptions of one unit operator per dimension: the
+        # earlier units are intact, so a rejection names the corrupted one
+        rng = random.Random(f"every-mask-fuzz:{dim}")
+        bivectors = [PoissonModel.torus(dim, entries).constant_bivector()
+                     .integer for entries in certificate_bivectors(dim)
+                     .values()]
+        modes = box_modes(dim, 1)
+        kinds = collections.Counter()
+        for _ in range(400):
+            bivector = rng.choice(bivectors)
+            c = rng.randrange(dim)
+            kappa, v, den = dh_kappa_v(bivector, unit_modes(dim)[c])
+            columns, kind = corrupted(koszul_columns(kappa, v, den)[0],
+                                      rng, dim)
+            corrupt_unit(monkeypatch, (kappa, v), columns)
+            got = same_verdict(modes, lambda k: dh_kappa_v(bivector, k))
+            assert got == failed_on(unit_modes(dim)[c]), (c, kind)
+            kinds[kind] += 1
+        assert min(kinds.values()) > 100
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_unit_shifted_by_contractions(self, monkeypatch, dim):
+        # d_c + P for P = t h^j iota_A, the product of the iota_a for a
+        # in A (one or three indices), keeps every contraction identity of
+        # d_c.  P anticommutes with d_c' to t h^j times a sum of +-
+        # (kappa_c')_a times the product of the other iotas of A: nonzero
+        # exactly when c' is in A, and for three indices zero on every
+        # mask of fewer than two bits.  So unit c fails when min(A) <= c,
+        # and unit min(A) when that is larger
+        bivector = PoissonModel.torus(dim, certificate_bivectors(dim)[
+            "dense"]).constant_bivector().integer
+        modes = box_modes(dim, 1)
+        # iota_{e_a} is the homotopy of kappa = e^a, over 1
+        iotas = [homotopy_columns([(0, 0)] * a + [(1, 0)] * (dim - a), 1)[0]
+                 for a in range(dim)]
+        subsets = [A for size in (1, 3)
+                   for A in itertools.combinations(range(dim), size)]
+        for A, c, j, (tr, ti) in itertools.product(
+                subsets, range(dim), (0, 1), ((1, 0), (2, -1))):
+            kappa, v, den = dh_kappa_v(bivector, unit_modes(dim)[c])
+            columns = koszul_columns(kappa, v, den)[0]
+            for x, col in columns.items():
+                image = {(x, j): (tr, ti)}
+                for a in A:
+                    image = _apply(iotas[a], image, {})
+                for key, (re_, im_) in image.items():
+                    old = col.pop(key, (0, 0))
+                    if (old[0] + re_, old[1] + im_) != (0, 0):
+                        col[key] = (old[0] + re_, old[1] + im_)
+            corrupt_unit(monkeypatch, (kappa, v), columns)
+            assert same_verdict(modes, lambda k: dh_kappa_v(bivector, k)) \
+                == failed_on(unit_modes(dim)[max(min(A), c)]), (A, c, j)
+
+    @pytest.mark.parametrize("dim,every_mask,full_mask",
+                             [(2, 56, 30), (4, 832, 404), (5, 2560, 1230)])
+    def test_apply_calls_per_table(self, monkeypatch, dim, every_mask,
+                                   full_mask):
+        # the contraction identities take m^2 2^m applies, and half as many
+        # more where iota_b x is not empty; the anticommutators on the full
+        # mask take m (m + 1), whatever 2^m, against m (m + 1) 2^m before
+        iotas, iota_cols = set(), set()
+
+        def recording(kappa, den):
+            cols, den = homotopy_columns(kappa, den)
+            iotas.add(id(cols))
+            iota_cols.update(map(id, cols.values()))
+            return cols, den
+
+        calls = []
+
+        def counting(columns, vec, out):
+            calls.append(id(columns) in iotas or id(vec) in iota_cols)
+            return _apply(columns, vec, out)
+
+        monkeypatch.setattr(complexes, "homotopy_columns", recording)
+        monkeypatch.setattr(complexes, "_apply", counting)
+        model = PoissonModel.torus(dim, Sampler(dim).antisymmetric_bivector(dim))
+        quantum_derham_table(model, 1)
+        assert len(calls) == full_mask == \
+            dim * (dim + 1) + 3 * dim * dim * 2 ** (dim - 1)
+        assert calls.count(False) == dim * (dim + 1)
+        # ids are only unique among live objects
+        for seen in (calls, iotas, iota_cols):
+            seen.clear()
+        monkeypatch.setattr(oracles, "_apply", counting)
+        bivector = model.constant_bivector().integer
+        require_modes_every_mask(box_modes(dim, 1),
+                                 lambda k: dh_kappa_v(bivector, k))
+        assert len(calls) == every_mask
+        assert calls.count(False) == dim * (dim + 1) * 2 ** dim
 
 
 def circle_table(model, mode_box):
@@ -701,6 +887,8 @@ class TestCertifyOrFail:
                  "homotopy certificate failed on Fourier mode (1, 0)"),
                 (flip_iota_sign,
                  "homotopy certificate failed on Fourier mode (1, 0)"),
+                (zero_unit_entry,
+                 "homotopy certificate failed on Fourier mode (1, 0)"),
                 (nonlinear_on(last),
                  f"homotopy certificate failed on Fourier mode {last}"),
                 (pair_kappa_with_v, pairing)):
@@ -713,6 +901,18 @@ class TestCertifyOrFail:
             assert error["code"] == 3
             assert error["message"] == \
                 f"internal error: AssertionError: {message}", mutant
+
+    def test_zero_entry_raises_naming_the_unit(self, t2, t2c, monkeypatch):
+        # the shape check rejects an explicit zero entry before any
+        # identity is evaluated on it
+        zero_unit_entry(monkeypatch)
+        for table in (quantum_derham_table, quantum_dolbeault_table,
+                      lambda m: circle_table(m, 1)):
+            for model in ((t2, t2c) if table is quantum_derham_table
+                          else (t2c,)):
+                with pytest.raises(AssertionError, match=re.escape(
+                        failed_on((1, 0)))):
+                    table(model)
 
     @pytest.mark.parametrize("table,takes_snf", [
         (lambda m, b: quantum_derham_table(m, b), False),
