@@ -13,15 +13,14 @@ Operators on Lambda_{h,h^-1}(V*) with dim V = 2n, Darboux omega:
 finite pieces Lambda^{[k]}, whose characteristic polynomials and
 eigenstructure are reported.  With E = exp(h iota_w) and iota_w omega =
 -n, M_h = E (h^{-1} omega^ + n) E^{-1}: n plus a nilpotent, so every block
-has characteristic polynomial (x - n)^size and det n^size (the symplectic
-sl2 of Yan, Adv. Math. 120, 1996, is the classical case).  The spectrum is
-therefore certified by that transport identity, label by label, and not
-computed from a matrix (:class:`SpectrumReport`); a block that fails it
+has characteristic polynomial (x - n)^size and det n^size, and rank N
+comes from the symplectic sl2 of Yan (Adv. Math. 120, 1996), certified by
+one identity.  The spectrum is therefore certified label by label, and
+not computed from a matrix (:class:`SpectrumReport`); a block that fails
 raises AssertionError.  Since ^_h is k[h, h^-1]-bilinear, multiplication
 by h maps block k onto block k + 2 label by label and commutes with M_h,
 E and N: the blocks of one parity are certified once, on the generators
-(0, mask) of its masks, and read off one report, with every stratum map
-omega^: Lambda^p -> Lambda^{p+2} ranked once.  The conformance field
+(0, mask) of its masks, and read off one report.  The conformance field
 compares against the claimed spectrum {n, n +- sqrt(5)/2} with
 one-dimensional eigenspaces and records any mismatch instead of forcing
 it; under the conventions pinned here the n = 1 base case comes out as
@@ -54,7 +53,7 @@ from ._kernels import int_if_integral, wedge_terms
 from .forms import (Bivector, HForm, StarTable, exp_contract_terms,
                     omega_form, symplectic_star)
 from .hpoly import HPoly
-from .linalg import CharFactorization, rank
+from .linalg import CharFactorization
 from .models import PoissonModel, darboux_dual, darboux_matrix
 from .quantum import qwedge
 
@@ -398,16 +397,26 @@ def _transport_columns(space: DarbouxSpace):
             Columns(lambda lab: exp_contract_terms(space.w, {lab: 1})))
 
 
+def _lowering(E: Columns, lab) -> dict:
+    """Lambda x: the h-order-1 part of E x made h-free (iota_w x)."""
+    return {(0, m): c for (i, m), c in E[lab].items() if i == lab[0] + 1}
+
+
 def _certify_transport(space: DarbouxSpace, labels, L, E) -> int:
-    """Check M_h(E x) == E((N + n) x) and that E x is x plus terms of lower
-    exterior degree in the block of x, on every label x of ``labels``;
-    return the rank of N summed over the maps between the exterior-degree
-    strata p -> p + 2 of those labels.  A label that fails raises
-    AssertionError naming its block's degree and the label."""
+    """Check M_h(E x) == E((N + n) x) and that E x is x plus lower exterior
+    degrees of its block, then [Lambda, N] x == (p - n) h^-1 x, on every
+    label x of ``labels`` (p its exterior degree, Lambda :func:`_lowering`);
+    return rank N over the strata maps p -> p + 2, or raise AssertionError
+    naming the failing label and its block's degree.
+
+    The first check pins Lambda to exterior degree -2, so (N, h Lambda,
+    p - n) is an sl(2) triple on each block up to sign: N: Lambda^p ->
+    Lambda^{p+2} is injective for p <= n - 1, surjective for p >= n - 1,
+    of rank min(C(2n, p), C(2n, p + 2)).  The triple needs no right E; the
+    identity reads omega, so a non-symplectic omega fails it."""
     n = space.n
     omega = {key: int_if_integral(c)
              for key, c in space.omega_form.terms.items()}
-    strata = {}    # p -> {mask: N x} over the labels of exterior degree p
     for lab in labels:
         p = lab[1].bit_count()
         k = 2 * lab[0] + p
@@ -423,34 +432,26 @@ def _certify_transport(space: DarbouxSpace, labels, L, E) -> int:
             raise AssertionError(
                 f"M_h block of degree {k}: M_h E x != E (N + n) x on "
                 f"{_witness(space, k, lab)}")
-        strata.setdefault(p, {})[lab[1]] = Nx
-    # N maps the stratum of exterior degree p into that of p + 2
-    rank_N = 0
-    for p, images in strata.items():
-        if p + 2 in strata:
-            index = {m: i for i, m in enumerate(strata[p + 2])}
-            rows = [[0] * len(index) for _ in images]
-            for row, Nx in zip(rows, images.values()):
-                for (_j, m), c in Nx.items():
-                    row[index[m]] = c
-            rank_N += rank(rows)
-    return rank_N
+    lowered = {(0, lab[1]): _lowering(E, lab) for lab in labels}
+    for j, mask in labels:
+        p, x = mask.bit_count(), (0, mask)
+        want = wedge_terms(omega, lowered[x])
+        want[x] = want.get(x, 0) + p - n
+        got = _apply(lowered, wedge_terms(omega, {x: 1}))
+        if got != {y: c for y, c in want.items() if c}:
+            raise AssertionError(
+                f"M_h block of degree {2 * j + p}: [Lambda, N] x != "
+                f"(p - n) h^-1 x on {_witness(space, 2 * j + p, (j, mask))}")
+    strata = {mask.bit_count() for _j, mask in labels}
+    return sum(min(comb(2 * n, p), comb(2 * n, p + 2)) for p in strata
+               if p + 2 in strata)
 
 
 class SpectrumReport:
     """Exact characteristic data of the M_h block of degree k on ``space``,
-    certified by transport rather than computed from a matrix.
-
-    With E = exp(h iota_w) (:func:`~qexterior.forms.exp_contract_terms`)
-    and N = h^{-1} omega^ the classical Lefschetz operator, every basis
-    label x of the block must satisfy M_h(E x) == E((N + n) x) exactly,
-    with E x = x plus terms of lower exterior degree in the same block.  E
-    is then invertible on the block and M_h = E (N + n) E^{-1} there: n
-    plus a nilpotent.  So the characteristic polynomial is (x - n)^size,
-    det = n^size, and the eigenspace of n has dimension size - rank N,
-    where N maps each exterior-degree stratum p to p + 2.  A label that
-    fails raises AssertionError naming the degree and the label
-    (:func:`_certify_transport`)."""
+    certified by :func:`_certify_transport`: M_h = E (N + n) E^{-1}, so the
+    characteristic polynomial is (x - n)^size, det = n^size, and the
+    eigenspace of n has dimension size - rank N."""
 
     def __init__(self, space: DarbouxSpace, k: int):
         basis = space.basis(k)
@@ -463,11 +464,9 @@ class SpectrumReport:
 
         Multiplication by h maps block k onto block k + 2 label by label
         and commutes with M_h, E and N, so the transport certificate runs
-        on the generators (0, mask) of the parity's masks (one label per
-        mask, as in every block), together with the check that the L_h
-        and E columns at (1, mask) are the h-shifts of those at (0, mask);
-        each stratum map is ranked once.  A failure raises
-        AssertionError."""
+        on the generators (0, mask) of the parity's masks, with the check
+        that the L_h and E columns at (1, mask) are the h-shifts of those
+        at (0, mask).  A failure raises AssertionError."""
         generators = _generators(space, {parity})
         L, E = _transport_columns(space)
         rank_N = _certify_transport(space, generators, L, E)

@@ -12,9 +12,9 @@
   characteristic polynomial is exactly (x - n)^size, the only shape an M_h
   block can have, and ``geometric_multiplicity`` is size - rank(A - n I).
   These three are the spectrum oracle: ``lefschetz`` certifies each block
-  by transport, M_h = E (N + n) E^-1, and calls none of them; they stay
-  here because the benchmark's tracer names them.  ``CharFactorization``
-  is the factorization that ``lefschetz.SpectrumReport`` reports.
+  by transport, M_h = E (N + n) E^-1, with rank N from an sl(2) identity,
+  and calls none of them nor ``rank``; they stay for the benchmark's
+  tracer.  ``CharFactorization`` is what ``SpectrumReport`` reports.
 """
 
 from __future__ import annotations

@@ -64,14 +64,14 @@ class Sampler:
     def grat(self) -> GRat:
         return GRat(self.fraction(), self.fraction())
 
-    def antisymmetric_bivector(self, dim: int, density: float = 1.0) -> Bivector:
+    def antisymmetric_bivector(self, dim: int) -> Bivector:
         ent = {}
         for i in range(1, dim + 1):
             for j in range(i + 1, dim + 1):
-                if self.rng.random() <= density:
-                    w = self.fraction()
-                    if w:
-                        ent[(i, j)] = w
+                self.rng.getrandbits(64)  # dropped; keeps the seeded streams
+                w = self.fraction()
+                if w:
+                    ent[(i, j)] = w
         return Bivector(dim, ent)
 
     def mask(self, dim: int, degree: int) -> int:

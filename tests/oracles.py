@@ -61,7 +61,10 @@ check.
 are the Lefschetz checks as the engine ran them before it certified each
 parity once on the module generators (0, mask): the identities on every
 label of the window, and every block of the window certified on its own
-labels.  ``star_row_dense`` is a star-table row as the engine computed it
+labels.  ``stratum_rank_by_elimination`` is rank N as the block reports
+took it before an sl(2) identity fixed it in closed form: each stratum
+map omega ^ : Lambda^p -> Lambda^(p+2) ranked by elimination.
+``star_row_dense`` is a star-table row as the engine computed it
 before it enumerated only the row sets that can carry a nonzero minor: one
 minor per index set in ``itertools.combinations`` order.
 
@@ -130,6 +133,8 @@ Smith normal form by re-multiplication.  ``invertible_matrix`` and
 ``antisymmetric_invertible`` draw random invertible matrices from a
 ``Sampler``.
 
+``thinned_bivector`` is ``Sampler.antisymmetric_bivector`` with the
+float density the library no longer takes, compared exactly instead.
 ``StdlibSampler`` is the ``Sampler`` as it was before it read its draws
 straight from ``getrandbits``: every draw goes through ``random.Random``'s
 own ``randint``, ``sample`` and ``choice``, and every fraction is a fresh
@@ -141,7 +146,7 @@ import math
 import random
 from fractions import Fraction
 
-from qexterior._kernels import QTable, int_if_integral
+from qexterior._kernels import QTable, int_if_integral, wedge_terms
 from qexterior.calculus import dolbeault_operators, exterior_d, quantum_d
 from qexterior.chern import (QConnection, TransgressionResult, _mat_qwedge,
                              char_form, quantum_curvature)
@@ -161,7 +166,7 @@ from qexterior import complexes, lefschetz
 from qexterior.lefschetz import (CommutatorReport, DarbouxSpace,
                                  apply_Ah, apply_Lh)
 from qexterior.linalg import (charpoly, det, factor_charpoly,
-                              geometric_multiplicity, matrix_inverse)
+                              geometric_multiplicity, matrix_inverse, rank)
 from qexterior.models import AFFINE, TORUS, PoissonModel
 from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
                                qwedge)
@@ -1061,6 +1066,28 @@ def hard_lefschetz_check_per_block(n, window=None):
     return rep
 
 
+def stratum_rank_by_elimination(space, labels) -> int:
+    """rank N, N = h^-1 omega ^, as ``lefschetz.SpectrumReport`` took it
+    before it read the sl(2) closed form: each map omega ^ : Lambda^p ->
+    Lambda^(p+2) between the exterior-degree strata of ``labels`` built
+    as a dense matrix and ranked by elimination (``linalg.rank``)."""
+    omega = space.omega_form.terms
+    strata = {}    # p -> {mask: omega ^ e^mask}
+    for _j, mask in labels:
+        strata.setdefault(mask.bit_count(), {})[mask] = \
+            wedge_terms(omega, {(0, mask): 1})
+    rank_N = 0
+    for p, images in strata.items():
+        if p + 2 in strata:
+            index = {m: i for i, m in enumerate(strata[p + 2])}
+            rows = [[0] * len(index) for _ in images]
+            for row, Nx in zip(rows, images.values()):
+                for (_j, m), c in Nx.items():
+                    row[index[m]] = c
+            rank_N += rank(rows)
+    return rank_N
+
+
 def star_row_dense(star, maskJ):
     """``StarTable.row`` as the engine computed it before it tried only
     the row sets that can carry a nonzero minor: one minor of w* per index
@@ -1756,6 +1783,24 @@ def antisymmetric_invertible(s, dim: int):
 # -- the stdlib sampler -------------------------------------------------------
 
 
+def thinned_bivector(s, dim: int, density) -> Bivector:
+    """``s.antisymmetric_bivector(dim)`` with each pair i < j kept with
+    probability ``density`` (a ``Fraction``, or a string it parses): the
+    pair's two 32-bit words a, b give the 53-bit draw
+    (a >> 5) 2^26 + (b >> 6) of ``random()``, compared exactly with
+    density 2^53, so the stream is the sampler's, draw for draw."""
+    bound = Fraction(density) * 2 ** 53
+    ent = {}
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            a, b = s.rng.getrandbits(32), s.rng.getrandbits(32)
+            if (a >> 5) * 2 ** 26 + (b >> 6) <= bound:
+                w = s.fraction()
+                if w:
+                    ent[(i, j)] = w
+    return Bivector(dim, ent)
+
+
 class StdlibSampler:
     """The seeded draws of ``qexterior.sampling.Sampler``, each taken
     through ``random.Random.randint``, ``sample`` or ``choice``."""
@@ -1778,14 +1823,14 @@ class StdlibSampler:
     def grat(self) -> GRat:
         return GRat(self.fraction(), self.fraction())
 
-    def antisymmetric_bivector(self, dim: int, density: float = 1.0) -> Bivector:
+    def antisymmetric_bivector(self, dim: int) -> Bivector:
         ent = {}
         for i in range(1, dim + 1):
             for j in range(i + 1, dim + 1):
-                if self.rng.random() <= density:
-                    w = self.fraction()
-                    if w:
-                        ent[(i, j)] = w
+                self.rng.random()
+                w = self.fraction()
+                if w:
+                    ent[(i, j)] = w
         return Bivector(dim, ent)
 
     def mask(self, dim: int, degree: int) -> int:

@@ -426,6 +426,17 @@ class TestConjugation:
         x = HForm(6, {(0, 0b001111): F(1, 2), (0, 0b101111): 1,
                       (0, 0b111111): 1})
         assert exp_contract_terms(w, x.terms) == conjugate(x, w).terms
+        # int entries too: the int sum -1 on h^2 e^0 leaves as -1/2, and E
+        # is E of the all-Fraction copy
+        w = Bivector(6, {(1, 2): -1, (1, 5): 2, (2, 3): 1, (2, 4): -1,
+                         (2, 6): 1, (3, 4): -1, (3, 5): -1, (3, 6): 1,
+                         (4, 6): -1})
+        terms = {(0, 0b100111): F(-1, 2), (0, 0b011100): -1,
+                 (0, 0b111100): 1}
+        got = exp_contract_terms(w, terms)
+        assert got[(2, 0)] == F(-1, 2)
+        assert got == exp_contract_terms(
+            w.map_entries(F), {key: F(c) for key, c in terms.items()})
 
     def test_identity_breaks_without_jacobi(self):
         # d1^d2 + x2 d2^d3 fails the Jacobi identity; the model is built

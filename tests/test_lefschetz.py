@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qexterior import lefschetz
+from qexterior import lefschetz, linalg
 from qexterior.cli import main
 from qexterior._kernels import wedge_terms
 from qexterior.forms import (Bivector, HForm, bivector_contract,
@@ -32,7 +32,7 @@ from oracles import (HessenbergSpectrumReport, OperatorColumns, apply_Mh,
                      commutator_check_per_form, commutator_check_per_label,
                      flip_lh_bivector, hard_lefschetz_check_per_block,
                      operator_matrix_per_form, recursion_matrix,
-                     recursion_verify)
+                     recursion_verify, stratum_rank_by_elimination)
 
 
 TRANSPORT = r"M_h E x != E \(N \+ n\) x"
@@ -869,18 +869,68 @@ class TestHShiftControls:
         assert blocks[1].startswith("M_h block of degree ")
         self.assert_cli_raises(capsys, n, blocks[1])
 
-    def test_each_stratum_map_ranked_once(self, monkeypatch):
-        # 2n - 1 maps omega^: Lambda^p -> Lambda^(p + 2), p = 0..2n - 2
-        calls = []
-        real = lefschetz.rank
 
-        def counted(rows):
-            calls.append(len(rows))
-            return real(rows)
+class TestStratumRanks:
+    """rank N, read off the identity [Lambda, N] = (p - n) h^-1 in closed
+    form, against every stratum map ranked by elimination
+    (oracles.stratum_rank_by_elimination); and the controls of that
+    identity."""
 
-        monkeypatch.setattr(lefschetz, "rank", counted)
-        assert hard_lefschetz_check(3).all_invertible
-        assert sorted(calls) == sorted(comb(6, p) for p in range(5))
+    @staticmethod
+    def closed_form(space, labels):
+        return lefschetz._certify_transport(
+            space, labels, *lefschetz._transport_columns(space))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_block_and_parity_agrees_with_elimination(self, n):
+        space = DarbouxSpace(n)
+        for k in range(-2 * n, 2 * n + 1):
+            basis = space.basis(k)
+            assert self.closed_form(space, basis) == \
+                stratum_rank_by_elimination(space, basis), k
+        for parity in (0, 1):
+            rep = SpectrumReport.of_parity(space, parity)
+            generators = [(0, m) for m in range(1 << 2 * n)
+                          if m.bit_count() % 2 == parity]
+            rank_N = stratum_rank_by_elimination(space, generators)
+            assert rep.geometric == {str(n): (rep.size, rep.size - rank_N)}
+
+    def test_n5_window_agrees_with_elimination(self):
+        space = DarbouxSpace(5)
+        lo = random.Random("stratum-ranks-n5").randint(-10, 8)
+        for k in range(lo, lo + 3):
+            basis = space.basis(k)
+            assert self.closed_form(space, basis) == \
+                stratum_rank_by_elimination(space, basis), k
+
+    def test_no_stratum_map_is_eliminated(self, monkeypatch, capsys,
+                                          tmp_path):
+        # rank N is read off the sl(2) identity: the blocks run no
+        # elimination at all (the star table of the commutator check
+        # inverts Omega), and the n = 3 report keeps its pinned bytes
+        # (tests/test_quantum.py)
+        def forbidden(*_args):
+            raise AssertionError("elimination called")
+
+        monkeypatch.setattr(linalg, "rank", forbidden)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_echelon", forbidden)
+            assert hard_lefschetz_check(3).all_invertible
+        out = tmp_path / "lefschetz.json"
+        assert main(["lefschetz", "--n", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "92f62d87bf3c4a01278a637bcf385b8fe08ec1c0cb1a93f648a1be6be14d8404"
+        assert capsys.readouterr().err == ""
+
+    def test_doubled_Lambda_caught(self, monkeypatch, capsys):
+        # Lambda read off E but doubled: E, and so the transport
+        # certificate, is untouched, and [Lambda, N] 1 = -2n != -n fails
+        # on the first label of the block of degree -2n
+        real = lefschetz._lowering
+        monkeypatch.setattr(lefschetz, "_lowering", lambda E, lab: {
+            y: 2 * c for y, c in real(E, lab).items()})
+        assert_block_fails(capsys, 2, -4, r"\[Lambda, N\] x != \(p - n\) "
+                           r"h\^-1 x on degree -4, basis element h\^-2\b")
 
 
 class TestBenchmarkDigests:

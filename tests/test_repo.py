@@ -503,7 +503,9 @@ def test_contraction_guard_finds_a_second_loop(tmp_path):
 def spectrum_matrix_calls(root):
     """``module:top-level name:callee`` of every call of ``charpoly``,
     ``factor_charpoly`` or ``geometric_multiplicity`` in the library
-    modules under ``root``."""
+    modules under ``root``, and of every call of ``rank`` or
+    ``linalg.rank`` outside ``linalg.py`` (a method such as
+    ``table.rank`` is another function)."""
     import ast
     found = []
     callees = {"charpoly", "factor_charpoly", "geometric_multiplicity"}
@@ -512,34 +514,45 @@ def spectrum_matrix_calls(root):
             for node in ast.walk(top):
                 func = getattr(node, "func", None)
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if isinstance(node, ast.Call) and name in callees:
+                value = getattr(func, "value", None)
+                elimination = name == "rank" and path.name != "linalg.py" \
+                    and (value is None or getattr(value, "id", "") == "linalg")
+                if isinstance(node, ast.Call) and \
+                        (name in callees or elimination):
                     found.append(f"{path.name}:"
                                  f"{getattr(top, 'name', '<module>')}:{name}")
     return found
 
 
 def test_no_library_module_takes_a_matrix_spectrum():
-    # each M_h block is certified by transport, M_h = E (N + n) E^-1; the
-    # Hessenberg charpoly and its factorization stay in linalg only for
-    # the benchmark's tracer and the test oracles
+    # each M_h block is certified by transport, M_h = E (N + n) E^-1, with
+    # rank N read off an sl(2) identity; the Hessenberg charpoly, its
+    # factorization and the rank elimination stay in linalg only for the
+    # benchmark's tracer and the test oracles
     assert spectrum_matrix_calls(ROOT / "src" / "qexterior") == []
 
 
 def test_spectrum_guard_finds_a_matrix_spectrum(tmp_path):
     (tmp_path / "linalg.py").write_text(
         "def charpoly(rows):\n"
-        "    return rows\n")
+        "    return rows\n"
+        "def geometric_multiplicity(rows, x):\n"
+        "    return len(rows) - rank(rows)\n")
     (tmp_path / "lefschetz.py").write_text(
         "from . import linalg\n"
-        "from .linalg import factor_charpoly, geometric_multiplicity\n"
+        "from .linalg import factor_charpoly, geometric_multiplicity, rank\n"
         "class SpectrumReport:\n"
         "    def __init__(self, matrix, n):\n"
         "        self.f = factor_charpoly(linalg.charpoly(matrix), n)\n"
-        "def check(m):\n"
-        "    return geometric_multiplicity(m, 1), charpoly\n")
+        "        self.r = rank(matrix) + linalg.rank(matrix)\n"
+        "def check(m, table):\n"
+        "    return (geometric_multiplicity(m, 1), charpoly, table.rank(2),\n"
+        "            table.complex.rank(2))\n")
     assert spectrum_matrix_calls(tmp_path) == [
         "lefschetz.py:SpectrumReport:factor_charpoly",
         "lefschetz.py:SpectrumReport:charpoly",
+        "lefschetz.py:SpectrumReport:rank",
+        "lefschetz.py:SpectrumReport:rank",
         "lefschetz.py:check:geometric_multiplicity"]
 
 

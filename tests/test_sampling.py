@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import StdlibSampler
+from oracles import StdlibSampler, thinned_bivector
 
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.forms import Bivector, HForm
@@ -45,7 +45,7 @@ def draws_bytes() -> bytes:
         torus = PoissonModel.torus(2, {(1, 2): Fraction(-1)})
         for dim in (1, 3, 5, 8):
             rows.append(typed(s.antisymmetric_bivector(dim)))
-            rows.append(typed(s.antisymmetric_bivector(dim, density=0.4)))
+            rows.append(typed(thinned_bivector(s, dim, "0.4")))
             rows.append(typed(s.ext_form(dim, terms=6, h_max=1)))
             rows.append(typed(s.ext_form(dim, terms=6, h_max=2, laurent=True)))
             # one degree and one h-power: repeated keys sum their draws
@@ -65,6 +65,18 @@ def test_pinned_draws():
     # to a fresh zero: a moved draw, key order or coefficient type fails
     assert hashlib.sha256(draws_bytes()).hexdigest() == \
         "423cd015962d00a46bd4c7678757220f377c0f46fe89f8a7779e79fad8cd7c80"
+
+
+def test_thinning_compares_the_float_draw_exactly():
+    # the 53-bit integer of random() against an exact density * 2^53 keeps
+    # or drops the same pairs as random() <= density on the float
+    r, s = random.Random(31), random.Random(31)
+    for density in ("0.3", "0.4"):
+        bound = Fraction(density) * 2 ** 53
+        for _ in range(20000):
+            a, b = s.getrandbits(32), s.getrandbits(32)
+            assert ((a >> 5) * 2 ** 26 + (b >> 6) <= bound) == \
+                (r.random() <= float(density))
 
 
 # -- the draws of random.Random -----------------------------------------------
@@ -119,7 +131,7 @@ def every_draw(s):
         typed(s.nonzero_fraction()), typed(s.nonzero_fraction(0, 1)),
         typed(s.grat()),
         typed(s.antisymmetric_bivector(5)),
-        typed(s.antisymmetric_bivector(4, density=0.4)),
+        typed(thinned_bivector(s, 4, "0.4")),
         s.mask(7, 3), s.mask(16, 16), s.mask(5, 0),
         typed(s.ext_form(4, h_max=1)),
         typed(s.ext_form(3, degree=2, terms=5, h_max=2, laurent=True)),
