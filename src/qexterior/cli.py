@@ -257,8 +257,9 @@ def cmd_lefschetz(args) -> int:
     n = args.n
     if n < 1 or n > 3:
         raise CliError("lefschetz reports cover n in 1..3")
-    comm = lefschetz.commutator_check(n)
-    hl = lefschetz.hard_lefschetz_check(n)
+    space = lefschetz.DarbouxSpace(n)
+    comm = lefschetz.commutator_check(space)
+    hl = lefschetz.hard_lefschetz_check(space)
     payload = dict(_report_header(args, "lefschetz"))
     payload["n"] = n
     payload["commutators"] = {k: bool(v) for k, v in comm.results.items()}

@@ -26,21 +26,22 @@ one-dimensional eigenspaces and records any mismatch instead of forcing
 it; under the conventions pinned here the n = 1 base case comes out as
 (x - 1)^2 with a single Jordan block.
 
-L_h and L_h* are kept as sparse columns ``label -> {label': c}`` over the
-basis labels (j, mask) of h^j e^mask (:class:`Columns`), one per label,
+L_h, L_h* and E are kept as sparse columns ``label -> {label': c}`` over
+the basis labels (j, mask) of h^j e^mask, one :class:`Columns` store per
+operator in the :class:`DarbouxSpace` both checks share, each column
 computed once with integral coefficients as ints.  An L_h column sums the
 expansions of omega's masks with the label's mask in the bivector's own
 product table (:func:`lh_column`); an L_h* column is -* L_h * read off
-those L_h columns through the star table (:func:`lefschetz_columns`).
-The M_h matrices (:func:`Mh_matrix`) are dense ``Fraction`` views of the
-L_h columns, kept for the test oracles and the benchmark's tracer.  The
-commutator check takes each operator image of a label once (columns,
-four composites, the A_h factor n - |mask| - 2j per label), compares the
-identities on those exact coefficient dicts, then certifies the scale of
-L_h* by M_h* = M_h - 2n, on the generators (0, mask) of the window's
-parities.  Both checks run again label by label, or block by block, when
-anything fails on the generators, so a failure is reported on the labels
-of the window.
+those L_h columns through the star table.  The M_h matrices
+(:func:`Mh_matrix`) are dense ``Fraction`` views of the L_h columns, kept
+for the test oracles and the benchmark's tracer.  The commutator check
+takes each operator image of a label once (columns, four composites, the
+A_h factor n - |mask| - 2j per label), compares the identities on those
+exact coefficient dicts, then certifies the scale of L_h* by
+M_h* = M_h - 2n, on the generators (0, mask) of the window's parities.
+Both checks run again label by label, or block by block, when anything
+fails on the generators, so a failure is reported on the labels of the
+window.
 """
 
 from __future__ import annotations
@@ -58,12 +59,28 @@ from .models import PoissonModel, darboux_dual, darboux_matrix
 from .quantum import qwedge
 
 
+class Columns(dict):
+    """Sparse columns ``label -> {label': c}`` of one operator, each one
+    ``fill(label)``, computed on first lookup and kept."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, lab):
+        col = self[lab] = self.fill(lab)
+        return col
+
+
 class DarbouxSpace:
     """Symplectic vector space of dimension 2n in Darboux coordinates.
 
-    The star table of Omega (``star``) is built on first use."""
+    The star table of Omega (``star``) is built on first use, and so is
+    each column of ``L`` (L_h), ``Ls`` (L_h*) and ``E`` (exp(h iota_w)),
+    from the ``w`` held at that time."""
 
-    __slots__ = ("n", "dim", "omega", "w", "omega_form", "_star")
+    __slots__ = ("n", "dim", "omega", "w", "omega_form", "_star", "_rows",
+                 "L", "Ls", "E")
 
     def __init__(self, n: int):
         self.n = n
@@ -72,6 +89,11 @@ class DarbouxSpace:
         self._star = None
         self.w = Bivector(self.dim, darboux_dual(n))
         self.omega_form = omega_form(self.omega, laurent=True)
+        self._rows = Columns(lambda mask: [(comp, int_if_integral(s))
+                                           for comp, s in self.star.row(mask)])
+        self.L = Columns(lambda lab: lh_column(self, lab))
+        self.Ls = Columns(self.lh_star_column)
+        self.E = Columns(lambda lab: exp_contract_terms(self.w, {lab: 1}))
 
     @property
     def star(self) -> StarTable:
@@ -89,6 +111,23 @@ class DarbouxSpace:
                 out.append(((k - c) // 2, mask))
         out.sort(key=lambda t: (abs(t[0]), t[0], t[1]))
         return out
+
+    def lh_star_column(self, lab) -> dict:
+        """The column of L_h* = -* L_h * on the label (j, mask): the ``L``
+        columns through the star rows, *h = h^{-1} (j -> -j)."""
+        j, mask = lab
+        col = {}
+        for comp, s in self._rows[mask]:
+            for (j2, m2), c in self.L[(-j, comp)].items():
+                c = c * -s
+                for comp2, s2 in self._rows[m2]:
+                    key = (-j2, comp2)
+                    v = col.get(key, 0) + c * s2
+                    if v:
+                        col[key] = v
+                    else:
+                        col.pop(key, None)
+        return col
 
 
 def apply_Lh(x: HForm, space: DarbouxSpace) -> HForm:
@@ -138,46 +177,6 @@ def lh_column(space: DarbouxSpace, lab) -> dict:
     return {key: int_if_integral(c) for key, c in col.items()}
 
 
-class Columns(dict):
-    """Sparse columns ``label -> {label': c}`` of one operator, each one
-    ``fill(label)``, computed on first lookup and kept."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, lab):
-        col = self[lab] = self.fill(lab)
-        return col
-
-
-def lefschetz_columns(space: DarbouxSpace):
-    """The columns of L_h (:func:`lh_column`) and of L_h* = -* L_h * on
-    ``space``, the latter read off those same L_h columns through the
-    star table, with *h = h^{-1} (j -> -j) and integral scales as ints."""
-    L = Columns(lambda lab: lh_column(space, lab))
-    star = space.star
-    rows = Columns(lambda mask: [(comp, int_if_integral(s))
-                                 for comp, s in star.row(mask)])
-
-    def lh_star_column(lab):
-        j, mask = lab
-        col = {}
-        for comp, s in rows[mask]:
-            for (j2, m2), c in L[(-j, comp)].items():
-                c = c * -s
-                for comp2, s2 in rows[m2]:
-                    key = (-j2, comp2)
-                    v = col.get(key, 0) + c * s2
-                    if v:
-                        col[key] = v
-                    else:
-                        col.pop(key, None)
-        return col
-
-    return L, Columns(lh_star_column)
-
-
 def Mh_matrix(space: DarbouxSpace, k: int):
     """Exact rational matrix of M_h = h^{-1} L_h on Lambda^{[k]}, read off
     the L_h columns of its basis labels."""
@@ -185,7 +184,7 @@ def Mh_matrix(space: DarbouxSpace, k: int):
     index = {lab: i for i, lab in enumerate(basis)}
     rows = [[Fraction(0)] * len(basis) for _ in basis]
     for col, lab in enumerate(basis):
-        for (j, m), c in lh_column(space, lab).items():
+        for (j, m), c in space.L[lab].items():
             row = index.get((j - 1, m))
             if row is None:
                 raise AssertionError(f"operator output left degree {k}")
@@ -254,12 +253,11 @@ def _generators(space: DarbouxSpace, parities) -> list:
             if mask.bit_count() % 2 in parities]
 
 
-def _check_identities(rep: CommutatorReport, space: DarbouxSpace, L, Ls,
-                      labels):
+def _check_identities(rep: CommutatorReport, space: DarbouxSpace, labels):
     """Record the fifteen identities on every label of ``labels`` in
     ``rep``; return the witness of the first label that fails
     M_h* = M_h - 2n, or None."""
-    n = space.n
+    n, L, Ls = space.n, space.L, space.Ls
     A = _a_factor
     scale_failure = None
     for lab in labels:
@@ -296,17 +294,16 @@ def _check_identities(rep: CommutatorReport, space: DarbouxSpace, L, Ls,
     return scale_failure
 
 
-def commutator_check(n: int, window=None) -> CommutatorReport:
+def commutator_check(space, window=None) -> CommutatorReport:
     """Verify the Lefschetz commutator identities exactly on every
     homogeneous piece in the degree window, then certify the scale of
-    ``L_h*``.
+    ``L_h*``, on ``space`` (a :class:`DarbouxSpace`, or the n of one).
 
-    ``L_h`` and ``L_h*`` are kept as sparse columns, one per basis label
-    (computed once, on first use, by :func:`lefschetz_columns`).  On each
-    label x = (j, mask) the images are taken once: the columns ``L_h x``,
-    ``L_h* x`` and those at (j +- 1, mask), which the h-shift identities
-    compare with ``L_h x`` and ``L_h* x`` shifted; the composites
-    ``L_h L_h* x``, ``L_h* L_h x``, ``L_h h L_h* x`` and
+    ``L_h`` and ``L_h*`` are the space's columns ``L`` and ``Ls``.  On
+    each label x = (j, mask) the images are taken once: the columns
+    ``L_h x``, ``L_h* x`` and those at (j +- 1, mask), which the h-shift
+    identities compare with ``L_h x`` and ``L_h* x`` shifted; the
+    composites ``L_h L_h* x``, ``L_h* L_h x``, ``L_h h L_h* x`` and
     ``L_h* h^-1 L_h x``; and ``A_h``, the factor ``n - |mask| - 2j`` of a
     label, so that an identity with ``A_h`` compares factors on the labels
     of an image.  ``[h,h^-1]=0``, ``Mh=h^-1Lh`` and ``Mh*=hLh*`` hold by
@@ -334,18 +331,18 @@ def commutator_check(n: int, window=None) -> CommutatorReport:
     which fails the n = 1 desk computation, and the note records that
     discrepancy.
     """
-    space = DarbouxSpace(n)
+    space = DarbouxSpace(space) if isinstance(space, int) else space
+    n = space.n
     if window is None:
         window = range(-(2 * n + 2), 2 * n + 3)
     window = list(window)
-    L, Ls = lefschetz_columns(space)
     rep = CommutatorReport(n, window)
     generators = _generators(space, {k % 2 for k in window})
-    scale_failure = _check_identities(rep, space, L, Ls, generators)
+    scale_failure = _check_identities(rep, space, generators)
     if not rep.ok or scale_failure:
         rep = CommutatorReport(n, window)
         scale_failure = _check_identities(
-            rep, space, L, Ls, [lab for k in window for lab in space.basis(k)])
+            rep, space, [lab for k in window for lab in space.basis(k)])
     if rep.ok and scale_failure:
         raise AssertionError(f"M_h* = M_h - 2n fails on {scale_failure}")
     rep.notes.append(
@@ -390,31 +387,25 @@ def lefschetz_d_commutators(model: PoissonModel, forms) -> CommutatorReport:
 # -- spectra --------------------------------------------------------------------
 
 
-def _transport_columns(space: DarbouxSpace):
-    """The columns of L_h (:func:`lh_column`) and of E = exp(h iota_w)
-    (:func:`~qexterior.forms.exp_contract_terms`) on ``space``."""
-    return (Columns(lambda lab: lh_column(space, lab)),
-            Columns(lambda lab: exp_contract_terms(space.w, {lab: 1})))
-
-
 def _lowering(E: Columns, lab) -> dict:
     """Lambda x: the h-order-1 part of E x made h-free (iota_w x)."""
     return {(0, m): c for (i, m), c in E[lab].items() if i == lab[0] + 1}
 
 
-def _certify_transport(space: DarbouxSpace, labels, L, E) -> int:
+def _certify_transport(space: DarbouxSpace, labels) -> int:
     """Check M_h(E x) == E((N + n) x) and that E x is x plus lower exterior
     degrees of its block, then [Lambda, N] x == (p - n) h^-1 x, on every
-    label x of ``labels`` (p its exterior degree, Lambda :func:`_lowering`);
-    return rank N over the strata maps p -> p + 2, or raise AssertionError
-    naming the failing label and its block's degree.
+    label x of ``labels`` (p its exterior degree, Lambda :func:`_lowering`)
+    on the space's ``L`` and ``E``; return rank N over the strata maps
+    p -> p + 2, or raise AssertionError naming the failing label and its
+    block's degree.
 
     The first check pins Lambda to exterior degree -2, so (N, h Lambda,
     p - n) is an sl(2) triple on each block up to sign: N: Lambda^p ->
     Lambda^{p+2} is injective for p <= n - 1, surjective for p >= n - 1,
     of rank min(C(2n, p), C(2n, p + 2)).  The triple needs no right E; the
     identity reads omega, so a non-symplectic omega fails it."""
-    n = space.n
+    n, L, E = space.n, space.L, space.E
     omega = {key: int_if_integral(c)
              for key, c in space.omega_form.terms.items()}
     for lab in labels:
@@ -455,8 +446,7 @@ class SpectrumReport:
 
     def __init__(self, space: DarbouxSpace, k: int):
         basis = space.basis(k)
-        self._read_off(space.n, len(basis), _certify_transport(
-            space, basis, *_transport_columns(space)))
+        self._read_off(space.n, len(basis), _certify_transport(space, basis))
 
     @classmethod
     def of_parity(cls, space: DarbouxSpace, parity: int):
@@ -468,11 +458,10 @@ class SpectrumReport:
         that the L_h and E columns at (1, mask) are the h-shifts of those
         at (0, mask).  A failure raises AssertionError."""
         generators = _generators(space, {parity})
-        L, E = _transport_columns(space)
-        rank_N = _certify_transport(space, generators, L, E)
+        rank_N = _certify_transport(space, generators)
         for _j, mask in generators:
-            if L[(1, mask)] != _h_shift(L[(0, mask)], 1) or \
-                    E[(1, mask)] != _h_shift(E[(0, mask)], 1):
+            if space.L[(1, mask)] != _h_shift(space.L[(0, mask)], 1) or \
+                    space.E[(1, mask)] != _h_shift(space.E[(0, mask)], 1):
                 raise AssertionError(
                     f"M_h blocks of parity {parity}: the L_h or E column is "
                     f"not the h-shift of the generator's on "
@@ -523,8 +512,9 @@ class HardLefschetzReport:
         return all(b.invertible for b in self.blocks.values())
 
 
-def hard_lefschetz_check(n: int, window=None) -> HardLefschetzReport:
-    """Certify every M_h block in the window by transport
+def hard_lefschetz_check(space, window=None) -> HardLefschetzReport:
+    """Certify every M_h block in the window on ``space`` (a
+    :class:`DarbouxSpace`, or the n of one) by transport
     (:class:`SpectrumReport`), so that det(M_h) = n^size != 0 on every
     homogeneous piece.
 
@@ -535,7 +525,8 @@ def hard_lefschetz_check(n: int, window=None) -> HardLefschetzReport:
     certificate raises AssertionError naming its degree k and the failing
     label.
     """
-    space = DarbouxSpace(n)
+    space = DarbouxSpace(space) if isinstance(space, int) else space
+    n = space.n
     if window is None:
         window = range(-(2 * n), 2 * n + 1)
     window = list(window)

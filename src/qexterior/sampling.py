@@ -53,6 +53,13 @@ class Sampler:
             f = self._fractions[num, den] = Fraction(num, den)
         return f
 
+    def bernoulli(self, p: Fraction) -> bool:
+        """True with probability ``p``: the 53-bit draw of ``random()``
+        from two 32-bit words a, b, compared exactly with p 2^53 (for
+        p = 4/5, ``random() < 0.8`` draw for draw)."""
+        a, b = self.rng.getrandbits(32), self.rng.getrandbits(32)
+        return (a >> 5) * 2 ** 26 + (b >> 6) <= p * 2 ** 53
+
     def nonzero_fraction(self, lo: int = -6, hi: int = 6) -> Fraction:
         if lo == hi == 0:
             raise ValueError("no nonzero numerator in 0..0")
@@ -146,7 +153,7 @@ class Sampler:
             return PoissonModel.affine(dim, {
                 (i, j): self.fraction()
                 for i in range(1, dim + 1) for j in range(i + 1, dim + 1)
-                if self.rng.random() < 0.8})
+                if self.bernoulli(Fraction(4, 5))})
         if family == "so3":
             return PoissonModel.so3_affine()
         # f(x2) d1 ^ d3 on R^3: d1 and f(x2) d3 commute

@@ -906,19 +906,22 @@ def lh_star_per_form(x, space):
 
 
 def flip_lh_bivector(monkeypatch):
-    """The negative control of ``lefschetz.commutator_check``: its L_h
-    columns multiply under the dual bivector with the calibration sign
-    flipped, while its L_h* columns are read off the calibrated L_h
-    columns, as ``corrupt_w`` does below."""
-    real = lefschetz.lefschetz_columns
+    """The negative control of ``lefschetz.commutator_check``: every
+    ``DarbouxSpace`` takes the L_h columns of a twin whose dual bivector
+    has the calibration sign flipped, and the L_h* columns of a calibrated
+    twin, read off calibrated L_h columns, as ``corrupt_w`` does below."""
+    real = DarbouxSpace.__init__
 
-    def flipped(space):
-        _L, Ls = real(space)
-        other = DarbouxSpace(space.n)
-        other.w = space.w.map_entries(lambda v: -v)
-        return real(other)[0], Ls
+    def flipped(self, n):
+        real(self, n)
+        flip, calibrated = (DarbouxSpace.__new__(DarbouxSpace)
+                            for _ in range(2))
+        real(flip, n)
+        real(calibrated, n)
+        flip.w = flip.w.map_entries(lambda v: -v)
+        self.L, self.Ls = flip.L, calibrated.Ls
 
-    monkeypatch.setattr(lefschetz, "lefschetz_columns", flipped)
+    monkeypatch.setattr(DarbouxSpace, "__init__", flipped)
 
 
 def apply_Mh(x, space):
@@ -1007,7 +1010,7 @@ def commutator_check_per_label(n, window=None):
     if window is None:
         window = range(-(2 * n + 2), 2 * n + 3)
     rep = CommutatorReport(n, list(window))
-    L, Ls = lefschetz.lefschetz_columns(space)
+    L, Ls = space.L, space.Ls
     A = lefschetz._a_factor
     _apply, _h_shift, _witness = (lefschetz._apply, lefschetz._h_shift,
                                   lefschetz._witness)

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -18,10 +19,10 @@ from qexterior._kernels import wedge_terms
 from qexterior.forms import (Bivector, HForm, bivector_contract,
                              exp_contract_terms)
 from qexterior.hpoly import HPoly
-from qexterior.lefschetz import (Columns, DarbouxSpace, Mh_matrix,
-                                 SpectrumReport, _a_factor, apply_Ah,
-                                 apply_Lh, apply_Lh_star, commutator_check,
-                                 hard_lefschetz_check, lefschetz_columns,
+from qexterior.lefschetz import (DarbouxSpace, Mh_matrix, SpectrumReport,
+                                 _a_factor, apply_Ah, apply_Lh,
+                                 apply_Lh_star, commutator_check,
+                                 hard_lefschetz_check,
                                  lefschetz_d_commutators, paper_conformance)
 from qexterior.linalg import charpoly, det
 from qexterior.models import PoissonModel
@@ -106,17 +107,22 @@ class TestMhMatrices:
 
 
 def _patch_columns(monkeypatch, L=None, Ls=None):
-    """Make ``lefschetz_columns`` hand out ``L(lab, column)`` and
-    ``Ls(lab, column)`` in place of the calibrated columns."""
-    real = lefschetz.lefschetz_columns
+    """Make every ``DarbouxSpace`` fill its ``L`` and ``Ls`` columns with
+    ``L(lab, column)`` and ``Ls(lab, column)``, ``column`` the calibrated
+    column of a twin space: the L_h* columns stay read off calibrated L_h
+    columns whatever ``L`` does."""
+    real = DarbouxSpace.__init__
 
-    def patched(space):
-        cols = real(space)
-        return tuple(cols[i] if f is None else
-                     Columns(lambda lab, f=f, c=cols[i]: f(lab, c[lab]))
-                     for i, f in enumerate((L, Ls)))
+    def patched(self, n):
+        real(self, n)
+        twin = DarbouxSpace.__new__(DarbouxSpace)
+        real(twin, n)
+        for name, f in (("L", L), ("Ls", Ls)):
+            calibrated = getattr(twin, name)
+            getattr(self, name).fill = lambda lab, f=f, c=calibrated: (
+                c[lab] if f is None else f(lab, c[lab]))
 
-    monkeypatch.setattr(lefschetz, "lefschetz_columns", patched)
+    monkeypatch.setattr(DarbouxSpace, "__init__", patched)
 
 
 def _plus_identity(lab, col):
@@ -142,7 +148,7 @@ def _a_factor_odd_e1(lab, n):
 
 
 # One targeted mutant per identity that can fail: the columns patched
-# through lefschetz_columns and the A_h factor of a label.  [h,h^-1]=0,
+# through the space's fills and the A_h factor of a label.  [h,h^-1]=0,
 # Mh=h^-1Lh and Mh*=hLh* hold by the definitions of the shift, M_h and
 # M_h*.  Each mutant must make its identity fail, so that no identity is
 # compared with itself.
@@ -252,7 +258,7 @@ class TestOperatorColumnsOracle:
         # and one that comes out integral is stored as an int
         space = DarbouxSpace(2)
         space.w = Bivector(4, {(1, 2): Fraction(-1, 3), (3, 4): Fraction(-1)})
-        L, _Ls = lefschetz_columns(space)
+        L = space.L
         # omega ^_h e^{ij} = e^1234 + 2 h e^{ij} - h^2 under w^{ij} = -1,
         # see TestOperators
         assert L[(0, 3)] == {(0, 15): 1, (1, 3): Fraction(2, 3),
@@ -270,7 +276,7 @@ class TestOperatorColumnsOracle:
                 lambda x: apply_Mh(x, space), space, k, 0)
 
     def test_columns_store_integral_values_as_int(self, s1):
-        L, _Ls = lefschetz_columns(s1)
+        L = s1.L
         assert L[(0, 3)] == {(1, 3): 2, (2, 0): -1}
         assert all(type(c) is int for c in L[(0, 3)].values())
 
@@ -282,8 +288,7 @@ class TestOperatorColumnsOracle:
         for n, degrees in [(1, range(-4, 5)), (2, range(-6, 7)),
                            (3, range(-8, 9)), (4, range(lo, lo + 3))]:
             space = DarbouxSpace(n)
-            L, Ls = lefschetz_columns(space)
-            for op, cols in [(apply_Lh, L), (apply_Lh_star, Ls)]:
+            for op, cols in [(apply_Lh, space.L), (apply_Lh_star, space.Ls)]:
                 for k in degrees:
                     for lab in space.basis(k):
                         unit = HForm(2 * n, {lab: Fraction(1)}, laurent=True)
@@ -303,7 +308,7 @@ class TestStarIdentity:
     ], ids=["n1", "n2", "n3", "n4-window"])
     def test_Lh_star_is_shifted_Lh(self, n, degrees):
         space = DarbouxSpace(n)
-        L, Ls = lefschetz_columns(space)
+        L, Ls = space.L, space.Ls
         for k in degrees:
             for j, mask in space.basis(k):
                 expected = {(j2 - 2, m2): c
@@ -761,6 +766,36 @@ class TestPerMaskOracles:
             not all(ok for _, ok in comm[1])
 
 
+class TestOneSpacePerCommand:
+    """The lefschetz command runs both checks on one DarbouxSpace, whose
+    column stores each check reads."""
+
+    def test_each_Lh_column_is_built_once(self, monkeypatch, tmp_path):
+        # with a space per check, 128 of the 240 labels the n = 3 command
+        # reads were built twice (368 lh_column calls)
+        real, calls = lefschetz.lh_column, Counter()
+
+        def counted(space, lab):
+            calls[lab] += 1
+            return real(space, lab)
+
+        monkeypatch.setattr(lefschetz, "lh_column", counted)
+        out = tmp_path / "lefschetz.json"
+        assert main(["lefschetz", "--n", "3", "--out", str(out)]) == 0
+        assert sum(calls.values()) == 240
+        assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_shared_space_gives_what_an_int_gives(self, n):
+        space = DarbouxSpace(n)
+        got = [_outcome(lambda _n, w: commutator_check(space, w), n, None),
+               _outcome(lambda _n, w: hard_lefschetz_check(space, w), n,
+                        None)]
+        assert got == [_outcome(commutator_check, n, None),
+                       _outcome(hard_lefschetz_check, n, None)]
+        assert space.L and space.Ls and space.E
+
+
 def _shifted_column_plus_h(lab, col):
     # L x gains h x: the column at lab gains the label one power of h up
     out = dict(col)
@@ -878,8 +913,7 @@ class TestStratumRanks:
 
     @staticmethod
     def closed_form(space, labels):
-        return lefschetz._certify_transport(
-            space, labels, *lefschetz._transport_columns(space))
+        return lefschetz._certify_transport(space, labels)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_block_and_parity_agrees_with_elimination(self, n):

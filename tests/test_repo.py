@@ -598,6 +598,45 @@ def test_draw_guard_finds_a_direct_draw(tmp_path):
                                    "suites.py:4:randint"]
 
 
+def float_uses(root):
+    """``module:line`` of every float or complex literal, every call of
+    ``float``, and every ``.random()`` or ``.uniform()`` call in the
+    library modules under ``root``."""
+    import ast
+    found = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            literal = isinstance(node, ast.Constant) and \
+                type(node.value) in (float, complex)
+            call = isinstance(node, ast.Call) and (
+                getattr(func, "id", None) == "float"
+                or getattr(func, "attr", None) in ("random", "uniform"))
+            if literal or call:
+                found.add((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_no_library_module_uses_a_float():
+    # exactness is the contract: every scalar is an int, Fraction, GRat or
+    # ring element, and every draw is an integer from getrandbits
+    assert float_uses(ROOT / "src" / "qexterior") == []
+
+
+def test_float_guard_finds_a_float(tmp_path):
+    (tmp_path / "sampling.py").write_text(
+        "def keep(self):\n"
+        "    return self.rng.random() < 4 / 5\n"
+        "def scale(x):\n"
+        "    return x * 0.5 + 2j\n")
+    (tmp_path / "linalg.py").write_text(
+        "def norm(rng, x):\n"
+        "    y = float(x) + rng.uniform(0, 1)\n"
+        "    return str(y) + '0.5'\n")
+    assert float_uses(tmp_path) == ["linalg.py:2", "sampling.py:2",
+                                    "sampling.py:4"]
+
+
 def test_readme_states_every_cli_constant_it_names():
     # a budget or cap named as `cli.NAME` in the README appears with its
     # value, formatted with thousands separators, in the same paragraph

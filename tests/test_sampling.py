@@ -79,6 +79,27 @@ def test_thinning_compares_the_float_draw_exactly():
                 (r.random() <= float(density))
 
 
+def test_bernoulli_draws_as_random_below_four_fifths():
+    # jacobi_model keeps a pair by bernoulli(4/5), where it compared
+    # random() < 0.8: the same verdicts from the same two words each
+    for seed in range(30):
+        s, r = Sampler(seed), random.Random(seed)
+        for _ in range(2000):
+            assert s.bernoulli(Fraction(4, 5)) == (r.random() < 0.8), seed
+        assert s.rng.random() == r.random()
+
+
+@pytest.mark.parametrize("x,kept", [(7205759403792793, True),
+                                    (7205759403792794, False)])
+def test_bernoulli_at_the_boundary(x, kept):
+    # the largest 53-bit draw x with x / 2^53 < 0.8, and the next one
+    s = Sampler(0)
+    words = iter([(x >> 26) << 5, (x & (2 ** 26 - 1)) << 6])
+    s.rng.getrandbits = lambda k: next(words)
+    assert s.bernoulli(Fraction(4, 5)) is kept
+    assert (x / 2 ** 53 < 0.8) is kept
+
+
 # -- the draws of random.Random -----------------------------------------------
 
 SEEDS = range(300)
