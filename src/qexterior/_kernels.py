@@ -36,12 +36,13 @@ the product runs in integers (fraction-free, as in Bareiss elimination):
 the table holds D W with D the lcm of the entry denominators, so a minor
 of order k is an int over D^k; each form is scaled to int numerators over
 the lcm of its denominators; and every term is summed as one int over the
-common denominator la lb D^K (K the largest contraction order).  One
-normalized Fraction is built per output term.  Every other combination of
-coefficient types (GRat, PolyCoeff, FourierCoeff, ints, mixtures) runs the
-generic loop in the coefficients' own arithmetic.  Under a bivector with
-entries, every output coefficient there has the type of coefficient x
-entry, h^0 terms included.
+common denominator la lb D^K (K the largest contraction order).  The
+product-law suites chain and compare these ints (``qwedge_numerators``,
+``same_numerators``); ``qwedge`` reads one Fraction per output term.  Every
+other combination of coefficient types (GRat, PolyCoeff, FourierCoeff,
+ints, mixtures) runs the generic loop in the coefficients' own arithmetic.
+Under a bivector with entries, every output coefficient there has the type
+of coefficient x entry, h^0 terms included.
 """
 
 from __future__ import annotations
@@ -371,17 +372,20 @@ def qwedge_terms(A: dict, B: dict, table: QTable) -> dict:
 
 
 def _qwedge_integer(na: tuple, nb: tuple, table: QTable) -> dict:
-    """``qwedge_terms`` of all-Fraction dicts under a rational table.
+    """The Fraction view of :func:`qwedge_numerators`."""
+    den, _top, out = qwedge_numerators(na, nb, table)
+    return {key: Fraction(n, den) for key, n in out.items()}
 
-    With A = NA / la, B = NB / lb and det W[S, T] = det (D W)[S, T] / D^k,
-    every term is an int over la lb D^K, K the largest contraction order,
-    once an order-k term is scaled by D^(K-k).  Zero partial sums are
-    dropped as in the generic loop, so the keys come out in the same order.
-    """
+
+def qwedge_numerators(na: tuple, nb: tuple, table: QTable) -> tuple:
+    """The product of two numerator triples (``_numerators``) under a
+    rational table, as one more triple.  With A = NA / la, B = NB / lb and
+    det W[S, T] = det (D W)[S, T] / D^k, every term is an int over
+    la lb D^K, K the largest contraction order, once an order-k term is
+    scaled by D^(K-k).  Zero partial sums are dropped as in the generic
+    loop, so the keys come out in the same order."""
     la, ta, A = na
     lb, tb, B = nb
-    if not (A and B):
-        return {}
     K = min(ta, tb)
     D = table.D
     scale = [D ** (K - k) for k in range(K + 1)]
@@ -403,5 +407,13 @@ def _qwedge_integer(na: tuple, nb: tuple, table: QTable) -> dict:
                     out[key] = s
                 else:
                     out.pop(key, None)
-    den = la * lb * scale[0]
-    return {key: Fraction(n, den) for key, n in out.items()}
+    top = max((m.bit_count() for _j, m in out), default=0)
+    return la * lb * scale[0], top, out
+
+
+def same_numerators(x: tuple, y: tuple) -> bool:
+    """Whether two numerator triples are the same term dict (the kernels
+    drop zero sums, so this is ``HForm.__eq__`` of their Fraction views)."""
+    (dx, _tx, X), (dy, _ty, Y) = x, y
+    return X.keys() == Y.keys() and all(n * dy == Y[key] * dx
+                                        for key, n in X.items())

@@ -147,18 +147,19 @@ def _report_header(args, command):
 # largest the suites draw without one, refused with exit 2 before any
 # trial.  A trial then costs no more than one dimension 8 draw, and a run is
 # linear in --trials.  Every suite on the Darboux complex T^8 with --trials
-# 20 (2-vCPU Xeon, Python 3.11): chern 54 s and 33 MiB (its connections'
-# curvature is the cost; 1.1 s a trial already at dimension 4), dolbeault
-# 1.7 s, leibniz 1.5 s, associativity 1.2 s and 46 MiB, lefschetz 0.9 s, the
-# other seven under 0.4 s and 20 MiB.  Past the cap the product suites
-# grow about fourfold per dimension: associativity --trials 20 takes 13.3 s
-# and 401 MiB at dimension 10, and passed 1.75 GB and two minutes at 16.
+# 20, as CLI processes (2-vCPU Xeon, Python 3.11.7): chern 30 s and 32 MiB
+# (its connections' curvature is the cost; 0.8 s a trial already at
+# dimension 4), dolbeault 1.0 s, associativity 0.66 s and 52 MiB, leibniz
+# 0.6 s, lefschetz 0.4 s, the other seven under 0.25 s and 18 MiB.  Past
+# the cap the product suites grow about 2.6-fold per dimension:
+# associativity --trials 20 takes 4.5 s and 188 MiB at dimension 10 (in
+# process), and an earlier run at 16 passed 1.75 GB and two minutes.
 CHECK_MAX_DIM = 8
 # The largest --trials of ``check``, refused with exit 2 before the model is
 # built: the default 100 and the benchmark's 200 and 500 pass.  A trial of
-# --suite chern costs 1.1-1.3 s on the Darboux T^4 and 2.7 s on T^8 (2-vCPU
-# Xeon, Python 3.11), so 500 of them take up to 23 minutes; an
-# associativity trial on T^4 takes 0.5 ms.
+# --suite chern costs 0.8 s on the Darboux T^4 and 1.5 s on T^8 (the
+# machine above), so 500 of them take up to 13 minutes; an associativity
+# trial on T^4 takes 0.12 ms.
 CHECK_MAX_TRIALS = 500
 
 

@@ -112,6 +112,13 @@ and the minor table, rational on all-Fraction entries and typed otherwise.
 ``integer_form_mismatches`` lists the parts of a bivector's own forms
 that differ from them.
 
+``suite_associativity_by_qwedge`` and
+``suite_supercommutativity_by_qwedge`` are the product-law suites as the
+engine ran them before it decided each law on the kernel's integer
+numerators: every side a ``qwedge`` of forms, compared by ``HForm ==``.
+They draw exactly what the engine's suites draw, so the two give the same
+report on every seed.
+
 ``grat_dh_kappa_v``, ``grat_delbar_kappa_v``, ``grat_koszul_columns``,
 ``grat_homotopy_columns`` and ``grat_cartan_columns`` are the Fourier-mode
 builders the engine used before it built every mode in Gaussian integers
@@ -172,6 +179,7 @@ from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
                                qwedge)
 from qexterior.scalars import GRat
 from qexterior.snf import rank_fraction_field, solve_linear
+from qexterior.suites import SuiteResult, _product_triple
 
 
 def wedge_sign(a: int, b: int) -> int:
@@ -1914,3 +1922,35 @@ class StdlibSampler:
             c = FourierCoeff(model.dim, data)
             out = out + HForm(model.dim, {(j, self.mask(model.dim, d)): c}, laurent)
         return out
+
+
+def suite_associativity_by_qwedge(model, trials, s) -> SuiteResult:
+    res = SuiteResult("associativity", trials)
+    for t in range(trials):
+        dim = (model.dim if model is not None else s.randint(2, 8))
+        w, (a, b, c) = _product_triple(s, dim)
+        lhs = qwedge(qwedge(a, b, w), c, w)
+        rhs = qwedge(a, qwedge(b, c, w), w)
+        res.checked += 1
+        if lhs != rhs:
+            res.fail({"trial": t, "dim": dim, "a": str(a), "b": str(b),
+                      "c": str(c), "w": str(w.entries)})
+    return res
+
+
+def suite_supercommutativity_by_qwedge(model, trials, s) -> SuiteResult:
+    res = SuiteResult("supercommutativity", trials)
+    for t in range(trials):
+        dim = (model.dim if model is not None else s.randint(2, 8))
+        w = s.antisymmetric_bivector(dim)
+        da, db = s.randint(0, dim), s.randint(0, dim)
+        a = s.ext_form(dim, degree=da, h_max=1)
+        b = s.ext_form(dim, degree=db, h_max=1)
+        lhs = qwedge(a, b, w)
+        rhs = qwedge(b, a, w)
+        if (da * db) % 2:
+            rhs = -rhs
+        res.checked += 1
+        if lhs != rhs:
+            res.fail({"trial": t, "dim": dim, "a": str(a), "b": str(b)})
+    return res

@@ -26,17 +26,26 @@ def run_cli(args):
 
 
 def break_suite_product(monkeypatch):
-    """Make the check suites multiply by a ^_h b + h a, which is neither
-    associative nor supercommutative.  (Flipping the sign of the
-    h-correction would not do: that is the product under -w.)"""
+    """Make the product-law suites multiply by a ^_h b + h a, which is
+    neither associative nor supercommutative, on the integer numerators
+    they decide on: a's numerators join at h^(j+1), scaled from la to the
+    product's den.  (Flipping the sign of the h-correction would not do:
+    that is the product under -w.)"""
     from qexterior import suites
-    qwedge = suites.qwedge
+    product = suites.qwedge_numerators
 
-    def broken(a, b, w):
-        ha = HForm(a.dim, {(j + 1, m): c for (j, m), c in a.terms.items()},
-                   a.laurent)
-        return qwedge(a, b, w) + ha
-    monkeypatch.setattr(suites, "qwedge", broken)
+    def broken(na, nb, table):
+        den, top, out = product(na, nb, table)
+        la, ta, A = na
+        out = dict(out)
+        for (j, m), n in A.items():
+            s = out.get((j + 1, m), 0) + n * (den // la)
+            if s:
+                out[(j + 1, m)] = s
+            else:
+                out.pop((j + 1, m), None)
+        return den, max(top, ta), out
+    monkeypatch.setattr(suites, "qwedge_numerators", broken)
 
 
 @pytest.fixture
