@@ -19,7 +19,9 @@ import math
 import sys
 import traceback
 
-from . import calculus, chern, cohomology, equivariant, lefschetz
+# Only what every command needs is imported here.  Each command imports its
+# driver (cohomology, equivariant, lefschetz, chern, calculus, suites) in
+# its own body, so a CLI start compiles no module its command does not run.
 from .hpoly import HLaurent, HPoly, hpoly_to_json
 from .sampling import PRNG_NAME
 from .serialize import (CONVENTIONS, MAX_MODEL_DIM, action_from_json,
@@ -93,7 +95,8 @@ def _require_budget(args, dim, generators=None):
     is None before the action is read: the pairs then count none."""
     levels = 1
     if args.command == "dolbeault":
-        levels = dim // 2 + 2 * cohomology.LEVEL_CAP + 1
+        from .cohomology import LEVEL_CAP
+        levels = dim // 2 + 2 * LEVEL_CAP + 1
     elif args.command == "equivariant":
         levels = 0
         for n in range(args.cutoff + 2):
@@ -164,8 +167,6 @@ CHECK_MAX_TRIALS = 500
 
 
 def cmd_check(args) -> int:
-    # qexterior does not load suites; a top-level import would compile it
-    # on every CLI start
     from .suites import SUITES, SuitePrecondition, run_suite
     if args.trials > CHECK_MAX_TRIALS:
         raise CliError(f"--trials {args.trials} passes the work budget: at "
@@ -217,11 +218,12 @@ MAX_DEGREE = 10_000
 
 
 def cmd_cohomology(args) -> int:
+    from .cohomology import quantum_derham_table
     if args.max_degree is not None and args.max_degree > MAX_DEGREE:
         raise CliError(f"--max-degree {args.max_degree} passes the work "
                        f"budget: at most {MAX_DEGREE:,}")
     model = _load_model(args)
-    table = cohomology.quantum_derham_table(
+    table = quantum_derham_table(
         model, mode_box=args.mode_box, max_degree=args.max_degree,
         ring=_ring(args))
     _emit(args, _table_payload(args, "cohomology", table))
@@ -229,14 +231,16 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_dolbeault(args) -> int:
+    from .cohomology import quantum_dolbeault_table
     model = _load_model(args)
-    table = cohomology.quantum_dolbeault_table(
+    table = quantum_dolbeault_table(
         model, mode_box=args.mode_box, ring=_ring(args))
     _emit(args, _table_payload(args, "dolbeault", table))
     return EXIT_OK
 
 
 def cmd_equivariant(args) -> int:
+    from .equivariant import equivariant_cohomology_table
     model = _load_model(args)
     if args.ring == "laurent":
         raise CliError("equivariant tables are computed over k[h] only; "
@@ -248,19 +252,21 @@ def cmd_equivariant(args) -> int:
                         else 0)
         return action_from_json(obj, model)
     action = _load_json(args.action, "--action", decode_action, model)
-    table = equivariant.equivariant_cohomology_table(
+    table = equivariant_cohomology_table(
         model, action, cutoff=args.cutoff, mode_box=args.mode_box)
     _emit(args, _table_payload(args, "equivariant", table))
     return EXIT_OK
 
 
 def cmd_lefschetz(args) -> int:
+    from .lefschetz import (DarbouxSpace, commutator_check,
+                            hard_lefschetz_check)
     n = args.n
     if n < 1 or n > 3:
         raise CliError("lefschetz reports cover n in 1..3")
-    space = lefschetz.DarbouxSpace(n)
-    comm = lefschetz.commutator_check(space)
-    hl = lefschetz.hard_lefschetz_check(space)
+    space = DarbouxSpace(n)
+    comm = commutator_check(space)
+    hl = hard_lefschetz_check(space)
     payload = dict(_report_header(args, "lefschetz"))
     payload["n"] = n
     payload["commutators"] = {k: bool(v) for k, v in comm.results.items()}
@@ -281,6 +287,8 @@ CHERN_MAX_POWER = MAX_MODEL_DIM // 2
 
 
 def cmd_chern(args) -> int:
+    from .calculus import quantum_d
+    from .chern import char_forms, quantum_curvature
     if args.power > CHERN_MAX_POWER:
         raise CliError(f"--power {args.power} passes the work budget: at "
                        f"most {CHERN_MAX_POWER}")
@@ -289,15 +297,15 @@ def cmd_chern(args) -> int:
         raise CliError("--power must be at least 1")
     conn = _load_json(args.connection, "--connection", connection_from_json,
                       model)
-    F = chern.quantum_curvature(conn)
+    F = quantum_curvature(conn)
     payload = dict(_report_header(args, "chern"))
     payload["rank"] = conn.rank
     payload["curvature"] = [[form_to_json(F[i][j]) for j in range(conn.rank)]
                             for i in range(conn.rank)]
     chars = {}
     closed = True
-    for k, form in zip(range(1, args.power + 1), chern.char_forms(F, model)):
-        cert = calculus.quantum_d(form, model)
+    for k, form in zip(range(1, args.power + 1), char_forms(F, model)):
+        cert = quantum_d(form, model)
         chars[str(k)] = {"form": form_to_json(form),
                          "d_h": form_to_json(cert),
                          "closed": cert.is_zero()}
@@ -309,11 +317,12 @@ def cmd_chern(args) -> int:
 
 
 def cmd_integral(args) -> int:
+    from .calculus import qintegral, stokes_check
     model = _load_model(args)
     form = _load_json(args.form, "--form", form_from_json, model,
                       _ring(args) is HLaurent)
-    value = calculus.qintegral(form, model)
-    stokes = calculus.stokes_check(form, model)
+    value = qintegral(form, model)
+    stokes = stokes_check(form, model)
     payload = dict(_report_header(args, "integral"))
     payload["integral"] = hpoly_to_json(value)
     payload["stokes"] = {"int_d": hpoly_to_json(stokes.int_d),
@@ -392,6 +401,10 @@ def main(argv=None) -> int:
         # the named command's subparser alone gives the same usage errors
         named = {c: COMMANDS[c] for c in argv[:1] if c in COMMANDS}
         args = build_parser(named or COMMANDS).parse_args(argv)
+        # every command reads --seed; random.Random seeds from |seed|, so a
+        # negative one would silently rerun its positive twin
+        if args.seed < 0:
+            raise CliError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except ValueError as exc:
         error = {"code": EXIT_BAD_INPUT, "message": str(exc)}

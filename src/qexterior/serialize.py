@@ -27,9 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .chern import QConnection
 from .coeffs import FourierCoeff, PolyCoeff, coeff_to_json
-from .equivariant import GroupAction
 from .forms import Bivector, HForm, mask_indices
 from .hpoly import hpoly_to_json
 from .models import AFFINE, TORUS, PoissonModel, darboux_dual, darboux_matrix
@@ -199,6 +197,7 @@ def model_from_json(obj) -> PoissonModel:
 
 
 def action_from_json(obj, model: PoissonModel):
+    from .equivariant import GroupAction
     _object(obj, "an action")
     gens = []
     for row in _list(obj.get("generators", []), "action generators"):
@@ -210,6 +209,7 @@ def action_from_json(obj, model: PoissonModel):
 
 
 def connection_from_json(obj, model: PoissonModel):
+    from .chern import QConnection
     _object(obj, "a connection")
     rank = _exact_int(obj.get("rank"), "connection rank")
     if rank < 1:

@@ -12,16 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import cycle
 
+# A suite that calls calculus, chern, equivariant or lefschetz imports them
+# in its own body, so the product-law suites load none of those drivers.
 from ._kernels import _numerators, qwedge_numerators, same_numerators
-from .calculus import (dolbeault_operators, exterior_d, frame_formula_d,
-                       koszul_delta, quantum_d, stokes_check)
-from .chern import (QConnection, char_form, covariant_square_check,
-                    quantum_curvature)
 from .coeffs import FourierCoeff
-from .equivariant import (EquivariantElement, GroupAction,
-                          anticommutator_check, cartan_d, lie_bivector)
 from .forms import HForm
-from .lefschetz import commutator_check, lefschetz_d_commutators
 from .linalg import det
 from .models import PoissonModel, TORUS
 from .quantum import frobenius_pairing, gram_matrix, qwedge, wwedge
@@ -128,6 +123,7 @@ def _koszul_models(s: Sampler):
 
 
 def suite_koszul(model, trials, s: Sampler) -> SuiteResult:
+    from .calculus import exterior_d, koszul_delta
     res = SuiteResult("koszul", trials)
     models = [model] if model is not None else _koszul_models(s)
     for t, m in zip(range(trials), cycle(models)):
@@ -141,6 +137,7 @@ def suite_koszul(model, trials, s: Sampler) -> SuiteResult:
 
 
 def suite_leibniz(model, trials, s: Sampler) -> SuiteResult:
+    from .calculus import quantum_d
     res = SuiteResult("leibniz", trials)
     models = [model] if model is not None else \
         [s.jacobi_model("constant"), s.jacobi_model("so3")]
@@ -160,6 +157,7 @@ def suite_leibniz(model, trials, s: Sampler) -> SuiteResult:
 
 
 def suite_frame(model, trials, s: Sampler) -> SuiteResult:
+    from .calculus import frame_formula_d, quantum_d
     res = SuiteResult("frame", trials)
     m = model if model is not None else PoissonModel.darboux_torus(2)
     if not m.is_constant_w():
@@ -173,6 +171,7 @@ def suite_frame(model, trials, s: Sampler) -> SuiteResult:
 
 
 def suite_stokes(model, trials, s: Sampler) -> SuiteResult:
+    from .calculus import stokes_check
     res = SuiteResult("stokes", trials)
     if model is not None and (model.kind != TORUS or model.omega is None):
         raise SuitePrecondition("stokes suite runs on symplectic torus models")
@@ -187,6 +186,7 @@ def suite_stokes(model, trials, s: Sampler) -> SuiteResult:
 
 
 def suite_dolbeault(model, trials, s: Sampler) -> SuiteResult:
+    from .calculus import dolbeault_operators
     res = SuiteResult("dolbeault", trials)
     m = model if model is not None else \
         PoissonModel.darboux_torus(1, complex_structure=True)
@@ -234,6 +234,7 @@ def suite_frobenius(model, trials, s: Sampler) -> SuiteResult:
 
 
 def suite_lefschetz(model, trials, s: Sampler) -> SuiteResult:
+    from .lefschetz import commutator_check, lefschetz_d_commutators
     if model is not None and model.omega is None:
         raise SuitePrecondition("lefschetz suite needs a symplectic model")
     res = SuiteResult("lefschetz", trials)
@@ -253,6 +254,9 @@ def suite_lefschetz(model, trials, s: Sampler) -> SuiteResult:
 
 
 def suite_chern(model, trials, s: Sampler) -> SuiteResult:
+    from .calculus import quantum_d
+    from .chern import (QConnection, char_form, covariant_square_check,
+                        quantum_curvature)
     res = SuiteResult("chern", trials)
     m = model if model is not None else PoissonModel.darboux_torus(1)
     if m.kind != TORUS:
@@ -276,6 +280,8 @@ def suite_chern(model, trials, s: Sampler) -> SuiteResult:
 
 
 def suite_equivariant(model, trials, s: Sampler) -> SuiteResult:
+    from .equivariant import (EquivariantElement, GroupAction,
+                              anticommutator_check, cartan_d, lie_bivector)
     res = SuiteResult("equivariant", trials)
     m = model if model is not None else PoissonModel.darboux_torus(1)
     if m.kind != TORUS:

@@ -339,6 +339,21 @@ class TestOptions:
         message = cli_error(capsys, argv)
         assert "unrecognized arguments" in message and extra[0] in message
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_negative_seed_refused_before_any_work(self, capsys, monkeypatch,
+                                                   inputs, command):
+        # random.Random seeds from |seed|, so --seed -5 would silently rerun
+        # --seed 5; every command refuses it before its own body runs
+        ran = []
+        _func, help_text, options = cli.COMMANDS[command]
+        monkeypatch.setitem(cli.COMMANDS, command,
+                            (lambda args: ran.append(args.seed) or 0,
+                             help_text, options))
+        argv = [inputs.get(a, a) for a in BASE_ARGV[command]]
+        message = cli_error(capsys, argv + ["--seed", "-5"])
+        assert message == "--seed must be at least 0, got -5" and ran == []
+        assert main(argv + ["--seed", "0"]) == 0 and ran == [0]
+
     def test_settable_values(self):
         from qexterior.cli import COMMANDS
         assert sum(len(options) for _f, _h, options in COMMANDS.values()) == 39

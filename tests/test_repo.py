@@ -127,9 +127,11 @@ def unreached_names(root, bench, readme, public):
     ``module:Class.method`` of every method of a top-level class, other
     than a dunder, that no library module names and that is a word of
     neither ``bench`` nor ``readme``.  A name counts as named by a module
-    where it appears there as a variable or an attribute."""
+    where it appears there as a variable or an attribute.  A module-level
+    PEP 562 hook (``__getattr__``, ``__dir__``) is reached: the interpreter
+    calls it."""
     import ast
-    defined, members, named = [], [], set()
+    defined, members, named = [], [], {"__getattr__", "__dir__"}
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
@@ -211,10 +213,20 @@ def test_reach_guard_finds_an_unreached_method(tmp_path):
         "class SNF:\n"
         "    def pivot(self, p):\n"
         "        return hpoly.HPoly(p).degree()\n")
+    # the interpreter calls the two PEP 562 hooks, so they are reached; an
+    # ordinary helper that nothing names is still flagged
+    (tmp_path / "__init__.py").write_text(
+        "import importlib\n"
+        "def __getattr__(name):\n"
+        "    return getattr(importlib.import_module('.snf', __name__), name)\n"
+        "def __dir__():\n"
+        "    return ['SNF']\n"
+        "def _home(name):\n"
+        "    return 'snf'\n")
     functions, methods = unreached_names(
         tmp_path, bench="p.normalized()", readme="`HPoly.leading()`",
         public=["gcd", "SNF"])
-    assert functions == ["hpoly.py:helper"]
+    assert functions == ["__init__.py:_home", "hpoly.py:helper"]
     assert methods == ["hpoly.py:HPoly.divides", "snf.py:SNF.pivot"]
 
 
