@@ -271,6 +271,10 @@ class QTable:
         minors[(S, T)] = d
         return d
 
+    def exact(self, k: int, d):
+        """An order-k minor d as a value: d / D^k, or d on a typed table."""
+        return d if self.D is None else Fraction(d, self.D ** k)
+
     def product(self, ma: int, mb: int) -> list:
         rows, minors = self.rows, self.minors
         out = []

@@ -19,8 +19,6 @@ e^ma ^_h e^mb goes to the class of its mask and no solve is needed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .complexes import (CohomologyTable, box_modes, dh_kappa_v,
                         free_homology, koszul_mode, require_modes)
 from .forms import HForm
@@ -199,9 +197,8 @@ def ring_table(table: CohomologyTable, model: PoissonModel) -> RingTable:
     representatives raises AssertionError.  The product of the classes
     +-e^ma and +-e^mb is then read off ``QTable.product(ma, mb)`` of the
     constant bivector without a solve: its term (k, mask, d) is the
-    coordinate +-d / D^k h^k on the class of ``mask``.  A real w has
-    Fraction entries there, so its table is rational; a Gaussian w's is
-    typed, and the coordinate is +-d.  Every structure coefficient is a GRat,
+    coordinate +-``QTable.exact(k, d)`` h^k on the class of ``mask``, for
+    a real and a Gaussian w alike.  Every structure coefficient is a GRat,
     as the amplitude of the constant Fourier coefficient it stands for,
     in the table's ring.  Ring elements are immutable values, so each
     distinct coordinate (k, +-d) is built once and every entry that has it
@@ -223,7 +220,6 @@ def ring_table(table: CohomologyTable, model: PoissonModel) -> RingTable:
             set(pivots) != set(range(1 << model.dim)):
         raise AssertionError("representatives are not signed basis monomials")
     qt = model.constant_bivector().table
-    D = qt.D
     monomials = sorted((i, mask, sign) for mask, (i, sign) in pivots.items())
     built = {}       # (k, +-d) -> its ring element
     for i, ma, sa in monomials:
@@ -235,8 +231,7 @@ def ring_table(table: CohomologyTable, model: PoissonModel) -> RingTable:
                     d = -d
                 x = built.get((k, d))
                 if x is None:
-                    x = built[(k, d)] = ring({k: GRat.coerce(
-                        d if D is None else Fraction(d, D ** k))})
+                    x = built[(k, d)] = ring({k: GRat.coerce(qt.exact(k, d))})
                 coords[c] = x
             rt.structure[(i, j)] = dict(sorted(coords.items()))
     return rt

@@ -480,8 +480,7 @@ class StarTable:
     The constructor validates Omega (ValueError if it is not symplectic)
     and computes the inverse and pf; rows are filled on first use.  The
     minors det w*[I, J] of w* = -Omega^{-1} are those of the bivector
-    ``wstar``'s own table; for a rational Omega they are the integers
-    det (D w*)[I, J], read back over D^k as Fractions.
+    ``wstar``'s own table, read back as values by ``QTable.exact``.
     """
 
     __slots__ = ("dim", "wstar", "pf", "rows")
@@ -517,9 +516,7 @@ class StarTable:
             sets = {S | bit for S in sets for bit in column if not S & bit}
         row = []
         for maskI in sorted(sets, key=mask_indices):
-            lam = wstar.minor(maskI, maskJ) if k else 1
-            if wstar.D is not None:
-                lam = Fraction(lam, wstar.D ** k)
+            lam = wstar.exact(k, wstar.minor(maskI, maskJ) if k else 1)
             if lam:
                 comp = full ^ maskI
                 row.append((comp, lam * pf * K.wedge_sign(maskI, comp)))

@@ -2,7 +2,8 @@
 symplectic vector space, their commutator algebra, exact spectra, and the
 quantum Hard Lefschetz verification.
 
-Operators on Lambda_{h,h^-1}(V*) with dim V = 2n, Darboux omega:
+Operators on Lambda_{h,h^-1}(V*) with dim V = 2n and the constant omega of
+a :class:`DarbouxSpace`, the Darboux one or a symplectic model's own:
 
 * ``L_h(x) = omega ^_h x`` with the calibrated dual bivector W = Omega^{-1}
   (the sign that makes h^{-1} L_h act as +n on degree-1 elements);
@@ -73,7 +74,8 @@ class Columns(dict):
 
 
 class DarbouxSpace:
-    """Symplectic vector space of dimension 2n in Darboux coordinates.
+    """Symplectic vector space of dimension 2n, Omega and its calibrated
+    dual ``w``: Darboux by ``DarbouxSpace(n)``, a model's by :meth:`of_model`.
 
     The star table of Omega (``star``) is built on first use, and so is
     each column of ``L`` (L_h), ``Ls`` (L_h*) and ``E`` (exp(h iota_w)),
@@ -83,12 +85,25 @@ class DarbouxSpace:
                  "L", "Ls", "E")
 
     def __init__(self, n: int):
-        self.n = n
-        self.dim = 2 * n
-        self.omega = darboux_matrix(n)
+        self._hold(darboux_matrix(n), Bivector(2 * n, darboux_dual(n)))
+
+    @classmethod
+    def of_model(cls, model: PoissonModel) -> "DarbouxSpace":
+        """The space of ``model.omega`` and ``model.constant_bivector()``,
+        which :class:`PoissonModel` has checked is its calibrated dual."""
+        if model.omega is None:
+            raise ValueError("needs a symplectic model")
+        space = cls.__new__(cls)
+        space._hold(model.omega, model.constant_bivector())
+        return space
+
+    def _hold(self, omega, w: Bivector):
+        self.n = len(omega) // 2
+        self.dim = len(omega)
+        self.omega = omega
         self._star = None
-        self.w = Bivector(self.dim, darboux_dual(n))
-        self.omega_form = omega_form(self.omega, laurent=True)
+        self.w = w
+        self.omega_form = omega_form(omega, laurent=True)
         self._rows = Columns(lambda mask: [(comp, int_if_integral(s))
                                            for comp, s in self.star.row(mask)])
         self.L = Columns(lambda lab: lh_column(self, lab))
@@ -167,7 +182,7 @@ def lh_column(space: DarbouxSpace, lab) -> dict:
             expansion = table.product(om, mask)
         for k, m, d in expansion:
             if k and D != 1:
-                d = Fraction(d, D ** k)
+                d = table.exact(k, d)
             key = (i + j + k, m)
             s = col.get(key, 0) + c * d
             if s:
@@ -354,33 +369,18 @@ def commutator_check(space, window=None) -> CommutatorReport:
 
 def lefschetz_d_commutators(model: PoissonModel, forms) -> CommutatorReport:
     """[L_h, d_h] = 0, [L_h*, d_h] = 0, [A_h, d_h] = -d_h on model forms."""
-    if model.omega is None:
-        raise ValueError("needs a symplectic model")
-    n = model.dim // 2
-    space = DarbouxSpace(n)
-    rep = CommutatorReport(n, [])
-    omega_form = model.omega_form(laurent=True)
-    w = model.w
-    star = StarTable(model.omega)
-
-    def L(x):
-        return qwedge(omega_form, x, w)
-
-    def Ls(x):
-        return -symplectic_star(L(symplectic_star(x, star)), star)
-
-    def A(x):
-        return apply_Ah(x, space)
-
-    def dh(x):
-        return quantum_d(x, model)
-
+    space = DarbouxSpace.of_model(model)
+    rep = CommutatorReport(space.n, [])
     for x in forms:
         x = x.to_laurent()
-        rep.record("[Lh,dh]=0", L(dh(x)) == dh(L(x)),
+        dx = quantum_d(x, model)
+        for name, op in (("[Lh,dh]=0", apply_Lh),
+                         ("[Lh*,dh]=0", apply_Lh_star)):
+            rep.record(name, op(dx, space) == quantum_d(op(x, space), model),
+                       witness=str(x))
+        rep.record("[Ah,dh]=-dh", apply_Ah(dx, space)
+                   - quantum_d(apply_Ah(x, space), model) == -dx,
                    witness=str(x))
-        rep.record("[Lh*,dh]=0", Ls(dh(x)) == dh(Ls(x)), witness=str(x))
-        rep.record("[Ah,dh]=-dh", A(dh(x)) - dh(A(x)) == -dh(x), witness=str(x))
     return rep
 
 

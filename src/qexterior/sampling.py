@@ -26,6 +26,9 @@ PRNG_NAME = "mt19937-stdlib-random/v1"
 
 class Sampler:
     def __init__(self, seed: int):
+        # random.Random seeds from |seed|: -7 would draw what 7 draws
+        if seed < 0:
+            raise ValueError(f"seed must be at least 0, got {seed}")
         self.seed = seed
         self.rng = random.Random(seed)
         self._fractions = {}    # (num, den) -> Fraction(num, den)

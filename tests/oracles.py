@@ -174,7 +174,7 @@ from qexterior.lefschetz import (CommutatorReport, DarbouxSpace,
                                  apply_Ah, apply_Lh)
 from qexterior.linalg import (charpoly, det, factor_charpoly,
                               geometric_multiplicity, matrix_inverse, rank)
-from qexterior.models import AFFINE, TORUS, PoissonModel
+from qexterior.models import AFFINE, TORUS, PoissonModel, darboux_matrix
 from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
                                qwedge)
 from qexterior.scalars import GRat
@@ -1119,6 +1119,31 @@ def star_row_dense(star, maskJ):
             comp = full ^ maskI
             row.append((comp, lam * pf * wedge_sign(maskI, comp)))
     return row
+
+
+def congruent_darboux(s, dim: int, density: float = 1.0):
+    """omega = P^T Omega_0 P for a seeded invertible integer P, each entry
+    drawn in -2..2 with probability ``density`` and 0 otherwise: symplectic
+    and not Darboux."""
+    omega0 = darboux_matrix(dim // 2)
+    while True:
+        P = [[s.rng.randint(-2, 2) if s.rng.random() < density else 0
+              for _ in range(dim)] for _ in range(dim)]
+        if det(P):
+            break
+    return [[Fraction(sum(P[a][i] * omega0[a][b] * P[b][j]
+                          for a in range(dim) for b in range(dim)))
+             for j in range(dim)] for i in range(dim)]
+
+
+def congruent_torus(s, n: int) -> PoissonModel:
+    """The torus T^{2n} with a seeded omega = P^T Omega_0 P
+    (:func:`congruent_darboux`) and its calibrated dual w = Omega^{-1}."""
+    omega = congruent_darboux(s, 2 * n)
+    inv = matrix_inverse(omega)
+    return PoissonModel.torus(2 * n, {
+        (i + 1, j + 1): inv[i][j] for i in range(2 * n)
+        for j in range(i + 1, 2 * n) if inv[i][j]}, symplectic=omega)
 
 
 def solve_dh_primitive_snf(model, delta: HForm, ring) -> TransgressionResult:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import antisymmetric_invertible, star_row_dense
+from oracles import (antisymmetric_invertible, congruent_darboux,
+                     star_row_dense)
 from qexterior.coeffs import FourierCoeff, PolyCoeff
 from qexterior.forms import (Bivector, HForm, StarTable, berezin_integral,
                              bivector_contract, contract_back,
@@ -206,21 +207,6 @@ class TestSymplecticStar:
                 continue
             img = symplectic_star(a, star)
             assert all(m.bit_count() == 4 - k for (_j, m) in img.terms)
-
-
-def congruent_darboux(s: Sampler, dim: int, density: float = 1.0):
-    """omega = P^T Omega_0 P for a seeded invertible integer P, each entry
-    drawn in -2..2 with probability ``density`` and 0 otherwise: symplectic
-    and not Darboux."""
-    omega0 = darboux_matrix(dim // 2)
-    while True:
-        P = [[s.rng.randint(-2, 2) if s.rng.random() < density else 0
-              for _ in range(dim)] for _ in range(dim)]
-        if det(P):
-            break
-    return [[Fraction(sum(P[a][i] * omega0[a][b] * P[b][j]
-                          for a in range(dim) for b in range(dim)))
-             for j in range(dim)] for i in range(dim)]
 
 
 class TestStarRowOracle:

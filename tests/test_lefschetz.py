@@ -25,15 +25,16 @@ from qexterior.lefschetz import (DarbouxSpace, Mh_matrix, SpectrumReport,
                                  hard_lefschetz_check,
                                  lefschetz_d_commutators, paper_conformance)
 from qexterior.linalg import charpoly, det
-from qexterior.models import PoissonModel
+from qexterior.models import PoissonModel, darboux_matrix
 from qexterior.sampling import Sampler
 from qexterior.serialize import dump_json, spectrum_to_json
 
 from oracles import (HessenbergSpectrumReport, OperatorColumns, apply_Mh,
                      commutator_check_per_form, commutator_check_per_label,
-                     flip_lh_bivector, hard_lefschetz_check_per_block,
-                     operator_matrix_per_form, recursion_matrix,
-                     recursion_verify, stratum_rank_by_elimination)
+                     congruent_torus, flip_lh_bivector,
+                     hard_lefschetz_check_per_block, operator_matrix_per_form,
+                     recursion_matrix, recursion_verify,
+                     stratum_rank_by_elimination)
 
 
 TRANSPORT = r"M_h E x != E \(N \+ n\) x"
@@ -215,6 +216,83 @@ class TestCommutators:
             forms = [s.model_form(model, laurent=True) for _ in range(12)]
             rep = lefschetz_d_commutators(model, forms)
             assert rep.ok, rep.failures
+
+
+def _negated_of_model(monkeypatch):
+    """Make ``DarbouxSpace.of_model`` give its space the model's w with
+    the calibration sign flipped."""
+    real = DarbouxSpace.of_model.__func__
+
+    def negated(cls, model):
+        space = real(cls, model)
+        space.w = space.w.map_entries(lambda v: -v)
+        return space
+
+    monkeypatch.setattr(DarbouxSpace, "of_model", classmethod(negated))
+
+
+class TestModelSpace:
+    """The space of a symplectic model's own omega and w."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_columns_are_the_operators_off_darboux(self, n):
+        # a seeded omega = P^T Omega_0 P with w = Omega^{-1} of
+        # denominator 6, so every order-k minor is read back over 6^k
+        model = congruent_torus(Sampler(42), n)
+        space = DarbouxSpace.of_model(model)
+        assert model.omega != darboux_matrix(n)
+        assert space.w.table.D == space.star.wstar.table.D == 6
+        for op, cols in [(apply_Lh, space.L), (apply_Lh_star, space.Ls)]:
+            for j in (-1, 0, 1):
+                for mask in range(1 << 2 * n):
+                    lab = (j, mask)
+                    unit = HForm(2 * n, {lab: Fraction(1)}, laurent=True)
+                    assert HForm(2 * n, cols[lab], laurent=True) == \
+                        op(unit, space), (n, op.__name__, lab)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_darboux_model_gives_the_darboux_columns(self, n):
+        space = DarbouxSpace.of_model(PoissonModel.darboux_torus(n))
+        darboux = DarbouxSpace(n)
+        assert (space.n, space.omega, space.w) == \
+            (darboux.n, darboux.omega, darboux.w)
+        for name in ("L", "Ls"):
+            for j in (-1, 0, 1):
+                for mask in range(1 << 2 * n):
+                    assert getattr(space, name)[(j, mask)] == \
+                        getattr(darboux, name)[(j, mask)], (name, j, mask)
+
+    def test_of_model_needs_a_symplectic_model(self):
+        with pytest.raises(ValueError, match="needs a symplectic model"):
+            DarbouxSpace.of_model(PoissonModel.torus(2, {(1, 2): 1}))
+
+    def test_d_commutators_off_darboux(self, monkeypatch, tmp_path):
+        # the library check and check --suite lefschetz --model on a
+        # seeded non-Darboux T^4; the report's digest was recorded when
+        # the check still built its own L_h, L_h* and star table
+        model = congruent_torus(Sampler(42), 2)
+        s = Sampler(9)
+        forms = [s.model_form(model, laurent=True) for _ in range(6)]
+        assert lefschetz_d_commutators(model, forms).ok
+        path, out = tmp_path / "t4.json", tmp_path / "check.json"
+        path.write_text(json.dumps({
+            "space": "torus", "dim": 4,
+            "symplectic": [[str(x) for x in row] for row in model.omega],
+            "bivector": [[i, j, str(c)] for (i, j), c in
+                         sorted(model.constant_bivector().entries.items())]}),
+            encoding="utf-8")
+        argv = ["check", "--suite", "lefschetz", "--model", str(path),
+                "--trials", "6", "--seed", "3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "a559485d25e91e0365158877b00c1159d7a7d49383febb076213669c8b8f029c"
+        # the negative control: L_h and L_h* under the negated w
+        _negated_of_model(monkeypatch)
+        rep = lefschetz_d_commutators(model, forms)
+        assert rep.results == {"[Lh,dh]=0": False, "[Lh*,dh]=0": False,
+                               "[Ah,dh]=-dh": True}
+        assert main(argv + ["--out", str(out)]) == 1
+        assert json.loads(out.read_text())["status"] == "fail"
 
 
 def _report(rep):

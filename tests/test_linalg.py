@@ -304,8 +304,8 @@ class TestStarTable:
         assert built == []
 
     def test_d_commutators_build_only_their_own_table(self, monkeypatch):
-        # the model's Omega has its own table; the Darboux space it takes
-        # A_h from never builds one
+        # the model's space builds the one table of the model's Omega,
+        # on the first L_h*
         model = PoissonModel.darboux_torus(2)
         forms = [Sampler(7).model_form(model, laurent=True)]
         built = count_star_tables(monkeypatch)

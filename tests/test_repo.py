@@ -320,6 +320,55 @@ def test_sign_guard_finds_an_inline_sign(tmp_path):
     assert masked_prefix_parities(tmp_path) == ["ops.py:3"]
 
 
+def table_scale_divisions(root):
+    """``module:line`` of every power of a name or attribute ``D``, by
+    ``**`` or ``pow``, in the library modules under ``root`` other than
+    ``_kernels.py``."""
+    import ast
+
+    def is_d(node):
+        return getattr(node, "id", None) == "D" or \
+            getattr(node, "attr", None) == "D"
+
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            power = isinstance(node, ast.BinOp) and \
+                isinstance(node.op, ast.Pow) and is_d(node.left)
+            call = isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) == "pow" and \
+                bool(node.args) and is_d(node.args[0])
+            if power or call:
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_only_the_kernels_divide_by_a_tables_scale():
+    # a rational table holds D W, so an order-k minor is an int over D^k;
+    # QTable.exact reads one back, and only the kernel's own loops
+    # (qwedge_terms, qwedge_numerators) work with D^k inline
+    assert table_scale_divisions(ROOT / "src" / "qexterior") == []
+
+
+def test_scale_guard_finds_a_division(tmp_path):
+    (tmp_path / "_kernels.py").write_text(
+        "def exact(self, k, d):\n"
+        "    return Fraction(d, self.D ** k)\n")
+    (tmp_path / "forms.py").write_text(
+        "def row(wstar, lam, k):\n"
+        "    return Fraction(lam, wstar.D ** k)\n")
+    (tmp_path / "lefschetz.py").write_text(
+        "def lh_column(table, d, k):\n"
+        "    D, x = table.D, 10 ** k\n"
+        "    return d / pow(D, k) + x\n"
+        "def column(d, D, k):\n"
+        "    return d / D ** k\n")
+    assert table_scale_divisions(tmp_path) == [
+        "forms.py:2", "lefschetz.py:3", "lefschetz.py:5"]
+
+
 def bivector_scalings(root):
     """``module:top-level name:callee`` of every call of
     ``gaussian_integers`` or ``is_real`` in the library modules under

@@ -16,6 +16,7 @@ from qexterior import sampling
 from qexterior.models import PoissonModel
 from qexterior.sampling import Sampler
 from qexterior.scalars import GRat
+from qexterior.suites import run_suite
 
 
 def typed(x):
@@ -221,3 +222,14 @@ def test_negative_control_one_bit_too_many(monkeypatch):
     monkeypatch.setattr(Sampler, "below", wide_below)
     assert len(randint_mismatches()) > len(SEEDS)
     assert every_draw(Sampler(1)) != every_draw(StdlibSampler(1))
+
+
+def test_negative_seed_is_refused():
+    # random.Random seeds from |seed|: a negative seed would draw what its
+    # positive twin draws, and a suite would report the twin's run
+    assert random.Random(-7).random() == random.Random(7).random()
+    with pytest.raises(ValueError, match="seed must be at least 0, got -7"):
+        Sampler(-7)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -5"):
+        run_suite("associativity", None, 3, -5)
+    assert Sampler(0).rng.random() == random.Random(0).random()
