@@ -150,6 +150,8 @@ def iota_terms(terms: dict, pairs) -> dict:
 
 # Mask-pair plans kept at once; one per pair of monomials multiplied.
 _PLANS = 4096
+# The unit of every rational table (a Fraction is immutable).
+_ONE = Fraction(1)
 
 
 def _submasks(mask: int) -> dict:
@@ -201,33 +203,43 @@ class QTable:
     ascending; ``product`` and the expansion read ``minors`` inline and
     call :meth:`minor` only on a miss.  Both memos fill on first use.
 
-    A table built from all-Fraction entries is rational: ``D`` is the lcm
-    of their denominators and the rows hold the integer matrix D W, so
-    its minors det (D W)[S, T] = D^k det W[S, T] and product sums are
-    ints.  Any other table has ``D = None`` and rows of the entries
-    themselves.  ``one`` is the unit of the entry type (None without
-    entries).  A table is built once per bivector, which owns it
-    (``Bivector.table``) and whose entries are read-only.
+    A table built from all-Fraction entries (:meth:`rational`) is
+    rational: ``D`` is the lcm of their denominators and the rows hold the
+    integer matrix D W, so its minors det (D W)[S, T] = D^k det W[S, T]
+    and product sums are ints.  Any other table has ``D = None`` and rows
+    of the entries themselves.  ``one`` is the unit of the entry type
+    (None without entries).  A table is built once per bivector, which
+    owns it (``Bivector.table``) and whose entries are read-only.
     """
 
     __slots__ = ("rows", "D", "one", "minors", "products", "promotions")
 
-    def __init__(self, dim: int, D, entries: list):
+    def __init__(self, dim: int, entries: list):
+        """The typed table of entries ``[(i, j, w)]``, i < j ascending."""
         rows = [{} for _ in range(dim)]
         for i, j, w in entries:
             rows[i - 1][1 << (j - 1)] = w
             rows[j - 1][1 << (i - 1)] = -w
         self.rows = rows
-        self.D = D
-        if not entries:
-            self.one = None
-        elif D is None:
-            self.one = entries[0][-1] * 0 + 1
-        else:
-            self.one = Fraction(1)
+        self.D = None
+        self.one = entries[0][-1] * 0 + 1 if entries else None
         self.minors = {}
         self.products = {}
         self.promotions = {}
+
+    @classmethod
+    def rational(cls, dim: int, entries: dict):
+        """The rational table of all-Fraction entries ``{(i, j): w}``, i < j
+        in ascending order: rows of D W built in one pass."""
+        D = lcm(*[w.denominator for w in entries.values()])
+        table = cls(dim, ())
+        rows = table.rows
+        for (i, j), w in entries.items():
+            n = w.numerator * (D // w.denominator)
+            rows[i - 1][1 << (j - 1)] = n
+            rows[j - 1][1 << (i - 1)] = -n
+        table.D, table.one = D, _ONE if entries else None
+        return table
 
     def minor(self, S: int, T: int):
         """det W[S, T] for row and column masks of equal size (0 if zero);

@@ -162,7 +162,7 @@ CHECK_MAX_DIM = 8
 # built: the default 100 and the benchmark's 200 and 500 pass.  A trial of
 # --suite chern costs 0.8 s on the Darboux T^4 and 1.5 s on T^8 (the
 # machine above), so 500 of them take up to 13 minutes; an associativity
-# trial on T^4 takes 0.12 ms.
+# trial on T^4 takes about 0.13 ms in process.
 CHECK_MAX_TRIALS = 500
 
 

@@ -42,7 +42,8 @@ from .snf import mat_identity, mat_promote, smith_normal_form
 
 
 class FiniteComplex:
-    """Explicit finite complex; validates shapes and D_{k+1} D_k = 0."""
+    """Explicit finite complex; validates shapes (ValueError) and, as an
+    internal check (AssertionError), D_{k+1} D_k = 0."""
 
     def __init__(self, degrees, bases, diffs, ring=HPoly):
         if len(degrees) != len(bases):
@@ -75,7 +76,7 @@ class FiniteComplex:
                         if not B[t][j].is_zero():
                             s = s + a * B[t][j]
                     if not s.is_zero():
-                        raise ValueError(f"complex is not square-zero at spot {k}")
+                        raise AssertionError(f"complex is not square-zero at spot {k}")
 
     def out_matrix(self, spot: int):
         if spot < len(self.diffs):
@@ -172,8 +173,8 @@ def homology_at(out_mat, in_mat, dim, ring):
                 vec.append(s)
             for r in range(out_rank):
                 if not vec[r].is_zero():
-                    raise ValueError("image does not lie in the kernel "
-                                     "(complex is not square-zero)")
+                    raise AssertionError("image does not lie in the kernel "
+                                         "(complex is not square-zero)")
             vec = vec[out_rank:]
         coords.append(vec)
     M = [[coords[g][r] for g in range(n_in)] for r in range(kdim)]

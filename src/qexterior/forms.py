@@ -23,7 +23,6 @@ Conventions (pinned, see README):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from types import MappingProxyType
 
 from . import _kernels as K
@@ -298,17 +297,11 @@ class Bivector:
         D W in ints) when every entry is a Fraction, typed otherwise."""
         if self._table is None:
             items = sorted(self.entries.items())
-            D = 1
-            for _ij, w in items:
-                if type(w) is not Fraction:
-                    self._table = K.QTable(self.dim, None, [
-                        (i, j, w) for (i, j), w in items])
-                    break
-                D = lcm(D, w.denominator)
+            if all(type(w) is Fraction for _ij, w in items):
+                self._table = K.QTable.rational(self.dim, dict(items))
             else:
-                self._table = K.QTable(self.dim, D, [
-                    (i, j, w.numerator * (D // w.denominator))
-                    for (i, j), w in items])
+                self._table = K.QTable(self.dim, [
+                    (i, j, w) for (i, j), w in items])
         return self._table
 
     @property

@@ -74,7 +74,9 @@ class Sampler:
     def grat(self) -> GRat:
         return GRat(self.fraction(), self.fraction())
 
-    def antisymmetric_bivector(self, dim: int) -> Bivector:
+    def bivector_entries(self, dim: int) -> dict:
+        """The nonzero entries ``{(i, j): w}`` of a random bivector, i < j
+        in ascending order."""
         ent = {}
         for i in range(1, dim + 1):
             for j in range(i + 1, dim + 1):
@@ -82,7 +84,10 @@ class Sampler:
                 w = self.fraction()
                 if w:
                     ent[(i, j)] = w
-        return Bivector(dim, ent)
+        return ent
+
+    def antisymmetric_bivector(self, dim: int) -> Bivector:
+        return Bivector(dim, self.bivector_entries(dim))
 
     def mask(self, dim: int, degree: int) -> int:
         """The bits of ``sample(range(dim), degree)``, for ``dim <= 21``."""
@@ -97,9 +102,10 @@ class Sampler:
             pool[j] = pool[n - 1]
         return mask
 
-    def ext_form(self, dim: int, degree=None, terms: int = 2,
-                 h_max: int = 0, laurent: bool = False) -> HForm:
-        """Random constant-coefficient form; ``degree`` is exterior degree."""
+    def ext_terms(self, dim: int, degree=None, terms: int = 2,
+                  h_max: int = 0, laurent: bool = False) -> dict:
+        """The clean term dict ``{(j, mask): Fraction}`` of a random
+        constant-coefficient form; ``degree`` is exterior degree."""
         data = {}
         for _ in range(terms):
             d = degree if degree is not None else self.randint(0, dim)
@@ -108,7 +114,13 @@ class Sampler:
             c = self.fraction()
             old = data.get(key)
             data[key] = c if old is None else old + c
-        return HForm(dim, data, laurent)
+        return {key: c for key, c in data.items() if c}
+
+    def ext_form(self, dim: int, degree=None, terms: int = 2,
+                 h_max: int = 0, laurent: bool = False) -> HForm:
+        """The form of :meth:`ext_terms`."""
+        return HForm(dim, self.ext_terms(dim, degree, terms, h_max, laurent),
+                     laurent)
 
     def poly_coeff(self, dim: int, max_exp: int = 2, terms: int = 2) -> PolyCoeff:
         data = {}

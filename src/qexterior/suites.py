@@ -14,9 +14,9 @@ from itertools import cycle
 
 # A suite that calls calculus, chern, equivariant or lefschetz imports them
 # in its own body, so the product-law suites load none of those drivers.
-from ._kernels import _numerators, qwedge_numerators, same_numerators
+from ._kernels import QTable, _numerators, qwedge_numerators, same_numerators
 from .coeffs import FourierCoeff
-from .forms import HForm
+from .forms import Bivector, HForm
 from .linalg import det
 from .models import PoissonModel, TORUS
 from .quantum import frobenius_pairing, gram_matrix, qwedge, wwedge
@@ -47,34 +47,31 @@ class SuiteResult:
                 "failures": self.failures[:5]}
 
 
-def _product_triple(s: Sampler, dim):
-    w = s.antisymmetric_bivector(dim)
-    forms = [s.ext_form(dim, degree=s.randint(0, dim), h_max=1)
-             for _ in range(3)]
-    return w, forms
-
-
-def _integer_draws(w, forms):
-    """``w.table`` and the numerator triples of the drawn (Fraction) forms."""
-    triples = [_numerators(x.terms) for x in forms]
-    for name, x in zip("wabc", [w.table.D] + triples):
+def _integer_draws(dim, w: dict, forms):
+    """The rational table of drawn entries ``w`` and the numerator triples
+    of the drawn (Fraction) term dicts."""
+    triples = [_numerators(x) for x in forms]
+    for name, x in zip("abc", triples):
         if x is None:
             raise AssertionError(f"drawn {name} has a non-Fraction value")
-    return w.table, triples
+    return QTable.rational(dim, w), triples
 
 
 def suite_associativity(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("associativity", trials)
     for t in range(trials):
         dim = (model.dim if model is not None else s.randint(2, 8))
-        w, (a, b, c) = _product_triple(s, dim)
-        table, (na, nb, nc) = _integer_draws(w, (a, b, c))
+        w = s.bivector_entries(dim)
+        a, b, c = [s.ext_terms(dim, degree=s.randint(0, dim), h_max=1)
+                   for _ in range(3)]
+        table, (na, nb, nc) = _integer_draws(dim, w, (a, b, c))
         lhs = qwedge_numerators(qwedge_numerators(na, nb, table), nc, table)
         rhs = qwedge_numerators(na, qwedge_numerators(nb, nc, table), table)
         res.checked += 1
         if not same_numerators(lhs, rhs):
+            a, b, c = (HForm(dim, x) for x in (a, b, c))
             res.fail({"trial": t, "dim": dim, "a": str(a), "b": str(b),
-                      "c": str(c), "w": str(w.entries)})
+                      "c": str(c), "w": str(Bivector(dim, w).entries)})
     return res
 
 
@@ -82,18 +79,19 @@ def suite_supercommutativity(model, trials, s: Sampler) -> SuiteResult:
     res = SuiteResult("supercommutativity", trials)
     for t in range(trials):
         dim = (model.dim if model is not None else s.randint(2, 8))
-        w = s.antisymmetric_bivector(dim)
+        w = s.bivector_entries(dim)
         da, db = s.randint(0, dim), s.randint(0, dim)
-        a = s.ext_form(dim, degree=da, h_max=1)
-        b = s.ext_form(dim, degree=db, h_max=1)
-        table, (na, nb) = _integer_draws(w, (a, b))
+        a = s.ext_terms(dim, degree=da, h_max=1)
+        b = s.ext_terms(dim, degree=db, h_max=1)
+        table, (na, nb) = _integer_draws(dim, w, (a, b))
         lhs = qwedge_numerators(na, nb, table)
         rhs = qwedge_numerators(nb, na, table)
         if (da * db) % 2:
             rhs = (-rhs[0],) + rhs[1:]  # -ba: the sign on the denominator
         res.checked += 1
         if not same_numerators(lhs, rhs):
-            res.fail({"trial": t, "dim": dim, "a": str(a), "b": str(b)})
+            res.fail({"trial": t, "dim": dim, "a": str(HForm(dim, a)),
+                      "b": str(HForm(dim, b))})
     return res
 
 

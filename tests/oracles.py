@@ -116,8 +116,10 @@ that differ from them.
 ``suite_supercommutativity_by_qwedge`` are the product-law suites as the
 engine ran them before it decided each law on the kernel's integer
 numerators: every side a ``qwedge`` of forms, compared by ``HForm ==``.
-They draw exactly what the engine's suites draw, so the two give the same
-report on every seed.
+They draw exactly what the engine's suites draw (``_product_triple``,
+``Sampler.ext_form`` and ``Sampler.antisymmetric_bivector`` are the
+object views of the engine's dict draws), so the two give the same report
+on every seed.
 
 ``grat_dh_kappa_v``, ``grat_delbar_kappa_v``, ``grat_koszul_columns``,
 ``grat_homotopy_columns`` and ``grat_cartan_columns`` are the Fourier-mode
@@ -179,7 +181,7 @@ from qexterior.quantum import (complex_frame_bivector, complex_to_real_rows,
                                qwedge)
 from qexterior.scalars import GRat
 from qexterior.snf import rank_fraction_field, solve_linear
-from qexterior.suites import SuiteResult, _product_triple
+from qexterior.suites import SuiteResult
 
 
 def wedge_sign(a: int, b: int) -> int:
@@ -1500,10 +1502,12 @@ def qwedge_table(dim: int, entries: dict) -> QTable:
     D = 1
     for _ij, w in items:
         if type(w) is not Fraction:
-            return QTable(dim, None, [(i, j, w) for (i, j), w in items])
+            return QTable(dim, [(i, j, w) for (i, j), w in items])
         D = math.lcm(D, w.denominator)
-    return QTable(dim, D, [(i, j, w.numerator * (D // w.denominator))
-                           for (i, j), w in items])
+    table = QTable(dim, [(i, j, w.numerator * (D // w.denominator))
+                         for (i, j), w in items])
+    table.D, table.one = D, Fraction(1) if items else None
+    return table
 
 
 def integer_form_mismatches(w, max_order=3):
@@ -1947,6 +1951,13 @@ class StdlibSampler:
             c = FourierCoeff(model.dim, data)
             out = out + HForm(model.dim, {(j, self.mask(model.dim, d)): c}, laurent)
         return out
+
+
+def _product_triple(s, dim):
+    w = s.antisymmetric_bivector(dim)
+    forms = [s.ext_form(dim, degree=s.randint(0, dim), h_max=1)
+             for _ in range(3)]
+    return w, forms
 
 
 def suite_associativity_by_qwedge(model, trials, s) -> SuiteResult:

@@ -1,12 +1,15 @@
 """Differential operators: d, Koszul delta, d_h, the frame oracle, the
 Dolbeault splitting, the quantum integral and Stokes."""
 
+import inspect
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from oracles import (bidegree_components, complex_bidegree, complexify,
-                     conjugate)
+                     congruent_torus, conjugate)
+from qexterior import calculus
 from qexterior.calculus import (dolbeault_operators, exterior_d,
                                 frame_formula_d, koszul_delta, qintegral,
                                 quantum_d, stokes_check)
@@ -274,6 +277,60 @@ class TestQuantumIntegral:
     def test_top_degree(self, t2):
         a = t2.form_monomial([1, 2], FourierCoeff.const(2, Fraction(3)))
         assert qintegral(a, t2) == HPoly({0: GRat(3)})
+
+    def test_symplectic_powers(self):
+        # int_h omega^k/k! = C(n, k) Pf(Omega) on T^2n, Darboux (Pf 1) and
+        # omega = P^T Omega_0 P (Pf det P) alike
+        assert power_integral_mismatches(qintegral) == []
+
+    def test_unnormalized_powers_fail(self):
+        # qintegral wedging against omega^k instead of omega^k/k! moves
+        # every integral below the top degree once n >= 2
+        src = inspect.getsource(calculus.qintegral)
+        mutant = src.replace("wedge(powers[k - 1], om) * Fraction(1, k)",
+                             "wedge(powers[k - 1], om)")
+        assert mutant != src
+        scope = dict(vars(calculus))
+        exec(mutant, scope)
+        bad = power_integral_mismatches(scope["qintegral"])
+        assert ("darboux", 2, 0) in bad and ("darboux", 3, 1) in bad
+        assert [m for m in bad if m[0] == "congruent"]
+
+
+def pfaffian(M):
+    """Pf of an antisymmetric matrix, expanded along its first row."""
+    if not M:
+        return 1
+    total = 0
+    for j in range(1, len(M)):
+        if M[0][j]:
+            rest = [r for r in range(1, len(M)) if r != j]
+            sign = -1 if j % 2 == 0 else 1
+            total += sign * M[0][j] * pfaffian([[M[a][b] for b in rest]
+                                                for a in rest])
+    return total
+
+
+def power_integral_mismatches(integral):
+    """``(kind, n, k)`` of every ``integral(omega^k/k!)`` that is not
+    C(n, k) Pf(Omega), on the Darboux T^2, T^4, T^6 and two seeded
+    congruent tori (T^4 and T^6)."""
+    models = [("darboux", PoissonModel.darboux_torus(n)) for n in (1, 2, 3)]
+    models += [("congruent", congruent_torus(Sampler(seed), n))
+               for seed, n in ((3, 2), (8, 3))]
+    bad = []
+    for kind, model in models:
+        n = model.dim // 2
+        pf = pfaffian(model.omega)
+        assert pf
+        om = model.omega_form()
+        power = model.form_scalar(1)
+        for k in range(n + 1):
+            if k:
+                power = wedge(power, om) * Fraction(1, k)
+            if integral(power, model) != HPoly({0: GRat(comb(n, k) * pf)}):
+                bad.append((kind, n, k))
+    return bad
 
 
 class TestStokes:

@@ -482,6 +482,36 @@ class TestEquivariant:
         r = run_cli(["equivariant", "--model", t2_file])
         assert r.returncode == 2
 
+    def test_a_complex_that_is_not_square_zero_is_internal(
+            self, monkeypatch, capsys, tmp_path):
+        # the library builds the Cartan complex itself, so a D with D^2 != 0
+        # is a fault of the engine (exit 3), not of the input (exit 2): the
+        # mutant drops the sign of every Cartan column entry
+        from qexterior import equivariant
+        from qexterior._kernels import odd_below
+        cartan = equivariant._cartan_columns
+
+        def unsigned(generators, labels):
+            cols, L = cartan(generators, labels)
+            for (_A, _j, mask), col in cols.items():
+                for key, (p, q) in col.items():
+                    if odd_below(mask) & (mask ^ key[0][2]):
+                        col[key] = (-p, -q)
+            return cols, L
+        model, action = tmp_path / "t4.json", tmp_path / "act.json"
+        model.write_text(json.dumps({"space": "torus", "dim": 4,
+                                     "symplectic": "darboux"}))
+        action.write_text(json.dumps({"generators": [["1", "2", "0", "0"]]}))
+        argv = ["equivariant", "--model", str(model), "--action", str(action)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(equivariant, "_cartan_columns", unsigned)
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 3
+        assert err["message"] == ("internal error: AssertionError: complex "
+                                  "is not square-zero at spot 2")
+
     def test_laurent_ring_refused(self, t2_file, tmp_path):
         # the tables are computed over k[h]; an explicit Laurent request
         # must not silently get a polynomial report

@@ -66,7 +66,7 @@ def t4():
 class TestFiniteComplex:
     def test_square_zero_enforced(self):
         one = HPoly.one()
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError, match="not square-zero at spot 0"):
             FiniteComplex([0, 1, 2], [["a"], ["b"], ["c"]],
                           [[[one]], [[one]]], ring=HPoly)
 

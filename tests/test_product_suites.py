@@ -61,35 +61,35 @@ class TestReportsMatchTheQwedgeSuites:
 
 
 def zero_bivector(monkeypatch):
-    draw = Sampler.antisymmetric_bivector
+    draw = Sampler.bivector_entries
 
     def drawn(self, dim):
         draw(self, dim)
-        return Bivector(dim)
-    monkeypatch.setattr(Sampler, "antisymmetric_bivector", drawn)
+        return {}
+    monkeypatch.setattr(Sampler, "bivector_entries", drawn)
 
 
 def cancelling_forms(monkeypatch):
-    """Every second form of one dimension is the one before it negated:
-    a ^_h -a has every term cancel for odd a."""
-    draw = Sampler.ext_form
+    """Every second term dict of one dimension is the one before it
+    negated: a ^_h -a has every term cancel for odd a."""
+    draw = Sampler.ext_terms
 
     def drawn(self, dim, *args, **kwargs):
-        form = draw(self, dim, *args, **kwargs)
-        last = self.__dict__.pop("last_form", None)
-        if last is None or last.dim != dim:
-            self.last_form = form
-            return form
-        return -last
-    monkeypatch.setattr(Sampler, "ext_form", drawn)
+        terms = draw(self, dim, *args, **kwargs)
+        last = self.__dict__.pop("last_terms", None)
+        if last is None or last[0] != dim:
+            self.last_terms = dim, terms
+            return terms
+        return {key: -c for key, c in last[1].items()}
+    monkeypatch.setattr(Sampler, "ext_terms", drawn)
 
 
 def degree_zero_forms(monkeypatch):
-    draw = Sampler.ext_form
+    draw = Sampler.ext_terms
 
-    def drawn(self, dim, degree=None, **kwargs):
-        return draw(self, dim, degree=0, **kwargs)
-    monkeypatch.setattr(Sampler, "ext_form", drawn)
+    def drawn(self, dim, degree=None, *args, **kwargs):
+        return draw(self, dim, 0, *args, **kwargs)
+    monkeypatch.setattr(Sampler, "ext_terms", drawn)
 
 
 class TestSpecialDraws:
@@ -170,18 +170,56 @@ class TestIntegerPath:
         for name in PRODUCT_SUITES:
             assert run_suite(name, None, 30, 0).ok
 
+    def test_passing_trials_build_no_form_or_bivector(self, monkeypatch):
+        # the trials draw term and entry dicts straight into the integer
+        # kernel; only a failure witness builds an HForm or a Bivector
+        model = torus(4)
+        built = count_constructions(monkeypatch)
+        for name in PRODUCT_SUITES:
+            assert run_suite(name, model, 30, 0).ok
+        assert built == {"HForm": 0, "Bivector": 0}
+        break_suite_product(monkeypatch)
+        witnesses = {"associativity": {"HForm": 3, "Bivector": 1},
+                     "supercommutativity": {"HForm": 2, "Bivector": 0}}
+        for name, each in witnesses.items():
+            built.update({"HForm": 0, "Bivector": 0})
+            failed = len(run_suite(name, model, 30, 0).failures)
+            assert failed > 0
+            assert built == {k: n * failed for k, n in each.items()}
+
     def test_a_draw_without_numerators_is_named(self, monkeypatch):
         # no fallback: a draw the integer product cannot take raises
-        draw = Sampler.ext_form
+        draw = Sampler.ext_terms
 
         def drawn(self, dim, *args, **kwargs):
             draw(self, dim, *args, **kwargs)
-            return HForm(dim, {(0, 0): 1})
-        monkeypatch.setattr(Sampler, "ext_form", drawn)
+            return {(0, 0): 1}
+        monkeypatch.setattr(Sampler, "ext_terms", drawn)
         for name in PRODUCT_SUITES:
             with pytest.raises(AssertionError, match="drawn a has a "
                                "non-Fraction value"):
                 run_suite(name, None, 1, 0)
+
+
+def count_constructions(monkeypatch) -> dict:
+    """Count every HForm (public or clean constructor) and Bivector built
+    from here on, in the returned dict."""
+    built = {"HForm": 0, "Bivector": 0}
+
+    def counted(cls, init):
+        def wrapper(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", wrapper)
+    counted(HForm, HForm.__init__)
+    counted(Bivector, Bivector.__init__)
+    clean = HForm._from_clean
+
+    def from_clean(cls, *args):
+        built["HForm"] += 1
+        return clean(*args)
+    monkeypatch.setattr(HForm, "_from_clean", classmethod(from_clean))
+    return built
 
 
 def seeded_triples(seed, count):

@@ -233,3 +233,34 @@ def test_negative_seed_is_refused():
     with pytest.raises(ValueError, match="seed must be at least 0, got -5"):
         run_suite("associativity", None, 3, -5)
     assert Sampler(0).rng.random() == random.Random(0).random()
+
+
+def test_dicts_are_the_objects_draw_for_draw():
+    # ext_form and antisymmetric_bivector are the HForm and Bivector views
+    # of ext_terms and bivector_entries: the same keys in the same order,
+    # the same values, and the same stream position after every draw
+    merged = zero_sums = 0
+    for seed in SEEDS:
+        objects, dicts = Sampler(seed), Sampler(seed)
+        for dim in range(1, 9):
+            w, ent = (objects.antisymmetric_bivector(dim),
+                      dicts.bivector_entries(dim))
+            assert type(ent) is dict and list(ent) == sorted(ent)
+            assert list(w.entries.items()) == list(ent.items())
+            assert objects.rng.getstate() == dicts.rng.getstate()
+            for args, kwargs in [
+                    ((dim,), {"terms": 6, "h_max": 1}),
+                    ((dim,), {"terms": 6, "h_max": 2, "laurent": True}),
+                    ((dim, dim // 2), {"h_max": 1}),
+                    # one key: every draw merges into it, or sums to zero
+                    ((dim, 0), {"terms": 3})]:
+                a = objects.ext_form(*args, **kwargs)
+                terms = dicts.ext_terms(*args, **kwargs)
+                assert type(terms) is dict and all(terms.values())
+                assert list(a.terms.items()) == list(terms.items())
+                assert a.laurent == kwargs.get("laurent", False)
+                assert objects.rng.getstate() == dicts.rng.getstate()
+                if args[1:] == (0,):
+                    merged += bool(terms)
+                    zero_sums += not terms
+    assert merged > 20 and zero_sums > 0
