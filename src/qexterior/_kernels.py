@@ -355,11 +355,11 @@ def qwedge_terms(A: dict, B: dict, table: QTable) -> dict:
         na, nb = _numerators(A), _numerators(B)
         if na and nb:
             return _qwedge_integer(na, nb, table)
-    # With entries, every coefficient has the type of coefficient x entry.
+    # With entries, every coefficient has the type of coefficient x entry;
+    # an h^0 term takes it from ``one``, decided per pair of coefficient
+    # types.
     one = table.one
-    promote = (one is not None and bool(A) and bool(B)
-               and table.promotes(next(iter(A.values())),
-                                  next(iter(B.values()))))
+    promotes = table.promotes if one is not None else None
     out = {}
     for (ja, ma), ca in A.items():
         for (jb, mb), cb in B.items():
@@ -374,7 +374,7 @@ def qwedge_terms(A: dict, B: dict, table: QTable) -> dict:
                 if k:
                     cc = c * (d if D is None else Fraction(d, D ** k))
                 else:
-                    cc = c * one if promote else c
+                    cc = c * one if promotes and promotes(ca, cb) else c
                     if d < 0:
                         cc = -cc
                 key = (j + k, mask)

@@ -258,12 +258,19 @@ def cmd_equivariant(args) -> int:
     return EXIT_OK
 
 
+# The largest --n of ``lefschetz``, refused with exit 2 before any work.
+# In process (2-vCPU Xeon, Python 3.11.7) n = 4 takes 0.15 s and 25 MiB and
+# writes 262,713 bytes, n = 5 0.66 s and 56 MiB for 3,665,795 bytes; n = 6
+# would take 8.1 s and 339 MiB and write 66 MB.
+LEFSCHETZ_MAX_N = 5
+
+
 def cmd_lefschetz(args) -> int:
     from .lefschetz import (DarbouxSpace, commutator_check,
                             hard_lefschetz_check)
     n = args.n
-    if n < 1 or n > 3:
-        raise CliError("lefschetz reports cover n in 1..3")
+    if n < 1 or n > LEFSCHETZ_MAX_N:
+        raise CliError(f"lefschetz reports cover n in 1..{LEFSCHETZ_MAX_N}")
     space = DarbouxSpace(n)
     comm = commutator_check(space)
     hl = hard_lefschetz_check(space)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from ._kernels import odd_below
 from .hpoly import HPoly
 from .scalars import GRat
-from .snf import mat_identity, mat_promote, smith_normal_form
+from .snf import mat_identity, mat_promote, mat_vec, smith_normal_form
 
 
 class FiniteComplex:
@@ -66,17 +66,9 @@ class FiniteComplex:
     def _check_square_zero(self):
         for k in range(len(self.diffs) - 1):
             A, B = self.diffs[k + 1], self.diffs[k]
-            if not A or not B:
-                continue
-            for i in range(len(A)):
-                nz_a = [(t, a) for t, a in enumerate(A[i]) if not a.is_zero()]
-                for j in range(len(B[0])):
-                    s = self.ring.zero()
-                    for t, a in nz_a:
-                        if not B[t][j].is_zero():
-                            s = s + a * B[t][j]
-                    if not s.is_zero():
-                        raise AssertionError(f"complex is not square-zero at spot {k}")
+            for col in zip(*B):
+                if any(mat_vec(A, _pairs(col), self.ring)):
+                    raise AssertionError(f"complex is not square-zero at spot {k}")
 
     def out_matrix(self, spot: int):
         if spot < len(self.diffs):
@@ -139,57 +131,48 @@ def homology_at(out_mat, in_mat, dim, ring):
     if dim == 0:
         return 0, [], []
     if out_mat is None or not out_mat:
-        kernel = mat_identity(dim, ring)
+        V = mat_identity(dim, ring)
         vinv = None
         out_rank = 0
     else:
         snf_out = smith_normal_form(out_mat, ring, track=("V", "Vinv"))
         out_rank = snf_out.rank
-        # the columns of V past the rank span ker(out) over the PID
-        kernel = [[snf_out.V[r][k] for r in range(dim)]
-                  for k in range(out_rank, dim)]
+        V = snf_out.V
         vinv = snf_out.Vinv
-    kdim = len(kernel)
+    # the columns of V past the rank span ker(out) over the PID
+    kernel = [row[out_rank:] for row in V]
+    kdim = dim - out_rank
     if kdim == 0:
         return 0, [], []
     if in_mat is None or not in_mat or all(x.is_zero() for row in in_mat for x in row):
-        return kdim, [], kernel
+        return kdim, [], [list(col) for col in zip(*kernel)]
     in_mat = mat_promote(in_mat, ring)
-    n_in = len(in_mat[0])
     # express image generators in kernel coordinates
     coords = []
-    for g in range(n_in):
-        col = [in_mat[r][g] for r in range(dim)]
+    for col in zip(*in_mat):
         if vinv is None:
-            vec = col
-        else:
-            nz_col = [(t, c) for t, c in enumerate(col) if not c.is_zero()]
-            vec = []
-            for r in range(dim):
-                s = ring.zero()
-                for t, c in nz_col:
-                    if not vinv[r][t].is_zero():
-                        s = s + vinv[r][t] * c
-                vec.append(s)
-            for r in range(out_rank):
-                if not vec[r].is_zero():
-                    raise AssertionError("image does not lie in the kernel "
-                                         "(complex is not square-zero)")
-            vec = vec[out_rank:]
-        coords.append(vec)
-    M = [[coords[g][r] for g in range(n_in)] for r in range(kdim)]
-    snf_m = smith_normal_form(M, ring, track=("Uinv",))
+            coords.append(col)
+            continue
+        vec = mat_vec(vinv, _pairs(col), ring)
+        if any(vec[:out_rank]):
+            raise AssertionError("image does not lie in the kernel "
+                                 "(complex is not square-zero)")
+        coords.append(vec[out_rank:])
+    snf_m = smith_normal_form([list(row) for row in zip(*coords)], ring,
+                              track=("Uinv",))
     free_rank = kdim - snf_m.rank
     torsion = snf_m.torsion_factors()
     # new kernel basis adapted to the image lattice: columns of K * Uinv
-    reps = []
     rep_slots = [i for i, d in enumerate(snf_m.diag) if not d.is_zero() and not d.is_unit()]
     rep_slots += list(range(snf_m.rank, kdim))
-    for slot in rep_slots:
-        vec = [sum((kernel[t][r] * snf_m.Uinv[t][slot] for t in range(kdim)),
-                   start=ring.zero()) for r in range(dim)]
-        reps.append(vec)
+    reps = [mat_vec(kernel, _pairs(row[slot] for row in snf_m.Uinv), ring)
+            for slot in rep_slots]
     return free_rank, torsion, reps
+
+
+def _pairs(vec):
+    """The nonzero (index, entry) pairs of a ring vector."""
+    return [(t, x) for t, x in enumerate(vec) if not x.is_zero()]
 
 
 def free_homology(degree, labels, ring) -> DegreeHomology:
@@ -216,16 +199,12 @@ def complex_homology(cx: FiniteComplex) -> CohomologyTable:
 
 
 def _verify_cycles(out_mat, reps, ring):
-    if out_mat is None or not out_mat:
-        return
+    """Raise AssertionError unless out_mat sends every representative to 0;
+    a representative the library computed that is not a cycle is its own
+    fault."""
     for vec in reps:
-        for i in range(len(out_mat)):
-            s = ring.zero()
-            for j, c in enumerate(vec):
-                if not c.is_zero():
-                    s = s + out_mat[i][j] * c
-            if not s.is_zero():
-                raise ValueError("representative is not a cycle")
+        if any(mat_vec(out_mat or [], _pairs(vec), ring)):
+            raise AssertionError("representative is not a cycle")
 
 
 # -- monomial columns ----------------------------------------------------------

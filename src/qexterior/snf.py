@@ -12,10 +12,15 @@ Tracking is opt-in per transform: ``smith_normal_form(A, track=...)``
 accumulates only the transforms named (all four by default), and the
 elimination skips products with a zero operand and the divisibility sweep
 under a unit pivot.  ``solve_linear`` tracks only U and V.
+
+``mat_vec`` is the one ring matrix-vector product of the SNF stack, and
+``rank_fraction_field`` the rank over k(h) by ``linalg._echelon``, the
+library's one forward elimination.
 """
 
 from __future__ import annotations
 
+from . import linalg
 from .hpoly import HLaurent, HPoly, poly_gcd
 
 
@@ -211,14 +216,9 @@ def smith_normal_form(A, ring=None, track=TRANSFORMS) -> SNFResult:
             addmul_row(t, offender, -ring.one())
         t += 1
 
-    diag = []
-    for i in range(limit):
-        d = B[i][i] if i < rows and i < cols else ring.zero()
-        if not d.is_zero() and not d == d.normalized():
-            u = d.unit_part()
-            scale_row(i, u.inv_unit(), u)
-            d = B[i][i]
-        diag.append(d)
+    # each step leaves its pivot normalized, and later steps touch only
+    # later rows and columns
+    diag = [B[i][i] for i in range(limit)]
     rank = sum(1 for d in diag if not d.is_zero())
     return SNFResult(diag, U, V, Uinv, Vinv, rank, ring, (rows, cols))
 
@@ -242,19 +242,14 @@ def solve_linear(A, b, ring=None):
     if ring is None:
         ring = _infer_ring(A)
     snf = smith_normal_form(A, ring, track=("U", "V"))
-    rows, cols = snf.shape
+    rows = snf.shape[0]
     if len(b) != rows:
         raise ValueError(f"right-hand side has {len(b)} entries, "
                          f"expected {rows}")
     nz_b = [(k, bk) for k, bk in enumerate(promote(x, ring) for x in b)
             if not bk.is_zero()]
     y = []
-    for i in range(rows):
-        Ui = snf.U[i]
-        ub = ring.zero()
-        for k, bk in nz_b:
-            if not Ui[k].is_zero():
-                ub = ub + Ui[k] * bk
+    for i, ub in enumerate(mat_vec(snf.U, nz_b, ring)):
         d = snf.diag[i] if i < len(snf.diag) else None
         if d is not None and not d.is_zero():
             q, rem = divmod(ub, d)
@@ -264,22 +259,28 @@ def solve_linear(A, b, ring=None):
                 y.append((i, q))
         elif not ub.is_zero():
             return None
-    x = []
-    for r in range(cols):
-        Vr = snf.V[r]
+    return mat_vec(snf.V, y, ring)
+
+
+def mat_vec(M, pairs, ring):
+    """M v for the vector v given by its nonzero ``(index, entry)`` pairs:
+    each sum adds M[r][t] * v_t over the pairs in order, skipping zero
+    entries of M."""
+    out = []
+    for row in M:
         s = ring.zero()
-        for k, yk in y:
-            if not Vr[k].is_zero():
-                s = s + Vr[k] * yk
-        x.append(s)
-    return x
+        for t, x in pairs:
+            if not row[t].is_zero():
+                s = s + row[t] * x
+        out.append(s)
+    return out
 
 
-# -- independent fraction-field rank oracle ------------------------------------
+# -- fraction-field rank oracle ------------------------------------------------
 
 
 class _RatFn:
-    """Fraction num/den of polynomials, for the Gaussian rank oracle."""
+    """Fraction num/den of polynomials, for the fraction-field rank oracle."""
 
     __slots__ = ("num", "den")
 
@@ -300,8 +301,8 @@ class _RatFn:
         self.num = num
         self.den = den
 
-    def is_zero(self):
-        return self.num.is_zero()
+    def __bool__(self):
+        return not self.num.is_zero()
 
     def __sub__(self, other):
         return _RatFn(self.num * other.den - other.num * self.den,
@@ -311,51 +312,22 @@ class _RatFn:
         return _RatFn(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
-        if other.num.is_zero():
-            raise ZeroDivisionError
         return _RatFn(self.num * other.den, self.den * other.num)
 
 
 def rank_fraction_field(A) -> int:
     """Rank of a matrix of h-polynomials over the fraction field k(h).
 
-    Independent Gaussian elimination; Laurent entries are shifted into
-    k[h] first (unit scaling does not change rank).
+    Laurent entries are shifted into k[h] first (unit scaling does not
+    change rank); the rank is then that of ``linalg._echelon``, the
+    library's one forward elimination, over k(h).
     """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if not rows or not cols:
-        return 0
     M = []
     for row in A:
-        entries = []
-        for x in row:
-            if not isinstance(x, HPoly):
-                x = HPoly.from_scalar(x) if x else HPoly.zero()
-            entries.append(x)
+        entries = [promote(x, HPoly) for x in row]
         # clear negative exponents by one unit scaling of the whole row
-        shift = -min((x.valuation() for x in entries if not x.is_zero()),
-                     default=0)
-        shift = max(shift, 0)
-        rr = []
-        for x in entries:
-            p = HPoly({j + shift: c for j, c in x.coeffs.items()})
-            rr.append(_RatFn(p, HPoly.one()))
-        M.append(rr)
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if not M[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        pival = M[r][c]
-        for i in range(r + 1, rows):
-            if not M[i][c].is_zero():
-                f = M[i][c] / pival
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+        shift = max(-min((x.valuation() for x in entries if not x.is_zero()),
+                         default=0), 0)
+        M.append([_RatFn(HPoly({j + shift: c for j, c in x.coeffs.items()}),
+                         HPoly.one()) for x in entries])
+    return len(linalg._echelon(M)[1]) if M and M[0] else 0

@@ -512,6 +512,33 @@ class TestEquivariant:
         assert err["message"] == ("internal error: AssertionError: complex "
                                   "is not square-zero at spot 2")
 
+    def test_a_representative_that_is_not_a_cycle_is_internal(
+            self, monkeypatch, capsys, tmp_path):
+        # the library computes the representatives itself, so one that its
+        # differential does not kill is a fault of the engine (exit 3): the
+        # mutant adds 1 to every entry of each spot's first representative
+        from qexterior import complexes
+        homology_at = complexes.homology_at
+
+        def shifted(*args):
+            free_rank, torsion, reps = homology_at(*args)
+            if reps:
+                reps[0] = [x + 1 for x in reps[0]]
+            return free_rank, torsion, reps
+        model, action = tmp_path / "t4.json", tmp_path / "act.json"
+        model.write_text(json.dumps({"space": "torus", "dim": 4,
+                                     "symplectic": "darboux"}))
+        action.write_text(json.dumps({"generators": [["1", "2", "0", "0"]]}))
+        argv = ["equivariant", "--model", str(model), "--action", str(action),
+                "--cutoff", "4", "--mode-box", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(complexes, "homology_at", shifted)
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == ("internal error: AssertionError: "
+                                  "representative is not a cycle")
+
     def test_laurent_ring_refused(self, t2_file, tmp_path):
         # the tables are computed over k[h]; an explicit Laurent request
         # must not silently get a polynomial report
@@ -574,6 +601,17 @@ class TestLefschetz:
     def test_bad_n(self):
         r = run_cli(["lefschetz", "--n", "9"])
         assert r.returncode == 2
+
+    def test_n_past_the_cap_is_refused_before_any_work(self, monkeypatch,
+                                                       capsys):
+        from qexterior import cli, lefschetz
+
+        def refuse(n):
+            raise AssertionError(f"DarbouxSpace({n}) built")
+        monkeypatch.setattr(lefschetz, "DarbouxSpace", refuse)
+        assert main(["lefschetz", "--n", str(cli.LEFSCHETZ_MAX_N + 1)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == "lefschetz reports cover n in 1..5"
 
 
 class TestChern:

@@ -370,6 +370,17 @@ class TestMixedTypes:
             count += 1
         assert count >= 40
 
+    def test_h0_terms_do_not_depend_on_term_order(self):
+        # a form mixing coefficient types: the h^0 term 1 ^ e^2 takes the
+        # type of coefficient x entry whichever term comes first
+        w = Bivector(2, {(1, 2): GRat(1, 1)})
+        for terms in ({(0, 1): GRat(2), (0, 0): Fraction(1)},
+                      {(0, 0): Fraction(1), (0, 1): GRat(2)}):
+            got = qwedge(HForm(2, terms), e(2, 2), w)
+            assert {type(x) for x in got.terms.values()} == {GRat}
+            assert got.terms == {(0, 3): GRat(2), (1, 0): GRat(2, 2),
+                                 (0, 2): GRat(1)}
+
 
 class TestQwedgeTable:
     """Each bivector owns its table; equal entries give equal products."""
@@ -450,6 +461,10 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("n,digest", [
         (1, "a05f298962f0cdd769553de094d27c14904c190375ea55ef79015eb24cfd58ea"),
         (3, "92f62d87bf3c4a01278a637bcf385b8fe08ec1c0cb1a93f648a1be6be14d8404"),
+        # recorded with the cap still at n = 3 and the blocks certified
+        # by transport
+        (4, "ca0a113f5770f09b589c0343a0dfc9be4e5709ba81c6c63a5d399f3ef2094fab"),
+        (5, "55e54f75c6df73962a156399e55d03e1a8d42044acc4a7093ab4b21a0b713903"),
     ])
     def test_lefschetz_report_n(self, tmp_path, n, digest):
         out = tmp_path / "lefschetz.json"

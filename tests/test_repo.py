@@ -711,7 +711,7 @@ def test_readme_states_every_cli_constant_it_names():
             assert re.search(rf"(?<![\d,]){re.escape(value)}(?!,?\d)",
                              paragraph), f"cli.{name} = {value}"
     assert {"TABLE_BUDGET", "MODE_ZERO_BUDGET", "MAX_DEGREE", "CHECK_MAX_DIM",
-            "CHECK_MAX_TRIALS"} <= set(named)
+            "CHECK_MAX_TRIALS", "LEFSCHETZ_MAX_N"} <= set(named)
 
 
 def test_only_the_listed_callers_skip_form_validation():

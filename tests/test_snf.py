@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from oracles import d_matrix, invariant_factors, mat_eq, mat_mul
+from qexterior import linalg
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior.scalars import GRat
-from qexterior.snf import (TRANSFORMS, mat_identity, mat_promote,
+from qexterior.snf import (TRANSFORMS, mat_identity, mat_promote, mat_vec,
                            rank_fraction_field, smith_normal_form,
                            solve_linear)
 
@@ -231,3 +232,65 @@ class TestRankOracle:
         A = [[one, one], [HLaurent({-1: Fraction(1)}), one]]
         assert rank_fraction_field(A) == 2
         assert smith_normal_form(A, HLaurent).rank == 2
+
+    def test_equals_the_smith_rank(self, sampler):
+        for ring in (HPoly, HLaurent):
+            for _ in range(25):
+                A = random_matrix(sampler, ring, sampler.rng.randint(1, 4),
+                                  sampler.rng.randint(1, 4))
+                assert rank_fraction_field(A) == \
+                    smith_normal_form(A, ring).rank
+
+    def test_equals_the_field_rank_on_constants(self, sampler):
+        for _ in range(25):
+            rows, cols = sampler.rng.randint(1, 5), sampler.rng.randint(1, 5)
+            A = [[sampler.fraction() if sampler.rng.random() < 0.5
+                  else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+            if rows > 1:
+                A[-1] = [x + y for x, y in zip(A[0], A[-1])]
+            assert rank_fraction_field(A) == linalg.rank(A)
+
+    def test_runs_the_one_forward_elimination(self, monkeypatch):
+        # the rank over k(h) is linalg's elimination on fraction entries,
+        # not a second pivot loop of its own
+        def refuse(*args, **kwargs):
+            raise RuntimeError("_echelon called")
+        monkeypatch.setattr(linalg, "_echelon", refuse)
+        with pytest.raises(RuntimeError, match="_echelon called"):
+            rank_fraction_field([[h(), one], [one, h()]])
+
+
+class TestMatVec:
+    """``mat_vec`` against the dense product with the vector as a column."""
+
+    @staticmethod
+    def dense(M, v, ring):
+        return [row[0] for row in mat_mul(M, [[x] for x in v], ring)]
+
+    @pytest.mark.parametrize("ring", [HPoly, HLaurent])
+    def test_matches_the_dense_product(self, sampler, ring):
+        for _ in range(30):
+            rows, cols = sampler.rng.randint(1, 5), sampler.rng.randint(1, 5)
+            M = random_matrix(sampler, ring, rows, cols)
+            M[sampler.rng.randrange(rows)] = [ring.zero()] * cols
+            zero_col = sampler.rng.randrange(cols)
+            for row in M:
+                row[zero_col] = ring.zero()
+            v = [x for x, in random_matrix(sampler, ring, cols, 1)]
+            pairs = [(t, x) for t, x in enumerate(v) if not x.is_zero()]
+            assert mat_vec(M, pairs, ring) == self.dense(M, v, ring)
+            assert mat_vec(M, [], ring) == [ring.zero()] * rows
+
+    def test_constant_entries(self, sampler):
+        for _ in range(20):
+            rows, cols = sampler.rng.randint(1, 4), sampler.rng.randint(1, 4)
+            M = mat_promote([[sampler.fraction() for _ in range(cols)]
+                             for _ in range(rows)], HPoly)
+            v = [HPoly.from_scalar(sampler.fraction()) for _ in range(cols)]
+            got = mat_vec(M, list(enumerate(v)), HPoly)
+            assert got == self.dense(M, v, HPoly)
+            assert all(x.is_zero() or x.degree() == 0 for x in got)
+
+    def test_empty_shapes(self):
+        assert mat_vec([], [(0, one)], HPoly) == []
+        assert mat_vec([[], []], [], HPoly) == [zero, zero]
