@@ -28,6 +28,7 @@ from ._kernels import odd_below
 from .coeffs import FourierCoeff
 from .forms import HForm, bivector_contract, contract_vector, wedge
 from .hpoly import HLaurent, HPoly
+from .linalg import det
 from .models import PoissonModel, TORUS
 from .quantum import complex_frame_bivector, qwedge
 from .scalars import GRat
@@ -175,7 +176,8 @@ def qintegral(a: HForm, model: PoissonModel):
     Odd-degree components integrate to zero; a 2n-2k component is wedged
     against omega^k/k! and integrated (torus volume 1); h passes through
     as a module map.  Returns a map h-exponent -> GRat packed in an HPoly
-    or HLaurent.
+    or HLaurent.  Every call certifies the normalization: int_h 1, the top
+    coefficient of omega^n/n!, is Pf(Omega), so it squares to det(Omega).
     """
     if model.kind != TORUS:
         raise ValueError("quantum integral is defined on closed torus models")
@@ -183,27 +185,22 @@ def qintegral(a: HForm, model: PoissonModel):
         raise ValueError("quantum integral needs a symplectic structure")
     dim = model.dim
     n = dim // 2
+    full = (1 << dim) - 1
     om = model.omega_form(a.laurent)
     powers = {0: model.form_scalar(1, a.laurent)}
     for k in range(1, n + 1):
         powers[k] = wedge(powers[k - 1], om) * Fraction(1, k)
-    out = {}
+    vol = powers[n].terms.get((0, full), 0)
+    if vol * vol != det(model.omega):
+        raise AssertionError(f"quantum integral: int_h 1 = {vol} is not "
+                             f"Pf(Omega), its square is not det(Omega)")
+    pairs = []
     for deg, comp in a.exterior_components().items():
-        if deg % 2:
-            continue
-        k = (dim - deg) // 2
-        top = wedge(comp, powers[k])
-        for (j, mask), c in top.terms.items():
-            if mask != (1 << dim) - 1:
-                continue
-            val = c.total_integral()
-            if val:
-                s = out.get(j, GRat(0)) + val
-                if s:
-                    out[j] = s
-                else:
-                    out.pop(j, None)
-    return (HLaurent if a.laurent else HPoly)(out)
+        if deg % 2 == 0:
+            top = wedge(comp, powers[(dim - deg) // 2])
+            pairs += [(j, c.total_integral())
+                      for (j, mask), c in top.terms.items() if mask == full]
+    return (HLaurent if a.laurent else HPoly)(pairs)
 
 
 class StokesReport:

@@ -153,7 +153,7 @@ def _report_header(args, command):
 # 20, as CLI processes (2-vCPU Xeon, Python 3.11.7): chern 30 s and 32 MiB
 # (its connections' curvature is the cost; 0.8 s a trial already at
 # dimension 4), dolbeault 1.0 s, associativity 0.66 s and 52 MiB, leibniz
-# 0.6 s, lefschetz 0.4 s, the other seven under 0.25 s and 18 MiB.  Past
+# 0.6 s, lefschetz 0.3 s, the other seven under 0.25 s and 18 MiB.  Past
 # the cap the product suites grow about 2.6-fold per dimension:
 # associativity --trials 20 takes 4.5 s and 188 MiB at dimension 10 (in
 # process), and an earlier run at 16 passed 1.75 GB and two minutes.

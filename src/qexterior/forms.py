@@ -216,14 +216,6 @@ class HForm:
             return degs.pop()
         return None
 
-    def homogeneous_components(self) -> dict:
-        """Split by graded degree |I| + 2j."""
-        out = {}
-        for (j, m), c in self.terms.items():
-            n = m.bit_count() + 2 * j
-            out.setdefault(n, {})[(j, m)] = c
-        return {n: HForm(self.dim, t, self.laurent) for n, t in sorted(out.items())}
-
     def exterior_components(self) -> dict:
         """Split by exterior degree |I| alone."""
         out = {}

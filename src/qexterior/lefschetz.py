@@ -33,9 +33,10 @@ operator in the :class:`DarbouxSpace` both checks share, each column
 computed once with integral coefficients as ints.  An L_h column sums the
 expansions of omega's masks with the label's mask in the bivector's own
 product table (:func:`lh_column`); an L_h* column is -* L_h * read off
-those L_h columns through the star table.  The M_h matrices
-(:func:`Mh_matrix`) are dense ``Fraction`` views of the L_h columns, kept
-for the test oracles and the benchmark's tracer.  The commutator check
+those L_h columns through the star table.  :func:`apply_Lh` and
+:func:`apply_Lh_star` are views of those columns on forms, and the M_h
+matrices (:func:`Mh_matrix`) dense ``Fraction`` views, kept for the test
+oracles and the benchmark's tracer.  The commutator check
 takes each operator image of a label once (columns, four composites, the
 A_h factor n - |mask| - 2j per label), compares the identities on those
 exact coefficient dicts, then certifies the scale of L_h* by
@@ -52,12 +53,10 @@ from math import comb
 
 from .calculus import quantum_d
 from ._kernels import int_if_integral, wedge_terms
-from .forms import (Bivector, HForm, StarTable, exp_contract_terms,
-                    omega_form, symplectic_star)
+from .forms import Bivector, HForm, StarTable, exp_contract_terms, omega_form
 from .hpoly import HPoly
 from .linalg import CharFactorization
 from .models import PoissonModel, darboux_dual, darboux_matrix
-from .quantum import qwedge
 
 
 class Columns(dict):
@@ -145,25 +144,28 @@ class DarbouxSpace:
         return col
 
 
+def _dim(x: HForm, space: DarbouxSpace) -> int:
+    if x.dim != space.dim:
+        raise ValueError(f"dimension mismatch {x.dim} != {space.dim}")
+    return x.dim
+
+
 def apply_Lh(x: HForm, space: DarbouxSpace) -> HForm:
-    """L_h x = omega ^_h x."""
-    return qwedge(space.omega_form, x.to_laurent(), space.w)
+    """L_h x = omega ^_h x, read off the space's ``L`` columns."""
+    return HForm(_dim(x, space), _apply(space.L, x.terms), laurent=True)
 
 
 def apply_Lh_star(x: HForm, space: DarbouxSpace) -> HForm:
-    """L_h* x = -(* L_h *) x with *h = h^{-1}."""
+    """L_h* x = -(* L_h *) x with *h = h^{-1}, off the ``Ls`` columns."""
     if not x.laurent:
         raise ValueError("L_h* needs Laurent mode (the star produces h^-1)")
-    star = space.star
-    return -symplectic_star(apply_Lh(symplectic_star(x, star), space), star)
+    return HForm(_dim(x, space), _apply(space.Ls, x.terms), laurent=True)
 
 
 def apply_Ah(x: HForm, space: DarbouxSpace) -> HForm:
     """A_h x = (n - k) x on each homogeneous piece of degree k."""
-    out = HForm.zero(x.dim, x.laurent)
-    for k, comp in x.homogeneous_components().items():
-        out = out + comp * Fraction(space.n - k)
-    return out
+    return HForm(_dim(x, space), {lab: c * _a_factor(lab, space.n)
+                                  for lab, c in x.terms.items()}, x.laurent)
 
 
 def lh_column(space: DarbouxSpace, lab) -> dict:
@@ -313,6 +315,7 @@ def commutator_check(space, window=None) -> CommutatorReport:
     """Verify the Lefschetz commutator identities exactly on every
     homogeneous piece in the degree window, then certify the scale of
     ``L_h*``, on ``space`` (a :class:`DarbouxSpace`, or the n of one).
+    An empty window, where nothing would be verified, raises ValueError.
 
     ``L_h`` and ``L_h*`` are the space's columns ``L`` and ``Ls``.  On
     each label x = (j, mask) the images are taken once: the columns
@@ -348,9 +351,9 @@ def commutator_check(space, window=None) -> CommutatorReport:
     """
     space = DarbouxSpace(space) if isinstance(space, int) else space
     n = space.n
-    if window is None:
-        window = range(-(2 * n + 2), 2 * n + 3)
-    window = list(window)
+    window = list(range(-2 * n - 2, 2 * n + 3) if window is None else window)
+    if not window:
+        raise ValueError("empty degree window")
     rep = CommutatorReport(n, window)
     generators = _generators(space, {k % 2 for k in window})
     scale_failure = _check_identities(rep, space, generators)
@@ -523,13 +526,13 @@ def hard_lefschetz_check(space, window=None) -> HardLefschetzReport:
     (:meth:`SpectrumReport.of_parity`), and falls back to certifying each
     of its blocks if that report fails.  A block that fails the
     certificate raises AssertionError naming its degree k and the failing
-    label.
+    label, and an empty window, where none would be, ValueError.
     """
     space = DarbouxSpace(space) if isinstance(space, int) else space
     n = space.n
-    if window is None:
-        window = range(-(2 * n), 2 * n + 1)
-    window = list(window)
+    window = list(range(-(2 * n), 2 * n + 1) if window is None else window)
+    if not window:
+        raise ValueError("empty degree window")
     shared = {}
     for parity in (0, 1):
         if sum(k % 2 == parity for k in window) > 1:

@@ -48,12 +48,15 @@ shared one forward elimination.
 ``commutator_check_per_form`` and ``operator_matrix_per_form`` are the
 Lefschetz commutator check and operator matrix the engine used before it
 kept L_h and L_h* as sparse columns: every identity applies L_h, L_h* (two
-stars around a qwedge, ``lh_per_form`` and ``lh_star_per_form``), A_h and
-h^{+-1} to one basis form at a time.  ``OperatorColumns`` are those
-columns as the engine built them next, one operator call on a unit form
-per label, before it filled the L_h columns from the bivector's product
-table and the L_h* columns from those; ``apply_Mh`` is h^-1 L_h on
-forms.  ``flip_lh_bivector`` makes the engine's L_h columns multiply
+stars around a qwedge, ``lh_per_form`` and ``lh_star_per_form``), A_h (one
+factor per homogeneous component, ``ah_per_form``) and h^{+-1} to one
+basis form at a time.  These three are also the form-level operators
+``apply_Lh``, ``apply_Lh_star`` and ``apply_Ah`` as the engine computed
+them before those read the space's columns.  ``OperatorColumns`` are the
+L_h and L_h* columns as the engine built them next, one operator call on
+a unit form per label, before it filled the L_h columns from the
+bivector's product table and the L_h* columns from those; ``apply_Mh`` is
+h^-1 ``lh_per_form``.  ``flip_lh_bivector`` makes the engine's L_h columns multiply
 under the flipped dual bivector, the negative control of its commutator
 check.
 
@@ -172,8 +175,7 @@ from qexterior.forms import (Bivector, HForm, check_symplectic,
                              omega_form, symplectic_star, wedge)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior import complexes, lefschetz
-from qexterior.lefschetz import (CommutatorReport, DarbouxSpace,
-                                 apply_Ah, apply_Lh)
+from qexterior.lefschetz import CommutatorReport, DarbouxSpace
 from qexterior.linalg import (charpoly, det, factor_charpoly,
                               geometric_multiplicity, matrix_inverse, rank)
 from qexterior.models import AFFINE, TORUS, PoissonModel, darboux_matrix
@@ -934,9 +936,21 @@ def flip_lh_bivector(monkeypatch):
     monkeypatch.setattr(DarbouxSpace, "__init__", flipped)
 
 
+def ah_per_form(x, space):
+    """A_h x = (n - k) x, summed over the homogeneous pieces of x of
+    graded degree k = |I| + 2j."""
+    pieces = {}
+    for (j, m), c in x.terms.items():
+        pieces.setdefault(m.bit_count() + 2 * j, {})[(j, m)] = c
+    out = HForm.zero(x.dim, x.laurent)
+    for k, terms in sorted(pieces.items()):
+        out = out + HForm(x.dim, terms, x.laurent) * Fraction(space.n - k)
+    return out
+
+
 def apply_Mh(x, space):
-    """M_h x = h^-1 L_h x."""
-    return apply_Lh(x, space).h_shift(-1)
+    """M_h x = h^-1 L_h x, with L_h the per-form qwedge."""
+    return lh_per_form(x, space, space.w).h_shift(-1)
 
 
 class OperatorColumns(dict):
@@ -970,7 +984,7 @@ def commutator_check_per_form(n, window=None, corrupt_w=False):
 
     L = lambda x: lh_per_form(x, space, w_for_L)
     Ls = lambda x: lh_star_per_form(x, space)
-    A = lambda x: apply_Ah(x, space)
+    A = lambda x: ah_per_form(x, space)
     H = lambda x: x.h_shift(1)
     Hi = lambda x: x.h_shift(-1)
     M = lambda x: Hi(L(x))

@@ -252,6 +252,9 @@ class TestDolbeault:
             dolbeault_operators(t2.form_scalar(1), t2)
 
 
+LIOUVILLE = r"quantum integral: int_h 1 = -?\d+ is not Pf\(Omega\)"
+
+
 class TestQuantumIntegral:
     def test_volume_one(self, t2):
         assert qintegral(t2.form_scalar(1), t2) == HPoly.one() * 0 + \
@@ -284,17 +287,47 @@ class TestQuantumIntegral:
         assert power_integral_mismatches(qintegral) == []
 
     def test_unnormalized_powers_fail(self):
-        # qintegral wedging against omega^k instead of omega^k/k! moves
-        # every integral below the top degree once n >= 2
-        src = inspect.getsource(calculus.qintegral)
-        mutant = src.replace("wedge(powers[k - 1], om) * Fraction(1, k)",
-                             "wedge(powers[k - 1], om)")
-        assert mutant != src
-        scope = dict(vars(calculus))
-        exec(mutant, scope)
-        bad = power_integral_mismatches(scope["qintegral"])
-        assert ("darboux", 2, 0) in bad and ("darboux", 3, 1) in bad
-        assert [m for m in bad if m[0] == "congruent"]
+        # qintegral wedging against omega^k instead of omega^k/k! makes
+        # int_h 1 = n! Pf(Omega); the library's Liouville check refuses
+        # every integral of that mutant once n >= 2, and at n = 1, where
+        # k! = 1, the mutant is the same function
+        bad = unnormalized_qintegral()
+        for kind, model in integral_models():
+            if model.dim == 2:
+                assert power_integral_mismatches(bad, [(kind, model)]) == []
+                continue
+            for power in (model.form_scalar(1), model.omega_form()):
+                with pytest.raises(AssertionError, match=LIOUVILLE):
+                    bad(power, model)
+
+    def test_liouville_check_passes_on_every_model(self):
+        # (int_h 1)^2 = det(Omega) holds on Darboux T^2-T^8 and on four
+        # seeded congruent tori, whose Pfaffians are not 1
+        models = [PoissonModel.darboux_torus(n) for n in (1, 2, 3, 4)]
+        models += [congruent_torus(Sampler(seed), n)
+                   for seed, n in ((3, 2), (8, 3), (42, 2), (5, 1))]
+        for model in models:
+            assert qintegral(model.form_scalar(1), model) == \
+                HPoly({0: GRat(pfaffian(model.omega))})
+
+
+def unnormalized_qintegral():
+    """``calculus.qintegral`` with omega^k in place of omega^k/k!."""
+    src = inspect.getsource(calculus.qintegral)
+    mutant = src.replace("wedge(powers[k - 1], om) * Fraction(1, k)",
+                         "wedge(powers[k - 1], om)")
+    assert mutant != src
+    scope = dict(vars(calculus))
+    exec(mutant, scope)
+    return scope["qintegral"]
+
+
+def integral_models():
+    """``(kind, model)`` of the Darboux T^2, T^4, T^6 and two seeded
+    congruent tori (T^4 and T^6)."""
+    models = [("darboux", PoissonModel.darboux_torus(n)) for n in (1, 2, 3)]
+    return models + [("congruent", congruent_torus(Sampler(seed), n))
+                     for seed, n in ((3, 2), (8, 3))]
 
 
 def pfaffian(M):
@@ -311,15 +344,12 @@ def pfaffian(M):
     return total
 
 
-def power_integral_mismatches(integral):
+def power_integral_mismatches(integral, models=None):
     """``(kind, n, k)`` of every ``integral(omega^k/k!)`` that is not
-    C(n, k) Pf(Omega), on the Darboux T^2, T^4, T^6 and two seeded
-    congruent tori (T^4 and T^6)."""
-    models = [("darboux", PoissonModel.darboux_torus(n)) for n in (1, 2, 3)]
-    models += [("congruent", congruent_torus(Sampler(seed), n))
-               for seed, n in ((3, 2), (8, 3))]
+    C(n, k) Pf(Omega), on the ``(kind, model)`` pairs ``models``
+    (:func:`integral_models` by default)."""
     bad = []
-    for kind, model in models:
+    for kind, model in integral_models() if models is None else models:
         n = model.dim // 2
         pf = pfaffian(model.omega)
         assert pf

@@ -711,6 +711,27 @@ class TestIntegral:
         r = run_cli(["integral", "--model", affine_file, "--form", str(form)])
         assert r.returncode == 2
 
+    def test_unnormalized_powers_are_internal(self, monkeypatch, capsys,
+                                              tmp_path):
+        # qintegral with omega^k for omega^k/k! gives int_h 1 = 2 on the
+        # Darboux T^4: its Liouville check makes that a fault of the
+        # engine (exit 3), not a different value
+        from qexterior import calculus
+        from test_calculus import unnormalized_qintegral
+        model = write_json(tmp_path / "t4.json", {
+            "space": "torus", "dim": 4, "symplectic": "darboux"})
+        form = write_json(tmp_path / "one.json", [{
+            "indices": [], "h": 0, "coeff": {"fourier": [[[0] * 4, "1"]]}}])
+        argv = ["integral", "--model", model, "--form", form]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(calculus, "qintegral", unnormalized_qintegral())
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == (
+            "internal error: AssertionError: quantum integral: int_h 1 = 2 "
+            "is not Pf(Omega), its square is not det(Omega)")
+
 
 # Form terms the loader must refuse rather than misread: a descending or
 # repeated index list would load as +e^12, index 0 as a negative shift and

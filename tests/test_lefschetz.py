@@ -29,12 +29,14 @@ from qexterior.models import PoissonModel, darboux_matrix
 from qexterior.sampling import Sampler
 from qexterior.serialize import dump_json, spectrum_to_json
 
-from oracles import (HessenbergSpectrumReport, OperatorColumns, apply_Mh,
-                     commutator_check_per_form, commutator_check_per_label,
-                     congruent_torus, flip_lh_bivector,
-                     hard_lefschetz_check_per_block, operator_matrix_per_form,
+from oracles import (HessenbergSpectrumReport, OperatorColumns, ah_per_form,
+                     apply_Mh, commutator_check_per_form,
+                     commutator_check_per_label, congruent_torus,
+                     flip_lh_bivector, hard_lefschetz_check_per_block,
+                     lh_per_form, lh_star_per_form, operator_matrix_per_form,
                      recursion_matrix, recursion_verify,
                      stratum_rank_by_elimination)
+from test_calculus import COEFFICIENT_KINDS, retyped
 
 
 TRANSPORT = r"M_h E x != E \(N \+ n\) x"
@@ -86,6 +88,64 @@ class TestOperators:
         expect = HForm(2, {(1, 3): Fraction(2), (2, 0): Fraction(-1)},
                        laurent=True)
         assert got == expect
+
+
+# The spaces the form operators are compared on: Darboux for n = 1..4 and
+# two seeded omega = P^T Omega_0 P, whose w has table denominator 6.
+FORM_SPACES = {f"darboux-{n}": (lambda n=n: DarbouxSpace(n))
+               for n in (1, 2, 3, 4)}
+FORM_SPACES.update({f"congruent-{n}": (
+    lambda n=n: DarbouxSpace.of_model(congruent_torus(Sampler(42), n)))
+    for n in (1, 2)})
+
+
+class TestFormOperators:
+    """apply_Lh, apply_Lh_star and apply_Ah read the space's ``L`` and
+    ``Ls`` columns and the A_h factor of a label; they agree with the
+    per-form operators they replace (a qwedge with omega, two stars
+    around it, and one factor per homogeneous component)."""
+
+    @pytest.mark.parametrize("kind", COEFFICIENT_KINDS,
+                             ids=[k.__name__ for k in COEFFICIENT_KINDS])
+    @pytest.mark.parametrize("name", list(FORM_SPACES))
+    def test_operators_are_the_per_form_oracles(self, name, kind):
+        space = FORM_SPACES[name]()
+        s = Sampler(100 + 10 * list(FORM_SPACES).index(name)
+                    + COEFFICIENT_KINDS.index(kind))
+        for trial in range(6):
+            laurent = trial % 3 != 0
+            x = retyped(s, s.ext_form(space.dim, terms=4, h_max=2,
+                                      laurent=laurent), kind)
+            images = [(apply_Lh(x, space), lh_per_form(x, space, space.w)),
+                      (apply_Ah(x, space), ah_per_form(x, space))]
+            if laurent:
+                images.append((apply_Lh_star(x, space),
+                               lh_star_per_form(x, space)))
+            for got, want in images:
+                assert got == want, x
+                if kind is int and name.startswith("darboux"):
+                    # Darboux columns hold ints, so int coefficients stay
+                    # ints where the qwedge gave Fractions of equal value
+                    assert all(type(c) is int for c in got.terms.values())
+            assert images[0][0].laurent and images[1][0].laurent == laurent
+
+    @pytest.mark.parametrize("op", [apply_Lh, apply_Lh_star, apply_Ah],
+                             ids=["Lh", "Lh_star", "Ah"])
+    def test_dimension_mismatch(self, op):
+        # a form of another dimension is refused, not read off columns of
+        # the wrong space
+        space = DarbouxSpace(2)
+        for dim in (2, 6):
+            x = HForm(dim, {(0, 1): Fraction(1)}, laurent=True)
+            with pytest.raises(ValueError,
+                               match=f"dimension mismatch {dim} != 4"):
+                op(x, space)
+
+    def test_Lh_star_refuses_a_polynomial_form(self):
+        space = DarbouxSpace(2)
+        for x in (HForm.basis(4, 1), HForm.scalar(4, Fraction(2))):
+            with pytest.raises(ValueError, match="needs Laurent mode"):
+                apply_Lh_star(x, space)
 
 
 class TestMhMatrices:
@@ -209,6 +269,13 @@ class TestCommutators:
         assert rep.results[name] is False
         assert rep.failures[name].startswith("degree ")
 
+    @pytest.mark.parametrize("window", [[], range(0), ()],
+                             ids=["list", "range", "tuple"])
+    def test_empty_window_is_refused(self, window):
+        # no identity would be checked, so the report would pass vacuously
+        with pytest.raises(ValueError, match="empty degree window"):
+            commutator_check(2, window=window)
+
     def test_d_commutators_on_torus_forms(self):
         s = Sampler(77)
         for n in (1, 2):
@@ -231,6 +298,13 @@ def _negated_of_model(monkeypatch):
     monkeypatch.setattr(DarbouxSpace, "of_model", classmethod(negated))
 
 
+def per_form_operators(space):
+    """``(name, oracle, columns)`` of L_h and L_h* on ``space``: the
+    per-form operator on HForms and the space's column store."""
+    return [("L_h", lambda x: lh_per_form(x, space, space.w), space.L),
+            ("L_h*", lambda x: lh_star_per_form(x, space), space.Ls)]
+
+
 class TestModelSpace:
     """The space of a symplectic model's own omega and w."""
 
@@ -242,13 +316,13 @@ class TestModelSpace:
         space = DarbouxSpace.of_model(model)
         assert model.omega != darboux_matrix(n)
         assert space.w.table.D == space.star.wstar.table.D == 6
-        for op, cols in [(apply_Lh, space.L), (apply_Lh_star, space.Ls)]:
+        for name, op, cols in per_form_operators(space):
             for j in (-1, 0, 1):
                 for mask in range(1 << 2 * n):
                     lab = (j, mask)
                     unit = HForm(2 * n, {lab: Fraction(1)}, laurent=True)
                     assert HForm(2 * n, cols[lab], laurent=True) == \
-                        op(unit, space), (n, op.__name__, lab)
+                        op(unit), (n, name, lab)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_darboux_model_gives_the_darboux_columns(self, n):
@@ -261,6 +335,29 @@ class TestModelSpace:
                 for mask in range(1 << 2 * n):
                     assert getattr(space, name)[(j, mask)] == \
                         getattr(darboux, name)[(j, mask)], (name, j, mask)
+
+    @pytest.mark.parametrize("model,seed,trials,digest", [
+        (None, 7, 100,
+         "22fd40c62ee67b6a93767d6ca1439fbdd72bebcfe0a99d0ed27fec375afa6a40"),
+        (8, 0, 12,
+         "88d82f05d394d851ab0a45bb913914cc4f472f4db1e33950cf6d2e9c1719e3f5"),
+    ], ids=["no-model", "darboux-T8"])
+    def test_check_suite_reports_pinned(self, tmp_path, model, seed, trials,
+                                        digest):
+        # check --suite lefschetz with no model (the Darboux T^2) and on the
+        # Darboux T^8; the digests were recorded when apply_Lh was a qwedge
+        # with omega and apply_Lh_star two stars around it
+        out = tmp_path / "check.json"
+        argv = ["check", "--suite", "lefschetz", "--seed", str(seed),
+                "--trials", str(trials), "--out", str(out)]
+        if model is not None:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps({"space": "torus", "dim": model,
+                                        "symplectic": "darboux"}),
+                            encoding="utf-8")
+            argv += ["--model", str(path)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_of_model_needs_a_symplectic_model(self):
         with pytest.raises(ValueError, match="needs a symplectic model"):
@@ -343,7 +440,8 @@ class TestOperatorColumnsOracle:
                              (2, 0): Fraction(-1, 9)}
         assert L[(0, 12)] == {(0, 15): 1, (1, 12): 2, (2, 0): -1}
         assert all(type(c) is int for c in L[(0, 12)].values())
-        oracle = OperatorColumns(lambda x: apply_Lh(x, space), space)
+        oracle = OperatorColumns(lambda x: lh_per_form(x, space, space.w),
+                                 space)
         for k in range(-3, 4):
             for lab in space.basis(k):
                 assert L[lab] == oracle[lab]
@@ -360,18 +458,19 @@ class TestOperatorColumnsOracle:
 
     def test_column_is_the_operator_on_its_label(self):
         # every label for n <= 3 and a seeded window of three degrees at
-        # n = 4: the L_h and L_h* columns are apply_Lh and apply_Lh_star
-        # on the label's unit form, every coefficient an int
+        # n = 4: the L_h and L_h* columns are the per-form qwedge and the
+        # two stars around it on the label's unit form, every coefficient
+        # an int
         lo = random.Random(7).randint(-10, 8)
         for n, degrees in [(1, range(-4, 5)), (2, range(-6, 7)),
                            (3, range(-8, 9)), (4, range(lo, lo + 3))]:
             space = DarbouxSpace(n)
-            for op, cols in [(apply_Lh, space.L), (apply_Lh_star, space.Ls)]:
+            for name, op, cols in per_form_operators(space):
                 for k in degrees:
                     for lab in space.basis(k):
                         unit = HForm(2 * n, {lab: Fraction(1)}, laurent=True)
                         assert HForm(2 * n, cols[lab], laurent=True) == \
-                            op(unit, space), (n, op.__name__, lab)
+                            op(unit), (n, name, lab)
                         assert all(type(c) is int
                                    for c in cols[lab].values())
 
@@ -534,6 +633,14 @@ class TestHardLefschetz:
         assert rep.all_invertible
         for k, block in rep.blocks.items():
             assert block.det != 0
+
+    @pytest.mark.parametrize("window", [[], range(0), ()],
+                             ids=["list", "range", "tuple"])
+    def test_empty_window_is_refused(self, window):
+        # no block would be certified, so all_invertible would hold
+        # vacuously
+        with pytest.raises(ValueError, match="empty degree window"):
+            hard_lefschetz_check(2, window=window)
 
     def test_t2_determinants_unit(self):
         rep = hard_lefschetz_check(1)
@@ -706,15 +813,27 @@ def _outcome(check, n, window):
             list(rep.conformance.items()))
 
 
+def assert_commutators_as_oracle(n, window=None):
+    """commutator_check gives what the per-label oracle gives, on the full
+    window unless another is named; returns the outcome."""
+    got = _outcome(commutator_check, n, window)
+    assert got == _outcome(commutator_check_per_label, n, window)
+    return got
+
+
+def assert_blocks_as_oracle(n, window=None):
+    """hard_lefschetz_check gives what the per-block oracle gives, on the
+    full window unless another is named; returns the outcome."""
+    got = _outcome(hard_lefschetz_check, n, window)
+    assert got == _outcome(hard_lefschetz_check_per_block, n, window)
+    return got
+
+
 def assert_same_as_oracles(n, commutator_window=None, block_window=None):
-    """commutator_check and hard_lefschetz_check give what the per-label
-    and per-block oracles give, on the full windows unless others are
-    named; returns the two outcomes."""
-    got = _outcome(commutator_check, n, commutator_window)
-    assert got == _outcome(commutator_check_per_label, n, commutator_window)
-    blocks = _outcome(hard_lefschetz_check, n, block_window)
-    assert blocks == _outcome(hard_lefschetz_check_per_block, n, block_window)
-    return got, blocks
+    """Both checks give what their oracles give; returns the two
+    outcomes."""
+    return (assert_commutators_as_oracle(n, commutator_window),
+            assert_blocks_as_oracle(n, block_window))
 
 
 def _replace_w(new_w):
@@ -817,9 +936,9 @@ class TestPerMaskOracles:
         # the commutator windows the benchmark draws (lo in -8..6) and the
         # three-degree windows of blocks
         for lo in range(-8, 7):
-            assert_same_as_oracles(3, [lo, lo + 1, lo + 2], [])
+            assert_commutators_as_oracle(3, [lo, lo + 1, lo + 2])
         for lo in range(-6, 5):
-            assert_same_as_oracles(3, [], [lo, lo + 1, lo + 2])
+            assert_blocks_as_oracle(3, [lo, lo + 1, lo + 2])
 
     def test_seeded_window_n5(self):
         rng = random.Random("per-mask-n5")
@@ -941,7 +1060,7 @@ class TestHShiftControls:
         comm, _blocks = assert_same_as_oracles(2)
         assert dict(comm[1])["[Lh*,h]=0"] is False
         for lo in range(-6, 5):
-            assert_same_as_oracles(2, [lo, lo + 1, lo + 2], [])
+            assert_commutators_as_oracle(2, [lo, lo + 1, lo + 2])
 
     def test_one_Lh_column_two_blocks_up(self, monkeypatch, capsys):
         # (1, 0) = h in the block of degree 2 on T^2, two blocks above the

@@ -617,6 +617,49 @@ def test_spectrum_guard_finds_a_matrix_spectrum(tmp_path):
         "lefschetz.py:check:geometric_multiplicity"]
 
 
+def lefschetz_form_products(root):
+    """``lefschetz.py:top-level name:callee`` of every call of ``qwedge``
+    or ``symplectic_star`` in ``lefschetz.py`` under ``root``."""
+    import ast
+    found = []
+    for top in ast.parse((root / "lefschetz.py").read_text()).body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call) and \
+                    name in ("qwedge", "symplectic_star"):
+                found.append(f"lefschetz.py:{getattr(top, 'name', '<module>')}"
+                             f":{name}")
+    return found
+
+
+def test_lefschetz_operators_are_their_columns():
+    # L_h, L_h* and A_h have one implementation each, the DarbouxSpace
+    # column stores (and the A_h factor of a label) that both certified
+    # checks read; apply_Lh and apply_Lh_star are views of them, so no
+    # form-level product or star is left in lefschetz.py
+    assert lefschetz_form_products(ROOT / "src" / "qexterior") == []
+
+
+def test_operator_guard_finds_a_form_level_product(tmp_path):
+    (tmp_path / "lefschetz.py").write_text(
+        "from . import forms\n"
+        "from .quantum import qwedge\n"
+        "def apply_Lh(x, space):\n"
+        "    return qwedge(space.omega_form, x, space.w)\n"
+        "def apply_Lh_star(x, space):\n"
+        "    star = space.star\n"
+        "    return -forms.symplectic_star(\n"
+        "        apply_Lh(forms.symplectic_star(x, star), space), star)\n"
+        "class DarbouxSpace:\n"
+        "    def column(self, lab):\n"
+        "        return self.star.row(lab[1]), self.qwedge\n")
+    assert lefschetz_form_products(tmp_path) == [
+        "lefschetz.py:apply_Lh:qwedge",
+        "lefschetz.py:apply_Lh_star:symplectic_star",
+        "lefschetz.py:apply_Lh_star:symplectic_star"]
+
+
 def rng_draws(root):
     """``module:line:name`` of every attribute read off an ``rng`` (a name
     or an ``.rng`` attribute) in the library modules under ``root``, other
