@@ -31,8 +31,7 @@ _EXPORTS = {
                     "anticommutator_check", "cartan_d", "contract_generator",
                     "equivariant_cohomology_table"),
     "forms": ("Bivector", "HForm", "StarTable", "berezin_integral",
-              "bivector_contract", "contract_back", "contract_front",
-              "symplectic_star", "wedge"),
+              "bivector_contract", "symplectic_star", "wedge"),
     "hpoly": ("HLaurent", "HPoly"),
     "lefschetz": ("DarbouxSpace", "Mh_matrix", "SpectrumReport", "apply_Ah",
                   "apply_Lh", "apply_Lh_star", "commutator_check",

@@ -108,15 +108,14 @@ def wedge_terms(A: dict, B: dict) -> dict:
     return out
 
 
-def contract_terms(terms: dict, i: int, front: bool) -> dict:
-    """A contraction by e_i on a term dict (0-based index i): the front one
-    e_i |- form, or the back one form -| e_i."""
+def contract_terms(terms: dict, i: int) -> dict:
+    """The front contraction e_i |- form on a term dict (0-based index i),
+    with (v |- a)(v_1, ..) = a(v, v_1, ..)."""
     bit = 1 << i
-    odd = odd_below if front else odd_above
     out = {}
     for (j, m), c in terms.items():
         if m & bit:
-            if odd(m) & bit:
+            if odd_below(m) & bit:
                 c = -c
             key = (j, m ^ bit)
             s = out.get(key)
@@ -129,14 +128,15 @@ def contract_terms(terms: dict, i: int, front: bool) -> dict:
 
 
 def iota_terms(terms: dict, pairs) -> dict:
-    """The sum over ``(indices, c)`` pairs of the front contractions of a
-    term dict a by the 0-based indices, first index first, times c (as
-    coefficient * c): ``((i,), X^i)`` give X |- a, ``((i, j), w^ij)`` w |- a."""
+    """The sum over ``(indices, c)`` pairs of the front contractions
+    (:func:`contract_terms`) of a term dict a by the 0-based indices, first
+    index first, times c (as coefficient * c): ``((i,), X^i)`` give X |- a,
+    ``((i, j), w^ij)`` w |- a = sum w^ij a(e_i, e_j, ..)."""
     out = {}
     for indices, c in pairs:
         inner = terms
         for i in indices:
-            inner = contract_terms(inner, i, True)
+            inner = contract_terms(inner, i)
         for key, d in inner.items():
             d = d * c
             s = out.get(key)

@@ -8,13 +8,10 @@ mode allows any integer j.
 
 Conventions (pinned, see README):
 
-* ``contract_front(i, a)`` implements ``e_i |- a`` with
-  ``(v |- a)(v_1, ..)= a(v, v_1, ..)``;
-* ``contract_back(a, i)`` implements ``a -| e_i`` with
-  ``(a -| v)(v_1, ..) = a(v_1, .., v)``;
 * ``contract_vector``, ``bivector_contract`` (``w |- a = sum_{i<j} w^ij
   a(e_i, e_j, ..)``) and ``exp_contract_terms`` (``E = exp(h w |-)``) all
-  run the one contraction ``_kernels.iota_terms``, on any coefficients;
+  run the one contraction ``_kernels.iota_terms``, on any coefficients,
+  with ``(v |- a)(v_1, ..) = a(v, v_1, ..)``;
 * the symplectic star is defined by
   ``b ^ *a = Lambda^k(w)(b, a) * omega^n/n!`` with w the dual bivector of
   Omega, extended to h-coefficients by ``*h = h^-1``.
@@ -357,22 +354,9 @@ def wedge(a: HForm, b: HForm) -> HForm:
                              a.laurent or b.laurent)
 
 
-def contract_front(i: int, a: HForm) -> HForm:
-    """e_i |- a: evaluation of a on e_i in the first slot (1-based i)."""
-    _mask_from_indices([i], a.dim)
-    return HForm(a.dim, K.contract_terms(a.terms, i - 1, front=True),
-                 a.laurent)
-
-
-def contract_back(a: HForm, i: int) -> HForm:
-    """a -| e_i: evaluation of a on e_i in the last slot (1-based i)."""
-    _mask_from_indices([i], a.dim)
-    return HForm(a.dim, K.contract_terms(a.terms, i - 1, front=False),
-                 a.laurent)
-
-
 def contract_vector(coeffs, a: HForm) -> HForm:
-    """Front contraction by the vector sum_i coeffs[i-1] * e_i."""
+    """X |- a for the vector X = sum_i coeffs[i-1] * e_i: evaluation of a
+    on X in the first slot."""
     pairs = [((i,), c) for i, c in enumerate(coeffs) if c]
     _mask_from_indices([i + 1 for (i,), _c in pairs], a.dim)
     return HForm(a.dim, K.iota_terms(a.terms, pairs), a.laurent)
@@ -458,10 +442,11 @@ class StarTable:
     ``row(J)`` lists (complement of I, Lambda^k(w)[I, J] * pf * sign) over
     the index sets I with |I| = |J| and a nonzero minor, in the order of
     ``itertools.combinations``, where pf is the top coefficient of
-    omega^n/n! and sign that of e^I ^ e^{comp I}.  Only the sets I that
-    give each column of J a row of its own with a nonzero w* entry are
-    tried, as every other minor is zero: one set per row of a Darboux
-    Omega, where w* has one nonzero entry per column.
+    omega^n/n! and sign that of e^I ^ e^{comp I}; an integral scale is
+    held as an int.  Only the sets I that give each column of J a row of
+    its own with a nonzero w* entry are tried, as every other minor is
+    zero: one set per row of a Darboux Omega, where w* has one nonzero
+    entry per column.
     The constructor validates Omega (ValueError if it is not symplectic)
     and computes the inverse and pf; rows are filled on first use.  The
     minors det w*[I, J] of w* = -Omega^{-1} are those of the bivector
@@ -504,7 +489,8 @@ class StarTable:
             lam = wstar.exact(k, wstar.minor(maskI, maskJ) if k else 1)
             if lam:
                 comp = full ^ maskI
-                row.append((comp, lam * pf * K.wedge_sign(maskI, comp)))
+                row.append((comp, K.int_if_integral(
+                    lam * pf * K.wedge_sign(maskI, comp))))
         self.rows[maskJ] = row
         return row
 

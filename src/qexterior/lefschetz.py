@@ -80,8 +80,8 @@ class DarbouxSpace:
     each column of ``L`` (L_h), ``Ls`` (L_h*) and ``E`` (exp(h iota_w)),
     from the ``w`` held at that time."""
 
-    __slots__ = ("n", "dim", "omega", "w", "omega_form", "_star", "_rows",
-                 "L", "Ls", "E")
+    __slots__ = ("n", "dim", "omega", "w", "omega_form", "_star", "L", "Ls",
+                 "E")
 
     def __init__(self, n: int):
         self._hold(darboux_matrix(n), Bivector(2 * n, darboux_dual(n)))
@@ -103,8 +103,6 @@ class DarbouxSpace:
         self._star = None
         self.w = w
         self.omega_form = omega_form(omega, laurent=True)
-        self._rows = Columns(lambda mask: [(comp, int_if_integral(s))
-                                           for comp, s in self.star.row(mask)])
         self.L = Columns(lambda lab: lh_column(self, lab))
         self.Ls = Columns(self.lh_star_column)
         self.E = Columns(lambda lab: exp_contract_terms(self.w, {lab: 1}))
@@ -130,11 +128,12 @@ class DarbouxSpace:
         """The column of L_h* = -* L_h * on the label (j, mask): the ``L``
         columns through the star rows, *h = h^{-1} (j -> -j)."""
         j, mask = lab
+        row = self.star.row
         col = {}
-        for comp, s in self._rows[mask]:
+        for comp, s in row(mask):
             for (j2, m2), c in self.L[(-j, comp)].items():
                 c = c * -s
-                for comp2, s2 in self._rows[m2]:
+                for comp2, s2 in row(m2):
                     key = (-j2, comp2)
                     v = col.get(key, 0) + c * s2
                     if v:

@@ -2,8 +2,9 @@
 
 ``qwedge_bruteforce`` expands the quantum product literally: for each
 order n it enumerates all ordered index tuples (i1..in, j1..jn), applies
-single back/front contractions one at a time, and divides by n!.  No
-sparsity shortcuts, no shared code with the engine's minor expansion.
+single back/front contractions one at a time (``contract_back``,
+``contract_front``), and divides by n!.  No sparsity shortcuts, no shared
+code with the engine's minor expansion or its contraction kernel.
 
 ``qwedge_cascade`` is the term kernel the engine used before the minor
 expansion: it contracts one ordered index pair per level on term dicts
@@ -11,7 +12,10 @@ and scales level n by 1/n!.  Its signs come from ``wedge_sign``,
 ``front_sign`` and ``back_sign``, which count the inversions bit by bit
 as the engine did before it read every sign off one parity mask;
 ``contraction_signs`` and ``qwedge_plan`` are the engine's mask-pair plan
-built on them the same way.
+built on them the same way.  ``contract_front`` (e_i |- a, the engine's
+contraction) and ``contract_back`` (a -| e_i, the left factor's
+contraction in the product) take each term's sign from ``front_sign`` or
+``back_sign``, never from the engine's parity masks.
 
 ``MultilinearForm`` evaluates forms as explicit antisymmetric multilinear
 maps on basis tuples; contractions are slot evaluations and the wedge is
@@ -76,8 +80,8 @@ running power served every k: k - 1 matrix products of its own.
 
 ``bivector_contract_per_entry`` and ``contract_vector_per_index`` are
 iota_w and iota_X as the engine computed them before both went through
-one kernel contraction: one ``HForm`` of front contractions per entry or
-index, scaled and added as forms.
+one kernel contraction: one ``HForm`` of front contractions
+(``contract_front``) per entry or index, scaled and added as forms.
 
 ``conjugate`` applies E = exp(h iota_w) or its inverse, with iota_w
 ``bivector_contract_per_entry``.  For Poisson w, E d E^-1 = d_h and
@@ -171,8 +175,8 @@ from qexterior.complexes import (CohomologyTable, FiniteComplex, _apply,
                                  dense_matrix, dh_kappa_v, homotopy_columns,
                                  koszul_columns)
 from qexterior.forms import (Bivector, HForm, check_symplectic,
-                             contract_back, contract_front, mask_indices,
-                             omega_form, symplectic_star, wedge)
+                             mask_indices, omega_form, symplectic_star,
+                             wedge)
 from qexterior.hpoly import HLaurent, HPoly
 from qexterior import complexes, lefschetz
 from qexterior.lefschetz import CommutatorReport, DarbouxSpace
@@ -206,6 +210,25 @@ def front_sign(mask: int, i: int) -> int:
 def back_sign(mask: int, i: int) -> int:
     """Sign of the back contraction by e_i on a monomial containing bit i."""
     return -1 if (mask >> (i + 1)).bit_count() & 1 else 1
+
+
+def _contract(a: HForm, i: int, sign_of) -> HForm:
+    """Each term of a holding e^i (1-based i) without it, signed by
+    ``sign_of``, :func:`front_sign` or :func:`back_sign`."""
+    bit = 1 << (i - 1)
+    return HForm(a.dim, [((j, m ^ bit), -c if sign_of(m, i - 1) < 0 else c)
+                         for (j, m), c in a.terms.items() if m & bit],
+                 a.laurent)
+
+
+def contract_front(i: int, a: HForm) -> HForm:
+    """e_i |- a, with (v |- a)(v_1, ..) = a(v, v_1, ..)."""
+    return _contract(a, i, front_sign)
+
+
+def contract_back(a: HForm, i: int) -> HForm:
+    """a -| e_i, with (a -| v)(v_1, ..) = a(v_1, .., v)."""
+    return _contract(a, i, back_sign)
 
 
 def contraction_signs(mask: int, sign_of) -> dict:
@@ -1119,7 +1142,7 @@ def star_row_dense(star, maskJ):
     """``StarTable.row`` as the engine computed it before it tried only
     the row sets that can carry a nonzero minor: one minor of w* per index
     set I with |I| = |J|, in ``itertools.combinations`` order, kept when
-    nonzero.  Nothing is cached."""
+    nonzero, an integral scale as an int.  Nothing is cached."""
     dim, wstar, pf = star.dim, star.wstar.table, star.pf
     full = (1 << dim) - 1
     k = maskJ.bit_count()
@@ -1133,7 +1156,8 @@ def star_row_dense(star, maskJ):
             lam = Fraction(lam, wstar.D ** k)
         if lam:
             comp = full ^ maskI
-            row.append((comp, lam * pf * wedge_sign(maskI, comp)))
+            row.append((comp, int_if_integral(
+                lam * pf * wedge_sign(maskI, comp))))
     return row
 
 

@@ -401,8 +401,9 @@ def patch_contraction_oracles(monkeypatch):
 class TestContractionOracle:
     """``contract_vector`` and ``bivector_contract``, thin wrappers over
     ``_kernels.iota_terms``, against the per-index and per-entry ``HForm``
-    loops they replaced (``oracles``), directly and through every library
-    operator that contracts."""
+    loops they replaced (``oracles``, whose contraction signs are counted
+    bit by bit), directly and through every library operator that
+    contracts."""
 
     @pytest.mark.parametrize("model", contraction_models(),
                              ids=CONTRACTION_IDS)
@@ -501,3 +502,15 @@ class TestContractionOracle:
         assert bivector_contract(w, x)
         assert not same_terms(bivector_contract(w, x),
                               oracles.bivector_contract_per_entry(w, x))
+
+    def test_negative_control_front_sign_read_above(self, monkeypatch):
+        # the front contraction's sign read off odd_above, the back one's
+        # mask; on an odd degree the bits above and below an index of the
+        # mask have the same parity, so the draw has an even degree
+        monkeypatch.setattr(K, "odd_below", K.odd_above)
+        s = Sampler(110)
+        X = [s.nonzero_fraction() for _ in range(4)]
+        x = s.ext_form(4, degree=2, terms=4)
+        assert contract_vector(X, x)
+        assert not same_terms(contract_vector(X, x),
+                              oracles.contract_vector_per_index(X, x))

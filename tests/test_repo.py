@@ -528,35 +528,29 @@ def contract_terms_callers(root):
 
 
 def test_only_the_kernel_contraction_contracts():
-    # iota_X, iota_w and E = exp(h iota_w) all run _kernels.iota_terms;
-    # outside _kernels only the single-index contractions call
-    # contract_terms themselves
-    assert contract_terms_callers(ROOT / "src" / "qexterior") == [
-        "forms.py:contract_back", "forms.py:contract_front"]
+    # iota_X, iota_w and E = exp(h iota_w) all run _kernels.iota_terms,
+    # the one caller of contract_terms
+    assert contract_terms_callers(ROOT / "src" / "qexterior") == []
 
 
 def test_contraction_guard_finds_a_second_loop(tmp_path):
     (tmp_path / "_kernels.py").write_text(
         "def iota_terms(terms, pairs):\n"
-        "    return contract_terms(terms, pairs[0][0][0], True)\n")
+        "    return contract_terms(terms, pairs[0][0][0])\n")
     (tmp_path / "forms.py").write_text(
         "from . import _kernels as K\n"
-        "def contract_front(i, a):\n"
-        "    return K.contract_terms(a.terms, i - 1, front=True)\n"
-        "def contract_back(a, i):\n"
-        "    return K.contract_terms(a.terms, i - 1, front=False)\n"
+        "def contract_vector(coeffs, a):\n"
+        "    return K.iota_terms(a.terms, [((0,), coeffs[0])])\n"
         "def exp_contract_terms(w, terms):\n"
         "    for i, j, c in w:\n"
-        "        terms = K.contract_terms(K.contract_terms(terms, i, True),\n"
-        "                                 j, True)\n"
+        "        terms = K.contract_terms(K.contract_terms(terms, i), j)\n"
         "    return terms\n")
     (tmp_path / "lefschetz.py").write_text(
         "from ._kernels import contract_terms\n"
         "class SpectrumReport:\n"
         "    def __init__(self, terms):\n"
-        "        self.terms = contract_terms(terms, 0, True)\n")
+        "        self.terms = contract_terms(terms, 0)\n")
     assert contract_terms_callers(tmp_path) == [
-        "forms.py:contract_back", "forms.py:contract_front",
         "forms.py:exp_contract_terms", "forms.py:exp_contract_terms",
         "lefschetz.py:SpectrumReport"]
 
