@@ -15,7 +15,8 @@ Operators and the convention block they depend on:
 * ``quantum_d``:     d_h = d - h delta; squares to zero and is a
   derivation of the quantum product.
 * ``frame_formula_d``: sum_i e^i ^_h (d_i a), an independent route to d_h
-  on constant-w models.
+  on constant-w models; ``complex_frame_formula_d`` is its twin in the
+  dz/dzbar frame, an independent route to del_h + delbar_h.
 * Dolbeault splittings on complex-frame forms, the quantum integral on
   symplectic tori (volume normalized to 1), and the quantum Stokes check.
 """
@@ -68,20 +69,27 @@ def quantum_d(a: HForm, model: PoissonModel) -> HForm:
     return exterior_d(a) - koszul_delta(a, model).h_shift(1)
 
 
+def _frame_sum(a: HForm, product, frame) -> HForm:
+    """sum_a product(f^a, D_a a) over the pairs (index of the covector f^a,
+    derivation D_a of a coefficient) of ``frame``."""
+    out = HForm.zero(a.dim, a.laurent)
+    for i, partial in frame:
+        da = HForm(a.dim,
+                   {key: dc for key, dc in
+                    ((key, partial(c)) for key, c in a.terms.items()) if dc},
+                   a.laurent)
+        if da:
+            out = out + product(HForm.basis(a.dim, i, a.laurent), da)
+    return out
+
+
 def frame_formula_d(a: HForm, model: PoissonModel) -> HForm:
     """Local-frame oracle sum_i e^i ^_h (d_i a); requires constant w."""
     if not model.is_constant_w():
         raise ValueError("frame formula requires a constant bivector")
-    out = HForm.zero(a.dim, a.laurent)
-    for i in range(1, a.dim + 1):
-        da = HForm(a.dim,
-                   {key: dc for key, dc in
-                    (((j, m), c.partial(i)) for (j, m), c in a.terms.items())
-                    if dc},
-                   a.laurent)
-        if da:
-            out = out + qwedge(HForm.basis(a.dim, i, a.laurent), da, model.w)
-    return out
+    return _frame_sum(a, lambda x, y: qwedge(x, y, model.w),
+                      [(i, lambda c, i=i: c.partial(i))
+                       for i in range(1, a.dim + 1)])
 
 
 def lie_derivative(coeffs, a: HForm) -> HForm:
@@ -105,22 +113,19 @@ def _complex_partial(c: FourierCoeff, k: int, bar: bool) -> FourierCoeff:
     return a + b
 
 
+def _complex_frame(dim: int, bars):
+    """The pairs (index of dz^k or dzbar^k, d/dz_k or d/dzbar_k) of the
+    complex frame, dzbar^k at index n + k, for each ``bar`` in ``bars``."""
+    n = dim // 2
+    return [(n + k if bar else k, lambda c, k=k, bar=bar:
+             _complex_partial(c, k, bar))
+            for bar in bars for k in range(1, n + 1)]
+
+
 def _complex_d(a: HForm, bar: bool) -> HForm:
     """The (1,0) part of d, or the (0,1) part when ``bar``, on a
     complex-frame form."""
-    n = a.dim // 2
-    out = HForm.zero(a.dim, a.laurent)
-    for k in range(1, n + 1):
-        da = HForm(a.dim,
-                   {key: dc for key, dc in
-                    (((j, m), _complex_partial(c, k, bar))
-                     for (j, m), c in a.terms.items())
-                    if dc},
-                   a.laurent)
-        if da:
-            out = out + wedge(HForm.basis(a.dim, n + k if bar else k,
-                                          a.laurent), da)
-    return out
+    return _frame_sum(a, wedge, _complex_frame(a.dim, (bar,)))
 
 
 def holo_d(a: HForm) -> HForm:
@@ -165,6 +170,16 @@ def dolbeault_operators(a: HForm, model: PoissonModel) -> DolbeaultOps:
     d10 = antiholo_d(iw) - bivector_contract(wc, qa)
     return DolbeaultOps(pa, qa, d01, d10,
                         pa - d01.h_shift(1), qa - d10.h_shift(1))
+
+
+def complex_frame_formula_d(a: HForm, model: PoissonModel) -> HForm:
+    """Complex-frame oracle sum_a f^a ^_{h,w_c} (D_a a), the f^a the dz^k
+    and dzbar^k, D_a the d/dz_k and d/dzbar_k and w_c the bivector in that
+    frame: del_h a + delbar_h a, its h terms read off ``qwedge`` and not
+    off the contractions ``dolbeault_operators`` composes."""
+    wc = complex_frame_bivector(model.constant_bivector())
+    return _frame_sum(a, lambda x, y: qwedge(x, y, wc),
+                      _complex_frame(a.dim, (False, True)))
 
 
 # -- quantum integral ----------------------------------------------------------

@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Commands: check, cohomology, dolbeault, equivariant, lefschetz, chern,
-integral.  All reports are UTF-8 JSON, byte-identical for identical
-(command, config, seed); LaTeX emission is optional for tables.
+integral.  Each ``cmd_*`` returns its report body, with a table command's
+LaTeX tail as a second item, and does no I/O.  ``main`` alone adds the
+header (command, seed, prng, conventions), writes every report (to --out
+or stdout) and error object (to --out and stderr) and sets the exit code.
+Reports are UTF-8 JSON, byte-identical for identical (command, config, seed).
 
-Exit codes: 0 success, 1 property failure, 2 malformed input or violated
-precondition (any ValueError, which is all the ``serialize`` loaders raise),
-3 any other exception, an internal error whose error object names its class
-and lists its frames.  ``main`` alone turns exceptions into exit codes and
-JSON error objects.
+Exit codes: 0 success, 1 property failure (the body's status is "fail"),
+2 malformed input or violated precondition (any ValueError, which is all
+the ``serialize`` loaders raise), 3 any other exception, an internal error
+whose error object names its class and lists its frames.
 """
 
 from __future__ import annotations
@@ -133,19 +135,6 @@ def _ring(args):
     return HPoly if args.ring == "polynomial" else HLaurent
 
 
-def _emit(args, payload: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _report_header(args, command):
-    return {"command": command, "seed": args.seed, "prng": PRNG_NAME,
-            "conventions": CONVENTIONS}
-
-
 # The work budget of ``check``: a --model of dimension at most 8, the
 # largest the suites draw without one, refused with exit 2 before any
 # trial.  A trial then costs no more than one dimension 8 draw, and a run is
@@ -166,7 +155,7 @@ CHECK_MAX_DIM = 8
 CHECK_MAX_TRIALS = 500
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> dict:
     from .suites import SUITES, SuitePrecondition, run_suite
     if args.trials > CHECK_MAX_TRIALS:
         raise CliError(f"--trials {args.trials} passes the work budget: at "
@@ -189,23 +178,11 @@ def cmd_check(args) -> int:
             if args.suite != "all":
                 raise
             skipped.append({"suite": name, "reason": str(exc)})
-    failed = not all(res.ok for res in results)
-    payload = dict(_report_header(args, "check"))
-    payload["results"] = [res.to_json() for res in results]
+    body = {"results": [res.to_json() for res in results],
+            "status": "pass" if all(res.ok for res in results) else "fail"}
     if skipped:
-        payload["skipped"] = skipped
-    payload["status"] = "fail" if failed else "pass"
-    _emit(args, dump_json(payload))
-    return EXIT_PROPERTY_FAILURE if failed else EXIT_OK
-
-
-def _table_payload(args, command, table):
-    payload = dict(_report_header(args, command))
-    payload.update(table_to_json(table))
-    text = dump_json(payload)
-    if args.latex:
-        text += table_to_latex(table) + "\n"
-    return text
+        body["skipped"] = skipped
+    return body
 
 
 # The largest --max-degree of ``cohomology``, refused with exit 2 before
@@ -217,7 +194,7 @@ def _table_payload(args, command, table):
 MAX_DEGREE = 10_000
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args) -> tuple:
     from .cohomology import quantum_derham_table
     if args.max_degree is not None and args.max_degree > MAX_DEGREE:
         raise CliError(f"--max-degree {args.max_degree} passes the work "
@@ -226,20 +203,20 @@ def cmd_cohomology(args) -> int:
     table = quantum_derham_table(
         model, mode_box=args.mode_box, max_degree=args.max_degree,
         ring=_ring(args))
-    _emit(args, _table_payload(args, "cohomology", table))
-    return EXIT_OK
+    return table_to_json(table), \
+        table_to_latex(table) + "\n" if args.latex else ""
 
 
-def cmd_dolbeault(args) -> int:
+def cmd_dolbeault(args) -> tuple:
     from .cohomology import quantum_dolbeault_table
     model = _load_model(args)
     table = quantum_dolbeault_table(
         model, mode_box=args.mode_box, ring=_ring(args))
-    _emit(args, _table_payload(args, "dolbeault", table))
-    return EXIT_OK
+    return table_to_json(table), \
+        table_to_latex(table) + "\n" if args.latex else ""
 
 
-def cmd_equivariant(args) -> int:
+def cmd_equivariant(args) -> tuple:
     from .equivariant import equivariant_cohomology_table
     model = _load_model(args)
     if args.ring == "laurent":
@@ -254,8 +231,8 @@ def cmd_equivariant(args) -> int:
     action = _load_json(args.action, "--action", decode_action, model)
     table = equivariant_cohomology_table(
         model, action, cutoff=args.cutoff, mode_box=args.mode_box)
-    _emit(args, _table_payload(args, "equivariant", table))
-    return EXIT_OK
+    return table_to_json(table), \
+        table_to_latex(table) + "\n" if args.latex else ""
 
 
 # The largest --n of ``lefschetz``, refused with exit 2 before any work.
@@ -265,7 +242,7 @@ def cmd_equivariant(args) -> int:
 LEFSCHETZ_MAX_N = 5
 
 
-def cmd_lefschetz(args) -> int:
+def cmd_lefschetz(args) -> dict:
     from .lefschetz import (DarbouxSpace, commutator_check,
                             hard_lefschetz_check)
     n = args.n
@@ -274,17 +251,13 @@ def cmd_lefschetz(args) -> int:
     space = DarbouxSpace(n)
     comm = commutator_check(space)
     hl = hard_lefschetz_check(space)
-    payload = dict(_report_header(args, "lefschetz"))
-    payload["n"] = n
-    payload["commutators"] = {k: bool(v) for k, v in comm.results.items()}
-    payload["commutator_notes"] = comm.notes
-    payload["blocks"] = {
-        str(k): spectrum_to_json(b, hl.conformance[k])
-        for k, b in sorted(hl.blocks.items())}
-    payload["all_invertible"] = hl.all_invertible
-    payload["status"] = "pass" if (comm.ok and hl.all_invertible) else "fail"
-    _emit(args, dump_json(payload))
-    return EXIT_OK if comm.ok and hl.all_invertible else EXIT_PROPERTY_FAILURE
+    return {"n": n,
+            "commutators": {k: bool(v) for k, v in comm.results.items()},
+            "commutator_notes": comm.notes,
+            "blocks": {str(k): spectrum_to_json(b, hl.conformance[k])
+                       for k, b in sorted(hl.blocks.items())},
+            "all_invertible": hl.all_invertible,
+            "status": "pass" if comm.ok and hl.all_invertible else "fail"}
 
 
 # The largest --power of ``chern``, refused with exit 2 before the model is
@@ -293,7 +266,7 @@ def cmd_lefschetz(args) -> int:
 CHERN_MAX_POWER = MAX_MODEL_DIM // 2
 
 
-def cmd_chern(args) -> int:
+def cmd_chern(args) -> dict:
     from .calculus import quantum_d
     from .chern import char_forms, quantum_curvature
     if args.power > CHERN_MAX_POWER:
@@ -305,10 +278,6 @@ def cmd_chern(args) -> int:
     conn = _load_json(args.connection, "--connection", connection_from_json,
                       model)
     F = quantum_curvature(conn)
-    payload = dict(_report_header(args, "chern"))
-    payload["rank"] = conn.rank
-    payload["curvature"] = [[form_to_json(F[i][j]) for j in range(conn.rank)]
-                            for i in range(conn.rank)]
     chars = {}
     closed = True
     for k, form in zip(range(1, args.power + 1), char_forms(F, model)):
@@ -317,28 +286,27 @@ def cmd_chern(args) -> int:
                          "d_h": form_to_json(cert),
                          "closed": cert.is_zero()}
         closed = closed and cert.is_zero()
-    payload["char_forms"] = chars
-    payload["status"] = "pass" if closed else "fail"
-    _emit(args, dump_json(payload))
-    return EXIT_OK if closed else EXIT_PROPERTY_FAILURE
+    return {"rank": conn.rank,
+            "curvature": [[form_to_json(F[i][j]) for j in range(conn.rank)]
+                          for i in range(conn.rank)],
+            "char_forms": chars,
+            "status": "pass" if closed else "fail"}
 
 
-def cmd_integral(args) -> int:
+def cmd_integral(args) -> dict:
     from .calculus import qintegral, stokes_check
     model = _load_model(args)
     form = _load_json(args.form, "--form", form_from_json, model,
                       _ring(args) is HLaurent)
     value = qintegral(form, model)
     stokes = stokes_check(form, model)
-    payload = dict(_report_header(args, "integral"))
-    payload["integral"] = hpoly_to_json(value)
-    payload["stokes"] = {"int_d": hpoly_to_json(stokes.int_d),
-                         "int_h_delta": hpoly_to_json(stokes.int_hdelta),
-                         "int_dh": hpoly_to_json(stokes.int_dh),
-                         "pass": bool(stokes)}
-    payload["status"] = "pass" if stokes else "fail"
-    _emit(args, dump_json(payload))
-    return EXIT_OK if stokes else EXIT_PROPERTY_FAILURE
+    return {"ring": args.ring or "laurent",
+            "integral": hpoly_to_json(value),
+            "stokes": {"int_d": hpoly_to_json(stokes.int_d),
+                       "int_h_delta": hpoly_to_json(stokes.int_hdelta),
+                       "int_dh": hpoly_to_json(stokes.int_dh),
+                       "pass": bool(stokes)},
+            "status": "pass" if stokes else "fail"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -401,6 +369,17 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     return p
 
 
+def _write(text, path, stream):
+    """``text`` to the file ``path``, if given, and to ``stream``, if not
+    None: a report goes to --out or stdout, an error object to --out and
+    stderr."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    if stream is not None:
+        stream.write(text)
+
+
 def main(argv=None) -> int:
     args = None
     argv = sys.argv[1:] if argv is None else argv
@@ -412,7 +391,14 @@ def main(argv=None) -> int:
         # negative one would silently rerun its positive twin
         if args.seed < 0:
             raise CliError(f"--seed must be at least 0, got {args.seed}")
-        return args.func(args)
+        body = args.func(args)
+        body, tail = body if isinstance(body, tuple) else (body, "")
+        report = {"command": args.command, "seed": args.seed,
+                  "prng": PRNG_NAME, "conventions": CONVENTIONS, **body}
+        _write(dump_json(report) + tail, args.out,
+               None if args.out else sys.stdout)
+        return EXIT_PROPERTY_FAILURE if body.get("status") == "fail" \
+            else EXIT_OK
     except ValueError as exc:
         error = {"code": EXIT_BAD_INPUT, "message": str(exc)}
     except OSError as exc:
@@ -426,11 +412,7 @@ def main(argv=None) -> int:
                  "message": f"internal error: {type(exc).__name__}: {exc}",
                  "traceback": [f"{f.filename}:{f.lineno} in {f.name}" for f
                                in traceback.extract_tb(exc.__traceback__)]}
-    out = dump_json({"error": error})
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    sys.stderr.write(out)
+    _write(dump_json({"error": error}), getattr(args, "out", None), sys.stderr)
     return error["code"]
 
 

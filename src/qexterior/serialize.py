@@ -18,8 +18,9 @@ Wire formats:
 On input a JSON integer is also a scalar, and the loaders refuse anything
 else (bools and floats included) with ValueError.
 
-Every report embeds the convention block and the PRNG name, making output
-bytes a pure function of (command, config, seed).
+Every report embeds the convention block and the PRNG name in the header
+``cli.main`` adds, making output bytes a pure function of (command, config,
+seed).
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ def table_to_json(table):
             meta[k] = {str(kk): vv for kk, vv in v.items()}
         else:
             meta[k] = v
-    return {"table": degrees, "meta": meta, "conventions": CONVENTIONS}
+    return {"table": degrees, "meta": meta}
 
 
 def table_to_latex(table) -> str:
@@ -269,9 +270,9 @@ def table_to_latex(table) -> str:
     return "\n".join(lines)
 
 
-def spectrum_to_json(report, conformance=None):
+def spectrum_to_json(report, conformance):
     poly = report.charpoly
-    out = {
+    return {
         "size": report.size,
         "charpoly": [[j, str(poly.coeffs[j])] for j in sorted(poly.coeffs)],
         "factors": {
@@ -286,11 +287,9 @@ def spectrum_to_json(report, conformance=None):
         "diagonalizable": report.diagonalizable,
         "det": str(report.det),
         "invertible": report.invertible,
+        "paper_conformance": conformance["status"],
+        "conformance_issues": conformance["issues"],
     }
-    if conformance is not None:
-        out["paper_conformance"] = conformance["status"]
-        out["conformance_issues"] = conformance["issues"]
-    return out
 
 
 def dump_json(obj) -> str:

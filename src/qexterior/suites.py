@@ -184,7 +184,7 @@ def suite_stokes(model, trials, s: Sampler) -> SuiteResult:
 
 
 def suite_dolbeault(model, trials, s: Sampler) -> SuiteResult:
-    from .calculus import dolbeault_operators
+    from .calculus import complex_frame_formula_d, dolbeault_operators
     res = SuiteResult("dolbeault", trials)
     m = model if model is not None else \
         PoissonModel.darboux_torus(1, complex_structure=True)
@@ -198,9 +198,11 @@ def suite_dolbeault(model, trials, s: Sampler) -> SuiteResult:
         mixed = dolbeault_operators(ops.holo_h, m).antiholo_h + \
             dolbeault_operators(ops.antiholo_h, m).holo_h
         ok = ok and not mixed
-        rebuilt = ops.holo_h + ops.antiholo_h
-        ok = ok and rebuilt == ops.holo + ops.antiholo - \
-            (ops.delta_0m1 + ops.delta_m10).h_shift(1)
+        # del_h + delbar_h by an independent route: the dz/dzbar frame
+        # formula takes its h terms from qwedge, not from the contractions
+        # dolbeault_operators composes, so an h -> -h splitting fails here
+        rebuilt = complex_frame_formula_d(a, m)
+        ok = ok and ops.holo_h + ops.antiholo_h == rebuilt
         res.checked += 1
         if not ok:
             res.fail({"trial": t, "form": str(a)})

@@ -251,6 +251,42 @@ class TestDolbeault:
         with pytest.raises(ValueError):
             dolbeault_operators(t2.form_scalar(1), t2)
 
+    def test_complex_frame_formula(self, sampler, t2c):
+        # sum_a f^a ^_{h,w_c} D_a a over dz^k, dzbar^k is del_h + delbar_h
+        t4c = PoissonModel.darboux_torus(2, complex_structure=True)
+        for model in (t2c, t4c):
+            for _ in range(15):
+                a = sampler.complexified_model_form(
+                    model, laurent=bool(sampler.rng.randint(0, 1)))
+                ops = dolbeault_operators(a, model)
+                assert calculus.complex_frame_formula_d(a, model) == \
+                    ops.holo_h + ops.antiholo_h
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_negative_control_delta_in_the_opposite_order(self, monkeypatch,
+                                                          n):
+        # Both Koszul pieces composed as iota_w o del - del o iota_w: the
+        # consistent h -> -h twin of the splitting.  Its squares and
+        # anticommutator still vanish, and its pieces still add up to its
+        # own del_h + delbar_h, so only an independent route to d_h sees it.
+        from qexterior.forms import bivector_contract
+        from qexterior.quantum import complex_frame_bivector
+        from qexterior.suites import run_suite
+
+        def opposite(a, model):
+            wc = complex_frame_bivector(model.constant_bivector())
+            pa, qa = calculus.holo_d(a), calculus.antiholo_d(a)
+            iw = bivector_contract(wc, a)
+            d01 = bivector_contract(wc, pa) - calculus.holo_d(iw)
+            d10 = bivector_contract(wc, qa) - calculus.antiholo_d(iw)
+            return calculus.DolbeaultOps(pa, qa, d01, d10,
+                                         pa - d01.h_shift(1),
+                                         qa - d10.h_shift(1))
+        model = PoissonModel.darboux_torus(n, complex_structure=True)
+        assert run_suite("dolbeault", model, 12, 0).ok
+        monkeypatch.setattr(calculus, "dolbeault_operators", opposite)
+        assert not run_suite("dolbeault", model, 12, 0).ok
+
 
 LIOUVILLE = r"quantum integral: int_h 1 = -?\d+ is not Pf\(Omega\)"
 

@@ -16,7 +16,9 @@ from qexterior.coeffs import FourierCoeff
 from qexterior.equivariant import _equivariant_basis
 from qexterior.forms import HForm
 from qexterior.models import PoissonModel
-from qexterior.serialize import form_from_json, form_to_json, model_from_json
+from qexterior.sampling import PRNG_NAME
+from qexterior.serialize import (CONVENTIONS, form_from_json, form_to_json,
+                                 model_from_json)
 
 
 def run_cli(args):
@@ -347,7 +349,7 @@ class TestOptions:
         ran = []
         _func, help_text, options = cli.COMMANDS[command]
         monkeypatch.setitem(cli.COMMANDS, command,
-                            (lambda args: ran.append(args.seed) or 0,
+                            (lambda args: ran.append(args.seed) or {},
                              help_text, options))
         argv = [inputs.get(a, a) for a in BASE_ARGV[command]]
         message = cli_error(capsys, argv + ["--seed", "-5"])
@@ -692,6 +694,31 @@ class TestIntegral:
         assert data["integral"] == [[0, {"im": "0", "re": "1"}]]
         assert data["stokes"]["pass"]
 
+    def test_report_states_its_ring(self, tmp_path):
+        # the same form over k[h] and k[h,h^-1] integrates to the same
+        # values; only the ring key tells the two reports apart
+        model = write_json(tmp_path / "t4.json", {
+            "space": "torus", "dim": 4, "symplectic": "darboux"})
+        form = write_json(tmp_path / "f.json", [
+            {"indices": [], "h": 0, "coeff": "1"},
+            {"indices": [1, 2], "h": 1, "coeff": {"fourier": [
+                [[0, 0, 0, 0], "3/2"], [[1, 0, 0, 0], "1"]]}},
+            {"indices": [1, 2, 3, 4], "h": 2, "coeff": "2"}])
+        reports = {}
+        for ring in ("laurent", "polynomial", None):
+            out = tmp_path / f"{ring}.json"
+            argv = ["integral", "--model", model, "--form", form,
+                    "--out", str(out)]
+            assert main(argv + (["--ring", ring] if ring else [])) == 0
+            reports[ring] = out.read_bytes()
+            assert json.loads(reports[ring])["ring"] == (ring or "laurent")
+        assert reports["laurent"] != reports["polynomial"]
+        assert reports[None] == reports["laurent"]
+        bodies = [json.loads(r) for r in reports.values()]
+        for body in bodies:
+            del body["ring"]
+        assert bodies[0] == bodies[1] == bodies[2]
+
     def test_coefficient_past_int_string_limit(self, t2_file, tmp_path):
         # 4,301 digits: within the input budget, past Python's limit on
         # int-to-string conversion
@@ -914,6 +941,25 @@ class TestExitCodes:
         message = cli_error(capsys, ["cohomology", "--model", inputs["T2"],
                                      "--out", str(tmp_path / "no" / "x.json")])
         assert "cannot write the report" in message
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    @pytest.mark.parametrize("body,code", [
+        ({"status": "fail"}, 1), ({"status": "pass"}, 0), ({}, 0)],
+        ids=["fail", "pass", "no-status"])
+    def test_main_frames_and_scores_every_body(self, capsys, monkeypatch,
+                                               inputs, command, body, code):
+        # a command returns its body; main adds the one header, writes it
+        # and exits 1 exactly when the body's status is "fail"
+        _func, help_text, options = cli.COMMANDS[command]
+        monkeypatch.setitem(cli.COMMANDS, command,
+                            (lambda args: dict(body), help_text, options))
+        argv = [inputs.get(a, a) for a in BASE_ARGV[command]]
+        assert main(argv + ["--seed", "3"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == dict(
+            body, command=command, seed=3, prng=PRNG_NAME,
+            conventions=CONVENTIONS)
 
 
 class TestSerialization:

@@ -781,3 +781,65 @@ def test_only_the_listed_callers_skip_form_validation():
         "forms.py:wedge", "quantum.py:qwedge"]
     from test_kernels import CLEAN_CALLERS
     assert sorted(c.split(":")[1] for c in callers) == sorted(CLEAN_CALLERS)
+
+
+def report_writes(path):
+    """``line:top-level name:what`` of every report write in the module at
+    ``path`` outside ``main`` and ``_write``: a call of ``dump_json`` or
+    ``print``, an ``open`` with a writing mode, and a ``.write`` on
+    ``sys.stdout`` or ``sys.stderr``."""
+    import ast
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        if getattr(top, "name", None) in ("main", "_write"):
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            mode = [a.value for a in node.args[1:2] + [
+                k.value for k in node.keywords if k.arg == "mode"]
+                if isinstance(a, ast.Constant)]
+            stream = getattr(getattr(func, "value", None), "attr", None)
+            if name in ("dump_json", "print") or \
+                    (name == "open" and any(set(m) & set("wax+")
+                                            for m in mode)) or \
+                    (name == "write" and stream in ("stdout", "stderr")):
+                found.append((node.lineno, getattr(top, "name", "<module>"),
+                              name))
+    return [f"{line}:{top}:{name}" for line, top, name in sorted(found)]
+
+
+def test_only_main_writes_reports():
+    # every cmd_* returns its report body; main adds the header, calls
+    # dump_json once and writes through _write, which the error path uses
+    assert report_writes(ROOT / "src" / "qexterior" / "cli.py") == []
+
+
+def test_report_write_guard_finds_a_write(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text(
+        "import sys\n"
+        "def _load_json(path):\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        return fh.read()\n"
+        "def cmd_check(args):\n"
+        "    text = dump_json({'status': 'pass'})\n"
+        "    with open(args.out, 'w') as fh:\n"
+        "        fh.write(text)\n"
+        "    sys.stdout.write(text)\n"
+        "    return {}\n"
+        "def cmd_lefschetz(args):\n"
+        "    print(args.n, file=sys.stderr)\n"
+        "    open(args.out, mode='a').close()\n"
+        "    return {}\n"
+        "def _write(text, path, stream):\n"
+        "    with open(path, 'w') as fh:\n"
+        "        fh.write(text)\n"
+        "    stream.write(text)\n"
+        "def main(argv=None):\n"
+        "    _write(dump_json({}), None, sys.stdout)\n")
+    assert report_writes(path) == [
+        "6:cmd_check:dump_json", "7:cmd_check:open", "9:cmd_check:write",
+        "12:cmd_lefschetz:print", "13:cmd_lefschetz:open"]
