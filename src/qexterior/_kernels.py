@@ -23,7 +23,11 @@ sign is that of contracting S from the back of e^I, T from the front of
 e^J, and wedging the remainders.
 Which (S, T, sign) feed which output monomial depends only on the mask
 pair (:func:`qwedge_plan`); the minors and their signed sums depend on the
-bivector (:class:`QTable`, built by ``Bivector.table``).  The table keeps
+bivector (:class:`QTable`, built by ``Bivector.table``).  A bivector whose
+every row has at most one entry, as in Darboux coordinates, pairs each row
+with one column, and a minor det W[S, T] is nonzero only for T the partners
+of S (Frobenius-Koenig).  Its table keeps the partners (``pairs``) and reads
+the plan given them, which lists only those minors.  The table keeps
 each row of W as a ``{column bit: entry}`` dict, so an order-1 minor is one
 row lookup, and memoizes the minors of order 2 and up per ``(S, T)``.
 
@@ -166,19 +170,34 @@ def _submasks(mask: int) -> dict:
 
 
 @lru_cache(maxsize=_PLANS)
-def qwedge_plan(ma: int, mb: int) -> tuple:
+def qwedge_plan(ma: int, mb: int, pairs: tuple = None) -> tuple:
     """The minor expansion of e^ma ^_h e^mb, independent of the bivector.
 
     Returns ``((k, mask, ((S, T, sign), ..)), ..)``: for each output
     monomial h^k e^mask, the row set S, column set T and sign of every
     minor det W[S, T] that contributes to it.
+
+    Given ``pairs`` (:attr:`QTable.pairs`, row i's one column bit or 0),
+    the one T listed for S is the partners of S, when they lie in mb and
+    number |S|; every other minor has a zero row.  The plan is the full
+    one less those minors, its groups in the order of their first minor.
     """
     above, below = odd_above(ma), odd_below(mb)
-    left, right = _submasks(ma), _submasks(mb)
+    left = _submasks(ma)
+    right = _submasks(mb) if pairs is None else None
     groups = {}
     for k in range(min(ma.bit_count(), mb.bit_count()) + 1):
-        cols = [(T, mb ^ T, (below & T).bit_count()) for T in right[k]]
+        if pairs is None:
+            cols = [(T, mb ^ T, (below & T).bit_count()) for T in right[k]]
         for S in left[k]:
+            if pairs is not None:
+                T, s = 0, S
+                while s:
+                    T |= pairs[(s & -s).bit_length() - 1]
+                    s &= s - 1
+                if T & ~mb or T.bit_count() != k:
+                    continue
+                cols = ((T, mb ^ T, (below & T).bit_count()),)
             ra = ma ^ S
             ra_above = odd_above(ra)
             pa = (above & S).bit_count() + k * (k - 1) // 2
@@ -191,6 +210,16 @@ def qwedge_plan(ma: int, mb: int) -> tuple:
     return tuple((k, mask, tuple(g)) for (k, mask), g in groups.items())
 
 
+def _pairs(rows: list, entries: int):
+    """:attr:`QTable.pairs` of the rows of ``entries`` entries: each row's
+    one column bit (0 for an empty row), or None when a row has two.  A
+    pairing has at most one entry per two rows, so a denser table is
+    refused by its count alone and pays no pass over its rows."""
+    if 2 * entries > len(rows) or any(len(row) > 1 for row in rows):
+        return None
+    return tuple(next(iter(row), 0) for row in rows)
+
+
 class QTable:
     """The minor expansion of one bivector, one mask pair at a time.
 
@@ -198,7 +227,8 @@ class QTable:
     coefficient of h^k e^mask in e^ma ^_h e^mb; for k = 0 the coefficient
     is the wedge sign +-1.  ``rows[i]`` maps the bit of each column j
     with w^{ij} != 0 to the entry, in ascending column order, so an
-    order-1 minor is one row lookup.  Minors of order 2 and up are
+    order-1 minor is one row lookup; ``pairs`` (:func:`_pairs`) holds each
+    row's one column when W pairs its rows.  Minors of order 2 and up are
     memoized per ``(S, T)`` and expanded along their lowest row, columns
     ascending; ``product`` and the expansion read ``minors`` inline and
     call :meth:`minor` only on a miss.  Both memos fill on first use.
@@ -212,7 +242,8 @@ class QTable:
     owns it (``Bivector.table``) and whose entries are read-only.
     """
 
-    __slots__ = ("rows", "D", "one", "minors", "products", "promotions")
+    __slots__ = ("rows", "pairs", "D", "one", "minors", "products",
+                 "promotions")
 
     def __init__(self, dim: int, entries: list):
         """The typed table of entries ``[(i, j, w)]``, i < j ascending."""
@@ -221,6 +252,7 @@ class QTable:
             rows[i - 1][1 << (j - 1)] = w
             rows[j - 1][1 << (i - 1)] = -w
         self.rows = rows
+        self.pairs = _pairs(rows, len(entries))
         self.D = None
         self.one = entries[0][-1] * 0 + 1 if entries else None
         self.minors = {}
@@ -232,13 +264,15 @@ class QTable:
         """The rational table of all-Fraction entries ``{(i, j): w}``, i < j
         in ascending order: rows of D W built in one pass."""
         D = lcm(*[w.denominator for w in entries.values()])
-        table = cls(dim, ())
-        rows = table.rows
+        table = cls.__new__(cls)
+        rows = table.rows = [{} for _ in range(dim)]
         for (i, j), w in entries.items():
             n = w.numerator * (D // w.denominator)
             rows[i - 1][1 << (j - 1)] = n
             rows[j - 1][1 << (i - 1)] = -n
+        table.pairs = _pairs(rows, len(entries))
         table.D, table.one = D, _ONE if entries else None
+        table.minors, table.products, table.promotions = {}, {}, {}
         return table
 
     def minor(self, S: int, T: int):
@@ -288,9 +322,10 @@ class QTable:
         return d if self.D is None else Fraction(d, self.D ** k)
 
     def product(self, ma: int, mb: int) -> list:
-        rows, minors = self.rows, self.minors
+        rows, minors, pairs = self.rows, self.minors, self.pairs
         out = []
-        for k, mask, group in qwedge_plan(ma, mb):
+        plan = qwedge_plan(ma, mb, pairs) if pairs else qwedge_plan(ma, mb)
+        for k, mask, group in plan:
             if not k:
                 out.append((0, mask, group[0][2]))
                 continue

@@ -236,9 +236,9 @@ def cmd_equivariant(args) -> tuple:
 
 
 # The largest --n of ``lefschetz``, refused with exit 2 before any work.
-# In process (2-vCPU Xeon, Python 3.11.7) n = 4 takes 0.15 s and 25 MiB and
-# writes 262,713 bytes, n = 5 0.66 s and 56 MiB for 3,665,795 bytes; n = 6
-# would take 8.1 s and 339 MiB and write 66 MB.
+# In process (2-vCPU Xeon, Python 3.11.7) n = 4 takes 0.07 s and 20 MiB and
+# writes 262,713 bytes, n = 5 0.35 s and 39 MiB for 3,665,795 bytes; n = 6
+# would take 3.9 s and 312 MiB and write 66 MB.
 LEFSCHETZ_MAX_N = 5
 
 

@@ -33,7 +33,7 @@ from .forms import Bivector, HForm, mask_indices
 from .hpoly import hpoly_to_json
 from .models import AFFINE, TORUS, PoissonModel, darboux_dual, darboux_matrix
 from .sampling import PRNG_NAME
-from .scalars import scalar_from_json
+from .scalars import scalar_from_json, scalar_to_json
 
 CONVENTIONS = {
     "product_normalization": "e^i ^_w e^j = e^i ^ e^j + w^ij",
@@ -274,7 +274,8 @@ def spectrum_to_json(report, conformance):
     poly = report.charpoly
     return {
         "size": report.size,
-        "charpoly": [[j, str(poly.coeffs[j])] for j in sorted(poly.coeffs)],
+        "charpoly": [[j, scalar_to_json(poly.coeffs[j])]
+                     for j in sorted(poly.coeffs)],
         "factors": {
             "rational_roots": {str(r): m for r, m in
                                sorted(report.factorization.rational_roots.items())},
@@ -285,7 +286,7 @@ def spectrum_to_json(report, conformance):
         },
         "eigenspaces": report.eigen_summary(),
         "diagonalizable": report.diagonalizable,
-        "det": str(report.det),
+        "det": scalar_to_json(report.det),
         "invertible": report.invertible,
         "paper_conformance": conformance["status"],
         "conformance_issues": conformance["issues"],

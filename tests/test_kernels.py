@@ -2,8 +2,11 @@
 oracles, the minor table against elimination, and the forms wrapped from
 kernel output without validation."""
 
+import importlib.util
+import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from qexterior import _kernels as K
 from qexterior.coeffs import FourierCoeff
 from qexterior.forms import (Bivector, HForm, StarTable, bivector_contract,
                              contract_vector, symplectic_star, wedge)
+from qexterior.lefschetz import DarbouxSpace
 from qexterior.linalg import det
 from qexterior.models import PoissonModel
 from qexterior.quantum import qwedge
@@ -247,6 +251,114 @@ class TestBivectorIntegerForms:
         w = Bivector(3, {(1, 2): Fraction(1, 2), (1, 3): Fraction(2, 3)})
         w.table.D = 12
         assert integer_form_mismatches(w) == ["D, one"]
+
+
+# -- paired plans -------------------------------------------------------------
+
+
+PAIRED_KINDS = ("Fraction", "GRat", "FourierCoeff")
+
+
+def seeded_pairing(dim, kind, seed):
+    """A table of a seeded partial pairing on dim generators: each row has
+    at most one entry, of ``kind``; some draws pair no row (w = 0)."""
+    s = Sampler(seed)
+    order = list(range(1, dim + 1))
+    s.rng.shuffle(order)
+    paired = 2 * s.randint(0, dim // 2)
+    entry = {"Fraction": lambda: s.fraction(1, 6),
+             "GRat": lambda: GRat(s.fraction(1, 6), s.fraction()),
+             "FourierCoeff": lambda: s.fourier_coeff(dim)}[kind]
+    entries = {tuple(sorted(order[t:t + 2])): entry()
+               for t in range(0, paired, 2)}
+    if kind == "Fraction":
+        return K.QTable.rational(dim, dict(sorted(entries.items())))
+    return K.QTable(dim, [(i, j, w) for (i, j), w in sorted(entries.items())])
+
+
+def paired_mismatches(table, dense, masks):
+    """Mask pairs whose product under ``table`` differs from the one under
+    ``dense`` (the same entries, ``pairs = None``) as a multiset of
+    (k, mask, type, coefficient); each (k, mask) occurs once per list."""
+    def listed(t, ma, mb):
+        return sorted(((k, m, type(d), d) for k, m, d in t.product(ma, mb)),
+                      key=lambda x: x[:2])
+    return [(ma, mb) for ma, mb in masks
+            if listed(table, ma, mb) != listed(dense, ma, mb)]
+
+
+def dense_copy(make):
+    dense = make()
+    dense.pairs = None
+    return dense
+
+
+def mask_pairs(dim, seed):
+    if dim <= 4:
+        return [(ma, mb) for ma in range(1 << dim) for mb in range(1 << dim)]
+    return seeded_pairs(dim, 150, seed)
+
+
+class TestPairedPlans:
+    """Products under a table whose every row has at most one entry read
+    the plan given its partners; the product is the full plan's."""
+
+    @pytest.mark.parametrize("kind", PAIRED_KINDS)
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_paired_product_is_the_dense_one(self, dim, kind):
+        for seed in range(9000 + 10 * dim, 9000 + 10 * dim + 4):
+            table = seeded_pairing(dim, kind, seed)
+            assert table.pairs is not None
+            assert all(table.pairs[i] == next(iter(row), 0)
+                       for i, row in enumerate(table.rows))
+            dense = dense_copy(lambda: seeded_pairing(dim, kind, seed))
+            assert paired_mismatches(table, dense,
+                                     mask_pairs(dim, seed)) == []
+
+    def test_zero_bivector_pairs_nothing(self):
+        for dim in range(1, 6):
+            dense = dense_copy(lambda: K.QTable(dim, []))
+            for table in (K.QTable.rational(dim, {}), K.QTable(dim, [])):
+                assert table.pairs == (0,) * dim
+                assert paired_mismatches(table, dense,
+                                         mask_pairs(dim, 1)) == []
+
+    def test_negative_control_swapped_partners(self):
+        # rows 1 and 3 trade partners: the minors listed are the wrong ones
+        make = lambda: K.QTable(4, [(1, 2, Fraction(2)), (3, 4, Fraction(3))])
+        table = make()
+        assert table.pairs == (2, 1, 8, 4)
+        table.pairs = (8, 1, 2, 4)
+        assert paired_mismatches(table, dense_copy(make), mask_pairs(4, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_darboux_qwedge_is_the_bruteforce_product(self, n):
+        w = DarbouxSpace(n).w
+        assert w.table.pairs is not None
+        s = Sampler(9100 + n)
+        for _ in range(12):
+            # degrees up to 3, which keep the brute force under a second
+            a, b = (s.ext_form(2 * n, degree=s.randint(0, min(2 * n, 3)),
+                               h_max=1) for _ in "ab")
+            assert qwedge(a, b, w) == oracles.qwedge_bruteforce(a, b, w)
+
+    def test_which_tables_are_paired(self):
+        for n in (1, 2, 3):
+            pairs = DarbouxSpace(n).w.table.pairs
+            assert pairs == tuple(1 << (i ^ 1) for i in range(2 * n))
+        # dense: a congruent Darboux space, the benchmark's torus bivector
+        # and a product-law suite's draw
+        assert DarbouxSpace.of_model(
+            oracles.congruent_torus(Sampler(42), 2)).w.table.pairs is None
+        root = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", root / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        w = workloads.torus_bivector(random.Random("torus_tables:11:0"), 4)
+        assert Bivector(4, w).table.pairs is None
+        assert K.QTable.rational(
+            4, Sampler(11).bivector_entries(4)).pairs is None
 
 
 # -- forms wrapped without validation -----------------------------------------

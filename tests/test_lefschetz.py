@@ -6,6 +6,7 @@ import importlib.util
 import json
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -577,6 +578,28 @@ class TestTransportCertificate:
         assert paper_conformance(got) == conformance
         assert dump_json(spectrum_to_json(got, conformance)) == \
             dump_json(spectrum_to_json(want, conformance))
+
+    def test_scalars_past_the_int_digit_limit(self):
+        # det = 7^8192 has 6,924 digits (the n = 7 value), past the 4,300
+        # that str() of an int writes by default
+        big = Fraction(7) ** 8192
+        with pytest.raises(ValueError):
+            str(big)
+        report = SpectrumReport.__new__(SpectrumReport)
+        report._read_off(7, 2, 0)
+        report.det = big
+        report.charpoly = HPoly({0: big, 1: -big / 7, 2: Fraction(1)})
+        got = spectrum_to_json(report, paper_conformance(report))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = [str(big), str(-big / 7)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(want[0]) == 6924
+        assert got["det"] == want[0]
+        assert got["charpoly"] == [[0, want[0]], [1, want[1]], [2, "1"]]
+        assert json.loads(dump_json(got))["det"] == want[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_block_agrees_with_hessenberg(self, n):

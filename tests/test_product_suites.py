@@ -129,13 +129,14 @@ def broken_product(monkeypatch):
 
 
 def flipped_plan_sign(monkeypatch):
-    """Every plan's w^12 term (S = {1}, T = {2}) with its sign flipped."""
+    """Every plan's w^12 term (S = {1}, T = {2}) with its sign flipped, in
+    the full plans and in those given a paired table's partners alike."""
     plan = K.qwedge_plan
 
-    def flipped(ma, mb):
+    def flipped(ma, mb, *pairs):
         return tuple((k, mask, tuple((S, T, -sign if (S, T) == (1, 2)
                                       else sign) for S, T, sign in group))
-                     for k, mask, group in plan(ma, mb))
+                     for k, mask, group in plan(ma, mb, *pairs))
     monkeypatch.setattr(K, "qwedge_plan", flipped)
 
 

@@ -735,20 +735,47 @@ def test_float_guard_finds_a_float(tmp_path):
                                     "sampling.py:4"]
 
 
-def test_readme_states_every_cli_constant_it_names():
-    # a budget or cap named as `cli.NAME` in the README appears with its
-    # value, formatted with thousands separators, in the same paragraph
-    from qexterior import cli
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
+def readme_cli_constants(text: str, cli) -> list:
+    """The names of the `cli.NAME` constants that ``text`` names.  Each must
+    be a number and appear with its value, formatted with thousands
+    separators, in the same paragraph; an AssertionError names the first
+    that is not or does not."""
     named = []
     for paragraph in re.split(r"\n\s*\n", text):
         for name in re.findall(r"`cli\.([A-Za-z_]\w*)", paragraph):
-            value = f"{getattr(cli, name):,}"
+            value = getattr(cli, name)
+            assert isinstance(value, (int, float)), \
+                f"cli.{name} is not a number but a {type(value).__name__}"
+            value = f"{value:,}"
             named.append(name)
             assert re.search(rf"(?<![\d,]){re.escape(value)}(?!,?\d)",
                              paragraph), f"cli.{name} = {value}"
+    return named
+
+
+def test_readme_states_every_cli_constant_it_names():
+    # a budget or cap named as `cli.NAME` in the README appears with its
+    # value in the same paragraph
+    from qexterior import cli
+    named = readme_cli_constants((ROOT / "README.md").read_text(
+        encoding="utf-8"), cli)
     assert {"TABLE_BUDGET", "MODE_ZERO_BUDGET", "MAX_DEGREE", "CHECK_MAX_DIM",
             "CHECK_MAX_TRIALS", "LEFSCHETZ_MAX_N"} <= set(named)
+
+
+def test_readme_constant_check_names_what_is_not_a_number():
+    # a paragraph naming a function fails with a message naming it, and a
+    # misstated value with the value it should state
+    from qexterior import cli
+    cap = "`lefschetz --n` is capped at `cli.LEFSCHETZ_MAX_N = 5`."
+    assert readme_cli_constants(cap, cli) == ["LEFSCHETZ_MAX_N"]
+    with pytest.raises(AssertionError, match=r"^cli\.main is not a number "
+                       r"but a function\b"):
+        readme_cli_constants(cap + "\n\nReports are written by `cli.main`.",
+                             cli)
+    with pytest.raises(AssertionError,
+                       match=r"^cli\.LEFSCHETZ_MAX_N = 5(?!\d)"):
+        readme_cli_constants(cap.replace("= 5", "= 6"), cli)
 
 
 def test_only_the_listed_callers_skip_form_validation():
