@@ -236,9 +236,9 @@ def cmd_equivariant(args) -> tuple:
 
 
 # The largest --n of ``lefschetz``, refused with exit 2 before any work.
-# In process (2-vCPU Xeon, Python 3.11.7) n = 4 takes 0.07 s and 20 MiB and
-# writes 262,713 bytes, n = 5 0.35 s and 39 MiB for 3,665,795 bytes; n = 6
-# would take 3.9 s and 312 MiB and write 66 MB.
+# In process (2-vCPU Xeon, Python 3.11.7) n = 4 takes 0.08 s and 20 MiB and
+# writes 262,713 bytes, n = 5 0.35 s and 40 MiB for 3,665,795 bytes; n = 6
+# would take 3.8 s and 314 MiB and write 66 MB.
 LEFSCHETZ_MAX_N = 5
 
 
@@ -370,14 +370,14 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
 
 
 def _write(text, path, stream):
-    """``text`` to the file ``path``, if given, and to ``stream``, if not
-    None: a report goes to --out or stdout, an error object to --out and
-    stderr."""
+    """``text`` to ``stream``, if not None, and to the file ``path``, if
+    given: a report goes to --out or stdout, an error object to stderr and
+    --out."""
+    if stream is not None:
+        stream.write(text)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if stream is not None:
-        stream.write(text)
 
 
 def main(argv=None) -> int:
@@ -412,7 +412,11 @@ def main(argv=None) -> int:
                  "message": f"internal error: {type(exc).__name__}: {exc}",
                  "traceback": [f"{f.filename}:{f.lineno} in {f.name}" for f
                                in traceback.extract_tb(exc.__traceback__)]}
-    _write(dump_json({"error": error}), getattr(args, "out", None), sys.stderr)
+    try:
+        _write(dump_json({"error": error}), getattr(args, "out", None),
+               sys.stderr)
+    except OSError:
+        pass    # the error is on stderr; an unwritable --out keeps its code
     return error["code"]
 
 

@@ -181,7 +181,8 @@ class HForm:
         return HForm._from_clean(self.dim, dict(self.terms), True)
 
     def at_h(self, value) -> "HForm":
-        """Substitute a scalar for h (e.g. 1 for the w-product, 0 classical)."""
+        """Substitute a scalar for h (e.g. 1 for the w-product, 0 classical);
+        h = 0 in a negative power of h raises ValueError."""
         if isinstance(value, int):
             value = Fraction(value)
         out = {}
@@ -189,6 +190,8 @@ class HForm:
             if j == 0:
                 cc = c
             elif not value:
+                if j < 0:
+                    raise ValueError(f"h^{j} has no value at h = 0")
                 continue
             else:
                 cc = c * value**j

@@ -20,8 +20,8 @@ one identity.  The spectrum is therefore certified label by label, and
 not computed from a matrix (:class:`SpectrumReport`); a block that fails
 raises AssertionError.  Since ^_h is k[h, h^-1]-bilinear, multiplication
 by h maps block k onto block k + 2 label by label and commutes with M_h,
-E and N: the blocks of one parity are certified once, on the generators
-(0, mask) of its masks, and read off one report.  The conformance field
+E and N: the blocks of one parity are certified once, on the first block
+of that parity in the window, and read off one report.  The conformance field
 compares against the claimed spectrum {n, n +- sqrt(5)/2} with
 one-dimensional eigenspaces and records any mismatch instead of forcing
 it; under the conventions pinned here the n = 1 base case comes out as
@@ -29,8 +29,10 @@ it; under the conventions pinned here the n = 1 base case comes out as
 
 L_h, L_h* and E are kept as sparse columns ``label -> {label': c}`` over
 the basis labels (j, mask) of h^j e^mask, one :class:`Columns` store per
-operator in the :class:`DarbouxSpace` both checks share, each column
-computed once with integral coefficients as ints.  An L_h column sums the
+operator in the :class:`DarbouxSpace` both checks share.  Each store
+fills the column of (0, mask) once per mask, with integral coefficients
+as ints, and serves (j, mask) as its h^j shift, so the three operators
+are k[h, h^-1]-linear by construction.  An L_h column sums the
 expansions of omega's masks with the label's mask in the bivector's own
 product table (:func:`lh_column`); an L_h* column is -* L_h * read off
 those L_h columns through the star table.  :func:`apply_Lh` and
@@ -40,10 +42,9 @@ oracles and the benchmark's tracer.  The commutator check
 takes each operator image of a label once (columns, four composites, the
 A_h factor n - |mask| - 2j per label), compares the identities on those
 exact coefficient dicts, then certifies the scale of L_h* by
-M_h* = M_h - 2n, on the generators (0, mask) of the window's parities.
-Both checks run again label by label, or block by block, when anything
-fails on the generators, so a failure is reported on the labels of the
-window.
+M_h* = M_h - 2n, on the labels of the first window block of each parity:
+one label per mask, each inside the window, so a failure is reported on
+the labels of the window.
 """
 
 from __future__ import annotations
@@ -60,15 +61,20 @@ from .models import PoissonModel, darboux_dual, darboux_matrix
 
 
 class Columns(dict):
-    """Sparse columns ``label -> {label': c}`` of one operator, each one
-    ``fill(label)``, computed on first lookup and kept."""
+    """Sparse columns ``label -> {label': c}`` of one k[h, h^-1]-linear
+    operator: ``fill((0, mask))`` once per mask, and the column of
+    (j, mask) the h^j shift of that one, each kept on first lookup.  The
+    fill never sees j != 0, so the operator commutes with h by
+    construction."""
 
     def __init__(self, fill):
         super().__init__()
         self.fill = fill
 
     def __missing__(self, lab):
-        col = self[lab] = self.fill(lab)
+        j, mask = lab
+        col = self[lab] = self.fill(lab) if j == 0 else \
+            _h_shift(self[(0, mask)], j)
         return col
 
 
@@ -261,12 +267,12 @@ def _witness(space: DarbouxSpace, k: int, lab) -> str:
     return f"degree {k}, basis element {unit}"
 
 
-def _generators(space: DarbouxSpace, parities) -> list:
-    """The labels (0, mask) of every mask whose exterior degree has a
-    parity in ``parities``: the k[h, h^-1]-module generators of the blocks
-    of those parities, one label per mask."""
-    return [(0, mask) for mask in range(1 << space.dim)
-            if mask.bit_count() % 2 in parities]
+def _first_blocks(window) -> list:
+    """The first degree of each parity in ``window``, in window order."""
+    first = {}
+    for k in window:
+        first.setdefault(k % 2, k)
+    return list(first.values())
 
 
 def _check_identities(rep: CommutatorReport, space: DarbouxSpace, labels):
@@ -326,19 +332,17 @@ def commutator_check(space, window=None) -> CommutatorReport:
     of an image.  ``[h,h^-1]=0``, ``Mh=h^-1Lh`` and ``Mh*=hLh*`` hold by
     the definitions of the shift, ``M_h`` and ``M_h*``.
 
-    The identities are taken on the module generators (0, mask) of every
-    mask whose parity occurs in the window, not on every label: there the
-    four ``[., h^{+-1}]`` identities compare the columns at (+-1, mask),
-    computed independently, with the h-shifts of those at (0, mask), which
-    certifies that the operators commute with h on every mask, and every
-    label of the window is h^j times a generator.  If an identity or the
-    scale certificate below fails on a generator, the same loop runs again
-    on every label of the window, and the results, their order and the
-    first witness of each failure are read off that run.
+    The identities are taken once, on the labels of the first block of
+    each parity in the window, in window order: one label per mask, and
+    every label of the window is h^j times one of them.  The stores are
+    k[h, h^-1]-linear by construction (:class:`Columns`), so each
+    identity, and the scale certificate below, holds on a label exactly
+    when it holds on its h-shifts, and the results, their order and the
+    first witness of each failure are those of every label of the window.
 
     Every identity is linear in ``L_h*``, so none of them sees its scale.
-    Once all of them hold, ``M_h* x = M_h x - 2n x`` is certified on every
-    label of the window; a label that fails it raises AssertionError
+    Once all of them hold, ``M_h* x = M_h x - 2n x`` is certified on the
+    same labels; a label that fails it raises AssertionError
     naming its degree and the label.  That certificate also catches the
     calibration sign of the dual bivector flipped for both ``L_h`` and
     ``L_h*``, which every identity lets through.
@@ -354,12 +358,9 @@ def commutator_check(space, window=None) -> CommutatorReport:
     if not window:
         raise ValueError("empty degree window")
     rep = CommutatorReport(n, window)
-    generators = _generators(space, {k % 2 for k in window})
-    scale_failure = _check_identities(rep, space, generators)
-    if not rep.ok or scale_failure:
-        rep = CommutatorReport(n, window)
-        scale_failure = _check_identities(
-            rep, space, [lab for k in window for lab in space.basis(k)])
+    scale_failure = _check_identities(
+        rep, space, [lab for k in _first_blocks(window)
+                     for lab in space.basis(k)])
     if rep.ok and scale_failure:
         raise AssertionError(f"M_h* = M_h - 2n fails on {scale_failure}")
     rep.notes.append(
@@ -444,33 +445,13 @@ class SpectrumReport:
     """Exact characteristic data of the M_h block of degree k on ``space``,
     certified by :func:`_certify_transport`: M_h = E (N + n) E^{-1}, so the
     characteristic polynomial is (x - n)^size, det = n^size, and the
-    eigenspace of n has dimension size - rank N."""
+    eigenspace of n has dimension size - rank N.  The blocks of one parity
+    share their data: each holds one label per mask, the h-shifts of
+    another's, so one report serves them all (:func:`hard_lefschetz_check`)."""
 
     def __init__(self, space: DarbouxSpace, k: int):
         basis = space.basis(k)
         self._read_off(space.n, len(basis), _certify_transport(space, basis))
-
-    @classmethod
-    def of_parity(cls, space: DarbouxSpace, parity: int):
-        """The report shared by every block whose degree has ``parity``.
-
-        Multiplication by h maps block k onto block k + 2 label by label
-        and commutes with M_h, E and N, so the transport certificate runs
-        on the generators (0, mask) of the parity's masks, with the check
-        that the L_h and E columns at (1, mask) are the h-shifts of those
-        at (0, mask).  A failure raises AssertionError."""
-        generators = _generators(space, {parity})
-        rank_N = _certify_transport(space, generators)
-        for _j, mask in generators:
-            if space.L[(1, mask)] != _h_shift(space.L[(0, mask)], 1) or \
-                    space.E[(1, mask)] != _h_shift(space.E[(0, mask)], 1):
-                raise AssertionError(
-                    f"M_h blocks of parity {parity}: the L_h or E column is "
-                    f"not the h-shift of the generator's on "
-                    f"{_witness(space, mask.bit_count() + 2, (1, mask))}")
-        report = cls.__new__(cls)
-        report._read_off(space.n, len(generators), rank_N)
-        return report
 
     def _read_off(self, n: int, size: int, rank_N: int):
         self.size = size
@@ -520,28 +501,22 @@ def hard_lefschetz_check(space, window=None) -> HardLefschetzReport:
     (:class:`SpectrumReport`), so that det(M_h) = n^size != 0 on every
     homogeneous piece.
 
-    A parity with one block in the window certifies that block; a parity
-    with several reads all of them off one report
-    (:meth:`SpectrumReport.of_parity`), and falls back to certifying each
-    of its blocks if that report fails.  A block that fails the
-    certificate raises AssertionError naming its degree k and the failing
-    label, and an empty window, where none would be, ValueError.
+    Each parity is certified once, on its first block in the window, in
+    window order, and every block of that parity reads that report: the
+    L_h and E stores are k[h, h^-1]-linear by construction
+    (:class:`Columns`), so block k + 2 is block k times h, label by label,
+    and certifies or fails with it.  A block that fails the certificate
+    raises AssertionError naming its degree k and the failing label, and
+    an empty window, where none would be, ValueError.
     """
     space = DarbouxSpace(space) if isinstance(space, int) else space
     n = space.n
     window = list(range(-(2 * n), 2 * n + 1) if window is None else window)
     if not window:
         raise ValueError("empty degree window")
-    shared = {}
-    for parity in (0, 1):
-        if sum(k % 2 == parity for k in window) > 1:
-            try:
-                shared[parity] = SpectrumReport.of_parity(space, parity)
-            except AssertionError:
-                pass
+    shared = {k % 2: SpectrumReport(space, k) for k in _first_blocks(window)}
     rep = HardLefschetzReport(n)
     for k in window:
-        block = rep.blocks[k] = shared[k % 2] if k % 2 in shared else \
-            SpectrumReport(space, k)
+        block = rep.blocks[k] = shared[k % 2]
         rep.conformance[k] = paper_conformance(block)
     return rep

@@ -175,6 +175,8 @@ def model_from_json(obj) -> PoissonModel:
         if not 1 <= i < j <= dim:
             raise ValueError(f"bivector indices must satisfy 1 <= i < j <= "
                              f"{dim}, got [{i}, {j}]")
+        if (i, j) in entries:
+            raise ValueError(f"bivector pair [{i}, {j}] is given twice")
         entries[(i, j)] = _coeff_from_json(item[2], kind, dim,
                                            "bivector coefficient")
     symp = obj.get("symplectic")

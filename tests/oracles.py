@@ -1049,10 +1049,11 @@ def commutator_check_per_form(n, window=None, corrupt_w=False):
 
 def commutator_check_per_label(n, window=None):
     """``lefschetz.commutator_check`` as the engine ran it before it took
-    the identities on the module generators (0, mask): the fifteen
-    identities and the scale certificate on every label of every degree
-    in the window.  The engine's names are read from the module at call
-    time, so a test's patch reaches both."""
+    the identities on the first window block of each parity alone: the
+    fifteen identities and the scale certificate on every label of every
+    degree in the window.  The engine's names are read from the module at
+    call time, so a test's patch reaches both; a store patched not to
+    commute with h is read here at every label."""
     space = lefschetz.DarbouxSpace(n)
     if window is None:
         window = range(-(2 * n + 2), 2 * n + 3)
@@ -1104,8 +1105,9 @@ def commutator_check_per_label(n, window=None):
 
 def hard_lefschetz_check_per_block(n, window=None):
     """``lefschetz.hard_lefschetz_check`` as the engine ran it before it
-    read the blocks of one parity off one report: every block of the
-    window certified on its own labels, in window order."""
+    read the blocks of one parity off the report of the first of them:
+    every block of the window certified on its own labels, in window
+    order."""
     space = lefschetz.DarbouxSpace(n)
     if window is None:
         window = range(-(2 * n), 2 * n + 1)

@@ -854,6 +854,15 @@ class TestStrictInputs:
         assert message in cli_error(capsys, ["check", "--suite", "koszul",
                                              "--trials", "1", "--model", model])
 
+    def test_repeated_bivector_pair_exits_two(self, capsys, tmp_path):
+        # a loader keeping the last of [1, 2, "1"], [1, 2, "2"] would read
+        # w^12 = 2, where Bivector and the form loader sum repeats to 3
+        model = write_json(tmp_path / "model.json", {
+            "space": "torus", "dim": 2,
+            "bivector": [[1, 2, "1"], [1, 2, "2"]]})
+        assert "bivector pair [1, 2] is given twice" in cli_error(
+            capsys, ["cohomology", "--model", model])
+
     @pytest.mark.parametrize("coeff,message", BAD_FORM_COEFFS,
                              ids=["float", "bool-re", "float-key", "bool-key",
                                   "poly-on-torus"])
@@ -941,6 +950,29 @@ class TestExitCodes:
         message = cli_error(capsys, ["cohomology", "--model", inputs["T2"],
                                      "--out", str(tmp_path / "no" / "x.json")])
         assert "cannot write the report" in message
+
+    def test_error_with_unwritable_out_keeps_its_code(self, capsys,
+                                                      monkeypatch, tmp_path):
+        # the error object goes to stderr first, and an --out it cannot be
+        # copied to neither raises nor changes the exit code
+        out = str(tmp_path / "missing" / "x.json")
+        assert "lefschetz reports cover n in 1..5" in cli_error(
+            capsys, ["lefschetz", "--n", "9", "--out", out])
+        assert "No such file" in cli_error(
+            capsys, ["cohomology", "--model", str(tmp_path / "none.json"),
+                     "--out", out])
+
+        def broken(*_args):
+            raise RuntimeError("engine fault")
+
+        import qexterior.lefschetz
+        monkeypatch.setattr(qexterior.lefschetz, "commutator_check", broken)
+        assert main(["lefschetz", "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["message"] == \
+            "internal error: RuntimeError: engine fault"
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     @pytest.mark.parametrize("body,code", [

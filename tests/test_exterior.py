@@ -39,6 +39,17 @@ class TestHFormInit:
         assert HForm(2, [((0, 1), c), ((0, 1), -c), ((0, 1), c)]).terms == \
             {(0, 1): c}
 
+    def test_at_h_zero_refuses_a_negative_power(self):
+        # h^-1 has no value at h = 0; positive powers vanish there
+        a = HForm(2, {(-1, 3): Fraction(1), (0, 0): Fraction(2)},
+                  laurent=True)
+        with pytest.raises(ValueError, match=r"h\^-1 has no value at h = 0"):
+            a.at_h(0)
+        assert a.at_h(2) == HForm(2, {(0, 3): Fraction(1, 2),
+                                      (0, 0): Fraction(2)}, laurent=True)
+        b = HForm(2, {(1, 3): Fraction(1), (0, 0): Fraction(2)})
+        assert b.at_h(0) == HForm.scalar(2, Fraction(2))
+
 
 class TestWedge:
     def test_disjoint_ascending(self):

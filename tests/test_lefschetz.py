@@ -168,21 +168,41 @@ class TestMhMatrices:
         assert len(s2.basis(1)) == 8
 
 
-def _patch_columns(monkeypatch, L=None, Ls=None):
-    """Make every ``DarbouxSpace`` fill its ``L`` and ``Ls`` columns with
-    ``L(lab, column)`` and ``Ls(lab, column)``, ``column`` the calibrated
-    column of a twin space: the L_h* columns stay read off calibrated L_h
-    columns whatever ``L`` does."""
+class PerLabelColumns(dict):
+    """A column store that calls ``fill`` on every label it serves, as
+    ``lefschetz.Columns`` did before it served the h-shifts of its (0, mask)
+    columns: its columns need not commute with h."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, lab):
+        col = self[lab] = self.fill(lab)
+        return col
+
+
+def _patch_columns(monkeypatch, L=None, Ls=None, E=None, per_label=False):
+    """Make every ``DarbouxSpace`` fill its ``L``, ``Ls`` and ``E`` columns
+    with ``L(lab, column)``, ``Ls(lab, column)`` and ``E(lab, column)``,
+    ``column`` the calibrated column of a twin space: the L_h* columns stay
+    read off calibrated L_h columns whatever ``L`` does.  The fills see
+    only the labels (0, mask); with ``per_label``, the three stores are
+    :class:`PerLabelColumns` that see every label they serve."""
     real = DarbouxSpace.__init__
 
     def patched(self, n):
         real(self, n)
         twin = DarbouxSpace.__new__(DarbouxSpace)
         real(twin, n)
-        for name, f in (("L", L), ("Ls", Ls)):
+        for name, f in (("L", L), ("Ls", Ls), ("E", E)):
             calibrated = getattr(twin, name)
-            getattr(self, name).fill = lambda lab, f=f, c=calibrated: (
+            fill = lambda lab, f=f, c=calibrated: (
                 c[lab] if f is None else f(lab, c[lab]))
+            if per_label:
+                setattr(self, name, PerLabelColumns(fill))
+            else:
+                getattr(self, name).fill = fill
 
     monkeypatch.setattr(DarbouxSpace, "__init__", patched)
 
@@ -193,8 +213,11 @@ def _plus_identity(lab, col):
     return {y: c for y, c in out.items() if c}
 
 
-def _doubled_on_h0(lab, col):
-    return {y: 2 * c for y, c in col.items()} if lab[0] == 0 else col
+def _doubled_per_power_of_h(lab, col):
+    # the column of h^j e^mask times 2^j: the operator times h is 2h times
+    # the operator on every label, so its [., h^{+-1}] identities fail on
+    # every label alike
+    return {y: c * Fraction(2) ** lab[0] for y, c in col.items()}
 
 
 def _drop_empty_mask(lab, col):
@@ -210,18 +233,20 @@ def _a_factor_odd_e1(lab, n):
 
 
 # One targeted mutant per identity that can fail: the columns patched
-# through the space's fills and the A_h factor of a label.  [h,h^-1]=0,
-# Mh=h^-1Lh and Mh*=hLh* hold by the definitions of the shift, M_h and
-# M_h*.  Each mutant must make its identity fail, so that no identity is
-# compared with itself.
+# through the space's fills, whole stores that do not commute with h, and
+# the A_h factor of a label.  [h,h^-1]=0, Mh=h^-1Lh and Mh*=hLh* hold by
+# the definitions of the shift, M_h and M_h*.  Each mutant must make its
+# identity fail, so that no identity is compared with itself.
+NOT_H_LINEAR_L = {"L": _doubled_per_power_of_h, "per_label": True}
+NOT_H_LINEAR_LS = {"Ls": _doubled_per_power_of_h, "per_label": True}
 MUTANTS = {
     "[Lh,Lh*]=0": ({"L": _drop_empty_mask}, None),
     "[Lh,Ah]=2Lh": ({"L": _plus_identity}, None),
     "[Lh*,Ah]=-2Lh*": ({"Ls": _plus_identity}, None),
-    "[Lh,h]=0": ({"L": _doubled_on_h0}, None),
-    "[Lh,h^-1]=0": ({"L": _doubled_on_h0}, None),
-    "[Lh*,h]=0": ({"Ls": _doubled_on_h0}, None),
-    "[Lh*,h^-1]=0": ({"Ls": _doubled_on_h0}, None),
+    "[Lh,h]=0": (NOT_H_LINEAR_L, None),
+    "[Lh,h^-1]=0": (NOT_H_LINEAR_L, None),
+    "[Lh*,h]=0": (NOT_H_LINEAR_LS, None),
+    "[Lh*,h^-1]=0": (NOT_H_LINEAR_LS, None),
     "[Ah,h]=-2h": ({}, _a_factor_3j),
     "[Ah,h^-1]=2h^-1": ({}, _a_factor_3j),
     "[Mh,Mh*]=0": ({"Ls": _drop_empty_mask}, None),
@@ -475,6 +500,30 @@ class TestOperatorColumnsOracle:
                         assert all(type(c) is int
                                    for c in cols[lab].values())
 
+    def test_E_column_is_the_series_on_its_label(self):
+        # the E store, on every label for n <= 3 and a seeded window of
+        # three degrees at n = 4, against the per-form series
+        # sum_k h^k iota_w^k / k! on the label's unit form: every power of
+        # h the store serves by its one shift, read independently
+        lo = random.Random(11).randint(-10, 8)
+        for n, degrees in [(1, range(-4, 5)), (2, range(-6, 7)),
+                           (3, range(-8, 9)), (4, range(lo, lo + 3))]:
+            space = DarbouxSpace(n)
+            for k in degrees:
+                for lab in space.basis(k):
+                    want = term = HForm(2 * n, {lab: Fraction(1)},
+                                        laurent=True)
+                    order = 0
+                    while term:
+                        order += 1
+                        term = bivector_contract(space.w, term).h_shift(1) \
+                            * Fraction(1, order)
+                        want = want + term
+                    assert HForm(2 * n, space.E[lab], laurent=True) == \
+                        want, (n, lab)
+                    assert all(type(c) is int
+                               for c in space.E[lab].values())
+
 
 class TestStarIdentity:
     """M_h* = M_h - 2n, i.e. L_h* = h^-2 L_h - 2n h^-1: the star-defined
@@ -695,7 +744,8 @@ class TestHardLefschetz:
 
     def test_corrupted_block_names_its_degree(self, monkeypatch, capsys):
         # the L_h column of e^1 gains h e^1, so M_h e^1 = 2 e^1 while
-        # E (N + n) e^1 = e^1; only the block of degree 1 reads that column
+        # E (N + n) e^1 = e^1; the store serves that column at every power
+        # of h, so every odd block reads it and the even blocks pass
         real = lefschetz.lh_column
         target = (0, 0b01)
 
@@ -707,10 +757,20 @@ class TestHardLefschetz:
             return col
 
         monkeypatch.setattr(lefschetz, "lh_column", corrupted)
-        for k in (-1, 0, 2):
+        for k in (-2, 0, 2):
             hard_lefschetz_check(1, window=[k])
-        assert_block_fails(capsys, 1, 1, rf"{TRANSPORT} on degree 1, "
-                           r"basis element e1(?!\d)")
+        # the full window fails on its first odd block, -1
+        for window, k, label in ((None, -1, r"h\^-1\*e1"), ([1, 0], 1, "e1"),
+                                 ([3, 2], 3, r"h\*e1")):
+            with pytest.raises(AssertionError, match=(
+                    rf"^M_h block of degree {k}: {TRANSPORT} on degree {k}, "
+                    rf"basis element {label}(?!\d)")):
+                hard_lefschetz_check(1, window=window)
+        # the command's commutator check, run first, reads the same column
+        # in its first odd block
+        assert main(["lefschetz", "--n", "1"]) == 3
+        assert "AssertionError: M_h* = M_h - 2n fails on degree -3, basis " \
+            "element h^-2*e1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_calibration_sign_caught_by_the_blocks(self, monkeypatch, capsys,
@@ -991,8 +1051,9 @@ class TestOneSpacePerCommand:
     column stores each check reads."""
 
     def test_each_Lh_column_is_built_once(self, monkeypatch, tmp_path):
-        # with a space per check, 128 of the 240 labels the n = 3 command
-        # reads were built twice (368 lh_column calls)
+        # one lh_column call per mask, on (0, mask): 64 at n = 3, where a
+        # fill per label read took 240 calls (and 368 with a space per
+        # check)
         real, calls = lefschetz.lh_column, Counter()
 
         def counted(space, lab):
@@ -1002,8 +1063,34 @@ class TestOneSpacePerCommand:
         monkeypatch.setattr(lefschetz, "lh_column", counted)
         out = tmp_path / "lefschetz.json"
         assert main(["lefschetz", "--n", "3", "--out", str(out)]) == 0
-        assert sum(calls.values()) == 240
+        assert sorted(calls) == [(0, mask) for mask in range(64)]
         assert set(calls.values()) == {1}
+
+    def test_fills_see_only_the_generators(self, monkeypatch, tmp_path):
+        # the L, Ls and E stores call their fills on (0, mask) alone, once
+        # per mask, in both checks and in the command; every other column
+        # is the h-shift of one of those
+        seen = Counter()
+        real = DarbouxSpace.__init__
+
+        def recorded(self, n):
+            real(self, n)
+            for name in ("L", "Ls", "E"):
+                store = getattr(self, name)
+                store.fill = lambda lab, f=store.fill, name=name: (
+                    seen.update([(name, lab)]) or f(lab))
+
+        monkeypatch.setattr(DarbouxSpace, "__init__", recorded)
+        command = ["lefschetz", "--n", "3", "--out", str(tmp_path / "r")]
+        for run, n, stores in [
+                (lambda: commutator_check(2), 2, ("L", "Ls")),
+                (lambda: hard_lefschetz_check(2), 2, ("L", "E")),
+                (lambda: main(command), 3, ("L", "Ls", "E"))]:
+            seen.clear()
+            run()
+            assert sorted(seen) == [(name, (0, mask)) for name in sorted(stores)
+                                    for mask in range(1 << 2 * n)]
+            assert set(seen.values()) == {1}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_a_shared_space_gives_what_an_int_gives(self, n):
@@ -1035,11 +1122,14 @@ def _corrupt_lh_column(monkeypatch, labels):
 
 
 class TestHShiftControls:
-    """Negative controls of the reduction to the generators (0, mask):
-    columns broken only at (1, mask), or at one label above the first
-    block of its parity, must fail exactly as in the per-label and
-    per-block oracles, in process and from the lefschetz command (exit 3
-    with the error on stderr, or exit 1 where only an identity fails)."""
+    """Negative controls of the one shift in the column stores: an L_h,
+    L_h* or E store that does not commute with h (its column of h^j e^mask
+    the calibrated one times 2^j, so broken at h times every mask and at
+    every other power of h alike), and one L_h fill broken on (0, mask),
+    which the store then serves at every level.  Both checks must fail
+    exactly as the per-label and per-block oracles do, in process and from
+    the lefschetz command (exit 3 with the error on stderr, or exit 1 where
+    only an identity fails)."""
 
     @staticmethod
     def assert_cli_raises(capsys, n, message):
@@ -1050,12 +1140,12 @@ class TestHShiftControls:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_Lh_broken_at_h_times_every_mask(self, monkeypatch, capsys, n):
-        _corrupt_lh_column(monkeypatch, lambda lab: lab[0] == 1)
+        _patch_columns(monkeypatch, **NOT_H_LINEAR_L)
         comm, blocks = assert_same_as_oracles(n)
         assert comm[0] == "commutators"
         assert dict(comm[1])["[Lh,h]=0"] is False
         assert blocks[0] == "raised"
-        assert blocks[1].startswith("M_h block of degree ")
+        assert blocks[1].startswith(f"M_h block of degree {-2 * n}: ")
         self.assert_cli_raises(capsys, n, blocks[1])
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -1063,8 +1153,7 @@ class TestHShiftControls:
                                                   n):
         # the blocks do not read L_h*, so the commutator identities alone
         # fail: the command reports them and exits 1
-        _patch_columns(monkeypatch, Ls=lambda lab, col: (
-            _shifted_column_plus_h(lab, col) if lab[0] == 1 else col))
+        _patch_columns(monkeypatch, **NOT_H_LINEAR_LS)
         comm, blocks = assert_same_as_oracles(n)
         results = dict(comm[1])
         assert results["[Lh*,h]=0"] is False and blocks[0] == "blocks"
@@ -1076,53 +1165,47 @@ class TestHShiftControls:
         assert captured.err == ""
 
     def test_Lh_star_broken_on_the_odd_masks_only(self, monkeypatch):
-        # a window holding both parities takes the generators of both
-        _patch_columns(monkeypatch, Ls=lambda lab, col: (
-            _shifted_column_plus_h(lab, col)
-            if lab[0] == 1 and lab[1].bit_count() % 2 else col))
+        # a window holding both parities takes the first block of both
+        _patch_columns(monkeypatch, per_label=True, Ls=lambda lab, col: (
+            _doubled_per_power_of_h(lab, col) if lab[1].bit_count() % 2
+            else col))
         comm, _blocks = assert_same_as_oracles(2)
         assert dict(comm[1])["[Lh*,h]=0"] is False
         for lo in range(-6, 5):
             assert_commutators_as_oracle(2, [lo, lo + 1, lo + 2])
 
-    def test_one_Lh_column_two_blocks_up(self, monkeypatch, capsys):
-        # (1, 0) = h in the block of degree 2 on T^2, two blocks above the
-        # first even block -2 and no generator; E e12 = e12 - h reads it
-        _corrupt_lh_column(monkeypatch, lambda lab: lab == (1, 0))
-        comm, blocks = assert_same_as_oracles(1)
-        assert dict(comm[1])["[Lh,h]=0"] is False
-        assert blocks == ("raised", "M_h block of degree 2: M_h E x != "
-                          "E (N + n) x on degree 2, basis element e12")
-        self.assert_cli_raises(capsys, 1, blocks[1])
-
-    def test_one_Lh_column_no_generator_reads(self, monkeypatch, capsys):
-        # e^{13} meets both Darboux pairs of T^4, so no generator's E x
-        # holds h e^{13}: only the h-shift check of the L_h columns sees
-        # this column, which the block of degree 4 reads
-        _corrupt_lh_column(monkeypatch, lambda lab: lab == (1, 0b0101))
-        comm, blocks = assert_same_as_oracles(2)
-        assert dict(comm[1])["[Lh,h]=0"] is False
-        assert blocks == ("raised", "M_h block of degree 4: M_h E x != "
-                          "E (N + n) x on degree 4, basis element h*e13")
-        self.assert_cli_raises(capsys, 2, blocks[1])
-
     @pytest.mark.parametrize("n", [1, 2])
     def test_E_broken_at_h_times_every_mask(self, monkeypatch, capsys, n):
-        # no generator's certificate reads E at (1, mask): only the h-shift
-        # check of the E columns sees it
-        real = lefschetz.exp_contract_terms
-
-        def broken(w, terms):
-            out = real(w, terms)
-            if any(j == 1 for j, _m in terms):
-                out = {key: 2 * c for key, c in out.items()}
-            return out
-
-        monkeypatch.setattr(lefschetz, "exp_contract_terms", broken)
-        _comm, blocks = assert_same_as_oracles(n)
+        # the commutator check does not read E: the blocks alone fail
+        _patch_columns(monkeypatch, E=_doubled_per_power_of_h,
+                       per_label=True)
+        comm, blocks = assert_same_as_oracles(n)
+        assert comm[0] == "commutators" and all(ok for _, ok in comm[1])
         assert blocks[0] == "raised"
-        assert blocks[1].startswith("M_h block of degree ")
+        assert blocks[1].startswith(f"M_h block of degree {-2 * n}: ")
         self.assert_cli_raises(capsys, n, blocks[1])
+
+    @pytest.mark.parametrize("n,mask", [(1, 0), (2, 0b0101)],
+                             ids=["T2-1", "T4-e13"])
+    def test_one_Lh_fill_every_level(self, monkeypatch, capsys, n, mask):
+        # the fill of (0, mask) gains h e^mask, and the store serves that
+        # column's h-shifts, so the first block of the mask's parity reads
+        # it.  L_h* is read off L_h, so every identity holds and the scale
+        # certificate fails, on the label of the mask in the first block;
+        # the command runs the commutator check first
+        _corrupt_lh_column(monkeypatch, lambda lab: lab == (0, mask))
+        comm, blocks = assert_same_as_oracles(n)
+        k, j = -2 * n, -n - mask.bit_count() // 2
+
+        def label(j):
+            return HForm(2 * n, {(j, mask): 1}, laurent=True)
+
+        assert comm == ("raised", f"M_h* = M_h - 2n fails on degree {k - 2}, "
+                        f"basis element {label(j - 1)}")
+        assert blocks == ("raised", f"M_h block of degree {k}: M_h E x != "
+                          f"E (N + n) x on degree {k}, basis element "
+                          f"{label(j)}")
+        self.assert_cli_raises(capsys, n, comm[1])
 
 
 class TestStratumRanks:
@@ -1142,10 +1225,11 @@ class TestStratumRanks:
             basis = space.basis(k)
             assert self.closed_form(space, basis) == \
                 stratum_rank_by_elimination(space, basis), k
-        for parity in (0, 1):
-            rep = SpectrumReport.of_parity(space, parity)
+        for k in (-2 * n, 1 - 2 * n):
+            # the report every block of k's parity reads
+            rep = SpectrumReport(space, k)
             generators = [(0, m) for m in range(1 << 2 * n)
-                          if m.bit_count() % 2 == parity]
+                          if m.bit_count() % 2 == k % 2]
             rank_N = stratum_rank_by_elimination(space, generators)
             assert rep.geometric == {str(n): (rep.size, rep.size - rank_N)}
 
