@@ -236,9 +236,9 @@ def cmd_equivariant(args) -> tuple:
 
 
 # The largest --n of ``lefschetz``, refused with exit 2 before any work.
-# In process (2-vCPU Xeon, Python 3.11.7) n = 4 takes 0.08 s and 20 MiB and
-# writes 262,713 bytes, n = 5 0.35 s and 40 MiB for 3,665,795 bytes; n = 6
-# would take 3.8 s and 314 MiB and write 66 MB.
+# In process (2-vCPU Xeon, Python 3.11.7) n = 4 takes 0.04 s and 19 MiB and
+# writes 262,713 bytes, n = 5 0.22 s and 35 MiB for 3,665,795 bytes; n = 6
+# would take 2.8 s and 293 MiB and write 66 MB.
 LEFSCHETZ_MAX_N = 5
 
 
@@ -261,8 +261,9 @@ def cmd_lefschetz(args) -> dict:
 
 
 # The largest --power of ``chern``, refused with exit 2 before the model is
-# read: by E = exp(h iota_w) every F_h^k with 2k > dim is zero.  It bounds
-# the number of powers, not the cost of one matrix product.
+# read, as a --power below 1 is: by E = exp(h iota_w) every F_h^k with
+# 2k > dim is zero.  It bounds the number of powers, not the cost of one
+# matrix product.
 CHERN_MAX_POWER = MAX_MODEL_DIM // 2
 
 
@@ -272,9 +273,9 @@ def cmd_chern(args) -> dict:
     if args.power > CHERN_MAX_POWER:
         raise CliError(f"--power {args.power} passes the work budget: at "
                        f"most {CHERN_MAX_POWER}")
-    model = _load_model(args)
     if args.power < 1:
         raise CliError("--power must be at least 1")
+    model = _load_model(args)
     conn = _load_json(args.connection, "--connection", connection_from_json,
                       model)
     F = quantum_curvature(conn)

@@ -27,24 +27,23 @@ one-dimensional eigenspaces and records any mismatch instead of forcing
 it; under the conventions pinned here the n = 1 base case comes out as
 (x - 1)^2 with a single Jordan block.
 
-L_h, L_h* and E are kept as sparse columns ``label -> {label': c}`` over
-the basis labels (j, mask) of h^j e^mask, one :class:`Columns` store per
-operator in the :class:`DarbouxSpace` both checks share.  Each store
-fills the column of (0, mask) once per mask, with integral coefficients
-as ints, and serves (j, mask) as its h^j shift, so the three operators
-are k[h, h^-1]-linear by construction.  An L_h column sums the
-expansions of omega's masks with the label's mask in the bivector's own
-product table (:func:`lh_column`); an L_h* column is -* L_h * read off
-those L_h columns through the star table.  :func:`apply_Lh` and
-:func:`apply_Lh_star` are views of those columns on forms, and the M_h
-matrices (:func:`Mh_matrix`) dense ``Fraction`` views, kept for the test
-oracles and the benchmark's tracer.  The commutator check
-takes each operator image of a label once (columns, four composites, the
-A_h factor n - |mask| - 2j per label), compares the identities on those
-exact coefficient dicts, then certifies the scale of L_h* by
-M_h* = M_h - 2n, on the labels of the first window block of each parity:
-one label per mask, each inside the window, so a failure is reported on
-the labels of the window.
+L_h, L_h* and E are kept as sparse columns ``mask -> {label': c}``, the
+image of e^mask in ints where integral, filled once per mask in one
+:class:`Columns` store per operator of the :class:`DarbouxSpace` both
+checks share.  A reader puts h^j on the column of the label (j, mask), so
+the operators are k[h, h^-1]-linear by the store's key type.  An L_h
+column sums the expansions of omega's masks with the mask in the
+bivector's own product table (:func:`lh_column`); an L_h* column is
+-* L_h * read off those L_h columns through the star table.
+:func:`apply_Lh` and :func:`apply_Lh_star` are views of those columns on
+forms, and the M_h matrices (:func:`Mh_matrix`) dense ``Fraction``
+views, kept for the test oracles and the benchmark's tracer.  The
+commutator check takes each operator image of a mask once (columns,
+four composites, the A_h factor n - |mask| - 2j per label), compares the
+identities on those exact coefficient dicts, then certifies the scale of
+L_h* by M_h* = M_h - 2n, for the labels of the first window block of
+each parity: one label per mask, each inside the window, so a failure is
+reported on the labels of the window.
 """
 
 from __future__ import annotations
@@ -61,20 +60,18 @@ from .models import PoissonModel, darboux_dual, darboux_matrix
 
 
 class Columns(dict):
-    """Sparse columns ``label -> {label': c}`` of one k[h, h^-1]-linear
-    operator: ``fill((0, mask))`` once per mask, and the column of
-    (j, mask) the h^j shift of that one, each kept on first lookup.  The
-    fill never sees j != 0, so the operator commutes with h by
-    construction."""
+    """Sparse columns ``mask -> {label': c}`` of one k[h, h^-1]-linear
+    operator: the image of e^mask, ``fill(mask)`` on first lookup and
+    kept.  The column of h^j e^mask is that one times h^j, which a reader
+    (:func:`_apply`) puts on each entry it reads; keyed by mask, the store
+    cannot hold a column that does not commute with h."""
 
     def __init__(self, fill):
         super().__init__()
         self.fill = fill
 
-    def __missing__(self, lab):
-        j, mask = lab
-        col = self[lab] = self.fill(lab) if j == 0 else \
-            _h_shift(self[(0, mask)], j)
+    def __missing__(self, mask):
+        col = self[mask] = self.fill(mask)
         return col
 
 
@@ -109,9 +106,9 @@ class DarbouxSpace:
         self._star = None
         self.w = w
         self.omega_form = omega_form(omega, laurent=True)
-        self.L = Columns(lambda lab: lh_column(self, lab))
+        self.L = Columns(lambda m: lh_column(self, m))
         self.Ls = Columns(self.lh_star_column)
-        self.E = Columns(lambda lab: exp_contract_terms(self.w, {lab: 1}))
+        self.E = Columns(lambda m: exp_contract_terms(self.w, {(0, m): 1}))
 
     @property
     def star(self) -> StarTable:
@@ -130,14 +127,13 @@ class DarbouxSpace:
         out.sort(key=lambda t: (abs(t[0]), t[0], t[1]))
         return out
 
-    def lh_star_column(self, lab) -> dict:
-        """The column of L_h* = -* L_h * on the label (j, mask): the ``L``
-        columns through the star rows, *h = h^{-1} (j -> -j)."""
-        j, mask = lab
+    def lh_star_column(self, mask) -> dict:
+        """The column of L_h* = -* L_h * on e^mask: the ``L`` columns
+        through the star rows, *h = h^{-1} (j -> -j)."""
         row = self.star.row
         col = {}
         for comp, s in row(mask):
-            for (j2, m2), c in self.L[(-j, comp)].items():
+            for (j2, m2), c in self.L[comp].items():
                 c = c * -s
                 for comp2, s2 in row(m2):
                     key = (-j2, comp2)
@@ -173,12 +169,11 @@ def apply_Ah(x: HForm, space: DarbouxSpace) -> HForm:
                                   for lab, c in x.terms.items()}, x.laurent)
 
 
-def lh_column(space: DarbouxSpace, lab) -> dict:
-    """The column ``{label': c}`` of L_h on the basis label (j, mask):
-    omega ^_h h^j e^mask, summed from the expansions of omega's masks with
-    ``mask`` in the bivector's own product table.  A coefficient of order
-    k is d / D^k, kept as an int when it is integral."""
-    j, mask = lab
+def lh_column(space: DarbouxSpace, mask: int) -> dict:
+    """The column ``{label': c}`` of L_h on e^mask: omega ^_h e^mask,
+    summed from the expansions of omega's masks with ``mask`` in the
+    bivector's own product table.  A coefficient of order k is d / D^k,
+    kept as an int when it is integral."""
     table = space.w.table
     D, products = table.D, table.products
     col = {}
@@ -190,7 +185,7 @@ def lh_column(space: DarbouxSpace, lab) -> dict:
         for k, m, d in expansion:
             if k and D != 1:
                 d = table.exact(k, d)
-            key = (i + j + k, m)
+            key = (i + k, m)
             s = col.get(key, 0) + c * d
             if s:
                 col[key] = s
@@ -205,9 +200,9 @@ def Mh_matrix(space: DarbouxSpace, k: int):
     basis = space.basis(k)
     index = {lab: i for i, lab in enumerate(basis)}
     rows = [[Fraction(0)] * len(basis) for _ in basis]
-    for col, lab in enumerate(basis):
-        for (j, m), c in space.L[lab].items():
-            row = index.get((j - 1, m))
+    for col, (j, mask) in enumerate(basis):
+        for (j2, m), c in space.L[mask].items():
+            row = index.get((j + j2 - 1, m))
             if row is None:
                 raise AssertionError(f"operator output left degree {k}")
             rows[row][col] = Fraction(c)
@@ -240,9 +235,11 @@ class CommutatorReport:
 # Vectors of the commutator check: dicts label -> nonzero coefficient.
 
 def _apply(cols: Columns, v: dict) -> dict:
+    """``cols`` on v: a label (j, mask) reads the mask's column times h^j."""
     out = {}
-    for lab, c in v.items():
-        for key, d in cols[lab].items():
+    for (j, mask), c in v.items():
+        for (j2, m2), d in cols[mask].items():
+            key = (j + j2, m2)
             s = out.get(key)
             s = c * d if s is None else s + c * d
             if s:
@@ -276,30 +273,26 @@ def _first_blocks(window) -> list:
 
 
 def _check_identities(rep: CommutatorReport, space: DarbouxSpace, labels):
-    """Record the fifteen identities on every label of ``labels`` in
-    ``rep``; return the witness of the first label that fails
-    M_h* = M_h - 2n, or None."""
+    """Record the fifteen identities for every label of ``labels`` in
+    ``rep``, each taken on the (0, mask) column of the label's mask and
+    witnessed by the label; return the witness of the first label that
+    fails M_h* = M_h - 2n, or None."""
     n, L, Ls = space.n, space.L, space.Ls
     A = _a_factor
     scale_failure = None
     for lab in labels:
         j, mask = lab
-        k = 2 * j + mask.bit_count()
-        a = A(lab, n)
-        up, down = (j + 1, mask), (j - 1, mask)
-        Lx, Lsx = L[lab], Ls[lab]
+        k, x = 2 * j + mask.bit_count(), (0, mask)
+        a, Lx, Lsx = A(x, n), L[mask], Ls[mask]
         Mx, Msx = _h_shift(Lx, -1), _h_shift(Lsx, 1)
         held = (
             ("[Lh,Lh*]=0", _apply(L, Lsx) == _apply(Ls, Lx)),
             ("[Lh,Ah]=2Lh", all(A(y, n) == a - 2 for y in Lx)),
             ("[Lh*,Ah]=-2Lh*", all(A(y, n) == a + 2 for y in Lsx)),
-            ("[h,h^-1]=0", True),
-            ("[Lh,h]=0", L[up] == _h_shift(Lx, 1)),
-            ("[Lh,h^-1]=0", L[down] == Mx),
-            ("[Lh*,h]=0", Ls[up] == Msx),
-            ("[Lh*,h^-1]=0", Ls[down] == _h_shift(Lsx, -1)),
-            ("[Ah,h]=-2h", A(up, n) - a == -2),
-            ("[Ah,h^-1]=2h^-1", A(down, n) - a == 2),
+            ("[h,h^-1]=0", True), ("[Lh,h]=0", True), ("[Lh,h^-1]=0", True),
+            ("[Lh*,h]=0", True), ("[Lh*,h^-1]=0", True),
+            ("[Ah,h]=-2h", A((1, mask), n) - a == -2),
+            ("[Ah,h^-1]=2h^-1", A((-1, mask), n) - a == 2),
             ("[Mh,Mh*]=0", _h_shift(_apply(L, Msx), -1)
              == _h_shift(_apply(Ls, Mx), 1)),
             ("[Mh,Ah]=0", all(A(y, n) == a for y in Mx)),
@@ -309,7 +302,7 @@ def _check_identities(rep: CommutatorReport, space: DarbouxSpace, labels):
         )
         for name, ok in held:
             rep.record(name, ok, None if ok else _witness(space, k, lab))
-        scaled = {**Mx, lab: Mx.get(lab, 0) - 2 * n}
+        scaled = {**Mx, x: Mx.get(x, 0) - 2 * n}
         if scale_failure is None and \
                 Msx != {y: c for y, c in scaled.items() if c}:
             scale_failure = _witness(space, k, lab)
@@ -323,22 +316,23 @@ def commutator_check(space, window=None) -> CommutatorReport:
     An empty window, where nothing would be verified, raises ValueError.
 
     ``L_h`` and ``L_h*`` are the space's columns ``L`` and ``Ls``.  On
-    each label x = (j, mask) the images are taken once: the columns
-    ``L_h x``, ``L_h* x`` and those at (j +- 1, mask), which the h-shift
-    identities compare with ``L_h x`` and ``L_h* x`` shifted; the
-    composites ``L_h L_h* x``, ``L_h* L_h x``, ``L_h h L_h* x`` and
-    ``L_h* h^-1 L_h x``; and ``A_h``, the factor ``n - |mask| - 2j`` of a
-    label, so that an identity with ``A_h`` compares factors on the labels
-    of an image.  ``[h,h^-1]=0``, ``Mh=h^-1Lh`` and ``Mh*=hLh*`` hold by
-    the definitions of the shift, ``M_h`` and ``M_h*``.
+    each mask the images of x = (0, mask) are taken once: the columns
+    ``L_h x`` and ``L_h* x``; the composites ``L_h L_h* x``,
+    ``L_h* L_h x``, ``L_h h L_h* x`` and ``L_h* h^-1 L_h x``; and
+    ``A_h``, the factor ``n - |mask| - 2j`` of a label, so that an
+    identity with ``A_h`` compares factors on the labels of an image.
+    ``[h,h^-1]=0``, ``Mh=h^-1Lh`` and ``Mh*=hLh*`` hold by the definitions
+    of the shift, ``M_h`` and ``M_h*``, and ``[Lh,h]=0``, ``[Lh,h^-1]=0``,
+    ``[Lh*,h]=0`` and ``[Lh*,h^-1]=0`` by the key type of the stores
+    (:class:`Columns`), which hold one column per mask.
 
-    The identities are taken once, on the labels of the first block of
+    The identities are taken once for each label of the first block of
     each parity in the window, in window order: one label per mask, and
-    every label of the window is h^j times one of them.  The stores are
-    k[h, h^-1]-linear by construction (:class:`Columns`), so each
-    identity, and the scale certificate below, holds on a label exactly
-    when it holds on its h-shifts, and the results, their order and the
-    first witness of each failure are those of every label of the window.
+    every label of the window is h^j times one of them.  The operators
+    commute with h, so each identity, and the scale certificate below,
+    holds on a label exactly when it holds on (0, mask), and the results,
+    their order and the first witness of each failure, which names the
+    window label, are those of every label of the window.
 
     Every identity is linear in ``L_h*``, so none of them sees its scale.
     Once all of them hold, ``M_h* x = M_h x - 2n x`` is certified on the
@@ -390,18 +384,19 @@ def lefschetz_d_commutators(model: PoissonModel, forms) -> CommutatorReport:
 # -- spectra --------------------------------------------------------------------
 
 
-def _lowering(E: Columns, lab) -> dict:
-    """Lambda x: the h-order-1 part of E x made h-free (iota_w x)."""
-    return {(0, m): c for (i, m), c in E[lab].items() if i == lab[0] + 1}
+def _lowering(E: Columns, mask: int) -> dict:
+    """Lambda e^mask: the h-order-1 part of E e^mask made h-free."""
+    return {(0, m): c for (i, m), c in E[mask].items() if i == 1}
 
 
 def _certify_transport(space: DarbouxSpace, labels) -> int:
     """Check M_h(E x) == E((N + n) x) and that E x is x plus lower exterior
-    degrees of its block, then [Lambda, N] x == (p - n) h^-1 x, on every
-    label x of ``labels`` (p its exterior degree, Lambda :func:`_lowering`)
-    on the space's ``L`` and ``E``; return rank N over the strata maps
-    p -> p + 2, or raise AssertionError naming the failing label and its
-    block's degree.
+    degrees of its block, then [Lambda, N] x == (p - n) h^-1 x, for every
+    label of ``labels`` on x = (0, mask) (p its exterior degree, Lambda
+    :func:`_lowering`) on the space's ``L`` and ``E``; return rank N over
+    the strata maps p -> p + 2, or raise AssertionError naming the failing
+    label and its block's degree.  All three are h-linear, so they hold on
+    a label exactly when they hold on its mask.
 
     The first check pins Lambda to exterior degree -2, so (N, h Lambda,
     p - n) is an sl(2) triple on each block up to sign: N: Lambda^p ->
@@ -411,25 +406,25 @@ def _certify_transport(space: DarbouxSpace, labels) -> int:
     n, L, E = space.n, space.L, space.E
     omega = {key: int_if_integral(c)
              for key, c in space.omega_form.terms.items()}
-    for lab in labels:
-        p = lab[1].bit_count()
-        k = 2 * lab[0] + p
-        Ex = E[lab]
-        lower = all(m.bit_count() < p and m.bit_count() + 2 * j == k
-                    for j, m in Ex if (j, m) != lab)
-        if Ex.get(lab) != 1 or not lower:
+    for j, mask in labels:
+        p, x = mask.bit_count(), (0, mask)
+        k, lab = 2 * j + p, (j, mask)
+        Ex = E[mask]
+        lower = all(m.bit_count() < p and m.bit_count() + 2 * i == p
+                    for i, m in Ex if (i, m) != x)
+        if Ex.get(x) != 1 or not lower:
             raise AssertionError(
                 f"M_h block of degree {k}: E x is not x plus lower "
                 f"exterior degrees of the block, {_witness(space, k, lab)}")
-        Nx = _h_shift(wedge_terms(omega, {lab: 1}), -1)
-        if _h_shift(_apply(L, Ex), -1) != _apply(E, {**Nx, lab: n}):
+        Nx = _h_shift(wedge_terms(omega, {x: 1}), -1)
+        if _h_shift(_apply(L, Ex), -1) != _apply(E, {**Nx, x: n}):
             raise AssertionError(
                 f"M_h block of degree {k}: M_h E x != E (N + n) x on "
                 f"{_witness(space, k, lab)}")
-    lowered = {(0, lab[1]): _lowering(E, lab) for lab in labels}
+    lowered = {mask: _lowering(E, mask) for _j, mask in labels}
     for j, mask in labels:
         p, x = mask.bit_count(), (0, mask)
-        want = wedge_terms(omega, lowered[x])
+        want = wedge_terms(omega, lowered[mask])
         want[x] = want.get(x, 0) + p - n
         got = _apply(lowered, wedge_terms(omega, {x: 1}))
         if got != {y: c for y, c in want.items() if c}:
@@ -446,8 +441,9 @@ class SpectrumReport:
     certified by :func:`_certify_transport`: M_h = E (N + n) E^{-1}, so the
     characteristic polynomial is (x - n)^size, det = n^size, and the
     eigenspace of n has dimension size - rank N.  The blocks of one parity
-    share their data: each holds one label per mask, the h-shifts of
-    another's, so one report serves them all (:func:`hard_lefschetz_check`)."""
+    share their data: each holds one label per mask, and the certificate
+    reads the (0, mask) column of each, so one report serves them all
+    (:func:`hard_lefschetz_check`)."""
 
     def __init__(self, space: DarbouxSpace, k: int):
         basis = space.basis(k)
@@ -503,11 +499,11 @@ def hard_lefschetz_check(space, window=None) -> HardLefschetzReport:
 
     Each parity is certified once, on its first block in the window, in
     window order, and every block of that parity reads that report: the
-    L_h and E stores are k[h, h^-1]-linear by construction
-    (:class:`Columns`), so block k + 2 is block k times h, label by label,
-    and certifies or fails with it.  A block that fails the certificate
-    raises AssertionError naming its degree k and the failing label, and
-    an empty window, where none would be, ValueError.
+    L_h and E stores hold one column per mask (:class:`Columns`), so block
+    k + 2 is block k times h, label by label, and certifies or fails with
+    it.  A block that fails the certificate raises AssertionError naming
+    its degree k and the failing label, and an empty window, where none
+    would be, ValueError.
     """
     space = DarbouxSpace(space) if isinstance(space, int) else space
     n = space.n

@@ -20,10 +20,12 @@ from qexterior.sampling import PRNG_NAME
 from qexterior.serialize import (CONVENTIONS, form_from_json, form_to_json,
                                  model_from_json)
 
+from test_namespace import child_env
+
 
 def run_cli(args):
     r = subprocess.run([sys.executable, "-m", "qexterior.cli", *args],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=child_env())
     return r
 
 
@@ -665,6 +667,17 @@ class TestChern:
         assert message == f"--power {power} passes the work budget: at " \
             f"most {cli.CHERN_MAX_POWER}"
 
+    @pytest.mark.parametrize("power", [0, -3])
+    def test_power_below_one_refused_before_the_model(self, capsys,
+                                                      tmp_path, power):
+        # neither the model nor the connection file exists: --power is
+        # checked before either is read
+        message = cli_error(capsys, [
+            "chern", "--power", str(power), "--model",
+            str(tmp_path / "nonexistent.json"), "--connection",
+            str(tmp_path / "missing.json")])
+        assert message == "--power must be at least 1"
+
     def test_power_at_the_cap(self, t2_file, tmp_path):
         # theta = e^1 has zero curvature, so every trace power is zero
         assert cli.CHERN_MAX_POWER == 8
@@ -1231,7 +1244,8 @@ class TestWorkBudget:
         r = subprocess.run([sys.executable, "-m", "qexterior.cli", command,
                             "--model", str(path), "--mode-box", "0",
                             "--out", str(out)],
-                           capture_output=True, text=True, preexec_fn=limit)
+                           capture_output=True, text=True, env=child_env(),
+                           preexec_fn=limit)
         assert r.returncode == 0, r.stderr
         report = json.loads(out.read_text())
         assert sum(d["rank"] for d in report["table"]) == total

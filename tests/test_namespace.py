@@ -19,17 +19,22 @@ import qexterior
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def child_env():
+    """The environment of a child interpreter: ``src`` first on its
+    PYTHONPATH, so the tests run from a checkout with nothing installed."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def loaded_modules(code):
     """The ``qexterior`` modules a fresh interpreter holds after ``code``,
     without the package prefix ('' for the package itself)."""
     report = ("\nimport json, sys\n"
               "print(json.dumps(sorted(n for n in sys.modules\n"
               "    if n == 'qexterior' or n.startswith('qexterior.'))))\n")
-    path = os.pathsep.join(filter(None, [str(SRC),
-                                         os.environ.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, "-c", code + report],
-                       capture_output=True, text=True,
-                       env={**os.environ, "PYTHONPATH": path})
+                       capture_output=True, text=True, env=child_env())
     assert r.returncode == 0, r.stderr
     return {name[len("qexterior."):] if "." in name else ""
             for name in json.loads(r.stdout.splitlines()[-1])}
