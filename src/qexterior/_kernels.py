@@ -231,7 +231,9 @@ class QTable:
     row's one column when W pairs its rows.  Minors of order 2 and up are
     memoized per ``(S, T)`` and expanded along their lowest row, columns
     ascending; ``product`` and the expansion read ``minors`` inline and
-    call :meth:`minor` only on a miss.  Both memos fill on first use.
+    call :meth:`minor` only on a miss.  ``product`` itself stores nothing:
+    the qwedge kernels, which meet one mask pair many times, keep each
+    expansion they compute in ``products``.
 
     A table built from all-Fraction entries (:meth:`rational`) is
     rational: ``D`` is the lcm of their denominators and the rows hold the
@@ -344,7 +346,6 @@ class QTable:
                 total = d if total is None else total + d
             if total:
                 out.append((k, mask, total))
-        self.products[(ma, mb)] = out
         return out
 
     def promotes(self, ca, cb) -> bool:
@@ -395,12 +396,13 @@ def qwedge_terms(A: dict, B: dict, table: QTable) -> dict:
     # types.
     one = table.one
     promotes = table.promotes if one is not None else None
+    products = table.products
     out = {}
     for (ja, ma), ca in A.items():
         for (jb, mb), cb in B.items():
-            expansion = table.products.get((ma, mb))
+            expansion = products.get((ma, mb))
             if expansion is None:
-                expansion = table.product(ma, mb)
+                expansion = products[(ma, mb)] = table.product(ma, mb)
             if not expansion:
                 continue
             c = ca * cb
@@ -446,7 +448,7 @@ def qwedge_numerators(na: tuple, nb: tuple, table: QTable) -> tuple:
         for (jb, mb), b in B.items():
             expansion = products.get((ma, mb))
             if expansion is None:
-                expansion = table.product(ma, mb)
+                expansion = products[(ma, mb)] = table.product(ma, mb)
             if not expansion:
                 continue
             c = a * b

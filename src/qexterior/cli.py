@@ -7,6 +7,13 @@ header (command, seed, prng, conventions), writes every report (to --out
 or stdout) and error object (to --out and stderr) and sets the exit code.
 Reports are UTF-8 JSON, byte-identical for identical (command, config, seed).
 
+The command line is read by ``parse_args`` against the two tables below,
+COMMANDS (each command's function, help line and options) and OPTIONS
+(each option's type, choices, default and help line), with argparse's
+rules and error messages: ``--opt value`` or ``--opt=value``, a unique
+prefix of an option, the last repeat wins, a negative number is a value.
+``-h`` or ``--help`` prints a usage text built from the tables and exits 0.
+
 Exit codes: 0 success, 1 property failure (the body's status is "fail"),
 2 malformed input or violated precondition (any ValueError, which is all
 the ``serialize`` loaders raise), 3 any other exception, an internal error
@@ -15,11 +22,12 @@ whose error object names its class and lists its frames.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
 import traceback
+import types
 
 # Only what every command needs is imported here.  Each command imports its
 # driver (cohomology, equivariant, lefschetz, chern, calculus, suites) in
@@ -310,31 +318,34 @@ def cmd_integral(args) -> dict:
             "status": "pass" if stokes else "fail"}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as malformed input instead of usage text."""
-
-    def error(self, message):
-        raise CliError(f"{self.prog}: {message}")
-
-
-# Every option of the CLI; each command registers only those it reads.
+# Every option of the CLI; each command takes only those it reads.  An
+# option without "type" keeps its string, and a "flag" takes no value.
 OPTIONS = {
     "--model": {"help": "model JSON file"},
-    "--seed": {"type": int, "default": 0},
-    "--trials": {"type": int, "default": 100},
-    "--mode-box": {"type": int, "default": 1},
-    "--max-degree": {"type": int, "default": None},
+    "--seed": {"type": int, "default": 0, "help": "seed, at least 0 "
+               "(default 0)"},
+    "--trials": {"type": int, "default": 100, "help": "trials per suite "
+                 "(default 100)"},
+    "--mode-box": {"type": int, "default": 1, "help": "largest |k_i| of a "
+                   "Fourier mode (default 1)"},
+    "--max-degree": {"type": int, "default": None,
+                     "help": "last degree of graded_dims"},
     # Unset (None) means laurent, except for equivariant, which computes
     # over k[h] and refuses an explicit --ring laurent.
-    "--ring": {"choices": ["polynomial", "laurent"], "default": None},
-    "--latex": {"action": "store_true"},
+    "--ring": {"choices": ["polynomial", "laurent"], "default": None,
+               "help": "coefficient ring: polynomial or laurent"},
+    "--latex": {"flag": True, "default": False,
+                "help": "append a LaTeX table"},
     "--out": {"help": "output path (default stdout)"},
-    "--suite": {"default": "all"},
+    "--suite": {"default": "all", "help": "suite name (default all)"},
     "--action": {"help": "action JSON file"},
-    "--cutoff": {"type": int, "default": 6},
-    "--n": {"type": int, "default": 1},
+    "--cutoff": {"type": int, "default": 6, "help": "largest Cartan degree "
+                 "(default 6)"},
+    "--n": {"type": int, "default": 1, "help": "half the dimension "
+            "(default 1)"},
     "--connection": {"help": "connection JSON file"},
-    "--power": {"type": int, "default": 2},
+    "--power": {"type": int, "default": 2, "help": "largest power "
+                "(default 2)"},
     "--form": {"help": "form JSON file"},
 }
 
@@ -357,17 +368,151 @@ COMMANDS = {
 }
 
 
-def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="qexterior",
-        description="Exact quantum exterior calculus on Poisson model spaces")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, options) in commands.items():
-        sp = sub.add_parser(name, help=help_text)
-        for option in options:
-            sp.add_argument(option, **OPTIONS[option])
-        sp.set_defaults(func=func)
-    return p
+class HelpRequested(Exception):
+    """-h or --help was read; the exception holds the usage text."""
+
+
+def _usage(command=None) -> str:
+    """The usage text of the CLI, or of ``command``, read off the tables."""
+    if command is None:
+        lines = ["usage: qexterior COMMAND [OPTION ...]", "",
+                 "Exact quantum exterior calculus on Poisson model spaces.",
+                 "", "commands:"] + [
+            f"  {name:<13}{help_text}"
+            for name, (_f, help_text, _o) in COMMANDS.items()] + [
+            "", "'qexterior COMMAND --help' lists the options of COMMAND."]
+    else:
+        _f, help_text, options = COMMANDS[command]
+        lines = [f"usage: qexterior {command} [OPTION ...]", "", help_text,
+                 "", "options:"] + [
+            f"  {option:<14}{OPTIONS[option]['help']}" for option in options]
+    return "\n".join(lines) + "\n"
+
+
+_HELP = ("-h", "--help")
+
+
+def _read_option(arg, names, prog):
+    """``arg`` read as argparse reads it against the option ``names``: None
+    for a value, else ``(name, explicit value or None)``, name None for an
+    unknown option.  A unique prefix of a long option names it, and ``-h``
+    takes a value glued on."""
+    if not arg or arg[0] != "-" or len(arg) == 1:
+        return None
+    if arg in names:
+        return arg, None
+    if "=" in arg:
+        name, value = arg.split("=", 1)
+        if name in names:
+            return name, value
+    if arg[1] == "-":
+        prefix, eq, value = arg.partition("=")
+        matches = [(n, value if eq else None) for n in names
+                   if n.startswith(prefix)]
+    else:
+        matches = [("-h", arg[2:])] if arg[1] == "h" else []
+    if len(matches) > 1:
+        raise CliError(f"{prog}: ambiguous option: {arg} could match "
+                       f"{', '.join(n for n, _v in matches)}")
+    if matches:
+        return matches[0]
+    # argparse reads a negative number, like a string with a space, as a
+    # value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _check_flag(name, value, prog):
+    """Refuse a value given to an option that takes none; ``-hh`` is -h
+    twice, as argparse reads it."""
+    if value is None:
+        return
+    rest = value.lstrip("h") if name == "-h" else value
+    if rest or not value:
+        label = "-h/--help" if name in _HELP else name
+        raise CliError(f"{prog}: argument {label}: ignored explicit "
+                       f"argument {rest!r}")
+
+
+def parse_args(argv) -> types.SimpleNamespace:
+    """The command and option values of ``argv``, read against COMMANDS and
+    OPTIONS with argparse's rules and messages: ``--opt value`` or
+    ``--opt=value``, a unique prefix of an option, the last repeat wins, a
+    negative number is a value, and everything after a first ``--`` is left
+    over.  Every option the command takes is set, unset ones to their
+    default.  A usage error raises CliError; -h or --help, read before any
+    error, raises HelpRequested.
+    """
+    argv = list(argv)
+    command, options, prog = None, (), "qexterior"
+
+    def read_from(start):
+        # every string is read before any is taken, so an ambiguous prefix
+        # is refused wherever it stands
+        reads = []
+        for arg in argv[start:]:
+            if arg == "--":
+                return reads + [None] * (len(argv) - start - len(reads))
+            reads.append(_read_option(arg, _HELP + options, prog))
+        return reads
+
+    reads = read_from(0)
+    extras, values = [], {}
+    i = 0
+    while i < len(argv):
+        read, arg = reads[i], argv[i]
+        i += 1
+        if read is None and command is None:
+            if arg == "--" and i == len(argv):
+                break
+            if arg not in COMMANDS:
+                raise CliError(f"{prog}: argument command: invalid choice: "
+                               f"{arg!r} (choose from "
+                               f"{', '.join(map(repr, COMMANDS))})")
+            command = arg
+            func, _help, options = COMMANDS[command]
+            prog = f"qexterior {command}"
+            reads[i:] = read_from(i)
+        elif read is None or read[0] is None:
+            extras.append(arg)
+        elif read[0] in _HELP:
+            _check_flag(*read, prog)
+            raise HelpRequested(_usage(command))
+        elif OPTIONS[read[0]].get("flag"):
+            _check_flag(*read, prog)
+            values[read[0]] = True
+        else:
+            name, value = read
+            spec = OPTIONS[name]
+            if value is None:
+                if i == len(argv) or reads[i] is not None or argv[i] == "--":
+                    raise CliError(f"{prog}: argument {name}: expected one "
+                                   f"argument")
+                value = argv[i]
+                i += 1
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except ValueError:
+                    raise CliError(f"{prog}: argument {name}: invalid "
+                                   f"{spec['type'].__name__} value: "
+                                   f"{value!r}")
+            if "choices" in spec and value not in spec["choices"]:
+                raise CliError(f"{prog}: argument {name}: invalid choice: "
+                               f"{value!r} (choose from "
+                               f"{', '.join(map(repr, spec['choices']))})")
+            values[name] = value
+    if command is None:
+        raise CliError("qexterior: the following arguments are required: "
+                       "command")
+    if extras:
+        raise CliError(f"qexterior: unrecognized arguments: "
+                       f"{' '.join(extras)}")
+    return types.SimpleNamespace(
+        command=command, func=func,
+        **{o[2:].replace("-", "_"): values.get(o, OPTIONS[o].get("default"))
+           for o in options})
 
 
 def _write(text, path, stream):
@@ -385,9 +530,7 @@ def main(argv=None) -> int:
     args = None
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # the named command's subparser alone gives the same usage errors
-        named = {c: COMMANDS[c] for c in argv[:1] if c in COMMANDS}
-        args = build_parser(named or COMMANDS).parse_args(argv)
+        args = parse_args(argv)
         # every command reads --seed; random.Random seeds from |seed|, so a
         # negative one would silently rerun its positive twin
         if args.seed < 0:
@@ -400,6 +543,9 @@ def main(argv=None) -> int:
                None if args.out else sys.stdout)
         return EXIT_PROPERTY_FAILURE if body.get("status") == "fail" \
             else EXIT_OK
+    except HelpRequested as usage:
+        _write(str(usage), None, sys.stdout)
+        return EXIT_OK
     except ValueError as exc:
         error = {"code": EXIT_BAD_INPUT, "message": str(exc)}
     except OSError as exc:

@@ -175,14 +175,11 @@ def lh_column(space: DarbouxSpace, mask: int) -> dict:
     bivector's own product table.  A coefficient of order k is d / D^k,
     kept as an int when it is integral."""
     table = space.w.table
-    D, products = table.D, table.products
+    D = table.D
     col = {}
     for (i, om), c in space.omega_form.terms.items():
         c = int_if_integral(c)
-        expansion = products.get((om, mask))
-        if expansion is None:
-            expansion = table.product(om, mask)
-        for k, m, d in expansion:
+        for k, m, d in table.product(om, mask):
             if k and D != 1:
                 d = table.exact(k, d)
             key = (i + k, m)

@@ -25,8 +25,8 @@ seed).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .coeffs import FourierCoeff, PolyCoeff, coeff_to_json
 from .forms import Bivector, HForm, mask_indices
@@ -295,5 +295,83 @@ def spectrum_to_json(report, conformance):
     }
 
 
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it; floats are refused."""
+    if isinstance(key, str):
+        return key
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, bool or None, not "
+                    f"{type(key).__name__}")
+
+
+def _write_json(obj, head, out, nl):
+    """Append the JSON text of ``obj``, with ``head`` (separator, newline,
+    indent and key) before it, to the chunk list ``out``; ``nl`` is the
+    newline and indent of ``obj``'s own line.  A scalar takes one chunk
+    together with its head, which keeps the list short."""
+    if isinstance(obj, str):
+        out.append(head + encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append(head + "null")
+    elif obj is True:
+        out.append(head + "true")
+    elif obj is False:
+        out.append(head + "false")
+    elif isinstance(obj, int):
+        out.append(head + int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append(head + "[]")
+            return
+        inner = nl + "  "
+        head += "[" + inner
+        sep = "," + inner
+        for item in obj:
+            kind = type(item)
+            if kind is int:
+                out.append(head + int.__repr__(item))
+            elif kind is str:
+                out.append(head + encode_basestring_ascii(item))
+            else:
+                _write_json(item, head, out, inner)
+            head = sep
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append(head + "{}")
+            return
+        inner = nl + "  "
+        head += "{" + inner
+        sep = "," + inner
+        for key, value in sorted(obj.items()):
+            head += encode_basestring_ascii(
+                key if type(key) is str else _json_key(key)) + ": "
+            kind = type(value)
+            if kind is int:
+                out.append(head + int.__repr__(value))
+            elif kind is str:
+                out.append(head + encode_basestring_ascii(value))
+            else:
+                _write_json(value, head, out, inner)
+            head = sep
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                        f"serializable")
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for the str, int, bool, None, list, tuple and dict values reports are
+    made of; a float, like any other type, raises TypeError."""
+    out = []
+    _write_json(obj, "", out, "\n")
+    out.append("\n")
+    return "".join(out)

@@ -1,5 +1,6 @@
 """CLI: commands, exit codes, determinism, serialization round trips."""
 
+import hashlib
 import json
 import resource
 import subprocess
@@ -16,10 +17,12 @@ from qexterior.coeffs import FourierCoeff
 from qexterior.equivariant import _equivariant_basis
 from qexterior.forms import HForm
 from qexterior.models import PoissonModel
-from qexterior.sampling import PRNG_NAME
+from qexterior.sampling import PRNG_NAME, Sampler
 from qexterior.serialize import (CONVENTIONS, form_from_json, form_to_json,
                                  model_from_json)
 
+from test_cohomology import (PINNED_FILES, PINNED_REPORTS,
+                             PINNED_SHA256)
 from test_namespace import child_env
 
 
@@ -273,6 +276,9 @@ class TestCheck:
         assert a.read_bytes() == b.read_bytes()
 
 
+EMPTY = hashlib.sha256(b"").hexdigest()[:16]
+
+
 def cli_error(capsys, argv):
     """Run the CLI in-process on malformed input: exit 2, nothing on
     stdout and a JSON error object on stderr; returns its message."""
@@ -374,35 +380,125 @@ class TestOptions:
         assert message in cli_error(capsys, argv)
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
-    def test_one_subparser_errors_as_the_full_parser(self, capsys,
-                                                     monkeypatch, command):
-        # main builds only the named command's subparser; every usage
-        # error, and an unknown command, gives the same exit code and
-        # error object, byte for byte, as the parser of all commands
+    def test_usage_errors_as_argparse_gave_them(self, capsys, command):
+        # each usage error, and an unknown command, gives argparse's exit
+        # code and message, as when a parser of all commands read them
         options = cli.COMMANDS[command][2]
         int_option = next(o for o in options
                           if cli.OPTIONS[o].get("type") is int)
-        malformed = [[command, "--bogus"], [command, int_option, "abc"],
-                     [command, options[0]], [command + "x"],
-                     [command, "--ring", "rational"]]
-        built = []
-        original = cli.build_parser
+        prog = f"qexterior {command}"
+        ring = f"{prog}: argument --ring: invalid choice: 'rational' " \
+            "(choose from 'polynomial', 'laurent')" if "--ring" in options \
+            else "qexterior: unrecognized arguments: --ring rational"
+        for argv, message in [
+                ([command, "--bogus"],
+                 "qexterior: unrecognized arguments: --bogus"),
+                ([command, int_option, "abc"],
+                 f"{prog}: argument {int_option}: invalid int value: 'abc'"),
+                ([command, options[0]],
+                 f"{prog}: argument {options[0]}: expected one argument"),
+                ([command + "x"],
+                 f"qexterior: argument command: invalid choice: "
+                 f"'{command}x' (choose from 'check', 'cohomology', "
+                 f"'dolbeault', 'equivariant', 'lefschetz', 'chern', "
+                 f"'integral')"),
+                ([command, "--ring", "rational"], ring)]:
+            assert cli_error(capsys, argv) == message, argv
 
-        def recording(commands=cli.COMMANDS):
-            built.append(list(commands))
-            return original(commands)
+    # (argv, exit code, sha256 prefixes of stdout, stderr and the --out
+    # file, None when it is not written), recorded when argparse read the
+    # command line; OUT stands for the --out path
+    @pytest.mark.parametrize("argv,code,out,err,report", [
+        ([], 2, EMPTY, "a00a171bcb1e5dce", None),
+        (["nope"], 2, EMPTY, "efb1e9b13962e2c1", None),
+        (["--bogus"], 2, EMPTY, "a00a171bcb1e5dce", None),
+        (["lefschetz", "stray"], 2, EMPTY, "1245844cb007054a", None),
+        (["lefschetz", "--bogus"], 2, EMPTY, "296ff1faa36ff0c9", None),
+        (["lefschetz", "--n", "abc", "--out", "OUT"], 2, EMPTY,
+         "0e9734474e289cf5", None),
+        (["lefschetz", "--n"], 2, EMPTY, "11ebf0bbbfd57c61", None),
+        (["lefschetz", "--n", "--seed", "1"], 2, EMPTY, "11ebf0bbbfd57c61",
+         None),
+        (["cohomology", "--ring", "rational"], 2, EMPTY, "7d7828a3d77e22e1",
+         None),
+        (["cohomology", "--latex=1"], 2, EMPTY, "65de311e713a13ac", None),
+        (["cohomology", "--m", "x"], 2, EMPTY, "218dc0a2b3a1f303", None),
+        (["lefschetz", "--n=2", "--se", "3", "--out", "OUT"], 0, EMPTY, EMPTY,
+         "e11e8196da3f53ca"),
+        (["lefschetz", "--n", "1", "--n", "2"], 0, "132048c81a26ff2e", EMPTY,
+         None),
+        (["lefschetz", "--seed", "-5", "--out", "OUT"], 2, EMPTY,
+         "7303843539bc75ba", "7303843539bc75ba"),
+        (["check", "--suite", "associativity", "--trials", " 7 ", "--seed",
+          "3"], 0, "03054ebeda11d2a0", EMPTY, None),
+    ])
+    def test_command_line_bytes(self, capsys, tmp_path, argv, code, out, err,
+                                report):
+        path = tmp_path / "report.json"
+        assert main([str(path) if a == "OUT" else a for a in argv]) == code
+        captured = capsys.readouterr()
 
-        def full(commands=cli.COMMANDS):
-            return original()
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (digest(captured.out), digest(captured.err)) == (out, err)
+        assert (digest(path.read_text()) if path.exists() else None) == report
 
-        for argv in malformed:
-            monkeypatch.setattr(cli, "build_parser", recording)
-            code = main(argv)
-            one = capsys.readouterr()
-            monkeypatch.setattr(cli, "build_parser", full)
-            assert (code, one) == (main(argv), capsys.readouterr()), argv
-            assert code == 2 and one.out == "", argv
-        assert built == [[command]] * 3 + [list(cli.COMMANDS), [command]]
+    @pytest.mark.parametrize("argv,message", [
+        (["cohomology", "--m", "x"], "qexterior cohomology: ambiguous option: "
+         "--m could match --model, --mode-box, --max-degree"),
+        (["lefschetz", "-h1"], "qexterior lefschetz: argument -h/--help: "
+         "ignored explicit argument '1'"),
+        (["lefschetz", "--", "--n", "2"], "qexterior: unrecognized "
+         "arguments: -- --n 2"),
+        (["--", "lefschetz"], "qexterior: argument command: invalid choice: "
+         "'--' (choose from 'check', 'cohomology', 'dolbeault', "
+         "'equivariant', 'lefschetz', 'chern', 'integral')"),
+    ])
+    def test_usage_error_message(self, argv, message):
+        with pytest.raises(cli.CliError) as err:
+            cli.parse_args(argv)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("argv,values", [
+        (["lefschetz", "--n=2", "--se", "3"], {"n": 2, "seed": 3}),
+        (["lefschetz", "--n", "1", "--n", "2"], {"n": 2}),
+        (["lefschetz", "--seed", "-5"], {"seed": -5}),
+        (["check", "--trials", " 7 ", "--suite=frame"],
+         {"trials": 7, "suite": "frame"}),
+        (["cohomology", "--lat", "--ring=polynomial", "--max-d", "3"],
+         {"latex": True, "ring": "polynomial", "max_degree": 3}),
+        # argparse made the value of --out=-- an empty list
+        (["lefschetz", "--out=--"], {"out": "--"}),
+    ])
+    def test_option_values(self, argv, values):
+        args = cli.parse_args(argv)
+        options = cli.COMMANDS[argv[0]][2]
+        defaults = {o[2:].replace("-", "_"): cli.OPTIONS[o].get("default")
+                    for o in options}
+        assert vars(args) == {"command": argv[0],
+                              "func": cli.COMMANDS[argv[0]][0],
+                              **defaults, **values}
+        assert defaults.get("latex", False) is False
+
+    @pytest.mark.parametrize("argv,heading", [
+        (["-h"], "commands:"), (["--help"], "commands:"),
+        (["--bogus", "--he"], "commands:"),
+        (["cohomology", "--model", "m.json", "-h"], "quantum de Rham table"),
+        (["lefschetz", "--help", "--n", "abc"], "Lefschetz spectrum report"),
+    ])
+    def test_help_prints_usage(self, capsys, argv, heading):
+        # help read before any error: usage on stdout, exit 0, no report
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: qexterior ")
+        assert heading in captured.out and captured.err == ""
+        if argv[0] in cli.COMMANDS:
+            assert all(o in captured.out for o in cli.COMMANDS[argv[0]][2])
+
+    def test_help_from_a_cli_process(self):
+        r = run_cli(["lefschetz", "-h"])
+        assert r.returncode == 0 and r.stderr == ""
+        assert r.stdout.startswith("usage: qexterior lefschetz")
 
 
 class TestCohomology:
@@ -1121,7 +1217,7 @@ class TestWorkBudget:
     def test_stated_budget(self, argv, dim, generators, pairs):
         # T^5 with three generators at box 1 fits the pairs but not the
         # mode-0 budget at the default cutoff 6
-        args = cli.build_parser().parse_args(argv)
+        args = cli.parse_args(argv)
         if pairs > cli.TABLE_BUDGET:
             with pytest.raises(cli.CliError, match="work budget of 100,000"):
                 cli._require_budget(args, dim, generators)
@@ -1168,7 +1264,7 @@ class TestWorkBudget:
         (2, 3, 12, 10_255_896),
     ])
     def test_stated_mode_zero_budget(self, dim, generators, cutoff, units):
-        args = cli.build_parser().parse_args(
+        args = cli.parse_args(
             ["equivariant", "--mode-box", "0", "--cutoff", str(cutoff)])
         work = cli._mode_zero_work(dim, generators, cutoff)
         if units <= cli.MODE_ZERO_BUDGET:
@@ -1213,7 +1309,7 @@ class TestWorkBudget:
         # T^7 at the default cutoff 6: 1,044,608 units; T^1 up to the cutoff
         # the pairs admit, counted in time linear in the cutoff
         assert cli._mode_zero_work(7, 0, 6) == 1_044_608
-        cli._require_budget(cli.build_parser().parse_args(
+        cli._require_budget(cli.parse_args(
             ["equivariant", "--mode-box", "0"]), 7, 0)
         start = time.perf_counter()
         assert cli._mode_zero_work(1, 0, 49_998) == 50_000
@@ -1364,3 +1460,121 @@ class TestCheckBudget:
         assert main(["check", "--suite", suite, "--model", path,
                      "--trials", str(trials), "--seed", "7"]) == 3
         assert reached == [(suite, 4, trials)]
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """Every object ``cli.main`` writes, each checked first against its
+    oracle: ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte."""
+    from qexterior import serialize
+    objects = []
+
+    def checked(obj):
+        text = serialize.dump_json(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        objects.append(obj)
+        return text
+    monkeypatch.setattr(cli, "dump_json", checked)
+    return objects
+
+
+def seeded_model(seed, dim, **extra):
+    entries = Sampler(seed).bivector_entries(dim)
+    return {"space": "torus", "dim": dim, **extra,
+            "bivector": [[i, j, str(w)] for (i, j), w in entries.items()]}
+
+
+class TestReportWriter:
+    """``serialize.dump_json`` writes what ``json.dumps`` writes."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS) + [
+        "cohomology-t4-laurent", "cohomology-t4-polynomial"])
+    def test_pinned_reports(self, tmp_path, written, name):
+        if name in PINNED_REPORTS:
+            command, digest = PINNED_REPORTS[name]
+        else:
+            ring = name.rsplit("-", 1)[1]
+            command = f"cohomology --model t4 --mode-box 1 --ring {ring}"
+            digest = PINNED_SHA256[ring]
+        argv = [write_json(tmp_path / f"{a}.json", PINNED_FILES[a])
+                if a in PINNED_FILES else a for a in command.split()]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0 and len(written) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("ring", ["laurent", "polynomial"])
+    def test_seeded_tables(self, capsys, tmp_path, written, seed, ring):
+        model = write_json(tmp_path / "m.json", seeded_model(seed, 3))
+        complex_model = write_json(tmp_path / "c.json",
+                                   seeded_model(seed, 2, complex=True))
+        draw = Sampler(seed + 100)
+        action = write_json(tmp_path / "a.json", {"generators": [
+            [str(draw.randint(-2, 2)) for _ in range(3)]]})
+        runs = [["cohomology", "--model", model, "--mode-box", "1",
+                 "--latex"],
+                ["dolbeault", "--model", complex_model, "--mode-box", "1"],
+                ["equivariant", "--model", model, "--action", action,
+                 "--mode-box", "1", "--cutoff", "3"]]
+        codes = [main(argv + ["--ring", ring, "--seed", str(seed)])
+                 for argv in runs]
+        capsys.readouterr()
+        # equivariant tables are over k[h] only: laurent is an error object
+        assert codes == [0, 0, 2 if ring == "laurent" else 0]
+        assert [list(obj)[0] for obj in written] == \
+            ["command", "command", "error" if ring == "laurent" else "command"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lefschetz_reports(self, written, n):
+        assert main(["lefschetz", "--n", str(n), "--out", "/dev/null"]) == 0
+        assert written[0]["n"] == n
+
+    @pytest.mark.parametrize("suite", ["associativity", "supercommutativity",
+                                       "frame", "lefschetz", "stokes"])
+    def test_check_reports(self, written, suite):
+        assert main(["check", "--suite", suite, "--trials", "4", "--seed",
+                     "7", "--out", "/dev/null"]) == 0
+
+    def test_failing_check_report(self, monkeypatch, written):
+        break_suite_product(monkeypatch)
+        assert main(["check", "--suite", "associativity", "--trials", "3",
+                     "--out", "/dev/null"]) == 1
+        assert written[0]["results"][0]["failures"]
+
+    def test_error_objects(self, capsys, monkeypatch, written):
+        assert main(["lefschetz", "--n", "abc"]) == 2
+
+        def broken(args):
+            raise RuntimeError("broken é\n\"quoted\"")
+        _f, help_text, options = cli.COMMANDS["lefschetz"]
+        monkeypatch.setitem(cli.COMMANDS, "lefschetz",
+                            (broken, help_text, options))
+        assert main(["lefschetz"]) == 3
+        capsys.readouterr()
+        assert [obj["error"]["code"] for obj in written] == [2, 3]
+        assert written[1]["error"]["traceback"]
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), "", 0, None, True, False, -1, 10 ** 100, -10 ** 100,
+        {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}], "e": ()},
+        ["café", " \u0000\x1f\x7f", "tab\t", "\"\\/", "\U0001f600",
+         "\ud800"],
+        {"é": 1, "\x00": 2, "z": 3, "A": 4, "": 5},
+        {1: "a", -2: "b", 10: "c"}, {None: 1}, {True: 1}, {False: 0},
+        (1, (2, [3, (4,)]), {"t": (5, 6)}),
+        {"k": [{"x": [1, "2", None, True, {"y": []}]}, 10 ** 100]},
+    ], ids=repr)
+    def test_edge_cases(self, obj):
+        from qexterior.serialize import dump_json
+        assert dump_json(obj) == json.dumps(obj, indent=2,
+                                            sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        1.5, Fraction(1, 2), {1, 2}, [0, [1.0]], {"a": {"b": Fraction(1)}},
+        {1.5: "x"}, {(1, 2): "x"}, b"bytes", frozenset(),
+    ], ids=repr)
+    def test_refused_types(self, obj):
+        from qexterior.serialize import dump_json
+        with pytest.raises(TypeError):
+            dump_json(obj)

@@ -299,8 +299,8 @@ def masked_prefix_parities(root):
                     isinstance(masked.right, ast.BinOp) and \
                     isinstance(masked.right.op, ast.Sub) and \
                     getattr(masked.right.right, "value", None) == 1:
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
 
 
 def test_only_the_kernels_work_out_a_sign():
@@ -870,3 +870,59 @@ def test_report_write_guard_finds_a_write(tmp_path):
     assert report_writes(path) == [
         "6:cmd_check:dump_json", "7:cmd_check:open", "9:cmd_check:write",
         "12:cmd_lefschetz:print", "13:cmd_lefschetz:open"]
+
+
+def json_writer_calls(root):
+    """``module:line`` of every call of ``json.dumps`` or ``json.dump`` (or
+    a name imported from ``json`` as one) in the modules under ``root``."""
+    import ast
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "json"
+                 for alias in node.names if alias.name in ("dump", "dumps")}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and (
+                    getattr(func, "attr", None) in ("dump", "dumps")
+                    and getattr(func.value, "id", None) == "json"
+                    or getattr(func, "id", None) in names):
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_reports_are_written_by_dump_json_alone():
+    # serialize.dump_json writes every report; json.dumps with an indent
+    # runs the pure-Python encoder, at twice the time
+    assert json_writer_calls(ROOT / "src" / "qexterior") == []
+
+
+def test_json_writer_guard_finds_a_call(tmp_path):
+    (tmp_path / "serialize.py").write_text(
+        "import json\n"
+        "from json import dumps as text\n"
+        "def dump_json(obj):\n"
+        "    return json.dumps(obj, indent=2) + text(obj)\n"
+        "def save(obj, fh):\n"
+        "    json.dump(obj, fh)\n"
+        "    return json.loads('{}')\n")
+    assert json_writer_calls(tmp_path) == ["serialize.py:4", "serialize.py:4",
+                                           "serialize.py:6"]
+
+
+def test_a_command_loads_no_argparse():
+    # the CLI reads argv against its own option table
+    import json
+    import sys
+    from test_namespace import child_env
+    code = ("import io, json, sys, contextlib\n"
+            "import qexterior.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = qexterior.cli.main(['lefschetz', '--n', '1'])\n"
+            "print(json.dumps([code, sorted(m for m in ('argparse', "
+            "'gettext') if m in sys.modules)]))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [0, []]
