@@ -244,9 +244,11 @@ def cmd_equivariant(args) -> tuple:
 
 
 # The largest --n of ``lefschetz``, refused with exit 2 before any work.
-# In process (2-vCPU Xeon, Python 3.11.7) n = 4 takes 0.04 s and 19 MiB and
-# writes 262,713 bytes, n = 5 0.22 s and 35 MiB for 3,665,795 bytes; n = 6
-# would take 2.8 s and 293 MiB and write 66 MB.
+# In process (2-vCPU Xeon, Python 3.11.7) n = 4 takes 0.03 s and 18 MiB and
+# writes 262,713 bytes, n = 5 0.16 s and 32 MiB for 3,665,795 bytes; n = 6
+# would take 2.5 s and 283 MiB and write 66 MB, most of it the expanded
+# characteristic polynomials: the checks alone take 0.41 s at n = 6 and
+# 2.0 s at n = 7, so the report, not the checks, sets the cap.
 LEFSCHETZ_MAX_N = 5
 
 

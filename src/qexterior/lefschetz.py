@@ -31,19 +31,15 @@ L_h, L_h* and E are kept as sparse columns ``mask -> {label': c}``, the
 image of e^mask in ints where integral, filled once per mask in one
 :class:`Columns` store per operator of the :class:`DarbouxSpace` both
 checks share.  A reader puts h^j on the column of the label (j, mask), so
-the operators are k[h, h^-1]-linear by the store's key type.  An L_h
-column sums the expansions of omega's masks with the mask in the
-bivector's own product table (:func:`lh_column`); an L_h* column is
--* L_h * read off those L_h columns through the star table.
+the operators are k[h, h^-1]-linear by the store's key type.  The Darboux
+w is a sum of n planes, so on ``DarbouxSpace(n)`` an L_h column is a sum
+and an E column a product of one plane's (:func:`plane_lh_column`,
+:func:`plane_exp_column`); a model's space reads them off w's product
+table (:func:`lh_column`) and the series :func:`exp_contract_terms`.  An
+L_h* column is -* L_h * read off the L_h columns through the star table.
 :func:`apply_Lh` and :func:`apply_Lh_star` are views of those columns on
-forms, and the M_h matrices (:func:`Mh_matrix`) dense ``Fraction``
-views, kept for the test oracles and the benchmark's tracer.  The
-commutator check takes each operator image of a mask once (columns,
-four composites, the A_h factor n - |mask| - 2j per label), compares the
-identities on those exact coefficient dicts, then certifies the scale of
-L_h* by M_h* = M_h - 2n, for the labels of the first window block of
-each parity: one label per mask, each inside the window, so a failure is
-reported on the labels of the window.
+forms, and the M_h matrices (:func:`Mh_matrix`) dense ``Fraction`` views,
+kept for the test oracles and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -81,13 +77,14 @@ class DarbouxSpace:
 
     The star table of Omega (``star``) is built on first use, and so is
     each column of ``L`` (L_h), ``Ls`` (L_h*) and ``E`` (exp(h iota_w)),
-    from the ``w`` held at that time."""
+    by plane on ``DarbouxSpace(n)``, on a model's from the ``w`` held then."""
 
     __slots__ = ("n", "dim", "omega", "w", "omega_form", "_star", "L", "Ls",
                  "E")
 
     def __init__(self, n: int):
-        self._hold(darboux_matrix(n), Bivector(2 * n, darboux_dual(n)))
+        self._hold(darboux_matrix(n), Bivector(2 * n, darboux_dual(n)),
+                   plane_lh_column, plane_exp_column)
 
     @classmethod
     def of_model(cls, model: PoissonModel) -> "DarbouxSpace":
@@ -96,19 +93,20 @@ class DarbouxSpace:
         if model.omega is None:
             raise ValueError("needs a symplectic model")
         space = cls.__new__(cls)
-        space._hold(model.omega, model.constant_bivector())
+        space._hold(model.omega, model.constant_bivector(), lh_column,
+                    lambda s, m: exp_contract_terms(s.w, {(0, m): 1}))
         return space
 
-    def _hold(self, omega, w: Bivector):
+    def _hold(self, omega, w: Bivector, lh, exp):
         self.n = len(omega) // 2
         self.dim = len(omega)
         self.omega = omega
         self._star = None
         self.w = w
         self.omega_form = omega_form(omega, laurent=True)
-        self.L = Columns(lambda m: lh_column(self, m))
+        self.L = Columns(lambda m: lh(self, m))
         self.Ls = Columns(self.lh_star_column)
-        self.E = Columns(lambda m: exp_contract_terms(self.w, {(0, m): 1}))
+        self.E = Columns(lambda m: exp(self, m))
 
     @property
     def star(self) -> StarTable:
@@ -189,6 +187,41 @@ def lh_column(space: DarbouxSpace, mask: int) -> dict:
             else:
                 col.pop(key, None)
     return {key: int_if_integral(c) for key, c in col.items()}
+
+
+# The n = 1 columns of L_h on e^p, p the two bits of one plane, and the
+# column of E on e^12, the only one that E moves.
+PLANE_L = {0: {(0, 3): 1}, 1: {(1, 1): 1}, 2: {(1, 2): 1},
+           3: {(1, 3): 2, (2, 0): -1}}
+PLANE_E = {(0, 3): 1, (1, 0): -1}
+
+
+def plane_lh_column(space: DarbouxSpace, mask: int) -> dict:
+    """The column of L_h on e^mask under the Darboux w, the sum over the
+    planes i of omega_i ^_h e^mask: a minor of w pairs bits of one plane,
+    so omega_i ^_h changes plane i alone, as :data:`PLANE_L` reads its two
+    bits, with no sign (omega_i is even)."""
+    col = {}
+    for s in range(0, space.dim, 2):
+        rest = mask & ~(3 << s)
+        for (j, p), c in PLANE_L[mask >> s & 3].items():
+            key = (j, rest | p << s)
+            col[key] = col.get(key, 0) + c
+    return {key: c for key, c in col.items() if c}
+
+
+def plane_exp_column(space: DarbouxSpace, mask: int) -> dict:
+    """The column of E on e^mask under the Darboux w: the iota_{w_i} are
+    even and commute, so E = prod_i exp(h iota_{w_i}), and exp(h iota_{w_i})
+    moves e^mask only where the mask fills plane i, as :data:`PLANE_E`
+    does: E e^mask = sum_S (-h)^|S| e^(mask - S), S over those planes."""
+    col = {(0, mask): 1}
+    for s in range(0, space.dim, 2):
+        if mask >> s & 3 == 3:
+            rest = ~(3 << s)
+            col = {(j + i, m & rest | p << s): c * d for (j, m), c in
+                   col.items() for (i, p), d in PLANE_E.items()}
+    return col
 
 
 def Mh_matrix(space: DarbouxSpace, k: int):
@@ -448,12 +481,13 @@ class SpectrumReport:
 
     def _read_off(self, n: int, size: int, rank_N: int):
         self.size = size
-        root = Fraction(n)
-        self.charpoly = HPoly({j: comb(size, j) * (-root) ** (size - j)
-                               for j in range(size + 1)})
-        self.factorization = CharFactorization({root: size}, {}, HPoly.one())
-        self.det = root ** size
-        self.geometric = {str(root): (size, size - rank_N)}
+        c = [1] * (size + 1)    # c[j] = C(size, j) (-n)^(size - j), in ints
+        for j in range(size, 0, -1):
+            c[j - 1] = c[j] * j * -n // (size - j + 1)
+        self.charpoly = HPoly(dict(enumerate(c)))
+        self.factorization = CharFactorization({n: size}, {}, HPoly.one())
+        self.det = n ** size
+        self.geometric = {str(n): (size, size - rank_N)}
         self.diagonalizable = rank_N == 0
         self.invertible = bool(self.det)
 

@@ -60,9 +60,13 @@ them before those read the space's columns.  ``OperatorColumns`` are the
 L_h and L_h* columns as the engine built them next, one operator call on
 a unit form per label, before it filled the L_h columns from the
 bivector's product table and the L_h* columns from those; ``apply_Mh`` is
-h^-1 ``lh_per_form``.  ``flip_lh_bivector`` makes the engine's L_h columns multiply
-under the flipped dual bivector, the negative control of its commutator
-check.
+h^-1 ``lh_per_form``.  ``generic_darboux`` is the Darboux space with the
+fills of ``DarbouxSpace.of_model`` (``lefschetz.lh_column`` and
+``exp_contract_terms``), the oracle of the plane fills of
+``DarbouxSpace(n)`` and the space on which a swapped bivector or a patched
+generic fill acts; ``generic_fills`` makes every ``DarbouxSpace(n)`` one.
+``flip_lh_bivector`` makes the engine's L_h columns multiply under the
+flipped dual bivector, the negative control of its commutator check.
 
 ``commutator_check_per_label`` and ``hard_lefschetz_check_per_block``
 are the Lefschetz checks as the engine ran them before it certified each
@@ -940,18 +944,44 @@ def lh_star_per_form(x, space):
                                         space.w), star)
 
 
+def generic_darboux(n) -> DarbouxSpace:
+    """The Darboux space of dimension 2n with the fills of
+    ``DarbouxSpace.of_model``: its L_h and E columns are
+    ``lefschetz.lh_column`` and ``exp_contract_terms`` on e^mask, from the
+    ``w`` the space holds when a column is first read."""
+    return DarbouxSpace.of_model(PoissonModel.darboux_torus(n))
+
+
+def generic_fills(monkeypatch, new_w=None):
+    """Make every ``DarbouxSpace(n)`` take the ``w``, ``L`` and ``E`` of a
+    ``generic_darboux(n)`` twin, whose ``w`` is ``new_w(w)`` when given:
+    the columns of the generic fills under that bivector, which a patch
+    of ``lefschetz.lh_column`` or ``lefschetz.exp_contract_terms`` reaches.
+    The ``Ls`` columns are read off the ``L`` the space then holds."""
+    real = DarbouxSpace.__init__
+
+    def generic(self, n):
+        real(self, n)
+        twin = generic_darboux(n)
+        if new_w is not None:
+            twin.w = new_w(twin.w)
+        self.w, self.L, self.E = twin.w, twin.L, twin.E
+
+    monkeypatch.setattr(DarbouxSpace, "__init__", generic)
+
+
 def flip_lh_bivector(monkeypatch):
     """The negative control of ``lefschetz.commutator_check``: every
-    ``DarbouxSpace`` takes the L_h columns of a twin whose dual bivector
-    has the calibration sign flipped, and the L_h* columns of a calibrated
-    twin, read off calibrated L_h columns, as ``corrupt_w`` does below."""
+    ``DarbouxSpace`` takes the L_h columns of a generic twin whose dual
+    bivector has the calibration sign flipped, and the L_h* columns of a
+    calibrated twin, read off calibrated L_h columns, as ``corrupt_w``
+    does below."""
     real = DarbouxSpace.__init__
 
     def flipped(self, n):
         real(self, n)
-        flip, calibrated = (DarbouxSpace.__new__(DarbouxSpace)
-                            for _ in range(2))
-        real(flip, n)
+        flip, calibrated = generic_darboux(n), DarbouxSpace.__new__(
+            DarbouxSpace)
         real(calibrated, n)
         flip.w = flip.w.map_entries(lambda v: -v)
         self.L, self.Ls = flip.L, calibrated.Ls

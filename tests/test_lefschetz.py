@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from qexterior import lefschetz, linalg
-from qexterior.cli import main
-from qexterior._kernels import wedge_terms
+from qexterior.cli import LEFSCHETZ_MAX_N, main
+from qexterior._kernels import QTable, wedge_terms
 from qexterior.forms import (Bivector, HForm, bivector_contract,
                              exp_contract_terms)
 from qexterior.hpoly import HPoly
@@ -33,8 +33,9 @@ from qexterior.serialize import dump_json, spectrum_to_json
 from oracles import (HessenbergSpectrumReport, OperatorColumns, ah_per_form,
                      apply_Mh, commutator_check_per_form,
                      commutator_check_per_label, congruent_torus,
-                     flip_lh_bivector, hard_lefschetz_check_per_block,
-                     lh_per_form, lh_star_per_form, operator_matrix_per_form,
+                     flip_lh_bivector, generic_darboux, generic_fills,
+                     hard_lefschetz_check_per_block, lh_per_form,
+                     lh_star_per_form, operator_matrix_per_form,
                      recursion_matrix, recursion_verify,
                      stratum_rank_by_elimination)
 from test_calculus import COEFFICIENT_KINDS, retyped
@@ -299,6 +300,17 @@ def _negated_of_model(monkeypatch):
     monkeypatch.setattr(DarbouxSpace, "of_model", classmethod(negated))
 
 
+def _write_model(model, path):
+    """Write a symplectic torus model's omega and bivector as a model
+    file at ``path``."""
+    path.write_text(json.dumps({
+        "space": "torus", "dim": model.dim,
+        "symplectic": [[str(x) for x in row] for row in model.omega],
+        "bivector": [[i, j, str(c)] for (i, j), c in
+                     sorted(model.constant_bivector().entries.items())]}),
+        encoding="utf-8")
+
+
 def per_form_operators(space):
     """``(name, oracle, columns)`` of L_h and L_h* on ``space``: the
     per-form operator on HForms and the space's column store."""
@@ -372,12 +384,7 @@ class TestModelSpace:
         forms = [s.model_form(model, laurent=True) for _ in range(6)]
         assert lefschetz_d_commutators(model, forms).ok
         path, out = tmp_path / "t4.json", tmp_path / "check.json"
-        path.write_text(json.dumps({
-            "space": "torus", "dim": 4,
-            "symplectic": [[str(x) for x in row] for row in model.omega],
-            "bivector": [[i, j, str(c)] for (i, j), c in
-                         sorted(model.constant_bivector().entries.items())]}),
-            encoding="utf-8")
+        _write_model(model, path)
         argv = ["check", "--suite", "lefschetz", "--model", str(path),
                 "--trials", "6", "--seed", "3"]
         assert main(argv + ["--out", str(out)]) == 0
@@ -418,7 +425,7 @@ class TestOperatorColumnsOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_Mh_matrix_matches_per_form(self, n):
-        calibrated, zero = DarbouxSpace(n), DarbouxSpace(n)
+        calibrated, zero = DarbouxSpace(n), generic_darboux(n)
         zero.w = Bivector.zero(2 * n)
         for space in (calibrated, zero):
             for k in range(-(2 * n + 2), 2 * n + 3):
@@ -430,8 +437,9 @@ class TestOperatorColumnsOracle:
 
     def test_columns_keep_non_integral_values(self):
         # w^{12} / 3 makes the table's D = 3: an order-k term is d / 3^k,
-        # and one that comes out integral is stored as an int
-        space = DarbouxSpace(2)
+        # and one that comes out integral is stored as an int (the generic
+        # fill, which reads the w the space holds)
+        space = generic_darboux(2)
         space.w = Bivector(4, {(1, 2): Fraction(-1, 3), (3, 4): Fraction(-1)})
         L = space.L
         # omega ^_h e^{ij} = e^1234 + 2 h e^{ij} - h^2 under w^{ij} = -1,
@@ -624,6 +632,19 @@ class TestTransportCertificate:
         assert got["charpoly"] == [[0, want[0]], [1, want[1]], [2, "1"]]
         assert json.loads(dump_json(got))["det"] == want[0]
 
+    @pytest.mark.parametrize("n", range(1, LEFSCHETZ_MAX_N + 1))
+    def test_charpoly_in_ints(self, n):
+        # every block at n has size 2^(2n - 1); the coefficients of
+        # (x - n)^size in ascending order, each an integer, and det an int
+        size = 2 ** (2 * n - 1)
+        report = SpectrumReport.__new__(SpectrumReport)
+        report._read_off(n, size, 0)
+        assert list(report.charpoly.coeffs.items()) == [
+            (j, comb(size, j) * (-n) ** (size - j)) for j in range(size + 1)]
+        assert {c.denominator for c in report.charpoly.coeffs.values()} == \
+            {1}
+        assert (report.det, type(report.det)) == (n ** size, int)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_block_agrees_with_hessenberg(self, n):
         space = DarbouxSpace(n)
@@ -697,7 +718,7 @@ class TestHardLefschetz:
         # w = 0 leaves the classical h^-1 omega^, which is nilpotent: every
         # block is singular, fails the Hessenberg oracle's (x - n)^size, and
         # fails the transport certificate, whose E is then the identity
-        space = DarbouxSpace(1)
+        space = generic_darboux(1)
         space.w = Bivector.zero(2)
         for k in range(-2, 3):
             M = Mh_matrix(space, k)
@@ -707,13 +728,7 @@ class TestHardLefschetz:
             with pytest.raises(AssertionError, match=(
                     rf"M_h block of degree {k}: {TRANSPORT} on degree {k}, ")):
                 SpectrumReport(space, k)
-        real = DarbouxSpace.__init__
-
-        def zero(self, n):
-            real(self, n)
-            self.w = Bivector.zero(2 * n)
-
-        monkeypatch.setattr(DarbouxSpace, "__init__", zero)
+        generic_fills(monkeypatch, lambda w: Bivector.zero(w.dim))
         assert_block_fails(capsys, 2, -4, TRANSPORT)
 
     def test_corrupted_block_names_its_degree(self, monkeypatch, capsys):
@@ -742,13 +757,7 @@ class TestHardLefschetz:
         # w flipped for L_h, L_h* and E alike passes every commutator
         # identity; the scale certificate M_h* = M_h - 2n of the commutator
         # check and the transport certificate of the blocks both see it
-        real = DarbouxSpace.__init__
-
-        def flipped(self, n):
-            real(self, n)
-            self.w = self.w.map_entries(lambda v: -v)
-
-        monkeypatch.setattr(DarbouxSpace, "__init__", flipped)
+        generic_fills(monkeypatch, lambda w: w.map_entries(lambda v: -v))
         with pytest.raises(AssertionError, match=(
                 rf"M_h\* = M_h - 2n fails on degree {-2 * n - 2}, ")):
             commutator_check(n)
@@ -780,6 +789,7 @@ class TestHardLefschetz:
                 out = out + term
             return out.terms
 
+        generic_fills(monkeypatch)
         monkeypatch.setattr(lefschetz, "exp_contract_terms", broken)
         assert_block_fails(capsys, n, -2 * n, TRANSPORT)
 
@@ -788,6 +798,7 @@ class TestHardLefschetz:
         # E = 0 and E = exp(h iota_w) N satisfy M_h E = E (N + n) on every
         # label, but neither is invertible: only the check that E x is x
         # plus lower exterior degrees of the block rejects them
+        generic_fills(monkeypatch)
         real = lefschetz.exp_contract_terms
         space = DarbouxSpace(n)
         omega = space.omega_form.terms
@@ -827,6 +838,7 @@ class TestHardLefschetz:
                 both[key] = both.get(key, 0) + v
             return real(w, {key: v for key, v in both.items() if v})
 
+        generic_fills(monkeypatch)
         monkeypatch.setattr(lefschetz, "exp_contract_terms", mixing)
         for k in (-3, 1):
             with pytest.raises(AssertionError, match=(
@@ -884,16 +896,9 @@ def assert_same_as_oracles(n, commutator_window=None, block_window=None):
 
 
 def _replace_w(new_w):
-    """A patch that gives every DarbouxSpace the bivector new_w(w)."""
-    def patch(monkeypatch):
-        real = DarbouxSpace.__init__
-
-        def replaced(self, n):
-            real(self, n)
-            self.w = new_w(self.w)
-
-        monkeypatch.setattr(DarbouxSpace, "__init__", replaced)
-    return patch
+    """A patch that gives every DarbouxSpace the bivector new_w(w), read
+    by the generic fills."""
+    return lambda monkeypatch: generic_fills(monkeypatch, new_w)
 
 
 def _E_without(factorials, shift):
@@ -933,7 +938,12 @@ def _E_mixing(w, terms):
 
 
 def _patch_E(broken):
-    return lambda mp: mp.setattr(lefschetz, "exp_contract_terms", broken)
+    """A patch that makes every DarbouxSpace fill E by ``broken`` in the
+    place of ``exp_contract_terms``, on the generic fills."""
+    def patch(mp):
+        generic_fills(mp)
+        mp.setattr(lefschetz, "exp_contract_terms", broken)
+    return patch
 
 
 def _patch_mutant(name):
@@ -951,8 +961,17 @@ def _scaled_Lh_star(factor):
         mp, Ls=lambda mask, col: {y: factor * c for y, c in col.items()})
 
 
-# Every negative control of TestCommutators and TestHardLefschetz, as
-# (id, patch, values of n).
+# The negative controls of the plane fills of DarbouxSpace(n): the sign of
+# the h^2 entry of the L_h column of e^12 flipped, and E with +h for -h.
+PLANE_CONTROLS = {
+    "plane h^2 sign flipped": lambda mp: mp.setitem(
+        lefschetz.PLANE_L, 3, {(1, 3): 2, (2, 0): 1}),
+    "E with +h": lambda mp: mp.setitem(lefschetz.PLANE_E, (1, 0), 1),
+}
+
+
+# Every negative control of TestCommutators, TestHardLefschetz and
+# TestPlaneFills, as (id, patch, values of n).
 ORACLE_MUTANTS = (
     [(f"identity {name}", _patch_mutant(name), (1, 2)) for name in MUTANTS]
     + [(f"Lh* times {f}", _scaled_Lh_star(f), (1, 2, 3)) for f in (-1, 3)]
@@ -964,7 +983,8 @@ ORACLE_MUTANTS = (
        ("E without h", _patch_E(_E_without(True, 0)), (1, 2)),
        ("E = 0", _patch_E(lambda w, terms: {}), (1, 2)),
        ("E times N", _patch_E(_E_times_N), (1, 2)),
-       ("mixing E", _patch_E(_E_mixing), (2,))])
+       ("mixing E", _patch_E(_E_mixing), (2,))]
+    + [(name, patch, (1, 2, 3)) for name, patch in PLANE_CONTROLS.items()])
 
 
 class TestPerMaskOracles:
@@ -1010,20 +1030,116 @@ class TestPerMaskOracles:
             not all(ok for _, ok in comm[1])
 
 
+class TestPlaneFills:
+    """DarbouxSpace(n) reads its L_h and E columns off one plane
+    (lefschetz.plane_lh_column and plane_exp_column); the generic fills of
+    DarbouxSpace.of_model are their oracle, and only a model's space runs
+    them."""
+
+    @staticmethod
+    def assert_generic_columns(n, masks):
+        planes, generic = DarbouxSpace(n), generic_darboux(n)
+        for mask in masks:
+            for name in ("L", "E"):
+                col = getattr(planes, name)[mask]
+                assert col == getattr(generic, name)[mask], (n, name, mask)
+                assert all(type(c) is int for c in col.values())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_mask(self, n):
+        self.assert_generic_columns(n, range(1 << 2 * n))
+
+    def test_seeded_masks_n7(self):
+        masks = random.Random("plane-fills-n7").sample(range(1 << 14), 256)
+        self.assert_generic_columns(7, masks)
+
+    @pytest.mark.parametrize("name", list(PLANE_CONTROLS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_control_caught_by_the_certificate(self, monkeypatch, capsys,
+                                               n, name):
+        # the command's commutator check does not read E, and lets the
+        # flipped h^2 through as well: the transport certificate fails the
+        # first block
+        PLANE_CONTROLS[name](monkeypatch)
+        assert_block_fails(capsys, n, -2 * n, TRANSPORT)
+
+    def test_generic_fills_run_only_on_a_model(self, monkeypatch, tmp_path):
+        # both checks on DarbouxSpace(n), and the lefschetz command, call
+        # no QTable.product, lh_column or exp_contract_terms; on a seeded
+        # non-Darboux T^4, check --suite lefschetz reads L_h through
+        # lh_column and the product table, and the blocks read E through
+        # the series
+        calls = Counter()
+        for owner, name in ((QTable, "product"), (lefschetz, "lh_column"),
+                            (lefschetz, "exp_contract_terms")):
+            def counted(*args, real=getattr(owner, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        space = DarbouxSpace(3)
+        assert commutator_check(space).ok
+        assert hard_lefschetz_check(space).all_invertible
+        out = tmp_path / "out.json"
+        assert main(["lefschetz", "--n", "2", "--out", str(out)]) == 0
+        assert calls == Counter()
+        model = congruent_torus(Sampler(42), 2)
+        _write_model(model, tmp_path / "t4.json")
+        assert main(["check", "--suite", "lefschetz", "--model",
+                     str(tmp_path / "t4.json"), "--trials", "6", "--seed",
+                     "3", "--out", str(out)]) == 0
+        assert calls["product"] and calls["lh_column"]
+        assert hard_lefschetz_check(
+            DarbouxSpace.of_model(model)).all_invertible
+        assert calls["exp_contract_terms"]
+
+
+class TestJordanType:
+    """The Jordan type of the M_h blocks, read off the ranks of the powers
+    of M_h - n over Q (linalg.rank): one Jordan block of size n - p + 1
+    per primitive class of exterior degree p <= n of the block's parity,
+    C(2n, p) - C(2n, p - 2) of them."""
+
+    @staticmethod
+    def jordan_type(M, n):
+        N = [[c - n if i == j else c for j, c in enumerate(row)]
+             for i, row in enumerate(M)]
+        ranks, power = [len(M)], N
+        while ranks[-1] and len(ranks) <= len(M):
+            ranks.append(linalg.rank(power))
+            power = [[sum(a * b for a, b in zip(row, col))
+                      for col in zip(*N)] for row in power]
+        assert ranks[-1] == 0, "M_h - n is not nilpotent"
+        ranks.append(0)
+        found = {s: ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
+                 for s in range(1, len(ranks) - 1)}
+        return {s: count for s, count in found.items() if count}
+
+    @pytest.mark.parametrize("k", [0, 1], ids=["even", "odd"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_both_parities(self, n, k):
+        want = {n - p + 1: comb(2 * n, p) - (comb(2 * n, p - 2) if p > 1
+                                             else 0)
+                for p in range(k, n + 1, 2)}
+        M = Mh_matrix(DarbouxSpace(n), k)
+        assert self.jordan_type(M, n) == want
+        assert sum(size * count for size, count in want.items()) == len(M)
+
+
 class TestOneSpacePerCommand:
     """The lefschetz command runs both checks on one DarbouxSpace, whose
     column stores each check reads."""
 
     def test_each_Lh_column_is_built_once(self, monkeypatch, tmp_path):
-        # one lh_column call per mask: 64 at n = 3, where a fill per label
-        # read took 240 calls (and 368 with a space per check)
-        real, calls = lefschetz.lh_column, Counter()
+        # one plane_lh_column call per mask: 64 at n = 3, where a fill per
+        # label read took 240 calls (and 368 with a space per check)
+        real, calls = lefschetz.plane_lh_column, Counter()
 
         def counted(space, mask):
             calls[mask] += 1
             return real(space, mask)
 
-        monkeypatch.setattr(lefschetz, "lh_column", counted)
+        monkeypatch.setattr(lefschetz, "plane_lh_column", counted)
         out = tmp_path / "lefschetz.json"
         assert main(["lefschetz", "--n", "3", "--out", str(out)]) == 0
         assert sorted(calls) == list(range(64))
@@ -1090,7 +1206,9 @@ class TestOneSpacePerCommand:
 
 
 def _corrupt_lh_column(monkeypatch, masks):
-    # the L_h column of e^mask gains h e^mask for each mask of ``masks``
+    # the L_h column of e^mask gains h e^mask for each mask of ``masks``,
+    # on the generic fills
+    generic_fills(monkeypatch)
     real = lefschetz.lh_column
 
     def corrupted(space, mask):
